@@ -18,7 +18,7 @@
 //!   counts (the `host_ms` precedent).
 //! * [`HostProf`] — cheap wall-clock phase counters around the emulator
 //!   event-loop hot path (pop/dispatch/batch-drain/wakeup), the baseline
-//!   any PDES-parallelization work will be judged against.
+//!   any event-loop work is judged against.
 //! * [`progress`] — rate-limited one-line live progress for `repro
 //!   --progress`.
 //!

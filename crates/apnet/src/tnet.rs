@@ -37,10 +37,10 @@ pub struct TNetParams {
 
 impl TNetParams {
     /// Minimum latency of any packet that crosses at least one torus link:
-    /// one prolog plus one hop, with zero payload bytes. This is the
-    /// conservative PDES lookahead bound — no event injected at time `t`
-    /// on one side of a tile boundary can affect the other side before
-    /// `t + min_crossing_latency()` (DESIGN.md §10).
+    /// one prolog plus one hop, with zero payload bytes — no event
+    /// injected at time `t` on one cell can affect another before
+    /// `t + min_crossing_latency()`. The kernel sizes its wake-delivery
+    /// window in units of it (DESIGN.md §10).
     pub fn min_crossing_latency(&self) -> SimTime {
         self.prolog + self.per_hop
     }

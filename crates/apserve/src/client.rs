@@ -84,25 +84,42 @@ fn read_response(stream: TcpStream) -> Result<HttpResponse, String> {
     })
 }
 
-/// One request/response exchange (the server closes after each).
-pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+/// Connects and writes one request. A write error is handed back next
+/// to the stream instead of ending the exchange: a server that rejects
+/// a request early (413) answers and closes before the body is fully
+/// sent, and the caller should still read that answer.
+fn send_request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> Result<(TcpStream, Result<(), String>), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(CLIENT_TIMEOUT))
         .map_err(|e| e.to_string())?;
     stream
         .set_write_timeout(Some(CLIENT_TIMEOUT))
         .map_err(|e| e.to_string())?;
-    let mut w = stream.try_clone().map_err(|e| e.to_string())?;
-    write!(
-        w,
+    let sent = write!(
+        stream,
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )
-    .map_err(|e| format!("write request: {e}"))?;
-    w.write_all(body).map_err(|e| format!("write body: {e}"))?;
-    w.flush().map_err(|e| e.to_string())?;
-    read_response(stream)
+    .map_err(|e| format!("write request: {e}"))
+    .and_then(|()| {
+        stream
+            .write_all(body)
+            .map_err(|e| format!("write body: {e}"))
+    });
+    Ok((stream, sent))
+}
+
+/// One request/response exchange (the server closes after each). A
+/// parsed response wins over a write error.
+pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
+    let (stream, sent) = send_request(addr, method, path, body)?;
+    read_response(stream).map_err(|read_err| sent.err().unwrap_or(read_err))
 }
 
 /// `GET path`.
@@ -123,25 +140,17 @@ pub fn submit_stream(
     job_json: &str,
     mut on_line: impl FnMut(&str),
 ) -> Result<String, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(CLIENT_TIMEOUT))
-        .map_err(|e| e.to_string())?;
-    let mut w = stream.try_clone().map_err(|e| e.to_string())?;
-    write!(
-        w,
-        "POST /submit HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        job_json.len()
-    )
-    .map_err(|e| format!("write request: {e}"))?;
-    w.write_all(job_json.as_bytes())
-        .map_err(|e| format!("write body: {e}"))?;
-    w.flush().map_err(|e| e.to_string())?;
-
+    let (stream, sent) = send_request(addr, "POST", "/submit", job_json.as_bytes())?;
     let mut r = BufReader::new(stream);
     // Skip the status line and headers.
     let mut status = String::new();
-    r.read_line(&mut status).map_err(|e| e.to_string())?;
+    let got = r.read_line(&mut status).map_err(|e| e.to_string());
+    if let Err(write_err) = sent {
+        if !matches!(got, Ok(n) if n > 0) {
+            return Err(write_err);
+        }
+    }
+    got?;
     if !status.contains("200") {
         return Err(format!("stream refused: {}", status.trim_end()));
     }

@@ -6,16 +6,17 @@
 //! `join`), **never** in the body — so a cached response body is
 //! byte-for-byte the cold response body.
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aputil::Json;
 
 use crate::http::{
     read_request, write_response, write_stream_header, HttpError, HttpRequest, Response,
+    MAX_BODY_BYTES,
 };
 use crate::service::{Config, Executor, Service, Stats, Submission};
 
@@ -140,14 +141,36 @@ fn handle_connection(
                 &Response::json(400, error_body("bad_request", &m)),
             );
         }
-        Err(e @ HttpError::TooLarge { .. }) => {
-            return write_response(
+        Err(e @ HttpError::TooLarge { declared, .. }) => {
+            write_response(
                 &mut writer,
                 &Response::json(413, error_body("payload_too_large", &e.to_string())),
-            );
+            )?;
+            // Closing with the body unread makes the kernel answer the
+            // client's in-flight writes with a reset, which can destroy
+            // the 413 before it is read. Finish our side, then swallow
+            // what the client is still sending — a bounded amount.
+            writer.shutdown(Shutdown::Write)?;
+            discard_body(&mut reader, declared);
+            return Ok(());
         }
     };
     route(svc, &req, &mut writer, gauge)
+}
+
+/// Reads and drops the rejected body: at most `2 × MAX_BODY_BYTES` and
+/// at most [`SOCKET_TIMEOUT`] in total, whatever length was declared.
+fn discard_body(r: &mut impl Read, declared: usize) {
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
+    let mut left = declared.min(2 * MAX_BODY_BYTES);
+    let mut buf = [0u8; 8192];
+    while left > 0 && Instant::now() < deadline {
+        let want = left.min(buf.len());
+        match r.read(&mut buf[..want]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left -= n,
+        }
+    }
 }
 
 fn route(

@@ -16,7 +16,6 @@
 //! repro record  --apps CG ...  # record a run as a binary .evtrace file
 //! repro replay  T.evtrace      # re-execute and gate against the recording
 //! repro remodel T.evtrace      # replay recorded traffic under new models
-//! repro scaling --out F        # PDES sim-thread scaling curve + artifact
 //! repro serve  --addr A:P      # simulation-as-a-service job server
 //! repro submit --addr A:P ...  # client for a running repro serve
 //! ```
@@ -42,11 +41,6 @@
 //! `--flight-dump FILE` writes the recorded tail as a Chrome trace when a
 //! run dies of a deadlock, lost cell, or unsurvivable fault. Counter
 //! tracks from sampled runs are merged into `--trace-out` exports.
-//! `--sim-threads N` selects the conservative time-windowed PDES engine
-//! (DESIGN.md §10) for every emulator run the command makes: N ≥ 2
-//! parallelizes a *single* simulation across N host threads with
-//! byte-identical results; 1 (the default) keeps the classic serial
-//! event loop. Fault-injected runs always use the serial engine.
 //!
 //! `repro compare BASE CUR [--threshold PCT]` exits nonzero when any
 //! app's emulator or model total in CUR is more than PCT percent (default
@@ -70,15 +64,14 @@
 //! or unsurvived app makes the command exit 1.
 //!
 //! `repro record --apps CG[,FT,..] (--trace-out FILE | --out-dir DIR)
-//! [--scale test|paper] [--size N] [--threads N] [--sim-threads N]
-//! [--faults SPEC.ron] [--stream] [--metrics-interval USECS]` runs each
-//! app on the emulator with full event tracing and writes one compact
-//! binary `.evtrace` file per app (wire format: DESIGN.md §9). Recording
-//! is deterministic: re-recording the same app produces byte-identical
-//! files regardless of `--threads` (host fan-out across apps) or
-//! `--sim-threads` (PDES fan-out within one simulation). Machines past
-//! 1024 cells (or any run with `--stream`) stream events to disk instead
-//! of buffering the timeline.
+//! [--scale test|paper] [--size N] [--threads N] [--faults SPEC.ron]
+//! [--stream] [--metrics-interval USECS]` runs each app on the emulator
+//! with full event tracing and writes one compact binary `.evtrace` file
+//! per app (wire format: DESIGN.md §9). Recording is deterministic:
+//! re-recording the same app produces byte-identical files regardless of
+//! `--threads` (host fan-out across apps). Machines past 1024 cells (or
+//! any run with `--stream`) stream events to disk instead of buffering
+//! the timeline.
 //!
 //! `repro replay TRACE.evtrace [--lenient] [--at NS [--cell ID]]`
 //! re-executes the recorded workload and gates the fresh run against the
@@ -92,16 +85,6 @@
 //! [--rev REV]` replays the recorded traffic under each
 //! computation-factor multiple of the three paper models — no emulator —
 //! and writes a normal versioned `ap1000plus.bench` report.
-//!
-//! `repro scaling [--out FILE] [--app CG] [--scale test|paper]
-//! [--sizes default,256,1024] [--sim-threads 1,2,4,8] [--repeats N]
-//! [--rev REV]` records the app once per machine size per sim-thread
-//! count (best-of-`--repeats` wall-clock), byte-compares every parallel
-//! recording against the serial one, prints the speedup curve, and
-//! writes the versioned `ap1000plus.scaling` artifact. Exits 1 if any
-//! recording diverges from the serial bytes. The checked-in
-//! `results/SCALING_baseline.json` documents the curve measured on the
-//! reference (single-core) CI host.
 //!
 //! `repro serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //! [--cache-entries N] [--cache-dir DIR] [--disk-cache-bytes N]
@@ -212,14 +195,6 @@ fn apply_telemetry_flags(args: &[String]) -> Option<String> {
     }
     if let Some(path) = flag_value(args, "--flight-dump") {
         apcore::set_flight_dump_path(Some(path.into()));
-    }
-    if let Some(s) = flag_value(args, "--sim-threads") {
-        let n: u32 = s.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            bad(format!(
-                "--sim-threads takes a thread count (> 0), got '{s}'"
-            ))
-        });
-        apcore::set_sim_threads_default(n);
     }
     metrics_out
 }
@@ -458,82 +433,6 @@ fn fault_cmd(args: &[String]) -> ! {
     std::process::exit(if out.failures.is_empty() { 0 } else { 1 });
 }
 
-fn scaling_cmd(args: &[String]) -> ! {
-    let bad = |msg: String| -> ! {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    };
-    let app = flag_value(args, "--app").unwrap_or_else(|| "CG".into());
-    let sizes: Vec<Option<u32>> = match flag_value(args, "--sizes") {
-        Some(list) => list
-            .split(',')
-            .map(|s| match s {
-                "default" => None,
-                n => Some(
-                    n.parse()
-                        .unwrap_or_else(|_| bad(format!("--sizes takes PE counts, got '{n}'"))),
-                ),
-            })
-            .collect(),
-        None => vec![None],
-    };
-    // `--sim-threads` takes a comma list here (the sweep axis), unlike the
-    // single count the suite-running commands take — which is why this
-    // command dispatches before `apply_telemetry_flags`.
-    let sim_threads: Vec<u32> = match flag_value(args, "--sim-threads") {
-        Some(list) => {
-            list.split(',')
-                .map(|s| {
-                    s.parse::<u32>().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                        bad(format!("--sim-threads takes counts (> 0), got '{s}'"))
-                    })
-                })
-                .collect()
-        }
-        None => vec![1, 2, 4, 8],
-    };
-    let repeats: u32 = match flag_value(args, "--repeats") {
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| bad(format!("--repeats takes a count, got '{s}'"))),
-        None => 1,
-    };
-    let cfg = apbench::ScalingConfig {
-        app,
-        scale: scale_or_die(args),
-        sizes,
-        sim_threads,
-        repeats,
-    };
-    eprintln!(
-        "scaling {} across {} size(s) x {:?} sim-threads ({} repeat(s)) at {:?} scale...",
-        cfg.app,
-        cfg.sizes.len(),
-        cfg.sim_threads,
-        cfg.repeats.max(1),
-        cfg.scale
-    );
-    let t0 = Instant::now();
-    let points = apbench::run_scaling(&cfg).unwrap_or_else(|e| {
-        eprintln!("scaling failed: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("scaling done in {:.1}s", t0.elapsed().as_secs_f64());
-    if let Some(path) = flag_value(args, "--out") {
-        let rev = flag_value(args, "--rev");
-        let doc = apbench::scaling_report(&cfg, &points, rev.as_deref());
-        write_or_die(&path, &doc.to_string());
-        eprintln!("wrote scaling artifact to {path}");
-    }
-    print!("{}", apbench::scaling_text(&points));
-    // Byte-identity across sim-thread counts is a hard gate, not a stat.
-    let broken = points.iter().any(|p| !p.identical);
-    if broken {
-        eprintln!("FAILED: a parallel recording diverged from the serial bytes");
-    }
-    std::process::exit(if broken { 1 } else { 0 });
-}
-
 fn record_cmd(args: &[String]) -> ! {
     let bad = |msg: String| -> ! {
         eprintln!("{msg}");
@@ -542,8 +441,8 @@ fn record_cmd(args: &[String]) -> ! {
     let usage = || -> ! {
         bad(
             "usage: repro record --apps CG[,FT,..] (--trace-out FILE | --out-dir DIR) \
-             [--scale test|paper] [--size N] [--threads N] [--sim-threads N] \
-             [--faults SPEC.ron] [--stream] [--metrics-interval USECS]"
+             [--scale test|paper] [--size N] [--threads N] [--faults SPEC.ron] \
+             [--stream] [--metrics-interval USECS]"
                 .into(),
         )
     };
@@ -967,12 +866,6 @@ fn main() {
     let trace_out = flag_value(&args, "--trace-out");
     let bench_out = flag_value(&args, "--bench-out");
     let md_out = flag_value(&args, "--md-out");
-    if cmd == "scaling" {
-        // Dispatches before the telemetry flags: `scaling` reads
-        // `--sim-threads` as a comma list and manages the process-wide
-        // default itself, one grid point at a time.
-        scaling_cmd(&args);
-    }
     let metrics_out = apply_telemetry_flags(&args);
     match cmd {
         "table1" => print!("{}", table1()),
@@ -1080,10 +973,10 @@ fn main() {
             eprintln!("unknown command '{other}'");
             eprintln!(
                 "usage: repro [table1|fig6|fig7|table2|table3|fig8|ablations|all|bench|compare|\
-                 sweep|fault|record|replay|remodel|scaling] [--scale test|paper] [--json] [--ascii] \
+                 sweep|fault|record|replay|remodel] [--scale test|paper] [--json] [--ascii] \
                  [--markdown] [--trace-out FILE] [--bench-out FILE] [--rev REV] [--md-out FILE] \
                  [--threshold PCT] [--apps A,B] [--sizes default,4] [--factors 0.5,1.0] \
-                 [--threads N] [--sim-threads N] [--faults SPEC.ron] [--fault-seed N] [--out FILE] \
+                 [--threads N] [--faults SPEC.ron] [--fault-seed N] [--out FILE] \
                  [--metrics-out FILE] [--metrics-interval USECS] [--heatmap] [--progress] \
                  [--flight-recorder N] [--flight-dump FILE]"
             );

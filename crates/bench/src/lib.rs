@@ -18,7 +18,6 @@ use mlsim::{
 pub mod fault;
 pub mod record;
 pub mod report;
-pub mod scaling;
 pub mod serve_exec;
 pub mod sweep;
 pub use fault::{
@@ -31,10 +30,6 @@ pub use record::{
 pub use report::{
     bench_report, compare_reports, markdown_report, write_bench_report, CompareReport, Regression,
     BENCH_SCHEMA, BENCH_SCHEMA_VERSION,
-};
-pub use scaling::{
-    run_scaling, scaling_report, scaling_text, ScalingConfig, ScalingPoint, SCALING_SCHEMA,
-    SCALING_SCHEMA_VERSION,
 };
 pub use serve_exec::{job_exec_main, simulator_executor};
 pub use sweep::{run_sweep, SweepConfig, SweepOutcome, SweepPoint, SWEEP_APPS};

@@ -72,10 +72,17 @@ fn bad_numeric_flags_name_the_flag() {
         "--factors",
     );
     assert_usage_error(repro(&["fault", "--fault-seed", "lucky"]), "--fault-seed");
-    assert_usage_error(repro(&["table2", "--sim-threads", "0"]), "--sim-threads");
     assert_usage_error(
         repro(&["table2", "--metrics-interval", "soon"]),
         "--metrics-interval",
+    );
+}
+
+#[test]
+fn retired_scaling_command_is_an_unknown_command() {
+    assert_usage_error(
+        repro(&["scaling", "--out", "/tmp/x.json"]),
+        "unknown command 'scaling'",
     );
 }
 

@@ -30,6 +30,7 @@
 
 use apserve::{client, serve, Config, SandboxConfig};
 use aputil::Json;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 
 fn test_server(cfg: Config) -> (apserve::ServerHandle, String) {
@@ -245,6 +246,24 @@ fn hostile_inputs_get_structured_errors() {
     let huge = vec![b' '; apserve::MAX_BODY_BYTES + 1];
     let resp = client::request(&addr, "POST", "/submit", &huge).unwrap();
     assert_eq!(resp.status, 413);
+    // A hostile Content-Length with no body at all: the 413 arrives and
+    // the server finishes its side without waiting for bytes that will
+    // never come.
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        raw,
+        "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        usize::MAX
+    )
+    .unwrap();
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer)
+        .expect("413 then EOF, not a hang");
+    assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
+    assert!(answer.contains("payload_too_large"), "{answer}");
+    drop(raw);
 
     // None of that counts as cache traffic.
     let st = stats(&addr);

@@ -62,13 +62,14 @@ pub struct Cell {
     /// one resolves to [`Response::Unit`], so nothing is lost by batching
     /// them with the next synchronous call into one host round trip.
     pending: Vec<Request>,
-    /// Under the windowed PDES engine, blocking operations that return
-    /// no data (`wait_flag`, `barrier`, `send`, …) are posted instead of
-    /// called: the kernel dispatches them at identical simulated times
-    /// (the PR-4 batching argument), and the program thread keeps
-    /// computing instead of blocking on a host round trip. Off on the
-    /// serial engine so its host behavior is exactly the classic baton.
-    wide_batch: bool,
+    /// The cell-side half of windowed delivery (DESIGN.md §10): blocking
+    /// operations that return no data (`wait_flag`, `barrier`, `send`, …)
+    /// are posted instead of called — the kernel dispatches them at
+    /// identical simulated times, and the program thread keeps computing
+    /// instead of blocking on a host round trip. Off under the serial
+    /// baton, so a lost cell's blocked-on request in a fault post-mortem
+    /// is the one it actually issued last.
+    windowed: bool,
     ack_flag: VAddr,
     acks_issued: u32,
     scratch: VAddr,
@@ -84,7 +85,7 @@ impl Cell {
         ncells: u32,
         req_tx: Sender<(u32, Request)>,
         resume_rx: Receiver<Response>,
-        wide_batch: bool,
+        windowed: bool,
     ) -> Self {
         Cell {
             id,
@@ -92,7 +93,7 @@ impl Cell {
             req_tx,
             resume_rx,
             pending: Vec::new(),
-            wide_batch,
+            windowed,
             ack_flag: VAddr::NULL,
             acks_issued: 0,
             scratch: VAddr::NULL,
@@ -150,12 +151,12 @@ impl Cell {
         self.resume_rx.recv().expect("machine stopped")
     }
 
-    /// Ships a blocking-but-unit-valued request: posted under the
-    /// windowed engine (the simulated blocking is preserved by the
-    /// kernel's dispatch schedule; only the *host* round trip is
-    /// skipped), a classic blocking call on the serial engine.
+    /// Ships a blocking-but-unit-valued request: posted under windowed
+    /// delivery (the simulated blocking is preserved by the kernel's
+    /// dispatch schedule; only the *host* round trip is skipped), a
+    /// classic blocking call under the serial baton.
     fn sync_unit(&mut self, req: Request) {
-        if self.wide_batch {
+        if self.windowed {
             self.post(req);
         } else {
             self.call(req);
@@ -168,16 +169,16 @@ impl Cell {
     /// is identical to issuing them as sequential blocking calls: the
     /// kernel dispatches request `k + 1` only when request `k`'s wake
     /// commits, whatever the host arrival time (early arrivals sit in
-    /// the kernel's per-cell stash). Under the windowed engine the
-    /// program thread parks once instead of `N` times; on the serial
-    /// engine this degrades to exactly the classic exchange.
+    /// the kernel's per-cell stash). Under windowed delivery the
+    /// program thread parks once instead of `N` times; under the serial
+    /// baton this degrades to exactly the classic exchange.
     ///
     /// Only the first request picks up posted requests (as in a serial
     /// sequence, where [`Cell::flushed`] would attach them there); a
     /// caller mirroring a serial interleaving with posts *between* two
     /// calls passes an explicit [`Request::Batch`].
     fn call_pipelined<const N: usize>(&mut self, reqs: [Request; N]) -> [Response; N] {
-        if self.wide_batch {
+        if self.windowed {
             for (k, req) in reqs.into_iter().enumerate() {
                 let req = if k == 0 { self.flushed(req) } else { req };
                 self.req_tx

@@ -61,21 +61,11 @@ pub fn flight_recorder_default() -> Option<NonZeroUsize> {
     NonZeroUsize::new(FLIGHT_RECORDER_DEFAULT.load(Ordering::Relaxed))
 }
 
-/// Process-wide default for [`MachineConfig::sim_threads`] (the
-/// `--sim-threads` CLI flag): 1 keeps the classic serial event loop, 2+
-/// selects the conservative time-windowed PDES engine (DESIGN.md §10).
-static SIM_THREADS_DEFAULT: AtomicU64 = AtomicU64::new(1);
-
-/// Sets the default simulation-thread count for configurations created
-/// after this call (clamped to at least 1).
-pub fn set_sim_threads_default(threads: u32) {
-    SIM_THREADS_DEFAULT.store(threads.max(1) as u64, Ordering::Relaxed);
-}
-
-/// The current process-wide simulation-thread default.
-pub fn sim_threads_default() -> u32 {
-    SIM_THREADS_DEFAULT.load(Ordering::Relaxed).max(1) as u32
-}
+/// Retained no-op. The cell↔kernel protocol is no longer selectable:
+/// fault-free runs use windowed delivery and fault-armed runs the serial
+/// baton (DESIGN.md §10). The frozen `perf/` benchmark still calls this
+/// symbol, so it stays until the next `[benchmark]` change retires it.
+pub fn set_sim_threads_default(_threads: u32) {}
 
 /// Process-wide progress-reporting switch (the `--progress` CLI flag):
 /// when on, runs print a rate-limited one-line status to stderr.
@@ -252,11 +242,6 @@ pub struct MachineConfig {
     /// N events per unit category per cell (memory stays O(cells), not
     /// O(events)). `None` keeps the classic unbounded timeline.
     pub flight_recorder: Option<NonZeroUsize>,
-    /// Simulation-thread count: 1 runs the classic serial event loop; 2+
-    /// partitions the torus into rectangular tiles and runs the
-    /// conservative time-windowed PDES engine (DESIGN.md §10), which is
-    /// byte-identical to the serial loop in every observable output.
-    pub sim_threads: u32,
 }
 
 impl MachineConfig {
@@ -282,7 +267,6 @@ impl MachineConfig {
             record_timeline: timeline_default() || flight_recorder_default().is_some(),
             metrics_interval: metrics_default(),
             flight_recorder: flight_recorder_default(),
-            sim_threads: sim_threads_default(),
         }
     }
 
@@ -330,12 +314,6 @@ impl MachineConfig {
         if cap.is_some() {
             self.record_timeline = true;
         }
-        self
-    }
-
-    /// Sets the simulation-thread count (clamped to at least 1).
-    pub fn with_sim_threads(mut self, threads: u32) -> Self {
-        self.sim_threads = threads.max(1);
         self
     }
 }
@@ -398,12 +376,5 @@ mod tests {
         let off = MachineConfig::new(4);
         assert_eq!(off.metrics_interval, None);
         assert_eq!(off.flight_recorder, None);
-    }
-
-    #[test]
-    fn sim_threads_defaults_to_serial_and_clamps() {
-        assert_eq!(MachineConfig::new(4).sim_threads, 1);
-        assert_eq!(MachineConfig::new(4).with_sim_threads(0).sim_threads, 1);
-        assert_eq!(MachineConfig::new(4).with_sim_threads(8).sim_threads, 8);
     }
 }

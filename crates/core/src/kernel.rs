@@ -1,15 +1,22 @@
 //! The deterministic simulation kernel.
 //!
 //! One kernel thread owns the whole [`Machine`]; cell programs run on their
-//! own host threads but only ever one at a time: the kernel wakes a cell by
-//! sending it a [`Response`], then blocks until that cell's next
-//! [`Request`] arrives. All hardware activity (DMA, packets, flags,
-//! barriers) is driven through a single time-ordered event queue with FIFO
-//! tie-breaking, so a given program and configuration always produces the
-//! identical execution.
+//! own host threads and talk to it only through [`Request`]/[`Response`]
+//! channels. All hardware activity (DMA, packets, flags, barriers) is
+//! driven through a single time-ordered event queue with FIFO
+//! tie-breaking, and every event commits in `(time, seq)` order, so a
+//! given program and configuration always produces the identical
+//! execution.
+//!
+//! The cell↔kernel protocol has two forms ([`Engine`], DESIGN.md §10).
+//! Fault-free runs use *windowed delivery*: a wake's response goes to
+//! the program as soon as a sliding sim-time window covers it, so the
+//! kernel rarely sleeps on a channel. Fault-armed runs use the *serial
+//! baton*: the kernel wakes one cell, then blocks until that cell's next
+//! request arrives — the only sound form when a crash can retroactively
+//! cancel a wake.
 
 use crate::machine::{ActiveTx, Machine, TxEntry, TxJob};
-use crate::pdes::TilePlan;
 use crate::request::{Mark, Request, Response};
 use apfault::{FaultPlan, FaultSpec, ReplayGuard};
 use apmon::{HostPhase, HostProf, MetricsSample, MetricsSeries, Progress, Sampler};
@@ -26,12 +33,28 @@ use crossbeam::channel::{Receiver, Sender};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Dispatch-window width of the PDES engine, in units of the cross-tile
-/// lookahead. Any value is *safe* — events commit in canonical order
-/// regardless — so this only controls how many cell programs can be
-/// computing concurrently between frontier advances. Chosen by
-/// measuring the 1024-cell CG scaling curve (EXPERIMENTS.md).
-const WINDOW_MULT: u32 = 64;
+/// Which cell↔kernel protocol a run uses. Chosen once, in
+/// [`run_with_faults`](crate::run_with_faults), from whether a fault
+/// schedule is armed — never from configuration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Engine {
+    /// One channel round trip per wake. Required under fault injection
+    /// (a fail-stop crash skips a dead cell's queued wakes, and a
+    /// response released early cannot be unsent) and kept as the
+    /// reference the windowed form is tested against.
+    Serial,
+    /// Responses are released up to a window ahead of their wake's
+    /// commit, and cells post unit-valued blocking requests.
+    Windowed,
+}
+
+/// Dispatch-window width, in units of the T-net's minimum link-crossing
+/// latency. Any value is *safe* — events commit in canonical order
+/// regardless — so this only controls how many cell programs have their
+/// response in hand (and are computing on their own host threads) ahead
+/// of the commit frontier. 64 was picked by measuring the 1024-cell CG
+/// run (`results/SCALING_baseline.json`).
+const WINDOW_MULT: u64 = 64;
 
 /// Kernel events.
 #[derive(Debug)]
@@ -163,26 +186,22 @@ struct BcastState {
     arrived: Vec<(u32, VAddr, SimTime)>,
 }
 
-/// State of the conservative time-windowed PDES engine (DESIGN.md §10).
+/// State of windowed wake delivery (DESIGN.md §10).
 ///
 /// The kernel keeps popping and committing events in the exact serial
 /// `(time, seq)` order, so every observable output — timelines, sampler
 /// ticks, op traces, final times — is byte-identical to the serial
-/// engine *by construction*. Parallelism comes from **eager wake
+/// baton *by construction*. The saving comes from **eager wake
 /// delivery**: a `Wake`'s response content is fixed at schedule time,
 /// the program observes nothing but its own responses, and at most one
 /// wake per cell is ever in flight — so the response can be handed to
 /// the program thread as soon as the sliding dispatch window covers the
-/// wake's time. All released programs then compute concurrently on
-/// their own host threads while the kernel continues committing; their
-/// next requests are stashed and consumed when each wake commits.
+/// wake's time. Released programs run on their own host threads while
+/// the kernel continues committing; their next requests are stashed and
+/// consumed when each wake commits, so the kernel seldom blocks on the
+/// request channel.
 struct Eager {
-    /// Rectangular tile partition of the torus. Two or more tiles are
-    /// what give a *finite* cross-tile lookahead (packets between
-    /// tiles spend at least `prolog + per_hop` in the T-net); the plan
-    /// is also reported in the scaling artifact.
-    plan: TilePlan,
-    /// Dispatch-window width (lookahead × [`WINDOW_MULT`]).
+    /// Dispatch-window width (minimum crossing latency × [`WINDOW_MULT`]).
     window: SimTime,
     /// Current window edge: wakes at or before this time may have
     /// their response released ahead of commit.
@@ -199,10 +218,114 @@ struct Eager {
     /// FIFO queue; commits consume it in arrival order, which is the
     /// program's issue order.
     stash: Vec<std::collections::VecDeque<Request>>,
-    /// Diagnostics (printed when `AP_EAGER_STATS` is set): eagerly sent
-    /// at insert, parked then released, serial fallbacks at commit,
-    /// stash hits, and blocking channel reads at commit.
-    stats: [u64; 5],
+}
+
+/// Telemetry taps of [`Kernel::event_loop`]. Every hook defaults to a
+/// no-op, so the loop monomorphised over [`NoProbe`] is the bare hot path.
+trait Probe {
+    /// Top of an iteration, before the queue pop.
+    fn pop_start(&mut self, _k: &Kernel) {}
+    /// An event was popped (it may still be skipped).
+    fn popped(&mut self) {}
+    /// The clock is about to reach `t`: record every sample tick at or
+    /// before it.
+    fn sample_to(&mut self, _k: &Kernel, _t: SimTime) {}
+    /// `ev` is about to be handled.
+    fn handle_start(&mut self, _k: &Kernel, _ev: &Ev) {}
+    /// The event was handled.
+    fn handled(&mut self, _k: &Kernel) {}
+}
+
+/// The metrics-off, progress-off probe.
+struct NoProbe;
+
+impl Probe for NoProbe {}
+
+/// Deterministic metric sampling, 1-in-64 wall-clock phase timing and
+/// rate-limited progress lines. Never influences simulated time.
+struct Telemetry {
+    /// Sampled-metrics engine (`cfg.metrics_interval`).
+    sampler: Option<Sampler>,
+    /// Host wall-clock self-profiling of the event loop; runs alongside
+    /// the sampler.
+    hostprof: Option<HostProf>,
+    /// Live one-line progress reporting (the `--progress` flag).
+    progress: Option<Progress>,
+    /// Stopwatch of the current phase: set on the 1-in-64 iterations
+    /// that read the wall clock (the others only count).
+    t0: Option<std::time::Instant>,
+    phase: HostPhase,
+}
+
+impl Telemetry {
+    /// `None` unless the sampler or progress reporting is on.
+    fn new(cfg: &crate::config::MachineConfig) -> Option<Telemetry> {
+        let sampler = cfg.metrics_interval.map(Sampler::new);
+        let progress =
+            crate::config::progress_default().then(|| Progress::new(format!("{}c", cfg.ncells)));
+        (sampler.is_some() || progress.is_some()).then(|| Telemetry {
+            hostprof: sampler.as_ref().map(|_| HostProf::start()),
+            sampler,
+            progress,
+            t0: None,
+            phase: HostPhase::Pop,
+        })
+    }
+
+    /// Books the phase that just ended: timed if this iteration started
+    /// a stopwatch, counted otherwise.
+    fn book(&mut self, phase: HostPhase) {
+        if let Some(p) = &mut self.hostprof {
+            match self.t0 {
+                Some(t0) => p.record(phase, t0.elapsed().as_nanos() as u64),
+                None => p.count(phase),
+            }
+        }
+    }
+}
+
+impl Probe for Telemetry {
+    fn pop_start(&mut self, k: &Kernel) {
+        self.t0 = (k.events_handled & 63 == 0).then(std::time::Instant::now);
+    }
+
+    fn popped(&mut self) {
+        self.book(HostPhase::Pop);
+    }
+
+    fn sample_to(&mut self, k: &Kernel, t: SimTime) {
+        if let Some(sampler) = &mut self.sampler {
+            while sampler.due(t) {
+                let tick = sampler.next_time();
+                sampler.push(k.metrics_sample(tick));
+            }
+        }
+    }
+
+    fn handle_start(&mut self, k: &Kernel, ev: &Ev) {
+        self.phase = match ev {
+            Ev::Wake { cell, .. } if !k.pending[*cell as usize].is_empty() => HostPhase::Drain,
+            Ev::Wake { .. } => HostPhase::Wakeup,
+            _ => HostPhase::Dispatch,
+        };
+        self.t0 = self.t0.map(|_| std::time::Instant::now());
+    }
+
+    fn handled(&mut self, k: &Kernel) {
+        self.book(self.phase);
+        // Progress gauges cost O(cells); ask at most every 4096 events
+        // and let the reporter's wall-clock gate do the rest.
+        if let Some(pr) = &mut self.progress {
+            if k.events_handled & 4095 == 0 {
+                let blocked = k.waiters.iter().flatten().count() as u32;
+                let retries = k
+                    .fault
+                    .as_ref()
+                    .map_or(0, |f| f.plan.report.total_retries());
+                pr.maybe_report(k.clock.now(), k.events_handled, blocked, retries);
+            }
+        }
+    }
 }
 
 pub(crate) struct Kernel {
@@ -230,19 +353,14 @@ pub(crate) struct Kernel {
     last_req: Vec<Option<&'static str>>,
     /// Fault-injection state; `None` on fault-free runs.
     fault: Option<FaultState>,
-    /// Sampled-metrics engine (`None` unless `cfg.metrics_interval` is
-    /// set, which keeps the metrics-off hot path one branch per event).
-    sampler: Option<Sampler>,
-    /// Host wall-clock self-profiling of the event loop; runs alongside
-    /// the sampler. Never influences simulated time.
-    hostprof: Option<HostProf>,
+    /// Event-loop telemetry taps; `None` (sampler and progress both off)
+    /// runs the loop monomorphised over [`NoProbe`].
+    telemetry: Option<Telemetry>,
     /// Kernel events handled so far (cumulative; also drives the 1-in-64
     /// host-timing subsample).
     events_handled: u64,
-    /// Live one-line progress reporting (the `--progress` flag).
-    progress: Option<Progress>,
-    /// Windowed PDES engine; `None` runs the classic serial protocol
-    /// (one channel round trip per wake).
+    /// Windowed wake delivery; `None` runs the serial baton (one
+    /// channel round trip per wake).
     eager: Option<Eager>,
 }
 
@@ -251,6 +369,7 @@ impl Kernel {
         machine: Machine,
         resume_tx: Vec<Sender<Response>>,
         req_rx: Receiver<(u32, Request)>,
+        engine: Engine,
     ) -> Self {
         let n = machine.cells.len();
         let mut evq = EventQueue::new();
@@ -264,32 +383,19 @@ impl Kernel {
                 },
             );
         }
-        let sampler = machine.cfg.metrics_interval.map(Sampler::new);
-        let hostprof = sampler.as_ref().map(|_| HostProf::start());
-        let progress = crate::config::progress_default()
-            .then(|| Progress::new(format!("{}c", machine.cfg.ncells)));
-        // The windowed engine needs at least two tiles (a single tile
-        // has no boundary and hence no finite lookahead) — which a
-        // one-cell machine can never form.
-        let eager = (machine.cfg.sim_threads > 1 && n > 1)
-            .then(|| {
-                let (w, h) = machine.tnet.torus().dims();
-                let plan = TilePlan::new(w, h, machine.cfg.sim_threads);
-                let lookahead = machine.tnet.params().min_crossing_latency();
-                Eager {
-                    plan,
-                    window: crate::pdes::window(lookahead, WINDOW_MULT),
-                    horizon: SimTime::ZERO,
-                    parked: BinaryHeap::new(),
-                    resp: (0..n).map(|_| None).collect(),
-                    sent: vec![false; n],
-                    stash: vec![std::collections::VecDeque::new(); n],
-                    stats: [0; 5],
-                }
-            })
-            // A degenerate partition (one tile) has no boundary and no
-            // finite lookahead; only the serial engine is sound there.
-            .filter(|e| e.plan.ntiles() > 1);
+        let telemetry = Telemetry::new(&machine.cfg);
+        let eager = (engine == Engine::Windowed).then(|| Eager {
+            window: machine
+                .tnet
+                .params()
+                .min_crossing_latency()
+                .saturating_mul(WINDOW_MULT),
+            horizon: SimTime::ZERO,
+            parked: BinaryHeap::new(),
+            resp: (0..n).map(|_| None).collect(),
+            sent: vec![false; n],
+            stash: vec![std::collections::VecDeque::new(); n],
+        });
         Kernel {
             machine,
             evq,
@@ -304,10 +410,8 @@ impl Kernel {
             finished: vec![false; n],
             last_req: vec![None; n],
             fault: None,
-            sampler,
-            hostprof,
+            telemetry,
             events_handled: 0,
-            progress,
             eager,
         }
     }
@@ -337,11 +441,12 @@ impl Kernel {
                 replay: ReplayGuard::new(),
                 dead: vec![false; n],
             });
-            // Fault-armed runs stay on the serial protocol: fail-stop
-            // crashes retroactively skip a dead cell's queued wakes, and
-            // an eagerly released response cannot be unsent. Fault runs
-            // are therefore windowed-engine-invariant trivially.
-            self.eager = None;
+            // Fail-stop crashes retroactively skip a dead cell's queued
+            // wakes, and an eagerly released response cannot be unsent.
+            debug_assert!(
+                self.eager.is_none(),
+                "fault-armed runs must use the serial baton"
+            );
         }
         self
     }
@@ -382,36 +487,13 @@ impl Kernel {
 
     /// Runs the event loop to completion.
     pub fn run(&mut self) -> ApResult<SimTime> {
-        if self.sampler.is_some() || self.progress.is_some() {
-            self.run_instrumented()?;
-        } else {
-            // The metrics-off hot path: identical to the pre-telemetry
-            // loop except for one u64 increment.
-            while let Some((t, ev)) = self.evq.pop() {
-                if self.skips(&ev) {
-                    continue;
-                }
-                self.clock.advance_to(t);
-                self.events_handled += 1;
-                if self.eager.is_some() {
-                    self.slide_window(t);
-                }
-                self.handle(ev)?;
+        match self.telemetry.take() {
+            Some(mut taps) => {
+                let looped = self.event_loop(&mut taps);
+                self.telemetry = Some(taps);
+                looped?;
             }
-        }
-        if let Some(e) = &self.eager {
-            if std::env::var_os("AP_EAGER_STATS").is_some() {
-                eprintln!(
-                    "eager stats: sent-at-insert {} parked {} fallback {} stash-hit {} chan-read {}",
-                    e.stats[0], e.stats[1], e.stats[2], e.stats[3], e.stats[4]
-                );
-            }
-        }
-        // Flush every sample tick at or before the final time, so the
-        // series always covers the whole run.
-        let end = self.clock.now();
-        if self.sampler.as_ref().is_some_and(|s| s.due(end)) {
-            self.flush_ticks(end);
+            None => self.event_loop(&mut NoProbe)?,
         }
         let n = self.machine.cells.len() as u32;
         if let Some(f) = &self.fault {
@@ -436,80 +518,36 @@ impl Kernel {
         Ok(self.clock.now())
     }
 
-    /// The event loop with telemetry taps: deterministic metric sampling
-    /// before the event that crosses each tick, 1-in-64 wall-clock phase
-    /// timing, and rate-limited progress lines. Sim-time behavior is
-    /// byte-identical to the plain loop — the wall clock is read but
-    /// never written back into simulated state.
-    fn run_instrumented(&mut self) -> ApResult<()> {
-        use std::time::Instant;
+    /// The event loop, monomorphised over its telemetry taps: with
+    /// [`NoProbe`] every hook compiles away and this is the bare
+    /// pop → skip → advance → handle loop; with [`Telemetry`] it samples
+    /// metrics before the event that crosses each tick, times phases
+    /// 1-in-64 and prints progress. Sim-time behavior is byte-identical
+    /// either way — the wall clock is read but never written back into
+    /// simulated state.
+    fn event_loop<P: Probe>(&mut self, probe: &mut P) -> ApResult<()> {
         loop {
-            let timed = self.events_handled & 63 == 0;
-            let t0 = timed.then(Instant::now);
+            probe.pop_start(self);
             let Some((t, ev)) = self.evq.pop() else { break };
-            if let Some(p) = &mut self.hostprof {
-                match t0 {
-                    Some(t0) => p.record(HostPhase::Pop, t0.elapsed().as_nanos() as u64),
-                    None => p.count(HostPhase::Pop),
-                }
-            }
+            probe.popped();
             if self.skips(&ev) {
                 continue;
             }
             // Sample ticks strictly before handling the event that crosses
             // them: the gauges reflect machine state after every event
-            // earlier than the tick, independent of host thread count.
-            if self.sampler.as_ref().is_some_and(|s| s.due(t)) {
-                self.flush_ticks(t);
-            }
+            // earlier than the tick, independent of host scheduling.
+            probe.sample_to(self, t);
             self.clock.advance_to(t);
-            if self.eager.is_some() {
-                self.slide_window(t);
-            }
-            let phase = match &ev {
-                Ev::Wake { cell, .. } if !self.pending[*cell as usize].is_empty() => {
-                    HostPhase::Drain
-                }
-                Ev::Wake { .. } => HostPhase::Wakeup,
-                _ => HostPhase::Dispatch,
-            };
+            self.slide_window(t);
             self.events_handled += 1;
-            let t0 = timed.then(Instant::now);
+            probe.handle_start(self, &ev);
             self.handle(ev)?;
-            if let Some(p) = &mut self.hostprof {
-                match t0 {
-                    Some(t0) => p.record(phase, t0.elapsed().as_nanos() as u64),
-                    None => p.count(phase),
-                }
-            }
-            // Progress gauges cost O(cells); ask at most every 4096 events
-            // and let the reporter's wall-clock gate do the rest.
-            if self.progress.is_some() && self.events_handled & 4095 == 0 {
-                let blocked = self.waiters.iter().flatten().count() as u32;
-                let retries = self
-                    .fault
-                    .as_ref()
-                    .map_or(0, |f| f.plan.report.total_retries());
-                let (now, events) = (self.clock.now(), self.events_handled);
-                if let Some(pr) = &mut self.progress {
-                    pr.maybe_report(now, events, blocked, retries);
-                }
-            }
+            probe.handled(self);
         }
+        // Flush every sample tick at or before the final time, so the
+        // series always covers the whole run.
+        probe.sample_to(self, self.clock.now());
         Ok(())
-    }
-
-    /// Records one sample row per elapsed tick up to (and excluding any
-    /// tick after) time `t`.
-    fn flush_ticks(&mut self, t: SimTime) {
-        let Some(mut sampler) = self.sampler.take() else {
-            return;
-        };
-        while sampler.due(t) {
-            let tick = sampler.next_time();
-            sampler.push(self.metrics_sample(tick));
-        }
-        self.sampler = Some(sampler);
     }
 
     /// Assembles the gauge snapshot for the tick at sim time `at`.
@@ -557,12 +595,13 @@ impl Kernel {
     /// Consumes the sampler, yielding the finished series (`None` when
     /// metrics were off). Call after [`Kernel::run`].
     pub fn take_metrics(&mut self) -> Option<MetricsSeries> {
-        self.sampler.take().map(Sampler::finish)
+        let sampler = self.telemetry.as_mut()?.sampler.take()?;
+        Some(sampler.finish())
     }
 
     /// Stops and takes the host self-profiler. Call after [`Kernel::run`].
     pub fn take_hostprof(&mut self) -> Option<HostProf> {
-        let mut p = self.hostprof.take()?;
+        let mut p = self.telemetry.as_mut()?.hostprof.take()?;
         p.stop();
         Some(p)
     }
@@ -708,18 +747,6 @@ impl Kernel {
         })
     }
 
-    /// The windowed-PDES engine, or a structured [`ApError::Internal`]
-    /// if a windowed-only path ran under the serial engine.
-    fn eager_mut(&mut self) -> ApResult<&mut Eager> {
-        self.eager.as_mut().ok_or_else(|| {
-            ApError::internal(
-                None,
-                "pdes-window",
-                "windowed-engine path entered with the serial engine active",
-            )
-        })
-    }
-
     // ---- accounting helpers -------------------------------------------
 
     fn charge_exec(&mut self, cell: u32, t: SimTime) {
@@ -772,7 +799,6 @@ impl Kernel {
             "cell {cell} has more than one wake in flight"
         );
         if at <= e.horizon {
-            e.stats[0] += 1;
             match self.resume_tx[i].send(resp) {
                 Ok(()) => e.sent[i] = true,
                 // The program thread is gone; keep the response so the
@@ -781,7 +807,6 @@ impl Kernel {
                 Err(err) => e.resp[i] = Some(err.0),
             }
         } else {
-            e.stats[1] += 1;
             e.resp[i] = Some(resp);
             e.parked.push(Reverse((at, cell)));
         }
@@ -931,64 +956,38 @@ impl Kernel {
             );
             return self.dispatch(cell, req);
         }
-        if self.eager.is_some() {
-            return self.deliver_eager(cell, resp);
-        }
-        self.resume_tx[cell as usize]
-            .send(resp)
-            .map_err(|_| self.cell_lost(cell, "program thread exited unexpectedly"))?;
-        let (from, req) = self
-            .req_rx
-            .recv()
-            .map_err(|_| self.cell_lost(cell, "program thread panicked"))?;
-        debug_assert_eq!(from, cell, "baton protocol violated");
-        self.dispatch(from, req)
-    }
-
-    /// Commits a wake under the windowed engine. The response usually
-    /// went out when the window first covered the wake time, so the
-    /// commit only consumes the program's next request — then the
-    /// dispatch happens here, at the canonical time and order, exactly
-    /// where the serial engine would have dispatched it.
-    fn deliver_eager(&mut self, cell: u32, resp: Response) -> ApResult<()> {
+        // Windowed delivery usually released the response when the window
+        // first covered the wake, so the commit only consumes the program's
+        // next request. Otherwise (the serial baton; boot wakes, which
+        // precede the first slide; a failed early send) it goes out now.
         let i = cell as usize;
-        let sent = {
-            let e = self.eager_mut()?;
-            std::mem::take(&mut e.sent[i])
-        };
+        let eager = self.eager.as_mut();
+        let sent = eager.is_some_and(|e| std::mem::take(&mut e.sent[i]));
         if !sent {
-            // The window never released this wake ahead of commit (boot
-            // wakes precede the first slide, and a failed early send
-            // retries here): fall back to the serial exchange.
-            if let Some(e) = self.eager.as_mut() {
-                e.stats[2] += 1;
-            }
-            let held = self
-                .eager
-                .as_mut()
-                .and_then(|e| e.resp[i].take())
-                .unwrap_or(resp);
+            let held = self.eager.as_mut().and_then(|e| e.resp[i].take());
             self.resume_tx[i]
-                .send(held)
+                .send(held.unwrap_or(resp))
                 .map_err(|_| self.cell_lost(cell, "program thread exited unexpectedly"))?;
         }
         let req = self.take_request(cell)?;
         self.dispatch(cell, req)
     }
 
-    /// Returns `cell`'s next request. With several programs computing
-    /// concurrently, requests arrive on the shared channel in arbitrary
-    /// host order; anything from another cell is stashed (in arrival =
-    /// issue order) for its own wakes' commits. `Fail` and `Finish` need
-    /// no special casing — a failing cell's next wake commit consumes
-    /// the stashed failure at the canonical time.
+    /// Returns `cell`'s next request. Under windowed delivery several
+    /// programs run at once and their requests arrive on the shared
+    /// channel in arbitrary host order; anything from another cell is
+    /// stashed (in arrival = issue order) for its own wakes' commits.
+    /// `Fail` and `Finish` need no special casing — a failing cell's next
+    /// wake commit consumes the stashed failure at the canonical time.
+    /// Under the serial baton only `cell` can be running.
     fn take_request(&mut self, cell: u32) -> ApResult<Request> {
-        let e = self.eager_mut()?;
-        if let Some(req) = e.stash[cell as usize].pop_front() {
-            e.stats[3] += 1;
+        let stashed = self
+            .eager
+            .as_mut()
+            .and_then(|e| e.stash[cell as usize].pop_front());
+        if let Some(req) = stashed {
             return Ok(req);
         }
-        e.stats[4] += 1;
         loop {
             let (from, req) = self
                 .req_rx
@@ -997,7 +996,16 @@ impl Kernel {
             if from == cell {
                 return Ok(req);
             }
-            self.eager_mut()?.stash[from as usize].push_back(req);
+            match &mut self.eager {
+                Some(e) => e.stash[from as usize].push_back(req),
+                None => {
+                    return Err(ApError::internal(
+                        Some(CellId::new(from)),
+                        "baton",
+                        format!("request arrived while cell {cell} held the serial baton"),
+                    ))
+                }
+            }
         }
     }
 

@@ -41,9 +41,10 @@
 pub mod accounting;
 pub mod cell;
 pub mod config;
+#[cfg(test)]
+mod engine_equivalence;
 mod kernel;
 mod machine;
-pub mod pdes;
 mod request;
 
 pub use accounting::{CellTimes, RunReport};
@@ -51,8 +52,8 @@ pub use cell::{Cell, ReduceOp};
 pub use config::{
     evtrace_sink, flight_dump_path, flight_recorder_default, metrics_default, progress_default,
     set_evtrace_sink, set_flight_dump_path, set_flight_recorder_default, set_metrics_default,
-    set_progress_default, set_sim_threads_default, set_timeline_default, sim_threads_default,
-    timeline_default, HwParams, MachineConfig,
+    set_progress_default, set_sim_threads_default, set_timeline_default, timeline_default,
+    HwParams, MachineConfig,
 };
 pub use request::Mark;
 
@@ -67,6 +68,7 @@ pub use aputil::{
 };
 
 use crossbeam::channel::unbounded;
+use kernel::Engine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
@@ -142,6 +144,30 @@ where
     T: Send + 'static,
     F: Fn(&mut Cell) -> T + Send + Sync + 'static,
 {
+    // The one engine decision (DESIGN.md §10): windowed delivery unless a
+    // fault schedule is armed — a fail-stop crash cancels a dead cell's
+    // queued wakes, and a response released early cannot be unsent.
+    let engine = if faults.is_none() {
+        Engine::Windowed
+    } else {
+        Engine::Serial
+    };
+    run_on(engine, cfg, faults, program)
+}
+
+/// [`run_with_faults`] on an explicit cell↔kernel protocol, so the
+/// in-crate differential test can hold the windowed form against the
+/// serial reference. `Engine::Windowed` with `faults` armed is unsound.
+pub(crate) fn run_on<T, F>(
+    engine: Engine,
+    cfg: MachineConfig,
+    faults: Option<&FaultSpec>,
+    program: F,
+) -> ApResult<RunReport<T>>
+where
+    T: Send + 'static,
+    F: Fn(&mut Cell) -> T + Send + Sync + 'static,
+{
     // An unbounded timeline on a huge machine is O(events) memory with no
     // bound — refuse it up front and point at the flight recorder (bounded
     // post-mortem context) or the streaming trace sink (full recording in
@@ -161,11 +187,7 @@ where
     let machine = machine::Machine::new(cfg);
     let (req_tx, req_rx) = unbounded();
     let program = Arc::new(program);
-    // Wide batching is the cell-side half of the windowed engine: only
-    // worth it when the kernel can overlap the posted work, and kept off
-    // under fault injection so a lost cell's blocked-on request in the
-    // post-mortem report matches the classic serial engine.
-    let wide_batch = cfg.sim_threads > 1 && faults.is_none();
+    let windowed = engine == Engine::Windowed;
     let mut resume_txs = Vec::with_capacity(cfg.ncells as usize);
     let mut handles = Vec::with_capacity(cfg.ncells as usize);
     for id in 0..cfg.ncells {
@@ -178,8 +200,7 @@ where
             thread::Builder::new()
                 .name(format!("cell{id}"))
                 .spawn(move || -> Result<T, String> {
-                    let mut cell =
-                        Cell::new(CellId::new(id), ncells, req_tx, resume_rx, wide_batch);
+                    let mut cell = Cell::new(CellId::new(id), ncells, req_tx, resume_rx, windowed);
                     cell.wait_boot();
                     match catch_unwind(AssertUnwindSafe(|| program(&mut cell))) {
                         Ok(out) => {
@@ -202,7 +223,7 @@ where
     }
     drop(req_tx);
 
-    let mut kernel = kernel::Kernel::new(machine, resume_txs, req_rx).with_faults(faults);
+    let mut kernel = kernel::Kernel::new(machine, resume_txs, req_rx, engine).with_faults(faults);
     let run_result = kernel.run();
     let fault = kernel.take_fault_report();
     let series = kernel.take_metrics();
