@@ -48,6 +48,19 @@ pub enum Scale {
     Paper,
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+    /// `test` or `paper` — the spelling of `--scale` and of a trace
+    /// header's scale label.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "test" => Ok(Scale::Test),
+            "paper" => Ok(Scale::Paper),
+            _ => Err("expected test or paper".to_string()),
+        }
+    }
+}
+
 /// A runnable workload with the paper's metadata.
 pub trait Workload: Send + Sync {
     /// Table-2/3 row label.

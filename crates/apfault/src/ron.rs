@@ -6,6 +6,7 @@
 //! and diff-able.
 
 use crate::spec::{FaultEvent, FaultKind, FaultSpec, RecoveryParams};
+use aputil::ron::Lexer;
 use aputil::{CellId, SimTime};
 use std::fmt::Write as _;
 
@@ -64,221 +65,135 @@ pub fn to_ron(spec: &FaultSpec) -> String {
 ///
 /// A message with the byte offset of the first syntax problem.
 pub fn from_ron(text: &str) -> Result<FaultSpec, String> {
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let spec = p.spec()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing input"));
-    }
+    let mut p = Lexer::new(text, "fault spec parse error");
+    let spec = spec(&mut p)?;
+    p.end()?;
     Ok(spec)
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
+/// `name: int` pairs inside `( ... )`, any order, trailing comma ok.
+fn int_fields(p: &mut Lexer) -> Result<Vec<(String, u64)>, String> {
+    p.eat(b'(')?;
+    let mut out = Vec::new();
+    while !p.peek(b')') {
+        let name = p.word()?;
+        p.eat(b':')?;
+        out.push((name, p.int()?));
+        p.comma();
+    }
+    p.eat(b')')?;
+    Ok(out)
 }
 
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("fault spec parse error at byte {}: {what}", self.i)
-    }
-
-    fn ws(&mut self) {
-        loop {
-            while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-            if self.s[self.i..].starts_with(b"//") {
-                while self.i < self.s.len() && self.s[self.i] != b'\n' {
-                    self.i += 1;
+fn spec(p: &mut Lexer) -> Result<FaultSpec, String> {
+    p.eat(b'(')?;
+    let mut seed = None;
+    let mut recovery = RecoveryParams::default();
+    let mut events = None;
+    while !p.peek(b')') {
+        let name = p.word()?;
+        p.eat(b':')?;
+        match name.as_str() {
+            "seed" => match p.word()?.as_str() {
+                "None" => {}
+                "Some" => {
+                    p.eat(b'(')?;
+                    seed = Some(p.int()?);
+                    p.eat(b')')?;
                 }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn peek(&mut self, c: u8) -> bool {
-        self.ws();
-        self.i < self.s.len() && self.s[self.i] == c
-    }
-
-    fn word(&mut self) -> Result<String, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.s.len()
-            && (self.s[self.i].is_ascii_alphanumeric() || self.s[self.i] == b'_')
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(String::from_utf8_lossy(&self.s[start..self.i]).into_owned())
-    }
-
-    fn int(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| self.err("expected unsigned integer"))
-    }
-
-    /// `name: int` pairs inside `( ... )`, any order, trailing comma ok.
-    fn int_fields(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.eat(b'(')?;
-        let mut out = Vec::new();
-        while !self.peek(b')') {
-            let name = self.word()?;
-            self.eat(b':')?;
-            out.push((name, self.int()?));
-            if self.peek(b',') {
-                self.i += 1;
-            }
-        }
-        self.eat(b')')?;
-        Ok(out)
-    }
-
-    fn spec(&mut self) -> Result<FaultSpec, String> {
-        self.eat(b'(')?;
-        let mut seed = None;
-        let mut recovery = RecoveryParams::default();
-        let mut events = None;
-        while !self.peek(b')') {
-            let name = self.word()?;
-            self.eat(b':')?;
-            match name.as_str() {
-                "seed" => match self.word()?.as_str() {
-                    "None" => {}
-                    "Some" => {
-                        self.eat(b'(')?;
-                        seed = Some(self.int()?);
-                        self.eat(b')')?;
-                    }
-                    w => return Err(self.err(&format!("expected None/Some, got `{w}`"))),
-                },
-                "recovery" => {
-                    let at = self.i;
-                    for (field, v) in self.int_fields()? {
-                        match field.as_str() {
-                            "ack_timeout_ns" => recovery.ack_timeout = SimTime::from_nanos(v),
-                            "backoff_cap_ns" => recovery.backoff_cap = SimTime::from_nanos(v),
-                            "max_retries" => recovery.max_retries = v as u32,
-                            other => {
-                                return Err(format!(
-                                    "fault spec parse error at byte {at}: \
-                                     unknown recovery field `{other}`"
-                                ))
-                            }
+                w => return Err(p.err(&format!("expected None/Some, got `{w}`"))),
+            },
+            "recovery" => {
+                let at = p.pos();
+                for (field, v) in int_fields(p)? {
+                    match field.as_str() {
+                        "ack_timeout_ns" => recovery.ack_timeout = SimTime::from_nanos(v),
+                        "backoff_cap_ns" => recovery.backoff_cap = SimTime::from_nanos(v),
+                        "max_retries" => recovery.max_retries = v as u32,
+                        other => {
+                            return Err(p.err_at(at, &format!("unknown recovery field `{other}`")))
                         }
                     }
                 }
-                "events" => events = Some(self.events()?),
-                other => return Err(self.err(&format!("unknown field `{other}`"))),
             }
-            if self.peek(b',') {
-                self.i += 1;
-            }
+            "events" => events = Some(self::events(p)?),
+            other => return Err(p.err(&format!("unknown field `{other}`"))),
         }
-        self.eat(b')')?;
-        Ok(FaultSpec {
-            seed,
-            recovery,
-            events: events.ok_or_else(|| self.err("missing events"))?,
-        })
+        p.comma();
     }
+    p.eat(b')')?;
+    Ok(FaultSpec {
+        seed,
+        recovery,
+        events: events.ok_or_else(|| p.err("missing events"))?,
+    })
+}
 
-    fn events(&mut self) -> Result<Vec<FaultEvent>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        while !self.peek(b']') {
-            out.push(self.event()?);
-            if self.peek(b',') {
-                self.i += 1;
-            }
+fn events(p: &mut Lexer) -> Result<Vec<FaultEvent>, String> {
+    p.eat(b'[')?;
+    let mut out = Vec::new();
+    while !p.peek(b']') {
+        out.push(event(p)?);
+        p.comma();
+    }
+    p.eat(b']')?;
+    Ok(out)
+}
+
+fn event(p: &mut Lexer) -> Result<FaultEvent, String> {
+    p.eat(b'(')?;
+    let (mut from, mut until, mut kind) = (None, None, None);
+    while !p.peek(b')') {
+        let name = p.word()?;
+        p.eat(b':')?;
+        match name.as_str() {
+            "from_ns" => from = Some(SimTime::from_nanos(p.int()?)),
+            "until_ns" => until = Some(SimTime::from_nanos(p.int()?)),
+            "kind" => kind = Some(self::kind(p)?),
+            other => return Err(p.err(&format!("unknown event field `{other}`"))),
         }
-        self.eat(b']')?;
-        Ok(out)
+        p.comma();
     }
+    p.eat(b')')?;
+    Ok(FaultEvent {
+        from: from.ok_or_else(|| p.err("event missing from_ns"))?,
+        until: until.ok_or_else(|| p.err("event missing until_ns"))?,
+        kind: kind.ok_or_else(|| p.err("event missing kind"))?,
+    })
+}
 
-    fn event(&mut self) -> Result<FaultEvent, String> {
-        self.eat(b'(')?;
-        let (mut from, mut until, mut kind) = (None, None, None);
-        while !self.peek(b')') {
-            let name = self.word()?;
-            self.eat(b':')?;
-            match name.as_str() {
-                "from_ns" => from = Some(SimTime::from_nanos(self.int()?)),
-                "until_ns" => until = Some(SimTime::from_nanos(self.int()?)),
-                "kind" => kind = Some(self.kind()?),
-                other => return Err(self.err(&format!("unknown event field `{other}`"))),
-            }
-            if self.peek(b',') {
-                self.i += 1;
-            }
-        }
-        self.eat(b')')?;
-        Ok(FaultEvent {
-            from: from.ok_or_else(|| self.err("event missing from_ns"))?,
-            until: until.ok_or_else(|| self.err("event missing until_ns"))?,
-            kind: kind.ok_or_else(|| self.err("event missing kind"))?,
-        })
-    }
-
-    fn kind(&mut self) -> Result<FaultKind, String> {
-        let variant = self.word()?;
-        let at = self.i;
-        let fields = self.int_fields()?;
-        let get = |name: &str| -> Result<u64, String> {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .ok_or(format!(
-                    "fault spec parse error at byte {at}: {variant} needs field `{name}`"
-                ))
-        };
-        Ok(match variant.as_str() {
-            "LinkDown" => FaultKind::LinkDown {
-                from: CellId::new(get("from")? as u32),
-                to: CellId::new(get("to")? as u32),
-            },
-            "Delay" => FaultKind::Delay {
-                src: CellId::new(get("src")? as u32),
-                dst: CellId::new(get("dst")? as u32),
-                extra: SimTime::from_nanos(get("extra_ns")?),
-            },
-            "Corrupt" => FaultKind::Corrupt {
-                src: CellId::new(get("src")? as u32),
-                dst: CellId::new(get("dst")? as u32),
-                count: get("count")? as u32,
-            },
-            "Crash" => FaultKind::Crash {
-                cell: CellId::new(get("cell")? as u32),
-            },
-            "BnetDown" => FaultKind::BnetDown,
-            other => return Err(format!("unknown fault kind `{other}`")),
-        })
-    }
+fn kind(p: &mut Lexer) -> Result<FaultKind, String> {
+    let variant = p.word()?;
+    let at = p.pos();
+    let fields = int_fields(p)?;
+    let get = |name: &str| -> Result<u64, String> {
+        fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| p.err_at(at, &format!("{variant} needs field `{name}`")))
+    };
+    Ok(match variant.as_str() {
+        "LinkDown" => FaultKind::LinkDown {
+            from: CellId::new(get("from")? as u32),
+            to: CellId::new(get("to")? as u32),
+        },
+        "Delay" => FaultKind::Delay {
+            src: CellId::new(get("src")? as u32),
+            dst: CellId::new(get("dst")? as u32),
+            extra: SimTime::from_nanos(get("extra_ns")?),
+        },
+        "Corrupt" => FaultKind::Corrupt {
+            src: CellId::new(get("src")? as u32),
+            dst: CellId::new(get("dst")? as u32),
+            count: get("count")? as u32,
+        },
+        "Crash" => FaultKind::Crash {
+            cell: CellId::new(get("cell")? as u32),
+        },
+        "BnetDown" => FaultKind::BnetDown,
+        other => return Err(format!("unknown fault kind `{other}`")),
+    })
 }
 
 #[cfg(test)]

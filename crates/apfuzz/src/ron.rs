@@ -8,6 +8,7 @@
 //! trailing commas — is small.
 
 use crate::program::{Action, FuzzProgram, StrideMode};
+use aputil::ron::Lexer;
 use std::fmt::Write as _;
 
 /// Renders a program as RON text.
@@ -103,21 +104,10 @@ fn action_ron(a: &Action) -> String {
 ///
 /// A message with the byte offset of the first syntax problem.
 pub fn from_ron(text: &str) -> Result<FuzzProgram, String> {
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let prog = p.program()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing input"));
-    }
+    let mut p = Lexer::new(text, "ron parse error");
+    let prog = program(&mut p)?;
+    p.end()?;
     Ok(prog)
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
 }
 
 /// One parsed `name: value` field.
@@ -126,267 +116,176 @@ enum Val {
     Word(String),
 }
 
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("ron parse error at byte {}: {what}", self.i)
-    }
-
-    fn ws(&mut self) {
-        loop {
-            while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-            if self.s[self.i..].starts_with(b"//") {
-                while self.i < self.s.len() && self.s[self.i] != b'\n' {
-                    self.i += 1;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.s.len() && self.s[self.i] == c {
-            self.i += 1;
-            Ok(())
+/// `name: value` pairs inside `( ... )`, any order, trailing comma ok.
+fn fields(p: &mut Lexer) -> Result<Vec<(String, Val)>, String> {
+    p.eat(b'(')?;
+    let mut out = Vec::new();
+    while !p.peek(b')') {
+        let name = p.word()?;
+        p.eat(b':')?;
+        let val = if p.at_int() {
+            Val::Int(p.int()?)
         } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
+            Val::Word(p.word()?)
+        };
+        out.push((name, val));
+        p.comma();
     }
+    p.eat(b')')?;
+    Ok(out)
+}
 
-    fn peek(&mut self, c: u8) -> bool {
-        self.ws();
-        self.i < self.s.len() && self.s[self.i] == c
-    }
-
-    fn word(&mut self) -> Result<String, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.s.len()
-            && (self.s[self.i].is_ascii_alphanumeric() || self.s[self.i] == b'_')
-        {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(self.err("expected identifier"));
-        }
-        Ok(String::from_utf8_lossy(&self.s[start..self.i]).into_owned())
-    }
-
-    fn int(&mut self) -> Result<i64, String> {
-        self.ws();
-        let start = self.i;
-        if self.i < self.s.len() && self.s[self.i] == b'-' {
-            self.i += 1;
-        }
-        while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| self.err("expected integer"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let start = self.i;
-        while self.i < self.s.len() && self.s[self.i] != b'"' {
-            self.i += 1;
-        }
-        let out = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
-        self.eat(b'"')?;
-        Ok(out)
-    }
-
-    /// `name: value` pairs inside `( ... )`, any order, trailing comma ok.
-    fn fields(&mut self) -> Result<Vec<(String, Val)>, String> {
-        self.eat(b'(')?;
-        let mut out = Vec::new();
-        while !self.peek(b')') {
-            let name = self.word()?;
-            self.eat(b':')?;
-            self.ws();
-            let val = if self.i < self.s.len()
-                && (self.s[self.i] == b'-' || self.s[self.i].is_ascii_digit())
-            {
-                Val::Int(self.int()?)
-            } else {
-                Val::Word(self.word()?)
-            };
-            out.push((name, val));
-            if self.peek(b',') {
-                self.i += 1;
-            }
-        }
-        self.eat(b')')?;
-        Ok(out)
-    }
-
-    fn program(&mut self) -> Result<FuzzProgram, String> {
-        self.eat(b'(')?;
-        let (mut seed, mut ncells, mut region) = (None, None, None);
-        let mut expect_error = None;
-        let mut rounds = None;
-        while !self.peek(b')') {
-            let name = self.word()?;
-            self.eat(b':')?;
-            match name.as_str() {
-                "seed" => seed = Some(self.int()? as u64),
-                "ncells" => ncells = Some(self.int()? as u32),
-                "region" => region = Some(self.int()? as u64),
-                "expect_error" => match self.word()?.as_str() {
-                    "None" => {}
-                    "Some" => {
-                        self.eat(b'(')?;
-                        expect_error = Some(self.string()?);
-                        self.eat(b')')?;
-                    }
-                    w => return Err(self.err(&format!("expected None/Some, got `{w}`"))),
-                },
-                "rounds" => rounds = Some(self.rounds()?),
-                other => return Err(self.err(&format!("unknown field `{other}`"))),
-            }
-            if self.peek(b',') {
-                self.i += 1;
-            }
-        }
-        self.eat(b')')?;
-        Ok(FuzzProgram {
-            seed: seed.ok_or_else(|| self.err("missing seed"))?,
-            ncells: ncells.ok_or_else(|| self.err("missing ncells"))?,
-            region: region.ok_or_else(|| self.err("missing region"))?,
-            expect_error,
-            rounds: rounds.ok_or_else(|| self.err("missing rounds"))?,
-        })
-    }
-
-    fn rounds(&mut self) -> Result<Vec<Vec<Action>>, String> {
-        self.eat(b'[')?;
-        let mut rounds = Vec::new();
-        while !self.peek(b']') {
-            self.eat(b'[')?;
-            let mut round = Vec::new();
-            while !self.peek(b']') {
-                round.push(self.action()?);
-                if self.peek(b',') {
-                    self.i += 1;
+fn program(p: &mut Lexer) -> Result<FuzzProgram, String> {
+    p.eat(b'(')?;
+    let (mut seed, mut ncells, mut region) = (None, None, None);
+    let mut expect_error = None;
+    let mut rounds = None;
+    while !p.peek(b')') {
+        let name = p.word()?;
+        p.eat(b':')?;
+        match name.as_str() {
+            "seed" => seed = Some(p.int::<i64>()? as u64),
+            "ncells" => ncells = Some(p.int::<i64>()? as u32),
+            "region" => region = Some(p.int::<i64>()? as u64),
+            "expect_error" => match p.word()?.as_str() {
+                "None" => {}
+                "Some" => {
+                    p.eat(b'(')?;
+                    expect_error = Some(p.string()?);
+                    p.eat(b')')?;
                 }
-            }
-            self.eat(b']')?;
-            rounds.push(round);
-            if self.peek(b',') {
-                self.i += 1;
-            }
+                w => return Err(p.err(&format!("expected None/Some, got `{w}`"))),
+            },
+            "rounds" => rounds = Some(self::rounds(p)?),
+            other => return Err(p.err(&format!("unknown field `{other}`"))),
         }
-        self.eat(b']')?;
-        Ok(rounds)
+        p.comma();
     }
+    p.eat(b')')?;
+    Ok(FuzzProgram {
+        seed: seed.ok_or_else(|| p.err("missing seed"))?,
+        ncells: ncells.ok_or_else(|| p.err("missing ncells"))?,
+        region: region.ok_or_else(|| p.err("missing region"))?,
+        expect_error,
+        rounds: rounds.ok_or_else(|| p.err("missing rounds"))?,
+    })
+}
 
-    fn action(&mut self) -> Result<Action, String> {
-        let variant = self.word()?;
-        let at = self.i;
-        let fields = self.fields()?;
-        let get = |name: &str| -> Result<i64, String> {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, v)| match v {
-                    Val::Int(i) => Some(*i),
-                    Val::Word(_) => None,
-                })
-                .ok_or(format!(
-                    "ron parse error at byte {at}: {variant} needs integer field `{name}`"
-                ))
-        };
-        let get_word = |name: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, v)| match v {
-                    Val::Word(w) => Some(w.as_str()),
-                    Val::Int(_) => None,
-                })
-                .ok_or(format!(
-                    "ron parse error at byte {at}: {variant} needs word field `{name}`"
-                ))
-        };
-        let mode = |w: &str| -> Result<StrideMode, String> {
-            match w {
-                "Contig" => Ok(StrideMode::Contig),
-                "Stride" => Ok(StrideMode::Stride),
-                "SendStride" => Ok(StrideMode::SendStride),
-                "RecvStride" => Ok(StrideMode::RecvStride),
-                other => Err(format!("unknown stride mode `{other}`")),
-            }
-        };
-        Ok(match variant.as_str() {
-            "Put" => Action::Put {
-                src: get("src")? as u32,
-                dst: get("dst")? as u32,
-                src_off: get("src_off")? as u32,
-                item: get("item")? as u32,
-                count: get("count")? as u32,
-                extra: get("extra")? as u32,
-                mode: mode(get_word("mode")?)?,
-                flag_send: get("flag_send")? as i8,
-                flag_recv: get("flag_recv")? as i8,
-                ack: get_word("ack")? == "true",
-            },
-            "Get" => Action::Get {
-                owner: get("owner")? as u32,
-                reader: get("reader")? as u32,
-                src_off: get("src_off")? as u32,
-                item: get("item")? as u32,
-                count: get("count")? as u32,
-                extra: get("extra")? as u32,
-                mode: mode(get_word("mode")?)?,
-                flag_send: get("flag_send")? as i8,
-                flag_recv: get("flag_recv")? as i8,
-            },
-            "Send" => Action::Send {
-                src: get("src")? as u32,
-                dst: get("dst")? as u32,
-                src_off: get("src_off")? as u32,
-                bytes: get("bytes")? as u32,
-            },
-            "Bcast" => Action::Bcast {
-                root: get("root")? as u32,
-                bytes: get("bytes")? as u32,
-            },
-            "RStore" => Action::RStore {
-                src: get("src")? as u32,
-                owner: get("owner")? as u32,
-                bytes: get("bytes")? as u32,
-                pattern: get("pattern")? as u32,
-            },
-            "RLoad" => Action::RLoad {
-                reader: get("reader")? as u32,
-                owner: get("owner")? as u32,
-                off: get("off")? as u32,
-                bytes: get("bytes")? as u32,
-            },
-            "Work" => Action::Work {
-                cell: get("cell")? as u32,
-                flops: get("flops")? as u32,
-            },
-            "BadPutEmpty" => Action::BadPutEmpty {
-                src: get("src")? as u32,
-                dst: get("dst")? as u32,
-            },
-            "BadPutOverlap" => Action::BadPutOverlap {
-                src: get("src")? as u32,
-                dst: get("dst")? as u32,
-            },
-            "BadGetMismatch" => Action::BadGetMismatch {
-                reader: get("reader")? as u32,
-                owner: get("owner")? as u32,
-            },
-            other => return Err(format!("unknown action `{other}`")),
-        })
+fn rounds(p: &mut Lexer) -> Result<Vec<Vec<Action>>, String> {
+    p.eat(b'[')?;
+    let mut rounds = Vec::new();
+    while !p.peek(b']') {
+        p.eat(b'[')?;
+        let mut round = Vec::new();
+        while !p.peek(b']') {
+            round.push(action(p)?);
+            p.comma();
+        }
+        p.eat(b']')?;
+        rounds.push(round);
+        p.comma();
     }
+    p.eat(b']')?;
+    Ok(rounds)
+}
+
+fn action(p: &mut Lexer) -> Result<Action, String> {
+    let variant = p.word()?;
+    let at = p.pos();
+    let fields = fields(p)?;
+    let get = |name: &str| -> Result<i64, String> {
+        fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| match v {
+                Val::Int(i) => Some(*i),
+                Val::Word(_) => None,
+            })
+            .ok_or_else(|| p.err_at(at, &format!("{variant} needs integer field `{name}`")))
+    };
+    let get_word = |name: &str| -> Result<&str, String> {
+        fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| match v {
+                Val::Word(w) => Some(w.as_str()),
+                Val::Int(_) => None,
+            })
+            .ok_or_else(|| p.err_at(at, &format!("{variant} needs word field `{name}`")))
+    };
+    let mode = |w: &str| -> Result<StrideMode, String> {
+        match w {
+            "Contig" => Ok(StrideMode::Contig),
+            "Stride" => Ok(StrideMode::Stride),
+            "SendStride" => Ok(StrideMode::SendStride),
+            "RecvStride" => Ok(StrideMode::RecvStride),
+            other => Err(format!("unknown stride mode `{other}`")),
+        }
+    };
+    Ok(match variant.as_str() {
+        "Put" => Action::Put {
+            src: get("src")? as u32,
+            dst: get("dst")? as u32,
+            src_off: get("src_off")? as u32,
+            item: get("item")? as u32,
+            count: get("count")? as u32,
+            extra: get("extra")? as u32,
+            mode: mode(get_word("mode")?)?,
+            flag_send: get("flag_send")? as i8,
+            flag_recv: get("flag_recv")? as i8,
+            ack: get_word("ack")? == "true",
+        },
+        "Get" => Action::Get {
+            owner: get("owner")? as u32,
+            reader: get("reader")? as u32,
+            src_off: get("src_off")? as u32,
+            item: get("item")? as u32,
+            count: get("count")? as u32,
+            extra: get("extra")? as u32,
+            mode: mode(get_word("mode")?)?,
+            flag_send: get("flag_send")? as i8,
+            flag_recv: get("flag_recv")? as i8,
+        },
+        "Send" => Action::Send {
+            src: get("src")? as u32,
+            dst: get("dst")? as u32,
+            src_off: get("src_off")? as u32,
+            bytes: get("bytes")? as u32,
+        },
+        "Bcast" => Action::Bcast {
+            root: get("root")? as u32,
+            bytes: get("bytes")? as u32,
+        },
+        "RStore" => Action::RStore {
+            src: get("src")? as u32,
+            owner: get("owner")? as u32,
+            bytes: get("bytes")? as u32,
+            pattern: get("pattern")? as u32,
+        },
+        "RLoad" => Action::RLoad {
+            reader: get("reader")? as u32,
+            owner: get("owner")? as u32,
+            off: get("off")? as u32,
+            bytes: get("bytes")? as u32,
+        },
+        "Work" => Action::Work {
+            cell: get("cell")? as u32,
+            flops: get("flops")? as u32,
+        },
+        "BadPutEmpty" => Action::BadPutEmpty {
+            src: get("src")? as u32,
+            dst: get("dst")? as u32,
+        },
+        "BadPutOverlap" => Action::BadPutOverlap {
+            src: get("src")? as u32,
+            dst: get("dst")? as u32,
+        },
+        "BadGetMismatch" => Action::BadGetMismatch {
+            reader: get("reader")? as u32,
+            owner: get("owner")? as u32,
+        },
+        other => return Err(format!("unknown action `{other}`")),
+    })
 }
 
 #[cfg(test)]

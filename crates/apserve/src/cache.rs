@@ -87,14 +87,18 @@ impl ResultCache {
     /// not cache entries and are never deleted).
     fn scan_disk(&mut self) {
         let Some(dir) = self.dir.as_ref() else { return };
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
         let mut found: Vec<(SystemTime, u64, u64)> = Vec::new();
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
                 continue;
             };
-            let Some(key) = parse_key_hex(stem) else { continue };
+            let Some(key) = parse_key_hex(stem) else {
+                continue;
+            };
             let Ok(meta) = entry.metadata() else { continue };
             let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
             found.push((mtime, key, meta.len()));
@@ -111,7 +115,9 @@ impl ResultCache {
     /// budget — a cache that immediately forgets its only entry is
     /// worse than one slightly over budget.
     fn enforce_disk_budget(&mut self) {
-        let Some(budget) = self.disk_budget else { return };
+        let Some(budget) = self.disk_budget else {
+            return;
+        };
         while self.disk_order.len() > 1 && self.disk_bytes() > budget {
             let victim = self.disk_order.remove(0);
             self.disk_sizes.remove(&victim);

@@ -132,6 +132,37 @@ pub fn submit(addr: &str, job_json: &str) -> Result<HttpResponse, String> {
     request(addr, "POST", "/submit", job_json.as_bytes())
 }
 
+/// [`submit`] that waits out `429` backpressure up to `retries` times,
+/// honouring the server's `Retry-After` header with capped exponential
+/// backoff; `on_retry(attempt, delay_ms)` runs before each wait. Only 429
+/// retries — a structural error would just fail again, and a 5xx may not
+/// be idempotent to wait out.
+pub fn submit_with_retry(
+    addr: &str,
+    job_json: &str,
+    retries: u32,
+    mut on_retry: impl FnMut(u32, u64),
+) -> Result<HttpResponse, String> {
+    let mut attempt: u32 = 0;
+    loop {
+        let resp = submit(addr, job_json)?;
+        if resp.status != 429 || attempt >= retries {
+            return Ok(resp);
+        }
+        attempt += 1;
+        let after_secs: u64 = resp
+            .header("retry-after")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(1);
+        let delay_ms = after_secs
+            .saturating_mul(1000)
+            .saturating_mul(1u64 << (attempt - 1).min(10))
+            .min(10_000);
+        on_retry(attempt, delay_ms);
+        std::thread::sleep(Duration::from_millis(delay_ms));
+    }
+}
+
 /// `POST /submit` for a streaming job: invokes `on_line` for every
 /// NDJSON line as it arrives (progress lines first, the report last)
 /// and returns the final line.

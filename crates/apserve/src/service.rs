@@ -159,7 +159,10 @@ impl std::fmt::Display for JobError {
             JobError::Failed(msg) | JobError::Canceled(msg) => write!(f, "{msg}"),
             JobError::Crashed { status, .. } => write!(f, "worker crashed: {status}"),
             JobError::Timeout { deadline_ms } => {
-                write!(f, "job exceeded the {deadline_ms} ms deadline and was killed")
+                write!(
+                    f,
+                    "job exceeded the {deadline_ms} ms deadline and was killed"
+                )
             }
             JobError::Poisoned { crashes } => write!(
                 f,
@@ -324,7 +327,11 @@ pub fn sleep_report(ms: u64) -> String {
 
 impl Service {
     pub fn new(cfg: Config, executor: Executor) -> Arc<Service> {
-        let cache = ResultCache::new(cfg.cache_entries, cfg.cache_dir.clone(), cfg.disk_cache_bytes);
+        let cache = ResultCache::new(
+            cfg.cache_entries,
+            cfg.cache_dir.clone(),
+            cfg.disk_cache_bytes,
+        );
         Arc::new(Service {
             cfg,
             inner: Mutex::new(Inner {
@@ -534,9 +541,7 @@ impl Service {
                         panic!("injected panic (crash=\"panic\")");
                     }
                     Some("abort") => {
-                        return Err(
-                            "crash=\"abort\" requires sandbox mode (--sandbox)".to_string()
-                        )
+                        return Err("crash=\"abort\" requires sandbox mode (--sandbox)".to_string())
                     }
                     _ => {}
                 }

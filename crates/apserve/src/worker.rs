@@ -268,7 +268,8 @@ pub fn result_envelope(result: &Result<String, String>) -> String {
 /// nothing trustworthy.
 pub fn decode_envelope(stdout: &[u8]) -> Result<Result<Vec<u8>, String>, String> {
     let text = std::str::from_utf8(stdout).map_err(|_| "stdout is not UTF-8".to_string())?;
-    let doc = Json::parse(text.trim_end()).map_err(|e| format!("stdout is not a result envelope: {e}"))?;
+    let doc = Json::parse(text.trim_end())
+        .map_err(|e| format!("stdout is not a result envelope: {e}"))?;
     if doc.get("schema").and_then(Json::as_str) != Some(RESULT_SCHEMA) {
         return Err("missing or wrong envelope schema".to_string());
     }
@@ -310,11 +311,11 @@ mod tests {
 
     #[test]
     fn envelope_round_trips_reports_and_errors() {
-        let ok = Ok(r#"{"schema":"ap1000plus.bench","rows":[1,2]}"#.to_string());
-        let enc = result_envelope(&ok);
+        let report = r#"{"schema":"ap1000plus.bench","rows":[1,2]}"#;
+        let enc = result_envelope(&Ok(report.to_string()));
         assert_eq!(
             decode_envelope(enc.as_bytes()).unwrap().unwrap(),
-            ok.unwrap().into_bytes()
+            report.as_bytes()
         );
         let fail: Result<String, String> = Err("no such app \"Zap\"".to_string());
         let enc = result_envelope(&fail);
@@ -375,15 +376,13 @@ mod tests {
         let cfg = sh("exec sleep 30");
         let slot_out: Arc<Mutex<Option<Arc<ChildSlot>>>> = Arc::new(Mutex::new(None));
         let slot_in = Arc::clone(&slot_out);
-        let killer = std::thread::spawn(move || {
-            loop {
-                if let Some(slot) = slot_in.lock().unwrap().as_ref() {
-                    std::thread::sleep(Duration::from_millis(50));
-                    slot.kill(KillReason::Drain);
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+        let killer = std::thread::spawn(move || loop {
+            if let Some(slot) = slot_in.lock().unwrap().as_ref() {
+                std::thread::sleep(Duration::from_millis(50));
+                slot.kill(KillReason::Drain);
+                return;
             }
+            std::thread::sleep(Duration::from_millis(5));
         });
         let outcome = run_job(&cfg, "", |slot| {
             *slot_out.lock().unwrap() = Some(slot);

@@ -28,9 +28,8 @@
 //! section, making every section self-contained: [`EvTrace::decode_at`]
 //! uses the footer index to decode only the sections that can contain
 //! events at or before a seek time, skipping the rest of the file (and
-//! the whole ops section) entirely. v1 files — no footer, file-global
-//! string table — still decode, and `decode_at` falls back to the full
-//! linear decode for them.
+//! the whole ops section) entirely. v1 files (no footer, file-global
+//! string table) are refused with [`EvError::Version`].
 //!
 //! Everything multi-byte is LEB128 varint (or zigzag svarint where deltas
 //! go negative); there is no padding and no endianness to get wrong. The
@@ -80,7 +79,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// File magic: seven ASCII bytes followed by the one-byte format version.
 pub const MAGIC: [u8; 7] = *b"APEVTRC";
-/// Newest format version this library reads and the one it writes.
+/// The one format version this library reads and writes.
 pub const VERSION: u8 = 2;
 
 /// Section tags. Every section starts with one of these bytes.
@@ -118,11 +117,12 @@ const EVENTS_DONE: u8 = 0xFF;
 pub enum EvError {
     /// The file does not start with `APEVTRC`.
     BadMagic,
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not the one this reader supports
+    /// (newer, or older than the oldest supported version).
     Version {
         /// Version byte found in the file.
         found: u8,
-        /// Newest version this library supports.
+        /// The version this library supports.
         supported: u8,
     },
     /// The input ended mid-structure (a partial download, a full disk, a
@@ -161,9 +161,13 @@ impl fmt::Display for EvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvError::BadMagic => write!(f, "not an evtrace file (bad magic)"),
-            EvError::Version { found, supported } => write!(
+            EvError::Version { found, supported } if found > supported => write!(
                 f,
                 "evtrace version {found} is newer than supported version {supported}"
+            ),
+            EvError::Version { found, supported } => write!(
+                f,
+                "evtrace version {found} is older than the oldest supported version {supported}"
             ),
             EvError::Truncated { at, what } => {
                 write!(
@@ -410,18 +414,17 @@ impl EvTrace {
     }
 
     /// Decodes a complete in-memory document, rejecting truncation and
-    /// trailing garbage. v2 files must carry a valid seek index whose
+    /// trailing garbage. The file must carry a valid seek index whose
     /// entries agree with the events sections actually decoded.
     pub fn decode(bytes: &[u8]) -> Result<EvTrace, EvError> {
-        let version = check_magic(bytes)?;
+        check_magic(bytes)?;
         let mut r = Reader::new(bytes);
         r.pos = MAGIC.len() + 1;
         let mut doc = EvTrace::default();
-        let mut names: Vec<&'static str> = Vec::new();
         let mut saw_header = false;
         let mut saw_summary = false;
-        // v2 integrity: the index section's claims are checked against
-        // the sections the decoder actually walked.
+        // Integrity: the index section's claims are checked against the
+        // sections the decoder actually walked.
         let mut index: Option<(usize, Vec<EvIndexEntry>)> = None;
         let mut walked: Vec<EvIndexEntry> = Vec::new();
         loop {
@@ -434,11 +437,7 @@ impl EvTrace {
                 }
                 SEC_EVENTS => {
                     let label = r.string("event stream label")?;
-                    if version >= 2 {
-                        // v2 sections are self-contained for seeking.
-                        names.clear();
-                    }
-                    let events = decode_events(&mut r, &mut names)?;
+                    let events = decode_events(&mut r)?;
                     walked.push(section_entry(at as u64, &events));
                     doc.streams.push(EvStream { label, events });
                 }
@@ -452,12 +451,6 @@ impl EvTrace {
                     doc.fault_ron = Some(r.string("fault schedule RON")?);
                 }
                 SEC_INDEX => {
-                    if version < 2 {
-                        return Err(EvError::Corrupt {
-                            at,
-                            what: "index section in a v1 file".to_string(),
-                        });
-                    }
                     index = Some((at, decode_index(&mut r)?));
                 }
                 SEC_SUMMARY => {
@@ -481,36 +474,29 @@ impl EvTrace {
                                 .to_string(),
                         });
                     }
-                    if version >= 2 {
-                        let Some((index_at, entries)) = index else {
-                            return Err(EvError::Corrupt {
-                                at,
-                                what: "v2 file without a seek index section".to_string(),
-                            });
-                        };
-                        if r.remaining() < TRAILER_LEN {
-                            return Err(r.truncated("index footer"));
-                        }
-                        check_trailer(&bytes[r.pos..r.pos + TRAILER_LEN], r.pos, index_at)?;
-                        if r.remaining() > TRAILER_LEN {
-                            return Err(EvError::TrailingGarbage {
-                                at: r.pos + TRAILER_LEN,
-                                extra: r.remaining() - TRAILER_LEN,
-                            });
-                        }
-                        if entries != walked {
-                            return Err(EvError::Corrupt {
-                                at: index_at,
-                                what: format!(
-                                    "seek index disagrees with events sections \
-                                     (index {entries:?}, decoded {walked:?})"
-                                ),
-                            });
-                        }
-                    } else if r.remaining() > 0 {
+                    let Some((index_at, entries)) = index else {
+                        return Err(EvError::Corrupt {
+                            at,
+                            what: "file without a seek index section".to_string(),
+                        });
+                    };
+                    if r.remaining() < TRAILER_LEN {
+                        return Err(r.truncated("index footer"));
+                    }
+                    check_trailer(&bytes[r.pos..r.pos + TRAILER_LEN], r.pos, index_at)?;
+                    if r.remaining() > TRAILER_LEN {
                         return Err(EvError::TrailingGarbage {
-                            at: r.pos,
-                            extra: r.remaining(),
+                            at: r.pos + TRAILER_LEN,
+                            extra: r.remaining() - TRAILER_LEN,
+                        });
+                    }
+                    if entries != walked {
+                        return Err(EvError::Corrupt {
+                            at: index_at,
+                            what: format!(
+                                "seek index disagrees with events sections \
+                                 (index {entries:?}, decoded {walked:?})"
+                            ),
                         });
                     }
                     let counted: u64 = doc.streams.iter().map(|s| s.events.len() as u64).sum();
@@ -541,12 +527,8 @@ impl EvTrace {
     /// without scanning the file (the ops/counters/fault sections are
     /// skipped entirely). An event starting after `at_ns` cannot be
     /// in flight at it, so state reconstruction over the partial
-    /// document matches the full decode. v1 files carry no index and
-    /// fall back to the full linear [`EvTrace::decode`].
+    /// document matches the full decode.
     pub fn decode_at(bytes: &[u8], at_ns: u64) -> Result<EvTrace, EvError> {
-        if check_magic(bytes)? < 2 {
-            return EvTrace::decode(bytes);
-        }
         let (entries, summary) = read_footer(bytes)?;
         let mut doc = EvTrace {
             summary,
@@ -583,8 +565,7 @@ impl EvTrace {
                 });
             }
             let label = r.string("event stream label")?;
-            let mut names = Vec::new();
-            let events = decode_events(&mut r, &mut names)?;
+            let events = decode_events(&mut r)?;
             if events.len() as u64 != e.events {
                 return Err(EvError::Corrupt {
                     at: pos,
@@ -623,8 +604,8 @@ fn read_bytes(path: &std::path::Path) -> Result<Vec<u8>, EvError> {
     Ok(bytes)
 }
 
-/// Validates the magic prefix and returns the format version byte.
-fn check_magic(bytes: &[u8]) -> Result<u8, EvError> {
+/// Validates the magic prefix and the format version byte.
+fn check_magic(bytes: &[u8]) -> Result<(), EvError> {
     if bytes.len() < MAGIC.len() + 1 {
         return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(7)]) {
             EvError::Truncated {
@@ -638,14 +619,13 @@ fn check_magic(bytes: &[u8]) -> Result<u8, EvError> {
     if bytes[..7] != MAGIC {
         return Err(EvError::BadMagic);
     }
-    let version = bytes[7];
-    if version > VERSION {
+    if bytes[7] != VERSION {
         return Err(EvError::Version {
-            found: version,
+            found: bytes[7],
             supported: VERSION,
         });
     }
-    Ok(version)
+    Ok(())
 }
 
 fn decode_header(r: &mut Reader<'_>, at: usize) -> Result<EvHeader, EvError> {
@@ -724,13 +704,7 @@ pub fn read_index(bytes: &[u8]) -> Result<Vec<EvIndexEntry>, EvError> {
 }
 
 fn read_footer(bytes: &[u8]) -> Result<(Vec<EvIndexEntry>, EvSummary), EvError> {
-    let version = check_magic(bytes)?;
-    if version < 2 {
-        return Err(EvError::Corrupt {
-            at: 7,
-            what: format!("v{version} traces carry no seek index (use the full decode)"),
-        });
-    }
+    check_magic(bytes)?;
     if bytes.len() < MAGIC.len() + 1 + TRAILER_LEN {
         return Err(EvError::Truncated {
             at: bytes.len(),
@@ -775,11 +749,11 @@ fn read_footer(bytes: &[u8]) -> Result<(Vec<EvIndexEntry>, EvSummary), EvError> 
     Ok((entries, summary))
 }
 
-fn decode_events(
-    r: &mut Reader<'_>,
-    names: &mut Vec<&'static str>,
-) -> Result<Vec<TimelineEvent>, EvError> {
+/// Decodes one events section. The event-name string table starts
+/// empty at every section, which is what makes sections seekable.
+fn decode_events(r: &mut Reader<'_>) -> Result<Vec<TimelineEvent>, EvError> {
     let mut events = Vec::new();
+    let mut names: Vec<&'static str> = Vec::new();
     let mut prev_cell = 0i64;
     let mut prev_start = 0i64;
     loop {
@@ -1599,59 +1573,32 @@ mod tests {
         let back = EvTrace::decode(&bytes).unwrap();
         assert_eq!(back, doc);
         // v2 stores "hop" once per section that uses it, so each section
-        // decodes standalone (the price of O(1) seeking; v1 shared the
-        // table file-wide and stored it once).
+        // decodes standalone (the price of O(1) seeking).
         let text_hops = bytes.windows(3).filter(|w| w == b"hop").count();
         assert_eq!(text_hops, 2);
     }
 
-    /// Hand-built v1 bytes: file-global string table, no index, no
-    /// footer. The reader must keep decoding archived traces.
-    fn v1_sample_bytes() -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.push(1);
-        bytes.push(SEC_HEADER);
-        put_varint(&mut bytes, 2);
-        put_str(&mut bytes, "CG");
-        put_str(&mut bytes, "test");
-        put_varint(&mut bytes, 0);
-        // Section 1 introduces "work" (flags 0: Cpu/Hw, no dur, no tid).
-        bytes.push(SEC_EVENTS);
-        put_str(&mut bytes, "emulator");
-        bytes.extend_from_slice(&[0x00, 0x00]); // flags, name idx 0 (new)
-        put_str(&mut bytes, "work");
-        bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // cell Δ, start Δ, arg
-        bytes.push(EVENTS_DONE);
-        // Section 2 reuses index 0 WITHOUT the string: v1 sharing.
-        bytes.push(SEC_EVENTS);
-        put_str(&mut bytes, "tnet");
-        bytes.extend_from_slice(&[0x00, 0x00, 0x02, 0x02, 0x00]);
-        bytes.push(EVENTS_DONE);
-        bytes.push(SEC_SUMMARY);
-        put_varint(&mut bytes, 1);
-        put_varint(&mut bytes, 2);
-        bytes.push(SEC_END);
-        bytes
-    }
-
     #[test]
-    fn v1_files_still_decode_with_a_shared_string_table() {
-        let doc = EvTrace::decode(&v1_sample_bytes()).unwrap();
-        assert_eq!(doc.header.app, "CG");
-        assert_eq!(doc.streams.len(), 2);
-        assert_eq!(doc.streams[0].events[0].name, "work");
-        assert_eq!(
-            doc.streams[1].events[0].name, "work",
-            "v1 second section resolves the name from the shared table"
+    fn v1_files_are_refused_with_a_structured_version_error() {
+        let mut bytes = encode(&sample());
+        bytes[7] = 1;
+        let too_old = EvError::Version {
+            found: 1,
+            supported: VERSION,
+        };
+        assert_eq!(EvTrace::decode(&bytes), Err(too_old.clone()));
+        assert_eq!(EvTrace::decode_at(&bytes, 0), Err(too_old.clone()));
+        assert_eq!(read_index(&bytes), Err(too_old.clone()));
+        let path = std::env::temp_dir().join(format!("ap_v1_{}.evtrace", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let from_file = EvTrace::read_file_at(&path, 0);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(from_file, Err(too_old.clone()));
+        let msg = too_old.to_string();
+        assert!(
+            msg.contains("version 1 is older than the oldest supported version 2"),
+            "{msg}"
         );
-        // No index → the seek path falls back to the full decode.
-        assert!(matches!(
-            read_index(&v1_sample_bytes()),
-            Err(EvError::Corrupt { .. })
-        ));
-        let seeked = EvTrace::decode_at(&v1_sample_bytes(), 0).unwrap();
-        assert_eq!(seeked, doc);
     }
 
     #[test]

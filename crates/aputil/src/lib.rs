@@ -19,13 +19,16 @@
 
 pub mod addr;
 pub mod bytes;
+pub mod cli;
 pub mod error;
 pub mod fault;
 pub mod fsio;
 pub mod hash;
 pub mod id;
 pub mod json;
+pub mod par;
 pub mod proc;
+pub mod ron;
 pub mod time;
 
 pub use addr::{PAddr, VAddr};
@@ -35,5 +38,6 @@ pub use fsio::write_atomic;
 pub use hash::{fnv1a_64, key_hex, parse_key_hex};
 pub use id::CellId;
 pub use json::{write_json_escaped, Json, JsonError, JsonErrorKind, MAX_JSON_DEPTH};
+pub use par::{available_threads, par_map_ordered};
 pub use proc::{exit_desc, spawn_limited, TailBuf};
 pub use time::SimTime;

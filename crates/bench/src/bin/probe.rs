@@ -5,107 +5,9 @@
 //! probe [WORKLOAD] [--paper] [--json] [--trace-out FILE]
 //! ```
 //!
-//! `--json` prints the breakdown as a JSON object instead of text;
-//! `--trace-out FILE` records sim-time event timelines (emulator plus the
-//! three MLSim replays) and writes a Chrome-trace JSON file that opens in
-//! Perfetto or `chrome://tracing`.
-
-use apapps::Scale;
-use aputil::Json;
-use mlsim::{replay_observed, ModelParams};
-use std::path::Path;
+//! The declaration is `apbench::cli::PROBE`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_pos = args.iter().position(|a| a == "--trace-out");
-    let trace_out = trace_pos.and_then(|i| args.get(i + 1)).cloned();
-    let name = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && trace_pos.is_none_or(|p| *i != p + 1))
-        .map(|(_, a)| a.as_str())
-        .unwrap_or("SP");
-    let scale = if args.iter().any(|a| a == "--paper") {
-        Scale::Paper
-    } else {
-        Scale::Test
-    };
-    let json_out = args.iter().any(|a| a == "--json");
-    if trace_out.is_some() {
-        // Every machine built from here on records its event timeline.
-        apcore::set_timeline_default(true);
-    }
-
-    let suite = apapps::standard_suite(scale);
-    let w = suite
-        .iter()
-        .find(|w| w.name() == name)
-        .unwrap_or_else(|| panic!("no workload {name}"));
-    let report = w.run().expect("run failed");
-
-    let record = trace_out.is_some();
-    let replays: Vec<_> = [
-        ModelParams::ap1000(),
-        ModelParams::ap1000_star(),
-        ModelParams::ap1000_plus(),
-    ]
-    .into_iter()
-    .map(|m| replay_observed(&report.trace, &m, record).expect("replay failed"))
-    .collect();
-
-    if let Some(path) = &trace_out {
-        let mut emu = report.timeline.clone();
-        emu.source = format!("emulator/{name}");
-        let mut tls = vec![emu];
-        for r in &replays {
-            let mut t = r.timeline.clone();
-            t.source = format!("mlsim/{}", r.model);
-            tls.push(t);
-        }
-        let refs: Vec<&apobs::Timeline> = tls.iter().collect();
-        apobs::write_chrome_trace(Path::new(path), &refs).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-
-    if json_out {
-        let models: Vec<Json> = replays
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("model", Json::Str(r.model.clone())),
-                    ("total_ns", Json::U(r.total.as_nanos())),
-                    ("mean_exec_ns", Json::U(r.mean(|b| b.exec).as_nanos())),
-                    ("mean_rts_ns", Json::U(r.mean(|b| b.rts).as_nanos())),
-                    (
-                        "mean_overhead_ns",
-                        Json::U(r.mean(|b| b.overhead).as_nanos()),
-                    ),
-                    ("mean_idle_ns", Json::U(r.mean(|b| b.idle).as_nanos())),
-                ])
-            })
-            .collect();
-        let out = Json::obj(vec![
-            ("workload", Json::Str(name.to_string())),
-            ("emulator_total_ns", Json::U(report.total_time.as_nanos())),
-            ("counters", report.counters.to_json()),
-            ("models", Json::Arr(models)),
-        ]);
-        println!("{out}");
-        return;
-    }
-
-    println!("emulator total {}", report.total_time);
-    for r in &replays {
-        let mean = |f: fn(&mlsim::PeBreakdown) -> aputil::SimTime| r.mean(f);
-        println!(
-            "{:8} total {:>12}  exec {:>12} rts {:>12} overhead {:>12} idle {:>12}",
-            r.model,
-            r.total.to_string(),
-            mean(|b| b.exec).to_string(),
-            mean(|b| b.rts).to_string(),
-            mean(|b| b.overhead).to_string(),
-            mean(|b| b.idle).to_string()
-        );
-    }
-    println!("\ncounters:\n{}", report.counters.render());
+    std::process::exit(apbench::cli::PROBE.main(&args));
 }

@@ -5,76 +5,9 @@
 //! tracecat stats  TRACE.evtrace [--min-ratio R] # size vs JSON equivalent
 //! ```
 //!
-//! `stats` measures the recording against the same data serialized the
-//! pre-binary way — Chrome-trace JSON for the event timeline plus the
-//! versioned JSON op codec — and prints the compression ratio.
-//! `--min-ratio R` exits 1 when the ratio falls below `R`; CI uses it to
-//! pin the format's ≥5× size win.
-
-use apbench::record::{header_text, trace_stats};
-use aptrace::EvTrace;
-use std::path::Path;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn usage() -> ! {
-    eprintln!("usage: tracecat (header|stats) TRACE.evtrace [--min-ratio R]");
-    std::process::exit(2);
-}
+//! The command table is `apbench::cli::TRACECAT`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(cmd), Some(path)) = (args.first(), args.get(1).filter(|a| !a.starts_with("--")))
-    else {
-        usage();
-    };
-    if !matches!(cmd.as_str(), "header" | "stats") {
-        usage();
-    }
-    // Validate flags before the (possibly large) trace read: a typo'd
-    // `--min-ratio` must be diagnosed even when the file is missing, and
-    // without paying for a decode first.
-    let min_ratio: Option<f64> = flag_value(&args, "--min-ratio").map(|s| {
-        s.parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r >= 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("--min-ratio takes a non-negative number, got '{s}'");
-                std::process::exit(2);
-            })
-    });
-    let doc = EvTrace::read_file(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
-    match cmd.as_str() {
-        "header" => print!("{}", header_text(&doc)),
-        "stats" => {
-            let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let st = trace_stats(&doc, bytes);
-            println!("binary: {} bytes ({} events)", st.binary_bytes, st.events);
-            println!(
-                "json equivalent: {} bytes (timeline {} + ops {})",
-                st.json_bytes(),
-                st.json_timeline_bytes,
-                st.json_ops_bytes
-            );
-            println!("ratio: {:.1}x", st.ratio());
-            if let Some(min) = min_ratio {
-                if st.ratio() < min {
-                    eprintln!(
-                        "FAIL: ratio {:.1}x is below the required {min}x",
-                        st.ratio()
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        _ => usage(),
-    }
+    std::process::exit(apbench::cli::TRACECAT.main(&args));
 }

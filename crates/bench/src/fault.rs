@@ -13,7 +13,6 @@ use apapps::Scale;
 use apcore::FaultSpec;
 use aputil::{FaultReport, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Applications with fault-recovery support, in Table-2 order. CG — the
 /// paper's communication worst case — is the reference workload.
@@ -30,6 +29,33 @@ pub struct FaultSweepConfig {
     pub spec: FaultSpec,
     /// Host worker threads (clamped to `[1, app count]`).
     pub threads: usize,
+}
+
+impl FaultSweepConfig {
+    /// The config for a schedule derived from `seed`. Survivable
+    /// schedules only: chaos crash testing lives in the apfuzz referee,
+    /// a fault sweep asserts verified completion. Cell ids are drawn for
+    /// the largest selected machine; events naming cells a smaller
+    /// machine lacks simply never fire.
+    pub fn from_seed(
+        scale: Scale,
+        apps: Vec<String>,
+        seed: u64,
+        threads: usize,
+    ) -> Result<FaultSweepConfig, String> {
+        let max_pe = apps
+            .iter()
+            .filter_map(|a| build_workload(a, scale, None).ok())
+            .map(|w| w.pe())
+            .max()
+            .ok_or_else(|| format!("no runnable app among {apps:?}"))?;
+        Ok(FaultSweepConfig {
+            scale,
+            apps,
+            spec: FaultSpec::random(seed, max_pe, true),
+            threads,
+        })
+    }
 }
 
 /// One surviving app run.
@@ -80,35 +106,12 @@ fn run_app(scale: Scale, app: &str, spec: &FaultSpec) -> Result<FaultRow, String
 /// independent of the thread count: [`fault_sweep_text`] over the outcome
 /// serializes to the same bytes for any `threads`.
 pub fn run_fault_sweep(cfg: &FaultSweepConfig) -> FaultOutcome {
-    let workers = cfg.threads.clamp(1, cfg.apps.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, Result<FaultRow, String>)> = std::thread::scope(|s| {
-        let apps = &cfg.apps;
-        let next = &next;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(app) = apps.get(i) else { break };
-                        let r =
-                            run_app(cfg.scale, app, &cfg.spec).map_err(|e| format!("{app}: {e}"));
-                        out.push((i, r));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fault sweep worker panicked"))
-            .collect()
+    let collected = aputil::par_map_ordered(&cfg.apps, cfg.threads, |app| {
+        run_app(cfg.scale, app, &cfg.spec).map_err(|e| format!("{app}: {e}"))
     });
-    collected.sort_by_key(|&(i, _)| i);
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    for (_, r) in collected {
+    for r in collected {
         match r {
             Ok(row) => rows.push(row),
             Err(f) => failures.push(f),

@@ -15,6 +15,7 @@ use mlsim::{
     ReplayResult,
 };
 
+pub mod cli;
 pub mod fault;
 pub mod record;
 pub mod report;
@@ -225,38 +226,13 @@ pub fn run_experiment(w: &dyn Workload) -> ExperimentRow {
 /// Table-2 order regardless of completion order, and every simulated
 /// number is identical to a serial run — only host wall-clock changes.
 pub fn run_suite(scale: Scale) -> Vec<ExperimentRow> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let suite = standard_suite(scale);
-    let n = suite.len();
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, ExperimentRow)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(w) = suite.get(i) else { break };
-                        let t0 = std::time::Instant::now();
-                        let mut row = run_experiment(w.as_ref());
-                        row.host_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
-                        out.push((i, row));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("suite worker panicked"))
-            .collect()
-    });
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, r)| r).collect()
+    aputil::par_map_ordered(&suite, aputil::available_threads(), |w| {
+        let t0 = std::time::Instant::now();
+        let mut row = run_experiment(w.as_ref());
+        row.host_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
+        row
+    })
 }
 
 /// Renders Table 1 (AP1000+ specifications).
@@ -550,21 +526,6 @@ pub fn ablations(scale: Scale) -> String {
     s
 }
 
-/// Parses `--scale test|paper` style args (default paper). An unknown
-/// scale is a structured error naming the flag, not a panic — the CLIs
-/// print it and exit with the usage status.
-pub fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("test") => Ok(Scale::Test),
-            Some("paper") => Ok(Scale::Paper),
-            Some(other) => Err(format!("--scale takes test|paper, got '{other}'")),
-            None => Err("--scale takes test|paper, got nothing".to_string()),
-        },
-        None => Ok(Scale::Paper),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,16 +618,5 @@ mod tests {
         assert!(md.contains("| App | PE | AP1000+ | AP1000* |"));
         assert!(md.contains("| EP |"));
         assert!(md.contains("| --- |"));
-    }
-
-    #[test]
-    fn scale_parsing() {
-        let args: Vec<String> = vec!["--scale".into(), "test".into()];
-        assert_eq!(parse_scale(&args), Ok(Scale::Test));
-        assert_eq!(parse_scale(&[]), Ok(Scale::Paper));
-        let bad: Vec<String> = vec!["--scale".into(), "huge".into()];
-        assert!(parse_scale(&bad).unwrap_err().contains("--scale"));
-        let dangling: Vec<String> = vec!["--scale".into()];
-        assert!(parse_scale(&dangling).is_err());
     }
 }

@@ -51,11 +51,9 @@ pub fn scale_label(scale: Scale) -> String {
 
 /// Inverse of [`scale_label`]; unknown labels error rather than guess.
 pub fn parse_scale_label(label: &str) -> Result<Scale, String> {
-    match label {
-        "test" => Ok(Scale::Test),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale label '{other}' in trace header")),
-    }
+    label
+        .parse()
+        .map_err(|_| format!("unknown scale label '{label}' in trace header"))
 }
 
 /// Sorts events into the canonical total order used for conformance:
@@ -205,6 +203,25 @@ pub fn record_app(
         events,
         bytes,
         total,
+    })
+}
+
+/// Records each `(app, output path)` pair, fanning the apps across
+/// `threads` host workers; results come back in `outs` order, failures
+/// as `"<app>: <error>"`. Streaming installs a process-global sink, so
+/// streamed recordings must not share the process with other machine
+/// builds: they run one at a time.
+pub fn record_apps(
+    outs: &[(String, PathBuf)],
+    scale: Scale,
+    size: Option<u32>,
+    fault: Option<&apcore::FaultSpec>,
+    stream: bool,
+    threads: usize,
+) -> Vec<Result<RecordedTrace, String>> {
+    let workers = if stream { 1 } else { threads };
+    aputil::par_map_ordered(outs, workers, |(app, path)| {
+        record_app(app, scale, size, fault, path, stream).map_err(|e| format!("{app}: {e}"))
     })
 }
 

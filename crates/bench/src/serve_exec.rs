@@ -58,10 +58,6 @@ fn rev_of(req: &CanonRequest) -> Option<String> {
     req.field("rev").and_then(Json::as_str).map(str::to_string)
 }
 
-fn threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 fn run_bench_like(req: &CanonRequest) -> Result<String, String> {
     let sizes: Vec<Option<u32>> = req
         .field("sizes")
@@ -78,7 +74,7 @@ fn run_bench_like(req: &CanonRequest) -> Result<String, String> {
         apps: str_list(req, "apps"),
         sizes,
         factors: factors_of(req),
-        threads: threads(),
+        threads: aputil::available_threads(),
     };
     let out = run_sweep(&cfg);
     if !out.failures.is_empty() {
@@ -98,20 +94,7 @@ fn run_fault(req: &CanonRequest) -> Result<String, String> {
         .field("fault_seed")
         .and_then(Json::as_u64)
         .ok_or("canonical request lost its fault_seed")?;
-    // Same seed-derivation rule as `repro fault --fault-seed`: draw cell
-    // ids for the largest selected machine; survivable schedules only.
-    let max_pe = apps
-        .iter()
-        .filter_map(|a| crate::sweep::build_workload(a, scale, None).ok())
-        .map(|w| w.pe())
-        .max()
-        .ok_or_else(|| format!("no runnable app among {apps:?}"))?;
-    let cfg = FaultSweepConfig {
-        scale,
-        apps,
-        spec: apcore::FaultSpec::random(seed, max_pe, true),
-        threads: threads(),
-    };
+    let cfg = FaultSweepConfig::from_seed(scale, apps, seed, aputil::available_threads())?;
     let out = run_fault_sweep(&cfg);
     if !out.failures.is_empty() {
         return Err(format!(
@@ -154,30 +137,28 @@ pub fn simulator_executor() -> Executor {
 }
 
 /// The hidden `repro job-exec` worker mode: reads one canonical request
-/// document from stdin, executes it, writes the versioned result
-/// envelope on stdout, and exits 0 — for both success and *clean*
-/// failure (the envelope says which). Any other death — panic, abort,
-/// rlimit, SIGKILL — reaches the supervisor as a nonzero/signal exit
-/// and becomes a structured `job_crashed`.
+/// document from stdin, executes it and writes the versioned result
+/// envelope on stdout. `Ok` covers both success and *clean* failure (the
+/// envelope says which) and becomes exit 0. Any other death — panic,
+/// abort, rlimit, SIGKILL — reaches the supervisor as a nonzero/signal
+/// exit and becomes a structured `job_crashed`.
 ///
 /// Sleep jobs are executed here without a policy check: the server
 /// enforces `--allow-sleep` *before* spawning the child, so by the time
 /// a sleep request reaches this process it has been approved. The
 /// `crash` field is honoured literally (`panic!` / `abort`) — that is
 /// the test matrix's way of making a worker die on demand.
-pub fn job_exec_main() -> ! {
+pub fn job_exec_main() -> Result<(), String> {
     let mut input = String::new();
-    if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin(), &mut input) {
-        eprintln!("job-exec: cannot read request from stdin: {e}");
-        std::process::exit(1);
-    }
+    std::io::Read::read_to_string(&mut std::io::stdin(), &mut input)
+        .map_err(|e| format!("job-exec: cannot read request from stdin: {e}"))?;
     let result = match apserve::parse_request(input.trim_end().as_bytes()) {
         Err(e) => Err(format!("job-exec: invalid canonical request: {e}")),
         Ok(req) if req.kind == Kind::Sleep => run_sleep(&req),
         Ok(req) => (simulator_executor())(&req),
     };
     println!("{}", apserve::result_envelope(&result));
-    std::process::exit(0);
+    Ok(())
 }
 
 fn run_sleep(req: &CanonRequest) -> Result<String, String> {

@@ -15,7 +15,6 @@ use apapps::{Scale, Workload};
 use aptrace::AppStats;
 use mlsim::{replay, ModelParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// CLI names of the sweepable applications, in Table-2 order. `TCst` and
 /// `TCnost` are the space-free spellings of "TC st" / "TC no st".
@@ -168,43 +167,19 @@ fn run_point(scale: Scale, p: &SweepPoint) -> ExperimentRow {
 /// bytes.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
     let grid = cfg.grid();
-    let workers = cfg.threads.clamp(1, grid.len().max(1));
-    let next = AtomicUsize::new(0);
-    let scale = cfg.scale;
-    let mut collected: Vec<(usize, Result<ExperimentRow, String>)> = std::thread::scope(|s| {
-        let grid = &grid;
-        let next = &next;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(p) = grid.get(i) else { break };
-                        let r =
-                            catch_unwind(AssertUnwindSafe(|| run_point(scale, p))).map_err(|e| {
-                                let msg = e
-                                    .downcast_ref::<String>()
-                                    .map(String::as_str)
-                                    .or_else(|| e.downcast_ref::<&str>().copied())
-                                    .unwrap_or("panic (non-string payload)");
-                                format!("{}: {msg}", p.label())
-                            });
-                        out.push((i, r));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
+    let collected = aputil::par_map_ordered(&grid, cfg.threads, |p| {
+        catch_unwind(AssertUnwindSafe(|| run_point(cfg.scale, p))).map_err(|e| {
+            let msg = e
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| e.downcast_ref::<&str>().copied())
+                .unwrap_or("panic (non-string payload)");
+            format!("{}: {msg}", p.label())
+        })
     });
-    collected.sort_by_key(|&(i, _)| i);
     let mut rows = Vec::new();
     let mut failures = Vec::new();
-    for (_, r) in collected {
+    for r in collected {
         match r {
             Ok(row) => rows.push(row),
             Err(f) => failures.push(f),

@@ -21,6 +21,13 @@ fn tracecat(args: &[&str]) -> std::process::Output {
         .expect("run tracecat")
 }
 
+fn probe(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_probe"))
+        .args(args)
+        .output()
+        .expect("run probe")
+}
+
 /// Asserts: exit code 2, stderr names `flag`, and no panic backtrace.
 fn assert_usage_error(out: std::process::Output, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -135,7 +142,15 @@ fn sandbox_flags_validate_their_preconditions() {
     );
     // Client-side retry count must be a number.
     assert_usage_error(
-        repro(&["submit", "--addr", "127.0.0.1:1", "--job", "{}", "--retry", "soon"]),
+        repro(&[
+            "submit",
+            "--addr",
+            "127.0.0.1:1",
+            "--job",
+            "{}",
+            "--retry",
+            "soon",
+        ]),
         "--retry",
     );
 }
@@ -165,4 +180,117 @@ fn missing_trace_file_is_a_clean_failure() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no-such-file.evtrace"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+// One validation path (PR 15): each case below exited 0 with a default,
+// or panicked with exit 101, before the strict parser.
+
+#[test]
+fn a_typo_or_an_inapplicable_flag_is_not_silently_ignored() {
+    assert_usage_error(repro(&["fig7", "--byts", "10"]), "--byts");
+    assert_usage_error(repro(&["table1", "--bogus"]), "--bogus");
+    // table1 takes no flags at all, so a valid value does not help...
+    assert_usage_error(repro(&["table1", "--scale", "banana"]), "--scale");
+    // ...and telemetry flags are no longer validated for every command.
+    assert_usage_error(
+        repro(&["table1", "--flight-recorder", "x"]),
+        "--flight-recorder",
+    );
+    assert_usage_error(
+        tracecat(&["header", "no-such-file.evtrace", "--min-ratio", "5"]),
+        "--min-ratio",
+    );
+    assert_usage_error(repro(&["table2", "--json", "--json"]), "--json");
+}
+
+#[test]
+fn a_dangling_value_flag_is_an_error_not_a_default() {
+    assert_usage_error(repro(&["fig7", "--bytes"]), "--bytes");
+    assert_usage_error(
+        repro(&["record", "--apps", "CG", "--out-dir", "/tmp/x", "--threads"]),
+        "--threads",
+    );
+    assert_usage_error(probe(&["--trace-out"]), "--trace-out");
+    // A following flag is not a value either.
+    assert_usage_error(repro(&["fig7", "--bytes", "--json"]), "--bytes");
+}
+
+#[test]
+fn flags_and_positionals_come_in_any_order() {
+    let base = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_baseline.json"
+    );
+    let out = repro(&["compare", "--threshold", "5", base, base]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
+    assert_usage_error(repro(&["compare", base]), "CURRENT.json");
+}
+
+#[test]
+fn relations_between_flags_are_checked() {
+    // --cell only narrows a seek.
+    assert_usage_error(repro(&["replay", "t.evtrace", "--cell", "3"]), "--at");
+    // Exactly one submit action.
+    assert_usage_error(
+        repro(&[
+            "submit",
+            "--addr",
+            "127.0.0.1:1",
+            "--stats",
+            "--health",
+            "--shutdown",
+        ]),
+        "exactly one",
+    );
+    assert_usage_error(
+        repro(&[
+            "fault",
+            "--faults",
+            "a.ron",
+            "--fault-seed",
+            "1",
+            "--scale",
+            "test",
+        ]),
+        "--fault-seed",
+    );
+}
+
+#[test]
+fn cell_counts_are_range_checked_not_asserted() {
+    for size in ["0", "70000"] {
+        let out = repro(&[
+            "record",
+            "--apps",
+            "CG",
+            "--scale",
+            "test",
+            "--size",
+            size,
+            "--trace-out",
+            "/tmp/never-written.evtrace",
+        ]);
+        assert_usage_error(out, "--size");
+    }
+    assert_usage_error(
+        repro(&["sweep", "--bench-out", "/tmp/x.json", "--sizes", "4,0"]),
+        "--sizes",
+    );
+    assert_usage_error(
+        repro(&["replay", "t.evtrace", "--at", "5", "--cell", "65536"]),
+        "--cell",
+    );
+}
+
+#[test]
+fn probe_names_its_workloads_instead_of_panicking() {
+    let out = probe(&["NOPE"]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_usage_error(out, "NOPE");
+    for name in ["EP", "CG", "TC no st", "SCG"] {
+        assert!(stderr.contains(name), "must list {name}: {stderr}");
+    }
+    assert_usage_error(probe(&["SP", "CG"]), "[WORKLOAD]");
 }

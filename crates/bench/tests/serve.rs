@@ -421,7 +421,13 @@ fn submit_retry_rides_out_backpressure() {
 
     let submit = |extra: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["submit", "--addr", &addr, "--job", r#"{"kind":"sleep","ms":5}"#])
+            .args([
+                "submit",
+                "--addr",
+                &addr,
+                "--job",
+                r#"{"kind":"sleep","ms":5}"#,
+            ])
             .args(extra)
             .output()
             .expect("run repro submit")
@@ -491,7 +497,10 @@ fn pids_with_marker(marker: &str) -> Vec<u32> {
         let Ok(cmd) = std::fs::read(format!("/proc/{pid}/cmdline")) else {
             continue;
         };
-        if String::from_utf8_lossy(&cmd).replace('\0', " ").contains(marker) {
+        if String::from_utf8_lossy(&cmd)
+            .replace('\0', " ")
+            .contains(marker)
+        {
             out.push(pid);
         }
     }
@@ -598,15 +607,26 @@ fn crash_looping_key_is_poisoned_and_never_cached() {
         let resp = client::submit(&addr, job).unwrap();
         assert_eq!(resp.status, 422, "{}", resp.body_str());
         let doc = Json::parse(&resp.body_str()).unwrap();
-        assert_eq!(doc.get("error").and_then(Json::as_str), Some("job_poisoned"));
+        assert_eq!(
+            doc.get("error").and_then(Json::as_str),
+            Some("job_poisoned")
+        );
         assert_eq!(doc.get("crashes").and_then(Json::as_u64), Some(2));
-        assert_eq!(resp.header("x-cache"), None, "a poisoned key is not cache traffic");
+        assert_eq!(
+            resp.header("x-cache"),
+            None,
+            "a poisoned key is not cache traffic"
+        );
     }
 
     let st = stats(&addr);
     assert_eq!(cache_counter(&st, "poison_rejects"), 2);
     assert_eq!(cache_counter(&st, "hits"), 0, "failures are never cached");
-    assert_eq!(cache_counter(&st, "crashed"), 2, "poison gate stops re-execution");
+    assert_eq!(
+        cache_counter(&st, "crashed"),
+        2,
+        "poison gate stops re-execution"
+    );
     handle.shutdown();
 }
 
@@ -643,9 +663,7 @@ fn sigkilled_job_leaves_no_orphan_and_no_partial_disk_entry() {
 
     let t = {
         let addr = addr.clone();
-        std::thread::spawn(move || {
-            client::submit(&addr, r#"{"kind":"sleep","ms":30000}"#).unwrap()
-        })
+        std::thread::spawn(move || client::submit(&addr, r#"{"kind":"sleep","ms":30000}"#).unwrap())
     };
     let pid = wait_for_marker("--tag=kill9");
     let killed = std::process::Command::new("kill")
@@ -669,7 +687,10 @@ fn sigkilled_job_leaves_no_orphan_and_no_partial_disk_entry() {
     // The child was reaped — no orphan, no zombie with our tag.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while !pids_with_marker("--tag=kill9").is_empty() {
-        assert!(std::time::Instant::now() < deadline, "orphaned job-exec child");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "orphaned job-exec child"
+        );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
@@ -703,9 +724,7 @@ fn shutdown_drains_and_kills_in_flight_children() {
 
     let t = {
         let addr = addr.clone();
-        std::thread::spawn(move || {
-            client::submit(&addr, r#"{"kind":"sleep","ms":30000}"#).unwrap()
-        })
+        std::thread::spawn(move || client::submit(&addr, r#"{"kind":"sleep","ms":30000}"#).unwrap())
     };
     wait_for_marker("--tag=drain");
     handle.shutdown();
@@ -713,7 +732,10 @@ fn shutdown_drains_and_kills_in_flight_children() {
     let resp = t.join().unwrap();
     assert_eq!(resp.status, 503, "{}", resp.body_str());
     let doc = Json::parse(&resp.body_str()).unwrap();
-    assert_eq!(doc.get("error").and_then(Json::as_str), Some("job_canceled"));
+    assert_eq!(
+        doc.get("error").and_then(Json::as_str),
+        Some("job_canceled")
+    );
     assert!(
         pids_with_marker("--tag=drain").is_empty(),
         "drain left a job-exec child running"
