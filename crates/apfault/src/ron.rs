@@ -29,24 +29,7 @@ pub fn to_ron(spec: &FaultSpec) -> String {
     );
     s.push_str("    events: [\n");
     for e in &spec.events {
-        let kind = match e.kind {
-            FaultKind::LinkDown { from, to } => {
-                format!("LinkDown(from: {}, to: {})", from.index(), to.index())
-            }
-            FaultKind::Delay { src, dst, extra } => format!(
-                "Delay(src: {}, dst: {}, extra_ns: {})",
-                src.index(),
-                dst.index(),
-                extra.as_nanos()
-            ),
-            FaultKind::Corrupt { src, dst, count } => format!(
-                "Corrupt(src: {}, dst: {}, count: {count})",
-                src.index(),
-                dst.index()
-            ),
-            FaultKind::Crash { cell } => format!("Crash(cell: {})", cell.index()),
-            FaultKind::BnetDown => "BnetDown()".to_string(),
-        };
+        let kind = e.kind;
         let _ = writeln!(
             s,
             "        (from_ns: {}, until_ns: {}, kind: {kind}),",
@@ -56,6 +39,32 @@ pub fn to_ron(spec: &FaultSpec) -> String {
     }
     s.push_str("    ],\n)\n");
     s
+}
+
+/// The RON form of the fault, as [`to_ron`] writes it.
+impl std::fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            FaultKind::LinkDown { from, to } => {
+                write!(f, "LinkDown(from: {}, to: {})", from.index(), to.index())
+            }
+            FaultKind::Delay { src, dst, extra } => write!(
+                f,
+                "Delay(src: {}, dst: {}, extra_ns: {})",
+                src.index(),
+                dst.index(),
+                extra.as_nanos()
+            ),
+            FaultKind::Corrupt { src, dst, count } => write!(
+                f,
+                "Corrupt(src: {}, dst: {}, count: {count})",
+                src.index(),
+                dst.index()
+            ),
+            FaultKind::Crash { cell } => write!(f, "Crash(cell: {})", cell.index()),
+            FaultKind::BnetDown => f.write_str("BnetDown()"),
+        }
+    }
 }
 
 /// Parses RON text produced by [`to_ron`] (or hand-written in the same

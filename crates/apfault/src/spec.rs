@@ -94,6 +94,20 @@ pub enum FaultKind {
     BnetDown,
 }
 
+impl FaultKind {
+    /// The cells the fault names (none for a B-net outage).
+    pub fn cells(&self) -> Vec<CellId> {
+        match *self {
+            FaultKind::LinkDown { from, to } => vec![from, to],
+            FaultKind::Delay { src, dst, .. } | FaultKind::Corrupt { src, dst, .. } => {
+                vec![src, dst]
+            }
+            FaultKind::Crash { cell } => vec![cell],
+            FaultKind::BnetDown => Vec::new(),
+        }
+    }
+}
+
 /// One scheduled fault: `kind` is active for simulated times
 /// `from <= t < until`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

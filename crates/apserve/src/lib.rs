@@ -36,6 +36,7 @@
 pub mod cache;
 pub mod client;
 pub mod http;
+mod poison;
 pub mod request;
 pub mod server;
 pub mod service;

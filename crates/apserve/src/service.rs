@@ -34,6 +34,7 @@ use apobs::CacheCounters;
 use aputil::Json;
 
 use crate::cache::{CacheTier, ResultCache};
+use crate::poison::{lock, wait_on};
 use crate::request::{CanonRequest, Kind};
 use crate::worker::{ChildSlot, KillReason, RunOutcome, SandboxConfig};
 
@@ -205,13 +206,13 @@ impl Job {
     }
 
     fn push_progress(&self, line: &str) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         st.progress.push(line.to_string());
         self.done_cv.notify_all();
     }
 
     fn complete(&self, outcome: Result<Vec<u8>, JobError>) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         st.progress
             .push(if outcome.is_ok() { "done" } else { "failed" }.to_string());
         st.outcome = Some(outcome);
@@ -220,12 +221,12 @@ impl Job {
 
     /// Blocks until the job finishes; returns report bytes or failure.
     pub fn wait(&self) -> Result<Vec<u8>, JobError> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         loop {
             if let Some(outcome) = &st.outcome {
                 return outcome.clone();
             }
-            st = self.done_cv.wait(st).unwrap();
+            st = wait_on(&self.done_cv, st);
         }
     }
 
@@ -237,7 +238,7 @@ impl Job {
         mut emit: impl FnMut(&str) -> Result<(), ClientGone>,
     ) -> Result<Result<Vec<u8>, JobError>, ClientGone> {
         let mut seen = 0usize;
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         loop {
             while seen < st.progress.len() {
                 let line = st.progress[seen].clone();
@@ -245,12 +246,12 @@ impl Job {
                 // Drop the lock while the client socket is written to.
                 drop(st);
                 emit(&line)?;
-                st = self.state.lock().unwrap();
+                st = lock(&self.state);
             }
             if let Some(outcome) = &st.outcome {
                 return Ok(outcome.clone());
             }
-            st = self.done_cv.wait(st).unwrap();
+            st = wait_on(&self.done_cv, st);
         }
     }
 }
@@ -367,7 +368,7 @@ impl Service {
     /// or reject.
     pub fn submit(&self, request: CanonRequest) -> Submission {
         let key = request.key;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.shutdown {
             return Submission::Rejected {
                 queued: inner.queue.len(),
@@ -412,7 +413,7 @@ impl Service {
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut inner = self.inner.lock().unwrap();
+                let mut inner = lock(&self.inner);
                 loop {
                     if let Some(job) = inner.queue.pop_front() {
                         break job;
@@ -420,12 +421,12 @@ impl Service {
                     if inner.shutdown {
                         return;
                     }
-                    inner = self.work_cv.wait(inner).unwrap();
+                    inner = wait_on(&self.work_cv, inner);
                 }
             };
             job.push_progress("started");
             let result = self.run_with_retry(&job);
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             let key = job.request.key;
             if let Ok(body) = &result {
                 inner.counters.runs += 1;
@@ -460,17 +461,17 @@ impl Service {
             match self.execute_once(job) {
                 RunOutcome::Ok(body) => return Ok(body),
                 RunOutcome::CleanFail(msg) => {
-                    self.inner.lock().unwrap().counters.failures += 1;
+                    lock(&self.inner).counters.failures += 1;
                     return Err(JobError::Failed(msg));
                 }
                 RunOutcome::Timeout { deadline_ms } => {
-                    let mut inner = self.inner.lock().unwrap();
+                    let mut inner = lock(&self.inner);
                     inner.counters.timeouts += 1;
                     inner.counters.kills += 1;
                     return Err(JobError::Timeout { deadline_ms });
                 }
                 RunOutcome::Canceled => {
-                    self.inner.lock().unwrap().counters.failures += 1;
+                    lock(&self.inner).counters.failures += 1;
                     return Err(JobError::Canceled(
                         "job killed by server shutdown".to_string(),
                     ));
@@ -479,10 +480,10 @@ impl Service {
                     status,
                     stderr_tail,
                 } => {
-                    self.inner.lock().unwrap().counters.crashed += 1;
+                    lock(&self.inner).counters.crashed += 1;
                     if attempt < retries && !self.is_shutdown() {
                         attempt += 1;
-                        self.inner.lock().unwrap().counters.job_retries += 1;
+                        lock(&self.inner).counters.job_retries += 1;
                         job.push_progress(&format!(
                             "crashed ({status}); retrying ({attempt}/{retries})"
                         ));
@@ -521,9 +522,9 @@ impl Service {
         }
         let key = request.key;
         let outcome = crate::worker::run_job(sandbox, &request.text, |slot| {
-            self.inner.lock().unwrap().children.insert(key, slot);
+            lock(&self.inner).children.insert(key, slot);
         });
-        self.inner.lock().unwrap().children.remove(&key);
+        lock(&self.inner).children.remove(&key);
         outcome
     }
 
@@ -563,7 +564,7 @@ impl Service {
     /// Trips the breaker for `key`, evicting the oldest poisoned key
     /// if the set is at capacity.
     fn poison(&self, key: u64, crashes: u32) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.poisoned.len() >= POISON_CAP && !inner.poisoned.contains_key(&key) {
             if let Some(old) = inner.poison_order.pop_front() {
                 inner.poisoned.remove(&old);
@@ -584,7 +585,7 @@ impl Service {
     /// lets a foreground server exit the process only *after* the drain
     /// has actually finished, whichever thread started it.
     pub fn shutdown(&self) {
-        let mut drained = self.drain_lock.lock().unwrap();
+        let mut drained = lock(&self.drain_lock);
         if !*drained {
             self.drain();
             *drained = true;
@@ -592,13 +593,13 @@ impl Service {
     }
 
     fn drain(&self) {
-        self.inner.lock().unwrap().shutdown = true;
+        lock(&self.inner).shutdown = true;
         let drained: Vec<Arc<Job>> = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             inner.queue.drain(..).collect()
         };
         for job in &drained {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             inner.inflight.remove(&job.request.key);
             inner.counters.failures += 1;
             drop(inner);
@@ -609,14 +610,14 @@ impl Service {
         // Phase 1: let in-flight jobs finish on their own.
         let drain_deadline = Instant::now() + Duration::from_millis(self.cfg.drain_ms);
         while Instant::now() < drain_deadline {
-            if self.inner.lock().unwrap().inflight.is_empty() {
+            if lock(&self.inner).inflight.is_empty() {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         // Phase 2: kill whatever is still running in a child process.
         let slots: Vec<Arc<ChildSlot>> = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = lock(&self.inner);
             let slots: Vec<_> = inner.children.values().map(Arc::clone).collect();
             inner.counters.kills += slots.len() as u64;
             slots
@@ -632,7 +633,7 @@ impl Service {
         // Phase 3: bounded wait for the supervisors to reap the kills.
         let reap_deadline = Instant::now() + Duration::from_secs(5);
         while Instant::now() < reap_deadline {
-            let inner = self.inner.lock().unwrap();
+            let inner = lock(&self.inner);
             if inner.inflight.is_empty() {
                 return;
             }
@@ -648,11 +649,11 @@ impl Service {
 
     /// Whether [`Service::shutdown`] has run (e.g. via `POST /shutdown`).
     pub fn is_shutdown(&self) -> bool {
-        self.inner.lock().unwrap().shutdown
+        lock(&self.inner).shutdown
     }
 
     pub fn stats(&self) -> Stats {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         Stats {
             counters: inner.counters.clone(),
             in_flight: inner.inflight.len(),
@@ -736,6 +737,45 @@ mod tests {
             (st.counters.misses, st.counters.hits, st.counters.runs),
             (1, 1, 1)
         );
+        finish(svc, workers);
+    }
+
+    #[test]
+    fn a_panic_under_the_state_lock_does_not_kill_the_service() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let (svc, workers) = svc(Config::default(), Arc::clone(&runs));
+        let run = |body: &str| match svc.submit(req(body)) {
+            Submission::Pending { job, joined } => {
+                assert!(!joined);
+                job.wait().unwrap()
+            }
+            _ => panic!("expected pending"),
+        };
+        let cold = run(r#"{"kind":"bench","apps":["EP"]}"#);
+
+        let holder = Arc::clone(&svc);
+        let panicked = std::thread::spawn(move || {
+            let _inner = holder.inner.lock().unwrap();
+            panic!("poison the service state");
+        })
+        .join();
+        assert!(panicked.is_err() && svc.inner.is_poisoned());
+
+        // The counters survived, a cached key is still a hit, a fresh key
+        // still reaches a worker, and the drain in `finish` still works.
+        let st = svc.stats();
+        assert_eq!((st.counters.misses, st.counters.runs), (1, 1));
+        match svc.submit(req(r#"{"kind":"bench","apps":["EP"]}"#)) {
+            Submission::Done { body, .. } => assert_eq!(body, cold),
+            _ => panic!("expected a cache hit"),
+        }
+        run(r#"{"kind":"bench","apps":["CG"]}"#);
+        let st = svc.stats();
+        assert_eq!(
+            (st.counters.misses, st.counters.hits, st.counters.runs),
+            (2, 1, 2)
+        );
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
         finish(svc, workers);
     }
 

@@ -30,6 +30,8 @@ use std::time::{Duration, Instant};
 
 use aputil::{exit_desc, spawn_limited, Json, TailBuf};
 
+use crate::poison::lock;
+
 /// Result-envelope schema the child writes on stdout; bump the version
 /// and old workers read as crashed (malformed envelope), never as a
 /// silently misparsed report.
@@ -107,7 +109,7 @@ impl ChildSlot {
 
     /// SIGKILLs the child (idempotent; the first reason sticks).
     pub fn kill(&self, reason: KillReason) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         if st.killed.is_none() {
             st.killed = Some(reason);
         }
@@ -116,12 +118,12 @@ impl ChildSlot {
 
     /// The child's OS pid (valid until reaped).
     pub fn pid(&self) -> u32 {
-        self.state.lock().unwrap().child.id()
+        lock(&self.state).child.id()
     }
 
     /// Non-blocking reap attempt; `Some` once the child has exited.
     fn try_wait(&self) -> (Option<std::process::ExitStatus>, Option<KillReason>) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         (st.child.try_wait().ok().flatten(), st.killed)
     }
 }
@@ -377,7 +379,7 @@ mod tests {
         let slot_out: Arc<Mutex<Option<Arc<ChildSlot>>>> = Arc::new(Mutex::new(None));
         let slot_in = Arc::clone(&slot_out);
         let killer = std::thread::spawn(move || loop {
-            if let Some(slot) = slot_in.lock().unwrap().as_ref() {
+            if let Some(slot) = lock(&slot_in).as_ref() {
                 std::thread::sleep(Duration::from_millis(50));
                 slot.kill(KillReason::Drain);
                 return;
@@ -385,7 +387,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         });
         let outcome = run_job(&cfg, "", |slot| {
-            *slot_out.lock().unwrap() = Some(slot);
+            *lock(&slot_out) = Some(slot);
         });
         killer.join().unwrap();
         assert_eq!(outcome, RunOutcome::Canceled);

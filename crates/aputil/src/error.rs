@@ -225,8 +225,7 @@ pub enum ApError {
     },
     /// A kernel-internal invariant broke mid-run: a hardware unit lost
     /// track of bookkeeping it must hold (an active DMA job, an
-    /// outstanding fault envelope, collective state, the windowed
-    /// engine). Indicates a kernel bug, never a program error — raised
+    /// outstanding fault envelope, collective state). Indicates a kernel bug, never a program error — raised
     /// as a structured error naming the cell and unit instead of
     /// panicking, so the run dies with a diagnosable report and the
     /// caller's cleanup still runs.

@@ -213,10 +213,32 @@ fn write_out(path: &str, contents: &str, what: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn load_faults(path: &str) -> Result<apcore::FaultSpec, CliError> {
+/// Reads a user-authored fault schedule for runs on `apps`. The kernel
+/// drops events naming cells its machine lacks — a seeded sweep draws ids
+/// for the largest selected machine and relies on that — so an event
+/// naming a cell not even that machine has would silently fire nowhere:
+/// it is rejected here, like a malformed file.
+fn load_faults(
+    path: &str,
+    apps: &[String],
+    scale: Scale,
+    size: Option<u32>,
+) -> Result<apcore::FaultSpec, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| usage_err(format!("cannot read {path}: {e}")))?;
-    apfault::from_ron(&text).map_err(|e| usage_err(format!("{path}: {e}")))
+    let spec = apfault::from_ron(&text).map_err(|e| usage_err(format!("{path}: {e}")))?;
+    // No app builds: the run itself reports each one.
+    let ncells = crate::fault::largest_machine(apps, scale, size).unwrap_or(u32::MAX);
+    for (i, e) in spec.events.iter().enumerate() {
+        if let Some(cell) = e.kind.cells().into_iter().find(|c| c.as_u32() >= ncells) {
+            return Err(usage_err(format!(
+                "{path}: event {i} `{}` names {cell}, but the largest selected machine has \
+                 {ncells} cells",
+                e.kind
+            )));
+        }
+    }
+    Ok(spec)
 }
 
 fn read_trace(path: &str) -> Result<aptrace::EvTrace, CliError> {
@@ -407,9 +429,9 @@ fn fault_cmd(args: &Args) -> Result<i32, CliError> {
     let faults = args.value::<String>("--faults")?;
     let cfg = match (faults, args.value::<u64>("--fault-seed")?) {
         (Some(path), None) => FaultSweepConfig {
+            spec: load_faults(&path, &apps, scale, None)?,
             scale,
             apps,
-            spec: load_faults(&path)?,
             threads,
         },
         (None, Some(seed)) => {
@@ -454,7 +476,7 @@ fn record_cmd(args: &Args) -> Result<i32, CliError> {
     let size = args.value::<CellCount>("--size")?.map(|c| c.0);
     let threads = threads(args)?;
     let fault = match args.value::<String>("--faults")? {
-        Some(path) => Some(load_faults(&path)?),
+        Some(path) => Some(load_faults(&path, &apps, scale, size)?),
         None => None,
     };
     let trace_out = args.value::<PathBuf>("--trace-out")?;

@@ -43,11 +43,7 @@ impl FaultSweepConfig {
         seed: u64,
         threads: usize,
     ) -> Result<FaultSweepConfig, String> {
-        let max_pe = apps
-            .iter()
-            .filter_map(|a| build_workload(a, scale, None).ok())
-            .map(|w| w.pe())
-            .max()
+        let max_pe = largest_machine(&apps, scale, None)
             .ok_or_else(|| format!("no runnable app among {apps:?}"))?;
         Ok(FaultSweepConfig {
             scale,
@@ -56,6 +52,15 @@ impl FaultSweepConfig {
             threads,
         })
     }
+}
+
+/// Cell count of the largest machine `apps` build at `scale` (`size`
+/// overrides each app's own); `None` if no app builds at all.
+pub fn largest_machine(apps: &[String], scale: Scale, size: Option<u32>) -> Option<u32> {
+    let built = apps
+        .iter()
+        .filter_map(|a| build_workload(a, scale, size).ok());
+    built.map(|w| w.pe()).max()
 }
 
 /// One surviving app run.

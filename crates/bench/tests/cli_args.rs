@@ -259,6 +259,44 @@ fn relations_between_flags_are_checked() {
 }
 
 #[test]
+fn a_fault_file_naming_cells_no_selected_machine_has_is_rejected() {
+    // Parses, but neither event could ever fire: it used to run to
+    // completion and report "survived".
+    let path = std::env::temp_dir().join(format!("ap-no-such-cell-{}.ron", std::process::id()));
+    let spec = "(seed: None, \
+        recovery: (ack_timeout_ns: 400000, backoff_cap_ns: 3200000, max_retries: 8), \
+        events: [(from_ns: 0, until_ns: 1000, kind: LinkDown(from: 15, to: 0)), \
+        (from_ns: 5, until_ns: 5, kind: Crash(cell: 99))])";
+    std::fs::write(&path, spec).expect("write fault spec");
+    let file = path.to_str().expect("utf-8 temp path");
+    let out = repro(&[
+        "fault", "--faults", file, "--scale", "paper", "--apps", "CG",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_usage_error(out, "event 1 `Crash(cell: 99)` names cell99");
+    assert!(stderr.contains("has 16 cells"), "{stderr}");
+    // `record --size` picks the machine, so the same file is judged
+    // against that.
+    let out = repro(&[
+        "record",
+        "--apps",
+        "CG",
+        "--scale",
+        "test",
+        "--size",
+        "64",
+        "--faults",
+        file,
+        "--trace-out",
+        "/tmp/never-written.evtrace",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_usage_error(out, "names cell99");
+    assert!(stderr.contains("has 64 cells"), "{stderr}");
+}
+
+#[test]
 fn cell_counts_are_range_checked_not_asserted() {
     for size in ["0", "70000"] {
         let out = repro(&[

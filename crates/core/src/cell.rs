@@ -58,18 +58,10 @@ pub struct Cell {
     ncells: u32,
     req_tx: Sender<(u32, Request)>,
     resume_rx: Receiver<Response>,
-    /// Posted asynchronous requests not yet shipped to the kernel. Every
-    /// one resolves to [`Response::Unit`], so nothing is lost by batching
-    /// them with the next synchronous call into one host round trip.
+    /// Posted requests not yet shipped to the kernel. Every one resolves
+    /// to [`Response::Unit`], so nothing is lost by batching them with
+    /// the next data-returning call into one host round trip.
     pending: Vec<Request>,
-    /// The cell-side half of windowed delivery (DESIGN.md §10): blocking
-    /// operations that return no data (`wait_flag`, `barrier`, `send`, …)
-    /// are posted instead of called — the kernel dispatches them at
-    /// identical simulated times, and the program thread keeps computing
-    /// instead of blocking on a host round trip. Off under the serial
-    /// baton, so a lost cell's blocked-on request in a fault post-mortem
-    /// is the one it actually issued last.
-    windowed: bool,
     ack_flag: VAddr,
     acks_issued: u32,
     scratch: VAddr,
@@ -85,7 +77,6 @@ impl Cell {
         ncells: u32,
         req_tx: Sender<(u32, Request)>,
         resume_rx: Receiver<Response>,
-        windowed: bool,
     ) -> Self {
         Cell {
             id,
@@ -93,7 +84,6 @@ impl Cell {
             req_tx,
             resume_rx,
             pending: Vec::new(),
-            windowed,
             ack_flag: VAddr::NULL,
             acks_issued: 0,
             scratch: VAddr::NULL,
@@ -136,9 +126,11 @@ impl Cell {
         }
     }
 
-    /// Queues an asynchronous request (response is always `Unit`) to ride
-    /// along with the next synchronous call — no host round trip of its
-    /// own. The kernel dispatches it at the same simulated time either way.
+    /// Queues a request whose response is always `Unit` to ride along
+    /// with the next data-returning call — no host round trip of its own.
+    /// That covers the blocking ones too (`wait_flag`, `barrier`, `send`,
+    /// …): the kernel's dispatch schedule preserves the simulated
+    /// blocking, so only the program thread's host wait is skipped.
     fn post(&mut self, req: Request) {
         self.pending.push(req);
     }
@@ -151,44 +143,27 @@ impl Cell {
         self.resume_rx.recv().expect("machine stopped")
     }
 
-    /// Ships a blocking-but-unit-valued request: posted under windowed
-    /// delivery (the simulated blocking is preserved by the kernel's
-    /// dispatch schedule; only the *host* round trip is skipped), a
-    /// classic blocking call under the serial baton.
-    fn sync_unit(&mut self, req: Request) {
-        if self.windowed {
-            self.post(req);
-        } else {
-            self.call(req);
-        }
-    }
-
     /// Ships `N` synchronous requests back-to-back, then collects their
-    /// `N` responses in issue order ("request pipelining"). The wire
-    /// stream — and with it the event stream and every simulated time —
-    /// is identical to issuing them as sequential blocking calls: the
+    /// `N` responses in issue order ("request pipelining"), so the
+    /// program thread parks once instead of `N` times. The wire stream —
+    /// and with it the event stream and every simulated time — is
+    /// identical to issuing them as sequential blocking calls: the
     /// kernel dispatches request `k + 1` only when request `k`'s wake
     /// commits, whatever the host arrival time (early arrivals sit in
-    /// the kernel's per-cell stash). Under windowed delivery the
-    /// program thread parks once instead of `N` times; under the serial
-    /// baton this degrades to exactly the classic exchange.
+    /// the kernel's per-cell stash).
     ///
     /// Only the first request picks up posted requests (as in a serial
     /// sequence, where [`Cell::flushed`] would attach them there); a
     /// caller mirroring a serial interleaving with posts *between* two
     /// calls passes an explicit [`Request::Batch`].
     fn call_pipelined<const N: usize>(&mut self, reqs: [Request; N]) -> [Response; N] {
-        if self.windowed {
-            for (k, req) in reqs.into_iter().enumerate() {
-                let req = if k == 0 { self.flushed(req) } else { req };
-                self.req_tx
-                    .send((self.id.as_u32(), req))
-                    .expect("machine stopped");
-            }
-            std::array::from_fn(|_| self.resume_rx.recv().expect("machine stopped"))
-        } else {
-            reqs.map(|req| self.call(req))
+        for (k, req) in reqs.into_iter().enumerate() {
+            let req = if k == 0 { self.flushed(req) } else { req };
+            self.req_tx
+                .send((self.id.as_u32(), req))
+                .expect("machine stopped");
         }
+        std::array::from_fn(|_| self.resume_rx.recv().expect("machine stopped"))
     }
 
     // ---- identity ------------------------------------------------------
@@ -451,7 +426,7 @@ impl Cell {
 
     /// Blocks until the local flag at `flag` reaches `target`.
     pub fn wait_flag(&mut self, flag: VAddr, target: u32) {
-        self.sync_unit(Request::WaitFlag { flag, target });
+        self.post(Request::WaitFlag { flag, target });
     }
 
     /// Non-blocking read of a flag's current value.
@@ -480,7 +455,7 @@ impl Cell {
     /// Returns when the send DMA has drained the buffer (§5.4: "SEND
     /// operations are blocking").
     pub fn send(&mut self, dst: usize, laddr: VAddr, bytes: u64) {
-        self.sync_unit(Request::Send {
+        self.post(Request::Send {
             dst: CellId::new(dst as u32),
             laddr,
             bytes,
@@ -503,8 +478,7 @@ impl Cell {
     /// [`Cell::recv`] followed by a zero-cost [`Cell::read_slice`] of `n`
     /// scalars from the landing buffer: the identical wire requests,
     /// simulated cost, and event stream, pipelined into a single parked
-    /// wait under the windowed engine. Returns the received byte length
-    /// and the slice.
+    /// wait. Returns the received byte length and the slice.
     pub fn recv_slice<T: Pod>(
         &mut self,
         src: usize,
@@ -538,13 +512,13 @@ impl Cell {
 
     /// Machine-wide hardware barrier on the S-net.
     pub fn barrier(&mut self) {
-        self.sync_unit(Request::Barrier);
+        self.post(Request::Barrier);
     }
 
     /// Collective B-net broadcast: `root`'s `bytes` at `laddr` are
     /// delivered to the same `laddr` on every cell. All cells must call.
     pub fn bcast(&mut self, root: usize, laddr: VAddr, bytes: u64) {
-        self.sync_unit(Request::Bcast {
+        self.post(Request::Bcast {
             root: CellId::new(root as u32),
             laddr,
             bytes,
@@ -624,7 +598,7 @@ impl Cell {
 
     fn reg_load_f64(&mut self, reg: u16) -> f64 {
         // The two halves are only needed together, so they pipeline into
-        // one parked wait under the windowed engine.
+        // one parked wait.
         let [lo, hi] =
             self.call_pipelined([Request::RegLoad { reg }, Request::RegLoad { reg: reg + 1 }]);
         f64::from_bits(Self::reg_value(lo) as u64 | ((Self::reg_value(hi) as u64) << 32))
@@ -793,7 +767,7 @@ impl Cell {
 
     /// Blocks until all issued remote stores are acknowledged.
     pub fn remote_fence(&mut self) {
-        self.sync_unit(Request::RemoteFence);
+        self.post(Request::RemoteFence);
     }
 
     // ---- write-through pages (§4.2) --------------------------------------

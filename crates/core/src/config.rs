@@ -61,10 +61,10 @@ pub fn flight_recorder_default() -> Option<NonZeroUsize> {
     NonZeroUsize::new(FLIGHT_RECORDER_DEFAULT.load(Ordering::Relaxed))
 }
 
-/// Retained no-op. The cell↔kernel protocol is no longer selectable:
-/// fault-free runs use windowed delivery and fault-armed runs the serial
-/// baton (DESIGN.md §10). The frozen `perf/` benchmark still calls this
-/// symbol, so it stays until the next `[benchmark]` change retires it.
+/// Retained no-op. The cell↔kernel protocol is not selectable: every
+/// run uses windowed delivery (DESIGN.md §10). The frozen `perf/`
+/// benchmark still calls this symbol, so it stays until the next
+/// `[benchmark]` change retires it.
 pub fn set_sim_threads_default(_threads: u32) {}
 
 /// Process-wide progress-reporting switch (the `--progress` CLI flag):

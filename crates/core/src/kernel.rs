@@ -8,13 +8,12 @@
 //! given program and configuration always produces the identical
 //! execution.
 //!
-//! The cell↔kernel protocol has two forms ([`Engine`], DESIGN.md §10).
-//! Fault-free runs use *windowed delivery*: a wake's response goes to
-//! the program as soon as a sliding sim-time window covers it, so the
-//! kernel rarely sleeps on a channel. Fault-armed runs use the *serial
-//! baton*: the kernel wakes one cell, then blocks until that cell's next
-//! request arrives — the only sound form when a crash can retroactively
-//! cancel a wake.
+//! The cell↔kernel protocol is *windowed delivery* (DESIGN.md §10): a
+//! wake's response goes to the program as soon as a sliding sim-time
+//! window covers it, so the kernel rarely sleeps on a channel. The one
+//! event that cancels a scheduled wake is a fail-stop crash, and crashes
+//! are scheduled before the first event — so a cell's wakes at or past
+//! its own crash time are simply never handed over ahead of commit.
 
 use crate::machine::{ActiveTx, Machine, TxEntry, TxJob};
 use crate::request::{Mark, Request, Response};
@@ -32,21 +31,6 @@ use aputil::{
 use crossbeam::channel::{Receiver, Sender};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-/// Which cell↔kernel protocol a run uses. Chosen once, in
-/// [`run_with_faults`](crate::run_with_faults), from whether a fault
-/// schedule is armed — never from configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Engine {
-    /// One channel round trip per wake. Required under fault injection
-    /// (a fail-stop crash skips a dead cell's queued wakes, and a
-    /// response released early cannot be unsent) and kept as the
-    /// reference the windowed form is tested against.
-    Serial,
-    /// Responses are released up to a window ahead of their wake's
-    /// commit, and cells post unit-valued blocking requests.
-    Windowed,
-}
 
 /// Dispatch-window width, in units of the T-net's minimum link-crossing
 /// latency. Any value is *safe* — events commit in canonical order
@@ -188,18 +172,17 @@ struct BcastState {
 
 /// State of windowed wake delivery (DESIGN.md §10).
 ///
-/// The kernel keeps popping and committing events in the exact serial
-/// `(time, seq)` order, so every observable output — timelines, sampler
-/// ticks, op traces, final times — is byte-identical to the serial
-/// baton *by construction*. The saving comes from **eager wake
-/// delivery**: a `Wake`'s response content is fixed at schedule time,
-/// the program observes nothing but its own responses, and at most one
-/// wake per cell is ever in flight — so the response can be handed to
-/// the program thread as soon as the sliding dispatch window covers the
-/// wake's time. Released programs run on their own host threads while
-/// the kernel continues committing; their next requests are stashed and
-/// consumed when each wake commits, so the kernel seldom blocks on the
-/// request channel.
+/// The kernel pops and commits events in exact `(time, seq)` order, so
+/// every observable output — timelines, sampler ticks, op traces, final
+/// times — is fixed by the event queue alone. The saving comes from
+/// **eager wake delivery**: a `Wake`'s response content is fixed at
+/// schedule time, the program observes nothing but its own responses,
+/// and at most one wake per cell is ever in flight — so the response can
+/// be handed to the program thread as soon as the sliding dispatch
+/// window covers the wake's time. Released programs run on their own
+/// host threads while the kernel continues committing; their next
+/// requests are stashed and consumed when each wake commits, so the
+/// kernel seldom blocks on the request channel.
 struct Eager {
     /// Dispatch-window width (minimum crossing latency × [`WINDOW_MULT`]).
     window: SimTime,
@@ -208,7 +191,8 @@ struct Eager {
     horizon: SimTime,
     /// Wakes scheduled past the horizon, ordered by `(time, cell)`.
     parked: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// A parked wake's response, held until the window reaches it.
+    /// A wake's response held back for the window to reach it or — at
+    /// or past the cell's crash time — for the wake's own commit.
     resp: Vec<Option<Response>>,
     /// Cells whose response went out ahead of the wake's commit.
     sent: Vec<bool>,
@@ -218,6 +202,13 @@ struct Eager {
     /// FIFO queue; commits consume it in arrival order, which is the
     /// program's issue order.
     stash: Vec<std::collections::VecDeque<Request>>,
+    /// Each cell's scheduled fail-stop crash time ([`SimTime::MAX`]
+    /// without one), fixed by [`Kernel::with_faults`] before the first
+    /// event. A crash is the only event that cancels an already
+    /// scheduled wake ([`Kernel::skips`]), and a released response
+    /// cannot be unsent — so a wake at or past this time is never
+    /// released ahead of its commit.
+    crash_at: Vec<SimTime>,
 }
 
 /// Telemetry taps of [`Kernel::event_loop`]. Every hook defaults to a
@@ -359,9 +350,8 @@ pub(crate) struct Kernel {
     /// Kernel events handled so far (cumulative; also drives the 1-in-64
     /// host-timing subsample).
     events_handled: u64,
-    /// Windowed wake delivery; `None` runs the serial baton (one
-    /// channel round trip per wake).
-    eager: Option<Eager>,
+    /// Windowed wake delivery.
+    eager: Eager,
 }
 
 impl Kernel {
@@ -369,11 +359,10 @@ impl Kernel {
         machine: Machine,
         resume_tx: Vec<Sender<Response>>,
         req_rx: Receiver<(u32, Request)>,
-        engine: Engine,
     ) -> Self {
         let n = machine.cells.len();
         let mut evq = EventQueue::new();
-        // Boot: hand each cell its first baton at t = 0 in id order.
+        // Boot: wake each cell at t = 0 in id order.
         for cell in 0..n as u32 {
             evq.push(
                 SimTime::ZERO,
@@ -384,7 +373,7 @@ impl Kernel {
             );
         }
         let telemetry = Telemetry::new(&machine.cfg);
-        let eager = (engine == Engine::Windowed).then(|| Eager {
+        let eager = Eager {
             window: machine
                 .tnet
                 .params()
@@ -395,7 +384,8 @@ impl Kernel {
             resp: (0..n).map(|_| None).collect(),
             sent: vec![false; n],
             stash: vec![std::collections::VecDeque::new(); n],
-        });
+            crash_at: vec![SimTime::MAX; n],
+        };
         Kernel {
             machine,
             evq,
@@ -426,6 +416,8 @@ impl Kernel {
             let plan = FaultPlan::new(spec);
             for (cell, at) in plan.crash_schedule() {
                 if cell.index() < n {
+                    let first = &mut self.eager.crash_at[cell.index()];
+                    *first = at.min(*first);
                     self.evq.push(
                         at,
                         Ev::Crash {
@@ -441,12 +433,6 @@ impl Kernel {
                 replay: ReplayGuard::new(),
                 dead: vec![false; n],
             });
-            // Fail-stop crashes retroactively skip a dead cell's queued
-            // wakes, and an eagerly released response cannot be unsent.
-            debug_assert!(
-                self.eager.is_none(),
-                "fault-armed runs must use the serial baton"
-            );
         }
         self
     }
@@ -643,6 +629,10 @@ impl Kernel {
         if undispatched > 0 {
             leaks.push(format!("{undispatched} undispatched batched requests"));
         }
+        let stashed: usize = self.eager.stash.iter().map(|q| q.len()).sum();
+        if stashed > 0 {
+            leaks.push(format!("{stashed} stashed requests never consumed"));
+        }
         if self.bcast.is_some() {
             leaks.push("incomplete bcast collective".to_string());
         }
@@ -777,33 +767,33 @@ impl Kernel {
         self.evq.push(at, Ev::Wake { cell, resp });
     }
 
-    /// Windowed engine: tries to hand `resp` to `cell`'s program ahead
-    /// of the wake's commit. The response's content is fixed here, the
-    /// program can observe nothing else until its own next request, and
-    /// only one wake per cell is ever in flight — so releasing it early
-    /// changes no observable state, only host-thread overlap. Returns
-    /// the response the committed `Wake` event should carry: `Unit`
-    /// when the real one was consumed here, `resp` unchanged on the
-    /// serial path.
+    /// Tries to hand `resp` to `cell`'s program ahead of the wake's
+    /// commit. The response's content is fixed here, the program can
+    /// observe nothing else until its own next request, and only one
+    /// wake per cell is ever in flight — so releasing it early changes
+    /// no observable state, only host-thread overlap. Returns the
+    /// response the committed `Wake` event should carry: `Unit` when the
+    /// real one was consumed here.
     fn eager_offer(&mut self, cell: u32, at: SimTime, resp: Response) -> Response {
         let i = cell as usize;
-        let Some(e) = &mut self.eager else {
-            return resp;
-        };
         if !self.pending[i].is_empty() {
             // Batched wakes carry no data; the commit pops the queue.
             return resp;
         }
+        let e = &mut self.eager;
         debug_assert!(
             !e.sent[i] && e.resp[i].is_none(),
             "cell {cell} has more than one wake in flight"
         );
-        if at <= e.horizon {
+        if at >= e.crash_at[i] {
+            // The cell's scheduled crash may cancel this wake: hold the
+            // response for the wake's own commit, which sends or skips it.
+            e.resp[i] = Some(resp);
+        } else if at <= e.horizon {
             match self.resume_tx[i].send(resp) {
                 Ok(()) => e.sent[i] = true,
                 // The program thread is gone; keep the response so the
-                // commit raises the same CellLost the serial engine
-                // would, at the same sim time.
+                // commit raises CellLost at the wake's own sim time.
                 Err(err) => e.resp[i] = Some(err.0),
             }
         } else {
@@ -819,7 +809,7 @@ impl Kernel {
     /// commit frontier and a wake is always released no later than its
     /// own commit.
     fn slide_window(&mut self, now: SimTime) {
-        let Some(e) = &mut self.eager else { return };
+        let e = &mut self.eager;
         let horizon = now + e.window;
         if horizon <= e.horizon {
             return;
@@ -956,15 +946,14 @@ impl Kernel {
             );
             return self.dispatch(cell, req);
         }
-        // Windowed delivery usually released the response when the window
-        // first covered the wake, so the commit only consumes the program's
-        // next request. Otherwise (the serial baton; boot wakes, which
-        // precede the first slide; a failed early send) it goes out now.
+        // The response usually went out when the window first covered the
+        // wake, so the commit only consumes the program's next request.
+        // Otherwise (boot wakes, which precede the first slide; a wake at
+        // or past the cell's crash time; a failed early send) it goes out
+        // now.
         let i = cell as usize;
-        let eager = self.eager.as_mut();
-        let sent = eager.is_some_and(|e| std::mem::take(&mut e.sent[i]));
-        if !sent {
-            let held = self.eager.as_mut().and_then(|e| e.resp[i].take());
+        if !std::mem::take(&mut self.eager.sent[i]) {
+            let held = self.eager.resp[i].take();
             self.resume_tx[i]
                 .send(held.unwrap_or(resp))
                 .map_err(|_| self.cell_lost(cell, "program thread exited unexpectedly"))?;
@@ -973,19 +962,14 @@ impl Kernel {
         self.dispatch(cell, req)
     }
 
-    /// Returns `cell`'s next request. Under windowed delivery several
-    /// programs run at once and their requests arrive on the shared
-    /// channel in arbitrary host order; anything from another cell is
-    /// stashed (in arrival = issue order) for its own wakes' commits.
-    /// `Fail` and `Finish` need no special casing — a failing cell's next
-    /// wake commit consumes the stashed failure at the canonical time.
-    /// Under the serial baton only `cell` can be running.
+    /// Returns `cell`'s next request. Several programs run at once and
+    /// their requests arrive on the shared channel in arbitrary host
+    /// order; anything from another cell is stashed (in arrival = issue
+    /// order) for its own wakes' commits. `Fail` and `Finish` need no
+    /// special casing — a failing cell's next wake commit consumes the
+    /// stashed failure at the canonical time.
     fn take_request(&mut self, cell: u32) -> ApResult<Request> {
-        let stashed = self
-            .eager
-            .as_mut()
-            .and_then(|e| e.stash[cell as usize].pop_front());
-        if let Some(req) = stashed {
+        if let Some(req) = self.eager.stash[cell as usize].pop_front() {
             return Ok(req);
         }
         loop {
@@ -996,16 +980,7 @@ impl Kernel {
             if from == cell {
                 return Ok(req);
             }
-            match &mut self.eager {
-                Some(e) => e.stash[from as usize].push_back(req),
-                None => {
-                    return Err(ApError::internal(
-                        Some(CellId::new(from)),
-                        "baton",
-                        format!("request arrived while cell {cell} held the serial baton"),
-                    ))
-                }
-            }
+            self.eager.stash[from as usize].push_back(req);
         }
     }
 
@@ -1972,6 +1947,7 @@ impl Kernel {
             .map(|(i, _)| CellId::new(i as u32))
             .collect();
         self.pending[cell as usize].clear();
+        self.eager.stash[cell as usize].clear();
         self.waiters[cell as usize] = None;
         let hw = &mut self.machine.cells[cell as usize];
         hw.send_busy = false;
@@ -2369,5 +2345,29 @@ fn req_name(req: &Request) -> &'static str {
         Request::Mark(_) => "mark",
         Request::Fail(_) => "fail",
         Request::Finish => "finish",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+
+    #[test]
+    fn a_stashed_request_nobody_consumed_is_a_state_leak() {
+        let (_req_tx, req_rx) = unbounded();
+        let (resume_tx, _resume_rx) = unbounded();
+        let machine = Machine::new(crate::MachineConfig::new(1));
+        let mut kernel = Kernel::new(machine, vec![resume_tx], req_rx);
+        kernel
+            .check_drained()
+            .expect("a fresh kernel holds nothing");
+        kernel.eager.stash[0].push_back(Request::Barrier);
+        match kernel.check_drained() {
+            Err(ApError::StateLeak { detail }) => {
+                assert_eq!(detail, "1 stashed requests never consumed")
+            }
+            other => panic!("expected a StateLeak, got {other:?}"),
+        }
     }
 }

@@ -41,8 +41,6 @@
 pub mod accounting;
 pub mod cell;
 pub mod config;
-#[cfg(test)]
-mod engine_equivalence;
 mod kernel;
 mod machine;
 mod request;
@@ -68,7 +66,6 @@ pub use aputil::{
 };
 
 use crossbeam::channel::unbounded;
-use kernel::Engine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
@@ -144,30 +141,6 @@ where
     T: Send + 'static,
     F: Fn(&mut Cell) -> T + Send + Sync + 'static,
 {
-    // The one engine decision (DESIGN.md §10): windowed delivery unless a
-    // fault schedule is armed — a fail-stop crash cancels a dead cell's
-    // queued wakes, and a response released early cannot be unsent.
-    let engine = if faults.is_none() {
-        Engine::Windowed
-    } else {
-        Engine::Serial
-    };
-    run_on(engine, cfg, faults, program)
-}
-
-/// [`run_with_faults`] on an explicit cell↔kernel protocol, so the
-/// in-crate differential test can hold the windowed form against the
-/// serial reference. `Engine::Windowed` with `faults` armed is unsound.
-pub(crate) fn run_on<T, F>(
-    engine: Engine,
-    cfg: MachineConfig,
-    faults: Option<&FaultSpec>,
-    program: F,
-) -> ApResult<RunReport<T>>
-where
-    T: Send + 'static,
-    F: Fn(&mut Cell) -> T + Send + Sync + 'static,
-{
     // An unbounded timeline on a huge machine is O(events) memory with no
     // bound — refuse it up front and point at the flight recorder (bounded
     // post-mortem context) or the streaming trace sink (full recording in
@@ -187,7 +160,6 @@ where
     let machine = machine::Machine::new(cfg);
     let (req_tx, req_rx) = unbounded();
     let program = Arc::new(program);
-    let windowed = engine == Engine::Windowed;
     let mut resume_txs = Vec::with_capacity(cfg.ncells as usize);
     let mut handles = Vec::with_capacity(cfg.ncells as usize);
     for id in 0..cfg.ncells {
@@ -200,7 +172,7 @@ where
             thread::Builder::new()
                 .name(format!("cell{id}"))
                 .spawn(move || -> Result<T, String> {
-                    let mut cell = Cell::new(CellId::new(id), ncells, req_tx, resume_rx, windowed);
+                    let mut cell = Cell::new(CellId::new(id), ncells, req_tx, resume_rx);
                     cell.wait_boot();
                     match catch_unwind(AssertUnwindSafe(|| program(&mut cell))) {
                         Ok(out) => {
@@ -223,7 +195,7 @@ where
     }
     drop(req_tx);
 
-    let mut kernel = kernel::Kernel::new(machine, resume_txs, req_rx, engine).with_faults(faults);
+    let mut kernel = kernel::Kernel::new(machine, resume_txs, req_rx).with_faults(faults);
     let run_result = kernel.run();
     let fault = kernel.take_fault_report();
     let series = kernel.take_metrics();

@@ -13,8 +13,8 @@
 //!   byte-identical bench-report JSON;
 //! * a single 1024-cell CG run records the byte-identical evtrace and
 //!   final simulated time the serial-baton kernel produced before
-//!   windowed delivery became the only fault-free protocol (DESIGN.md
-//!   §10) — pinned as constants, so tier-1 records it once.
+//!   windowed delivery replaced it (DESIGN.md §10) — pinned as
+//!   constants, so tier-1 records it once.
 //!
 //! If an *intentional* timing-model change moves the suite times, update
 //! the constants here in the same commit and say why.
@@ -76,10 +76,10 @@ fn sweep_is_thread_count_invariant() {
 
 /// The 1024-cell CG recording of the serial-baton kernel: event count,
 /// final simulated time, evtrace byte length and FNV-1a-64 digest of the
-/// file. Captured at the parent of the commit that made windowed
-/// delivery the only fault-free protocol, where the serial baton was
-/// still the default engine (the then-optional windowed engine recorded
-/// the identical bytes).
+/// file. Captured where the serial baton (one channel round trip per
+/// wake, since deleted) was still the default protocol; windowed
+/// delivery, then optional and now the only one, recorded the identical
+/// bytes.
 const CG1024_EVENTS: u64 = 3_599_496;
 const CG1024_FINAL_NS: u64 = 893_617_068;
 const CG1024_EVTRACE_BYTES: usize = 34_539_412;

@@ -1,0 +1,397 @@
+//! Conformance pin of the cell↔kernel protocol (DESIGN.md §10).
+//!
+//! There is one protocol — windowed delivery — so nothing is left to
+//! hold it against at run time. What it is held against instead is the
+//! *serial baton* it replaced: every constant below was captured at the
+//! last commit where that protocol still existed (fault-free shapes from
+//! `Engine::Serial`, fault-armed shapes from `run_with_faults`, which
+//! chose the baton whenever a schedule was armed). The mix and the three
+//! failure shapes are the ones the former in-crate `engine_equivalence`
+//! differential ran; the fault-armed shapes are new.
+//!
+//! If an *intentional* timing-model change moves these, update the
+//! constants in the same commit and say why.
+
+use apcore::{
+    run_with, run_with_faults, ApError, Cell, CellId, FaultEvent, FaultKind, FaultSpec,
+    MachineConfig, RecoveryParams, RunReport, SimTime, StrideSpec, VAddr,
+};
+use aputil::hash::fnv1a_64;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+fn cfg(cells: u32) -> MachineConfig {
+    MachineConfig::new(cells).with_timeline(true)
+}
+
+/// A synthetic SPMD mix touching every request family: flagged PUT/GET
+/// with an ack probe, stride, the SEND ring with a pipelined halo
+/// receive, barriers, reductions (pipelined register loads) and DSM
+/// remote store/fence/load. Per-cell work is skewed so wakes interleave.
+fn mix(cell: &mut Cell) -> f64 {
+    let (me, n) = (cell.id(), cell.ncells());
+    let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+    let buf = cell.alloc::<f64>(16);
+    let inbox = cell.alloc::<f64>(16);
+    let got = cell.alloc::<f64>(16);
+    let (put_flag, get_flag) = (cell.alloc_flag(), cell.alloc_flag());
+    let data: Vec<f64> = (0..16).map(|i| (me * 16 + i) as f64).collect();
+    cell.write_slice(buf, &data);
+    cell.work(100 + 37 * me as u64);
+    cell.barrier();
+
+    cell.put(right, inbox, buf, 128, VAddr::NULL, put_flag, true);
+    cell.wait_flag(put_flag, 1);
+    cell.wait_acks();
+    cell.get(left, buf, got, 128, VAddr::NULL, get_flag);
+    cell.wait_flag(get_flag, 1);
+    cell.put_stride(
+        right,
+        inbox,
+        buf,
+        StrideSpec::new(8, 4, 16),
+        StrideSpec::contiguous(32),
+        VAddr::NULL,
+        put_flag,
+        false,
+    );
+    cell.wait_flag(put_flag, 2);
+    cell.barrier();
+
+    cell.send(right, buf, 64);
+    let (len, halo) = cell.recv_slice::<f64>(left, inbox, 128, 8);
+    cell.work(50 * (n - me) as u64);
+    let sum = cell.reduce_sum_f64(halo[0] + len as f64);
+    let max = cell.reduce_max_f64(me as f64);
+
+    cell.remote_store(right, 64, &[me as u8; 8]);
+    cell.remote_fence();
+    cell.barrier();
+    let loaded = cell.remote_load(right, 64, 8);
+    sum + max + f64::from(loaded[0]) + cell.read_pod::<f64>(got)
+}
+
+/// What a completed run of the mix is pinned by: final simulated time
+/// and FNV-1a-64 of the counters, the op trace and the timeline.
+#[derive(Debug, PartialEq, Eq)]
+struct Digest {
+    total_ns: u64,
+    counters: u64,
+    ops: u64,
+    timeline: u64,
+}
+
+fn digest(r: &RunReport<f64>) -> Digest {
+    Digest {
+        total_ns: r.total_time.as_nanos(),
+        counters: fnv1a_64(r.counters.to_json().to_string().as_bytes()),
+        ops: fnv1a_64(r.trace.to_json_string().as_bytes()),
+        timeline: fnv1a_64(format!("{:?}", r.timeline.events).as_bytes()),
+    }
+}
+
+/// Cell 0 closes the ring, so its output stands apart; the others step
+/// by 17 (16 from the halo value, 1 from the remote-loaded id byte).
+fn mix_outputs(cells: u32) -> Vec<f64> {
+    let (first, second) = match cells {
+        1 => (64.0, 0.0),
+        2 => (161.0, 146.0),
+        16 => (3199.0, 2960.0),
+        64 => (37423.0, 36416.0),
+        _ => unreachable!("no pin for {cells} cells"),
+    };
+    (0..cells)
+        .map(|i| match i {
+            0 => first,
+            _ => second + 17.0 * f64::from(i - 1),
+        })
+        .collect()
+}
+
+const MIX_16: Digest = Digest {
+    total_ns: 138_492,
+    counters: 0x52e9_4b87_4bac_eff7,
+    ops: 0x641f_1ccb_d60d_4e73,
+    timeline: 0xc03a_6d07_0c84_d9f7,
+};
+
+const MIX: [(u32, Digest); 4] = [
+    (
+        1,
+        Digest {
+            total_ns: 29_532,
+            counters: 0xd8d3_5002_2124_2361,
+            ops: 0x195e_5831_e0c5_53ef,
+            timeline: 0xc39f_d4c5_7301_3fed,
+        },
+    ),
+    (
+        2,
+        Digest {
+            total_ns: 74_072,
+            counters: 0x06eb_5145_cb5b_286a,
+            ops: 0xfaa3_f646_1a6b_812a,
+            timeline: 0xff18_db00_b980_2297,
+        },
+    ),
+    (16, MIX_16),
+    (
+        64,
+        Digest {
+            total_ns: 248_732,
+            counters: 0x3069_6c4a_ba60_7fa0,
+            ops: 0xbe49_92ba_59b6_c8bb,
+            timeline: 0x0f77_8a87_c04a_9d19,
+        },
+    ),
+];
+
+/// On the 16-cell mix, cell 5's wake out of the first S-net barrier. It
+/// is a batched wake: the posted PUT behind it dispatches at its commit.
+const BARRIER_RELEASE_NS: u64 = 14_100;
+/// On the 16-cell mix, cell 5's wake carrying the halo RECEIVE's length:
+/// scheduled 1480 ns (the copy-out) ahead of its commit, inside the
+/// dispatch window — the response a fault-free run hands over early.
+const RECV_WAKE_NS: u64 = 59_408;
+
+#[test]
+fn mix_matches_the_serial_reference_pin() {
+    for (cells, want) in MIX {
+        let r = run_with(cfg(cells), mix).expect("mix");
+        assert_eq!(r.outputs, mix_outputs(cells), "{cells} cells");
+        assert_eq!(digest(&r), want, "{cells} cells");
+        if cells == 16 {
+            // The anchors the fault-armed shapes below aim their crashes at.
+            let end_of = |name: &str| {
+                let mut spans = r.timeline.events.iter();
+                let first = spans.find(|e| e.cell == 5 && e.name == name);
+                first.expect("cell 5 has the span").end().as_nanos()
+            };
+            assert_eq!(end_of("barrier"), BARRIER_RELEASE_NS);
+            assert_eq!(end_of("recv_copy"), RECV_WAKE_NS);
+        }
+    }
+}
+
+/// Cell 0's flag wait can never be satisfied (one PUT, target 2); the
+/// rest block on a flag nobody bumps or in a barrier cell 0 never joins.
+fn deadlock(cell: &mut Cell) {
+    let buf = cell.alloc::<f64>(8);
+    let flag = cell.alloc_flag();
+    match cell.id() {
+        0 => {
+            cell.put(1, buf, buf, 64, flag, VAddr::NULL, false);
+            cell.wait_flag(flag, 2);
+        }
+        1 => cell.wait_flag(flag, 1),
+        _ => cell.barrier(),
+    }
+}
+
+/// Cell 1 dies between two barriers the others complete and enter.
+fn panicking(cell: &mut Cell) {
+    cell.work(10 * cell.id() as u64);
+    cell.barrier();
+    if cell.id() == 1 {
+        panic!("cell 1 gives up");
+    }
+    cell.barrier();
+}
+
+/// Collective misuse the kernel rejects: the cells disagree on the
+/// broadcast size.
+fn bcast_mismatch(cell: &mut Cell) {
+    let buf = cell.alloc::<f64>(4);
+    cell.work(5 * cell.id() as u64);
+    cell.bcast(0, buf, if cell.id() == 0 { 32 } else { 16 });
+}
+
+#[test]
+fn failure_shapes_match_the_serial_reference_pin() {
+    type Program = fn(&mut Cell);
+    const DEADLOCK_2: &str = "simulation deadlock: 2 of 2 cells never finished at 7.696µs \
+        [cell0: wait_flag(v:0x12000 = 1, want 2) since 1.000µs, \
+        cell1: wait_flag(v:0x12000 = 0, want 1) since 0ns]";
+    let deadlock_16 = format!(
+        "simulation deadlock: 16 of 16 cells never finished at 7.696µs \
+         [cell0: wait_flag(v:0x12000 = 1, want 2) since 1.000µs, \
+         cell1: wait_flag(v:0x12000 = 0, want 1) since 0ns{}]",
+        (2..16)
+            .map(|i| format!(", cell{i}: barrier since 0ns"))
+            .collect::<String>()
+    );
+    const PANIC: &str = "cell1 failed: cell 1 gives up";
+    const BCAST: &str = "invalid argument: mismatched bcast: cell1 gave root cell0/16B, \
+        collective started with root cell0/32B";
+    let shapes: [(Program, u32, &str); 6] = [
+        (deadlock, 2, DEADLOCK_2),
+        (deadlock, 16, &deadlock_16),
+        (panicking, 2, PANIC),
+        (panicking, 16, PANIC),
+        (bcast_mismatch, 2, BCAST),
+        (bcast_mismatch, 16, BCAST),
+    ];
+    for (program, cells, want) in shapes {
+        let err = run_with(cfg(cells), program).expect_err(want);
+        assert_eq!(err.to_string(), want, "{cells} cells");
+    }
+}
+
+fn ns(t: u64) -> SimTime {
+    SimTime::from_nanos(t)
+}
+
+/// Fail-stop crash of `cell` at `at` ns.
+fn crash(cell: u32, at: u64) -> FaultSpec {
+    FaultSpec {
+        seed: Some(7),
+        recovery: RecoveryParams::default(),
+        events: vec![FaultEvent {
+            from: ns(at),
+            until: ns(at),
+            kind: FaultKind::Crash {
+                cell: CellId::new(cell),
+            },
+        }],
+    }
+}
+
+/// Link 0 → 1 (same torus row, so the Y-then-X detour is the primary
+/// route) down for the whole run, against a two-retry budget.
+fn outage() -> FaultSpec {
+    FaultSpec {
+        seed: None,
+        recovery: RecoveryParams {
+            ack_timeout: ns(100_000),
+            backoff_cap: ns(200_000),
+            max_retries: 2,
+        },
+        events: vec![FaultEvent {
+            from: ns(0),
+            until: ns(1_000_000_000),
+            kind: FaultKind::LinkDown {
+                from: CellId::new(0),
+                to: CellId::new(1),
+            },
+        }],
+    }
+}
+
+#[test]
+fn quiet_schedule_matches_the_serial_reference_pin() {
+    // Arming the fault layer wraps every packet in an acknowledged
+    // envelope, so the tail of the run (acks draining) and the hardware
+    // timeline move; what the programs did and computed does not.
+    const QUIET: Digest = Digest {
+        total_ns: 140_252,
+        counters: 0xfdbe_003e_b220_cfed,
+        ops: MIX_16.ops,
+        timeline: 0x5ba8_014f_a03a_821e,
+    };
+    const REPORT: &str = "fault report\n  seed: none (explicit spec)\n  outcome: survived\n  \
+        injected (0):\n  retries (0 total):\n  \
+        drops: 0  corrupt: 0  dups: 0  detours: 0  acks: 296\n";
+    for _ in 0..2 {
+        let r = run_with_faults(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
+        assert_eq!(r.outputs, mix_outputs(16));
+        assert_eq!(digest(&r), QUIET);
+        assert_eq!(r.fault.expect("report").render(), REPORT);
+    }
+}
+
+#[test]
+fn unsurvivable_schedules_match_the_serial_reference_pin() {
+    const AT_SECOND_BARRIER: &str =
+        "barrier aborted at 48.752µs: dead participants [cell5], waiting [cell2]";
+    const REGSTORE_LOST: &str = "fault injection: aborted under faults: 1 injected, 32 retries, \
+        0 drops, 1 crashed (RegStore cell12->cell5 undeliverable after 9 attempts at 22.083ms)";
+    const PARKED: &str = "barrier aborted at 6.000µs: dead participants [cell0], \
+        waiting [cell1, cell2, cell3, cell4, cell5]";
+    const PUT_LOST: &str = "fault injection: aborted under faults: 1 injected, 4 retries, \
+        6 drops, 0 crashed (PutData cell0->cell1 undeliverable after 3 attempts at 517.136µs)";
+    // (schedule, the error's Display, FNV-1a-64 of the rendered report
+    // behind an `ApError::Fault`)
+    let shapes: [(FaultSpec, &str, Option<u64>); 9] = [
+        // Just before, exactly at and just after the barrier-release wake.
+        (crash(5, BARRIER_RELEASE_NS - 1), AT_SECOND_BARRIER, None),
+        (crash(5, BARRIER_RELEASE_NS), AT_SECOND_BARRIER, None),
+        (crash(5, BARRIER_RELEASE_NS + 1), AT_SECOND_BARRIER, None),
+        // Mid-batch, between the two posted PUTs.
+        (crash(5, 30_000), AT_SECOND_BARRIER, None),
+        // Just before, exactly at and just after the early-released
+        // RECEIVE wake.
+        (
+            crash(5, RECV_WAKE_NS - 1),
+            REGSTORE_LOST,
+            Some(0xa5cb_14da_6f36_78fc),
+        ),
+        (
+            crash(5, RECV_WAKE_NS),
+            REGSTORE_LOST,
+            Some(0x409c_7227_8c9a_6612),
+        ),
+        (
+            crash(5, RECV_WAKE_NS + 1),
+            REGSTORE_LOST,
+            Some(0xabc0_031b_df32_f504),
+        ),
+        // A cell parked at the S-net barrier.
+        (crash(0, 6_000), PARKED, None),
+        // A link outage outlasting the retry budget.
+        (outage(), PUT_LOST, Some(0xfa72_439a_5771_31d9)),
+    ];
+    for (spec, display, report) in shapes {
+        let what = apfault::to_ron(&spec);
+        let run = || run_with_faults(cfg(16), Some(&spec), mix).expect_err(&what);
+        let (first, second) = (run(), run());
+        assert_eq!(first, second, "two runs disagree under {what}");
+        assert_eq!(first.to_string(), display, "{what}");
+        let rendered = match &first {
+            ApError::Fault(report) => Some(report.render()),
+            _ => None,
+        };
+        let fnv = rendered.as_ref().map(|r| fnv1a_64(r.as_bytes()));
+        assert_eq!(fnv, report, "{what}: {rendered:?}");
+    }
+}
+
+/// The property the crash-time guard in `Kernel::eager_offer` exists
+/// for. A RECEIVE's wake is scheduled one copy-out ahead of its commit,
+/// well inside the dispatch window, so its response would normally go to
+/// the program at once; a crash of that cell in between cancels the wake,
+/// and the program must then never see the response — host-visible state
+/// a dead cell's program touches must not depend on the window.
+#[test]
+fn a_wake_cancelled_by_a_crash_is_never_observed() {
+    let ring = |received: Arc<AtomicU32>| {
+        move |cell: &mut Cell| {
+            let (me, n) = (cell.id(), cell.ncells());
+            let buf = cell.alloc::<f64>(8);
+            cell.send((me + 1) % n, buf, 64);
+            cell.recv((me + n - 1) % n, buf, 64);
+            received.fetch_or(1 << me, Ordering::SeqCst);
+            cell.barrier();
+        }
+    };
+    let run = |spec: &FaultSpec| {
+        let received = Arc::new(AtomicU32::new(0));
+        let r = run_with_faults(cfg(4), Some(spec), ring(Arc::clone(&received)));
+        (r, received.load(Ordering::SeqCst))
+    };
+    let (quiet, received) = run(&FaultSpec::quiet());
+    assert_eq!(received, 0b1111);
+    let quiet = quiet.expect("quiet");
+    let copy_out = quiet.timeline.events.iter();
+    let wake = copy_out
+        .filter(|e| e.cell == 1 && e.name == "recv_copy")
+        .map(|e| e.end().as_nanos())
+        .next()
+        .expect("cell 1 copies its message out");
+    for (at, cell1_received) in [(wake - 1, false), (wake, false), (wake + 1, true)] {
+        for _ in 0..2 {
+            let (r, received) = run(&crash(1, at));
+            r.expect_err("cell 1 crashed");
+            assert_eq!(received & 0b10 != 0, cell1_received, "crash at {at} ns");
+        }
+    }
+}
