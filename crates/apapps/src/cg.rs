@@ -200,16 +200,32 @@ fn ring_reduce_scatter(
     }
 }
 
-impl Cg {
-    /// Shared body of [`Workload::run`] and [`Workload::run_faulted`]:
-    /// the same SPMD program, with or without an injected fault schedule.
+impl Workload for Cg {
+    fn name(&self) -> &'static str {
+        "CG"
+    }
+
+    fn pe(&self) -> u32 {
+        self.pe
+    }
+
+    fn is_vpp(&self) -> bool {
+        true
+    }
+
+    /// The same SPMD program with or without an injected fault schedule.
     /// Either way, `Ok` means every cell's zeta sequence matched the
     /// sequential reference — recovery must be numerically invisible.
-    fn run_inner(&self, faults: Option<&FaultSpec>) -> ApResult<RunReport<()>> {
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, None)?;
         let cfg = *self;
         let a = Arc::new(Csr::random_spd(cfg.n, cfg.per_row, 0xC6));
         let reference = Arc::new(cfg.reference());
-        run_with_faults(MachineConfig::new(cfg.pe), faults, move |cell| {
+        run_with_faults(machine, faults, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;
@@ -319,28 +335,6 @@ impl Cg {
                 );
             }
         })
-    }
-}
-
-impl Workload for Cg {
-    fn name(&self) -> &'static str {
-        "CG"
-    }
-
-    fn pe(&self) -> u32 {
-        self.pe
-    }
-
-    fn is_vpp(&self) -> bool {
-        true
-    }
-
-    fn run(&self) -> ApResult<RunReport<()>> {
-        self.run_inner(None)
-    }
-
-    fn run_faulted(&self, faults: &FaultSpec) -> ApResult<RunReport<()>> {
-        self.run_inner(Some(faults))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::util::lcg::{NpbRandom, SEED};
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport};
+use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport};
 
 /// EP instance: `2^log2_pairs` candidate pairs over `pe` cells.
 #[derive(Clone, Copy, Debug)]
@@ -84,10 +84,15 @@ impl Workload for Ep {
         true
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
         let pairs = 1u64 << self.log2_pairs;
         let pe = self.pe as u64;
-        run_with(MachineConfig::new(self.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id() as u64;
             let chunk = pairs.div_ceil(pe);
             let lo = (me * chunk).min(pairs);

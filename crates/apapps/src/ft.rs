@@ -15,7 +15,7 @@
 use crate::util::fft::{fft_flops, fft_inplace};
 use crate::util::lcg::NpbRandom;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport, StrideSpec, VAddr};
+use apcore::{run_with, ApError, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
 use std::sync::Arc;
 
 /// FT instance. `nx`, `ny`, `nz` must be powers of two; `pe` must divide
@@ -55,12 +55,17 @@ impl Ft {
         }
     }
 
-    fn check(&self) {
-        assert!(
-            self.nx.is_power_of_two() && self.ny.is_power_of_two() && self.nz.is_power_of_two()
-        );
-        assert_eq!(self.nx % self.pe as usize, 0, "pe must divide nx");
-        assert_eq!(self.nz % self.pe as usize, 0, "pe must divide nz");
+    /// The decomposition preflight: power-of-two extents (the FFT), with
+    /// equal shares of both partitioned axes.
+    fn check(&self) -> ApResult<()> {
+        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        if !(nx.is_power_of_two() && ny.is_power_of_two() && nz.is_power_of_two()) {
+            return Err(ApError::InvalidArg(format!(
+                "FT: extents must be powers of two, got {nx}x{ny}x{nz}"
+            )));
+        }
+        crate::must_divide(self, "nx", nx)?;
+        crate::must_divide(self, "nz", nz)
     }
 
     /// Initial field value pair (re, im) at flat index `g`.
@@ -82,7 +87,6 @@ impl Ft {
 
     /// Sequential reference: returns `(re, im)` checksums per iteration.
     pub fn reference(&self) -> Vec<(f64, f64)> {
-        self.check();
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let n = nx * ny * nz;
         let mut u: Vec<f64> = Vec::with_capacity(2 * n);
@@ -178,11 +182,16 @@ impl Workload for Ft {
         true
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
-        self.check();
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
+        self.check()?;
         let cfg = *self;
         let reference = Arc::new(cfg.reference());
-        run_with(MachineConfig::new(cfg.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);

@@ -36,7 +36,7 @@ pub mod sp;
 pub mod tomcatv;
 pub mod util;
 
-use apcore::{ApError, ApResult, FaultSpec, RunReport};
+use apcore::{ApError, ApResult, FaultSpec, MachineConfig, RunReport};
 
 /// Problem-size presets.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,21 +69,69 @@ pub trait Workload: Send + Sync {
     fn pe(&self) -> u32;
     /// `true` for the VPP Fortran applications (RTS time reported).
     fn is_vpp(&self) -> bool;
-    /// Runs on the emulator; `Ok` implies the numerical result verified.
-    fn run(&self) -> ApResult<RunReport<()>>;
+    /// Runs on `machine` — which carries every run option (timeline mode,
+    /// sampling, progress, post-mortem dump) and must have exactly
+    /// [`pe`](Workload::pe) cells — optionally under a deterministic fault
+    /// schedule. `Ok` implies the numerical result verified; a survived
+    /// faulted run also carries its [`apcore::FaultReport`] in
+    /// [`RunReport::fault`], and an unsurvivable schedule aborts with a
+    /// structured error. Workloads opt in to fault injection (CG, the
+    /// paper's communication worst case, is the reference implementation).
+    ///
+    /// # Errors
+    ///
+    /// [`ApError::InvalidArg`] when the machine size is not the
+    /// workload's, the problem does not decompose over it, or `faults` is
+    /// given to a workload without fault support; otherwise whatever the
+    /// run raises.
+    fn run_on(&self, machine: MachineConfig, faults: Option<&FaultSpec>)
+        -> ApResult<RunReport<()>>;
 
-    /// Like [`run`](Workload::run), but under a deterministic fault
-    /// schedule: a survived run returns `Ok` with a verified numerical
-    /// result and the [`apcore::FaultReport`](aputil::FaultReport) in
-    /// [`RunReport::fault`]; an unsurvivable schedule aborts with a
-    /// structured error. Workloads opt in (CG, the paper's communication
-    /// worst case, is the reference implementation); the default reports
-    /// that fault injection is not wired up for this application.
+    /// [`run_on`](Workload::run_on) a default machine, fault-free.
+    fn run(&self) -> ApResult<RunReport<()>> {
+        self.run_on(MachineConfig::new(self.pe()), None)
+    }
+
+    /// [`run_on`](Workload::run_on) a default machine under `faults`.
     fn run_faulted(&self, faults: &FaultSpec) -> ApResult<RunReport<()>> {
-        let _ = faults;
-        Err(ApError::InvalidArg(format!(
+        self.run_on(MachineConfig::new(self.pe()), Some(faults))
+    }
+}
+
+/// The preflight every [`Workload::run_on`] starts with: `machine` must be
+/// the workload's size, and `unsupported` — the fault schedule handed to a
+/// workload that cannot run under one — must be absent.
+pub(crate) fn admit(
+    w: &dyn Workload,
+    machine: &MachineConfig,
+    unsupported: Option<&FaultSpec>,
+) -> ApResult<()> {
+    if machine.ncells != w.pe() {
+        return Err(ApError::InvalidArg(format!(
+            "{}: built for {} PEs, handed a {}-cell machine",
+            w.name(),
+            w.pe(),
+            machine.ncells
+        )));
+    }
+    if unsupported.is_some() {
+        return Err(ApError::InvalidArg(format!(
             "{}: fault injection is not wired up for this workload",
-            self.name()
+            w.name()
+        )));
+    }
+    Ok(())
+}
+
+/// `pe must divide <dim>`: the block decompositions need equal shares.
+pub(crate) fn must_divide(w: &dyn Workload, dim: &str, extent: usize) -> ApResult<()> {
+    if extent.is_multiple_of(w.pe() as usize) {
+        Ok(())
+    } else {
+        Err(ApError::InvalidArg(format!(
+            "{}: pe must divide {dim} (pe = {}, {dim} = {extent})",
+            w.name(),
+            w.pe()
         )))
     }
 }
@@ -126,5 +174,61 @@ mod tests {
             .run_faulted(&FaultSpec::quiet())
             .unwrap_err();
         assert!(err.to_string().contains("not wired up"), "{err}");
+    }
+
+    #[test]
+    fn a_machine_of_the_wrong_size_is_refused() {
+        for w in standard_suite(Scale::Test) {
+            let err = w
+                .run_on(MachineConfig::new(w.pe() + 1), None)
+                .expect_err("size mismatch must not run");
+            assert!(matches!(err, ApError::InvalidArg(_)), "{err}");
+            assert!(err.to_string().contains("PEs"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_impossible_decomposition_is_an_error_not_a_panic() {
+        let cases: [(Box<dyn Workload>, &str); 4] = [
+            (
+                Box::new(matmul::MatMul {
+                    pe: 7,
+                    ..matmul::MatMul::new(Scale::Test)
+                }),
+                "pe must divide n",
+            ),
+            (
+                Box::new(sp::Sp {
+                    pe: 7,
+                    ..sp::Sp::new(Scale::Test)
+                }),
+                "pe must divide n",
+            ),
+            (
+                Box::new(ft::Ft {
+                    pe: 3,
+                    ..ft::Ft::new(Scale::Test)
+                }),
+                "pe must divide nx",
+            ),
+            (
+                Box::new(ft::Ft {
+                    pe: 8,
+                    nx: 8,
+                    nz: 4,
+                    ..ft::Ft::new(Scale::Test)
+                }),
+                "pe must divide nz",
+            ),
+        ];
+        for (w, text) in cases {
+            let err = w.run().expect_err("must not decompose");
+            assert!(matches!(err, ApError::InvalidArg(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(text) && msg.contains(&format!("pe = {}", w.pe())),
+                "{msg}"
+            );
+        }
     }
 }

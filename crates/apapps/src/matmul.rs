@@ -10,7 +10,7 @@
 //! 64 PUTs / 64 Syncs of 76 800-byte messages.
 
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport, VAddr};
+use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 
 /// MatMul instance: `n × n` over `pe` cells (`pe` divides `n`).
 #[derive(Clone, Copy, Debug)]
@@ -53,10 +53,15 @@ impl Workload for MatMul {
         false
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
-        assert_eq!(self.n % self.pe as usize, 0, "pe must divide n");
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
+        crate::must_divide(self, "n", self.n)?;
         let cfg = *self;
-        run_with(MachineConfig::new(cfg.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;

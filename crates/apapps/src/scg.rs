@@ -13,7 +13,7 @@
 
 use crate::util::sparse::Csr;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport, VAddr};
+use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 use std::sync::Arc;
 
 /// SCG instance: Poisson on a `gx × gy` grid over `pe` cells.
@@ -103,11 +103,16 @@ impl Workload for Scg {
         false
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
         let cfg = *self;
         let (ref_x, ref_iters, _) = cfg.reference();
         let reference = Arc::new((ref_x, ref_iters));
-        run_with(MachineConfig::new(cfg.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let (gx, gy) = (cfg.gx, cfg.gy);

@@ -19,7 +19,7 @@ use crate::util::penta::{back_step, eliminate_step, WRow};
 /// balance matches the paper's.
 const SP_FLOPS_PER_POINT: u64 = 320;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport, VAddr};
+use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 use std::sync::Arc;
 
 /// SP instance: an `n × n × n` cube over `pe` cells (`pe` divides `n`).
@@ -149,11 +149,16 @@ impl Workload for Sp {
         true
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
-        assert_eq!(self.n % self.pe as usize, 0, "pe must divide n");
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
+        crate::must_divide(self, "n", self.n)?;
         let cfg = *self;
         let reference = Arc::new(cfg.reference());
-        run_with(MachineConfig::new(cfg.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;

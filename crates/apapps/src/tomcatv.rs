@@ -19,7 +19,7 @@
 //! arithmetic (the paper's 24% RTS bar).
 
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, MachineConfig, RunReport, StrideSpec, VAddr};
+use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
 use std::sync::Arc;
 
 /// TOMCATV instance on an `n × n` mesh over `pe` cells.
@@ -121,10 +121,15 @@ impl Workload for Tomcatv {
         true
     }
 
-    fn run(&self) -> ApResult<RunReport<()>> {
+    fn run_on(
+        &self,
+        machine: MachineConfig,
+        faults: Option<&FaultSpec>,
+    ) -> ApResult<RunReport<()>> {
+        crate::admit(self, &machine, faults)?;
         let cfg = *self;
         let reference = Arc::new(cfg.reference());
-        run_with(MachineConfig::new(cfg.pe), move |cell| {
+        run_with(machine, move |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;

@@ -193,24 +193,13 @@ impl TNet {
         &self.obs
     }
 
-    /// Starts buffering per-message timeline events (injection spans on the
-    /// source's net track, hop instants along the route, a delivery instant
-    /// at the destination).
-    pub fn enable_events(&mut self) {
-        self.obs.recorder = Recorder::enabled();
-    }
-
-    /// Like [`TNet::enable_events`], but into a bounded flight-recorder
-    /// ring keeping only the last `cap` events per unit category.
-    pub fn enable_events_ring(&mut self, cap: usize) {
-        self.obs.recorder = Recorder::ring(cap);
-    }
-
-    /// Like [`TNet::enable_events`], but streaming each event straight to
-    /// a shared sink (typically the same binary trace writer the kernel's
-    /// recorder streams to), so nothing is buffered in memory.
-    pub fn enable_events_sink(&mut self, sink: apobs::SharedSink) {
-        self.obs.recorder = Recorder::streaming(sink);
+    /// Starts recording per-message timeline events (injection spans on
+    /// the source's net track, hop instants along the route, a delivery
+    /// instant at the destination) as `mode` says — buffered, into a
+    /// flight-recorder ring, or streamed to a shared sink (typically the
+    /// one the kernel's recorder streams to).
+    pub fn enable_events(&mut self, mode: apobs::TimelineMode) {
+        self.obs.recorder = Recorder::new(mode);
     }
 
     /// Drains the buffered timeline events.
@@ -859,7 +848,7 @@ mod obs_tests {
     #[test]
     fn events_cover_injection_hops_and_delivery() {
         let mut n = TNet::new(Torus::new(4, 4), TNetParams::default(), Contention::None);
-        n.enable_events();
+        n.enable_events(apobs::TimelineMode::Full);
         let (src, dst) = (CellId::new(0), CellId::new(2)); // 2 hops on a 4-wide ring row
         let arrival = n.transfer(SimTime::ZERO, src, dst, 64);
         let evs = n.take_events();

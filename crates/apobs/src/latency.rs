@@ -4,7 +4,10 @@
 //! queue, DMA, network, delivery, flag update (Figure 6). [`XferLat`] is
 //! one transfer's end-to-end latency cut into those contiguous segments;
 //! [`SegmentHists`] aggregates many transfers into one [`Hist`] per
-//! segment so a run report can answer "what is p99 queue wait?" directly.
+//! segment so a run report can answer "what is p99 queue wait?" directly;
+//! [`XferTracker`] is the bookkeeping both simulators (the emulator kernel
+//! and MLSim replay) use to cut in-flight transfers into segments as their
+//! stages happen.
 //!
 //! Segments are defined to be contiguous and exhaustive: for a finished
 //! transfer, `issue + queue + dma + net + delivery + flag` equals
@@ -13,6 +16,7 @@
 
 use crate::hist::Hist;
 use aputil::{Json, SimTime};
+use std::collections::HashMap;
 
 /// What kind of transfer a latency record describes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -197,6 +201,105 @@ impl SegmentHists {
     }
 }
 
+/// Figure-6 latency segment a stage charges its time to.
+#[derive(Clone, Copy, Debug)]
+pub enum Seg {
+    Issue,
+    Queue,
+    Dma,
+    Net,
+    Delivery,
+}
+
+/// Latency attribution of the transfers in flight, by transfer-chain id.
+///
+/// Each in-flight record carries an attribution cursor — the sim time up
+/// to which its end-to-end latency has been segmented. Stages that overlap
+/// earlier ones (the emulator lets a DMA start while the issuing CPU span
+/// is still open) charge only the uncovered remainder, so the segments
+/// stay contiguous and sum exactly to the total. Finished PUTs and GETs
+/// fold into the per-segment histograms.
+#[derive(Clone, Debug, Default)]
+pub struct XferTracker {
+    inflight: HashMap<u64, (XferLat, SimTime)>,
+    /// Figure-6 segment decomposition of every completed PUT.
+    pub put_lat: SegmentHists,
+    /// Same for GETs (request + reply legs combined).
+    pub get_lat: SegmentHists,
+}
+
+impl XferTracker {
+    pub fn new() -> Self {
+        XferTracker::default()
+    }
+
+    /// Starts tracking transfer `tid`, issued at `now`.
+    pub fn start(&mut self, tid: u64, kind: XferKind, bytes: u64, now: SimTime) {
+        self.inflight
+            .insert(tid, (XferLat::new(kind, bytes, now), now));
+    }
+
+    /// Advances transfer `tid`'s attribution cursor to `to`, charging the
+    /// uncovered time to segment `seg`. Untracked ids are ignored.
+    #[inline]
+    pub fn charge(&mut self, tid: u64, seg: Seg, to: SimTime) {
+        let Some((x, cursor)) = self.inflight.get_mut(&tid) else {
+            return;
+        };
+        let d = to.saturating_sub(*cursor);
+        match seg {
+            Seg::Issue => x.issue += d,
+            Seg::Queue => x.queue += d,
+            Seg::Dma => x.dma += d,
+            Seg::Net => x.net += d,
+            Seg::Delivery => x.delivery += d,
+        }
+        *cursor += d;
+    }
+
+    /// Completes transfer `tid` at `end` and folds it into the
+    /// per-segment histograms of its kind.
+    pub fn finish(&mut self, tid: u64, end: SimTime) {
+        let Some((mut x, cursor)) = self.inflight.remove(&tid) else {
+            return;
+        };
+        // In the rare overlapped case the issue span can retire after the
+        // payload lands; the op is only complete once both have.
+        x.end = end.max(cursor);
+        debug_assert_eq!(
+            x.segment_sum(),
+            x.total(),
+            "transfer {tid} segments do not cover its latency: {x:?}"
+        );
+        match x.kind {
+            XferKind::Put => self.put_lat.record(&x),
+            XferKind::Get => self.get_lat.record(&x),
+            XferKind::Other => {}
+        }
+    }
+
+    /// Ids of the transfers still in flight, ascending — a completed run
+    /// must leave none.
+    pub fn unfinished(&self) -> Vec<u64> {
+        let mut tids: Vec<u64> = self.inflight.keys().copied().collect();
+        tids.sort_unstable();
+        tids
+    }
+
+    /// `(PUTs, GETs)` currently in flight.
+    pub fn inflight(&self) -> (u32, u32) {
+        let (mut puts, mut gets) = (0, 0);
+        for (x, _) in self.inflight.values() {
+            match x.kind {
+                XferKind::Put => puts += 1,
+                XferKind::Get => gets += 1,
+                XferKind::Other => {}
+            }
+        }
+        (puts, gets)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,5 +354,34 @@ mod tests {
         assert_eq!(q.get("p99_ns").and_then(|v| v.as_f64()), Some(50.0));
         assert!(j.get("total").is_some());
         assert!(h.render().contains("queue"));
+    }
+
+    #[test]
+    fn tracker_charges_only_uncovered_time_and_sums_exactly() {
+        let ns = SimTime::from_nanos;
+        let mut t = XferTracker::new();
+        t.start(1, XferKind::Put, 64, ns(100));
+        t.start(2, XferKind::Get, 0, ns(100));
+        assert_eq!(t.inflight(), (1, 1));
+        t.charge(1, Seg::Issue, ns(1100));
+        // The DMA started while the issue span was open: only the part
+        // past the cursor is charged, and a stage wholly behind it is free.
+        t.charge(1, Seg::Queue, ns(900));
+        t.charge(1, Seg::Dma, ns(1500));
+        t.charge(1, Seg::Net, ns(2000));
+        t.charge(1, Seg::Delivery, ns(2300));
+        t.charge(7, Seg::Net, ns(5000)); // untracked: ignored
+        t.finish(1, ns(2300));
+        assert_eq!(t.inflight(), (0, 1));
+        assert_eq!(t.unfinished(), [2]);
+        assert_eq!(t.put_lat.count(), 1);
+        assert_eq!(t.put_lat.issue.max(), 1000);
+        assert_eq!(t.put_lat.queue.max(), 0);
+        assert_eq!(t.put_lat.dma.max(), 400);
+        assert_eq!(t.put_lat.total.max(), 2200);
+        // Finishing before the cursor completes at the cursor.
+        t.charge(2, Seg::Issue, ns(1100));
+        t.finish(2, ns(600));
+        assert_eq!(t.get_lat.total.max(), 1000);
     }
 }

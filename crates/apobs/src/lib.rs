@@ -14,10 +14,10 @@
 //! # Examples
 //!
 //! ```
-//! use apobs::{Bucket, Recorder, Timeline, Unit, chrome_trace};
+//! use apobs::{Bucket, Recorder, Timeline, TimelineMode, Unit, chrome_trace};
 //! use aputil::SimTime;
 //!
-//! let mut rec = Recorder::enabled();
+//! let mut rec = Recorder::new(TimelineMode::Full);
 //! rec.span(0, Unit::Cpu, "work", SimTime::ZERO, SimTime::from_nanos(500), Bucket::Exec, 25);
 //! rec.instant(0, Unit::Queue, "enqueue", SimTime::from_nanos(500), Bucket::Hw, 1);
 //! let timeline = Timeline::from_events("emulator", rec.take_events());
@@ -39,8 +39,8 @@ pub use counters::{CacheCounters, Counters};
 pub use critpath::{critical_path, CritPath, CritStep, GatingOp};
 pub use event::{Bucket, TimelineEvent, Unit};
 pub use hist::Hist;
-pub use latency::{SegmentHists, XferKind, XferLat};
-pub use recorder::{EventSink, Recorder, SharedSink};
+pub use latency::{Seg, SegmentHists, XferKind, XferLat, XferTracker};
+pub use recorder::{EventSink, Recorder, SharedSink, TimelineMode};
 pub use timeline::Timeline;
 
 #[cfg(test)]

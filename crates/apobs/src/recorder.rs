@@ -1,28 +1,33 @@
 //! The event recorder: zero-overhead when disabled.
 //!
-//! A disabled [`Recorder`] is a single `bool` test per call site with no
-//! allocation and no buffer; the event arguments are never materialized
-//! because the inline check happens before any formatting or pushing.
+//! A disabled [`Recorder`] is a single discriminant test per call site
+//! with no allocation and no buffer; the event arguments are never
+//! materialized because the inline check happens before any formatting or
+//! pushing.
 //!
-//! Besides fully-off and fully-on, a recorder can run as a **flight
-//! recorder**: a fixed-capacity ring per hardware-unit category keeping
-//! only the last N events of each. Memory is bounded no matter how long
-//! the run, which is what makes post-mortem event context affordable on
-//! 10k-cell machines where the unbounded timeline is not. The categories
-//! are the [`Unit`]s, so a storm of CPU events cannot evict the last few
-//! DMA or network events that usually explain a deadlock.
+//! Where a recorder's events go is one value, a [`TimelineMode`]:
 //!
-//! The fourth mode is **streaming**: every event is forwarded to a shared
-//! [`EventSink`] (typically a binary `.evtrace` file writer) the moment it
-//! is recorded, so even a >1024-cell machine can record a full event
-//! stream without ever holding the timeline in memory. Several recorders
-//! (the kernel's and the T-net's) can share one sink through the
-//! `Arc<Mutex<..>>`; events arrive in emission order, not canonical
-//! timeline order, and readers are expected to normalize.
+//! * **off** — everything is dropped (the default);
+//! * **full** — every event is buffered, unbounded;
+//! * **ring** — a flight recorder: a fixed-capacity ring per hardware-unit
+//!   category keeping only the last N events of each. Memory is bounded no
+//!   matter how long the run, which is what makes post-mortem event
+//!   context affordable on 10k-cell machines where the unbounded timeline
+//!   is not. The categories are the [`Unit`]s, so a storm of CPU events
+//!   cannot evict the last few DMA or network events that usually explain
+//!   a deadlock;
+//! * **stream** — every event is forwarded to a shared [`EventSink`]
+//!   (typically a binary `.evtrace` file writer) the moment it is
+//!   recorded, so even a >1024-cell machine can record a full event stream
+//!   without ever holding the timeline in memory. Several recorders (the
+//!   kernel's and the T-net's) can share one sink through the
+//!   `Arc<Mutex<..>>`; events arrive in emission order, not canonical
+//!   timeline order, and readers are expected to normalize.
 
 use crate::event::{Bucket, TimelineEvent, Unit};
 use aputil::SimTime;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 /// A destination for streamed [`TimelineEvent`]s.
@@ -40,135 +45,76 @@ pub trait EventSink: Send {
 /// A shareable, lockable [`EventSink`] handle.
 pub type SharedSink = Arc<Mutex<dyn EventSink>>;
 
-/// Collects [`TimelineEvent`]s while enabled; a no-op sink otherwise.
+/// Where a machine's timeline events go — the one input to every
+/// [`Recorder`] of that machine.
 #[derive(Clone, Default)]
-pub struct Recorder {
-    enabled: bool,
-    events: Vec<TimelineEvent>,
-    /// Flight-recorder mode: per-[`Unit`] rings of this capacity replace
-    /// the unbounded `events` buffer.
-    ring_cap: usize,
-    rings: Vec<VecDeque<TimelineEvent>>,
-    /// Streaming mode: events are forwarded here instead of buffered.
-    sink: Option<SharedSink>,
+pub enum TimelineMode {
+    /// Record nothing.
+    #[default]
+    Off,
+    /// Buffer every event (O(events) memory).
+    Full,
+    /// Flight recorder: keep the last N events per [`Unit`] category.
+    Ring(NonZeroUsize),
+    /// Forward every event to the sink as it happens (O(1) memory).
+    Stream(SharedSink),
 }
 
-// The sink is compared by identity: two recorders are equal when they
-// buffer the same events and stream to the same sink (or neither streams).
-impl PartialEq for Recorder {
-    fn eq(&self, other: &Self) -> bool {
-        self.enabled == other.enabled
-            && self.events == other.events
-            && self.ring_cap == other.ring_cap
-            && self.rings == other.rings
-            && match (&self.sink, &other.sink) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
-impl Eq for Recorder {}
-
-impl std::fmt::Debug for Recorder {
+impl std::fmt::Debug for TimelineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("enabled", &self.enabled)
-            .field("events", &self.events)
-            .field("ring_cap", &self.ring_cap)
-            .field("rings", &self.rings)
-            .field("streaming", &self.sink.is_some())
-            .finish()
+        match self {
+            TimelineMode::Off => f.write_str("Off"),
+            TimelineMode::Full => f.write_str("Full"),
+            TimelineMode::Ring(cap) => write!(f, "Ring({cap})"),
+            TimelineMode::Stream(_) => f.write_str("Stream(..)"),
+        }
     }
+}
+
+/// Collects [`TimelineEvent`]s as its [`TimelineMode`] says; a no-op sink
+/// when off.
+#[derive(Clone, Debug, Default)]
+pub struct Recorder {
+    mode: TimelineMode,
+    /// The [`TimelineMode::Full`] buffer.
+    events: Vec<TimelineEvent>,
+    /// The [`TimelineMode::Ring`] buffers, one per [`Unit`].
+    rings: Vec<VecDeque<TimelineEvent>>,
 }
 
 impl Recorder {
-    /// A recorder that drops everything (the default).
-    pub fn disabled() -> Self {
-        Recorder::default()
-    }
-
-    /// A recorder that keeps events.
-    pub fn enabled() -> Self {
+    /// A recorder in `mode`; [`Recorder::default`] is off.
+    pub fn new(mode: TimelineMode) -> Self {
+        let rings = match &mode {
+            TimelineMode::Ring(cap) => vec![VecDeque::with_capacity(cap.get()); Unit::ALL.len()],
+            _ => Vec::new(),
+        };
         Recorder {
-            enabled: true,
-            ..Recorder::default()
-        }
-    }
-
-    /// A bounded flight recorder keeping the last `cap` events per
-    /// [`Unit`] category.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn ring(cap: usize) -> Self {
-        assert!(cap > 0, "flight-recorder capacity must be > 0");
-        Recorder {
-            enabled: true,
-            ring_cap: cap,
-            rings: vec![VecDeque::with_capacity(cap); Unit::ALL.len()],
-            ..Recorder::default()
-        }
-    }
-
-    /// A recorder that forwards every event to `sink` instead of
-    /// buffering — memory stays O(1) no matter how long the run, so
-    /// >1024-cell machines can record full event streams.
-    pub fn streaming(sink: SharedSink) -> Self {
-        Recorder {
-            enabled: true,
-            sink: Some(sink),
-            ..Recorder::default()
-        }
-    }
-
-    pub fn new(enabled: bool) -> Self {
-        if enabled {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
+            mode,
+            events: Vec::new(),
+            rings,
         }
     }
 
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// True in bounded flight-recorder mode.
-    #[inline]
-    pub fn is_ring(&self) -> bool {
-        self.ring_cap > 0
-    }
-
-    /// True in streaming mode.
-    #[inline]
-    pub fn is_streaming(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// The shared sink, when streaming.
-    pub fn sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
+        !matches!(self.mode, TimelineMode::Off)
     }
 
     #[inline]
     fn push(&mut self, ev: TimelineEvent) {
-        if let Some(sink) = &self.sink {
-            sink.lock().expect("event sink poisoned").event(&ev);
-            return;
+        match &self.mode {
+            TimelineMode::Off => {}
+            TimelineMode::Full => self.events.push(ev),
+            TimelineMode::Ring(cap) => {
+                let ring = &mut self.rings[ev.unit.index() as usize];
+                if ring.len() == cap.get() {
+                    ring.pop_front();
+                }
+                ring.push_back(ev);
+            }
+            TimelineMode::Stream(sink) => sink.lock().expect("event sink poisoned").event(&ev),
         }
-        if self.ring_cap == 0 {
-            self.events.push(ev);
-            return;
-        }
-        let ring = &mut self.rings[ev.unit.index() as usize];
-        if ring.len() == self.ring_cap {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
     }
 
     /// Records a duration slice with no chain affiliation.
@@ -201,7 +147,7 @@ impl Recorder {
         arg: u64,
         tid: u64,
     ) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         self.push(TimelineEvent {
@@ -243,7 +189,7 @@ impl Recorder {
         arg: u64,
         tid: u64,
     ) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         self.push(TimelineEvent {
@@ -268,7 +214,7 @@ impl Recorder {
     }
 
     /// Takes the buffered events, leaving the recorder empty but keeping
-    /// its enabled state and mode. In ring mode the surviving events come
+    /// its mode. In ring mode the surviving events come
     /// back in [`Unit`] category order (sort by time downstream if
     /// needed — [`crate::Timeline::sort`] does).
     pub fn take_events(&mut self) -> Vec<TimelineEvent> {
@@ -284,9 +230,13 @@ impl Recorder {
 mod tests {
     use super::*;
 
+    fn ring(cap: usize) -> Recorder {
+        Recorder::new(TimelineMode::Ring(NonZeroUsize::new(cap).unwrap()))
+    }
+
     #[test]
     fn disabled_recorder_stores_nothing() {
-        let mut r = Recorder::disabled();
+        let mut r = Recorder::new(TimelineMode::Off);
         r.span(
             0,
             Unit::Cpu,
@@ -297,12 +247,13 @@ mod tests {
             1,
         );
         r.instant(0, Unit::Net, "hop", SimTime::ZERO, Bucket::Hw, 1);
-        assert!(r.is_empty());
+        assert!(r.is_empty() && !r.is_enabled());
+        assert!(!Recorder::default().is_enabled());
     }
 
     #[test]
     fn enabled_recorder_keeps_order() {
-        let mut r = Recorder::enabled();
+        let mut r = Recorder::new(TimelineMode::Full);
         r.span(
             0,
             Unit::Cpu,
@@ -331,8 +282,8 @@ mod tests {
 
     #[test]
     fn ring_keeps_last_n_per_category() {
-        let mut r = Recorder::ring(3);
-        assert!(r.is_ring() && r.is_enabled());
+        let mut r = ring(3);
+        assert!(r.is_enabled());
         // 10 CPU instants and 2 Net instants: the CPU storm must not
         // evict the network events.
         for i in 0..10u64 {
@@ -351,13 +302,11 @@ mod tests {
         assert_eq!(cpu, [7, 8, 9], "only the last 3 CPU events survive");
         assert_eq!(evs.iter().filter(|e| e.unit == Unit::Net).count(), 2);
         assert!(r.is_empty());
-        assert!(r.is_ring(), "taking events keeps the mode");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be > 0")]
-    fn zero_capacity_ring_panics() {
-        let _ = Recorder::ring(0);
+        // Taking events keeps the mode: the ring still evicts.
+        for i in 0..5u64 {
+            r.instant(0, Unit::Cpu, "cpu", SimTime::from_nanos(i), Bucket::Exec, i);
+        }
+        assert_eq!(r.len(), 3);
     }
 
     /// A sink that counts events — the minimal streaming round-trip.
@@ -379,11 +328,11 @@ mod tests {
     #[test]
     fn streaming_recorder_forwards_and_buffers_nothing() {
         let sink = Arc::new(Mutex::new(CountSink { n: 0, last: None }));
-        let shared: SharedSink = sink.clone();
-        let mut r = Recorder::streaming(shared.clone());
-        assert!(r.is_streaming() && r.is_enabled() && !r.is_ring());
+        let mode = TimelineMode::Stream(sink.clone());
+        let mut r = Recorder::new(mode.clone());
+        assert!(r.is_enabled());
         // Two recorders can share the sink (kernel + T-net pattern).
-        let mut r2 = Recorder::streaming(shared);
+        let mut r2 = Recorder::new(mode);
         r.span(
             0,
             Unit::Cpu,
@@ -402,8 +351,5 @@ mod tests {
         let s = sink.lock().unwrap();
         assert_eq!(s.n, 2);
         assert_eq!(s.last.as_ref().unwrap().cell, 3);
-        drop(s);
-        assert_eq!(r, r.clone(), "recorders sharing a sink compare equal");
-        assert_ne!(r, Recorder::enabled());
     }
 }

@@ -556,7 +556,7 @@ impl Service {
             Ok(Err(msg)) => RunOutcome::CleanFail(msg),
             Err(payload) => RunOutcome::Crashed {
                 status: "panic in worker thread".to_string(),
-                stderr_tail: panic_message(payload.as_ref()),
+                stderr_tail: aputil::panic_message(payload.as_ref()),
             },
         }
     }
@@ -668,16 +668,6 @@ impl Service {
             children: inner.children.len(),
             sandbox: self.cfg.sandbox.is_some(),
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 

@@ -38,7 +38,7 @@
 //! [`StreamWriter`] encodes incrementally against an [`std::io::Write`]
 //! and implements [`apobs::EventSink`], so a >1024-cell machine can
 //! stream its event soup straight to disk without ever materializing the
-//! timeline ([`apobs::Recorder::streaming`]). Decoding is strict: every
+//! timeline ([`apobs::TimelineMode::Stream`]). Decoding is strict: every
 //! length is validated against the remaining input, unknown tags and
 //! malformed UTF-8 are structured [`EvError`]s, and no input — truncated,
 //! bit-flipped, or hostile — panics the reader.

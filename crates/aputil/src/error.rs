@@ -338,6 +338,16 @@ impl fmt::Display for ApError {
 
 impl Error for ApError {}
 
+/// The message of a caught panic (`catch_unwind`'s or `JoinHandle::join`'s
+/// error): `panic!` payloads are a `&str` or a `String`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic (non-string payload)".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,5 +376,17 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ApError>();
+    }
+
+    #[test]
+    fn panic_message_decodes_both_payload_types() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(&*caught(|| panic!("literal"))), "literal");
+        assert_eq!(
+            panic_message(&*caught(|| panic!("formatted {}", 7))),
+            "formatted 7"
+        );
+        let other = caught(|| std::panic::panic_any(7u32));
+        assert_eq!(panic_message(&*other), "panic (non-string payload)");
     }
 }

@@ -32,9 +32,9 @@ pub mod ron;
 pub mod time;
 
 pub use addr::{PAddr, VAddr};
-pub use error::{ApError, ApResult, BlockReason, BlockedCell, DeadlockReport};
+pub use error::{panic_message, ApError, ApResult, BlockReason, BlockedCell, DeadlockReport};
 pub use fault::{CellLostReport, DeliveryFailure, FaultReport, InjectedFault};
-pub use fsio::write_atomic;
+pub use fsio::{write_atomic, TempSibling};
 pub use hash::{fnv1a_64, key_hex, parse_key_hex};
 pub use id::CellId;
 pub use json::{write_json_escaped, Json, JsonError, JsonErrorKind, MAX_JSON_DEPTH};

@@ -118,13 +118,7 @@ impl Tool {
                 return 2;
             }
         };
-        let run = || {
-            if table::TELEMETRY.iter().all(|f| args.accepts(f.name)) {
-                apply_telemetry(&args)?;
-            }
-            (cmd.run)(&args)
-        };
-        match run() {
+        match (cmd.run)(&args) {
             Ok(code) => code,
             Err(CliError::Usage(msg)) => {
                 eprint!("{msg}\n\n{}", self.command_usage(cmd));
@@ -154,24 +148,25 @@ impl std::str::FromStr for SizeArg {
     }
 }
 
-/// Maps the `TELEMETRY` flags onto the process-wide emulator defaults
-/// before any machine is built — the one site that does (DESIGN.md §12).
-fn apply_telemetry(args: &Args) -> Result<(), UsageError> {
+/// Maps the `TELEMETRY` flags onto the prototype machine a command's
+/// drivers carry down to every machine they build — the one site that
+/// does (DESIGN.md §12). The cell count is a placeholder each driver
+/// stamps over.
+fn apply_telemetry(args: &Args) -> Result<apcore::MachineConfig, UsageError> {
+    let mut machine = apcore::MachineConfig::new(1);
     let interval = args.value::<NonZeroU64>("--metrics-interval")?;
     if interval.is_some() || args.switch("--metrics-out") || args.switch("--heatmap") {
         let us = interval.map_or(100, NonZeroU64::get);
-        apcore::set_metrics_default(Some(aputil::SimTime::from_micros(us)));
+        machine.metrics_interval = Some(aputil::SimTime::from_micros(us));
     }
-    if args.switch("--progress") {
-        apcore::set_progress_default(true);
+    machine.progress = args.switch("--progress");
+    // `record` and `replay` decide the timeline themselves.
+    if args.accepts("--flight-recorder") {
+        let cap = args.value::<usize>("--flight-recorder")?;
+        machine = machine.with_flight_recorder(cap.and_then(NonZeroUsize::new));
     }
-    if let Some(cap) = args.value::<usize>("--flight-recorder")? {
-        apcore::set_flight_recorder_default(NonZeroUsize::new(cap));
-    }
-    if let Some(path) = args.value::<PathBuf>("--flight-dump")? {
-        apcore::set_flight_dump_path(Some(path));
-    }
-    Ok(())
+    machine.flight_dump = args.value::<PathBuf>("--flight-dump")?;
+    Ok(machine)
 }
 
 // ---------------------------------------------------------------------------
@@ -303,14 +298,16 @@ fn suite_cmd(args: &Args, cmd: &str) -> Result<i32, CliError> {
     let md_out = args.value::<String>("--md-out")?;
     let rev = args.value::<String>("--rev")?;
     let markdown = args.switch("--markdown");
+    // Every machine the suite builds records its timeline when an
+    // artifact needs it (the bench report's critical-path and divergence
+    // sections, the Chrome trace).
+    let mut machine = apply_telemetry(args)?;
     if trace_out.is_some() || bench_out.is_some() {
-        // Every machine the suite builds records its timeline (the
-        // bench report needs it for critical-path and divergence).
-        apcore::set_timeline_default(true);
+        machine = machine.with_timeline(true);
     }
     eprintln!("running the application suite at {scale:?} scale...");
     let t0 = Instant::now();
-    let rows = crate::run_suite(scale);
+    let rows = crate::run_suite(scale, &machine);
     let secs = t0.elapsed().as_secs_f64();
     eprintln!("suite done in {secs:.1}s (all results verified)");
     if let Some(path) = &trace_out {
@@ -394,6 +391,7 @@ fn sweep_cmd(args: &Args) -> Result<i32, CliError> {
         },
         factors: factors(args)?,
         threads: threads(args)?,
+        machine: apply_telemetry(args)?,
     };
     let rev = args.value::<String>("--rev")?;
     eprintln!(
@@ -427,16 +425,17 @@ fn fault_cmd(args: &Args) -> Result<i32, CliError> {
     let (scale, apps, threads) = (scale(args)?, apps(args, crate::FAULT_APPS)?, threads(args)?);
     let out_path = args.value::<String>("--out")?;
     let faults = args.value::<String>("--faults")?;
+    let machine = apply_telemetry(args)?;
     let cfg = match (faults, args.value::<u64>("--fault-seed")?) {
         (Some(path), None) => FaultSweepConfig {
             spec: load_faults(&path, &apps, scale, None)?,
             scale,
             apps,
             threads,
+            machine,
         },
-        (None, Some(seed)) => {
-            FaultSweepConfig::from_seed(scale, apps, seed, threads).map_err(CliError::Failed)?
-        }
+        (None, Some(seed)) => FaultSweepConfig::from_seed(scale, apps, seed, threads, machine)
+            .map_err(CliError::Failed)?,
         _ => {
             return Err(usage_err(
                 "fault takes exactly one of --faults, --fault-seed",
@@ -501,9 +500,19 @@ fn record_cmd(args: &Args) -> Result<i32, CliError> {
         }
     };
     let stream = args.switch("--stream");
+    let machine = apply_telemetry(args)?;
     let t0 = Instant::now();
     let mut failed = false;
-    for r in record::record_apps(&outs, scale, size, fault.as_ref(), stream, threads) {
+    let recorded = record::record_apps(
+        &outs,
+        scale,
+        size,
+        fault.as_ref(),
+        stream,
+        threads,
+        &machine,
+    );
+    for r in recorded {
         match r {
             Ok(rec) => eprintln!(
                 "recorded {} to {} ({} events, {} bytes, final time {})",
@@ -548,7 +557,7 @@ fn replay_cmd(args: &Args) -> Result<i32, CliError> {
         doc.header.app, doc.header.ncells, doc.header.scale
     );
     let t0 = Instant::now();
-    let conf = record::conformance(&doc, mode)
+    let conf = record::conformance_on(&doc, mode, &apply_telemetry(args)?)
         .map_err(|e| CliError::Failed(format!("replay failed: {e}")))?;
     eprintln!("replay done in {:.1}s", t0.elapsed().as_secs_f64());
     print!("{}", conf.render());
@@ -764,14 +773,13 @@ fn probe_cmd(args: &Args) -> Result<i32, CliError> {
             "no workload '{name}' (expected one of: {names})"
         )));
     };
-    if trace_out.is_some() {
-        // Every machine built from here on records its event timeline.
-        apcore::set_timeline_default(true);
-    }
     let failed = |what: &str, e: &dyn std::fmt::Display| {
         CliError::Failed(format!("{name} failed {what}: {e}"))
     };
-    let report = w.run().map_err(|e| failed("on the emulator", &e))?;
+    let machine = apcore::MachineConfig::new(w.pe()).with_timeline(trace_out.is_some());
+    let report = w
+        .run_on(machine, None)
+        .map_err(|e| failed("on the emulator", &e))?;
     let models = [
         ModelParams::ap1000(),
         ModelParams::ap1000_star(),
@@ -867,15 +875,20 @@ mod table {
         REV,
         Flag::new("--md-out FILE", "write the full Markdown report to FILE"),
     ];
-    /// Applied by [`apply_telemetry`] for every command that lists the group.
-    pub(super) const TELEMETRY: &[Flag] = &[
-        Flag::new("--metrics-out FILE", "write the ap1000plus.metrics artifact (suite and sweep runs); implies sampling"),
-        Flag::new("--metrics-interval USECS", "sim-time sampling period (default 100); implies sampling"),
-        Flag::new("--heatmap", "print ASCII torus heatmaps; implies sampling"),
-        Flag::new("--progress", "rate-limited live progress lines per emulator run"),
+    const METRICS_OUT: Flag = Flag::new("--metrics-out FILE", "write the ap1000plus.metrics artifact (suite and sweep runs); implies sampling");
+    const METRICS_INTERVAL: Flag = Flag::new("--metrics-interval USECS", "sim-time sampling period (default 100); implies sampling");
+    const HEATMAP: Flag = Flag::new("--heatmap", "print ASCII torus heatmaps; implies sampling");
+    const PROGRESS: Flag = Flag::new("--progress", "rate-limited live progress lines per emulator run");
+    const FLIGHT_DUMP: Flag = Flag::new("--flight-dump FILE", "write the recorded tail as a Chrome trace when a run dies");
+    /// Read by [`apply_telemetry`] in every command that lists the group.
+    const TELEMETRY: &[Flag] = &[
+        METRICS_OUT, METRICS_INTERVAL, HEATMAP, PROGRESS,
         Flag::new("--flight-recorder N", "keep only the last N timeline events per cell unit (the only mode past 1024 cells)"),
-        Flag::new("--flight-dump FILE", "write the recorded tail as a Chrome trace when a run dies"),
+        FLIGHT_DUMP,
     ];
+    /// [`TELEMETRY`] for `record` and `replay`, which choose the timeline
+    /// mode themselves: a flight recorder could only truncate a recording.
+    const TELEMETRY_RECORDING: &[Flag] = &[METRICS_OUT, METRICS_INTERVAL, HEATMAP, PROGRESS, FLIGHT_DUMP];
     const SUITE: &[&[Flag]] = &[SCALE, SUITE_OUT, TELEMETRY];
     const FIG7: &[Flag] = &[Flag::new("--bytes N", "message size in bytes (> 0, default 1600)")];
     const ASCII: &[Flag] = &[Flag::new("--ascii", "render ASCII stacked bars")];
@@ -894,7 +907,7 @@ mod table {
         Flag::new("--out-dir DIR", "write APP.evtrace per app into DIR"),
         Flag::new("--size N", "machine size in cells (1..=65536)"),
         FAULTS,
-        Flag::new("--stream", "stream events to disk instead of buffering (always on past 1024 cells)"),
+        Flag::new("--stream", "stream events to disk instead of buffering (always on past 1024 cells); fans out over --threads like buffered recording"),
     ];
     const REPLAY: &[Flag] = &[
         Flag::new("--lenient", "compare final simulated times only and print the divergence"),
@@ -953,8 +966,8 @@ mod table {
         cmd("compare",   "diff two bench reports, exit 1 on regression", &["BASELINE.json", "CURRENT.json"], &[COMPARE], compare_cmd),
         cmd("sweep",     "parallel app x size x factor grid (needs --bench-out)", &[], SWEEP, sweep_cmd),
         cmd("fault",     "run apps under a fault-injection schedule",   &[], &[FAULT, SCALE, THREADS, TELEMETRY],  fault_cmd),
-        cmd("record",    "record runs as binary .evtrace files",        &[], &[RECORD, SCALE, THREADS, TELEMETRY], record_cmd),
-        cmd("replay",    "re-execute and gate against a recording, or seek into it", TRACE, &[REPLAY, TELEMETRY], replay_cmd),
+        cmd("record",    "record runs as binary .evtrace files",        &[], &[RECORD, SCALE, THREADS, TELEMETRY_RECORDING], record_cmd),
+        cmd("replay",    "re-execute and gate against a recording, or seek into it", TRACE, &[REPLAY, TELEMETRY_RECORDING], replay_cmd),
         cmd("remodel",   "replay recorded traffic under scaled models, no emulator", TRACE, &[REMODEL],          remodel_cmd),
         cmd("serve",     "simulation-as-a-service job server",          &[], &[SERVE],                         serve_cmd),
         cmd("submit",    "client for a running repro serve (exit 3 = queue full)", &[], &[SUBMIT],              submit_cmd),

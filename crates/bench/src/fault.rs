@@ -1,6 +1,6 @@
 //! `repro fault` — application runs under deterministic fault injection.
 //!
-//! Runs each selected workload through [`apapps::Workload::run_faulted`]
+//! Runs each selected workload through [`apapps::Workload::run_on`]
 //! with one shared [`FaultSpec`], fanning the apps across host threads
 //! exactly like [`crate::run_sweep`], and renders one merged text report
 //! **deterministically in app order** — byte-identical for any thread
@@ -10,7 +10,7 @@
 
 use crate::sweep::build_workload;
 use apapps::Scale;
-use apcore::FaultSpec;
+use apcore::{FaultSpec, MachineConfig};
 use aputil::{FaultReport, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -29,6 +29,9 @@ pub struct FaultSweepConfig {
     pub spec: FaultSpec,
     /// Host worker threads (clamped to `[1, app count]`).
     pub threads: usize,
+    /// Run options of every app's machine (a prototype: each app stamps
+    /// its own cell count onto a clone).
+    pub machine: MachineConfig,
 }
 
 impl FaultSweepConfig {
@@ -42,6 +45,7 @@ impl FaultSweepConfig {
         apps: Vec<String>,
         seed: u64,
         threads: usize,
+        machine: MachineConfig,
     ) -> Result<FaultSweepConfig, String> {
         let max_pe = largest_machine(&apps, scale, None)
             .ok_or_else(|| format!("no runnable app among {apps:?}"))?;
@@ -50,6 +54,7 @@ impl FaultSweepConfig {
             apps,
             spec: FaultSpec::random(seed, max_pe, true),
             threads,
+            machine,
         })
     }
 }
@@ -84,16 +89,15 @@ pub struct FaultOutcome {
     pub failures: Vec<String>,
 }
 
-fn run_app(scale: Scale, app: &str, spec: &FaultSpec) -> Result<FaultRow, String> {
-    let w = build_workload(app, scale, None)?;
-    let report = catch_unwind(AssertUnwindSafe(|| w.run_faulted(spec)))
+fn run_app(cfg: &FaultSweepConfig, app: &str) -> Result<FaultRow, String> {
+    let w = build_workload(app, cfg.scale, None)?;
+    let machine = cfg.machine.clone().with_cells(w.pe());
+    let report = catch_unwind(AssertUnwindSafe(|| w.run_on(machine, Some(&cfg.spec))))
         .map_err(|e| {
-            let msg = e
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| e.downcast_ref::<&str>().copied())
-                .unwrap_or("panic (non-string payload)");
-            format!("verification panicked: {msg}")
+            format!(
+                "verification panicked: {}",
+                aputil::panic_message(e.as_ref())
+            )
         })?
         .map_err(|e| e.to_string())?;
     let fault = report
@@ -112,7 +116,7 @@ fn run_app(scale: Scale, app: &str, spec: &FaultSpec) -> Result<FaultRow, String
 /// serializes to the same bytes for any `threads`.
 pub fn run_fault_sweep(cfg: &FaultSweepConfig) -> FaultOutcome {
     let collected = aputil::par_map_ordered(&cfg.apps, cfg.threads, |app| {
-        run_app(cfg.scale, app, &cfg.spec).map_err(|e| format!("{app}: {e}"))
+        run_app(cfg, app).map_err(|e| format!("{app}: {e}"))
     });
     let mut rows = Vec::new();
     let mut failures = Vec::new();
@@ -188,6 +192,7 @@ mod tests {
                 ],
             },
             threads,
+            machine: MachineConfig::new(1),
         }
     }
 
@@ -209,6 +214,7 @@ mod tests {
             apps: vec!["EP".into()],
             spec: FaultSpec::quiet(),
             threads: 1,
+            machine: MachineConfig::new(1),
         };
         let out = run_fault_sweep(&cfg);
         assert!(out.rows.is_empty());

@@ -7,6 +7,7 @@
 //! normalized time breakdown.
 
 use apapps::{standard_suite, Scale, Workload};
+use apcore::{MachineConfig, TimelineMode};
 use apobs::{Counters, CritPath, Timeline};
 use aptrace::{AppStats, StatsRow};
 use aputil::Json;
@@ -25,8 +26,8 @@ pub use fault::{
     fault_sweep_text, run_fault_sweep, FaultOutcome, FaultRow, FaultSweepConfig, FAULT_APPS,
 };
 pub use record::{
-    conformance, record_app, remodel_rows, remodel_text, seek_report, trace_stats, Conformance,
-    RecordedTrace, ReplayMode, TraceStats,
+    conformance, conformance_on, record_app, record_app_on, remodel_rows, remodel_text,
+    seek_report, trace_stats, Conformance, RecordedTrace, ReplayMode, TraceStats,
 };
 pub use report::{
     bench_report, compare_reports, markdown_report, write_bench_report, CompareReport, Regression,
@@ -173,39 +174,44 @@ pub fn suite_json(rows: &[ExperimentRow]) -> Json {
     Json::Arr(rows.iter().map(|r| r.to_json()).collect())
 }
 
-/// Runs one workload end-to-end (emulate → verify → replay×3).
-///
-/// # Panics
-///
-/// Panics if the workload fails to verify or its trace fails to replay —
-/// both indicate bugs worth failing loudly on in a harness.
-pub fn run_experiment(w: &dyn Workload) -> ExperimentRow {
+/// One experiment: emulate `w` on `machine` (a prototype — its options on
+/// a machine of the workload's own size), verify, take the Table-3
+/// statistics, and replay the trace under the three models with each
+/// `computation_factor` scaled by `factor`. `label` names the row. A run
+/// that buffered its full timeline is also analyzed (critical path,
+/// emulator-vs-model divergence); a flight-recorder tail is not a
+/// timeline to analyze.
+fn experiment(
+    w: &dyn Workload,
+    machine: &MachineConfig,
+    factor: f64,
+    label: String,
+) -> Result<ExperimentRow, String> {
+    let analyze = matches!(machine.timeline, TimelineMode::Full);
     let report = w
-        .run()
-        .unwrap_or_else(|e| panic!("{} failed on the emulator: {e}", w.name()));
+        .run_on(machine.clone().with_cells(w.pe()), None)
+        .map_err(|e| format!("{label} failed on the emulator: {e}"))?;
     let stats = AppStats::from_trace(&report.trace).to_row();
-    let run = |m: ModelParams| {
-        replay(&report.trace, &m)
-            .unwrap_or_else(|e| panic!("{} failed replay under {}: {e}", w.name(), m.name))
+    let run = |mut m: ModelParams, observed: bool| {
+        m.computation_factor *= factor;
+        // Have the replay record its timeline too when the run is analyzed.
+        let result = if observed {
+            replay_observed(&report.trace, &m, true)
+        } else {
+            replay(&report.trace, &m)
+        };
+        result.map_err(|e| format!("{label} failed replay under {}: {e}", m.name))
     };
-    let ap1000 = run(ModelParams::ap1000());
-    let star = run(ModelParams::ap1000_star());
-    // If the emulator recorded its timeline, have the AP1000+ replay record
-    // one too so the run can be analyzed (critical path, divergence).
-    let analyze = !report.timeline.events.is_empty();
-    let plus = if analyze {
-        replay_observed(&report.trace, &ModelParams::ap1000_plus(), true)
-            .unwrap_or_else(|e| panic!("{} failed replay under ap1000+: {e}", w.name()))
-    } else {
-        run(ModelParams::ap1000_plus())
-    };
+    let ap1000 = run(ModelParams::ap1000(), false)?;
+    let star = run(ModelParams::ap1000_star(), false)?;
+    let plus = run(ModelParams::ap1000_plus(), analyze)?;
     let mut timeline = report.timeline;
-    timeline.source = w.name().to_string();
+    timeline.source = label.clone();
     let critpath = analyze.then(|| apobs::critical_path(&timeline));
     let divergence = analyze
         .then(|| mlsim::divergence(&timeline, &plus.timeline, &report.counters, &plus.counters));
-    ExperimentRow {
-        name: w.name().to_string(),
+    Ok(ExperimentRow {
+        name: label,
         pe: w.pe(),
         stats,
         ap1000,
@@ -218,18 +224,36 @@ pub fn run_experiment(w: &dyn Workload) -> ExperimentRow {
         divergence,
         host_ms: None,
         metrics: report.metrics,
-    }
+    })
 }
 
-/// Runs the full suite at `scale`, fanning the workloads across host
-/// threads (each simulation is fully independent). Rows come back in
-/// Table-2 order regardless of completion order, and every simulated
-/// number is identical to a serial run — only host wall-clock changes.
-pub fn run_suite(scale: Scale) -> Vec<ExperimentRow> {
+/// Runs one workload end-to-end (emulate → verify → replay×3) on a
+/// default machine.
+///
+/// # Panics
+///
+/// Panics if the workload fails to verify or its trace fails to replay —
+/// both indicate bugs worth failing loudly on in a harness.
+pub fn run_experiment(w: &dyn Workload) -> ExperimentRow {
+    experiment(w, &MachineConfig::new(w.pe()), 1.0, w.name().to_string())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Runs the full suite at `scale` with `machine`'s run options, fanning
+/// the workloads across host threads (each simulation is fully
+/// independent). Rows come back in Table-2 order regardless of completion
+/// order, and every simulated number is identical to a serial run — only
+/// host wall-clock changes.
+///
+/// # Panics
+///
+/// Like [`run_experiment`].
+pub fn run_suite(scale: Scale, machine: &MachineConfig) -> Vec<ExperimentRow> {
     let suite = standard_suite(scale);
     aputil::par_map_ordered(&suite, aputil::available_threads(), |w| {
         let t0 = std::time::Instant::now();
-        let mut row = run_experiment(w.as_ref());
+        let mut row = experiment(w.as_ref(), machine, 1.0, w.name().to_string())
+            .unwrap_or_else(|e| panic!("{e}"));
         row.host_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
         row
     })
@@ -579,8 +603,9 @@ mod tests {
         // Acceptance: with timelines on, the reported critical path's total
         // equals the run's simulated total time, and the bench report
         // carries critical-path + per-segment latency + Figure-8 data.
-        apcore::set_timeline_default(true);
-        let row = run_experiment(&apapps::tomcatv::Tomcatv::new(Scale::Test, true));
+        let tc = apapps::tomcatv::Tomcatv::new(Scale::Test, true);
+        let machine = MachineConfig::new(1).with_timeline(true);
+        let row = experiment(&tc, &machine, 1.0, "TC st".into()).expect("TC st runs");
         let cp = row.critpath.as_ref().expect("critical path computed");
         assert_eq!(
             cp.total, row.emulator_total,

@@ -7,13 +7,17 @@
 //! replays, sampled counter ticks when telemetry is on, and the injected
 //! fault schedule when the run was faulted. Machines past 1024 cells
 //! stream events straight to disk through [`aptrace::StreamWriter`]
-//! instead of holding the timeline in memory.
+//! instead of holding the timeline in memory. Each recording owns its
+//! writer — it rides in that one machine's [`MachineConfig`] — so any
+//! number of recordings, streamed or buffered, run side by side.
 //!
 //! **Replay** re-executes the recorded workload — the emulator is
 //! deterministic, so a healthy tree reproduces the recording event for
 //! event — and gates the new run against the file. Strict mode fails on
 //! the first mismatching event with a two-sided context window; lenient
-//! mode only compares final simulated times. `--at` skips re-execution
+//! mode only compares final simulated times (and counts the fresh run's
+//! events as they stream past, so it works at any machine size). `--at`
+//! skips re-execution
 //! entirely and reconstructs machine state (in-flight transfers, queue
 //! depths, blocked cells) at a recorded sim-time: time-travel debugging
 //! from the trace alone.
@@ -25,6 +29,7 @@
 use crate::sweep::build_workload;
 use crate::ExperimentRow;
 use apapps::Scale;
+use apcore::{MachineConfig, TimelineMode};
 use apobs::{Bucket, Timeline, TimelineEvent, Unit};
 use aptrace::{AppStats, CounterTicks, EvHeader, EvTrace, StreamWriter};
 use aputil::{ApError, SimTime};
@@ -147,17 +152,7 @@ fn finalize_writer<W: Write>(
     Ok(events)
 }
 
-/// Records one workload run into `out`.
-///
-/// Machines past 1024 cells (or any size with `stream` set) write
-/// through the process-global streaming sink — events go to disk as they
-/// happen and never accumulate in memory, which is the only way machines
-/// past the in-memory timeline refusal can record. Streaming installs a
-/// process-wide sink, so streamed recordings must not run concurrently
-/// with other machine-building work in the same process; the `repro
-/// record` driver serializes them. Buffered recordings (the default at
-/// small scale) write the post-run *sorted* timeline, making the file
-/// byte-reproducible for a given workload regardless of host threads.
+/// Records one workload run into `out` on a default machine.
 pub fn record_app(
     app: &str,
     scale: Scale,
@@ -166,51 +161,65 @@ pub fn record_app(
     out: &Path,
     stream: bool,
 ) -> Result<RecordedTrace, ApError> {
+    record_app_on(app, scale, size, fault, out, stream, &MachineConfig::new(1))
+}
+
+/// Records one workload run into `out`, with `machine`'s sampling,
+/// progress and post-mortem options. Where the timeline goes is decided
+/// here and nowhere else: machines past 1024 cells (or any size with
+/// `stream` set) stream to this recording's own writer — events go to
+/// disk as they happen and never accumulate in memory, which is the only
+/// way machines past the in-memory timeline refusal can record. Buffered
+/// recordings (the default at small scale) write the post-run *sorted*
+/// timeline, making the file byte-reproducible for a given workload
+/// regardless of host threads.
+///
+/// The bytes land in a temporary sibling of `out` that is renamed into
+/// place once the trailer is written (no `fsync`: a recording can be
+/// re-recorded): a run that fails — or panics — leaves `out` untouched.
+pub fn record_app_on(
+    app: &str,
+    scale: Scale,
+    size: Option<u32>,
+    fault: Option<&apcore::FaultSpec>,
+    out: &Path,
+    stream: bool,
+    machine: &MachineConfig,
+) -> Result<RecordedTrace, ApError> {
     let w = build_workload(app, scale, size).map_err(ApError::InvalidArg)?;
-    apcore::set_timeline_default(true);
     let header = EvHeader::new(w.pe(), w.name(), &scale_label(scale));
     let path_str = out.display().to_string();
-    let file = File::create(out).map_err(|e| ApError::io(path_str.clone(), e))?;
-    let bufw = BufWriter::new(file);
-    let run = || match fault {
-        Some(spec) => w.run_faulted(spec),
-        None => w.run(),
-    };
-    let events;
-    let total;
-    if stream || w.pe() > 1024 {
-        let writer = Arc::new(Mutex::new(StreamWriter::new(bufw, &path_str, &header)));
-        apcore::set_evtrace_sink(Some(writer.clone() as apobs::SharedSink));
-        let result = run();
-        apcore::set_evtrace_sink(None);
-        let report = result?;
-        let mut sw = writer.lock().expect("stream writer poisoned");
-        events = finalize_writer(&mut sw, &report, fault)?;
-        total = report.total_time;
+    let io_err = |e| ApError::io(path_str.clone(), e);
+    let tmp = aputil::TempSibling::new(out).map_err(io_err)?;
+    let bufw = BufWriter::new(File::create(tmp.path()).map_err(io_err)?);
+    let writer = Arc::new(Mutex::new(StreamWriter::new(bufw, &path_str, &header)));
+    let streamed = stream || w.pe() > 1024;
+    let mut machine = machine.clone().with_cells(w.pe());
+    machine.timeline = if streamed {
+        TimelineMode::Stream(writer.clone())
     } else {
-        let report = run()?;
-        let mut sw = StreamWriter::new(bufw, &path_str, &header);
+        TimelineMode::Full
+    };
+    let report = w.run_on(machine, fault)?;
+    let mut sw = writer.lock().expect("stream writer poisoned");
+    if !streamed {
         sw.write_events("emulator", &report.timeline.events);
-        events = finalize_writer(&mut sw, &report, fault)?;
-        total = report.total_time;
     }
-    let bytes = std::fs::metadata(out)
-        .map_err(|e| ApError::io(path_str, e))?
-        .len();
+    let events = finalize_writer(&mut sw, &report, fault)?;
+    let bytes = std::fs::metadata(tmp.path()).map_err(io_err)?.len();
+    tmp.commit().map_err(io_err)?;
     Ok(RecordedTrace {
         app: w.name().to_string(),
         path: out.to_path_buf(),
         events,
         bytes,
-        total,
+        total: report.total_time,
     })
 }
 
 /// Records each `(app, output path)` pair, fanning the apps across
 /// `threads` host workers; results come back in `outs` order, failures
-/// as `"<app>: <error>"`. Streaming installs a process-global sink, so
-/// streamed recordings must not share the process with other machine
-/// builds: they run one at a time.
+/// as `"<app>: <error>"`.
 pub fn record_apps(
     outs: &[(String, PathBuf)],
     scale: Scale,
@@ -218,10 +227,11 @@ pub fn record_apps(
     fault: Option<&apcore::FaultSpec>,
     stream: bool,
     threads: usize,
+    machine: &MachineConfig,
 ) -> Vec<Result<RecordedTrace, String>> {
-    let workers = if stream { 1 } else { threads };
-    aputil::par_map_ordered(outs, workers, |(app, path)| {
-        record_app(app, scale, size, fault, path, stream).map_err(|e| format!("{app}: {e}"))
+    aputil::par_map_ordered(outs, threads, |(app, path)| {
+        record_app_on(app, scale, size, fault, path, stream, machine)
+            .map_err(|e| format!("{app}: {e}"))
     })
 }
 
@@ -340,46 +350,88 @@ fn render_mismatch(rec: &[TimelineEvent], rep: &[TimelineEvent], i: usize) -> St
     s
 }
 
-/// Re-executes the workload a trace records and gates the fresh run
-/// against it. Faulted recordings re-run under the recorded schedule.
+/// An [`apobs::EventSink`] that only counts: what a lenient replay
+/// streams its re-execution into.
+struct CountSink(usize);
+
+impl apobs::EventSink for CountSink {
+    fn event(&mut self, _: &TimelineEvent) {
+        self.0 += 1;
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// [`conformance_on`] a default machine.
+pub fn conformance(doc: &EvTrace, mode: ReplayMode) -> Result<Conformance, ApError> {
+    conformance_on(doc, mode, &MachineConfig::new(1))
+}
+
+/// Re-executes the workload a trace records, with `machine`'s sampling,
+/// progress and post-mortem options, and gates the fresh run against it.
+/// Faulted recordings re-run under the recorded schedule. Strict mode
+/// buffers the fresh run's full timeline (both event sets are sorted in
+/// memory, so it stops at 1024 cells); lenient mode streams it into a
+/// counter and works at any size.
 ///
 /// # Errors
 ///
 /// Errors when the header names an unknown app or scale, the fault RON
-/// fails to parse, or the re-executed run itself fails.
-pub fn conformance(doc: &EvTrace, mode: ReplayMode) -> Result<Conformance, ApError> {
+/// fails to parse, strict mode is asked of a recording past 1024 cells,
+/// or the re-executed run itself fails.
+pub fn conformance_on(
+    doc: &EvTrace,
+    mode: ReplayMode,
+    machine: &MachineConfig,
+) -> Result<Conformance, ApError> {
     let scale = parse_scale_label(&doc.header.scale).map_err(ApError::InvalidArg)?;
     let w = build_workload(&doc.header.app, scale, Some(doc.header.ncells))
         .map_err(ApError::InvalidArg)?;
-    apcore::set_timeline_default(true);
+    if mode == ReplayMode::Strict && w.pe() > 1024 {
+        return Err(ApError::InvalidArg(format!(
+            "strict replay sorts both event sets in memory and stops at 1024 cells; \
+             this recording has {} — use --lenient (final times and event counts)",
+            w.pe()
+        )));
+    }
     let fault = doc
         .fault_ron
         .as_deref()
         .map(apfault::from_ron)
         .transpose()
         .map_err(|e| ApError::InvalidArg(format!("recorded fault schedule: {e}")))?;
-    let report = match &fault {
-        Some(spec) => w.run_faulted(spec)?,
-        None => w.run()?,
+    let counter = Arc::new(Mutex::new(CountSink(0)));
+    let mut machine = machine.clone().with_cells(w.pe());
+    machine.timeline = match mode {
+        ReplayMode::Strict => TimelineMode::Full,
+        ReplayMode::Lenient => TimelineMode::Stream(counter.clone()),
     };
-    let rec = canonical(doc.all_events());
-    let rep = canonical(report.timeline.events.clone());
-    let mismatch = match mode {
-        ReplayMode::Lenient => None,
+    let report = w.run_on(machine, fault.as_ref())?;
+    let (recorded_events, replayed_events, mismatch) = match mode {
+        ReplayMode::Lenient => {
+            let recorded = doc.streams.iter().map(|s| s.events.len()).sum();
+            let replayed = counter.lock().expect("event counter poisoned").0;
+            (recorded, replayed, None)
+        }
         ReplayMode::Strict => {
+            let rec = canonical(doc.all_events());
+            let rep = canonical(report.timeline.events);
             let i = rec
                 .iter()
                 .zip(rep.iter())
                 .position(|(a, b)| a != b)
                 .or((rec.len() != rep.len()).then(|| rec.len().min(rep.len())));
-            i.map(|i| render_mismatch(&rec, &rep, i))
+            let mismatch = i.map(|i| render_mismatch(&rec, &rep, i));
+            (rec.len(), rep.len(), mismatch)
         }
     };
     Ok(Conformance {
         app: doc.header.app.clone(),
         mode,
-        recorded_events: rec.len(),
-        replayed_events: rep.len(),
+        recorded_events,
+        replayed_events,
         recorded_total_ns: doc.summary.total_ns,
         replayed_total_ns: report.total_time.as_nanos(),
         mismatch,
@@ -694,6 +746,58 @@ mod tests {
         let lenient = conformance(&doc, ReplayMode::Lenient).expect("lenient replay");
         assert!(lenient.passed(), "{}", lenient.render());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_recording_leaves_no_file() {
+        // 7 PEs do not divide MatMul's rows: the run is refused after the
+        // output file was opened, streamed or not.
+        let dir = tmp("failed-dir");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        for stream in [false, true] {
+            let path = dir.join("MatMul.evtrace");
+            let err = record_app("MatMul", Scale::Test, Some(7), None, &path, stream)
+                .expect_err("7 PEs cannot run MatMul");
+            assert!(err.to_string().contains("pe must divide n"), "{err}");
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(left.is_empty(), "streamed {stream}: {left:?}");
+        }
+        // An existing recording survives a failed re-recording untouched.
+        let path = dir.join("EP.evtrace");
+        record_app("EP", Scale::Test, None, None, &path, false).expect("record EP");
+        let before = std::fs::read(&path).unwrap();
+        let quiet = apcore::FaultSpec::quiet();
+        record_app("EP", Scale::Test, None, Some(&quiet), &path, true)
+            .expect_err("EP has no fault support");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lenient_replay_of_a_streamed_recording_counts_without_buffering() {
+        let path = tmp("cg-lenient.evtrace");
+        let rec = record_app("CG", Scale::Test, None, None, &path, true).expect("record CG");
+        let doc = EvTrace::read_file(&path).expect("decode");
+        let conf = conformance(&doc, ReplayMode::Lenient).expect("lenient replay");
+        assert!(conf.passed(), "{}", conf.render());
+        assert_eq!(conf.recorded_events as u64, rec.events);
+        assert_eq!(conf.replayed_events as u64, rec.events);
+        assert!(conf.mismatch.is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn strict_replay_past_1024_cells_points_at_lenient() {
+        let doc = EvTrace {
+            header: EvHeader::new(2048, "CG", "test"),
+            ..EvTrace::read_file(Path::new(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/traces/cg_test.evtrace"
+            )))
+            .expect("golden trace decodes")
+        };
+        let err = conformance(&doc, ReplayMode::Strict).expect_err("refused up front");
+        assert!(err.to_string().contains("--lenient"), "{err}");
     }
 
     #[test]

@@ -75,6 +75,7 @@ fn run_bench_like(req: &CanonRequest) -> Result<String, String> {
         sizes,
         factors: factors_of(req),
         threads: aputil::available_threads(),
+        machine: apcore::MachineConfig::new(1),
     };
     let out = run_sweep(&cfg);
     if !out.failures.is_empty() {
@@ -94,7 +95,9 @@ fn run_fault(req: &CanonRequest) -> Result<String, String> {
         .field("fault_seed")
         .and_then(Json::as_u64)
         .ok_or("canonical request lost its fault_seed")?;
-    let cfg = FaultSweepConfig::from_seed(scale, apps, seed, aputil::available_threads())?;
+    let threads = aputil::available_threads();
+    let cfg =
+        FaultSweepConfig::from_seed(scale, apps, seed, threads, apcore::MachineConfig::new(1))?;
     let out = run_fault_sweep(&cfg);
     if !out.failures.is_empty() {
         return Err(format!(

@@ -12,8 +12,7 @@
 
 use crate::ExperimentRow;
 use apapps::{Scale, Workload};
-use aptrace::AppStats;
-use mlsim::{replay, ModelParams};
+use apcore::MachineConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// CLI names of the sweepable applications, in Table-2 order. `TCst` and
@@ -58,6 +57,9 @@ pub struct SweepConfig {
     pub factors: Vec<f64>,
     /// Host worker threads (clamped to `[1, grid size]`).
     pub threads: usize,
+    /// Run options of every grid point's machine (a prototype: each
+    /// point stamps its own cell count onto a clone).
+    pub machine: MachineConfig,
 }
 
 impl SweepConfig {
@@ -81,11 +83,11 @@ impl SweepConfig {
 }
 
 /// A finished sweep: rows in grid order, plus the grid points that
-/// panicked (label + panic message), also in grid order.
+/// failed (label + error or panic message), also in grid order.
 pub struct SweepOutcome {
     /// One row per successful grid point, in [`SweepConfig::grid`] order.
     pub rows: Vec<ExperimentRow>,
-    /// `"<label>: <panic message>"` per failed grid point.
+    /// `"<label>: <message>"` per failed grid point.
     pub failures: Vec<String>,
 }
 
@@ -126,56 +128,22 @@ pub fn build_workload(
 
 /// Runs one grid point: emulate once, then replay the trace under the
 /// three models with each `computation_factor` scaled by the point's
-/// multiplier. Panics on failure (the sweep driver catches and reports).
-fn run_point(scale: Scale, p: &SweepPoint) -> ExperimentRow {
-    let label = p.label();
-    let w = build_workload(&p.app, scale, p.pe).unwrap_or_else(|e| panic!("{e}"));
-    let report = w
-        .run()
-        .unwrap_or_else(|e| panic!("{label} failed on the emulator: {e}"));
-    let stats = AppStats::from_trace(&report.trace).to_row();
-    let run = |mut m: ModelParams| {
-        m.computation_factor *= p.factor;
-        replay(&report.trace, &m)
-            .unwrap_or_else(|e| panic!("{label} failed replay under {}: {e}", m.name))
-    };
-    let ap1000 = run(ModelParams::ap1000());
-    let star = run(ModelParams::ap1000_star());
-    let plus = run(ModelParams::ap1000_plus());
-    let mut timeline = report.timeline;
-    timeline.source = label.clone();
-    ExperimentRow {
-        name: label,
-        pe: w.pe(),
-        stats,
-        ap1000,
-        star,
-        plus,
-        emulator_total: report.total_time,
-        counters: report.counters,
-        timeline,
-        critpath: None,
-        divergence: None,
-        host_ms: None,
-        metrics: report.metrics,
-    }
+/// multiplier.
+fn run_point(cfg: &SweepConfig, p: &SweepPoint) -> Result<ExperimentRow, String> {
+    let w = build_workload(&p.app, cfg.scale, p.pe)?;
+    crate::experiment(w.as_ref(), &cfg.machine, p.factor, p.label())
 }
 
 /// Fans the grid across `cfg.threads` workers and merges the results in
 /// grid order. Simulated numbers are independent of the thread count;
 /// `run_sweep` with 1 thread and with N threads serialize to the same
-/// bytes.
+/// bytes. A point that fails — or panics — becomes a failure line.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepOutcome {
     let grid = cfg.grid();
     let collected = aputil::par_map_ordered(&grid, cfg.threads, |p| {
-        catch_unwind(AssertUnwindSafe(|| run_point(cfg.scale, p))).map_err(|e| {
-            let msg = e
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| e.downcast_ref::<&str>().copied())
-                .unwrap_or("panic (non-string payload)");
-            format!("{}: {msg}", p.label())
-        })
+        catch_unwind(AssertUnwindSafe(|| run_point(cfg, p)))
+            .unwrap_or_else(|e| Err(aputil::panic_message(e.as_ref())))
+            .map_err(|msg| format!("{}: {msg}", p.label()))
     });
     let mut rows = Vec::new();
     let mut failures = Vec::new();
@@ -200,6 +168,7 @@ mod tests {
             sizes: vec![None, Some(4)],
             factors: vec![0.5, 1.0],
             threads,
+            machine: MachineConfig::new(1),
         }
     }
 
@@ -241,6 +210,7 @@ mod tests {
             sizes: vec![None],
             factors: vec![0.5, 1.0],
             threads: 2,
+            machine: MachineConfig::new(1),
         };
         let out = run_sweep(&cfg);
         assert!(out.failures.is_empty(), "{:?}", out.failures);
@@ -267,6 +237,7 @@ mod tests {
             sizes: vec![None],
             factors: vec![1.0],
             threads: 1,
+            machine: MachineConfig::new(1),
         };
         let out = run_sweep(&cfg);
         assert!(out.rows.is_empty());

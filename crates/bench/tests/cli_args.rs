@@ -297,6 +297,90 @@ fn a_fault_file_naming_cells_no_selected_machine_has_is_rejected() {
 }
 
 #[test]
+fn record_and_replay_refuse_the_flight_recorder() {
+    // A ring on a recording keeps its tail and drops the rest; the
+    // commands that take the flag for post-mortems still do.
+    assert_usage_error(
+        repro(&[
+            "record",
+            "--apps",
+            "CG",
+            "--scale",
+            "test",
+            "--flight-recorder",
+            "4",
+            "--trace-out",
+            "/tmp/never-written.evtrace",
+        ]),
+        "--flight-recorder",
+    );
+    assert_usage_error(
+        repro(&["replay", "t.evtrace", "--flight-recorder", "4"]),
+        "--flight-recorder",
+    );
+    // Past the parser, so the flag was accepted: the app is what is wrong.
+    // (`--bench-out` is renamed into place, so it must be a plain path.)
+    let report = std::env::temp_dir().join(format!("ap-fr-sweep-{}.json", std::process::id()));
+    let out = repro(&[
+        "sweep",
+        "--bench-out",
+        report.to_str().expect("utf-8 temp path"),
+        "--apps",
+        "NoSuchApp",
+        "--flight-recorder",
+        "4",
+    ]);
+    let _ = std::fs::remove_file(&report);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+}
+
+#[test]
+fn a_size_the_problem_does_not_decompose_over_is_a_failure_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("ap-bad-size-{}", std::process::id()));
+    let out = repro(&[
+        "record",
+        "--apps",
+        "MatMul",
+        "--scale",
+        "test",
+        "--size",
+        "2048",
+        "--out-dir",
+        dir.to_str().expect("utf-8 temp path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("FAILED  MatMul: "), "{stderr}");
+    assert!(stderr.contains("pe must divide n"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("--out-dir exists").collect();
+    assert!(left.is_empty(), "no half-written recording: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The sweep's failure line carries the same text, without a banner.
+    let report = std::env::temp_dir().join(format!("ap-bad-size-{}.json", std::process::id()));
+    let out = repro(&[
+        "sweep",
+        "--bench-out",
+        report.to_str().expect("utf-8 temp path"),
+        "--scale",
+        "test",
+        "--apps",
+        "FT",
+        "--sizes",
+        "3",
+    ]);
+    let _ = std::fs::remove_file(&report);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("FAILED  FT pe3 cf1.00: ") && stderr.contains("pe must divide nx"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn cell_counts_are_range_checked_not_asserted() {
     for size in ["0", "70000"] {
         let out = repro(&[

@@ -51,8 +51,8 @@ pub struct RunReport<T> {
     /// histograms.
     pub counters: apobs::Counters,
     /// Sim-time event timeline (empty unless
-    /// [`MachineConfig::record_timeline`](crate::MachineConfig) was set);
-    /// export with [`apobs::chrome_trace`].
+    /// [`MachineConfig::timeline`](crate::MachineConfig) buffers — `Full`
+    /// or a flight-recorder `Ring`); export with [`apobs::chrome_trace`].
     pub timeline: apobs::Timeline,
     /// The fault-injection report of a survived faulted run (`None` on
     /// fault-free runs). Unsurvivable schedules never get here — they

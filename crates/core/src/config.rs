@@ -1,36 +1,25 @@
 //! Machine configuration.
 
 use apnet::Contention;
+use apobs::TimelineMode;
 use aputil::SimTime;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Process-wide default for [`MachineConfig::record_timeline`], so CLI
-/// flags like `--trace-out` can switch every subsequently-built machine to
-/// timeline recording without threading a parameter through application
-/// code.
-static TIMELINE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the default value of [`MachineConfig::record_timeline`] for
-/// configurations created after this call.
-pub fn set_timeline_default(on: bool) {
-    TIMELINE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide timeline default.
-pub fn timeline_default() -> bool {
-    TIMELINE_DEFAULT.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide default for [`MachineConfig::metrics_interval`] in
-/// nanoseconds; 0 means metrics off (same pattern as
-/// [`set_timeline_default`], for the `--metrics-out` CLI flags).
+/// nanoseconds; 0 means metrics off. The one run setting that does not
+/// travel in a [`MachineConfig`] alone: the frozen `perf/` benchmark
+/// switches sampling on through [`set_metrics_default`] around
+/// `Workload::run()` (`perf/src/sim.rs:263-289`), so
+/// [`MachineConfig::new`] mirrors it into the field — one read, one place.
+/// Nothing else in this workspace sets it; it goes with the next
+/// `[benchmark]` change (ROADMAP item 2(c)).
 static METRICS_INTERVAL_DEFAULT_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Sets the default sampled-metrics interval for configurations created
-/// after this call (`None` turns sampling off).
+/// Sets the sampled-metrics interval [`MachineConfig::new`] starts from
+/// (`None` turns sampling off). Retained for the frozen benchmark only:
+/// in-repo code sets [`MachineConfig::with_metrics_interval`] instead.
 pub fn set_metrics_default(interval: Option<SimTime>) {
     METRICS_INTERVAL_DEFAULT_NS.store(
         interval.map_or(0, |t| t.as_nanos().max(1)),
@@ -38,7 +27,7 @@ pub fn set_metrics_default(interval: Option<SimTime>) {
     );
 }
 
-/// The current process-wide sampled-metrics default.
+/// The sampled-metrics interval [`MachineConfig::new`] starts from.
 pub fn metrics_default() -> Option<SimTime> {
     match METRICS_INTERVAL_DEFAULT_NS.load(Ordering::Relaxed) {
         0 => None,
@@ -46,82 +35,11 @@ pub fn metrics_default() -> Option<SimTime> {
     }
 }
 
-/// Process-wide default for [`MachineConfig::flight_recorder`]; 0 means
-/// unbounded (classic) timeline recording.
-static FLIGHT_RECORDER_DEFAULT: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the default flight-recorder capacity (last-N events per unit
-/// category) for configurations created after this call.
-pub fn set_flight_recorder_default(cap: Option<NonZeroUsize>) {
-    FLIGHT_RECORDER_DEFAULT.store(cap.map_or(0, NonZeroUsize::get), Ordering::Relaxed);
-}
-
-/// The current process-wide flight-recorder default.
-pub fn flight_recorder_default() -> Option<NonZeroUsize> {
-    NonZeroUsize::new(FLIGHT_RECORDER_DEFAULT.load(Ordering::Relaxed))
-}
-
 /// Retained no-op. The cell↔kernel protocol is not selectable: every
 /// run uses windowed delivery (DESIGN.md §10). The frozen `perf/`
 /// benchmark still calls this symbol, so it stays until the next
 /// `[benchmark]` change retires it.
 pub fn set_sim_threads_default(_threads: u32) {}
-
-/// Process-wide progress-reporting switch (the `--progress` CLI flag):
-/// when on, runs print a rate-limited one-line status to stderr.
-static PROGRESS_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables live progress reporting for subsequent runs.
-pub fn set_progress_default(on: bool) {
-    PROGRESS_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide progress default.
-pub fn progress_default() -> bool {
-    PROGRESS_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide streaming event sink: when set (by `repro record` on
-/// machines too large for an in-memory timeline), every subsequently
-/// built machine forwards its timeline events straight to this sink
-/// instead of buffering them — O(1) recording memory at any cell count.
-/// The owner of the concrete writer keeps its own handle for
-/// finalization; this global only carries the type-erased sink into
-/// `Machine::new`.
-static EVTRACE_SINK: Mutex<Option<apobs::SharedSink>> = Mutex::new(None);
-
-/// Sets (or clears) the process-wide streaming event sink.
-pub fn set_evtrace_sink(sink: Option<apobs::SharedSink>) {
-    *EVTRACE_SINK.lock().expect("evtrace sink registry poisoned") = sink;
-}
-
-/// The current streaming event sink, if any.
-pub fn evtrace_sink() -> Option<apobs::SharedSink> {
-    EVTRACE_SINK
-        .lock()
-        .expect("evtrace sink registry poisoned")
-        .clone()
-}
-
-/// Where to dump the flight-recorder timeline when a run dies with a
-/// deadlock / lost-cell / fault error. `None` (the default) disables the
-/// automatic post-mortem dump.
-static FLIGHT_DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Sets (or clears) the automatic post-mortem flight-recorder dump path.
-pub fn set_flight_dump_path(path: Option<PathBuf>) {
-    *FLIGHT_DUMP_PATH
-        .lock()
-        .expect("flight dump registry poisoned") = path;
-}
-
-/// The current post-mortem dump path, if any.
-pub fn flight_dump_path() -> Option<PathBuf> {
-    FLIGHT_DUMP_PATH
-        .lock()
-        .expect("flight dump registry poisoned")
-        .clone()
-}
 
 /// Hardware timing parameters of the emulated AP1000+ (per-cell MSC+/MC
 /// costs plus the network constants). Defaults follow the paper's AP1000+
@@ -207,7 +125,9 @@ impl Default for HwParams {
     }
 }
 
-/// Full configuration of an emulated machine.
+/// Full configuration of an emulated machine — and the only way a run
+/// option reaches one: what is recorded, sampled, reported and dumped is
+/// read from these fields and nowhere else.
 ///
 /// # Examples
 ///
@@ -218,7 +138,7 @@ impl Default for HwParams {
 /// assert_eq!(cfg.ncells, 16);
 /// assert!(cfg.mem_size >= 1 << 20);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Number of cells (the AP1000+ scales 4–1024; we also allow smaller
     /// machines for tests).
@@ -232,16 +152,29 @@ pub struct MachineConfig {
     /// Record a probe trace while running (small overhead; required for
     /// MLSim replay and Table-3 statistics).
     pub record_trace: bool,
-    /// Record a sim-time event timeline (for Chrome-trace/Perfetto export).
-    /// Off by default: a disabled recorder is a single branch per event.
-    pub record_timeline: bool,
+    /// Where the sim-time event timeline goes: nowhere (the default — a
+    /// disabled recorder is a single branch per event), an unbounded
+    /// buffer (refused past 1024 cells), a flight-recorder ring keeping
+    /// the last N events per unit category (memory stays O(cells), not
+    /// O(events)), or a streaming sink.
+    pub timeline: TimelineMode,
     /// Sampled-metrics interval: take one gauge snapshot per this much sim
     /// time. `None` (the default) disables the sampler entirely.
     pub metrics_interval: Option<SimTime>,
-    /// Bound `record_timeline` to a flight recorder keeping only the last
-    /// N events per unit category per cell (memory stays O(cells), not
-    /// O(events)). `None` keeps the classic unbounded timeline.
-    pub flight_recorder: Option<NonZeroUsize>,
+    /// Print a rate-limited one-line status to stderr while running (the
+    /// `--progress` CLI flag).
+    pub progress: bool,
+    /// Where to dump whatever timeline survived when the run dies with a
+    /// deadlock / lost-cell / fault error, as a Chrome trace. `None` (the
+    /// default) disables the post-mortem dump.
+    pub flight_dump: Option<PathBuf>,
+}
+
+fn check_cells(ncells: u32) {
+    assert!(
+        (1..=65536).contains(&ncells),
+        "AP1000+ systems have 1..=1024 cells (the emulator accepts up to 65536), got {ncells}"
+    );
 }
 
 impl MachineConfig {
@@ -252,22 +185,30 @@ impl MachineConfig {
     ///
     /// Panics if `ncells` is 0 or exceeds 65536.
     pub fn new(ncells: u32) -> Self {
-        assert!(
-            (1..=65536).contains(&ncells),
-            "AP1000+ systems have 1..=1024 cells (the emulator accepts up to 65536), got {ncells}"
-        );
+        check_cells(ncells);
         MachineConfig {
             ncells,
             mem_size: 16 << 20,
             hw: HwParams::default(),
             contention: Contention::None,
             record_trace: true,
-            // A flight-recorder default implies recording (into the ring),
-            // mirroring `with_flight_recorder`.
-            record_timeline: timeline_default() || flight_recorder_default().is_some(),
+            timeline: TimelineMode::Off,
             metrics_interval: metrics_default(),
-            flight_recorder: flight_recorder_default(),
+            progress: false,
+            flight_dump: None,
         }
+    }
+
+    /// The same options on a machine of `ncells` cells — how a driver
+    /// stamps one prototype onto each workload's own size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ncells` is 0 or exceeds 65536.
+    pub fn with_cells(mut self, ncells: u32) -> Self {
+        check_cells(ncells);
+        self.ncells = ncells;
+        self
     }
 
     /// Sets the DRAM size per cell.
@@ -294,9 +235,15 @@ impl MachineConfig {
         self
     }
 
-    /// Enables or disables timeline (Chrome-trace) event recording.
+    /// Enables or disables timeline (Chrome-trace) event recording: off
+    /// drops every event; on buffers the full timeline unless a bounded
+    /// or streaming mode is already set.
     pub fn with_timeline(mut self, on: bool) -> Self {
-        self.record_timeline = on;
+        match (on, &self.timeline) {
+            (false, _) => self.timeline = TimelineMode::Off,
+            (true, TimelineMode::Off) => self.timeline = TimelineMode::Full,
+            (true, _) => {}
+        }
         self
     }
 
@@ -307,12 +254,13 @@ impl MachineConfig {
     }
 
     /// Bounds timeline recording to a flight recorder of `cap` events per
-    /// unit category per cell (`None` restores the unbounded timeline).
-    /// Implies [`MachineConfig::record_timeline`] when set.
+    /// unit category per cell, which implies recording; `None` turns a
+    /// flight recorder back into the unbounded timeline.
     pub fn with_flight_recorder(mut self, cap: Option<NonZeroUsize>) -> Self {
-        self.flight_recorder = cap;
-        if cap.is_some() {
-            self.record_timeline = true;
+        match (cap, &self.timeline) {
+            (Some(cap), _) => self.timeline = TimelineMode::Ring(cap),
+            (None, TimelineMode::Ring(_)) => self.timeline = TimelineMode::Full,
+            (None, _) => {}
         }
         self
     }
@@ -363,18 +311,59 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_flight_recorder_builders() {
-        let cfg = MachineConfig::new(4)
-            .with_metrics_interval(Some(SimTime::from_micros_f64(10.0)))
-            .with_flight_recorder(NonZeroUsize::new(64));
-        assert_eq!(cfg.metrics_interval, Some(SimTime::from_micros_f64(10.0)));
-        assert_eq!(cfg.flight_recorder, NonZeroUsize::new(64));
-        assert!(
-            cfg.record_timeline,
-            "a flight recorder implies timeline recording"
-        );
+    fn with_cells_keeps_every_option() {
+        let proto = MachineConfig::new(1)
+            .with_trace(false)
+            .with_metrics_interval(Some(SimTime::from_micros(50)))
+            .with_flight_recorder(NonZeroUsize::new(8));
+        let cfg = proto.with_cells(4096);
+        assert_eq!(cfg.ncells, 4096);
+        assert!(!cfg.record_trace);
+        assert_eq!(cfg.metrics_interval, Some(SimTime::from_micros(50)));
+        assert!(matches!(cfg.timeline, TimelineMode::Ring(cap) if cap.get() == 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=1024")]
+    fn with_cells_checks_the_range_too() {
+        let _ = MachineConfig::new(4).with_cells(0);
+    }
+
+    #[test]
+    fn timeline_builders_set_the_one_mode() {
         let off = MachineConfig::new(4);
-        assert_eq!(off.metrics_interval, None);
-        assert_eq!(off.flight_recorder, None);
+        assert!(matches!(off.timeline, TimelineMode::Off));
+        assert!(!off.progress && off.flight_dump.is_none());
+        let full = off.clone().with_timeline(true);
+        assert!(matches!(full.timeline, TimelineMode::Full));
+        assert!(matches!(
+            full.clone().with_timeline(false).timeline,
+            TimelineMode::Off
+        ));
+        // A flight recorder implies recording, and stays bounded when
+        // recording is (re)requested.
+        let ring = off.clone().with_flight_recorder(NonZeroUsize::new(64));
+        assert!(matches!(ring.timeline, TimelineMode::Ring(cap) if cap.get() == 64));
+        let ring = ring.with_timeline(true);
+        assert!(matches!(ring.timeline, TimelineMode::Ring(_)));
+        // `None` unbounds a ring and leaves every other mode alone.
+        assert!(matches!(
+            ring.clone().with_flight_recorder(None).timeline,
+            TimelineMode::Full
+        ));
+        assert!(matches!(
+            off.clone().with_flight_recorder(None).timeline,
+            TimelineMode::Off
+        ));
+        assert!(matches!(
+            ring.with_timeline(false).timeline,
+            TimelineMode::Off
+        ));
+    }
+
+    #[test]
+    fn metrics_interval_builder() {
+        let cfg = MachineConfig::new(4).with_metrics_interval(Some(SimTime::from_micros_f64(10.0)));
+        assert_eq!(cfg.metrics_interval, Some(SimTime::from_micros_f64(10.0)));
     }
 }

@@ -21,7 +21,7 @@ use apfault::{FaultPlan, FaultSpec, ReplayGuard};
 use apmon::{HostPhase, HostProf, MetricsSample, MetricsSeries, Progress, Sampler};
 use apmsc::{checksum, Packet, Payload, PushOutcome, HEADER_BYTES};
 use apnet::Delivery;
-use apobs::{Bucket, Unit, XferKind, XferLat};
+use apobs::{Bucket, Seg, Unit, XferKind};
 use apsim::{Clock, EventQueue};
 use aptrace::Op;
 use aputil::{
@@ -105,27 +105,6 @@ enum TxQueue {
     Remote,
     GetReply,
     RemoteReply,
-}
-
-/// An in-flight transfer's latency record plus its attribution cursor —
-/// the sim time up to which the end-to-end latency has been segmented.
-/// Stages that overlap earlier ones (the emulator lets a DMA start while
-/// the issuing CPU span is still open) charge only the uncovered
-/// remainder, so the segments stay contiguous and sum exactly to the
-/// total.
-struct InFlight {
-    x: XferLat,
-    cursor: SimTime,
-}
-
-/// Figure-6 latency segment a stage charges its time to.
-#[derive(Clone, Copy, Debug)]
-enum Seg {
-    Issue,
-    Queue,
-    Dma,
-    Net,
-    Delivery,
 }
 
 /// Why a cell is blocked, with everything needed to wake it. A blocked
@@ -252,8 +231,9 @@ impl Telemetry {
     /// `None` unless the sampler or progress reporting is on.
     fn new(cfg: &crate::config::MachineConfig) -> Option<Telemetry> {
         let sampler = cfg.metrics_interval.map(Sampler::new);
-        let progress =
-            crate::config::progress_default().then(|| Progress::new(format!("{}c", cfg.ncells)));
+        let progress = cfg
+            .progress
+            .then(|| Progress::new(format!("{}c", cfg.ncells)));
         (sampler.is_some() || progress.is_some()).then(|| Telemetry {
             hostprof: sampler.as_ref().map(|_| HostProf::start()),
             sampler,
@@ -332,8 +312,6 @@ pub(crate) struct Kernel {
     /// exactly the times the unbatched protocol would have — the channel
     /// round trip is skipped, not the simulated schedule.
     pending: Vec<std::collections::VecDeque<Request>>,
-    /// In-flight PUT/GET Figure-6 latency decompositions, by transfer id.
-    xfers: HashMap<u64, InFlight>,
     bcast: Option<BcastState>,
     done: u32,
     /// Per-cell: the program called Finish (distinguishes finished cells
@@ -394,7 +372,6 @@ impl Kernel {
             req_rx,
             waiters: vec![None; n],
             pending: vec![std::collections::VecDeque::new(); n],
-            xfers: HashMap::new(),
             bcast: None,
             done: 0,
             finished: vec![false; n],
@@ -540,14 +517,7 @@ impl Kernel {
     fn metrics_sample(&self, at: SimTime) -> MetricsSample {
         let (queue_depth, queue_depth_max, send_dma_busy, recv_dma_busy) =
             self.machine.occupancy(at);
-        let (mut puts, mut gets) = (0u32, 0u32);
-        for f in self.xfers.values() {
-            match f.x.kind {
-                XferKind::Put => puts += 1,
-                XferKind::Get => gets += 1,
-                XferKind::Other => {}
-            }
-        }
+        let (puts, gets) = self.machine.xfers.inflight();
         let (mut blocked, mut barrier) = (0u32, 0u32);
         for w in self.waiters.iter().flatten() {
             blocked += 1;
@@ -616,9 +586,8 @@ impl Kernel {
                 leaks.push(format!("cell{i}: send DMA still active"));
             }
         }
-        if !self.xfers.is_empty() {
-            let mut tids: Vec<u64> = self.xfers.keys().copied().collect();
-            tids.sort_unstable();
+        let tids = self.machine.xfers.unfinished();
+        if !tids.is_empty() {
             leaks.push(format!("unfinished transfer attributions (tids {tids:?})"));
         }
         let blocked_records = self.waiters.iter().flatten().count();
@@ -864,44 +833,6 @@ impl Kernel {
         }
     }
 
-    /// Advances transfer `tid`'s attribution cursor to `to`, charging the
-    /// uncovered time to segment `seg`.
-    fn charge_xfer(&mut self, tid: u64, seg: Seg, to: SimTime) {
-        let Some(f) = self.xfers.get_mut(&tid) else {
-            return;
-        };
-        let d = to.saturating_sub(f.cursor);
-        match seg {
-            Seg::Issue => f.x.issue += d,
-            Seg::Queue => f.x.queue += d,
-            Seg::Dma => f.x.dma += d,
-            Seg::Net => f.x.net += d,
-            Seg::Delivery => f.x.delivery += d,
-        }
-        f.cursor += d;
-    }
-
-    /// Completes the latency record of transfer `tid` at `end` and folds
-    /// it into the machine's per-segment histograms.
-    fn finish_xfer(&mut self, tid: u64, end: SimTime) {
-        let Some(InFlight { mut x, cursor }) = self.xfers.remove(&tid) else {
-            return;
-        };
-        // In the rare overlapped case the issue span can retire after the
-        // payload lands; the op is only complete once both have.
-        x.end = end.max(cursor);
-        debug_assert_eq!(
-            x.segment_sum(),
-            x.total(),
-            "transfer {tid} segments do not cover its latency: {x:?}"
-        );
-        match x.kind {
-            XferKind::Put => self.machine.put_lat.record(&x),
-            XferKind::Get => self.machine.get_lat.record(&x),
-            XferKind::Other => {}
-        }
-    }
-
     // ---- event dispatch ------------------------------------------------
 
     fn handle(&mut self, ev: Ev) -> ApResult<()> {
@@ -1055,14 +986,12 @@ impl Kernel {
                 );
                 self.charge_overhead(cell, hw_params.issue_time);
                 let tid = self.machine.alloc_tid();
-                self.xfers.insert(
-                    tid,
-                    InFlight {
-                        x: XferLat::new(XferKind::Put, args.size(), now),
-                        cursor: now,
-                    },
-                );
-                self.charge_xfer(tid, Seg::Issue, now + hw_params.issue_time);
+                self.machine
+                    .xfers
+                    .start(tid, XferKind::Put, args.size(), now);
+                self.machine
+                    .xfers
+                    .charge(tid, Seg::Issue, now + hw_params.issue_time);
                 self.machine.obs.span_id(
                     cell,
                     Unit::Cpu,
@@ -1095,14 +1024,10 @@ impl Kernel {
                 self.charge_overhead(cell, hw_params.issue_time);
                 let bytes = if args.is_ack_probe() { 0 } else { args.size() };
                 let tid = self.machine.alloc_tid();
-                self.xfers.insert(
-                    tid,
-                    InFlight {
-                        x: XferLat::new(XferKind::Get, bytes, now),
-                        cursor: now,
-                    },
-                );
-                self.charge_xfer(tid, Seg::Issue, now + hw_params.issue_time);
+                self.machine.xfers.start(tid, XferKind::Get, bytes, now);
+                self.machine
+                    .xfers
+                    .charge(tid, Seg::Issue, now + hw_params.issue_time);
                 self.machine.obs.span_id(
                     cell,
                     Unit::Cpu,
@@ -1551,7 +1476,7 @@ impl Kernel {
             remaining,
             tid,
         );
-        self.charge_xfer(tid, Seg::Queue, now);
+        self.machine.xfers.charge(tid, Seg::Queue, now);
         let cid = CellId::new(cell);
         // Gather the payload into one shared buffer (functionally
         // instantaneous; timing charged below as DMA duration). This is
@@ -1584,7 +1509,7 @@ impl Kernel {
             TxJob::RemoteAckTx { .. } => (Payload::empty(), 1),
         };
         let dur = self.machine.dma_time(payload.len() as u64, items);
-        self.charge_xfer(tid, Seg::Dma, now + dur);
+        self.machine.xfers.charge(tid, Seg::Dma, now + dur);
         self.machine.obs.span_id(
             cell,
             Unit::SendDma,
@@ -1744,7 +1669,7 @@ impl Kernel {
                 .tnet
                 .transfer_tagged(at, src, dst, pkt.wire_bytes(), tid)
         };
-        self.charge_xfer(tid, Seg::Net, arrival);
+        self.machine.xfers.charge(tid, Seg::Net, arrival);
         self.evq.push(
             arrival,
             Ev::Arrive {
@@ -1853,7 +1778,7 @@ impl Kernel {
                 .instant(dst, Unit::RecvDma, "dup_suppressed", now, Bucket::Hw, seq);
             return Ok(());
         }
-        self.charge_xfer(tid, Seg::Net, now);
+        self.machine.xfers.charge(tid, Seg::Net, now);
         self.arrive(dst, pkt, tid)
     }
 
@@ -1993,7 +1918,7 @@ impl Kernel {
                 let (_, end) = self.machine.cells[dst as usize]
                     .recv_dma
                     .reserve(now, SimTime::ZERO);
-                self.charge_xfer(tid, Seg::Delivery, end);
+                self.machine.xfers.charge(tid, Seg::Delivery, end);
                 self.evq.push(end, Ev::RecvDone { dst, pkt, tid });
             }
             Packet::RemoteStoreAck { .. } => {
@@ -2054,7 +1979,7 @@ impl Kernel {
                 let bytes = data_pkt.payload_bytes();
                 let dur = self.machine.dma_time(bytes, items);
                 let (start, end) = self.machine.cells[dst as usize].recv_dma.reserve(now, dur);
-                self.charge_xfer(tid, Seg::Delivery, end);
+                self.machine.xfers.charge(tid, Seg::Delivery, end);
                 self.machine.obs.span_id(
                     dst,
                     Unit::RecvDma,
@@ -2131,7 +2056,7 @@ impl Kernel {
             } => {
                 self.machine.scatter(did, raddr, recv_stride, &payload)?;
                 self.bump_flag(dst, recv_flag, tid, Unit::RecvDma)?;
-                self.finish_xfer(tid, now);
+                self.machine.xfers.finish(tid, now);
             }
             Packet::GetReply {
                 laddr,
@@ -2144,7 +2069,7 @@ impl Kernel {
                     self.machine.scatter(did, laddr, recv_stride, &payload)?;
                 }
                 self.bump_flag(dst, recv_flag, tid, Unit::RecvDma)?;
-                self.finish_xfer(tid, now);
+                self.machine.xfers.finish(tid, now);
             }
             Packet::RingMsg { src, payload } => {
                 let hw = &mut self.machine.cells[dst as usize];

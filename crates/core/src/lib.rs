@@ -48,10 +48,7 @@ mod request;
 pub use accounting::{CellTimes, RunReport};
 pub use cell::{Cell, ReduceOp};
 pub use config::{
-    evtrace_sink, flight_dump_path, flight_recorder_default, metrics_default, progress_default,
-    set_evtrace_sink, set_flight_dump_path, set_flight_recorder_default, set_metrics_default,
-    set_progress_default, set_sim_threads_default, set_timeline_default, timeline_default,
-    HwParams, MachineConfig,
+    metrics_default, set_metrics_default, set_sim_threads_default, HwParams, MachineConfig,
 };
 pub use request::Mark;
 
@@ -59,7 +56,7 @@ pub use request::Mark;
 pub use apfault::{FaultEvent, FaultKind, FaultSpec, RecoveryParams};
 pub use apmon::{Heatmap, HostProf, LinkUtil, MetricsSeries, RunMetrics};
 pub use apmsc::StrideSpec;
-pub use apobs::{Counters, Timeline};
+pub use apobs::{Counters, SharedSink, Timeline, TimelineMode};
 pub use aputil::{
     ApError, ApResult, BlockReason, BlockedCell, CellId, CellLostReport, DeadlockReport,
     FaultReport, SimTime, VAddr,
@@ -142,32 +139,28 @@ where
     F: Fn(&mut Cell) -> T + Send + Sync + 'static,
 {
     // An unbounded timeline on a huge machine is O(events) memory with no
-    // bound — refuse it up front and point at the flight recorder (bounded
-    // post-mortem context) or the streaming trace sink (full recording in
-    // O(1) memory), either of which lifts the refusal.
-    if cfg.record_timeline
-        && cfg.flight_recorder.is_none()
-        && cfg.ncells > 1024
-        && config::evtrace_sink().is_none()
-    {
+    // bound — refuse it up front and point at the modes that are bounded:
+    // the flight recorder (post-mortem context) and a streaming sink
+    // (full recording in O(1) memory).
+    if matches!(cfg.timeline, TimelineMode::Full) && cfg.ncells > 1024 {
         return Err(ApError::InvalidArg(format!(
             "full timeline recording on {} cells is unbounded; use a flight recorder \
              (MachineConfig::with_flight_recorder / --flight-recorder) or a streaming \
-             trace sink (set_evtrace_sink / repro record) for machines over 1024 cells",
+             trace sink (TimelineMode::Stream / repro record) for machines over 1024 cells",
             cfg.ncells
         )));
     }
+    let ncells = cfg.ncells;
     let machine = machine::Machine::new(cfg);
     let (req_tx, req_rx) = unbounded();
     let program = Arc::new(program);
-    let mut resume_txs = Vec::with_capacity(cfg.ncells as usize);
-    let mut handles = Vec::with_capacity(cfg.ncells as usize);
-    for id in 0..cfg.ncells {
+    let mut resume_txs = Vec::with_capacity(ncells as usize);
+    let mut handles = Vec::with_capacity(ncells as usize);
+    for id in 0..ncells {
         let (resume_tx, resume_rx) = unbounded();
         resume_txs.push(resume_tx);
         let req_tx = req_tx.clone();
         let program = Arc::clone(&program);
-        let ncells = cfg.ncells;
         handles.push(
             thread::Builder::new()
                 .name(format!("cell{id}"))
@@ -180,11 +173,7 @@ where
                             Ok(out)
                         }
                         Err(payload) => {
-                            let reason = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "panic".to_string());
+                            let reason = aputil::panic_message(payload.as_ref());
                             cell.fail(reason.clone());
                             Err(reason)
                         }
@@ -213,7 +202,7 @@ where
             e,
             ApError::Deadlock(_) | ApError::CellLost(_) | ApError::Fault(_)
         ) {
-            if let Some(path) = config::flight_dump_path() {
+            if let Some(path) = machine.cfg.flight_dump.take() {
                 let timeline = machine.take_timeline();
                 if !timeline.events.is_empty() {
                     match apobs::write_chrome_trace(&path, &[&timeline]) {

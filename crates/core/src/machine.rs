@@ -190,14 +190,12 @@ pub(crate) struct Machine {
     pub dsm: DsmMap,
     pub times: Vec<CellTimes>,
     pub trace: aptrace::Trace,
-    /// Sim-time event recorder (no-op unless `cfg.record_timeline`).
+    /// Sim-time event recorder, in `cfg.timeline`'s mode (a no-op when off).
     pub obs: apobs::Recorder,
     /// Nanoseconds blocked per flag wait (0 for waits satisfied on check).
     pub flag_wait: apobs::Hist,
-    /// Figure-6 segment decomposition of every completed PUT.
-    pub put_lat: apobs::SegmentHists,
-    /// Same for GETs (request + reply legs combined).
-    pub get_lat: apobs::SegmentHists,
+    /// Figure-6 latency attribution of in-flight and completed PUT/GETs.
+    pub xfers: apobs::XferTracker,
     /// Next transfer-chain id (`alloc_tid` starts at 1; 0 = untracked).
     next_tid: u64,
 }
@@ -211,20 +209,7 @@ impl Machine {
             per_byte: cfg.hw.net_per_byte,
         };
         let mut tnet = TNet::new(torus, tparams, cfg.contention);
-        // Streaming wins over buffering: with a process-wide sink set,
-        // both the kernel's and the T-net's events go straight to it.
-        let sink = if cfg.record_timeline && cfg.flight_recorder.is_none() {
-            crate::config::evtrace_sink()
-        } else {
-            None
-        };
-        if let Some(sink) = &sink {
-            tnet.enable_events_sink(sink.clone());
-        } else if let Some(cap) = cfg.flight_recorder {
-            tnet.enable_events_ring(cap.get());
-        } else if cfg.record_timeline {
-            tnet.enable_events();
-        }
+        tnet.enable_events(cfg.timeline.clone());
         if cfg.metrics_interval.is_some() {
             tnet.enable_link_stats();
         }
@@ -238,14 +223,9 @@ impl Machine {
             dsm: DsmMap::new(cfg.ncells, cfg.mem_size),
             times: vec![CellTimes::default(); cfg.ncells as usize],
             trace: aptrace::Trace::new(cfg.ncells as usize),
-            obs: match (sink, cfg.flight_recorder) {
-                (Some(sink), _) => apobs::Recorder::streaming(sink),
-                (None, Some(cap)) => apobs::Recorder::ring(cap.get()),
-                (None, None) => apobs::Recorder::new(cfg.record_timeline),
-            },
+            obs: apobs::Recorder::new(cfg.timeline.clone()),
             flag_wait: apobs::Hist::new(),
-            put_lat: apobs::SegmentHists::new(),
-            get_lat: apobs::SegmentHists::new(),
+            xfers: apobs::XferTracker::new(),
             next_tid: 0,
             cfg,
         }
@@ -383,8 +363,8 @@ impl Machine {
         c.msg_size.merge(&self.tnet.obs().msg_size);
         c.hop_latency.merge(&self.tnet.obs().latency);
         c.flag_wait.merge(&self.flag_wait);
-        c.put_lat.merge(&self.put_lat);
-        c.get_lat.merge(&self.get_lat);
+        c.put_lat.merge(&self.xfers.put_lat);
+        c.get_lat.merge(&self.xfers.get_lat);
         c
     }
 
@@ -411,7 +391,7 @@ impl Machine {
     }
 
     /// Drains the kernel and network event buffers into one sorted
-    /// timeline (empty unless `record_timeline` was set).
+    /// timeline (empty when `cfg.timeline` is off or streaming).
     pub fn take_timeline(&mut self) -> apobs::Timeline {
         let mut t = apobs::Timeline::from_events("emulator", self.obs.take_events());
         t.extend(self.tnet.take_events());

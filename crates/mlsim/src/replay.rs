@@ -13,7 +13,7 @@
 
 use crate::params::ModelParams;
 use apnet::{Contention, TNet, TNetParams, Torus};
-use apobs::{Bucket, Hist, Recorder, SegmentHists, Unit, XferKind, XferLat};
+use apobs::{Bucket, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
 use apsim::{Clock, EventQueue, Resource};
 use aptrace::{Op, Trace};
 use aputil::{CellId, SimTime};
@@ -146,23 +146,6 @@ enum REv {
     },
 }
 
-/// An in-flight transfer's latency record plus its attribution cursor
-/// (same contiguous-segments scheme as the emulator kernel).
-struct InFlight {
-    x: XferLat,
-    cursor: SimTime,
-}
-
-/// Figure-6 latency segment a replay stage charges its time to.
-#[derive(Clone, Copy, Debug)]
-enum Seg {
-    Issue,
-    Queue,
-    Dma,
-    Net,
-    Delivery,
-}
-
 struct Engine<'t> {
     p: ModelParams,
     trace: &'t Trace,
@@ -192,9 +175,7 @@ struct Engine<'t> {
     obs: Recorder,
     flag_wait: Hist,
     next_tid: u64,
-    xfers: HashMap<u64, InFlight>,
-    put_lat: SegmentHists,
-    get_lat: SegmentHists,
+    xfers: XferTracker,
 }
 
 /// Replays `trace` under model `params`.
@@ -227,9 +208,12 @@ pub fn replay_observed(
         per_byte: params.network_msg_per_byte,
     };
     let mut tnet = TNet::new(torus, tparams, Contention::None);
-    if record_timeline {
-        tnet.enable_events();
-    }
+    let mode = if record_timeline {
+        TimelineMode::Full
+    } else {
+        TimelineMode::Off
+    };
+    tnet.enable_events(mode.clone());
     let mut eng = Engine {
         p: params.clone(),
         trace,
@@ -256,12 +240,10 @@ pub fn replay_observed(
         rstore_acked: vec![0; n],
         fence_waiters: HashMap::new(),
         load_waiters: HashMap::new(),
-        obs: Recorder::new(record_timeline),
+        obs: Recorder::new(mode),
         flag_wait: Hist::new(),
         next_tid: 0,
-        xfers: HashMap::new(),
-        put_lat: SegmentHists::new(),
-        get_lat: SegmentHists::new(),
+        xfers: XferTracker::new(),
     };
     for pe in 0..n as u32 {
         eng.evq.push(SimTime::ZERO, REv::Step { pe });
@@ -277,8 +259,8 @@ pub fn replay_observed(
     counters.msg_size.merge(&eng.tnet.obs().msg_size);
     counters.hop_latency.merge(&eng.tnet.obs().latency);
     counters.flag_wait.merge(&eng.flag_wait);
-    counters.put_lat.merge(&eng.put_lat);
-    counters.get_lat.merge(&eng.get_lat);
+    counters.put_lat.merge(&eng.xfers.put_lat);
+    counters.get_lat.merge(&eng.xfers.get_lat);
     let mut timeline = apobs::Timeline::from_events(params.name.clone(), eng.obs.take_events());
     timeline.extend(eng.tnet.take_events());
     timeline.sort();
@@ -326,43 +308,6 @@ impl Engine<'_> {
         self.next_tid
     }
 
-    /// Advances transfer `tid`'s attribution cursor to `to`, charging the
-    /// uncovered time to segment `seg` (see the emulator kernel's
-    /// identically-named helper).
-    fn charge_xfer(&mut self, tid: u64, seg: Seg, to: SimTime) {
-        let Some(f) = self.xfers.get_mut(&tid) else {
-            return;
-        };
-        let d = to.saturating_sub(f.cursor);
-        match seg {
-            Seg::Issue => f.x.issue += d,
-            Seg::Queue => f.x.queue += d,
-            Seg::Dma => f.x.dma += d,
-            Seg::Net => f.x.net += d,
-            Seg::Delivery => f.x.delivery += d,
-        }
-        f.cursor += d;
-    }
-
-    /// Completes transfer `tid` at `end`, folding it into the per-segment
-    /// histograms.
-    fn finish_xfer(&mut self, tid: u64, end: SimTime) {
-        let Some(InFlight { mut x, cursor }) = self.xfers.remove(&tid) else {
-            return;
-        };
-        x.end = end.max(cursor);
-        debug_assert_eq!(
-            x.segment_sum(),
-            x.total(),
-            "replayed transfer {tid} segments do not cover its latency: {x:?}"
-        );
-        match x.kind {
-            XferKind::Put => self.put_lat.record(&x),
-            XferKind::Get => self.get_lat.record(&x),
-            XferKind::Other => {}
-        }
-    }
-
     fn handle(&mut self, ev: REv) -> Result<(), ReplayError> {
         match ev {
             REv::Step { pe } => self.step(pe),
@@ -373,8 +318,8 @@ impl Engine<'_> {
                 tid,
             } => {
                 let landed = self.receive_payload(dst, bytes, tid);
-                self.charge_xfer(tid, Seg::Delivery, landed);
-                self.finish_xfer(tid, landed);
+                self.xfers.charge(tid, Seg::Delivery, landed);
+                self.xfers.finish(tid, landed);
                 if recv_flag != 0 {
                     self.evq.push(
                         landed,
@@ -415,11 +360,11 @@ impl Engine<'_> {
                 } else {
                     now
                 };
-                self.charge_xfer(tid, Seg::Issue, ready);
+                self.xfers.charge(tid, Seg::Issue, ready);
                 let (rs, depart) =
                     self.send_engine[dst as usize].reserve(ready, self.p.send_hw_latency(bytes));
-                self.charge_xfer(tid, Seg::Queue, rs);
-                self.charge_xfer(tid, Seg::Dma, depart);
+                self.xfers.charge(tid, Seg::Queue, rs);
+                self.xfers.charge(tid, Seg::Dma, depart);
                 if send_flag != 0 {
                     self.evq.push(
                         depart,
@@ -437,7 +382,7 @@ impl Engine<'_> {
                     bytes + HEADER,
                     tid,
                 );
-                self.charge_xfer(tid, Seg::Net, arrival);
+                self.xfers.charge(tid, Seg::Net, arrival);
                 self.evq.push(
                     arrival,
                     REv::PutArrive {
@@ -703,15 +648,9 @@ impl Engine<'_> {
             } => {
                 let over = self.p.send_cpu_overhead(bytes);
                 let tid = self.alloc_tid();
-                self.xfers.insert(
-                    tid,
-                    InFlight {
-                        x: XferLat::new(XferKind::Put, bytes, t),
-                        cursor: t,
-                    },
-                );
+                self.xfers.start(tid, XferKind::Put, bytes, t);
                 let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.charge_xfer(tid, Seg::Issue, e);
+                self.xfers.charge(tid, Seg::Issue, e);
                 self.obs.span_id(
                     pe,
                     Unit::Cpu,
@@ -725,8 +664,8 @@ impl Engine<'_> {
                 self.bd[pe as usize].overhead += over;
                 let (ds, depart) =
                     self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(bytes));
-                self.charge_xfer(tid, Seg::Queue, ds);
-                self.charge_xfer(tid, Seg::Dma, depart);
+                self.xfers.charge(tid, Seg::Queue, ds);
+                self.xfers.charge(tid, Seg::Dma, depart);
                 self.obs.span_id(
                     pe,
                     Unit::SendDma,
@@ -750,7 +689,7 @@ impl Engine<'_> {
                 let arrival =
                     self.tnet
                         .transfer_tagged(depart, CellId::new(pe), dst, bytes + HEADER, tid);
-                self.charge_xfer(tid, Seg::Net, arrival);
+                self.xfers.charge(tid, Seg::Net, arrival);
                 self.evq.push(
                     arrival,
                     REv::PutArrive {
@@ -771,15 +710,9 @@ impl Engine<'_> {
             } => {
                 let over = self.p.send_cpu_overhead(0);
                 let tid = self.alloc_tid();
-                self.xfers.insert(
-                    tid,
-                    InFlight {
-                        x: XferLat::new(XferKind::Get, bytes, t),
-                        cursor: t,
-                    },
-                );
+                self.xfers.start(tid, XferKind::Get, bytes, t);
                 let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.charge_xfer(tid, Seg::Issue, e);
+                self.xfers.charge(tid, Seg::Issue, e);
                 self.obs.span_id(
                     pe,
                     Unit::Cpu,
@@ -793,12 +726,12 @@ impl Engine<'_> {
                 self.bd[pe as usize].overhead += over;
                 let (rs, depart) =
                     self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(0));
-                self.charge_xfer(tid, Seg::Queue, rs);
-                self.charge_xfer(tid, Seg::Dma, depart);
+                self.xfers.charge(tid, Seg::Queue, rs);
+                self.xfers.charge(tid, Seg::Dma, depart);
                 let arrival = self
                     .tnet
                     .transfer_tagged(depart, CellId::new(pe), src, HEADER, tid);
-                self.charge_xfer(tid, Seg::Net, arrival);
+                self.xfers.charge(tid, Seg::Net, arrival);
                 self.evq.push(
                     arrival,
                     REv::GetArrive {

@@ -66,6 +66,12 @@ fn every_ci_command_line_resolves() {
         "replay traces_t1/CG.evtrace --at 1800000",
         "remodel traces_t1/CG.evtrace --factors 0.5,1.0,2.0",
         "record --apps CG --scale test --size 1024 --trace-out cg1024.evtrace",
+        "record --apps EP,CG,SCG --scale test --stream --out-dir s1 --threads 1",
+        "record --apps EP,CG,SCG --scale test --stream --out-dir s4 --threads 4",
+        "replay s4/CG.evtrace",
+        "record --apps CG,SCG --scale test --size 2048 --out-dir big_t1 --threads 1",
+        "record --apps CG,SCG --scale test --size 2048 --out-dir big_t2 --threads 2",
+        "replay big_t2/CG.evtrace --lenient",
     ];
     all_resolve(&REPRO, &repro);
     let tracecat = [
@@ -123,6 +129,14 @@ fn resolution_is_strict() {
     rejected(&REPRO, "fig7 --byts 10", "--byts is not a flag");
     rejected(&REPRO, "fig7 --byts 10", "usage: repro fig7 [--bytes N]");
     rejected(&REPRO, "table1 --flight-recorder x", "--flight-recorder");
+    // `record` and `replay` pick the timeline mode themselves.
+    let line = "record --apps CG --flight-recorder 4 --trace-out f.evtrace";
+    rejected(&REPRO, line, "--flight-recorder is not a flag");
+    rejected(
+        &REPRO,
+        "replay t.evtrace --flight-recorder 4",
+        "--flight-recorder",
+    );
     rejected(&REPRO, "table2 --scale", "--scale needs a value");
     rejected(&REPRO, "table2 --json --json", "more than once");
     rejected(&REPRO, "compare only.json", "BASELINE.json CURRENT.json");

@@ -64,6 +64,7 @@ fn sweep_is_thread_count_invariant() {
         sizes: vec![None, Some(4)],
         factors: vec![0.25, 1.0],
         threads,
+        machine: apcore::MachineConfig::new(1),
     };
     let serial = run_sweep(&cfg(1));
     let parallel = run_sweep(&cfg(8));

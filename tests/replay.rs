@@ -17,17 +17,19 @@
 //! 3. **Format economy** — the binary recording stays ≥5× smaller than
 //!    the equivalent JSON serializations (`tracecat stats` pins the same
 //!    ratio in CI).
+//! 4. **Isolation** — a recording owns its writer, so recordings running
+//!    side by side (streamed ones included) write exactly the bytes they
+//!    write alone. Nothing here serializes: the whole suite runs under
+//!    the default parallel test runner.
 
 use apapps::Scale;
-use apbench::record::{canonical, conformance, record_app, remodel_rows, seek_report, trace_stats};
+use apbench::record::{
+    canonical, conformance, record_app, record_apps, remodel_rows, seek_report, trace_stats,
+};
 use apbench::ReplayMode;
 use aptrace::{EvError, EvTrace};
 use std::path::PathBuf;
-use std::sync::Mutex;
-
-/// Serializes the tests that build machines or touch the process-global
-/// recorder sink; decode-only tests run freely in parallel.
-static MACHINE: Mutex<()> = Mutex::new(());
+use std::sync::Barrier;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(concat!(
@@ -58,7 +60,6 @@ fn golden_trace_decodes_to_the_pinned_shape() {
 
 #[test]
 fn golden_trace_strict_replay_is_byte_identical() {
-    let _g = MACHINE.lock().unwrap();
     let doc = golden();
     let conf = conformance(&doc, ReplayMode::Strict).expect("replay runs");
     assert!(conf.passed(), "{}", conf.render());
@@ -78,7 +79,6 @@ fn golden_trace_strict_replay_is_byte_identical() {
 
 #[test]
 fn one_mutated_event_fails_strict_with_a_context_window() {
-    let _g = MACHINE.lock().unwrap();
     let mut doc = golden();
     let k = doc.streams[0].events.len() / 3;
     doc.streams[0].events[k].arg ^= 1;
@@ -115,7 +115,6 @@ fn corruption_and_truncation_are_structured_errors_not_panics() {
 
 #[test]
 fn streamed_and_buffered_recordings_agree_event_for_event() {
-    let _g = MACHINE.lock().unwrap();
     let bpath = tmp("ep-buffered.evtrace");
     let spath = tmp("ep-streamed.evtrace");
     record_app("EP", Scale::Test, None, None, &bpath, false).expect("buffered record");
@@ -131,6 +130,68 @@ fn streamed_and_buffered_recordings_agree_event_for_event() {
     );
     let _ = std::fs::remove_file(&bpath);
     let _ = std::fs::remove_file(&spath);
+}
+
+#[test]
+fn concurrent_streamed_recordings_write_the_bytes_they_write_alone() {
+    let alone = |app: &str| {
+        let path = tmp(&format!("{app}-alone.evtrace"));
+        record_app(app, Scale::Test, None, None, &path, true).expect("record alone");
+        let bytes = std::fs::read(&path).expect("read solo recording");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let want = [("CG", alone("CG")), ("SCG", alone("SCG"))];
+    for round in 0..4 {
+        // Both recordings leave the barrier together, so their runs —
+        // each streaming thousands of events — overlap.
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for (app, solo) in &want {
+                let start = &start;
+                s.spawn(move || {
+                    let path = tmp(&format!("{app}-pair{round}.evtrace"));
+                    start.wait();
+                    record_app(app, Scale::Test, None, None, &path, true).expect("record");
+                    let bytes = std::fs::read(&path).expect("read paired recording");
+                    let _ = std::fs::remove_file(&path);
+                    assert!(
+                        bytes == *solo,
+                        "round {round}: {app} recorded beside another streamed recording \
+                         differs from {app} recorded alone ({} vs {} bytes)",
+                        bytes.len(),
+                        solo.len()
+                    );
+                });
+            }
+        });
+    }
+}
+
+#[test]
+fn streamed_record_apps_is_thread_count_invariant() {
+    let apps = ["EP", "CG", "SCG"];
+    let record = |threads: usize| {
+        let outs: Vec<(String, PathBuf)> = apps
+            .iter()
+            .map(|a| (a.to_string(), tmp(&format!("{a}-t{threads}.evtrace"))))
+            .collect();
+        let machine = apcore::MachineConfig::new(1);
+        for r in record_apps(&outs, Scale::Test, None, None, true, threads, &machine) {
+            r.expect("streamed recording");
+        }
+        outs.into_iter().map(|(_, path)| {
+            let bytes = std::fs::read(&path).expect("read recording");
+            let _ = std::fs::remove_file(&path);
+            bytes
+        })
+    };
+    for (app, (serial, parallel)) in apps.iter().zip(record(1).zip(record(2))) {
+        assert!(
+            serial == parallel,
+            "{app}: --stream at 2 threads differs from 1 thread"
+        );
+    }
 }
 
 #[test]

@@ -13,23 +13,14 @@
 //!   covers it to the last tick (the wall-clock cost is printed here and
 //!   measured pinned by the benchmark's `apmon.sampler.overhead`).
 //!
-//! The metrics/flight-recorder defaults are process-wide statics, so the
-//! tests serialize on one lock and restore the defaults before releasing.
+//! Every setting travels in the `MachineConfig` each run is handed, so
+//! the tests share nothing and run in parallel.
 
 use apapps::Scale;
 use apbench::{run_sweep, SweepConfig, SweepOutcome};
 use apcore::{run_with, MachineConfig, VAddr};
 use aputil::SimTime;
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
-
-static DEFAULTS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    DEFAULTS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn sweep_cfg(threads: usize) -> SweepConfig {
     SweepConfig {
@@ -38,6 +29,7 @@ fn sweep_cfg(threads: usize) -> SweepConfig {
         sizes: vec![None],
         factors: vec![1.0],
         threads,
+        machine: MachineConfig::new(1).with_metrics_interval(Some(SimTime::from_micros(10))),
     }
 }
 
@@ -53,12 +45,9 @@ fn metrics_doc(out: &SweepOutcome) -> String {
 
 #[test]
 fn metrics_artifact_is_thread_count_invariant_and_reruns_identically() {
-    let _g = lock();
-    apcore::set_metrics_default(Some(SimTime::from_micros(10)));
     let serial = run_sweep(&sweep_cfg(1));
     let parallel = run_sweep(&sweep_cfg(8));
     let again = run_sweep(&sweep_cfg(1));
-    apcore::set_metrics_default(None);
     assert!(serial.failures.is_empty(), "{:?}", serial.failures);
     assert!(parallel.failures.is_empty(), "{:?}", parallel.failures);
     let a = metrics_doc(&serial);
@@ -82,7 +71,6 @@ fn metrics_artifact_is_thread_count_invariant_and_reruns_identically() {
 
 #[test]
 fn huge_machines_refuse_unbounded_timeline_but_accept_the_flight_recorder() {
-    let _g = lock();
     // Unbounded timeline on a beyond-hardware machine: refused up front,
     // pointing at the flight recorder (no machine is ever built, so this
     // is cheap even at 4096 cells).
@@ -123,7 +111,6 @@ fn huge_machines_refuse_unbounded_timeline_but_accept_the_flight_recorder() {
 
 #[test]
 fn sampled_metrics_overhead_is_bounded() {
-    let _g = lock();
     // Paper-scale CG (the communication-heaviest Table-2 row) with and
     // without sampling, min-of-3 each. What is asserted is that sampling
     // only watches: the run it observed is the run that would have
@@ -138,16 +125,14 @@ fn sampled_metrics_overhead_is_bounded() {
     };
     let interval = SimTime::from_micros(100);
     let time = |metrics: Option<SimTime>| {
-        apcore::set_metrics_default(metrics);
         let runs = (0..3).map(|_| {
             let w = apbench::sweep::build_workload("CG", scale, None).unwrap();
+            let machine = MachineConfig::new(w.pe()).with_metrics_interval(metrics);
             let t0 = std::time::Instant::now();
-            let report = w.run().expect("CG run");
+            let report = w.run_on(machine, None).expect("CG run");
             (t0.elapsed(), report)
         });
-        let best = runs.min_by_key(|(wall, _)| *wall).unwrap();
-        apcore::set_metrics_default(None);
-        best
+        runs.min_by_key(|(wall, _)| *wall).unwrap()
     };
     let (off, plain) = time(None);
     let (on, sampled) = time(Some(interval));
