@@ -21,8 +21,8 @@
 //!   recorded, so even a >1024-cell machine can record a full event stream
 //!   without ever holding the timeline in memory. Several recorders (the
 //!   kernel's and the T-net's) can share one sink through the
-//!   `Arc<Mutex<..>>`; events arrive in emission order, not canonical
-//!   timeline order, and readers are expected to normalize.
+//!   `Arc<Mutex<..>>`; events arrive in emission (engine) order, which
+//!   is deterministic — recordings keep it, and replay compares in it.
 
 use crate::event::{Bucket, TimelineEvent, Unit};
 use aputil::SimTime;

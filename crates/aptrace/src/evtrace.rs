@@ -36,9 +36,10 @@
 //! full field-by-field wire format is specified in `DESIGN.md` §9.
 //!
 //! [`StreamWriter`] encodes incrementally against an [`std::io::Write`]
-//! and implements [`apobs::EventSink`], so a >1024-cell machine can
-//! stream its event soup straight to disk without ever materializing the
-//! timeline ([`apobs::TimelineMode::Stream`]). Decoding is strict: every
+//! and implements [`apobs::EventSink`], so a machine of any size streams
+//! its events straight to disk, in engine order, without ever
+//! materializing the timeline ([`apobs::TimelineMode::Stream`]) — how
+//! every recording is written. Decoding is strict: every
 //! length is validated against the remaining input, unknown tags and
 //! malformed UTF-8 are structured [`EvError`]s, and no input — truncated,
 //! bit-flipped, or hostile — panics the reader.
@@ -527,7 +528,10 @@ impl EvTrace {
     /// without scanning the file (the ops/counters/fault sections are
     /// skipped entirely). An event starting after `at_ns` cannot be
     /// in flight at it, so state reconstruction over the partial
-    /// document matches the full decode.
+    /// document matches the full decode. Every decoded section must
+    /// match its whole index entry; a skipped section's entry is taken
+    /// on trust (checking it is decoding it), which [`EvTrace::decode`]
+    /// does not do.
     pub fn decode_at(bytes: &[u8], at_ns: u64) -> Result<EvTrace, EvError> {
         let (entries, summary) = read_footer(bytes)?;
         let mut doc = EvTrace {
@@ -566,14 +570,11 @@ impl EvTrace {
             }
             let label = r.string("event stream label")?;
             let events = decode_events(&mut r)?;
-            if events.len() as u64 != e.events {
+            let walked = section_entry(e.offset, &events);
+            if walked != *e {
                 return Err(EvError::Corrupt {
                     at: pos,
-                    what: format!(
-                        "seek index promises {} events at offset {pos}, section holds {}",
-                        e.events,
-                        events.len()
-                    ),
+                    what: format!("seek index promises {e:?}, section holds {walked:?}"),
                 });
             }
             doc.streams.push(EvStream { label, events });
@@ -668,12 +669,16 @@ fn decode_index(r: &mut Reader<'_>) -> Result<Vec<EvIndexEntry>, EvError> {
             )));
         }
         prev = offset;
-        entries.push(EvIndexEntry {
+        let entry = EvIndexEntry {
             offset,
             events: r.varint("index event count")?,
             first_ns: r.varint("index first timestamp")?,
             last_ns: r.varint("index last timestamp")?,
-        });
+        };
+        if entry.first_ns > entry.last_ns {
+            return Err(r.corrupt(format!("index time range runs backwards ({entry:?})")));
+        }
+        entries.push(entry);
     }
     Ok(entries)
 }
@@ -745,6 +750,13 @@ fn read_footer(bytes: &[u8]) -> Result<(Vec<EvIndexEntry>, EvSummary), EvError> 
     };
     if r.byte("end marker")? != SEC_END || r.remaining() != 0 {
         return Err(r.corrupt("summary is not followed by the end marker and footer"));
+    }
+    let indexed = entries.iter().fold(0u64, |n, e| n.saturating_add(e.events));
+    if indexed != summary.events {
+        return Err(r.corrupt(format!(
+            "summary declares {} events but the index lists {indexed}",
+            summary.events
+        )));
     }
     Ok((entries, summary))
 }
@@ -1091,8 +1103,8 @@ fn decode_counters(r: &mut Reader<'_>) -> Result<CounterTicks, EvError> {
 /// I/O errors are deferred: the hot event path never fails, and the first
 /// error is surfaced (with the path) from [`StreamWriter::finish`]. As an
 /// [`apobs::EventSink`] it opens a `"live"` events section on the first
-/// streamed event, which is how >1024-cell machines record without an
-/// in-memory timeline.
+/// streamed event and rotates it every [`ROTATE_EVENTS`], which is how
+/// machines record without an in-memory timeline.
 pub struct StreamWriter<W: Write> {
     w: W,
     path: String,
@@ -1670,6 +1682,82 @@ mod tests {
             EvTrace::decode(&bad).is_err(),
             "index/section disagreement must not decode"
         );
+    }
+
+    /// ROADMAP 7b: every single-bit flip (and the whole-byte flip) of every
+    /// footer byte — index section, summary, end marker, `XIDX` trailer —
+    /// of a three-section document is a structured error or leaves the
+    /// event set alone: the full decode holds the clean streams, a seek
+    /// decode the clean `first_ns <= at` ones. Two fields have nothing
+    /// in the file to be checked against, and the sweep says so: the
+    /// summary's `total_ns` anywhere, and — for a seek only, which does
+    /// not decode what it skips — a `first_ns` raised past the seek time,
+    /// which hides its section (the full decode rejects that file).
+    #[test]
+    fn no_footer_byte_flip_panics_or_silently_changes_the_events() {
+        let mut doc = sample(); // events at 0, 40, 120
+        for (label, starts) in [("tnet", [500, 650, 580]), ("late", [999, 1200, 1100])] {
+            let events = starts.map(|t| ev(3, Unit::Net, "hop", t, Some(30)));
+            doc.streams.push(EvStream {
+                label: label.to_string(),
+                events: events.to_vec(),
+            });
+        }
+        doc.summary.events = 9;
+        let good = encode(&doc);
+        assert_eq!(EvTrace::decode(&good).as_ref(), Ok(&doc));
+        let index = read_index(&good).unwrap();
+        assert_eq!(index.len(), 3);
+        // The streams a seek to `at` keeps, going by `index`.
+        let kept = |index: &[EvIndexEntry], at: u64| -> Vec<EvStream> {
+            let streams = doc.streams.iter().zip(index);
+            let kept = streams.filter(|(_, e)| e.first_ns <= at);
+            kept.map(|(s, _)| s.clone()).collect()
+        };
+        let seeks = [0, 100, 600, 1150, u64::MAX];
+        for at in seeks {
+            let clean = EvTrace::decode_at(&good, at).unwrap();
+            assert_eq!(clean.streams, kept(&index, at));
+            assert_eq!((&clean.header, clean.summary), (&doc.header, doc.summary));
+        }
+
+        let n = good.len();
+        let footer = u64::from_le_bytes(good[n - TRAILER_LEN..n - 4].try_into().unwrap()) as usize;
+        assert_eq!(good[footer], SEC_INDEX);
+        let mut hidden = 0;
+        for pos in footer..n {
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut bad = good.clone();
+                bad[pos] ^= mask;
+                let what = format!("byte {pos} ^ {mask:#04x}");
+                let full = EvTrace::decode(&bad);
+                if let Ok(mut got) = full.clone() {
+                    got.summary.total_ns = doc.summary.total_ns;
+                    assert_eq!(got, doc, "{what}");
+                }
+                for at in seeks {
+                    let Ok(got) = EvTrace::decode_at(&bad, at) else {
+                        continue;
+                    };
+                    assert_eq!(got.header, doc.header, "{what}: seek {at}");
+                    assert_eq!(got.summary.events, doc.summary.events, "{what}: seek {at}");
+                    if got.streams != kept(&index, at) {
+                        // Only ever a section hidden by its own first_ns.
+                        let lied = read_index(&bad).unwrap();
+                        for (l, c) in lied.iter().zip(&index) {
+                            assert!(l.first_ns >= c.first_ns, "{what}: seek {at}");
+                            let first_ns = c.first_ns;
+                            assert_eq!(EvIndexEntry { first_ns, ..*l }, *c, "{what}: seek {at}");
+                        }
+                        assert_eq!(got.streams, kept(&lied, at), "{what}: seek {at}");
+                        assert!(full.is_err(), "{what}: the full decode must notice");
+                        hidden += 1;
+                    }
+                }
+            }
+        }
+        // Section 0's `first_ns` byte: 0 -> 1, 2, 4, .. 64, at seek 0.
+        assert_eq!(hidden, 7);
     }
 
     #[test]

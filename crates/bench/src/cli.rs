@@ -499,20 +499,10 @@ fn record_cmd(args: &Args) -> Result<i32, CliError> {
             ))
         }
     };
-    let stream = args.switch("--stream");
     let machine = apply_telemetry(args)?;
     let t0 = Instant::now();
     let mut failed = false;
-    let recorded = record::record_apps(
-        &outs,
-        scale,
-        size,
-        fault.as_ref(),
-        stream,
-        threads,
-        &machine,
-    );
-    for r in recorded {
+    for r in record::record_apps(&outs, scale, size, fault.as_ref(), threads, &machine) {
         match r {
             Ok(rec) => eprintln!(
                 "recorded {} to {} ({} events, {} bytes, final time {})",
@@ -537,6 +527,14 @@ fn replay_cmd(args: &Args) -> Result<i32, CliError> {
     // A cell id on the largest machine `CellCount` admits.
     let cell = args.value::<Ranged<0, 65535>>("--cell")?.map(|c| c.0);
     if let Some(at_ns) = args.value::<u64>("--at")? {
+        // A seek re-executes nothing: a flag that shapes a run is a
+        // mistake, not something to ignore.
+        let run_flags = table::REPLAY_RUN.iter().flat_map(|g| g.iter());
+        if let Some(f) = run_flags.map(|f| f.name).find(|name| args.switch(name)) {
+            return Err(usage_err(format!(
+                "{f} shapes a re-execution: it does not apply to a seek (--at NS)"
+            )));
+        }
         // The seek goes through the footer index, decoding only the
         // events sections that can hold state at `at_ns`.
         let doc = aptrace::EvTrace::read_file_at(Path::new(path), at_ns)
@@ -557,7 +555,7 @@ fn replay_cmd(args: &Args) -> Result<i32, CliError> {
         doc.header.app, doc.header.ncells, doc.header.scale
     );
     let t0 = Instant::now();
-    let conf = record::conformance_on(&doc, mode, &apply_telemetry(args)?)
+    let conf = record::conformance_on(doc, mode, &apply_telemetry(args)?)
         .map_err(|e| CliError::Failed(format!("replay failed: {e}")))?;
     eprintln!("replay done in {:.1}s", t0.elapsed().as_secs_f64());
     print!("{}", conf.render());
@@ -907,13 +905,14 @@ mod table {
         Flag::new("--out-dir DIR", "write APP.evtrace per app into DIR"),
         Flag::new("--size N", "machine size in cells (1..=65536)"),
         FAULTS,
-        Flag::new("--stream", "stream events to disk instead of buffering (always on past 1024 cells); fans out over --threads like buffered recording"),
     ];
-    const REPLAY: &[Flag] = &[
-        Flag::new("--lenient", "compare final simulated times only and print the divergence"),
-        Flag::new("--at NS", "skip re-execution; dump reconstructed machine state at sim-time NS"),
+    const LENIENT: &[Flag] = &[Flag::new("--lenient", "gate final simulated times only; the first diverging event is still printed")];
+    const SEEK: &[Flag] = &[
+        Flag::new("--at NS", "skip re-execution; dump reconstructed machine state at sim-time NS (takes only --cell)"),
         Flag::new("--cell ID", "narrow the --at dump to one cell (0..=65535)"),
     ];
+    /// The `replay` flags that shape a re-execution, so not a seek.
+    pub(super) const REPLAY_RUN: &[&[Flag]] = &[LENIENT, TELEMETRY_RECORDING];
     const REMODEL: &[Flag] = &[FACTORS, BENCH_OUT, REV];
     const SERVE: &[Flag] = &[
         Flag::new("--addr HOST:PORT", "listen address (default 127.0.0.1:0 = ephemeral port, printed as `listening ADDR`)"),
@@ -967,7 +966,7 @@ mod table {
         cmd("sweep",     "parallel app x size x factor grid (needs --bench-out)", &[], SWEEP, sweep_cmd),
         cmd("fault",     "run apps under a fault-injection schedule",   &[], &[FAULT, SCALE, THREADS, TELEMETRY],  fault_cmd),
         cmd("record",    "record runs as binary .evtrace files",        &[], &[RECORD, SCALE, THREADS, TELEMETRY_RECORDING], record_cmd),
-        cmd("replay",    "re-execute and gate against a recording, or seek into it", TRACE, &[REPLAY, TELEMETRY_RECORDING], replay_cmd),
+        cmd("replay",    "re-execute and gate against a recording, or seek into it", TRACE, &[LENIENT, SEEK, TELEMETRY_RECORDING], replay_cmd),
         cmd("remodel",   "replay recorded traffic under scaled models, no emulator", TRACE, &[REMODEL],          remodel_cmd),
         cmd("serve",     "simulation-as-a-service job server",          &[], &[SERVE],                         serve_cmd),
         cmd("submit",    "client for a running repro serve (exit 3 = queue full)", &[], &[SUBMIT],              submit_cmd),

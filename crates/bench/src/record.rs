@@ -3,21 +3,24 @@
 //!
 //! **Record** runs a workload on the machine emulator with full event
 //! tracing and writes one compact binary `.evtrace` file (format:
-//! DESIGN.md §9): the merged event timeline, the probe-op trace MLSim
-//! replays, sampled counter ticks when telemetry is on, and the injected
-//! fault schedule when the run was faulted. Machines past 1024 cells
-//! stream events straight to disk through [`aptrace::StreamWriter`]
-//! instead of holding the timeline in memory. Each recording owns its
+//! DESIGN.md §9): the event timeline, the probe-op trace MLSim replays,
+//! sampled counter ticks when telemetry is on, and the injected fault
+//! schedule when the run was faulted. There is one recording order —
+//! *engine order*: every machine, whatever its size, streams its events
+//! through [`aptrace::StreamWriter`] as the kernel commits them, so the
+//! timeline never accumulates in memory and the file is byte-reproducible
+//! across host thread counts and neighbours. Each recording owns its
 //! writer — it rides in that one machine's [`MachineConfig`] — so any
-//! number of recordings, streamed or buffered, run side by side.
+//! number of recordings run side by side.
 //!
 //! **Replay** re-executes the recorded workload — the emulator is
 //! deterministic, so a healthy tree reproduces the recording event for
-//! event — and gates the new run against the file. Strict mode fails on
-//! the first mismatching event with a two-sided context window; lenient
-//! mode only compares final simulated times (and counts the fresh run's
-//! events as they stream past, so it works at any machine size). `--at`
-//! skips re-execution
+//! event, in order — into a sink that walks the recording beside the
+//! fresh run and stops comparing at the first divergence, keeping a
+//! two-sided context window. Nothing is buffered or sorted, so it works
+//! at any machine size the recording itself decodes at. Strict mode fails
+//! on a divergence; lenient mode gates final simulated times only and
+//! prints the divergence for information. `--at` skips re-execution
 //! entirely and reconstructs machine state (in-flight transfers, queue
 //! depths, blocked cells) at a recorded sim-time: time-travel debugging
 //! from the trace alone.
@@ -34,6 +37,7 @@ use apobs::{Bucket, Timeline, TimelineEvent, Unit};
 use aptrace::{AppStats, CounterTicks, EvHeader, EvTrace, StreamWriter};
 use aputil::{ApError, SimTime};
 use mlsim::ModelParams;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -59,27 +63,6 @@ pub fn parse_scale_label(label: &str) -> Result<Scale, String> {
     label
         .parse()
         .map_err(|_| format!("unknown scale label '{label}' in trace header"))
-}
-
-/// Sorts events into the canonical total order used for conformance:
-/// the timeline sort key `(cell, unit, start, end)` extended to a total
-/// order, so two identically-evented recordings compare equal no matter
-/// what order their sections were written in (buffered recordings are
-/// pre-sorted; streamed ones arrive in engine order).
-pub fn canonical(mut events: Vec<TimelineEvent>) -> Vec<TimelineEvent> {
-    events.sort_by_key(|e| {
-        (
-            e.cell,
-            e.unit.index(),
-            e.start,
-            e.end(),
-            e.name,
-            e.bucket.index(),
-            e.arg,
-            e.tid,
-        )
-    });
-    events
 }
 
 /// Flattens sampled telemetry into the delta-friendly column series the
@@ -152,27 +135,25 @@ fn finalize_writer<W: Write>(
     Ok(events)
 }
 
-/// Records one workload run into `out` on a default machine.
+/// Records one workload run into `out` on a default machine. `_stream`
+/// is ignored — every recording streams — and stays only because the
+/// frozen `perf/` harness passes it; it goes with the `[benchmark]`
+/// refresh (ROADMAP item 1).
 pub fn record_app(
     app: &str,
     scale: Scale,
     size: Option<u32>,
     fault: Option<&apcore::FaultSpec>,
     out: &Path,
-    stream: bool,
+    _stream: bool,
 ) -> Result<RecordedTrace, ApError> {
-    record_app_on(app, scale, size, fault, out, stream, &MachineConfig::new(1))
+    record_app_on(app, scale, size, fault, out, &MachineConfig::new(1))
 }
 
 /// Records one workload run into `out`, with `machine`'s sampling,
-/// progress and post-mortem options. Where the timeline goes is decided
-/// here and nowhere else: machines past 1024 cells (or any size with
-/// `stream` set) stream to this recording's own writer — events go to
-/// disk as they happen and never accumulate in memory, which is the only
-/// way machines past the in-memory timeline refusal can record. Buffered
-/// recordings (the default at small scale) write the post-run *sorted*
-/// timeline, making the file byte-reproducible for a given workload
-/// regardless of host threads.
+/// progress and post-mortem options. The machine streams to this
+/// recording's own writer: events go to disk in engine order as they
+/// happen and never accumulate in memory.
 ///
 /// The bytes land in a temporary sibling of `out` that is renamed into
 /// place once the trailer is written (no `fsync`: a recording can be
@@ -183,7 +164,6 @@ pub fn record_app_on(
     size: Option<u32>,
     fault: Option<&apcore::FaultSpec>,
     out: &Path,
-    stream: bool,
     machine: &MachineConfig,
 ) -> Result<RecordedTrace, ApError> {
     let w = build_workload(app, scale, size).map_err(ApError::InvalidArg)?;
@@ -193,18 +173,10 @@ pub fn record_app_on(
     let tmp = aputil::TempSibling::new(out).map_err(io_err)?;
     let bufw = BufWriter::new(File::create(tmp.path()).map_err(io_err)?);
     let writer = Arc::new(Mutex::new(StreamWriter::new(bufw, &path_str, &header)));
-    let streamed = stream || w.pe() > 1024;
     let mut machine = machine.clone().with_cells(w.pe());
-    machine.timeline = if streamed {
-        TimelineMode::Stream(writer.clone())
-    } else {
-        TimelineMode::Full
-    };
+    machine.timeline = TimelineMode::Stream(writer.clone());
     let report = w.run_on(machine, fault)?;
     let mut sw = writer.lock().expect("stream writer poisoned");
-    if !streamed {
-        sw.write_events("emulator", &report.timeline.events);
-    }
     let events = finalize_writer(&mut sw, &report, fault)?;
     let bytes = std::fs::metadata(tmp.path()).map_err(io_err)?.len();
     tmp.commit().map_err(io_err)?;
@@ -225,13 +197,11 @@ pub fn record_apps(
     scale: Scale,
     size: Option<u32>,
     fault: Option<&apcore::FaultSpec>,
-    stream: bool,
     threads: usize,
     machine: &MachineConfig,
 ) -> Vec<Result<RecordedTrace, String>> {
     aputil::par_map_ordered(outs, threads, |(app, path)| {
-        record_app_on(app, scale, size, fault, path, stream, machine)
-            .map_err(|e| format!("{app}: {e}"))
+        record_app_on(app, scale, size, fault, path, machine).map_err(|e| format!("{app}: {e}"))
     })
 }
 
@@ -242,11 +212,11 @@ pub fn record_apps(
 /// How hard `repro replay` gates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
-    /// Event-for-event identity; the first mismatch fails with a
-    /// two-sided context window.
+    /// Event-for-event identity, in order; the first divergence fails
+    /// the gate.
     Strict,
-    /// Final-sim-time identity only; event counts are reported as a
-    /// divergence summary but do not fail the gate.
+    /// Final-sim-time identity only; the first divergence is printed but
+    /// does not fail the gate.
     Lenient,
 }
 
@@ -265,7 +235,7 @@ pub struct Conformance {
     pub recorded_total_ns: u64,
     /// Final simulated time of the fresh run.
     pub replayed_total_ns: u64,
-    /// Rendered first-mismatch context window (strict mode only).
+    /// Rendered context window around the first diverging event.
     pub mismatch: Option<String>,
 }
 
@@ -326,37 +296,74 @@ pub fn fmt_event(e: &TimelineEvent) -> String {
     )
 }
 
-/// Renders the two-sided context window around the first mismatch: three
-/// events of context either side, `>` marking the diverging index, and
-/// an explicit end marker when one stream is shorter.
-fn render_mismatch(rec: &[TimelineEvent], rep: &[TimelineEvent], i: usize) -> String {
-    let lo = i.saturating_sub(3);
-    let hi = i + 4;
-    let mut s = format!(
-        "  first mismatch at event {i} ({} recorded / {} replayed):\n",
-        rec.len(),
-        rep.len()
-    );
-    for (label, side) in [("recorded", rec), ("replayed", rep)] {
-        s.push_str(&format!("  {label}:\n"));
-        for (k, e) in side.iter().enumerate().take(hi.min(side.len())).skip(lo) {
-            let mark = if k == i { '>' } else { ' ' };
-            s.push_str(&format!("  {mark} {k:>8}  {}\n", fmt_event(e)));
-        }
-        if side.len() <= i {
-            s.push_str(&format!("  > {:>8}  (stream ends here)\n", side.len()));
-        }
-    }
-    s
+/// Events of context kept either side of the first divergence.
+const CONTEXT: usize = 3;
+
+/// The [`apobs::EventSink`] a replay re-executes into: it walks the
+/// recording's events in file order beside the fresh run's, counts, and
+/// stops comparing at the first divergence. Consumed sections are freed
+/// as the walk passes them.
+struct Lockstep {
+    recorded: Box<dyn Iterator<Item = TimelineEvent> + Send>,
+    replayed_events: usize,
+    /// The last [`CONTEXT`] matched events, newest first.
+    before: VecDeque<TimelineEvent>,
+    /// Index of the first divergence, and what each side holds from
+    /// there on: the diverging event plus [`CONTEXT`] more, or nothing
+    /// when that side ended.
+    diverged_at: Option<usize>,
+    recorded_after: Vec<TimelineEvent>,
+    replayed_after: Vec<TimelineEvent>,
 }
 
-/// An [`apobs::EventSink`] that only counts: what a lenient replay
-/// streams its re-execution into.
-struct CountSink(usize);
+impl Lockstep {
+    /// Parts ways at the current index, where the recording holds
+    /// `recorded` (if anything).
+    fn diverge(&mut self, recorded: Option<TimelineEvent>) {
+        self.diverged_at = Some(self.replayed_events);
+        let following = self.recorded.by_ref().take(CONTEXT);
+        self.recorded_after = recorded.into_iter().chain(following).collect();
+    }
 
-impl apobs::EventSink for CountSink {
-    fn event(&mut self, _: &TimelineEvent) {
-        self.0 += 1;
+    /// The two-sided window: `>` marks the diverging index, and a side
+    /// with no event there says so.
+    fn render(&self, recorded_events: usize) -> Option<String> {
+        let i = self.diverged_at?;
+        let replayed_events = self.replayed_events;
+        let mut s = format!(
+            "  first mismatch at event {i} ({recorded_events} recorded / {replayed_events} replayed):\n"
+        );
+        let sides = [&self.recorded_after, &self.replayed_after];
+        for (label, side) in ["recorded", "replayed"].into_iter().zip(sides) {
+            s.push_str(&format!("  {label}:\n"));
+            let context = self.before.iter().rev().chain(side);
+            for (k, e) in (i - self.before.len()..).zip(context) {
+                let mark = if k == i { '>' } else { ' ' };
+                s.push_str(&format!("  {mark} {k:>8}  {}\n", fmt_event(e)));
+            }
+            if side.is_empty() {
+                s.push_str(&format!("  > {i:>8}  (stream ends here)\n"));
+            }
+        }
+        Some(s)
+    }
+}
+
+impl apobs::EventSink for Lockstep {
+    fn event(&mut self, ev: &TimelineEvent) {
+        if self.diverged_at.is_none() {
+            match self.recorded.next() {
+                Some(want) if want == *ev => {
+                    self.before.truncate(CONTEXT - 1);
+                    self.before.push_front(want);
+                }
+                other => self.diverge(other),
+            }
+        }
+        if self.diverged_at.is_some() && self.replayed_after.len() <= CONTEXT {
+            self.replayed_after.push(ev.clone());
+        }
+        self.replayed_events += 1;
     }
 
     fn finish(&mut self) -> Result<(), String> {
@@ -364,77 +371,63 @@ impl apobs::EventSink for CountSink {
     }
 }
 
-/// [`conformance_on`] a default machine.
+/// [`conformance_on`] a default machine, for callers that keep the
+/// document (one clone of it, as [`EvTrace::all_events`] would make).
 pub fn conformance(doc: &EvTrace, mode: ReplayMode) -> Result<Conformance, ApError> {
-    conformance_on(doc, mode, &MachineConfig::new(1))
+    conformance_on(doc.clone(), mode, &MachineConfig::new(1))
 }
 
 /// Re-executes the workload a trace records, with `machine`'s sampling,
-/// progress and post-mortem options, and gates the fresh run against it.
-/// Faulted recordings re-run under the recorded schedule. Strict mode
-/// buffers the fresh run's full timeline (both event sets are sorted in
-/// memory, so it stops at 1024 cells); lenient mode streams it into a
-/// counter and works at any size.
+/// progress and post-mortem options, into a [`Lockstep`] sink that takes
+/// over the document's events. Faulted recordings re-run under the
+/// recorded schedule. `mode` only decides whether a divergence fails the
+/// gate.
 ///
 /// # Errors
 ///
 /// Errors when the header names an unknown app or scale, the fault RON
-/// fails to parse, strict mode is asked of a recording past 1024 cells,
-/// or the re-executed run itself fails.
+/// fails to parse, or the re-executed run itself fails.
 pub fn conformance_on(
-    doc: &EvTrace,
+    doc: EvTrace,
     mode: ReplayMode,
     machine: &MachineConfig,
 ) -> Result<Conformance, ApError> {
     let scale = parse_scale_label(&doc.header.scale).map_err(ApError::InvalidArg)?;
     let w = build_workload(&doc.header.app, scale, Some(doc.header.ncells))
         .map_err(ApError::InvalidArg)?;
-    if mode == ReplayMode::Strict && w.pe() > 1024 {
-        return Err(ApError::InvalidArg(format!(
-            "strict replay sorts both event sets in memory and stops at 1024 cells; \
-             this recording has {} — use --lenient (final times and event counts)",
-            w.pe()
-        )));
-    }
     let fault = doc
         .fault_ron
         .as_deref()
         .map(apfault::from_ron)
         .transpose()
         .map_err(|e| ApError::InvalidArg(format!("recorded fault schedule: {e}")))?;
-    let counter = Arc::new(Mutex::new(CountSink(0)));
+    let recorded_events = doc.streams.iter().map(|s| s.events.len()).sum();
+    let sink = Arc::new(Mutex::new(Lockstep {
+        recorded: Box::new(doc.streams.into_iter().flat_map(|s| s.events)),
+        replayed_events: 0,
+        before: VecDeque::new(),
+        diverged_at: None,
+        recorded_after: Vec::new(),
+        replayed_after: Vec::new(),
+    }));
     let mut machine = machine.clone().with_cells(w.pe());
-    machine.timeline = match mode {
-        ReplayMode::Strict => TimelineMode::Full,
-        ReplayMode::Lenient => TimelineMode::Stream(counter.clone()),
-    };
+    machine.timeline = TimelineMode::Stream(sink.clone());
     let report = w.run_on(machine, fault.as_ref())?;
-    let (recorded_events, replayed_events, mismatch) = match mode {
-        ReplayMode::Lenient => {
-            let recorded = doc.streams.iter().map(|s| s.events.len()).sum();
-            let replayed = counter.lock().expect("event counter poisoned").0;
-            (recorded, replayed, None)
+    let mut sink = sink.lock().expect("lockstep sink poisoned");
+    // A recording with events left diverges where the run ended.
+    if sink.diverged_at.is_none() {
+        if let Some(left) = sink.recorded.next() {
+            sink.diverge(Some(left));
         }
-        ReplayMode::Strict => {
-            let rec = canonical(doc.all_events());
-            let rep = canonical(report.timeline.events);
-            let i = rec
-                .iter()
-                .zip(rep.iter())
-                .position(|(a, b)| a != b)
-                .or((rec.len() != rep.len()).then(|| rec.len().min(rep.len())));
-            let mismatch = i.map(|i| render_mismatch(&rec, &rep, i));
-            (rec.len(), rep.len(), mismatch)
-        }
-    };
+    }
     Ok(Conformance {
-        app: doc.header.app.clone(),
+        app: doc.header.app,
         mode,
         recorded_events,
-        replayed_events,
+        replayed_events: sink.replayed_events,
         recorded_total_ns: doc.summary.total_ns,
         replayed_total_ns: report.total_time.as_nanos(),
-        mismatch,
+        mismatch: sink.render(recorded_events),
     })
 }
 
@@ -447,13 +440,20 @@ pub fn conformance_on(
 /// (duration spans covering the instant), per-cell MSC+ queue depths
 /// (the last queue-unit event at or before it carries the depth in
 /// `arg`), and blocked cells (idle spans covering it, barrier waiters
-/// called out). `cell` narrows the dump to one cell.
+/// called out). `cell` narrows the dump to one cell. One pass over the
+/// document in file order; only the few selected events are ordered, by
+/// `(cell, unit, start)`, for printing.
 pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
     const MAX_LINES: usize = 64;
     let t = SimTime::from_nanos(at_ns);
-    let events = canonical(doc.all_events());
     let want = |c: u32| cell.is_none_or(|only| c == only);
     let covers = |e: &TimelineEvent| e.dur.is_some() && e.start <= t && t < e.end();
+    // Print order, extended to a total order so ties never depend on
+    // where in the file an event sits.
+    let order = |e: &TimelineEvent| {
+        let (unit, bucket) = (e.unit.index(), e.bucket.index());
+        (e.cell, unit, e.start, e.end(), e.name, bucket, e.arg, e.tid)
+    };
 
     let mut s = format!(
         "state at t={at_ns} ns (app {}, {} cells, run ends at {} ns)\n",
@@ -465,18 +465,16 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
 
     let mut inflight = Vec::new();
     let mut blocked = Vec::new();
-    let mut barrier_waiters = Vec::new();
-    // Last queue-unit event at or before t per cell: canonical order is
-    // (cell, unit, start, …), so a plain scan keeps the latest one.
-    let mut queue_depth: Vec<(u32, u64)> = Vec::new();
-    for e in &events {
+    // Per cell, the latest queue-unit event at or before t.
+    let mut queue: BTreeMap<u32, &TimelineEvent> = BTreeMap::new();
+    for e in doc.streams.iter().flat_map(|st| &st.events) {
         if !want(e.cell) {
             continue;
         }
         if e.unit == Unit::Queue && e.start <= t {
-            match queue_depth.last_mut() {
-                Some((c, d)) if *c == e.cell => *d = e.arg,
-                _ => queue_depth.push((e.cell, e.arg)),
+            let latest = queue.entry(e.cell).or_insert(e);
+            if order(latest) <= order(e) {
+                *latest = e;
             }
         }
         if !covers(e) {
@@ -484,15 +482,13 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
         }
         match e.unit {
             Unit::SendDma | Unit::RecvDma | Unit::Net => inflight.push(e),
-            Unit::Cpu if e.bucket == Bucket::Idle => {
-                if e.name == "barrier" {
-                    barrier_waiters.push(e.cell);
-                }
-                blocked.push(e);
-            }
+            Unit::Cpu if e.bucket == Bucket::Idle => blocked.push(e),
             _ => {}
         }
     }
+    inflight.sort_by_key(|e| order(e));
+    blocked.sort_by_key(|e| order(e));
+    let in_barrier = blocked.iter().filter(|e| e.name == "barrier").count();
 
     s.push_str(&format!("  in-flight transfers ({}):\n", inflight.len()));
     for e in inflight.iter().take(MAX_LINES) {
@@ -506,16 +502,15 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
         s.push_str(&format!("    … and {} more\n", inflight.len() - MAX_LINES));
     }
 
-    let nonzero: Vec<&(u32, u64)> = queue_depth.iter().filter(|(_, d)| *d > 0).collect();
+    let nonzero: Vec<_> = queue.iter().filter(|(_, e)| e.arg > 0).collect();
     s.push_str(&format!("  queue depths (nonzero: {}):\n", nonzero.len()));
-    for (c, d) in nonzero.iter().take(MAX_LINES) {
-        s.push_str(&format!("    cell {c:>4}: {d}\n"));
+    for (c, e) in nonzero.iter().take(MAX_LINES) {
+        s.push_str(&format!("    cell {c:>4}: {}\n", e.arg));
     }
 
     s.push_str(&format!(
-        "  blocked cells ({}, {} in barrier):\n",
-        blocked.len(),
-        barrier_waiters.len()
+        "  blocked cells ({}, {in_barrier} in barrier):\n",
+        blocked.len()
     ));
     for e in blocked.iter().take(MAX_LINES) {
         s.push_str(&format!(
@@ -718,10 +713,14 @@ mod tests {
         std::env::temp_dir().join(format!("apbench-record-{}-{name}", std::process::id()))
     }
 
+    fn record(app: &str, size: Option<u32>, path: &Path) -> Result<RecordedTrace, ApError> {
+        record_app_on(app, Scale::Test, size, None, path, &MachineConfig::new(1))
+    }
+
     #[test]
     fn record_then_strict_replay_passes_and_mutation_fails() {
         let path = tmp("ep.evtrace");
-        let rec = record_app("EP", Scale::Test, None, None, &path, false).expect("record EP");
+        let rec = record("EP", None, &path).expect("record EP");
         assert!(rec.events > 0 && rec.bytes > 0);
         let mut doc = EvTrace::read_file(&path).expect("decode recording");
         assert_eq!(doc.header.app, "EP");
@@ -732,51 +731,50 @@ mod tests {
         assert!(ok.mismatch.is_none());
 
         // A single mutated event must fail strict with a context window
-        // but leave the lenient (sim-time) gate green.
+        // but leave the lenient (sim-time) gate green — which prints the
+        // very same window.
         let k = doc.streams[0].events.len() / 2;
         doc.streams[0].events[k].arg ^= 1;
         let bad = conformance(&doc, ReplayMode::Strict).expect("replay mutated");
         assert!(!bad.passed());
         let window = bad.mismatch.as_deref().expect("context window");
         assert!(
-            window.contains("first mismatch") && window.contains('>'),
+            window.contains(&format!("first mismatch at event {k} ")) && window.contains('>'),
             "{window}"
         );
         assert!(bad.render().contains("FAIL"));
         let lenient = conformance(&doc, ReplayMode::Lenient).expect("lenient replay");
         assert!(lenient.passed(), "{}", lenient.render());
+        assert_eq!(lenient.mismatch, bad.mismatch);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_failed_recording_leaves_no_file() {
         // 7 PEs do not divide MatMul's rows: the run is refused after the
-        // output file was opened, streamed or not.
+        // output file was opened.
         let dir = tmp("failed-dir");
         std::fs::create_dir_all(&dir).expect("create dir");
-        for stream in [false, true] {
-            let path = dir.join("MatMul.evtrace");
-            let err = record_app("MatMul", Scale::Test, Some(7), None, &path, stream)
-                .expect_err("7 PEs cannot run MatMul");
-            assert!(err.to_string().contains("pe must divide n"), "{err}");
-            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-            assert!(left.is_empty(), "streamed {stream}: {left:?}");
-        }
+        let path = dir.join("MatMul.evtrace");
+        let err = record("MatMul", Some(7), &path).expect_err("7 PEs cannot run MatMul");
+        assert!(err.to_string().contains("pe must divide n"), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{left:?}");
         // An existing recording survives a failed re-recording untouched.
         let path = dir.join("EP.evtrace");
-        record_app("EP", Scale::Test, None, None, &path, false).expect("record EP");
+        record("EP", None, &path).expect("record EP");
         let before = std::fs::read(&path).unwrap();
         let quiet = apcore::FaultSpec::quiet();
-        record_app("EP", Scale::Test, None, Some(&quiet), &path, true)
+        record_app("EP", Scale::Test, None, Some(&quiet), &path, false)
             .expect_err("EP has no fault support");
         assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn lenient_replay_of_a_streamed_recording_counts_without_buffering() {
+    fn lenient_replay_counts_both_sides() {
         let path = tmp("cg-lenient.evtrace");
-        let rec = record_app("CG", Scale::Test, None, None, &path, true).expect("record CG");
+        let rec = record("CG", None, &path).expect("record CG");
         let doc = EvTrace::read_file(&path).expect("decode");
         let conf = conformance(&doc, ReplayMode::Lenient).expect("lenient replay");
         assert!(conf.passed(), "{}", conf.render());
@@ -787,23 +785,9 @@ mod tests {
     }
 
     #[test]
-    fn strict_replay_past_1024_cells_points_at_lenient() {
-        let doc = EvTrace {
-            header: EvHeader::new(2048, "CG", "test"),
-            ..EvTrace::read_file(Path::new(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../tests/traces/cg_test.evtrace"
-            )))
-            .expect("golden trace decodes")
-        };
-        let err = conformance(&doc, ReplayMode::Strict).expect_err("refused up front");
-        assert!(err.to_string().contains("--lenient"), "{err}");
-    }
-
-    #[test]
     fn seek_reconstructs_midrun_state() {
         let path = tmp("cg-seek.evtrace");
-        let rec = record_app("CG", Scale::Test, None, None, &path, false).expect("record CG");
+        let rec = record("CG", None, &path).expect("record CG");
         let doc = EvTrace::read_file(&path).expect("decode");
         let dump = seek_report(&doc, rec.total.as_nanos() / 2, None);
         assert!(dump.contains("in-flight transfers"), "{dump}");
@@ -817,34 +801,50 @@ mod tests {
 
     /// The indexed seek path (partial decode through the v2 footer) and
     /// the full linear decode reconstruct identical state at every probe
-    /// time, streamed or buffered.
+    /// time.
     #[test]
     fn indexed_seek_matches_full_decode() {
-        for stream in [false, true] {
-            let path = tmp(if stream {
-                "cg-idx-s.evtrace"
-            } else {
-                "cg-idx-b.evtrace"
-            });
-            let rec = record_app("CG", Scale::Test, None, None, &path, stream).expect("record CG");
-            let full = EvTrace::read_file(&path).expect("full decode");
-            let total = rec.total.as_nanos();
-            for at in [0, total / 7, total / 2, total - 1, total + 5] {
-                let fast = EvTrace::read_file_at(&path, at).expect("seek decode");
-                assert_eq!(
-                    seek_report(&fast, at, None),
-                    seek_report(&full, at, None),
-                    "seek at {at} ns diverged (streamed: {stream})"
-                );
-            }
-            let _ = std::fs::remove_file(&path);
+        let path = tmp("cg-idx.evtrace");
+        let rec = record("CG", None, &path).expect("record CG");
+        let full = EvTrace::read_file(&path).expect("full decode");
+        let total = rec.total.as_nanos();
+        for at in [0, total / 7, total / 2, total - 1, total + 5] {
+            let fast = EvTrace::read_file_at(&path, at).expect("seek decode");
+            assert_eq!(
+                seek_report(&fast, at, None),
+                seek_report(&full, at, None),
+                "seek at {at} ns diverged"
+            );
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A seek reads the document in whatever order its sections hold:
+    /// reversing the file order changes nothing it prints.
+    #[test]
+    fn seek_does_not_depend_on_file_order() {
+        let path = tmp("cg-order.evtrace");
+        let rec = record("CG", None, &path).expect("record CG");
+        let doc = EvTrace::read_file(&path).expect("decode");
+        let mut reversed = doc.clone();
+        reversed.streams.reverse();
+        for st in &mut reversed.streams {
+            st.events.reverse();
+        }
+        let total = rec.total.as_nanos();
+        for at in [total / 7, total / 2, total - 1] {
+            assert_eq!(
+                seek_report(&reversed, at, None),
+                seek_report(&doc, at, None)
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn remodel_rows_scale_with_factors_and_serialize() {
         let path = tmp("ep-remodel.evtrace");
-        record_app("EP", Scale::Test, None, None, &path, false).expect("record EP");
+        record("EP", None, &path).expect("record EP");
         let doc = EvTrace::read_file(&path).expect("decode");
         let rows = remodel_rows(&doc, &[0.5, 1.0]).expect("remodel");
         assert_eq!(rows.len(), 2);
@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn stats_show_binary_wins_over_json() {
         let path = tmp("ep-stats.evtrace");
-        record_app("EP", Scale::Test, None, None, &path, false).expect("record EP");
+        record("EP", None, &path).expect("record EP");
         let doc = EvTrace::read_file(&path).expect("decode");
         let st = trace_stats(&doc, std::fs::metadata(&path).unwrap().len());
         assert!(st.events > 0);

@@ -232,6 +232,32 @@ fn flags_and_positionals_come_in_any_order() {
 fn relations_between_flags_are_checked() {
     // --cell only narrows a seek.
     assert_usage_error(repro(&["replay", "t.evtrace", "--cell", "3"]), "--at");
+    // A seek re-executes nothing, so no flag that shapes a run applies to
+    // it — the file is never opened, and the generated usage follows.
+    for flag in [
+        &["--lenient"][..],
+        &["--progress"],
+        &["--heatmap"],
+        &["--metrics-out", "/tmp/never-written.json"],
+        &["--metrics-interval", "50"],
+        &["--flight-dump", "/tmp/never-written.json"],
+    ] {
+        let out = repro(&[&["replay", "t.evtrace", "--at", "5", "--cell", "0"], flag].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_usage_error(out, flag[0]);
+        assert!(stderr.contains("does not apply to a seek"), "{stderr}");
+        assert!(stderr.contains("usage: repro replay"), "{stderr}");
+    }
+    // `record` has one order: the old switch is an unknown flag.
+    let out = repro(&[
+        "record",
+        "--apps",
+        "CG",
+        "--trace-out",
+        "/tmp/never-written.evtrace",
+        "--stream",
+    ]);
+    assert_usage_error(out, "--stream is not a flag");
     // Exactly one submit action.
     assert_usage_error(
         repro(&[

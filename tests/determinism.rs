@@ -14,10 +14,15 @@
 //! * a single 1024-cell CG run records the byte-identical evtrace and
 //!   final simulated time the serial-baton kernel produced before
 //!   windowed delivery replaced it (DESIGN.md §10) — pinned as
-//!   constants, so tier-1 records it once.
+//!   constants, so tier-1 records it once. The serial reference was a
+//!   sorted-order file; recordings are engine-order now, so its digest is
+//!   asserted on the recording's sorted re-encode and the engine-order
+//!   bytes carry a pin of their own.
 //!
 //! If an *intentional* timing-model change moves the suite times, update
 //! the constants here in the same commit and say why.
+
+mod common;
 
 use apapps::{standard_suite, Scale};
 use apbench::{bench_report, record_app, run_sweep, SweepConfig};
@@ -80,11 +85,15 @@ fn sweep_is_thread_count_invariant() {
 /// file. Captured where the serial baton (one channel round trip per
 /// wake, since deleted) was still the default protocol; windowed
 /// delivery, then optional and now the only one, recorded the identical
-/// bytes.
+/// bytes. The file pinned here is the sorted form
+/// ([`common::sorted_reencode`]).
 const CG1024_EVENTS: u64 = 3_599_496;
 const CG1024_FINAL_NS: u64 = 893_617_068;
 const CG1024_EVTRACE_BYTES: usize = 34_539_412;
 const CG1024_EVTRACE_FNV1A: u64 = 0x7eda_33bb_84e3_873a;
+/// The same run as recorded: engine order, `"live"` sections.
+const CG1024_ENGINE_ORDER_BYTES: usize = 35_011_352;
+const CG1024_ENGINE_ORDER_FNV1A: u64 = 0x11c2_b0e3_d62a_e79a;
 
 #[test]
 fn cg1024_recording_matches_the_serial_reference_pin() {
@@ -102,10 +111,25 @@ fn cg1024_recording_matches_the_serial_reference_pin() {
         CG1024_FINAL_NS,
         "final simulated time moved"
     );
-    assert_eq!(bytes.len(), CG1024_EVTRACE_BYTES, "evtrace length moved");
+    assert_eq!(
+        bytes.len(),
+        CG1024_ENGINE_ORDER_BYTES,
+        "evtrace length moved"
+    );
     assert_eq!(
         aputil::hash::fnv1a_64(&bytes),
+        CG1024_ENGINE_ORDER_FNV1A,
+        "engine-order evtrace bytes moved"
+    );
+    let sorted = common::sorted_reencode(&bytes);
+    assert_eq!(
+        sorted.len(),
+        CG1024_EVTRACE_BYTES,
+        "sorted evtrace length moved"
+    );
+    assert_eq!(
+        aputil::hash::fnv1a_64(&sorted),
         CG1024_EVTRACE_FNV1A,
-        "evtrace bytes diverged from the serial reference recording"
+        "evtrace events diverged from the serial reference recording"
     );
 }

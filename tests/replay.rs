@@ -1,34 +1,40 @@
 //! Tier-1 replay-conformance gate.
 //!
 //! `tests/traces/cg_test.evtrace` is a checked-in recording of the CG
-//! workload at test scale (regenerate with
+//! workload at test scale, in engine order like every recording
+//! (regenerate with
 //! `repro record --apps CG --scale test --trace-out tests/traces/cg_test.evtrace`
-//! after an intentional emulator-timing change). The gate pins three
+//! after an intentional emulator-timing change). The gate pins four
 //! independent properties:
 //!
 //! 1. **Determinism, event for event** — a fresh CG run reproduces the
-//!    recording exactly (strict conformance), and re-recording produces
-//!    byte-identical files. This is a much finer pin than the final-time
-//!    table in `tests/determinism.rs`: any reordering, re-timing, or
-//!    renaming of any event on any cell unit fails here first.
+//!    recording exactly and in order (strict conformance), and
+//!    re-recording produces byte-identical files. This is a much finer
+//!    pin than the final-time table in `tests/determinism.rs`: any
+//!    reordering, re-timing, or renaming of any event on any cell unit
+//!    fails here first. The golden file's sorted re-encode still hits the
+//!    digest of the sorted-order golden it replaced.
 //! 2. **Codec robustness** — corrupting or truncating the file yields a
-//!    structured [`aptrace::EvError`], never a panic; a single mutated
-//!    event fails strict replay with a two-sided context window.
+//!    structured [`aptrace::EvError`], never a panic; a single mutated,
+//!    missing or extra event fails strict replay — at any machine size —
+//!    with a two-sided context window naming the index.
 //! 3. **Format economy** — the binary recording stays ≥5× smaller than
 //!    the equivalent JSON serializations (`tracecat stats` pins the same
 //!    ratio in CI).
 //! 4. **Isolation** — a recording owns its writer, so recordings running
-//!    side by side (streamed ones included) write exactly the bytes they
-//!    write alone. Nothing here serializes: the whole suite runs under
-//!    the default parallel test runner.
+//!    side by side write exactly the bytes they write alone. Nothing
+//!    here serializes: the whole suite runs under the default parallel
+//!    test runner.
+
+mod common;
 
 use apapps::Scale;
 use apbench::record::{
-    canonical, conformance, record_app, record_apps, remodel_rows, seek_report, trace_stats,
+    conformance, fmt_event, record_app_on, record_apps, remodel_rows, seek_report, trace_stats,
 };
-use apbench::ReplayMode;
+use apbench::{RecordedTrace, ReplayMode};
 use aptrace::{EvError, EvTrace};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 
 fn golden_path() -> PathBuf {
@@ -44,6 +50,21 @@ fn golden() -> EvTrace {
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ap1000plus-replay-{}-{name}", std::process::id()))
+}
+
+/// Flips one bit of recorded event `k`'s `arg`; returns how a context
+/// window prints what is now recorded there and what a replay produces.
+fn mutate(doc: &mut EvTrace, k: usize) -> (String, String) {
+    let event = &mut doc.streams[0].events[k];
+    let replayed = fmt_event(event);
+    event.arg ^= 1;
+    (fmt_event(event), replayed)
+}
+
+fn record(app: &str, size: Option<u32>, path: &Path) -> RecordedTrace {
+    let machine = apcore::MachineConfig::new(1);
+    record_app_on(app, Scale::Test, size, None, path, &machine)
+        .unwrap_or_else(|e| panic!("record {app}: {e}"))
 }
 
 #[test]
@@ -66,7 +87,7 @@ fn golden_trace_strict_replay_is_byte_identical() {
 
     // Re-recording writes the very same bytes.
     let path = tmp("rerecord.evtrace");
-    record_app("CG", Scale::Test, None, None, &path, false).expect("re-record CG");
+    record("CG", None, &path);
     let fresh = std::fs::read(&path).expect("read re-recording");
     let gold = std::fs::read(golden_path()).expect("read golden");
     assert_eq!(
@@ -77,20 +98,136 @@ fn golden_trace_strict_replay_is_byte_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The sorted-order golden this file replaced: 50 820 bytes.
+const SORTED_GOLDEN_BYTES: usize = 50_820;
+const SORTED_GOLDEN_FNV1A: u64 = 0x6dfc_4984_02e3_0fad;
+
+#[test]
+fn golden_trace_sorted_reencode_hits_the_sorted_golden_digest() {
+    let gold = std::fs::read(golden_path()).expect("read golden");
+    assert_eq!(gold.len(), 50_017, "engine-order golden length moved");
+    assert_eq!(aputil::hash::fnv1a_64(&gold), 0x95dd_46f7_150c_1dd8);
+    let sorted = common::sorted_reencode(&gold);
+    assert_eq!(sorted.len(), SORTED_GOLDEN_BYTES);
+    assert_eq!(
+        aputil::hash::fnv1a_64(&sorted),
+        SORTED_GOLDEN_FNV1A,
+        "engine order must hold exactly the events the sorted golden held"
+    );
+}
+
 #[test]
 fn one_mutated_event_fails_strict_with_a_context_window() {
     let mut doc = golden();
     let k = doc.streams[0].events.len() / 3;
-    doc.streams[0].events[k].arg ^= 1;
+    let (expected, got) = mutate(&mut doc, k);
     let conf = conformance(&doc, ReplayMode::Strict).expect("replay runs");
     assert!(!conf.passed());
     let window = conf.mismatch.as_deref().expect("context window rendered");
-    assert!(window.contains("first mismatch"), "{window}");
+    assert!(
+        window.contains(&format!("first mismatch at event {k} ")),
+        "{window}"
+    );
     assert!(window.contains("recorded:") && window.contains("replayed:"));
-    assert!(window.contains('>'), "mismatch marker present: {window}");
-    // The mutation left timing untouched, so the lenient gate stays green.
+    // Both sides mark index k, with three events of context either side.
+    for side in [&expected, &got] {
+        assert!(
+            window.contains(&format!("  > {k:>8}  {side}\n")),
+            "{window}"
+        );
+    }
+    let ctx = |i: usize| format!("    {i:>8}  {}\n", fmt_event(&doc.streams[0].events[i]));
+    for i in (k - 3..k).chain(k + 1..=k + 3) {
+        assert_eq!(window.matches(&ctx(i)).count(), 2, "event {i}: {window}");
+    }
+    assert_eq!(window.lines().count(), 1 + 2 * 8, "{window}");
+    // The mutation left timing untouched, so the lenient gate stays
+    // green — and prints the same first divergence.
     let lenient = conformance(&doc, ReplayMode::Lenient).expect("lenient replay");
     assert!(lenient.passed(), "{}", lenient.render());
+    assert_eq!(lenient.mismatch, conf.mismatch);
+    assert!(lenient.render().contains("first mismatch"));
+}
+
+/// Which sides of a context window say their stream ends at `index`.
+fn ends_at(window: &str, index: usize) -> (bool, bool) {
+    let marker = format!("  > {index:>8}  (stream ends here)");
+    let (recorded, replayed) = window
+        .split_once("  replayed:\n")
+        .expect("two-sided window");
+    (recorded.contains(&marker), replayed.contains(&marker))
+}
+
+#[test]
+fn a_missing_or_extra_event_ends_the_right_stream() {
+    let gold = golden();
+    let n = gold.summary.events as usize;
+    let strict = |doc: &EvTrace| {
+        let conf = conformance(doc, ReplayMode::Strict).expect("replay runs");
+        assert!(!conf.passed());
+        // Lenient gates on final time alone: same divergence, still green.
+        let lenient = conformance(doc, ReplayMode::Lenient).expect("lenient replay");
+        assert!(lenient.passed());
+        assert_eq!(lenient.mismatch, conf.mismatch);
+        conf
+    };
+
+    // Recording one event short: it ends where the fresh run goes on.
+    let mut short = gold.clone();
+    let last = short.streams.last_mut().expect("events section");
+    let dropped = last.events.pop().expect("nonempty section");
+    let conf = strict(&short);
+    assert_eq!((conf.recorded_events, conf.replayed_events), (n - 1, n));
+    let window = conf.mismatch.expect("window");
+    let at = format!("first mismatch at event {} ", n - 1);
+    assert!(window.contains(&at), "{window}");
+    assert_eq!(ends_at(&window, n - 1), (true, false), "{window}");
+    let got = format!("  > {:>8}  {}", n - 1, fmt_event(&dropped));
+    assert!(window.contains(&got), "{window}");
+
+    // Recording one event long: the fresh run ends first.
+    let mut long = gold.clone();
+    let last = long.streams.last_mut().expect("events section");
+    last.events.push(dropped.clone());
+    let conf = strict(&long);
+    assert_eq!((conf.recorded_events, conf.replayed_events), (n + 1, n));
+    let window = conf.mismatch.expect("window");
+    let at = format!("first mismatch at event {n} ");
+    assert!(window.contains(&at), "{window}");
+    assert_eq!(ends_at(&window, n), (false, true), "{window}");
+    let expected = format!("  > {n:>8}  {}", fmt_event(&dropped));
+    assert!(window.contains(&expected), "{window}");
+}
+
+#[test]
+fn strict_replay_works_past_1024_cells() {
+    // EP's test instance is too small to deal out to 2048 cells.
+    let path = tmp("ep2048.evtrace");
+    let machine = apcore::MachineConfig::new(1);
+    let rec = record_app_on("EP", Scale::Paper, Some(2048), None, &path, &machine)
+        .expect("record EP-2048");
+    let mut doc = EvTrace::read_file(&path).expect("decode EP-2048");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(doc.header.ncells, 2048);
+    let conf = conformance(&doc, ReplayMode::Strict).expect("strict replay at 2048 cells");
+    assert!(conf.passed(), "{}", conf.render());
+    assert_eq!(conf.replayed_events as u64, rec.events);
+
+    let k = doc.streams[0].events.len() / 2;
+    let (expected, got) = mutate(&mut doc, k);
+    let conf = conformance(&doc, ReplayMode::Strict).expect("replay of the mutated recording");
+    assert!(!conf.passed());
+    let report = conf.render();
+    assert!(report.contains("FAIL"), "{report}");
+    assert!(
+        report.contains(&format!("first mismatch at event {k} ")),
+        "{report}"
+    );
+    assert!(
+        report.contains(&format!("> {k:>8}  {expected}")),
+        "{report}"
+    );
+    assert!(report.contains(&format!("> {k:>8}  {got}")), "{report}");
 }
 
 #[test]
@@ -114,29 +251,10 @@ fn corruption_and_truncation_are_structured_errors_not_panics() {
 }
 
 #[test]
-fn streamed_and_buffered_recordings_agree_event_for_event() {
-    let bpath = tmp("ep-buffered.evtrace");
-    let spath = tmp("ep-streamed.evtrace");
-    record_app("EP", Scale::Test, None, None, &bpath, false).expect("buffered record");
-    record_app("EP", Scale::Test, None, None, &spath, true).expect("streamed record");
-    let buffered = EvTrace::read_file(&bpath).expect("decode buffered");
-    let streamed = EvTrace::read_file(&spath).expect("decode streamed");
-    assert_eq!(buffered.summary.total_ns, streamed.summary.total_ns);
-    assert_eq!(buffered.summary.events, streamed.summary.events);
-    assert_eq!(
-        canonical(buffered.all_events()),
-        canonical(streamed.all_events()),
-        "section order may differ; canonical event sets may not"
-    );
-    let _ = std::fs::remove_file(&bpath);
-    let _ = std::fs::remove_file(&spath);
-}
-
-#[test]
 fn concurrent_streamed_recordings_write_the_bytes_they_write_alone() {
     let alone = |app: &str| {
         let path = tmp(&format!("{app}-alone.evtrace"));
-        record_app(app, Scale::Test, None, None, &path, true).expect("record alone");
+        record(app, None, &path);
         let bytes = std::fs::read(&path).expect("read solo recording");
         let _ = std::fs::remove_file(&path);
         bytes
@@ -152,12 +270,12 @@ fn concurrent_streamed_recordings_write_the_bytes_they_write_alone() {
                 s.spawn(move || {
                     let path = tmp(&format!("{app}-pair{round}.evtrace"));
                     start.wait();
-                    record_app(app, Scale::Test, None, None, &path, true).expect("record");
+                    record(app, None, &path);
                     let bytes = std::fs::read(&path).expect("read paired recording");
                     let _ = std::fs::remove_file(&path);
                     assert!(
                         bytes == *solo,
-                        "round {round}: {app} recorded beside another streamed recording \
+                        "round {round}: {app} recorded beside another recording \
                          differs from {app} recorded alone ({} vs {} bytes)",
                         bytes.len(),
                         solo.len()
@@ -177,8 +295,8 @@ fn streamed_record_apps_is_thread_count_invariant() {
             .map(|a| (a.to_string(), tmp(&format!("{a}-t{threads}.evtrace"))))
             .collect();
         let machine = apcore::MachineConfig::new(1);
-        for r in record_apps(&outs, Scale::Test, None, None, true, threads, &machine) {
-            r.expect("streamed recording");
+        for r in record_apps(&outs, Scale::Test, None, None, threads, &machine) {
+            r.expect("recording");
         }
         outs.into_iter().map(|(_, path)| {
             let bytes = std::fs::read(&path).expect("read recording");
@@ -189,7 +307,7 @@ fn streamed_record_apps_is_thread_count_invariant() {
     for (app, (serial, parallel)) in apps.iter().zip(record(1).zip(record(2))) {
         assert!(
             serial == parallel,
-            "{app}: --stream at 2 threads differs from 1 thread"
+            "{app}: recorded at 2 threads differs from 1 thread"
         );
     }
 }
