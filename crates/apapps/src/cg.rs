@@ -16,8 +16,7 @@
 
 use crate::util::sparse::Csr;
 use crate::{Scale, Workload};
-use apcore::{run_with_faults, ApResult, Cell, FaultSpec, MachineConfig, RunReport, VAddr};
-use std::sync::Arc;
+use apcore::{run, ApResult, Cell, FaultSpec, MachineConfig, RunReport, VAddr};
 
 /// CG instance.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +122,7 @@ fn block(n: usize, p: usize, pe: usize) -> (usize, usize) {
 /// visible to the caller via the returned vector. `scratch`/`flag` are
 /// reusable simulated buffers.
 #[allow(clippy::too_many_arguments)]
-fn ring_reduce_scatter(
+async fn ring_reduce_scatter(
     cell: &mut Cell,
     xs: &mut [f64],
     scratch: VAddr,
@@ -155,7 +154,7 @@ fn ring_reduce_scatter(
                 cell.write_slice(addr, &xs[lo..hi]);
                 cell.send(1, addr, cbytes);
             } else {
-                let (_, mut partial) = cell.recv_slice::<f64>(me - 1, addr, cbytes, hi - lo);
+                let (_, mut partial) = cell.recv_slice::<f64>(me - 1, addr, cbytes, hi - lo).await;
                 for (acc, x) in partial.iter_mut().zip(xs[lo..hi].iter()) {
                     *acc += *x;
                 }
@@ -194,7 +193,7 @@ fn ring_reduce_scatter(
         // for the flag — that was a guaranteed deadlock at 4096 cells.
         if hi > lo {
             cell.wait_flag(flag, *vgops_done);
-            let mine = cell.read_slice::<f64>(blocks, hi - lo);
+            let mine = cell.read_slice::<f64>(blocks, hi - lo).await;
             xs[lo..hi].copy_from_slice(&mine);
         }
     }
@@ -223,9 +222,9 @@ impl Workload for Cg {
     ) -> ApResult<RunReport<()>> {
         crate::admit(self, &machine, None)?;
         let cfg = *self;
-        let a = Arc::new(Csr::random_spd(cfg.n, cfg.per_row, 0xC6));
-        let reference = Arc::new(cfg.reference());
-        run_with_faults(machine, faults, move |cell| {
+        let a = Csr::random_spd(cfg.n, cfg.per_row, 0xC6);
+        let reference = cfg.reference();
+        run(machine, faults, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;
@@ -255,11 +254,11 @@ impl Workload for Cg {
             let mut zetas = Vec::new();
             let mut q_full = vec![0.0f64; n];
 
-            let matvec = |cell: &mut Cell,
-                          v_block: &[f64],
-                          q_full: &mut Vec<f64>,
-                          vgops: &mut u32|
-             -> Vec<f64> {
+            let matvec = async |cell: &mut Cell,
+                                v_block: &[f64],
+                                q_full: &mut Vec<f64>,
+                                vgops: &mut u32|
+                   -> Vec<f64> {
                 for (i, row) in rows.iter().enumerate() {
                     let mut s = 0.0;
                     for &(j, val) in row {
@@ -277,7 +276,8 @@ impl Workload for Cg {
                     flag,
                     vgops,
                     cfg.streamed_ring,
-                );
+                )
+                .await;
                 q_full[lo..hi].to_vec()
             };
 
@@ -287,12 +287,12 @@ impl Workload for Cg {
                 let mut pvec = r.clone();
                 let local_rho: f64 = r.iter().map(|v| v * v).sum();
                 cell.work(2 * nb as u64);
-                let mut rho = cell.reduce_sum_f64(local_rho);
+                let mut rho = cell.reduce_sum_f64(local_rho).await;
                 for _ in 0..cfg.inner {
-                    let q = matvec(cell, &pvec, &mut q_full, &mut vgops);
+                    let q = matvec(cell, &pvec, &mut q_full, &mut vgops).await;
                     let local_d: f64 = pvec.iter().zip(&q).map(|(a, b)| a * b).sum();
                     cell.work(2 * nb as u64);
-                    let d = cell.reduce_sum_f64(local_d);
+                    let d = cell.reduce_sum_f64(local_d).await;
                     let alpha = rho / d;
                     for i in 0..nb {
                         z[i] += alpha * pvec[i];
@@ -301,7 +301,7 @@ impl Workload for Cg {
                     cell.work(4 * nb as u64);
                     let local_rho_new: f64 = r.iter().map(|v| v * v).sum();
                     cell.work(2 * nb as u64);
-                    let rho_new = cell.reduce_sum_f64(local_rho_new);
+                    let rho_new = cell.reduce_sum_f64(local_rho_new).await;
                     let beta = rho_new / rho;
                     rho = rho_new;
                     for i in 0..nb {
@@ -309,14 +309,14 @@ impl Workload for Cg {
                     }
                     cell.work(2 * nb as u64);
                 }
-                let az = matvec(cell, &z, &mut q_full, &mut vgops);
+                let az = matvec(cell, &z, &mut q_full, &mut vgops).await;
                 let local_resid: f64 = x.iter().zip(&az).map(|(a, b)| (a - b) * (a - b)).sum();
                 let local_xz: f64 = x.iter().zip(&z).map(|(a, b)| a * b).sum();
                 let local_zz: f64 = z.iter().map(|v| v * v).sum();
                 cell.work(6 * nb as u64);
-                let resid = cell.reduce_sum_f64(local_resid);
-                let xz = cell.reduce_sum_f64(local_xz);
-                let znorm = cell.reduce_sum_f64(local_zz).sqrt();
+                let resid = cell.reduce_sum_f64(local_resid).await;
+                let xz = cell.reduce_sum_f64(local_xz).await;
+                let znorm = cell.reduce_sum_f64(local_zz).await.sqrt();
                 zetas.push(1.0 / xz + resid.sqrt());
                 for i in 0..nb {
                     x[i] = z[i] / znorm;

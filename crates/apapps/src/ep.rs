@@ -8,7 +8,7 @@
 
 use crate::util::lcg::{NpbRandom, SEED};
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport};
+use apcore::{run, ApResult, FaultSpec, MachineConfig, RunReport};
 
 /// EP instance: `2^log2_pairs` candidate pairs over `pe` cells.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +92,7 @@ impl Workload for Ep {
         crate::admit(self, &machine, faults)?;
         let pairs = 1u64 << self.log2_pairs;
         let pe = self.pe as u64;
-        run_with(machine, move |cell| {
+        run(machine, None, async |cell| {
             let me = cell.id() as u64;
             let chunk = pairs.div_ceil(pe);
             let lo = (me * chunk).min(pairs);
@@ -103,8 +103,11 @@ impl Workload for Ep {
             // Verification: identical to the sequential reference slice.
             let reference = tally_range(lo, hi);
             assert_eq!(t, reference, "EP slice mismatch on cell {me}");
+            // The polar method rejects a pair with probability 1 − π/4, so
+            // only a slice of some length is certain to accept one (at
+            // 16 384 cells the test-scale slices are single pairs).
             assert!(
-                t.counts.iter().sum::<u64>() > 0 || hi == lo,
+                t.counts.iter().sum::<u64>() > 0 || hi - lo < 32,
                 "EP produced no deviates on cell {me}"
             );
         })

@@ -15,8 +15,7 @@
 use crate::util::fft::{fft_flops, fft_inplace};
 use crate::util::lcg::NpbRandom;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApError, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
-use std::sync::Arc;
+use apcore::{run, ApError, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
 
 /// FT instance. `nx`, `ny`, `nz` must be powers of two; `pe` must divide
 /// both `nx` and `nz`.
@@ -190,8 +189,8 @@ impl Workload for Ft {
         crate::admit(self, &machine, faults)?;
         self.check()?;
         let cfg = *self;
-        let reference = Arc::new(cfg.reference());
-        run_with(machine, move |cell| {
+        let reference = cfg.reference();
+        run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);
@@ -248,7 +247,7 @@ impl Workload for Ft {
 
             // All-to-all forward transpose: slab A -> pencil B.
             let transpose_fwd =
-                |cell: &mut apcore::Cell, a: &[f64], arrivals: &mut u32| -> Vec<f64> {
+                async |cell: &mut apcore::Cell, a: &[f64], arrivals: &mut u32| -> Vec<f64> {
                     cell.write_slice(a_buf, a);
                     cell.barrier();
                     for q in 0..p {
@@ -277,7 +276,7 @@ impl Workload for Ft {
                     *arrivals += (p - 1) as u32;
                     cell.wait_flag(flag, *arrivals);
                     // Assemble B from the staging blocks (+ own block direct).
-                    let st = cell.read_slice::<f64>(staging, pencil);
+                    let st = cell.read_slice::<f64>(staging, pencil).await;
                     let mut b = vec![0.0f64; pencil];
                     for src in 0..p {
                         for zz in 0..nzb {
@@ -306,7 +305,7 @@ impl Workload for Ft {
 
             // All-to-all backward transpose: pencil B -> slab A.
             let transpose_bwd =
-                |cell: &mut apcore::Cell, b: &[f64], arrivals: &mut u32| -> Vec<f64> {
+                async |cell: &mut apcore::Cell, b: &[f64], arrivals: &mut u32| -> Vec<f64> {
                     cell.write_slice(b_buf, b);
                     cell.barrier();
                     for q in 0..p {
@@ -334,7 +333,7 @@ impl Workload for Ft {
                     cell.wait_acks();
                     *arrivals += (p - 1) as u32;
                     cell.wait_flag(flag, *arrivals);
-                    let st = cell.read_slice::<f64>(staging, pencil);
+                    let st = cell.read_slice::<f64>(staging, pencil).await;
                     let mut a = vec![0.0f64; slab];
                     for src in 0..p {
                         for xx in 0..nxb {
@@ -374,7 +373,7 @@ impl Workload for Ft {
 
             // ---- forward transform ------------------------------------
             fft_xy(cell, &mut a, false);
-            let mut u1 = transpose_fwd(cell, &a, &mut arrivals);
+            let mut u1 = transpose_fwd(cell, &a, &mut arrivals).await;
             fft_z(cell, &mut u1, false);
 
             // ---- iterations -------------------------------------------
@@ -393,7 +392,7 @@ impl Workload for Ft {
                 }
                 cell.work((nxb * ny * nz * 2) as u64);
                 fft_z(cell, &mut v, true);
-                let mut w = transpose_bwd(cell, &v, &mut arrivals);
+                let mut w = transpose_bwd(cell, &v, &mut arrivals).await;
                 fft_xy(cell, &mut w, true);
                 // Checksum: two scalar global sums (re, im).
                 let (mut sr, mut si) = (0.0f64, 0.0f64);
@@ -402,8 +401,8 @@ impl Workload for Ft {
                     si += w[2 * g + 1];
                 }
                 cell.work(slab as u64);
-                let gr = cell.reduce_sum_f64(sr);
-                let gi = cell.reduce_sum_f64(si);
+                let gr = cell.reduce_sum_f64(sr).await;
+                let gi = cell.reduce_sum_f64(si).await;
                 let (er, ei) = reference[t - 1];
                 let scale = er.abs().max(ei.abs()).max(1e-12);
                 assert!(

@@ -10,7 +10,7 @@
 //! 64 PUTs / 64 Syncs of 76 800-byte messages.
 
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
+use apcore::{run, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 
 /// MatMul instance: `n × n` over `pe` cells (`pe` divides `n`).
 #[derive(Clone, Copy, Debug)]
@@ -61,7 +61,7 @@ impl Workload for MatMul {
         crate::admit(self, &machine, faults)?;
         crate::must_divide(self, "n", self.n)?;
         let cfg = *self;
-        run_with(machine, move |cell| {
+        run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;
@@ -96,7 +96,7 @@ impl Workload for MatMul {
                     cell.put(dst, nxt, cur, (block * 8) as u64, VAddr::NULL, flag, false);
                 }
                 // Multiply: C[my rows] += A[:, owner block] × B_owner.
-                let bcur = cell.read_slice::<f64>(cur, block);
+                let bcur = cell.read_slice::<f64>(cur, block).await;
                 for i in 0..nb {
                     for k in 0..nb {
                         let aik = a[i * n + owner * nb + k];

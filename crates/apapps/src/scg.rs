@@ -13,8 +13,7 @@
 
 use crate::util::sparse::Csr;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
-use std::sync::Arc;
+use apcore::{run, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 
 /// SCG instance: Poisson on a `gx × gy` grid over `pe` cells.
 #[derive(Clone, Copy, Debug)]
@@ -111,8 +110,7 @@ impl Workload for Scg {
         crate::admit(self, &machine, faults)?;
         let cfg = *self;
         let (ref_x, ref_iters, _) = cfg.reference();
-        let reference = Arc::new((ref_x, ref_iters));
-        run_with(machine, move |cell| {
+        run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let (gx, gy) = (cfg.gx, cfg.gy);
@@ -144,8 +142,8 @@ impl Workload for Scg {
 
             let local_dot =
                 |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| x * y).sum() };
-            let mut rho = cell.reduce_sum_f64(local_dot(&r, &z));
-            let mut rr = cell.reduce_sum_f64(local_dot(&r, &r));
+            let mut rho = cell.reduce_sum_f64(local_dot(&r, &z)).await;
+            let mut rr = cell.reduce_sum_f64(local_dot(&r, &r)).await;
             let mut iters = 0usize;
 
             while iters < cfg.max_iters && rr.sqrt() > cfg.tol {
@@ -170,6 +168,7 @@ impl Workload for Scg {
                 }
                 let top = if has_up {
                     cell.recv_slice::<f64>(me - 1, halo_top, (gx * 8) as u64, gx)
+                        .await
                         .1
                 } else {
                     vec![0.0; gx]
@@ -177,7 +176,7 @@ impl Workload for Scg {
                 let bot = if has_dn {
                     puts_seen += 1;
                     cell.wait_flag(put_flag, puts_seen);
-                    cell.read_slice::<f64>(halo_bot, gx)
+                    cell.read_slice::<f64>(halo_bot, gx).await
                 } else {
                     vec![0.0; gx]
                 };
@@ -209,7 +208,7 @@ impl Workload for Scg {
                 cell.work(10 * nloc as u64);
 
                 // ---- scalar reductions & updates -------------------------
-                let pq = cell.reduce_sum_f64(local_dot(&pv, &q));
+                let pq = cell.reduce_sum_f64(local_dot(&pv, &q)).await;
                 let alpha = rho / pq;
                 for i in 0..nloc {
                     x[i] += alpha * pv[i];
@@ -217,7 +216,7 @@ impl Workload for Scg {
                     z[i] = r[i] / 4.0;
                 }
                 cell.work(5 * nloc as u64);
-                let rho_new = cell.reduce_sum_f64(local_dot(&r, &z));
+                let rho_new = cell.reduce_sum_f64(local_dot(&r, &z)).await;
                 rr = rho_new * 4.0;
                 let beta = rho_new / rho;
                 rho = rho_new;
@@ -231,8 +230,7 @@ impl Workload for Scg {
             cell.barrier();
 
             // ---- verification ----------------------------------------
-            let (ref_x, ref_iters) = &*reference;
-            assert_eq!(iters, *ref_iters, "cell {me}: iteration count diverged");
+            assert_eq!(iters, ref_iters, "cell {me}: iteration count diverged");
             assert!(rr.sqrt() <= cfg.tol || iters == cfg.max_iters);
             for yy in 0..nrows {
                 for xx in 0..gx {

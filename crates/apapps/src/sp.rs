@@ -19,8 +19,7 @@ use crate::util::penta::{back_step, eliminate_step, WRow};
 /// balance matches the paper's.
 const SP_FLOPS_PER_POINT: u64 = 320;
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
-use std::sync::Arc;
+use apcore::{run, ApResult, FaultSpec, MachineConfig, RunReport, VAddr};
 
 /// SP instance: an `n × n × n` cube over `pe` cells (`pe` divides `n`).
 #[derive(Clone, Copy, Debug)]
@@ -157,8 +156,8 @@ impl Workload for Sp {
         crate::admit(self, &machine, faults)?;
         crate::must_divide(self, "n", self.n)?;
         let cfg = *self;
-        let reference = Arc::new(cfg.reference());
-        run_with(machine, move |cell| {
+        let reference = cfg.reference();
+        run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;
@@ -247,7 +246,7 @@ impl Workload for Sp {
                         fwd_seen += 1;
                         cell.wait_flag(fwd_flag, fwd_seen);
                         let slot = fwd_in + (y * 8 * n * 8) as u64;
-                        let data = cell.read_slice::<f64>(slot, 8 * n);
+                        let data = cell.read_slice::<f64>(slot, 8 * n).await;
                         for (x, c) in carry.iter_mut().enumerate() {
                             let b = &data[8 * x..8 * x + 8];
                             // A zero diagonal marks "no such row yet"
@@ -311,7 +310,7 @@ impl Workload for Sp {
                         bwd_seen += 1;
                         cell.wait_flag(bwd_flag, bwd_seen);
                         let slot = bwd_in + (y * 2 * n * 8) as u64;
-                        let data = cell.read_slice::<f64>(slot, 2 * n);
+                        let data = cell.read_slice::<f64>(slot, 2 * n).await;
                         for (x, c) in next.iter_mut().enumerate() {
                             c.0 = Some(data[2 * x]); // x_{i+1}
                             c.1 = Some(data[2 * x + 1]); // x_{i+2}

@@ -19,8 +19,7 @@
 //! arithmetic (the paper's 24% RTS bar).
 
 use crate::{Scale, Workload};
-use apcore::{run_with, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
-use std::sync::Arc;
+use apcore::{run, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
 
 /// TOMCATV instance on an `n × n` mesh over `pe` cells.
 #[derive(Clone, Copy, Debug)]
@@ -128,8 +127,8 @@ impl Workload for Tomcatv {
     ) -> ApResult<RunReport<()>> {
         crate::admit(self, &machine, faults)?;
         let cfg = *self;
-        let reference = Arc::new(cfg.reference());
-        run_with(machine, move |cell| {
+        let reference = cfg.reference();
+        run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
             let n = cfg.n;
@@ -291,8 +290,8 @@ impl Workload for Tomcatv {
 
                 // ---- phase 3: relaxation ------------------------------
                 cell.barrier();
-                let xh_old = cell.read_slice::<f64>(xa, n * w);
-                let yh_old = cell.read_slice::<f64>(ya, n * w);
+                let xh_old = cell.read_slice::<f64>(xa, n * w).await;
+                let yh_old = cell.read_slice::<f64>(ya, n * w).await;
                 xh.copy_from_slice(&xh_old);
                 yh.copy_from_slice(&yh_old);
                 let mut errx = 0.0f64;
@@ -339,8 +338,8 @@ impl Workload for Tomcatv {
 
                 // ---- phase 4: error reduction -------------------------
                 cell.barrier();
-                let gx = cell.reduce_max_f64(errx);
-                let gy = cell.reduce_max_f64(erry);
+                let gx = cell.reduce_max_f64(errx).await;
+                let gy = cell.reduce_max_f64(erry).await;
                 let global_err = gx.max(gy);
                 let want = reference.2[iter];
                 assert!(
@@ -351,7 +350,7 @@ impl Workload for Tomcatv {
             }
 
             // ---- verification of the owned mesh region ----------------
-            let (rx, ry, _) = &*reference;
+            let (rx, ry, _) = &reference;
             for i in 0..n {
                 for j in clo..chi {
                     let c = j - clo + 2;

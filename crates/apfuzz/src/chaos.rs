@@ -10,8 +10,8 @@
 //!   detours, and duplicate suppression have to be invisible to the
 //!   program's memory.
 //! * **Unsurvivable schedule** (contains a crash): the run must abort with
-//!   a *structured* error — [`ApError::Fault`], [`ApError::BarrierAborted`],
-//!   or [`ApError::CellLost`] — never a hang, an opaque panic, or an
+//!   a *structured* error — [`ApError::Fault`] or
+//!   [`ApError::BarrierAborted`] — never a hang, an opaque panic, or an
 //!   oracle miss. (If the program finishes before the crash fires, the
 //!   skipped crash makes the run survivable after the fact; the referee
 //!   then requires the full survivable contract.)
@@ -26,8 +26,7 @@
 use crate::plan::Plan;
 use crate::program::FuzzProgram;
 use crate::runner::{self, CellOut};
-use apcore::{run_with_faults, ApError, FaultSpec, MachineConfig};
-use std::sync::Arc;
+use apcore::{run, ApError, FaultSpec, MachineConfig};
 
 /// What a chaos run did, when it met the contract.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,7 +60,7 @@ fn fail(category: &str, detail: String) -> String {
 /// (missing or inconsistent fault report), `chaos-nondeterminism`
 /// (the two runs differed), or any memory-oracle category.
 pub fn run_chaos(prog: &FuzzProgram, spec: &FaultSpec) -> Result<ChaosVerdict, String> {
-    let plan = Arc::new(Plan::build(prog));
+    let plan = Plan::build(prog);
     if plan.expect_error.is_some() {
         return runner::run_program(prog).map(|()| ChaosVerdict::Survived {
             report: String::new(),
@@ -79,16 +78,12 @@ pub fn run_chaos(prog: &FuzzProgram, spec: &FaultSpec) -> Result<ChaosVerdict, S
     Ok(first)
 }
 
-fn run_once(plan: &Arc<Plan>, seed: u64, spec: &FaultSpec) -> Result<ChaosVerdict, String> {
+fn run_once(plan: &Plan, seed: u64, spec: &FaultSpec) -> Result<ChaosVerdict, String> {
     let cfg = MachineConfig::new(plan.ncells).with_mem_size(plan.mem_size);
     let read_dsm = plan.expected.remote_stores > 0;
-    let result = {
-        let plan = Arc::clone(plan);
-        let spec = spec.clone();
-        run_with_faults(cfg, Some(&spec), move |cell| {
-            runner::execute(&plan, seed, read_dsm, cell)
-        })
-    };
+    let result = run(cfg, Some(spec), async |cell| {
+        runner::execute(plan, seed, read_dsm, cell).await
+    });
     match result {
         Ok(report) => {
             let completed: &[CellOut] = &report.outputs;
@@ -108,7 +103,7 @@ fn run_once(plan: &Arc<Plan>, seed: u64, spec: &FaultSpec) -> Result<ChaosVerdic
                 retries: fr.total_retries(),
             })
         }
-        Err(err @ (ApError::Fault(_) | ApError::BarrierAborted { .. } | ApError::CellLost(_))) => {
+        Err(err @ (ApError::Fault(_) | ApError::BarrierAborted { .. })) => {
             if spec.is_survivable() {
                 Err(fail(
                     "chaos-unsurvived",

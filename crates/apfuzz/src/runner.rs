@@ -15,9 +15,8 @@
 use crate::oracle::{self, Expectation};
 use crate::plan::{HostileKind, Op, Plan, DSM_SPAN, FLAG_SLOTS};
 use crate::program::FuzzProgram;
-use apcore::{run_with, MachineConfig, StrideSpec, VAddr};
+use apcore::{run, MachineConfig, StrideSpec, VAddr};
 use mlsim::{divergence, replay_observed, ModelParams};
-use std::sync::Arc;
 
 /// What one cell hands back for checking.
 pub struct CellOut {
@@ -42,16 +41,15 @@ pub fn category(violation: &str) -> &str {
 /// `repro remodel`. Returns `None` when the run aborts (expected-error
 /// reproducers leave nothing replayable behind).
 pub fn program_evtrace(prog: &FuzzProgram) -> Option<Vec<u8>> {
-    let plan = Arc::new(Plan::build(prog));
+    let plan = Plan::build(prog);
     let seed = prog.seed;
     let cfg = MachineConfig::new(plan.ncells)
         .with_mem_size(plan.mem_size)
         .with_timeline(true);
     let read_dsm = plan.expected.remote_stores > 0;
-    let report = {
-        let plan = Arc::clone(&plan);
-        run_with(cfg, move |cell| execute(&plan, seed, read_dsm, cell))
-    }
+    let report = run(cfg, None, async |cell| {
+        execute(&plan, seed, read_dsm, cell).await
+    })
     .ok()?;
     let events = report.timeline.events.len() as u64;
     let doc = aptrace::EvTrace {
@@ -77,16 +75,15 @@ pub fn program_evtrace(prog: &FuzzProgram) -> Option<Vec<u8>> {
 ///
 /// A `"category: detail"` violation description.
 pub fn run_program(prog: &FuzzProgram) -> Result<(), String> {
-    let plan = Arc::new(Plan::build(prog));
+    let plan = Plan::build(prog);
     let seed = prog.seed;
     let cfg = MachineConfig::new(plan.ncells)
         .with_mem_size(plan.mem_size)
         .with_timeline(true);
     let read_dsm = plan.expected.remote_stores > 0;
-    let result = {
-        let plan = Arc::clone(&plan);
-        run_with(cfg, move |cell| execute(&plan, seed, read_dsm, cell))
-    };
+    let result = run(cfg, None, async |cell| {
+        execute(&plan, seed, read_dsm, cell).await
+    });
     match (&plan.expect_error, result) {
         (Some(want), Err(e)) => {
             let got = e.to_string();
@@ -114,7 +111,12 @@ pub fn run_program(prog: &FuzzProgram) -> Result<(), String> {
 /// makes generated programs deadlock-free: no blocking operation ever
 /// precedes the non-blocking issues it depends on, and the blocking
 /// operations appear in the same relative order on every cell.
-pub(crate) fn execute(plan: &Plan, seed: u64, read_dsm: bool, cell: &mut apcore::Cell) -> CellOut {
+pub(crate) async fn execute(
+    plan: &Plan,
+    seed: u64,
+    read_dsm: bool,
+    cell: &mut apcore::Cell,
+) -> CellOut {
     let me = cell.id() as u32;
     let region_b = cell.alloc_bytes(plan.region);
     let flags_b = cell.alloc_bytes(4 * FLAG_SLOTS as u64);
@@ -289,7 +291,7 @@ pub(crate) fn execute(plan: &Plan, seed: u64, read_dsm: bool, cell: &mut apcore:
             } = op
             {
                 if *dst == me {
-                    cell.recv(*src as usize, region_b + *dst_off, *bytes);
+                    cell.recv(*src as usize, region_b + *dst_off, *bytes).await;
                 }
             }
         }
@@ -303,7 +305,7 @@ pub(crate) fn execute(plan: &Plan, seed: u64, read_dsm: bool, cell: &mut apcore:
             } = op
             {
                 if *reader == me {
-                    loads.push(cell.remote_load(*owner as usize, *off, *bytes));
+                    loads.push(cell.remote_load(*owner as usize, *off, *bytes).await);
                 }
             }
         }
@@ -325,11 +327,13 @@ pub(crate) fn execute(plan: &Plan, seed: u64, read_dsm: bool, cell: &mut apcore:
         }
         cell.barrier();
     }
-    let words = cell.read_slice::<u64>(region_b, (plan.region / 8) as usize);
+    let words = cell
+        .read_slice::<u64>(region_b, (plan.region / 8) as usize)
+        .await;
     let region = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    let flags = cell.read_slice::<u32>(flags_b, FLAG_SLOTS);
+    let flags = cell.read_slice::<u32>(flags_b, FLAG_SLOTS).await;
     let dsm = if read_dsm {
-        cell.remote_load(me as usize, 0, DSM_SPAN)
+        cell.remote_load(me as usize, 0, DSM_SPAN).await
     } else {
         Vec::new()
     };

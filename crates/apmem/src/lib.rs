@@ -30,4 +30,4 @@ pub use commreg::CommRegs;
 pub use dsm::DsmMap;
 pub use flags::FlagUnit;
 pub use memory::{MemError, Memory};
-pub use mmu::{Mmu, PageSize, TlbStats, Translation};
+pub use mmu::{Layout, Mmu, PageSize, TlbStats, Translation};

@@ -74,59 +74,52 @@ struct TlbLine {
     pframe: u64,
 }
 
-/// Per-cell MMU: page table, physical-frame allocator, and the
-/// direct-mapped two-level TLB.
-///
-/// Logical address space is laid out by [`Mmu::map_anywhere`], which the
-/// runtime's allocator uses: it grabs fresh logical pages backed by fresh
-/// physical frames. Address 0 is intentionally never mapped so that
-/// [`VAddr::NULL`] always faults if dereferenced (it is the "no flag" / ack
-/// sentinel, not a real location).
-#[derive(Clone, Debug)]
-pub struct Mmu {
-    table: BTreeMap<u64, PageEntry>, // key: vaddr >> SMALL_SHIFT of page base
-    small_tlb: Vec<Option<TlbLine>>,
-    large_tlb: Vec<Option<TlbLine>>,
+/// Where [`Mmu::map_anywhere`] puts the next region: the logical and
+/// physical bump cursors against the DRAM size. Placement is a pure
+/// function of the allocation sizes so far, so a copy of this value can
+/// compute — away from the MMU — the address the MMU will hand out.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Layout {
     next_vaddr: u64,
     next_frame: u64,
     dram_size: u64,
-    stats: TlbStats,
 }
 
-impl Mmu {
-    /// Creates an MMU managing `dram_size` bytes of physical memory.
-    /// Logical addresses are handed out starting at 64 KB (the first 16
-    /// small pages are a guard region).
+/// One placed region: `npages` pages of `size`, logically at `base` and
+/// physically at `pbase`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Placement {
+    /// Logical base address.
+    pub base: VAddr,
+    /// Physical base address.
+    pub pbase: u64,
+    /// Page size backing the region.
+    pub size: PageSize,
+    /// Number of pages.
+    pub npages: u64,
+}
+
+impl Layout {
+    /// An empty address space over `dram_size` bytes of physical memory.
+    /// Logical addresses start at 64 KB (the first 16 small pages are a
+    /// guard region).
     pub fn new(dram_size: u64) -> Self {
-        Mmu {
-            table: BTreeMap::new(),
-            small_tlb: vec![None; SMALL_TLB_ENTRIES],
-            large_tlb: vec![None; LARGE_TLB_ENTRIES],
+        Layout {
             next_vaddr: 0x1_0000,
             next_frame: 0,
             dram_size,
-            stats: TlbStats::default(),
         }
     }
 
-    /// TLB counters so far.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Physical bytes allocated so far.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.next_frame
-    }
-
-    /// Maps `len` bytes of fresh logical memory and returns its base.
-    /// Regions of 256 KB or more use large pages (fewer TLB entries, as the
-    /// paper intends for big arrays).
+    /// Places `len` bytes of fresh memory and advances the cursors.
+    /// Regions of 256 KB or more use large pages (fewer TLB entries, as
+    /// the paper intends for big arrays). A failed placement leaves the
+    /// layout unchanged.
     ///
     /// # Errors
     ///
-    /// [`MemError::OutOfFrames`] when the physical allocator exhausts DRAM.
-    pub fn map_anywhere(&mut self, len: u64) -> Result<VAddr, MemError> {
+    /// [`MemError::OutOfFrames`] when `len` is zero or DRAM is exhausted.
+    pub fn place(&mut self, len: u64) -> Result<Placement, MemError> {
         if len == 0 {
             return Err(MemError::OutOfFrames { requested: 0 });
         }
@@ -144,15 +137,82 @@ impl Mmu {
         if pbase + phys_len > self.dram_size {
             return Err(MemError::OutOfFrames { requested: len });
         }
+        self.next_vaddr = base + phys_len;
+        self.next_frame = pbase + phys_len;
+        Ok(Placement {
+            base: VAddr::new(base),
+            pbase,
+            size,
+            npages,
+        })
+    }
+}
+
+/// Per-cell MMU: page table, physical-frame allocator, and the
+/// direct-mapped two-level TLB.
+///
+/// Logical address space is laid out by [`Mmu::map_anywhere`], which the
+/// runtime's allocator uses: it grabs fresh logical pages backed by fresh
+/// physical frames. Address 0 is intentionally never mapped so that
+/// [`VAddr::NULL`] always faults if dereferenced (it is the "no flag" / ack
+/// sentinel, not a real location).
+#[derive(Clone, Debug)]
+pub struct Mmu {
+    table: BTreeMap<u64, PageEntry>, // key: vaddr >> SMALL_SHIFT of page base
+    small_tlb: Vec<Option<TlbLine>>,
+    large_tlb: Vec<Option<TlbLine>>,
+    layout: Layout,
+    stats: TlbStats,
+}
+
+impl Mmu {
+    /// Creates an MMU managing `dram_size` bytes of physical memory.
+    pub fn new(dram_size: u64) -> Self {
+        Mmu {
+            table: BTreeMap::new(),
+            small_tlb: vec![None; SMALL_TLB_ENTRIES],
+            large_tlb: vec![None; LARGE_TLB_ENTRIES],
+            layout: Layout::new(dram_size),
+            stats: TlbStats::default(),
+        }
+    }
+
+    /// Where the next [`Mmu::map_anywhere`] will land.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// TLB counters so far.
+    pub fn stats(&self) -> TlbStats {
+        self.stats
+    }
+
+    /// Physical bytes allocated so far.
+    pub fn allocated_bytes(&self) -> u64 {
+        self.layout.next_frame
+    }
+
+    /// Maps `len` bytes of fresh logical memory, placed by
+    /// [`Layout::place`], and returns its base.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::OutOfFrames`] when the physical allocator exhausts DRAM.
+    pub fn map_anywhere(&mut self, len: u64) -> Result<VAddr, MemError> {
+        let Placement {
+            base,
+            pbase,
+            size,
+            npages,
+        } = self.layout.place(len)?;
+        let page_bytes = size.bytes();
         for i in 0..npages {
-            let v = base + i * page_bytes;
+            let v = base.as_u64() + i * page_bytes;
             let p = pbase + i * page_bytes;
             self.table
                 .insert(v >> SMALL_SHIFT, PageEntry { pframe: p, size });
         }
-        self.next_vaddr = base + phys_len;
-        self.next_frame = pbase + phys_len;
-        Ok(VAddr::new(base))
+        Ok(base)
     }
 
     fn lookup_entry(&self, vaddr: u64) -> Option<(u64, PageEntry)> {

@@ -1,10 +1,11 @@
 //! Host-side self-profiling of the emulator event loop.
 //!
 //! Four phases cover the kernel's hot path: **pop** (event-queue pop),
-//! **dispatch** (handling an event on the kernel thread), **drain**
-//! (serving a cell's batched follow-up requests without a channel round
-//! trip), and **wakeup** (a full resume-channel round trip to a cell
-//! thread). To keep the overhead budget (≤5% wall-clock), only every
+//! **dispatch** (handling a hardware event), **drain** (a wake that
+//! retires the next request a program posted, without resuming it), and
+//! **wakeup** (a wake that resumes a program: the inline step to its next
+//! suspension point plus the dispatch of the first request it issued).
+//! To keep the overhead budget (≤5% wall-clock), only every
 //! 64th event is timed; counts are always exact, nanosecond totals are
 //! sampled and scaled at reporting time.
 //!
@@ -20,11 +21,13 @@ use std::time::Instant;
 pub enum HostPhase {
     /// Popping the next event off the queue.
     Pop,
-    /// Handling an event on the kernel thread.
+    /// Handling a hardware event (DMA, packet, fault-layer timer).
     Dispatch,
-    /// Draining a cell's batched requests (no channel round trip).
+    /// A wake that retires a cell's next posted request; the program is
+    /// not resumed.
     Drain,
-    /// A resume-channel round trip to a cell thread.
+    /// A wake that resumes a cell program: the inline step to its next
+    /// suspension point, then the dispatch of the first request it issued.
     Wakeup,
 }
 

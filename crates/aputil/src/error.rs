@@ -1,6 +1,6 @@
 //! The workspace-wide error type.
 
-use crate::fault::{CellLostReport, FaultReport};
+use crate::fault::FaultReport;
 use crate::{CellId, SimTime, VAddr};
 use core::fmt;
 use std::error::Error;
@@ -180,12 +180,6 @@ pub enum ApError {
         /// Panic payload or failure description.
         reason: String,
     },
-    /// More than one cell program failed in the same run; every failure is
-    /// listed in cell order.
-    CellsFailed {
-        /// `(cell, reason)` for each failed cell.
-        failures: Vec<(CellId, String)>,
-    },
     /// The S-net barrier protocol was violated: a cell arrived twice in one
     /// epoch, or a cell outside the machine arrived. Barrier entry is
     /// driven by the kernel, so this indicates a kernel or runtime bug
@@ -208,10 +202,6 @@ pub enum ApError {
     /// never finished, or a packet exhausted its retries. The report
     /// carries the full injected schedule and recovery history.
     Fault(Box<FaultReport>),
-    /// A cell's program thread went away mid-run (channel closed without a
-    /// clean finish). Carries the last request the cell issued and its
-    /// block state, like a one-cell [`DeadlockReport`].
-    CellLost(Box<CellLostReport>),
     /// A barrier can never complete because a participant is dead. Raised
     /// eagerly — at the first arrival after (or crash during) the barrier
     /// — instead of hanging until deadlock detection.
@@ -293,13 +283,6 @@ impl fmt::Display for ApError {
             ApError::CellFailed { cell, reason } => {
                 write!(f, "{cell} failed: {reason}")
             }
-            ApError::CellsFailed { failures } => {
-                write!(f, "{} cells failed:", failures.len())?;
-                for (cell, reason) in failures {
-                    write!(f, " [{cell}: {reason}]")?;
-                }
-                Ok(())
-            }
             ApError::BarrierMisuse { cell, detail } => {
                 write!(f, "S-net barrier misuse by {cell}: {detail}")
             }
@@ -307,7 +290,6 @@ impl fmt::Display for ApError {
                 write!(f, "state leaked past end of run: {detail}")
             }
             ApError::Fault(report) => write!(f, "fault injection: {report}"),
-            ApError::CellLost(report) => write!(f, "cell lost: {report}"),
             ApError::BarrierAborted { at, waiting, dead } => {
                 write!(f, "barrier aborted at {at}: dead participants [")?;
                 for (i, c) in dead.iter().enumerate() {

@@ -169,39 +169,6 @@ impl fmt::Display for FaultReport {
     }
 }
 
-/// Why a cell became unreachable, carried by [`crate::ApError::CellLost`]:
-/// the structured replacement for the old opaque "channel closed" failure.
-/// Same shape as a [`crate::DeadlockReport`] entry — it names the last
-/// request the cell issued and, if the kernel had it parked, its block
-/// state.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellLostReport {
-    /// The cell whose program thread went away.
-    pub cell: CellId,
-    /// How the loss was detected (e.g. `"request channel closed"`).
-    pub reason: String,
-    /// Simulated time of detection.
-    pub now: SimTime,
-    /// Name of the last request the cell issued, if it issued any.
-    pub last_request: Option<&'static str>,
-    /// The cell's block state at the time, if the kernel had it blocked.
-    pub blocked: Option<crate::BlockedCell>,
-}
-
-impl fmt::Display for CellLostReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} lost at {}: {}", self.cell, self.now, self.reason)?;
-        match self.last_request {
-            Some(req) => write!(f, "; last request {req}")?,
-            None => write!(f, "; no requests issued")?,
-        }
-        if let Some(b) = &self.blocked {
-            write!(f, "; blocked on {} since {}", b.reason, b.since)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,19 +224,5 @@ mod tests {
         assert!(text.contains("cause: 2 of 4 cells never finished"));
         assert!(text.contains("cell2 at 500 ns") || text.contains("cell2 at"));
         assert!(text.contains("undeliverable after 9 attempts"));
-    }
-
-    #[test]
-    fn cell_lost_display_names_last_request() {
-        let r = CellLostReport {
-            cell: CellId::new(3),
-            reason: "request channel closed".into(),
-            now: SimTime::from_nanos(250),
-            last_request: Some("Put"),
-            blocked: None,
-        };
-        let text = r.to_string();
-        assert!(text.contains("cell3"));
-        assert!(text.contains("last request Put"));
     }
 }

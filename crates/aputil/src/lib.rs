@@ -33,7 +33,7 @@ pub mod time;
 
 pub use addr::{PAddr, VAddr};
 pub use error::{panic_message, ApError, ApResult, BlockReason, BlockedCell, DeadlockReport};
-pub use fault::{CellLostReport, DeliveryFailure, FaultReport, InjectedFault};
+pub use fault::{DeliveryFailure, FaultReport, InjectedFault};
 pub use fsio::{write_atomic, TempSibling};
 pub use hash::{fnv1a_64, key_hex, parse_key_hex};
 pub use id::CellId;

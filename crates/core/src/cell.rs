@@ -1,20 +1,44 @@
 //! The cell-program API: what SPMD code sees.
 //!
 //! A [`Cell`] is handed to each copy of the program by
-//! [`run_with`](crate::run_with). Every method is a *simulated* operation:
+//! [`run`](crate::run). Every method is a *simulated* operation:
 //! it advances this cell's simulated clock, may block on other cells, and
 //! is recorded in the probe trace. The API mirrors §2.2/§3.1 of the paper —
 //! `put`/`get` (plain and strided), flags, SEND/RECEIVE, barriers,
 //! communication registers, reductions — plus a data plane
 //! (`read_slice`/`write_slice`) for setting up inputs and checking results
 //! at zero simulated cost.
+//!
+//! Method colour follows what the program gets back. A method that only
+//! *posts* work — `put`, `wait_flag`, `barrier`, `send`, `alloc`, … — is
+//! a plain `fn`: the request is queued and the simulated blocking happens
+//! in the kernel's schedule, not on the host. A method that hands
+//! simulated data back — `read_slice`, `recv`, `reg_load`, the
+//! reductions, `remote_load` — is an `async fn`: the program suspends
+//! there and the kernel resumes it when the simulated operation completes
+//! (DESIGN.md §10).
+//!
+//! ```
+//! use apcore::{run, MachineConfig};
+//!
+//! let r = run(MachineConfig::new(2), None, async |cell| {
+//!     let buf = cell.alloc::<u32>(1); // posts
+//!     cell.write_pod(buf, 7u32 + cell.id() as u32); // posts
+//!     cell.barrier(); // posts
+//!     cell.read_pod::<u32>(buf).await // suspends until the data is back
+//! })
+//! .unwrap();
+//! assert_eq!(r.outputs, vec![7, 8]);
+//! ```
 
-use crate::request::{Mark, Request, Response};
+use crate::request::{Mark, Port, Request, Response, Resume};
+use apmem::Layout;
 use apmsc::{GetArgs, PutArgs, StrideSpec, MAX_DMA_BYTES};
 use aputil::bytes::{decode_slice, encode_slice, Pod};
 use aputil::{CellId, VAddr};
-use crossbeam::channel::{Receiver, Sender};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Write-through page size (§4.2's cache granule; the real machine used
 /// MMU pages, we use 1 KB blocks to keep miss traffic reasonable at the
@@ -52,16 +76,14 @@ const REG_BAR_DOWN: u16 = 8; // release from parent
 
 /// One cell's handle on the simulated machine.
 ///
-/// Created by [`run_with`](crate::run_with); one per SPMD program copy.
+/// Created by [`run`](crate::run); one per SPMD program copy.
 pub struct Cell {
     id: CellId,
     ncells: u32,
-    req_tx: Sender<(u32, Request)>,
-    resume_rx: Receiver<Response>,
-    /// Posted requests not yet shipped to the kernel. Every one resolves
-    /// to [`Response::Unit`], so nothing is lost by batching them with
-    /// the next data-returning call into one host round trip.
-    pending: Vec<Request>,
+    port: Rc<RefCell<Port>>,
+    /// This cell's copy of its MMU's placement state: `alloc` picks the
+    /// address here and the kernel maps it when the request dispatches.
+    layout: Layout,
     ack_flag: VAddr,
     acks_issued: u32,
     scratch: VAddr,
@@ -72,18 +94,12 @@ pub struct Cell {
 }
 
 impl Cell {
-    pub(crate) fn new(
-        id: CellId,
-        ncells: u32,
-        req_tx: Sender<(u32, Request)>,
-        resume_rx: Receiver<Response>,
-    ) -> Self {
+    pub(crate) fn new(id: CellId, ncells: u32, port: Rc<RefCell<Port>>, layout: Layout) -> Self {
         Cell {
             id,
             ncells,
-            req_tx,
-            resume_rx,
-            pending: Vec::new(),
+            port,
+            layout,
             ack_flag: VAddr::NULL,
             acks_issued: 0,
             scratch: VAddr::NULL,
@@ -94,76 +110,27 @@ impl Cell {
         }
     }
 
-    /// Waits for the kernel's boot baton (called once before the program).
-    pub(crate) fn wait_boot(&mut self) {
-        let r = self.resume_rx.recv().expect("machine stopped before boot");
+    /// Takes the boot wake (awaited once, before the program).
+    pub(crate) async fn boot(&mut self) {
+        let r = Resume(&self.port).await;
         debug_assert_eq!(r, Response::Unit);
         // The implicit acknowledge flag of the Ack & Barrier model (§2.2).
         self.ack_flag = self.alloc_bytes(4);
     }
 
-    /// Signals program completion (called once after the program).
-    pub(crate) fn finish(&mut self) {
-        let req = self.flushed(Request::Finish);
-        let _ = self.req_tx.send((self.id.as_u32(), req));
-    }
-
-    pub(crate) fn fail(&mut self, reason: String) {
-        let req = self.flushed(Request::Fail(reason));
-        let _ = self.req_tx.send((self.id.as_u32(), req));
-    }
-
-    /// Wraps `last` together with any posted requests, preserving program
-    /// order. Finish/Fail also flush this way, so even a program that ends
-    /// on an asynchronous call retires everything it issued.
-    fn flushed(&mut self, last: Request) -> Request {
-        if self.pending.is_empty() {
-            last
-        } else {
-            let mut reqs = std::mem::take(&mut self.pending);
-            reqs.push(last);
-            Request::Batch(reqs)
-        }
-    }
-
-    /// Queues a request whose response is always `Unit` to ride along
-    /// with the next data-returning call — no host round trip of its own.
-    /// That covers the blocking ones too (`wait_flag`, `barrier`, `send`,
-    /// …): the kernel's dispatch schedule preserves the simulated
-    /// blocking, so only the program thread's host wait is skipped.
+    /// Queues a request whose response is always `Unit`. That covers the
+    /// blocking ones too (`wait_flag`, `barrier`, `send`, …): the kernel
+    /// retires posted requests one per wake, so the simulated blocking is
+    /// preserved and only the host-side suspension is skipped.
     fn post(&mut self, req: Request) {
-        self.pending.push(req);
+        self.port.borrow_mut().outbox.push_back(req);
     }
 
-    fn call(&mut self, req: Request) -> Response {
-        let req = self.flushed(req);
-        self.req_tx
-            .send((self.id.as_u32(), req))
-            .expect("machine stopped");
-        self.resume_rx.recv().expect("machine stopped")
-    }
-
-    /// Ships `N` synchronous requests back-to-back, then collects their
-    /// `N` responses in issue order ("request pipelining"), so the
-    /// program thread parks once instead of `N` times. The wire stream —
-    /// and with it the event stream and every simulated time — is
-    /// identical to issuing them as sequential blocking calls: the
-    /// kernel dispatches request `k + 1` only when request `k`'s wake
-    /// commits, whatever the host arrival time (early arrivals sit in
-    /// the kernel's per-cell stash).
-    ///
-    /// Only the first request picks up posted requests (as in a serial
-    /// sequence, where [`Cell::flushed`] would attach them there); a
-    /// caller mirroring a serial interleaving with posts *between* two
-    /// calls passes an explicit [`Request::Batch`].
-    fn call_pipelined<const N: usize>(&mut self, reqs: [Request; N]) -> [Response; N] {
-        for (k, req) in reqs.into_iter().enumerate() {
-            let req = if k == 0 { self.flushed(req) } else { req };
-            self.req_tx
-                .send((self.id.as_u32(), req))
-                .expect("machine stopped");
-        }
-        std::array::from_fn(|_| self.resume_rx.recv().expect("machine stopped"))
+    /// Issues a data-returning request and suspends until the kernel
+    /// resumes the program with its response.
+    async fn call(&mut self, req: Request) -> Response {
+        self.post(req);
+        Resume(&self.port).await
     }
 
     // ---- identity ------------------------------------------------------
@@ -196,14 +163,25 @@ impl Cell {
     /// logical addresses, which is what makes "the same array on the remote
     /// cell" well-defined for PUT/GET.
     ///
-    /// # Panics
-    ///
-    /// Panics if the cell's DRAM is exhausted.
+    /// The address is chosen here, from the cell's copy of the MMU
+    /// layout; the mapping itself is a posted request. If the cell's DRAM
+    /// is exhausted (or `bytes` is zero) the program stops at this call
+    /// and the run ends with
+    /// [`ApError::InvalidArg`](aputil::ApError::InvalidArg), raised at
+    /// the simulated time of the allocation.
     pub fn alloc_bytes(&mut self, bytes: u64) -> VAddr {
-        match self.call(Request::Alloc { bytes }) {
-            Response::Addr(a) => a,
-            r => unreachable!("alloc got {r:?}"),
-        }
+        let Ok(placed) = self.layout.place(bytes) else {
+            // The kernel reports the failure when the request dispatches.
+            // The program must not run on with an address it does not
+            // have, so unwind it (quietly: this is not a bug in it) to
+            // the step that is polling it.
+            let at = VAddr::NULL;
+            self.post(Request::Alloc { bytes, at });
+            std::panic::resume_unwind(Box::new("allocation failed"));
+        };
+        let at = placed.base;
+        self.post(Request::Alloc { bytes, at });
+        at
     }
 
     /// Allocates a zeroed array of `n` scalars.
@@ -227,11 +205,12 @@ impl Cell {
     }
 
     /// Reads a typed slice from simulated memory (zero simulated time).
-    pub fn read_slice<T: Pod>(&mut self, addr: VAddr, n: usize) -> Vec<T> {
-        match self.call(Request::ReadMem {
+    pub async fn read_slice<T: Pod>(&mut self, addr: VAddr, n: usize) -> Vec<T> {
+        let read = Request::ReadMem {
             addr,
             len: (n * T::SIZE) as u64,
-        }) {
+        };
+        match self.call(read).await {
             Response::Bytes(b) => decode_slice(&b),
             r => unreachable!("read got {r:?}"),
         }
@@ -243,8 +222,8 @@ impl Cell {
     }
 
     /// Reads one scalar.
-    pub fn read_pod<T: Pod>(&mut self, addr: VAddr) -> T {
-        self.read_slice::<T>(addr, 1)[0]
+    pub async fn read_pod<T: Pod>(&mut self, addr: VAddr) -> T {
+        self.read_slice::<T>(addr, 1).await[0]
     }
 
     // ---- computation ------------------------------------------------------
@@ -430,8 +409,8 @@ impl Cell {
     }
 
     /// Non-blocking read of a flag's current value.
-    pub fn read_flag(&mut self, flag: VAddr) -> u32 {
-        match self.call(Request::ReadFlag { flag }) {
+    pub async fn read_flag(&mut self, flag: VAddr) -> u32 {
+        match self.call(Request::ReadFlag { flag }).await {
             Response::Value(v) => v,
             r => unreachable!("read_flag got {r:?}"),
         }
@@ -464,48 +443,30 @@ impl Cell {
 
     /// Blocking RECEIVE of the next ring message from `src` into `laddr`
     /// (at most `max` bytes). Returns the received length.
-    pub fn recv(&mut self, src: usize, laddr: VAddr, max: u64) -> u64 {
-        match self.call(Request::Recv {
+    pub async fn recv(&mut self, src: usize, laddr: VAddr, max: u64) -> u64 {
+        let recv = Request::Recv {
             src: CellId::new(src as u32),
             laddr,
             max,
-        }) {
+        };
+        match self.call(recv).await {
             Response::Len(n) => n,
             r => unreachable!("recv got {r:?}"),
         }
     }
 
     /// [`Cell::recv`] followed by a zero-cost [`Cell::read_slice`] of `n`
-    /// scalars from the landing buffer: the identical wire requests,
-    /// simulated cost, and event stream, pipelined into a single parked
-    /// wait. Returns the received byte length and the slice.
-    pub fn recv_slice<T: Pod>(
+    /// scalars from the landing buffer. Returns the received byte length
+    /// and the slice.
+    pub async fn recv_slice<T: Pod>(
         &mut self,
         src: usize,
         laddr: VAddr,
         max: u64,
         n: usize,
     ) -> (u64, Vec<T>) {
-        let [len, data] = self.call_pipelined([
-            Request::Recv {
-                src: CellId::new(src as u32),
-                laddr,
-                max,
-            },
-            Request::ReadMem {
-                addr: laddr,
-                len: (n * T::SIZE) as u64,
-            },
-        ]);
-        let len = match len {
-            Response::Len(l) => l,
-            r => unreachable!("recv got {r:?}"),
-        };
-        let data = match data {
-            Response::Bytes(b) => decode_slice(&b),
-            r => unreachable!("read got {r:?}"),
-        };
-        (len, data)
+        let len = self.recv(src, laddr, max).await;
+        (len, self.read_slice(laddr, n).await)
     }
 
     // ---- synchronization ---------------------------------------------------
@@ -533,7 +494,7 @@ impl Cell {
     /// # Panics
     ///
     /// Panics if this cell is not in `group`.
-    pub fn group_barrier(&mut self, group: &[usize]) {
+    pub async fn group_barrier(&mut self, group: &[usize]) {
         let pos = group
             .iter()
             .position(|&c| c == self.id())
@@ -542,17 +503,17 @@ impl Cell {
         let (l, r) = (2 * pos + 1, 2 * pos + 2);
         // Up phase: wait for children, then notify parent.
         if l < n {
-            self.reg_load(REG_BAR_L);
+            self.reg_load(REG_BAR_L).await;
         }
         if r < n {
-            self.reg_load(REG_BAR_R);
+            self.reg_load(REG_BAR_R).await;
         }
         if pos > 0 {
             let parent = group[(pos - 1) / 2];
             let slot = if pos % 2 == 1 { REG_BAR_L } else { REG_BAR_R };
             self.reg_store(parent, slot, 1);
             // Down phase: wait for release.
-            self.reg_load(REG_BAR_DOWN);
+            self.reg_load(REG_BAR_DOWN).await;
         }
         if l < n {
             self.reg_store(group[l], REG_BAR_DOWN, 1);
@@ -576,8 +537,8 @@ impl Cell {
 
     /// Loads local communication register `reg`, blocking until its p-bit
     /// is set; consumes the value.
-    pub fn reg_load(&mut self, reg: u16) -> u32 {
-        match self.call(Request::RegLoad { reg }) {
+    pub async fn reg_load(&mut self, reg: u16) -> u32 {
+        match self.call(Request::RegLoad { reg }).await {
             Response::Value(v) => v,
             r => unreachable!("reg_load got {r:?}"),
         }
@@ -589,19 +550,10 @@ impl Cell {
         self.reg_store(dst, reg + 1, (bits >> 32) as u32);
     }
 
-    fn reg_value(r: Response) -> u32 {
-        match r {
-            Response::Value(v) => v,
-            r => unreachable!("reg_load got {r:?}"),
-        }
-    }
-
-    fn reg_load_f64(&mut self, reg: u16) -> f64 {
-        // The two halves are only needed together, so they pipeline into
-        // one parked wait.
-        let [lo, hi] =
-            self.call_pipelined([Request::RegLoad { reg }, Request::RegLoad { reg: reg + 1 }]);
-        f64::from_bits(Self::reg_value(lo) as u64 | ((Self::reg_value(hi) as u64) << 32))
+    async fn reg_load_f64(&mut self, reg: u16) -> f64 {
+        let lo = self.reg_load(reg).await;
+        let hi = self.reg_load(reg + 1).await;
+        f64::from_bits(lo as u64 | ((hi as u64) << 32))
     }
 
     // ---- reductions (§4.5) ---------------------------------------------------
@@ -609,19 +561,19 @@ impl Cell {
     /// Scalar global reduction over **all** cells using the communication
     /// registers (binary tree up, broadcast down). Returns the reduced
     /// value on every cell. Counted as one "Gop" in Table 3.
-    pub fn reduce_f64(&mut self, x: f64, op: ReduceOp) -> f64 {
+    pub async fn reduce_f64(&mut self, x: f64, op: ReduceOp) -> f64 {
         let group: Vec<usize> = (0..self.ncells()).collect();
-        self.group_reduce_f64(&group, x, op)
+        self.group_reduce_f64(&group, x, op).await
     }
 
     /// Scalar sum over all cells.
-    pub fn reduce_sum_f64(&mut self, x: f64) -> f64 {
-        self.reduce_f64(x, ReduceOp::Sum)
+    pub async fn reduce_sum_f64(&mut self, x: f64) -> f64 {
+        self.reduce_f64(x, ReduceOp::Sum).await
     }
 
     /// Scalar max over all cells.
-    pub fn reduce_max_f64(&mut self, x: f64) -> f64 {
-        self.reduce_f64(x, ReduceOp::Max)
+    pub async fn reduce_max_f64(&mut self, x: f64) -> f64 {
+        self.reduce_f64(x, ReduceOp::Max).await
     }
 
     /// Scalar reduction over an arbitrary `group` (§2.3 requires group
@@ -631,7 +583,7 @@ impl Cell {
     /// # Panics
     ///
     /// Panics if this cell is not in `group`.
-    pub fn group_reduce_f64(&mut self, group: &[usize], x: f64, op: ReduceOp) -> f64 {
+    pub async fn group_reduce_f64(&mut self, group: &[usize], x: f64, op: ReduceOp) -> f64 {
         self.post(Request::Mark(Mark::GopScalar));
         let pos = group
             .iter()
@@ -640,37 +592,18 @@ impl Cell {
         let n = group.len();
         let (l, r) = (2 * pos + 1, 2 * pos + 2);
         let mut acc = x;
-        if l < n && r < n {
-            // Both children: one four-deep pipeline covering what the
-            // serial sequence issues as two `reg_load_f64`s with the
-            // first combine's `work(1)` posted between them — the
-            // explicit Batch reproduces that interleaving on the wire,
-            // so the event stream is unchanged.
-            let [a, b, c, d] = self.call_pipelined([
-                Request::RegLoad { reg: REG_UP_L },
-                Request::RegLoad { reg: REG_UP_L + 1 },
-                Request::Batch(vec![
-                    Request::Work { flops: 1 },
-                    Request::RegLoad { reg: REG_UP_R },
-                ]),
-                Request::RegLoad { reg: REG_UP_R + 1 },
-            ]);
-            let vl =
-                f64::from_bits(Self::reg_value(a) as u64 | ((Self::reg_value(b) as u64) << 32));
-            let vr =
-                f64::from_bits(Self::reg_value(c) as u64 | ((Self::reg_value(d) as u64) << 32));
-            acc = op.combine(op.combine(acc, vl), vr);
-            self.work(1);
-        } else if l < n {
-            let v = self.reg_load_f64(REG_UP_L);
-            acc = op.combine(acc, v);
-            self.work(1);
+        for (child, slot) in [(l, REG_UP_L), (r, REG_UP_R)] {
+            if child < n {
+                let v = self.reg_load_f64(slot).await;
+                acc = op.combine(acc, v);
+                self.work(1);
+            }
         }
         let result = if pos > 0 {
             let parent = group[(pos - 1) / 2];
             let slot = if pos % 2 == 1 { REG_UP_L } else { REG_UP_R };
             self.reg_store_f64(parent, slot, acc);
-            self.reg_load_f64(REG_DOWN)
+            self.reg_load_f64(REG_DOWN).await
         } else {
             acc
         };
@@ -696,7 +629,7 @@ impl Cell {
     /// replaced by the element-wise sum on every cell. Counted as one
     /// "V Gop" in Table 3; the ring SENDs appear as SEND ops, matching how
     /// the paper's CG numbers relate (365.6 SENDs = 390 VGops × 15/16).
-    pub fn reduce_vec_sum_f64(&mut self, xs: &mut [f64]) {
+    pub async fn reduce_vec_sum_f64(&mut self, xs: &mut [f64]) {
         self.post(Request::Mark(Mark::GopVector));
         let n = xs.len();
         let bytes = (n * 8) as u64;
@@ -711,7 +644,7 @@ impl Cell {
             self.send(1, scratch, bytes);
         } else {
             // Accumulate the running partial from the previous ring member.
-            let (_, mut partial) = self.recv_slice::<f64>(me - 1, scratch, bytes, n);
+            let (_, mut partial) = self.recv_slice::<f64>(me - 1, scratch, bytes, n).await;
             for (p, x) in partial.iter_mut().zip(xs.iter()) {
                 *p += *x;
             }
@@ -723,7 +656,7 @@ impl Cell {
         }
         // The last ring member holds the total; B-net broadcasts it back.
         self.bcast(p - 1, scratch, bytes);
-        let total = self.read_slice::<f64>(scratch, n);
+        let total = self.read_slice::<f64>(scratch, n).await;
         xs.copy_from_slice(&total);
     }
 
@@ -754,12 +687,13 @@ impl Cell {
     }
 
     /// Blocking remote load of `len` bytes from `dst`'s shared window.
-    pub fn remote_load(&mut self, dst: usize, offset: u64, len: u64) -> Vec<u8> {
-        match self.call(Request::RemoteLoad {
+    pub async fn remote_load(&mut self, dst: usize, offset: u64, len: u64) -> Vec<u8> {
+        let load = Request::RemoteLoad {
             dst: CellId::new(dst as u32),
             offset,
             len,
-        }) {
+        };
+        match self.call(load).await {
             Response::Bytes(b) => b,
             r => unreachable!("remote_load got {r:?}"),
         }
@@ -782,7 +716,7 @@ impl Cell {
     /// hardware keeps no coherence — remote writers' updates become
     /// visible only after [`Cell::wt_invalidate_all`] (software cache
     /// coherence, per the paper's concluding remarks).
-    pub fn wt_read(&mut self, owner: usize, offset: u64, len: u64) -> Vec<u8> {
+    pub async fn wt_read(&mut self, owner: usize, offset: u64, len: u64) -> Vec<u8> {
         let mut out = Vec::with_capacity(len as usize);
         let mut pos = offset;
         while pos < offset + len {
@@ -792,7 +726,7 @@ impl Cell {
             let key = (owner as u32, page);
             if !self.wt_cache.contains_key(&key) {
                 self.wt_misses += 1;
-                let data = self.remote_load(owner, page * WT_PAGE, WT_PAGE);
+                let data = self.remote_load(owner, page * WT_PAGE, WT_PAGE).await;
                 self.wt_cache.insert(key, data);
             } else {
                 self.wt_hits += 1;

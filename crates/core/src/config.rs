@@ -36,7 +36,7 @@ pub fn metrics_default() -> Option<SimTime> {
 }
 
 /// Retained no-op. The cell↔kernel protocol is not selectable: every
-/// run uses windowed delivery (DESIGN.md §10). The frozen `perf/`
+/// run is run-to-block on one thread (DESIGN.md §10). The frozen `perf/`
 /// benchmark still calls this symbol, so it stays until the next
 /// `[benchmark]` change retires it.
 pub fn set_sim_threads_default(_threads: u32) {}

@@ -1,19 +1,17 @@
 //! The deterministic simulation kernel.
 //!
-//! One kernel thread owns the whole [`Machine`]; cell programs run on their
-//! own host threads and talk to it only through [`Request`]/[`Response`]
-//! channels. All hardware activity (DMA, packets, flags, barriers) is
-//! driven through a single time-ordered event queue with FIFO
-//! tie-breaking, and every event commits in `(time, seq)` order, so a
-//! given program and configuration always produces the identical
-//! execution.
+//! The kernel owns the whole [`Machine`] and steps every cell program
+//! inline: a program is a future ([`Step`]) that runs on the kernel's own
+//! stack up to its next data-returning [`Request`]. All hardware activity
+//! (DMA, packets, flags, barriers) is driven through a single time-ordered
+//! event queue with FIFO tie-breaking, and every event commits in
+//! `(time, seq)` order, so a given program and configuration always
+//! produces the identical execution.
 //!
-//! The cell↔kernel protocol is *windowed delivery* (DESIGN.md §10): a
-//! wake's response goes to the program as soon as a sliding sim-time
-//! window covers it, so the kernel rarely sleeps on a channel. The one
-//! event that cancels a scheduled wake is a fail-stop crash, and crashes
-//! are scheduled before the first event — so a cell's wakes at or past
-//! its own crash time are simply never handed over ahead of commit.
+//! The cell↔kernel protocol is *run-to-block* (DESIGN.md §10): a wake's
+//! [`Response`] reaches its program at the wake's own commit and nowhere
+//! else, so a wake cancelled by a fail-stop crash is a program that is
+//! never polled again.
 
 use crate::machine::{ActiveTx, Machine, TxEntry, TxJob};
 use crate::request::{Mark, Request, Response};
@@ -25,25 +23,22 @@ use apobs::{Bucket, Seg, Unit, XferKind};
 use apsim::{Clock, EventQueue};
 use aptrace::Op;
 use aputil::{
-    ApError, ApResult, BlockReason, BlockedCell, CellId, CellLostReport, DeadlockReport,
-    DeliveryFailure, FaultReport, SimTime, VAddr,
+    ApError, ApResult, BlockReason, BlockedCell, CellId, DeadlockReport, DeliveryFailure,
+    FaultReport, SimTime, VAddr,
 };
-use crossbeam::channel::{Receiver, Sender};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
-/// Dispatch-window width, in units of the T-net's minimum link-crossing
-/// latency. Any value is *safe* — events commit in canonical order
-/// regardless — so this only controls how many cell programs have their
-/// response in hand (and are computing on their own host threads) ahead
-/// of the commit frontier. 64 was picked by measuring the 1024-cell CG
-/// run (`results/SCALING_baseline.json`).
-const WINDOW_MULT: u64 = 64;
+/// Resumes one cell program: hands `cell` the response it was suspended
+/// on, runs it to its next suspension point (or its end), and fills the
+/// cell's empty queue with every request it issued on the way — the last
+/// one being the request it now waits on, `Finish` or `Fail`.
+pub(crate) type Step<'a> = dyn FnMut(u32, Response, &mut VecDeque<Request>) + 'a;
 
 /// Kernel events.
 #[derive(Debug)]
 enum Ev {
-    /// Deliver `resp` to `cell` and take its next request.
+    /// Retire `cell`'s next posted request, or — when none is left —
+    /// resume its program with `resp`.
     Wake { cell: u32, resp: Response },
     /// Try to start the send DMA of `cell`.
     SendPop { cell: u32 },
@@ -147,47 +142,6 @@ struct BcastState {
     root: CellId,
     bytes: u64,
     arrived: Vec<(u32, VAddr, SimTime)>,
-}
-
-/// State of windowed wake delivery (DESIGN.md §10).
-///
-/// The kernel pops and commits events in exact `(time, seq)` order, so
-/// every observable output — timelines, sampler ticks, op traces, final
-/// times — is fixed by the event queue alone. The saving comes from
-/// **eager wake delivery**: a `Wake`'s response content is fixed at
-/// schedule time, the program observes nothing but its own responses,
-/// and at most one wake per cell is ever in flight — so the response can
-/// be handed to the program thread as soon as the sliding dispatch
-/// window covers the wake's time. Released programs run on their own
-/// host threads while the kernel continues committing; their next
-/// requests are stashed and consumed when each wake commits, so the
-/// kernel seldom blocks on the request channel.
-struct Eager {
-    /// Dispatch-window width (minimum crossing latency × [`WINDOW_MULT`]).
-    window: SimTime,
-    /// Current window edge: wakes at or before this time may have
-    /// their response released ahead of commit.
-    horizon: SimTime,
-    /// Wakes scheduled past the horizon, ordered by `(time, cell)`.
-    parked: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// A wake's response held back for the window to reach it or — at
-    /// or past the cell's crash time — for the wake's own commit.
-    resp: Vec<Option<Response>>,
-    /// Cells whose response went out ahead of the wake's commit.
-    sent: Vec<bool>,
-    /// Requests that arrived on the shared channel ahead of their
-    /// wake's commit. A pipelining cell (`Cell::call_pipelined`) ships
-    /// several synchronous requests back-to-back, so each cell gets a
-    /// FIFO queue; commits consume it in arrival order, which is the
-    /// program's issue order.
-    stash: Vec<std::collections::VecDeque<Request>>,
-    /// Each cell's scheduled fail-stop crash time ([`SimTime::MAX`]
-    /// without one), fixed by [`Kernel::with_faults`] before the first
-    /// event. A crash is the only event that cancels an already
-    /// scheduled wake ([`Kernel::skips`]), and a released response
-    /// cannot be unsent — so a wake at or past this time is never
-    /// released ahead of its commit.
-    crash_at: Vec<SimTime>,
 }
 
 /// Telemetry taps of [`Kernel::event_loop`]. Every hook defaults to a
@@ -303,23 +257,18 @@ pub(crate) struct Kernel {
     pub machine: Machine,
     evq: EventQueue<Ev>,
     clock: Clock,
-    resume_tx: Vec<Sender<Response>>,
-    req_rx: Receiver<(u32, Request)>,
     /// Per-cell block state (`None` = runnable or done).
     waiters: Vec<Option<Waiter>>,
-    /// Posted (asynchronous) requests a cell batched with its next
-    /// synchronous call, not yet retired. Dispatched one per wake, at
-    /// exactly the times the unbatched protocol would have — the channel
-    /// round trip is skipped, not the simulated schedule.
-    pending: Vec<std::collections::VecDeque<Request>>,
+    /// What each program issued on its last step, not yet retired.
+    /// Dispatched one per wake, so every request takes effect at the
+    /// simulated time its predecessor completed — however far ahead on
+    /// the host the program ran to issue it.
+    pending: Vec<VecDeque<Request>>,
     bcast: Option<BcastState>,
     done: u32,
     /// Per-cell: the program called Finish (distinguishes finished cells
     /// from crashed ones when a fault schedule is active).
     finished: Vec<bool>,
-    /// Per-cell: name of the last request dispatched, for the
-    /// [`CellLostReport`] raised when a program thread dies.
-    last_req: Vec<Option<&'static str>>,
     /// Fault-injection state; `None` on fault-free runs.
     fault: Option<FaultState>,
     /// Event-loop telemetry taps; `None` (sampler and progress both off)
@@ -328,16 +277,10 @@ pub(crate) struct Kernel {
     /// Kernel events handled so far (cumulative; also drives the 1-in-64
     /// host-timing subsample).
     events_handled: u64,
-    /// Windowed wake delivery.
-    eager: Eager,
 }
 
 impl Kernel {
-    pub fn new(
-        machine: Machine,
-        resume_tx: Vec<Sender<Response>>,
-        req_rx: Receiver<(u32, Request)>,
-    ) -> Self {
+    pub fn new(machine: Machine) -> Self {
         let n = machine.cells.len();
         let mut evq = EventQueue::new();
         // Boot: wake each cell at t = 0 in id order.
@@ -351,35 +294,18 @@ impl Kernel {
             );
         }
         let telemetry = Telemetry::new(&machine.cfg);
-        let eager = Eager {
-            window: machine
-                .tnet
-                .params()
-                .min_crossing_latency()
-                .saturating_mul(WINDOW_MULT),
-            horizon: SimTime::ZERO,
-            parked: BinaryHeap::new(),
-            resp: (0..n).map(|_| None).collect(),
-            sent: vec![false; n],
-            stash: vec![std::collections::VecDeque::new(); n],
-            crash_at: vec![SimTime::MAX; n],
-        };
         Kernel {
             machine,
             evq,
             clock: Clock::new(),
-            resume_tx,
-            req_rx,
             waiters: vec![None; n],
-            pending: vec![std::collections::VecDeque::new(); n],
+            pending: vec![VecDeque::new(); n],
             bcast: None,
             done: 0,
             finished: vec![false; n],
-            last_req: vec![None; n],
             fault: None,
             telemetry,
             events_handled: 0,
-            eager,
         }
     }
 
@@ -393,8 +319,6 @@ impl Kernel {
             let plan = FaultPlan::new(spec);
             for (cell, at) in plan.crash_schedule() {
                 if cell.index() < n {
-                    let first = &mut self.eager.crash_at[cell.index()];
-                    *first = at.min(*first);
                     self.evq.push(
                         at,
                         Ev::Crash {
@@ -414,10 +338,9 @@ impl Kernel {
         self
     }
 
-    /// Consumes the kernel, returning the machine and the resume senders
-    /// (dropping the senders unblocks any still-parked program threads).
-    pub fn into_parts(self) -> (Machine, Vec<Sender<Response>>) {
-        (self.machine, self.resume_tx)
+    /// Consumes the kernel, returning the machine.
+    pub fn into_machine(self) -> Machine {
+        self.machine
     }
 
     /// Takes the fault report of a survived faulted run (`None` on
@@ -448,15 +371,16 @@ impl Kernel {
         }
     }
 
-    /// Runs the event loop to completion.
-    pub fn run(&mut self) -> ApResult<SimTime> {
+    /// Runs the event loop to completion, resuming programs through
+    /// `step`.
+    pub fn run(&mut self, step: &mut Step) -> ApResult<SimTime> {
         match self.telemetry.take() {
             Some(mut taps) => {
-                let looped = self.event_loop(&mut taps);
+                let looped = self.event_loop(&mut taps, step);
                 self.telemetry = Some(taps);
                 looped?;
             }
-            None => self.event_loop(&mut NoProbe)?,
+            None => self.event_loop(&mut NoProbe, step)?,
         }
         let n = self.machine.cells.len() as u32;
         if let Some(f) = &self.fault {
@@ -488,7 +412,7 @@ impl Kernel {
     /// 1-in-64 and prints progress. Sim-time behavior is byte-identical
     /// either way — the wall clock is read but never written back into
     /// simulated state.
-    fn event_loop<P: Probe>(&mut self, probe: &mut P) -> ApResult<()> {
+    fn event_loop<P: Probe>(&mut self, probe: &mut P, step: &mut Step) -> ApResult<()> {
         loop {
             probe.pop_start(self);
             let Some((t, ev)) = self.evq.pop() else { break };
@@ -501,10 +425,9 @@ impl Kernel {
             // earlier than the tick, independent of host scheduling.
             probe.sample_to(self, t);
             self.clock.advance_to(t);
-            self.slide_window(t);
             self.events_handled += 1;
             probe.handle_start(self, &ev);
-            self.handle(ev)?;
+            self.handle(ev, step)?;
             probe.handled(self);
         }
         // Flush every sample tick at or before the final time, so the
@@ -596,11 +519,7 @@ impl Kernel {
         }
         let undispatched: usize = self.pending.iter().map(|q| q.len()).sum();
         if undispatched > 0 {
-            leaks.push(format!("{undispatched} undispatched batched requests"));
-        }
-        let stashed: usize = self.eager.stash.iter().map(|q| q.len()).sum();
-        if stashed > 0 {
-            leaks.push(format!("{stashed} stashed requests never consumed"));
+            leaks.push(format!("{undispatched} undispatched requests"));
         }
         if self.bcast.is_some() {
             leaks.push("incomplete bcast collective".to_string());
@@ -616,8 +535,8 @@ impl Kernel {
 
     /// Snapshot of one cell's block state (`None` if it is runnable or
     /// done): why it is blocked, since when, and what its MSC+ transmit
-    /// queues still hold. The per-cell building block of both the
-    /// deadlock report and the [`CellLostReport`].
+    /// queues still hold. The per-cell building block of the deadlock
+    /// report.
     fn blocked_cell(&self, i: usize) -> Option<BlockedCell> {
         let w = self.waiters[i].as_ref()?;
         let cid = CellId::new(i as u32);
@@ -676,19 +595,6 @@ impl Kernel {
         }
     }
 
-    /// Structured report for a cell whose program thread died out from
-    /// under the kernel: what it last asked for and whether it was
-    /// blocked, in the same shape the deadlock report uses.
-    fn cell_lost(&self, cell: u32, reason: &str) -> ApError {
-        ApError::CellLost(Box::new(CellLostReport {
-            cell: CellId::new(cell),
-            reason: reason.to_string(),
-            now: self.clock.now(),
-            last_request: self.last_req[cell as usize],
-            blocked: self.blocked_cell(cell as usize),
-        }))
-    }
-
     fn now(&self) -> SimTime {
         self.clock.now()
     }
@@ -732,72 +638,7 @@ impl Kernel {
 
     fn wake_at(&mut self, cell: u32, at: SimTime, resp: Response) {
         self.waiters[cell as usize] = None;
-        let resp = self.eager_offer(cell, at, resp);
         self.evq.push(at, Ev::Wake { cell, resp });
-    }
-
-    /// Tries to hand `resp` to `cell`'s program ahead of the wake's
-    /// commit. The response's content is fixed here, the program can
-    /// observe nothing else until its own next request, and only one
-    /// wake per cell is ever in flight — so releasing it early changes
-    /// no observable state, only host-thread overlap. Returns the
-    /// response the committed `Wake` event should carry: `Unit` when the
-    /// real one was consumed here.
-    fn eager_offer(&mut self, cell: u32, at: SimTime, resp: Response) -> Response {
-        let i = cell as usize;
-        if !self.pending[i].is_empty() {
-            // Batched wakes carry no data; the commit pops the queue.
-            return resp;
-        }
-        let e = &mut self.eager;
-        debug_assert!(
-            !e.sent[i] && e.resp[i].is_none(),
-            "cell {cell} has more than one wake in flight"
-        );
-        if at >= e.crash_at[i] {
-            // The cell's scheduled crash may cancel this wake: hold the
-            // response for the wake's own commit, which sends or skips it.
-            e.resp[i] = Some(resp);
-        } else if at <= e.horizon {
-            match self.resume_tx[i].send(resp) {
-                Ok(()) => e.sent[i] = true,
-                // The program thread is gone; keep the response so the
-                // commit raises CellLost at the wake's own sim time.
-                Err(err) => e.resp[i] = Some(err.0),
-            }
-        } else {
-            e.resp[i] = Some(resp);
-            e.parked.push(Reverse((at, cell)));
-        }
-        Response::Unit
-    }
-
-    /// Slides the dispatch window so it covers `[now, now + window]`
-    /// and releases every parked wake the new horizon reaches. Called
-    /// at each committed event, so the horizon tracks the canonical
-    /// commit frontier and a wake is always released no later than its
-    /// own commit.
-    fn slide_window(&mut self, now: SimTime) {
-        let e = &mut self.eager;
-        let horizon = now + e.window;
-        if horizon <= e.horizon {
-            return;
-        }
-        e.horizon = horizon;
-        while let Some(&Reverse((at, cell))) = e.parked.peek() {
-            if at > horizon {
-                break;
-            }
-            e.parked.pop();
-            let i = cell as usize;
-            let Some(resp) = e.resp[i].take() else {
-                continue;
-            };
-            match self.resume_tx[i].send(resp) {
-                Ok(()) => e.sent[i] = true,
-                Err(err) => e.resp[i] = Some(err.0),
-            }
-        }
     }
 
     /// Removes and returns cell's waiter if `pred` accepts it. The O(1)
@@ -835,9 +676,9 @@ impl Kernel {
 
     // ---- event dispatch ------------------------------------------------
 
-    fn handle(&mut self, ev: Ev) -> ApResult<()> {
+    fn handle(&mut self, ev: Ev, step: &mut Step) -> ApResult<()> {
         match ev {
-            Ev::Wake { cell, resp } => self.deliver_and_take(cell, resp),
+            Ev::Wake { cell, resp } => self.deliver_and_take(cell, resp, step),
             Ev::SendPop { cell } => self.send_pop(cell),
             Ev::SendDone { cell } => self.send_done(cell),
             Ev::Arrive { dst, pkt, tid } => self.arrive(dst, pkt, tid),
@@ -861,58 +702,31 @@ impl Kernel {
         }
     }
 
-    fn deliver_and_take(&mut self, cell: u32, resp: Response) -> ApResult<()> {
-        // Batched fast path: if the cell posted async requests ahead of its
-        // last synchronous one, dispatch the next of those directly instead
-        // of a host channel round trip. Every posted request resolves to
-        // `Response::Unit`, and dispatching here — at the same wake event
-        // where the unbatched kernel would have delivered that Unit and read
-        // the request back off the channel — reproduces the unbatched event
-        // order and sim times exactly.
-        if let Some(req) = self.pending[cell as usize].pop_front() {
+    /// Commits a wake. While the cell still has posted requests queued,
+    /// the wake only retires the next one: every posted request resolves
+    /// to `Response::Unit`, so the program has nothing to learn from it.
+    /// Otherwise this is the wake of the request the program is suspended
+    /// on: step it — inline, with the response — and dispatch the first
+    /// request it issued, in this same handler call.
+    fn deliver_and_take(&mut self, cell: u32, resp: Response, step: &mut Step) -> ApResult<()> {
+        let q = &mut self.pending[cell as usize];
+        if q.is_empty() {
+            step(cell, resp, q);
+        } else {
             debug_assert_eq!(
                 resp,
                 Response::Unit,
-                "batched request for cell {cell} would have dropped a non-unit response"
+                "posted request of cell {cell} would have dropped a non-unit response"
             );
-            return self.dispatch(cell, req);
         }
-        // The response usually went out when the window first covered the
-        // wake, so the commit only consumes the program's next request.
-        // Otherwise (boot wakes, which precede the first slide; a wake at
-        // or past the cell's crash time; a failed early send) it goes out
-        // now.
-        let i = cell as usize;
-        if !std::mem::take(&mut self.eager.sent[i]) {
-            let held = self.eager.resp[i].take();
-            self.resume_tx[i]
-                .send(held.unwrap_or(resp))
-                .map_err(|_| self.cell_lost(cell, "program thread exited unexpectedly"))?;
-        }
-        let req = self.take_request(cell)?;
+        let req = q.pop_front().ok_or_else(|| {
+            ApError::internal(
+                CellId::new(cell),
+                "step",
+                "a resumed program issued nothing",
+            )
+        })?;
         self.dispatch(cell, req)
-    }
-
-    /// Returns `cell`'s next request. Several programs run at once and
-    /// their requests arrive on the shared channel in arbitrary host
-    /// order; anything from another cell is stashed (in arrival = issue
-    /// order) for its own wakes' commits. `Fail` and `Finish` need no
-    /// special casing — a failing cell's next wake commit consumes the
-    /// stashed failure at the canonical time.
-    fn take_request(&mut self, cell: u32) -> ApResult<Request> {
-        if let Some(req) = self.eager.stash[cell as usize].pop_front() {
-            return Ok(req);
-        }
-        loop {
-            let (from, req) = self
-                .req_rx
-                .recv()
-                .map_err(|_| self.cell_lost(cell, "program thread panicked"))?;
-            if from == cell {
-                return Ok(req);
-            }
-            self.eager.stash[from as usize].push_back(req);
-        }
     }
 
     // ---- request handling ----------------------------------------------
@@ -921,28 +735,20 @@ impl Kernel {
         let now = self.now();
         let hw_params = self.machine.cfg.hw;
         let cid = CellId::new(cell);
-        self.last_req[cell as usize] = Some(req_name(&req));
         match req {
-            Request::Batch(reqs) => {
-                // A run of posted async requests with the cell's next
-                // synchronous request appended last. Queue them and start on
-                // the first; `deliver_and_take` drains the rest one per wake,
-                // at exactly the sim times the unbatched protocol would have
-                // dispatched them.
-                let q = &mut self.pending[cell as usize];
-                debug_assert!(q.is_empty(), "cell {cell} sent a batch with one pending");
-                q.extend(reqs);
-                let Some(first) = q.pop_front() else {
-                    return Err(ApError::InvalidArg(format!("{cid} sent an empty batch")));
-                };
-                return self.dispatch(cell, first);
-            }
-            Request::Alloc { bytes } => {
+            Request::Alloc { bytes, at } => {
                 let hw = &mut self.machine.cells[cell as usize];
                 let addr = hw.mmu.map_anywhere(bytes).map_err(|_| {
                     ApError::InvalidArg(format!("{cid} cannot allocate {bytes} bytes"))
                 })?;
-                self.wake_at(cell, now, Response::Addr(addr));
+                if addr != at {
+                    return Err(ApError::internal(
+                        cid,
+                        "mmu",
+                        format!("{bytes} bytes mapped at {addr}, the cell's layout said {at}"),
+                    ));
+                }
+                self.wake_at(cell, now, Response::Unit);
             }
             Request::ReadMem { addr, len } => {
                 let data = self.machine.read_v(cid, addr, len)?;
@@ -1080,7 +886,7 @@ impl Kernel {
             }
             Request::Barrier => {
                 self.record(cell, Op::Barrier);
-                // Eager abort instead of a guaranteed hang: a machine-wide
+                // Abort at once instead of a guaranteed hang: a machine-wide
                 // S-net barrier can never release once a participant has
                 // crashed fail-stop.
                 if let Some(f) = &self.fault {
@@ -1183,9 +989,7 @@ impl Kernel {
             Request::Recv { src, laddr, max } => {
                 self.machine.check_cell(src)?;
                 self.record(cell, Op::Recv { src, bytes: max });
-                if let Some(payload) =
-                    self.machine.cells[cell as usize].ring[src.index()].pop_front()
-                {
+                if let Some(payload) = self.machine.cells[cell as usize].ring_pop(src) {
                     self.complete_recv(cell, laddr, max, payload, now)?;
                 } else {
                     self.waiters[cell as usize] = Some(Waiter::Recv {
@@ -1872,7 +1676,6 @@ impl Kernel {
             .map(|(i, _)| CellId::new(i as u32))
             .collect();
         self.pending[cell as usize].clear();
-        self.eager.stash[cell as usize].clear();
         self.waiters[cell as usize] = None;
         let hw = &mut self.machine.cells[cell as usize];
         hw.send_busy = false;
@@ -1880,7 +1683,7 @@ impl Kernel {
         self.machine
             .obs
             .instant(cell, Unit::Cpu, "crash", now, Bucket::Hw, 0);
-        // Eager barrier abort: cells already parked at the S-net barrier
+        // Abort the barrier at once: cells already parked at the S-net barrier
         // would otherwise wait for a participant that can never arrive.
         let waiting: Vec<CellId> = self
             .waiters
@@ -2074,7 +1877,7 @@ impl Kernel {
             Packet::RingMsg { src, payload } => {
                 let hw = &mut self.machine.cells[dst as usize];
                 hw.ring_bytes += payload.len() as u64;
-                hw.ring[src.index()].push_back(payload);
+                hw.ring.entry(src.as_u32()).or_default().push_back(payload);
                 // §4.3: a full ring buffer interrupts the OS to allocate a
                 // new one; the receiving CPU pays the service time.
                 if hw.ring_bytes > self.machine.cfg.hw.ring_capacity {
@@ -2103,18 +1906,19 @@ impl Kernel {
                     dst,
                     |w| matches!(w, Waiter::Recv { src: s, .. } if *s == src),
                 ) {
-                    let payload = self.machine.cells[dst as usize].ring[wsrc.index()]
-                        .pop_front()
-                        .ok_or_else(|| {
-                            ApError::internal(
-                                CellId::new(dst),
-                                "msc-ring",
-                                format!(
-                                    "message queued from cell{src} vanished before its \
+                    let payload =
+                        self.machine.cells[dst as usize]
+                            .ring_pop(wsrc)
+                            .ok_or_else(|| {
+                                ApError::internal(
+                                    CellId::new(dst),
+                                    "msc-ring",
+                                    format!(
+                                        "message queued from cell{src} vanished before its \
                                      blocked receiver woke"
-                                ),
-                            )
-                        })?;
+                                    ),
+                                )
+                            })?;
                     self.add_idle(dst, since, now);
                     self.machine.obs.span_id(
                         dst,
@@ -2241,58 +2045,5 @@ impl Kernel {
             self.wake_at(cell, at + cost, Response::Value(v));
         }
         Ok(())
-    }
-}
-
-/// Static name of a request variant, recorded per cell so a lost cell's
-/// report can say what it last asked the machine to do.
-fn req_name(req: &Request) -> &'static str {
-    match req {
-        Request::Batch(_) => "batch",
-        Request::Alloc { .. } => "alloc",
-        Request::ReadMem { .. } => "read_mem",
-        Request::WriteMem { .. } => "write_mem",
-        Request::Work { .. } => "work",
-        Request::Rts { .. } => "rts",
-        Request::Put(_) => "put",
-        Request::Get(_) => "get",
-        Request::WaitFlag { .. } => "wait_flag",
-        Request::ReadFlag { .. } => "read_flag",
-        Request::Barrier => "barrier",
-        Request::Send { .. } => "send",
-        Request::Recv { .. } => "recv",
-        Request::RegStore { .. } => "reg_store",
-        Request::RegLoad { .. } => "reg_load",
-        Request::Bcast { .. } => "bcast",
-        Request::RemoteStore { .. } => "remote_store",
-        Request::RemoteLoad { .. } => "remote_load",
-        Request::RemoteFence => "remote_fence",
-        Request::Mark(_) => "mark",
-        Request::Fail(_) => "fail",
-        Request::Finish => "finish",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crossbeam::channel::unbounded;
-
-    #[test]
-    fn a_stashed_request_nobody_consumed_is_a_state_leak() {
-        let (_req_tx, req_rx) = unbounded();
-        let (resume_tx, _resume_rx) = unbounded();
-        let machine = Machine::new(crate::MachineConfig::new(1));
-        let mut kernel = Kernel::new(machine, vec![resume_tx], req_rx);
-        kernel
-            .check_drained()
-            .expect("a fresh kernel holds nothing");
-        kernel.eager.stash[0].push_back(Request::Barrier);
-        match kernel.check_drained() {
-            Err(ApError::StateLeak { detail }) => {
-                assert_eq!(detail, "1 stashed requests never consumed")
-            }
-            other => panic!("expected a StateLeak, got {other:?}"),
-        }
     }
 }

@@ -5,7 +5,7 @@
 //! a deterministic, functional + timing emulator of the AP1000+ machine
 //! and the SPMD programming interface the paper's compilers target.
 //!
-//! A program is an ordinary Rust closure run once per cell; it talks to
+//! A program is an `async` Rust closure run once per cell; it talks to
 //! the machine through a [`Cell`] handle offering `put`/`get` (plain and
 //! strided), completion flags, SEND/RECEIVE ring buffers, S-net barriers,
 //! communication-register reductions, B-net broadcast, and DSM remote
@@ -13,15 +13,21 @@
 //! compute real answers — while the kernel simultaneously tracks simulated
 //! time through MSC+ queues, DMA engines, and the T-net torus.
 //!
+//! The whole machine runs on the calling thread: the kernel steps each
+//! program inline up to the next point where it needs simulated data back
+//! (an `.await` on a [`Cell`] method) and resumes it when that data is
+//! ready in simulated time. A [`Cell`] method is the only thing a program
+//! may `.await`.
+//!
 //! # Examples
 //!
-//! Every even cell PUTs eight bytes to its right neighbour, which waits on
-//! the receive flag:
+//! Every cell PUTs eight bytes to its right neighbour, which waits on the
+//! receive flag:
 //!
 //! ```
-//! use apcore::{run_with, MachineConfig};
+//! use apcore::{run, MachineConfig};
 //!
-//! let report = run_with(MachineConfig::new(4), |cell| {
+//! let report = run(MachineConfig::new(4), None, async |cell| {
 //!     let buf = cell.alloc::<f64>(1);
 //!     let flag = cell.alloc_flag();
 //!     let me = cell.id();
@@ -31,7 +37,7 @@
 //!     // Ring shift: PUT my value into my right neighbour's buffer.
 //!     cell.put((me + 1) % n, buf, buf, 8, aputil::VAddr::NULL, flag, false);
 //!     cell.wait_flag(flag, 1);
-//!     cell.read_pod::<f64>(buf)
+//!     cell.read_pod::<f64>(buf).await
 //! })
 //! .unwrap();
 //! // Cell i now holds the value of its left neighbour.
@@ -58,49 +64,23 @@ pub use apmon::{Heatmap, HostProf, LinkUtil, MetricsSeries, RunMetrics};
 pub use apmsc::StrideSpec;
 pub use apobs::{Counters, SharedSink, Timeline, TimelineMode};
 pub use aputil::{
-    ApError, ApResult, BlockReason, BlockedCell, CellId, CellLostReport, DeadlockReport,
-    FaultReport, SimTime, VAddr,
+    ApError, ApResult, BlockReason, BlockedCell, CellId, DeadlockReport, FaultReport, SimTime,
+    VAddr,
 };
 
-use crossbeam::channel::unbounded;
+use request::{Port, Request};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Runs `program` as an SPMD job: one copy per cell, in simulated
-/// lockstep. Returns the per-cell outputs, the time breakdown, the probe
-/// trace, and machine statistics.
-///
-/// # Errors
-///
-/// * [`ApError::PageFault`] / [`ApError::OutOfRange`] — a program handed
-///   the hardware an illegal address (the paper's protection check).
-/// * [`ApError::Deadlock`] — every cell is blocked and no hardware events
-///   remain.
-/// * [`ApError::CellFailed`] — a program panicked.
-/// * [`ApError::InvalidArg`] — malformed PUT/GET descriptors, mismatched
-///   collectives, or reduction-protocol violations.
-///
-/// # Examples
-///
-/// ```
-/// use apcore::{run_with, MachineConfig};
-///
-/// let sums = run_with(MachineConfig::new(8), |cell| {
-///     cell.reduce_sum_f64(cell.id() as f64)
-/// })
-/// .unwrap();
-/// assert!(sums.outputs.iter().all(|&s| s == 28.0));
-/// ```
-pub fn run_with<T, F>(cfg: MachineConfig, program: F) -> ApResult<RunReport<T>>
-where
-    T: Send + 'static,
-    F: Fn(&mut Cell) -> T + Send + Sync + 'static,
-{
-    run_with_faults(cfg, None, program)
-}
-
-/// Like [`run_with`], but with a deterministic fault schedule injected.
+/// lockstep, optionally under a deterministic fault schedule. Returns the
+/// per-cell outputs, the time breakdown, the probe trace, and machine
+/// statistics.
 ///
 /// With `faults` set, every non-loopback packet travels in a
 /// sequence-numbered, checksummed envelope: the receiver acknowledges it,
@@ -111,33 +91,41 @@ where
 /// [`RunReport::fault`]; an unsurvivable schedule (a fail-stop crash, or
 /// an outage outlasting the retry budget) aborts with
 /// [`ApError::Fault`] / [`ApError::BarrierAborted`] instead of hanging.
-/// `faults: None` is exactly [`run_with`] — same events, same times.
 ///
 /// # Errors
 ///
-/// Everything [`run_with`] raises, plus [`ApError::Fault`],
-/// [`ApError::CellLost`], and [`ApError::BarrierAborted`] under an
-/// unsurvivable schedule.
+/// * [`ApError::PageFault`] / [`ApError::OutOfRange`] — a program handed
+///   the hardware an illegal address (the paper's protection check).
+/// * [`ApError::Deadlock`] — every cell is blocked and no hardware events
+///   remain.
+/// * [`ApError::CellFailed`] — a program panicked, or awaited something
+///   other than a [`Cell`] method.
+/// * [`ApError::InvalidArg`] — malformed PUT/GET descriptors, mismatched
+///   collectives, reduction-protocol violations, exhausted cell memory.
+/// * [`ApError::Fault`] / [`ApError::BarrierAborted`] — an unsurvivable
+///   fault schedule.
 ///
 /// # Examples
 ///
 /// ```
-/// use apcore::{run_with_faults, FaultSpec, MachineConfig};
+/// use apcore::{run, FaultSpec, MachineConfig};
 ///
-/// // A quiet schedule changes nothing but attaches a (empty) report.
+/// let sums = run(MachineConfig::new(8), None, async |cell| {
+///     cell.reduce_sum_f64(cell.id() as f64).await
+/// })
+/// .unwrap();
+/// assert!(sums.outputs.iter().all(|&s| s == 28.0));
+///
+/// // A quiet schedule changes nothing but attaches an (empty) report.
 /// let spec = FaultSpec::quiet();
-/// let r = run_with_faults(MachineConfig::new(4), Some(&spec), |cell| cell.id()).unwrap();
+/// let r = run(MachineConfig::new(4), Some(&spec), async |cell| cell.id()).unwrap();
 /// assert!(r.fault.unwrap().survived());
 /// ```
-pub fn run_with_faults<T, F>(
+pub fn run<T>(
     cfg: MachineConfig,
     faults: Option<&FaultSpec>,
-    program: F,
-) -> ApResult<RunReport<T>>
-where
-    T: Send + 'static,
-    F: Fn(&mut Cell) -> T + Send + Sync + 'static,
-{
+    program: impl AsyncFn(&mut Cell) -> T,
+) -> ApResult<RunReport<T>> {
     // An unbounded timeline on a huge machine is O(events) memory with no
     // bound — refuse it up front and point at the modes that are bounded:
     // the flight recorder (post-mortem context) and a streaming sink
@@ -152,56 +140,68 @@ where
     }
     let ncells = cfg.ncells;
     let machine = machine::Machine::new(cfg);
-    let (req_tx, req_rx) = unbounded();
-    let program = Arc::new(program);
-    let mut resume_txs = Vec::with_capacity(ncells as usize);
-    let mut handles = Vec::with_capacity(ncells as usize);
-    for id in 0..ncells {
-        let (resume_tx, resume_rx) = unbounded();
-        resume_txs.push(resume_tx);
-        let req_tx = req_tx.clone();
-        let program = Arc::clone(&program);
-        handles.push(
-            thread::Builder::new()
-                .name(format!("cell{id}"))
-                .spawn(move || -> Result<T, String> {
-                    let mut cell = Cell::new(CellId::new(id), ncells, req_tx, resume_rx);
-                    cell.wait_boot();
-                    match catch_unwind(AssertUnwindSafe(|| program(&mut cell))) {
-                        Ok(out) => {
-                            cell.finish();
-                            Ok(out)
-                        }
-                        Err(payload) => {
-                            let reason = aputil::panic_message(payload.as_ref());
-                            cell.fail(reason.clone());
-                            Err(reason)
-                        }
-                    }
-                })
-                .expect("spawn cell thread"),
-        );
-    }
-    drop(req_tx);
+    let ports: Vec<_> = (0..ncells)
+        .map(|_| Rc::<RefCell<Port>>::default())
+        .collect();
+    let mut cells: Vec<Cell> = (0..ncells)
+        .zip(&ports)
+        .zip(&machine.cells)
+        .map(|((id, port), hw)| {
+            Cell::new(CellId::new(id), ncells, Rc::clone(port), hw.mmu.layout())
+        })
+        .collect();
+    let program = &program;
+    let mut programs: Vec<Option<Pin<Box<dyn Future<Output = T> + '_>>>> = cells
+        .iter_mut()
+        .map(|cell| {
+            Some(Box::pin(async move {
+                cell.boot().await;
+                program(cell).await
+            }) as _)
+        })
+        .collect();
+    let mut outputs: Vec<Option<T>> = (0..ncells).map(|_| None).collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut step = |cell: u32, resp, batch: &mut VecDeque<Request>| {
+        let i = cell as usize;
+        let port = &ports[i];
+        port.borrow_mut().inbox = Some(resp);
+        let program = programs[i]
+            .as_mut()
+            .expect("a finished cell is never woken");
+        let polled = catch_unwind(AssertUnwindSafe(|| program.as_mut().poll(&mut cx)));
+        debug_assert!(batch.is_empty(), "cell {cell} stepped with requests queued");
+        std::mem::swap(batch, &mut port.borrow_mut().outbox);
+        let last = match polled {
+            // Suspended on the `Cell` method that issued the batch's last
+            // request: it consumed the response and issued something.
+            Ok(Poll::Pending) if port.borrow().inbox.is_none() && !batch.is_empty() => return,
+            // Suspended on anything else, which no wake will ever resolve.
+            Ok(Poll::Pending) => {
+                Request::Fail("program awaited something other than a Cell method".to_string())
+            }
+            Ok(Poll::Ready(out)) => {
+                outputs[i] = Some(out);
+                Request::Finish
+            }
+            Err(payload) => Request::Fail(aputil::panic_message(payload.as_ref())),
+        };
+        batch.push_back(last);
+        programs[i] = None;
+    };
 
-    let mut kernel = kernel::Kernel::new(machine, resume_txs, req_rx).with_faults(faults);
-    let run_result = kernel.run();
+    let mut kernel = kernel::Kernel::new(machine).with_faults(faults);
+    let run_result = kernel.run(&mut step);
     let fault = kernel.take_fault_report();
     let series = kernel.take_metrics();
     let hostprof = kernel.take_hostprof();
-    let (machine, resume_txs) = kernel.into_parts();
-    // Unblock any threads still parked on their resume channels.
-    drop(resume_txs);
-    let mut machine = machine;
+    let mut machine = kernel.into_machine();
 
     // Post-mortem: on the failure modes a flight recorder exists for,
     // dump whatever timeline context survived before propagating the
     // error (best-effort — the error itself must still reach the caller).
     if let Err(e) = &run_result {
-        if matches!(
-            e,
-            ApError::Deadlock(_) | ApError::CellLost(_) | ApError::Fault(_)
-        ) {
+        if matches!(e, ApError::Deadlock(_) | ApError::Fault(_)) {
             if let Some(path) = machine.cfg.flight_dump.take() {
                 let timeline = machine.take_timeline();
                 if !timeline.events.is_empty() {
@@ -220,31 +220,11 @@ where
         }
     }
 
-    let mut outputs = Vec::with_capacity(handles.len());
-    let mut failures: Vec<(CellId, String)> = Vec::new();
-    for (id, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Ok(out)) => outputs.push(out),
-            Ok(Err(reason)) => failures.push((CellId::new(id as u32), reason)),
-            Err(_) => {
-                failures.push((
-                    CellId::new(id as u32),
-                    "program thread panicked".to_string(),
-                ));
-            }
-        }
-    }
-
     let total_time = run_result?;
-    // Report every failed cell, not just the first one found.
-    match failures.len() {
-        0 => {}
-        1 => {
-            let (cell, reason) = failures.remove(0);
-            return Err(ApError::CellFailed { cell, reason });
-        }
-        _ => return Err(ApError::CellsFailed { failures }),
-    }
+    let outputs = outputs
+        .into_iter()
+        .map(|out| out.expect("the kernel returned Ok, so every cell finished"))
+        .collect();
 
     let mut counters = machine.collect_counters();
     if let Some(r) = &fault {
@@ -270,6 +250,16 @@ where
         fault,
         metrics,
     })
+}
+
+/// [`run`], fault-free, over a synchronous closure — for programs that
+/// never read simulated data back (every [`Cell`] method they call is a
+/// plain `fn`).
+pub fn run_with<T, F: Fn(&mut Cell) -> T>(
+    cfg: MachineConfig,
+    program: F,
+) -> ApResult<RunReport<T>> {
+    run(cfg, None, async |cell: &mut Cell| program(cell))
 }
 
 /// Builds the end-of-run [`RunMetrics`] block: the sampled series plus

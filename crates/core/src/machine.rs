@@ -8,7 +8,7 @@ use apmsc::{dma, GetArgs, HwQueue, Payload, PutArgs, StrideSpec};
 use apnet::{BNet, SNet, TNet, TNetParams, Torus};
 use apsim::Resource;
 use aputil::{ApError, ApResult, CellId, SimTime, VAddr};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// A queued transmit job for a cell's send controller.
 #[derive(Clone, Debug)]
@@ -84,11 +84,12 @@ pub(crate) struct CellHw {
     pub send_busy: bool,
     pub active_tx: Option<ActiveTx>,
     pub recv_dma: Resource,
-    /// Arrived ring-buffer messages, indexed by sending cell so the
+    /// Arrived ring-buffer messages, keyed by sending cell so the
     /// RECEIVE path matches a source without scanning unrelated traffic
     /// (each source's messages stay FIFO, which is all the in-order T-net
-    /// guarantees anyway).
-    pub ring: Vec<VecDeque<Payload>>,
+    /// guarantees anyway). A source gets its queue on first arrival: a
+    /// cell hears from a handful of senders, not from all of them.
+    pub ring: HashMap<u32, VecDeque<Payload>>,
     /// Bytes currently buffered in the ring.
     pub ring_bytes: u64,
     /// Times the ring exceeded its capacity (§4.3 OS allocations).
@@ -100,7 +101,7 @@ pub(crate) struct CellHw {
 }
 
 impl CellHw {
-    fn new(mem_size: u64, ncells: u32) -> Self {
+    fn new(mem_size: u64) -> Self {
         CellHw {
             mmu: Mmu::new(mem_size),
             mem: Memory::new(mem_size),
@@ -113,12 +114,17 @@ impl CellHw {
             send_busy: false,
             active_tx: None,
             recv_dma: Resource::new(),
-            ring: vec![VecDeque::new(); ncells as usize],
+            ring: HashMap::new(),
             ring_bytes: 0,
             ring_overflows: 0,
             rstore_issued: 0,
             rstore_acked: 0,
         }
+    }
+
+    /// The oldest buffered ring message from `src`, if any.
+    pub fn ring_pop(&mut self, src: CellId) -> Option<Payload> {
+        self.ring.get_mut(&src.as_u32())?.pop_front()
     }
 
     /// Pops the highest-priority pending transmit job at time `now`,
@@ -214,9 +220,7 @@ impl Machine {
             tnet.enable_link_stats();
         }
         Machine {
-            cells: (0..cfg.ncells)
-                .map(|_| CellHw::new(cfg.mem_size, cfg.ncells))
-                .collect(),
+            cells: (0..cfg.ncells).map(|_| CellHw::new(cfg.mem_size)).collect(),
             tnet,
             bnet: BNet::with_params(cfg.ncells, cfg.hw.net_prolog, cfg.hw.bnet_per_byte),
             snet: SNet::new(cfg.ncells, cfg.hw.barrier_latency),

@@ -1,13 +1,45 @@
 //! The runtime protocol between cell programs and the simulation kernel.
 //!
-//! Cell programs run on their own host threads; every interaction with the
-//! simulated machine is a [`Request`] sent to the kernel, answered by a
-//! [`Response`] when simulated time has advanced to the operation's
-//! completion. The handoff is strictly one-at-a-time (baton passing), which
-//! keeps the whole simulation deterministic.
+//! A cell program is a future the kernel steps inline (DESIGN.md §10).
+//! Every interaction with the simulated machine is a [`Request`] the
+//! program leaves in its [`Port`]'s outbox; the kernel retires them one
+//! per wake, and the one request a program suspends on is answered by a
+//! [`Response`] put in the inbox at the commit of that request's wake —
+//! the moment the program is polled again.
 
 use apmsc::{GetArgs, PutArgs};
 use aputil::{CellId, VAddr};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll};
+
+/// What one cell program and the kernel share.
+#[derive(Default)]
+pub(crate) struct Port {
+    /// Requests issued since the program was last polled, in program
+    /// order. Swapped for the cell's (empty) kernel-side queue when the
+    /// poll returns.
+    pub outbox: VecDeque<Request>,
+    /// The response to the request the program is suspended on; filled
+    /// immediately before each poll.
+    pub inbox: Option<Response>,
+}
+
+/// Suspends a cell program until its port's inbox holds a response.
+pub(crate) struct Resume<'a>(pub &'a RefCell<Port>);
+
+impl Future for Resume<'_> {
+    type Output = Response;
+
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Response> {
+        match self.0.borrow_mut().inbox.take() {
+            Some(resp) => Poll::Ready(resp),
+            None => Poll::Pending,
+        }
+    }
+}
 
 /// Zero-time trace markers a program can record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -21,14 +53,9 @@ pub enum Mark {
 /// A cell program's request to the kernel.
 #[derive(Clone, Debug)]
 pub(crate) enum Request {
-    /// A run of posted asynchronous requests (each answered by
-    /// [`Response::Unit`]) with the cell's next synchronous request
-    /// appended last. One host round trip carries the whole run; the
-    /// kernel dispatches the entries one per wake, at exactly the sim
-    /// times the one-request-per-trip protocol would have.
-    Batch(Vec<Request>),
-    /// Allocate zeroed logical memory; responds [`Response::Addr`].
-    Alloc { bytes: u64 },
+    /// Map `bytes` of zeroed logical memory at `at`, the address the
+    /// cell's copy of the MMU layout chose.
+    Alloc { bytes: u64, at: VAddr },
     /// Read simulated memory (data plane, zero simulated time).
     ReadMem { addr: VAddr, len: u64 },
     /// Write simulated memory (data plane, zero simulated time).
@@ -90,8 +117,6 @@ pub(crate) enum Request {
 pub(crate) enum Response {
     /// Operation complete.
     Unit,
-    /// Address from an allocation.
-    Addr(VAddr),
     /// Raw bytes (memory read, remote load).
     Bytes(Vec<u8>),
     /// A register or flag value.

@@ -1,6 +1,6 @@
 //! Distributed-shared-memory and write-through-page tests (§4.2).
 
-use apcore::{run_with, MachineConfig};
+use apcore::{run, MachineConfig};
 
 fn cfg(n: u32) -> MachineConfig {
     MachineConfig::new(n)
@@ -8,7 +8,7 @@ fn cfg(n: u32) -> MachineConfig {
 
 #[test]
 fn remote_store_load_fence_round_trip() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
         // Write my id pattern into every other cell's shared window at an
@@ -25,7 +25,7 @@ fn remote_store_load_fence_round_trip() {
             if writer == me {
                 continue;
             }
-            let data = cell.remote_load(me, (writer * 64) as u64, 16);
+            let data = cell.remote_load(me, (writer * 64) as u64, 16).await;
             assert!(data.iter().all(|&b| b == writer as u8), "corrupted store");
             sum += u32::from(data[0]);
         }
@@ -40,7 +40,7 @@ fn remote_store_load_fence_round_trip() {
 
 #[test]
 fn wt_cache_hits_after_first_touch() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             // Owner publishes data in its own shared window.
             cell.remote_store(0, 0, &(0u8..=255).collect::<Vec<u8>>());
@@ -50,9 +50,9 @@ fn wt_cache_hits_after_first_touch() {
         if cell.id() == 1 {
             // First read misses (remote load), later reads of the same
             // page hit locally.
-            let a = cell.wt_read(0, 10, 4);
-            let b = cell.wt_read(0, 100, 4);
-            let c = cell.wt_read(0, 10, 4);
+            let a = cell.wt_read(0, 10, 4).await;
+            let b = cell.wt_read(0, 100, 4).await;
+            let c = cell.wt_read(0, 10, 4).await;
             assert_eq!(a, vec![10, 11, 12, 13]);
             assert_eq!(b, vec![100, 101, 102, 103]);
             assert_eq!(c, a);
@@ -69,22 +69,22 @@ fn wt_cache_hits_after_first_touch() {
 
 #[test]
 fn wt_write_goes_through_and_updates_local_copy() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         cell.barrier();
         if cell.id() == 1 {
             // Populate cache, then write through.
-            let before = cell.wt_read(0, 0, 8);
+            let before = cell.wt_read(0, 0, 8).await;
             assert_eq!(before, vec![0u8; 8]);
             cell.wt_write(0, 2, &[7, 8, 9]);
             // Local copy sees the write immediately (hit).
-            let local = cell.wt_read(0, 0, 8);
+            let local = cell.wt_read(0, 0, 8).await;
             assert_eq!(local, vec![0, 0, 7, 8, 9, 0, 0, 0]);
             cell.remote_fence();
         }
         cell.barrier();
         if cell.id() == 0 {
             // The owner's memory really received the store.
-            let data = cell.remote_load(0, 0, 8);
+            let data = cell.remote_load(0, 0, 8).await;
             assert_eq!(data, vec![0, 0, 7, 8, 9, 0, 0, 0]);
         }
         cell.barrier();
@@ -97,10 +97,10 @@ fn wt_write_goes_through_and_updates_local_copy() {
 fn wt_cache_is_incoherent_until_invalidated() {
     // The paper adds coherence in software; the hardware cache serves
     // stale data until the reader invalidates.
-    run_with(cfg(2), |cell| {
+    run(cfg(2), None, async |cell| {
         cell.barrier();
         if cell.id() == 1 {
-            let stale = cell.wt_read(0, 0, 4);
+            let stale = cell.wt_read(0, 0, 4).await;
             assert_eq!(stale, vec![0, 0, 0, 0]);
         }
         cell.barrier();
@@ -111,10 +111,10 @@ fn wt_cache_is_incoherent_until_invalidated() {
         cell.barrier();
         if cell.id() == 1 {
             // Still the cached page.
-            assert_eq!(cell.wt_read(0, 0, 4), vec![0, 0, 0, 0]);
+            assert_eq!(cell.wt_read(0, 0, 4).await, vec![0, 0, 0, 0]);
             // Software coherence point.
             cell.wt_invalidate_all();
-            assert_eq!(cell.wt_read(0, 0, 4), vec![42, 42, 42, 42]);
+            assert_eq!(cell.wt_read(0, 0, 4).await, vec![42, 42, 42, 42]);
         }
         cell.barrier();
     })
@@ -123,7 +123,7 @@ fn wt_cache_is_incoherent_until_invalidated() {
 
 #[test]
 fn wt_read_crosses_page_boundaries() {
-    run_with(cfg(2), |cell| {
+    run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             let data: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
             cell.remote_store(0, 0, &data[..1500]);
@@ -133,7 +133,7 @@ fn wt_read_crosses_page_boundaries() {
         cell.barrier();
         if cell.id() == 1 {
             // 1 KB pages: this read spans three.
-            let got = cell.wt_read(0, 900, 1500);
+            let got = cell.wt_read(0, 900, 1500).await;
             let expect: Vec<u8> = (900..2400u32).map(|i| (i % 251) as u8).collect();
             assert_eq!(got, expect);
             let (_, misses) = cell.wt_stats();
@@ -146,11 +146,11 @@ fn wt_read_crosses_page_boundaries() {
 
 #[test]
 fn dsm_ops_are_traced_and_replayable() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             cell.remote_store(1, 0, &[1u8; 256]);
             cell.remote_fence();
-            let _ = cell.remote_load(1, 0, 256);
+            let _ = cell.remote_load(1, 0, 256).await;
         }
         cell.barrier();
     })

@@ -1,7 +1,7 @@
 //! Error-path coverage: every §3.2 protection case and protocol misuse
 //! must surface as a structured error, never a hang or silent corruption.
 
-use apcore::{run_with, ApError, BlockReason, CellId, MachineConfig, ReduceOp, VAddr};
+use apcore::{run, ApError, BlockReason, CellId, MachineConfig, ReduceOp, VAddr};
 
 fn cfg(n: u32) -> MachineConfig {
     MachineConfig::new(n)
@@ -9,7 +9,7 @@ fn cfg(n: u32) -> MachineConfig {
 
 #[test]
 fn put_to_nonexistent_cell_is_rejected() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         cell.put(7, buf, buf, 8, VAddr::NULL, VAddr::NULL, false);
     })
@@ -19,7 +19,7 @@ fn put_to_nonexistent_cell_is_rejected() {
 
 #[test]
 fn get_from_nonexistent_cell_is_rejected() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         cell.get(9, buf, buf, 8, VAddr::NULL, flag);
@@ -31,7 +31,7 @@ fn get_from_nonexistent_cell_is_rejected() {
 #[test]
 fn mismatched_put_strides_are_rejected() {
     use apcore::StrideSpec;
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(64);
         cell.put_stride(
             1,
@@ -57,7 +57,7 @@ fn oversized_dma_is_rejected() {
     // The contiguous `put` API chunks transparently (next test), but an
     // explicit stride spec beyond the 4 MB single-DMA maximum of §4.1
     // must still be rejected.
-    let err = run_with(cfg(2).with_mem_size(32 << 20), |cell| {
+    let err = run(cfg(2).with_mem_size(32 << 20), None, async |cell| {
         let buf = cell.alloc_bytes(8 << 20);
         cell.put_stride(
             1,
@@ -83,7 +83,7 @@ fn large_put_chunks_at_dma_limit() {
     // T-net delivers them in sequence, the recv flag rides the last chunk
     // and bumps exactly once, and every byte lands intact.
     const BYTES: u64 = 9 << 20;
-    let r = run_with(cfg(2).with_mem_size(32 << 20), |cell| {
+    let r = run(cfg(2).with_mem_size(32 << 20), None, async |cell| {
         let buf = cell.alloc_bytes(BYTES);
         let flag = cell.alloc_flag();
         let words = (BYTES / 8) as usize;
@@ -97,12 +97,12 @@ fn large_put_chunks_at_dma_limit() {
             0u64
         } else {
             cell.wait_flag(flag, 1);
-            let got: Vec<u64> = cell.read_slice(buf, words);
+            let got: Vec<u64> = cell.read_slice(buf, words).await;
             let ok = got
                 .iter()
                 .enumerate()
                 .all(|(i, &w)| w == (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let flag_val = cell.read_flag(flag) as u64;
+            let flag_val = cell.read_flag(flag).await as u64;
             cell.barrier();
             u64::from(ok) | (flag_val << 1)
         }
@@ -122,7 +122,7 @@ fn large_put_chunks_at_dma_limit() {
 
 #[test]
 fn zero_byte_get_is_rejected() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         cell.get(1, buf, buf, 0, VAddr::NULL, VAddr::NULL);
     })
@@ -135,7 +135,7 @@ fn zero_byte_get_is_rejected() {
 
 #[test]
 fn wait_on_unmapped_flag_faults() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         cell.wait_flag(VAddr::new(0xeeee_0000), 1);
     })
     .unwrap_err();
@@ -147,10 +147,10 @@ fn reduction_protocol_violation_is_detected() {
     // Two cells run *different* reductions concurrently: their register
     // stores collide on a set p-bit, which the kernel reports instead of
     // corrupting values.
-    let err = run_with(cfg(4), |cell| {
+    let err = run(cfg(4), None, async |cell| {
         if cell.id() < 2 {
             let group = vec![0, 1];
-            cell.group_reduce_f64(&group, 1.0, ReduceOp::Sum);
+            cell.group_reduce_f64(&group, 1.0, ReduceOp::Sum).await;
         } else {
             // Overlapping group using the same register slots, racing the
             // other group's protocol on cells 0/1... simulate misuse by
@@ -176,10 +176,10 @@ fn reduction_protocol_violation_is_detected() {
 
 #[test]
 fn group_member_missing_panics_cleanly() {
-    let err = run_with(cfg(4), |cell| {
+    let err = run(cfg(4), None, async |cell| {
         if cell.id() == 3 {
             // Not a member of the group it joins.
-            cell.group_barrier(&[0, 1, 2]);
+            cell.group_barrier(&[0, 1, 2]).await;
         }
     })
     .unwrap_err();
@@ -195,7 +195,7 @@ fn group_member_missing_panics_cleanly() {
 
 #[test]
 fn recv_truncates_to_max() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(16);
         if cell.id() == 0 {
             cell.write_slice(buf, &[1.0f64; 16]);
@@ -203,7 +203,7 @@ fn recv_truncates_to_max() {
             0
         } else {
             // Only accept 40 of the 128 bytes.
-            cell.recv(0, buf, 40)
+            cell.recv(0, buf, 40).await
         }
     })
     .unwrap();
@@ -212,7 +212,7 @@ fn recv_truncates_to_max() {
 
 #[test]
 fn allocation_exhaustion_is_reported() {
-    let err = run_with(cfg(1).with_mem_size(1 << 20), |cell| loop {
+    let err = run(cfg(1).with_mem_size(1 << 20), None, async |cell| loop {
         let _ = cell.alloc_bytes(1 << 19);
     })
     .unwrap_err();
@@ -227,7 +227,7 @@ fn deadlock_report_carries_per_cell_diagnostics() {
     // Cell 0 waits forever on a flag nobody bumps; cell 1 blocks in a
     // barrier cell 0 never reaches. The report must name both cells with
     // their precise block reasons.
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             let flag = cell.alloc_flag();
             cell.wait_flag(flag, 3);
@@ -273,7 +273,7 @@ fn deadlock_report_carries_per_cell_diagnostics() {
 fn deadlock_report_lists_pending_queue_contents() {
     // Cell 0 PUTs to cell 1 and then waits on an ack flag that can never
     // be bumped because the wait target exceeds the number of transfers.
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(8);
         let flag = cell.alloc_flag();
         if cell.id() == 0 {
@@ -302,7 +302,7 @@ fn deadlock_report_lists_pending_queue_contents() {
 
 #[test]
 fn bcast_size_mismatch_is_detected() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(4);
         if cell.id() == 0 {
             cell.bcast(0, buf, 32);

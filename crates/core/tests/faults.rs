@@ -3,8 +3,8 @@
 //! are lost, fail-stop crashes, and byte-reproducible fault reports.
 
 use apcore::{
-    run_with, run_with_faults, ApError, CellId, FaultEvent, FaultKind, FaultSpec, MachineConfig,
-    RecoveryParams, SimTime, VAddr,
+    run, ApError, CellId, FaultEvent, FaultKind, FaultSpec, MachineConfig, RecoveryParams, SimTime,
+    VAddr,
 };
 
 fn c(i: u32) -> CellId {
@@ -26,7 +26,7 @@ fn spec(events: Vec<FaultEvent>) -> FaultSpec {
 /// Ring shift on 4 cells (a 2x2 torus): each cell PUTs its id to its right
 /// neighbour and waits on the receive flag, then reports (value, flag).
 fn ring_shift(faults: Option<&FaultSpec>) -> apcore::RunReport<(f64, u32)> {
-    run_with_faults(MachineConfig::new(4), faults, |cell| {
+    run(MachineConfig::new(4), faults, async |cell| {
         let buf = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         let me = cell.id();
@@ -35,14 +35,14 @@ fn ring_shift(faults: Option<&FaultSpec>) -> apcore::RunReport<(f64, u32)> {
         cell.barrier();
         cell.put((me + 1) % n, buf, buf, 8, VAddr::NULL, flag, false);
         cell.wait_flag(flag, 1);
-        (cell.read_pod::<f64>(buf), cell.read_flag(flag))
+        (cell.read_pod::<f64>(buf).await, cell.read_flag(flag).await)
     })
     .expect("survivable schedule must complete")
 }
 
 #[test]
 fn quiet_schedule_preserves_results_and_reports_nothing() {
-    let baseline = run_with(MachineConfig::new(4), |cell| {
+    let baseline = run(MachineConfig::new(4), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         let me = cell.id();
@@ -51,7 +51,7 @@ fn quiet_schedule_preserves_results_and_reports_nothing() {
         cell.barrier();
         cell.put((me + 1) % n, buf, buf, 8, VAddr::NULL, flag, false);
         cell.wait_flag(flag, 1);
-        (cell.read_pod::<f64>(buf), cell.read_flag(flag))
+        (cell.read_pod::<f64>(buf).await, cell.read_flag(flag).await)
     })
     .unwrap();
     assert!(baseline.fault.is_none(), "fault-free runs carry no report");
@@ -179,7 +179,7 @@ fn crash_without_collectives_degrades_gracefully() {
         until: t(100_000),
         kind: FaultKind::Crash { cell: c(2) },
     }]);
-    let err = run_with_faults(MachineConfig::new(4), Some(&s), |cell| {
+    let err = run(MachineConfig::new(4), Some(&s), async |cell| {
         cell.work(50_000); // 1 ms: the crash lands inside
         cell.id()
     })
@@ -201,7 +201,7 @@ fn barrier_with_dead_participant_aborts_eagerly() {
         until: t(100_000),
         kind: FaultKind::Crash { cell: c(1) },
     }]);
-    let err = run_with_faults(MachineConfig::new(4), Some(&s), |cell| {
+    let err = run(MachineConfig::new(4), Some(&s), async |cell| {
         cell.work(50_000); // crash fires while everyone computes
         cell.barrier();
         cell.id()
@@ -239,7 +239,7 @@ fn outage_outlasting_the_retry_budget_aborts_structurally() {
             },
         }],
     };
-    let err = run_with_faults(MachineConfig::new(4), Some(&s), |cell| {
+    let err = run(MachineConfig::new(4), Some(&s), async |cell| {
         let buf = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         let me = cell.id();

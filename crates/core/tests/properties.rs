@@ -1,7 +1,7 @@
 //! Property tests of whole-machine behaviour: randomized communication
 //! patterns checked against host-side oracles.
 
-use apcore::{run_with, MachineConfig, ReduceOp, VAddr};
+use apcore::{run, MachineConfig, ReduceOp, VAddr};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ proptest! {
         // (src, dst, slot) is written once with a deterministic value
         // (duplicates collapse to the same value, so order is irrelevant).
         let oracle = Arc::clone(&puts);
-        let r = run_with(MachineConfig::new(ncells), move |cell| {
+        let r = run(MachineConfig::new(ncells), None, async move |cell| {
             let me = cell.id() as u32;
             let n = cell.ncells() as u32;
             // inbox[src][slot] on every cell; same layout everywhere.
@@ -52,7 +52,7 @@ proptest! {
             }
             cell.wait_acks();
             cell.barrier();
-            cell.read_slice::<f64>(inbox, (n * 16) as usize)
+            cell.read_slice::<f64>(inbox, (n * 16) as usize).await
         })
         .unwrap();
         for (dst, image) in r.outputs.iter().enumerate() {
@@ -84,10 +84,10 @@ proptest! {
         let values: Vec<f64> = (0..ncells as usize).map(|i| seeds[i] as f64).collect();
         let expect_sum: f64 = values.iter().sum();
         let expect_max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let r = run_with(MachineConfig::new(ncells), move |cell| {
+        let r = run(MachineConfig::new(ncells), None, async move |cell| {
             let x = seeds[cell.id()] as f64;
-            let s = cell.reduce_f64(x, ReduceOp::Sum);
-            let m = cell.reduce_f64(x, ReduceOp::Max);
+            let s = cell.reduce_f64(x, ReduceOp::Sum).await;
+            let m = cell.reduce_f64(x, ReduceOp::Max).await;
             (s, m)
         })
         .unwrap();
@@ -103,7 +103,7 @@ proptest! {
     fn ring_buffer_is_fifo(lens in proptest::collection::vec(1usize..50, 1..20)) {
         let lens = Arc::new(lens);
         let check = Arc::clone(&lens);
-        let r = run_with(MachineConfig::new(2), move |cell| {
+        let r = run(MachineConfig::new(2), None, async move |cell| {
             let buf = cell.alloc::<u32>(64);
             let mut received = Vec::new();
             if cell.id() == 0 {
@@ -113,9 +113,9 @@ proptest! {
                 }
             } else {
                 for &len in lens.iter() {
-                    let n = cell.recv(0, buf, 256);
+                    let n = cell.recv(0, buf, 256).await;
                     assert_eq!(n, (len * 4) as u64);
-                    received.push(cell.read_pod::<u32>(buf));
+                    received.push(cell.read_pod::<u32>(buf).await);
                 }
             }
             received
@@ -134,7 +134,7 @@ proptest! {
         sorted.sort_unstable();
         let mut times = Vec::new();
         for &bytes in &sorted {
-            let r = run_with(MachineConfig::new(2).with_trace(false), move |cell| {
+            let r = run(MachineConfig::new(2).with_trace(false), None, async move |cell| {
                 let buf = cell.alloc_bytes(8192);
                 let flag = cell.alloc_flag();
                 cell.barrier();

@@ -1,6 +1,6 @@
 //! End-to-end tests of the machine emulator and PUT/GET runtime.
 
-use apcore::{run_with, ApError, MachineConfig, ReduceOp, StrideSpec, VAddr};
+use apcore::{run, ApError, MachineConfig, ReduceOp, StrideSpec, VAddr};
 
 fn cfg(n: u32) -> MachineConfig {
     MachineConfig::new(n)
@@ -8,7 +8,7 @@ fn cfg(n: u32) -> MachineConfig {
 
 #[test]
 fn put_moves_real_data_between_cells() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let n = cell.ncells();
         let me = cell.id();
         let buf = cell.alloc::<f64>(8);
@@ -19,7 +19,7 @@ fn put_moves_real_data_between_cells() {
         cell.barrier();
         cell.put((me + 1) % n, inbox, buf, 64, VAddr::NULL, flag, false);
         cell.wait_flag(flag, 1);
-        cell.read_slice::<f64>(inbox, 8)
+        cell.read_slice::<f64>(inbox, 8).await
     })
     .unwrap();
     for me in 0..4usize {
@@ -31,7 +31,7 @@ fn put_moves_real_data_between_cells() {
 
 #[test]
 fn get_fetches_remote_data() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
         let src_buf = cell.alloc::<f64>(4);
@@ -42,7 +42,7 @@ fn get_fetches_remote_data() {
         let victim = (me + 1) % n;
         cell.get(victim, src_buf, dst_buf, 32, VAddr::NULL, flag);
         cell.wait_flag(flag, 1);
-        cell.read_slice::<f64>(dst_buf, 4)
+        cell.read_slice::<f64>(dst_buf, 4).await
     })
     .unwrap();
     for me in 0..4usize {
@@ -53,7 +53,7 @@ fn get_fetches_remote_data() {
 #[test]
 fn get_send_flag_updates_on_remote_cell() {
     // Cell 0 GETs from cell 1; cell 1 observes its own send flag bump.
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let data = cell.alloc::<f64>(1);
         let dst = cell.alloc::<f64>(1);
         let sflag = cell.alloc_flag();
@@ -63,7 +63,7 @@ fn get_send_flag_updates_on_remote_cell() {
         if cell.id() == 0 {
             cell.get(1, data, dst, 8, sflag, rflag);
             cell.wait_flag(rflag, 1);
-            cell.read_pod::<f64>(dst)
+            cell.read_pod::<f64>(dst).await
         } else {
             // The serving cell sees send_flag increment when its reply left.
             cell.wait_flag(sflag, 1);
@@ -79,7 +79,7 @@ fn put_stride_transposes_columns_to_rows() {
     // Classic SPREAD MOVE shape: a column of an 8x8 matrix lands as a
     // contiguous row on the destination.
     const N: usize = 8;
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let mat = cell.alloc::<f64>(N * N);
         let row = cell.alloc::<f64>(N);
         let flag = cell.alloc_flag();
@@ -97,7 +97,7 @@ fn put_stride_transposes_columns_to_rows() {
         } else {
             cell.barrier();
             cell.wait_flag(flag, 1);
-            cell.read_slice::<f64>(row, N)
+            cell.read_slice::<f64>(row, N).await
         }
     })
     .unwrap();
@@ -107,7 +107,7 @@ fn put_stride_transposes_columns_to_rows() {
 
 #[test]
 fn get_stride_reblocks_figure3_style() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let src = cell.alloc::<f64>(16);
         let dst = cell.alloc::<f64>(16);
         let flag = cell.alloc_flag();
@@ -121,7 +121,7 @@ fn get_stride_reblocks_figure3_style() {
             let recv = StrideSpec::new(16, 4, 32);
             cell.get_stride(1, src, dst, send, recv, VAddr::NULL, flag);
             cell.wait_flag(flag, 1);
-            cell.read_slice::<f64>(dst, 16)
+            cell.read_slice::<f64>(dst, 16).await
         } else {
             Vec::new()
         }
@@ -141,7 +141,7 @@ fn flags_count_multiple_messages() {
     // 3 senders PUT to one receiver; a single flag counts to 3 (§3.2:
     // "to check arrival of multiple messages, the flag value is
     // incremented").
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let slot = cell.alloc::<f64>(4);
         let flag = cell.alloc_flag();
         cell.barrier();
@@ -161,7 +161,7 @@ fn flags_count_multiple_messages() {
             0.0
         } else {
             cell.wait_flag(flag, 3);
-            cell.read_slice::<f64>(slot, 3).iter().sum::<f64>()
+            cell.read_slice::<f64>(slot, 3).await.iter().sum::<f64>()
         }
     })
     .unwrap();
@@ -172,7 +172,7 @@ fn flags_count_multiple_messages() {
 fn ack_and_barrier_model_works() {
     // Every cell PUTs with ack and waits for all acks before the barrier —
     // the paper's Ack & Barrier pattern (§2.2, §4.1).
-    let r = run_with(cfg(8), |cell| {
+    let r = run(cfg(8), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
         let outbox = cell.alloc::<f64>(1);
@@ -194,7 +194,7 @@ fn ack_and_barrier_model_works() {
         cell.wait_acks();
         cell.barrier();
         // After Ack & Barrier every inbox slot j (j != me) must hold j.
-        let got = cell.read_slice::<f64>(inbox, n);
+        let got = cell.read_slice::<f64>(inbox, n).await;
         (0..n).filter(|&j| j != me).all(|j| got[j] == j as f64)
     })
     .unwrap();
@@ -208,7 +208,7 @@ fn ack_and_barrier_model_works() {
 
 #[test]
 fn send_recv_ring_buffer() {
-    let r = run_with(cfg(3), |cell| {
+    let r = run(cfg(3), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
         let buf = cell.alloc::<f64>(2);
@@ -216,9 +216,9 @@ fn send_recv_ring_buffer() {
         cell.write_slice(buf, &[me as f64, 10.0 * me as f64]);
         // Everyone sends to the right, receives from the left.
         cell.send((me + 1) % n, buf, 16);
-        let got = cell.recv((me + n - 1) % n, inbox, 16);
+        let got = cell.recv((me + n - 1) % n, inbox, 16).await;
         assert_eq!(got, 16);
-        cell.read_slice::<f64>(inbox, 2)
+        cell.read_slice::<f64>(inbox, 2).await
     })
     .unwrap();
     assert_eq!(r.outputs[0], vec![2.0, 20.0]);
@@ -229,16 +229,16 @@ fn send_recv_ring_buffer() {
 #[test]
 fn recv_filters_by_source() {
     // Cell 0 receives from 2 then from 1, regardless of arrival order.
-    let r = run_with(cfg(3), |cell| {
+    let r = run(cfg(3), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         let inbox = cell.alloc::<f64>(1);
         match cell.id() {
             0 => {
                 let mut out = Vec::new();
-                cell.recv(2, inbox, 8);
-                out.push(cell.read_pod::<f64>(inbox));
-                cell.recv(1, inbox, 8);
-                out.push(cell.read_pod::<f64>(inbox));
+                cell.recv(2, inbox, 8).await;
+                out.push(cell.read_pod::<f64>(inbox).await);
+                cell.recv(1, inbox, 8).await;
+                out.push(cell.read_pod::<f64>(inbox).await);
                 out
             }
             me => {
@@ -254,11 +254,11 @@ fn recv_filters_by_source() {
 
 #[test]
 fn scalar_reduction_all_ops() {
-    let r = run_with(cfg(16), |cell| {
+    let r = run(cfg(16), None, async |cell| {
         let x = cell.id() as f64;
-        let sum = cell.reduce_f64(x, ReduceOp::Sum);
-        let max = cell.reduce_f64(x, ReduceOp::Max);
-        let min = cell.reduce_f64(-x, ReduceOp::Min);
+        let sum = cell.reduce_f64(x, ReduceOp::Sum).await;
+        let max = cell.reduce_f64(x, ReduceOp::Max).await;
+        let min = cell.reduce_f64(-x, ReduceOp::Min).await;
         (sum, max, min)
     })
     .unwrap();
@@ -273,22 +273,26 @@ fn scalar_reduction_all_ops() {
 
 #[test]
 fn scalar_reduction_non_power_of_two() {
-    let r = run_with(cfg(7), |cell| cell.reduce_sum_f64(1.0 + cell.id() as f64)).unwrap();
+    let r = run(cfg(7), None, async |cell| {
+        cell.reduce_sum_f64(1.0 + cell.id() as f64).await
+    })
+    .unwrap();
     assert!(r.outputs.iter().all(|&s| s == 28.0));
 }
 
 #[test]
 fn group_reduction_and_barrier() {
     // Two disjoint groups reduce independently (§2.3 group support).
-    let r = run_with(cfg(8), |cell| {
+    let r = run(cfg(8), None, async |cell| {
         let me = cell.id();
         let group: Vec<usize> = if me < 4 {
             (0..4).collect()
         } else {
             (4..8).collect()
         };
-        cell.group_barrier(&group);
+        cell.group_barrier(&group).await;
         cell.group_reduce_f64(&group, me as f64, ReduceOp::Sum)
+            .await
     })
     .unwrap();
     for me in 0..8usize {
@@ -300,9 +304,9 @@ fn group_reduction_and_barrier() {
 #[test]
 fn vector_reduction_ring() {
     const N: usize = 64;
-    let r = run_with(cfg(8), |cell| {
+    let r = run(cfg(8), None, async |cell| {
         let mut xs: Vec<f64> = (0..N).map(|i| (cell.id() * N + i) as f64).collect();
-        cell.reduce_vec_sum_f64(&mut xs);
+        cell.reduce_vec_sum_f64(&mut xs).await;
         xs
     })
     .unwrap();
@@ -323,13 +327,13 @@ fn vector_reduction_ring() {
 
 #[test]
 fn bcast_delivers_to_all() {
-    let r = run_with(cfg(6), |cell| {
+    let r = run(cfg(6), None, async |cell| {
         let buf = cell.alloc::<f64>(4);
         if cell.id() == 2 {
             cell.write_slice(buf, &[9.0, 8.0, 7.0, 6.0]);
         }
         cell.bcast(2, buf, 32);
-        cell.read_slice::<f64>(buf, 4)
+        cell.read_slice::<f64>(buf, 4).await
     })
     .unwrap();
     for out in &r.outputs {
@@ -339,7 +343,7 @@ fn bcast_delivers_to_all() {
 
 #[test]
 fn dsm_remote_store_load_round_trip() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
         // Everyone stores its id into neighbour's shared window, fences,
@@ -348,7 +352,7 @@ fn dsm_remote_store_load_round_trip() {
         cell.remote_store((me + 1) % n, 64, &[me as u8; 8]);
         cell.remote_fence();
         cell.barrier();
-        let data = cell.remote_load((me + 1) % n, 64, 8);
+        let data = cell.remote_load((me + 1) % n, 64, 8).await;
         data[0]
     })
     .unwrap();
@@ -358,7 +362,7 @@ fn dsm_remote_store_load_round_trip() {
 
 #[test]
 fn barrier_orders_phases() {
-    let r = run_with(cfg(8), |cell| {
+    let r = run(cfg(8), None, async |cell| {
         let me = cell.id();
         let shared = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
@@ -377,7 +381,7 @@ fn barrier_orders_phases() {
         if me == 0 {
             42.0
         } else {
-            cell.read_pod::<f64>(shared)
+            cell.read_pod::<f64>(shared).await
         }
     })
     .unwrap();
@@ -387,7 +391,7 @@ fn barrier_orders_phases() {
 
 #[test]
 fn page_fault_aborts_run() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         // PUT from an unmapped local address: hardware protection fires.
@@ -411,7 +415,7 @@ fn page_fault_aborts_run() {
 
 #[test]
 fn remote_page_fault_detected_at_receiver() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             let buf = cell.alloc::<f64>(1);
             // Remote address far outside anything mapped on cell 1.
@@ -433,7 +437,7 @@ fn remote_page_fault_detected_at_receiver() {
 
 #[test]
 fn zero_length_put_is_rejected() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(1);
         cell.put(1, buf, buf, 0, VAddr::NULL, VAddr::NULL, false);
     })
@@ -448,7 +452,7 @@ fn zero_length_put_is_rejected() {
 
 #[test]
 fn deadlock_is_reported_not_hung() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         if cell.id() == 0 {
             let flag = cell.alloc_flag();
             cell.wait_flag(flag, 1); // nobody ever bumps it
@@ -467,7 +471,7 @@ fn deadlock_is_reported_not_hung() {
 
 #[test]
 fn program_panic_becomes_cell_failed() {
-    let err = run_with(cfg(2), |cell| {
+    let err = run(cfg(2), None, async |cell| {
         if cell.id() == 1 {
             panic!("numerical blow-up");
         }
@@ -485,10 +489,10 @@ fn program_panic_becomes_cell_failed() {
 #[test]
 fn runs_are_deterministic() {
     let go = || {
-        run_with(cfg(8), |cell| {
+        run(cfg(8), None, async |cell| {
             let mut xs: Vec<f64> = (0..32).map(|i| (cell.id() + i) as f64).collect();
-            cell.reduce_vec_sum_f64(&mut xs);
-            let s = cell.reduce_sum_f64(xs[0]);
+            cell.reduce_vec_sum_f64(&mut xs).await;
+            let s = cell.reduce_sum_f64(xs[0]).await;
             cell.barrier();
             s
         })
@@ -509,7 +513,7 @@ fn queue_overflow_spills_and_still_delivers() {
     // Fire 100 PUTs back to back: the 8-deep user queue must spill to DRAM
     // and every payload must still arrive, in order.
     const SLOT: u64 = 4096; // 4 KB: DMA time >> issue time, queue fills
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let n_msgs = 64u64;
         let inbox = cell.alloc_bytes(n_msgs * SLOT);
         let out = cell.alloc_bytes(n_msgs * SLOT);
@@ -526,9 +530,11 @@ fn queue_overflow_spills_and_still_delivers() {
         } else {
             cell.wait_flag(flag, n_msgs as u32);
             cell.barrier();
-            (0..n_msgs)
-                .map(|i| cell.read_pod::<f64>(inbox + i * SLOT))
-                .collect::<Vec<f64>>()
+            let mut got = Vec::new();
+            for i in 0..n_msgs {
+                got.push(cell.read_pod::<f64>(inbox + i * SLOT).await);
+            }
+            got
         }
     })
     .unwrap();
@@ -544,7 +550,7 @@ fn queue_overflow_spills_and_still_delivers() {
 fn send_flag_protects_send_area() {
     // The documented-correct version of the above: waiting on send_flag
     // before reusing the buffer guarantees payload integrity.
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let n_msgs = 40u64;
         let inbox = cell.alloc::<f64>(n_msgs as usize);
         let out = cell.alloc::<f64>(1);
@@ -562,7 +568,7 @@ fn send_flag_protects_send_area() {
         } else {
             cell.wait_flag(rflag, n_msgs as u32);
             cell.barrier();
-            cell.read_slice::<f64>(inbox, n_msgs as usize)
+            cell.read_slice::<f64>(inbox, n_msgs as usize).await
         }
     })
     .unwrap();
@@ -575,7 +581,7 @@ fn stride_hardware_beats_elementwise_transfers() {
     // The §5.4 TOMCATV effect in miniature: one strided PUT of 256 items
     // must be much faster than 256 single-item PUTs.
     let items = 256u32;
-    let strided = run_with(cfg(2), |cell| {
+    let strided = run(cfg(2), None, async |cell| {
         let src = cell.alloc::<f64>(2 * 256);
         let dst = cell.alloc::<f64>(256);
         let flag = cell.alloc_flag();
@@ -590,7 +596,7 @@ fn stride_hardware_beats_elementwise_transfers() {
         cell.barrier();
     })
     .unwrap();
-    let elementwise = run_with(cfg(2), |cell| {
+    let elementwise = run(cfg(2), None, async |cell| {
         let src = cell.alloc::<f64>(2 * 256);
         let dst = cell.alloc::<f64>(256);
         let flag = cell.alloc_flag();
@@ -616,12 +622,12 @@ fn stride_hardware_beats_elementwise_transfers() {
 
 #[test]
 fn time_accounting_buckets_are_sane() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         cell.work(1000);
         cell.rts(10);
         cell.barrier();
 
-        cell.reduce_sum_f64(1.0)
+        cell.reduce_sum_f64(1.0).await
     })
     .unwrap();
     for t in &r.times {
@@ -638,10 +644,10 @@ fn time_accounting_buckets_are_sane() {
 
 #[test]
 fn single_cell_machine_degenerates_gracefully() {
-    let r = run_with(cfg(1), |cell| {
+    let r = run(cfg(1), None, async |cell| {
         let mut xs = vec![1.0, 2.0];
-        cell.reduce_vec_sum_f64(&mut xs);
-        let s = cell.reduce_sum_f64(3.0);
+        cell.reduce_vec_sum_f64(&mut xs).await;
+        let s = cell.reduce_sum_f64(3.0).await;
         cell.barrier();
         (xs, s)
     })
@@ -652,14 +658,14 @@ fn single_cell_machine_degenerates_gracefully() {
 
 #[test]
 fn loopback_put_to_self_works() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let a = cell.alloc::<f64>(1);
         let b = cell.alloc::<f64>(1);
         let flag = cell.alloc_flag();
         cell.write_pod(a, 5.0f64);
         cell.put(cell.id(), b, a, 8, VAddr::NULL, flag, false);
         cell.wait_flag(flag, 1);
-        cell.read_pod::<f64>(b)
+        cell.read_pod::<f64>(b).await
     })
     .unwrap();
     assert_eq!(r.outputs, vec![5.0, 5.0]);
@@ -667,7 +673,7 @@ fn loopback_put_to_self_works() {
 
 #[test]
 fn tnet_stats_are_recorded() {
-    let r = run_with(cfg(4), |cell| {
+    let r = run(cfg(4), None, async |cell| {
         let a = cell.alloc::<f64>(16);
         let flag = cell.alloc_flag();
         cell.barrier();
@@ -697,9 +703,10 @@ fn queue_refill_interrupts_cost_time() {
             os_interrupt_time: aputil::SimTime::from_micros_f64(os_us),
             ..apcore::HwParams::default()
         };
-        let r = run_with(
+        let r = run(
             MachineConfig::new(2).with_hw(hw).with_trace(false),
-            |cell| {
+            None,
+            async |cell| {
                 let n_msgs = 64u64;
                 let buf = cell.alloc_bytes(n_msgs * 4096);
                 let flag = cell.alloc_flag();
@@ -738,7 +745,7 @@ fn queue_refill_interrupts_cost_time() {
 fn ring_buffer_overflow_interrupts_os() {
     // Flood one cell's ring buffer past its capacity without receiving:
     // §4.3 says the MSC+ interrupts the OS to allocate a new buffer.
-    let r = run_with(MachineConfig::new(2), |cell| {
+    let r = run(MachineConfig::new(2), None, async |cell| {
         let buf = cell.alloc_bytes(32 << 10);
         if cell.id() == 0 {
             for _ in 0..6 {
@@ -749,7 +756,7 @@ fn ring_buffer_overflow_interrupts_os() {
             // first RECEIVE drains any of them.
             cell.work(10_000_000);
             for _ in 0..6 {
-                cell.recv(0, buf, 16 << 10);
+                cell.recv(0, buf, 16 << 10).await;
             }
         }
         cell.barrier();
@@ -760,7 +767,7 @@ fn ring_buffer_overflow_interrupts_os() {
 
 #[test]
 fn timeline_records_events_and_counters_fill_histograms() {
-    let r = run_with(cfg(4).with_timeline(true), |cell| {
+    let r = run(cfg(4).with_timeline(true), None, async |cell| {
         let buf = cell.alloc::<f64>(64);
         let flag = cell.alloc_flag();
         let n = cell.ncells();
@@ -796,7 +803,7 @@ fn timeline_records_events_and_counters_fill_histograms() {
 
 #[test]
 fn timeline_off_by_default_but_histograms_still_collected() {
-    let r = run_with(cfg(2), |cell| {
+    let r = run(cfg(2), None, async |cell| {
         let buf = cell.alloc::<f64>(8);
         let flag = cell.alloc_flag();
         cell.put((cell.id() + 1) % 2, buf, buf, 64, VAddr::NULL, flag, false);

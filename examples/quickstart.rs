@@ -7,10 +7,10 @@
 //! global reduction over the communication registers — the §3.1 interface
 //! end to end.
 
-use apcore::{run_with, MachineConfig, VAddr};
+use apcore::{run, MachineConfig, VAddr};
 
 fn main() {
-    let report = run_with(MachineConfig::new(4), |cell| {
+    let report = run(MachineConfig::new(4), None, async |cell| {
         let me = cell.id();
         let n = cell.ncells();
 
@@ -37,16 +37,16 @@ fn main() {
             false,
         );
         cell.wait_flag(recv_flag, 1);
-        let from_left = cell.read_pod::<f64>(inbox);
+        let from_left = cell.read_pod::<f64>(inbox).await;
 
         // One-sided read from my left neighbour.
         cell.get((me + n - 1) % n, outbox, fetched, 8, VAddr::NULL, get_flag);
         cell.wait_flag(get_flag, 1);
-        let also_from_left = cell.read_pod::<f64>(fetched);
+        let also_from_left = cell.read_pod::<f64>(fetched).await;
         assert_eq!(from_left, also_from_left);
 
         // Scalar global sum on the communication registers (§4.4/§4.5).
-        let total = cell.reduce_sum_f64(from_left);
+        let total = cell.reduce_sum_f64(from_left).await;
         (from_left, total)
     })
     .expect("simulation failed");

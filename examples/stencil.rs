@@ -9,7 +9,7 @@
 //! run's time breakdown is printed — watch idle time fall as the
 //! computation grows relative to communication.
 
-use apcore::{run_with, MachineConfig, VAddr};
+use apcore::{run, MachineConfig, VAddr};
 
 const CELLS: u32 = 8;
 const POINTS: usize = 1024; // rod discretization
@@ -38,7 +38,7 @@ fn init(i: usize) -> f64 {
 fn main() {
     let reference = sequential();
     let golden = reference.clone();
-    let report = run_with(MachineConfig::new(CELLS), move |cell| {
+    let report = run(MachineConfig::new(CELLS), None, async move |cell| {
         let me = cell.id();
         let p = cell.ncells();
         let nb = POINTS / p;
@@ -69,12 +69,12 @@ fn main() {
             seen += incoming;
             cell.wait_flag(flag, seen);
             let left = if me > 0 {
-                cell.read_pod::<f64>(halo_left)
+                cell.read_pod::<f64>(halo_left).await
             } else {
                 0.0
             };
             let right = if me + 1 < p {
-                cell.read_pod::<f64>(halo_right)
+                cell.read_pod::<f64>(halo_right).await
             } else {
                 0.0
             };

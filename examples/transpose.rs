@@ -9,7 +9,7 @@
 //! show the §5.4 TOMCATV effect: the paper reports the stride version
 //! "about 50% faster" at machine scale.
 
-use apcore::{run_with, MachineConfig, StrideSpec, VAddr};
+use apcore::{run, MachineConfig, StrideSpec, VAddr};
 
 const CELLS: u32 = 4;
 const N: usize = 64;
@@ -18,8 +18,8 @@ fn element(i: usize, j: usize) -> f64 {
     (i * N + j) as f64
 }
 
-fn run(stride: bool) -> (bool, aputil::SimTime) {
-    let report = run_with(MachineConfig::new(CELLS), move |cell| {
+fn transpose(stride: bool) -> (bool, aputil::SimTime) {
+    let report = run(MachineConfig::new(CELLS), None, async move |cell| {
         let me = cell.id();
         let p = cell.ncells();
         let nb = N / p; // rows per cell
@@ -65,7 +65,7 @@ fn run(stride: bool) -> (bool, aputil::SimTime) {
         cell.barrier();
 
         // Verify my block of the transpose.
-        let got = cell.read_slice::<f64>(t, nb * N);
+        let got = cell.read_slice::<f64>(t, nb * N).await;
         (0..nb * N).all(|k| got[k] == element(k % N, me * nb + k / N))
     })
     .expect("simulation failed");
@@ -73,8 +73,8 @@ fn run(stride: bool) -> (bool, aputil::SimTime) {
 }
 
 fn main() {
-    let (ok_s, t_stride) = run(true);
-    let (ok_e, t_elem) = run(false);
+    let (ok_s, t_stride) = transpose(true);
+    let (ok_e, t_elem) = transpose(false);
     assert!(ok_s && ok_e, "transpose verification failed");
     println!("{N}x{N} transpose over {CELLS} cells — both verified correct");
     println!("  with stride hardware : {t_stride}");

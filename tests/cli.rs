@@ -69,6 +69,13 @@ fn every_ci_command_line_resolves() {
         "record --apps CG,SCG --scale test --size 2048 --out-dir big_t1 --threads 1",
         "record --apps CG,SCG --scale test --size 2048 --out-dir big_t2 --threads 2",
         "replay big_t2/CG.evtrace",
+        // scale-smoke (the 65536-cell line is attempted, not gated)
+        "sweep --apps CG --sizes 4096 --scale test --threads 1 --bench-out cg4096.json",
+        "sweep --apps EP --sizes 16384 --scale test --threads 1 --bench-out ep16384.json",
+        "sweep --apps EP --sizes 65536 --scale test --threads 1 --bench-out ep65536.json",
+        // referee-files
+        "all --scale paper",
+        "ablations",
     ];
     all_resolve(&REPRO, &repro);
     // replay-smoke's one exit-2 step: recordings have a single order.

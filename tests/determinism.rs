@@ -2,7 +2,7 @@
 //!
 //! The zero-copy payload path, the indexed waiter slots, the request
 //! batching and the parallel sweep driver are all host-side mechanics:
-//! none of them may move a single simulated nanosecond. Two pins enforce
+//! none of them may move a single simulated nanosecond. Four pins enforce
 //! that:
 //!
 //! * the Table-2 suite's final emulator times at test scale are frozen to
@@ -12,12 +12,15 @@
 //! * an `apsweep` grid run on 1 thread and on N threads serializes to
 //!   byte-identical bench-report JSON;
 //! * a single 1024-cell CG run records the byte-identical evtrace and
-//!   final simulated time the serial-baton kernel produced before
-//!   windowed delivery replaced it (DESIGN.md §10) — pinned as
-//!   constants, so tier-1 records it once. The serial reference was a
-//!   sorted-order file; recordings are engine-order now, so its digest is
-//!   asserted on the recording's sorted re-encode and the engine-order
-//!   bytes carry a pin of their own.
+//!   final simulated time the serial-baton kernel produced, two
+//!   cell↔kernel protocols ago (DESIGN.md §10) — pinned as constants, so
+//!   tier-1 records it once. The serial reference was a sorted-order
+//!   file; recordings are engine-order now, so its digest is asserted on
+//!   the recording's sorted re-encode and the engine-order bytes carry a
+//!   pin of their own;
+//! * CG on 4096 cells — four times the hardware limit, and 23 s of
+//!   mostly context switches when every cell was a thread — ends at the
+//!   simulated time the last thread-per-cell kernel gave it.
 //!
 //! If an *intentional* timing-model change moves the suite times, update
 //! the constants here in the same commit and say why.
@@ -83,10 +86,9 @@ fn sweep_is_thread_count_invariant() {
 /// The 1024-cell CG recording of the serial-baton kernel: event count,
 /// final simulated time, evtrace byte length and FNV-1a-64 digest of the
 /// file. Captured where the serial baton (one channel round trip per
-/// wake, since deleted) was still the default protocol; windowed
-/// delivery, then optional and now the only one, recorded the identical
-/// bytes. The file pinned here is the sorted form
-/// ([`common::sorted_reencode`]).
+/// wake) was still the default protocol; windowed delivery and then
+/// run-to-block recorded the identical bytes. The file pinned here is
+/// the sorted form ([`common::sorted_reencode`]).
 const CG1024_EVENTS: u64 = 3_599_496;
 const CG1024_FINAL_NS: u64 = 893_617_068;
 const CG1024_EVTRACE_BYTES: usize = 34_539_412;
@@ -97,8 +99,7 @@ const CG1024_ENGINE_ORDER_FNV1A: u64 = 0x11c2_b0e3_d62a_e79a;
 
 #[test]
 fn cg1024_recording_matches_the_serial_reference_pin() {
-    // 1024 cells: large enough that the window always holds many parked
-    // wakes and the posted-request and early-release paths all run.
+    // 1024 cells: the hardware limit, and every request family CG uses.
     let path =
         std::env::temp_dir().join(format!("ap1000plus-cg1024-{}.evtrace", std::process::id()));
     let rec = record_app("CG", Scale::Test, Some(1024), None, &path, false)
@@ -132,4 +133,18 @@ fn cg1024_recording_matches_the_serial_reference_pin() {
         CG1024_EVTRACE_FNV1A,
         "evtrace events diverged from the serial reference recording"
     );
+}
+
+/// Test-scale CG on 4096 cells: final simulated time at `f1e670c`, the
+/// last thread-per-cell commit.
+const CG4096_FINAL_NS: u64 = 3_554_435_316;
+
+#[test]
+fn cg4096_final_time_matches_the_threaded_pin() {
+    let cg = apapps::cg::Cg {
+        pe: 4096,
+        ..apapps::cg::Cg::new(Scale::Test)
+    };
+    let report = apapps::Workload::run(&cg).expect("CG on 4096 cells");
+    assert_eq!(report.total_time.as_nanos(), CG4096_FINAL_NS);
 }

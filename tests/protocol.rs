@@ -1,34 +1,34 @@
 //! Conformance pin of the cell↔kernel protocol (DESIGN.md §10).
 //!
-//! There is one protocol — windowed delivery — so nothing is left to
-//! hold it against at run time. What it is held against instead is the
-//! *serial baton* it replaced: every constant below was captured at the
-//! last commit where that protocol still existed (fault-free shapes from
-//! `Engine::Serial`, fault-armed shapes from `run_with_faults`, which
-//! chose the baton whenever a schedule was armed). The mix and the three
-//! failure shapes are the ones the former in-crate `engine_equivalence`
-//! differential ran; the fault-armed shapes are new.
+//! There is one protocol — run-to-block — so nothing is left to hold it
+//! against at run time. What it is held against instead is the *serial
+//! baton* of thread-per-cell days: every constant below was captured at
+//! the last commit where that protocol still existed (fault-free shapes
+//! from `Engine::Serial`, fault-armed shapes from the entry point that
+//! chose the baton whenever a schedule was armed), or — the allocation
+//! and ping-pong shapes — at the last thread-per-cell commit. The mix and
+//! the three failure shapes are the ones the former in-crate
+//! `engine_equivalence` differential ran.
 //!
 //! If an *intentional* timing-model change moves these, update the
 //! constants in the same commit and say why.
 
 use apcore::{
-    run_with, run_with_faults, ApError, Cell, CellId, FaultEvent, FaultKind, FaultSpec,
-    MachineConfig, RecoveryParams, RunReport, SimTime, StrideSpec, VAddr,
+    run, run_with, ApError, Cell, CellId, FaultEvent, FaultKind, FaultSpec, MachineConfig,
+    RecoveryParams, RunReport, SimTime, StrideSpec, VAddr,
 };
 use aputil::hash::fnv1a_64;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::cell::Cell as HostCell;
 
 fn cfg(cells: u32) -> MachineConfig {
     MachineConfig::new(cells).with_timeline(true)
 }
 
 /// A synthetic SPMD mix touching every request family: flagged PUT/GET
-/// with an ack probe, stride, the SEND ring with a pipelined halo
-/// receive, barriers, reductions (pipelined register loads) and DSM
-/// remote store/fence/load. Per-cell work is skewed so wakes interleave.
-fn mix(cell: &mut Cell) -> f64 {
+/// with an ack probe, stride, the SEND ring with a halo receive,
+/// barriers, reductions and DSM remote store/fence/load. Per-cell work
+/// is skewed so wakes interleave.
+async fn mix(cell: &mut Cell) -> f64 {
     let (me, n) = (cell.id(), cell.ncells());
     let (left, right) = ((me + n - 1) % n, (me + 1) % n);
     let buf = cell.alloc::<f64>(16);
@@ -59,16 +59,16 @@ fn mix(cell: &mut Cell) -> f64 {
     cell.barrier();
 
     cell.send(right, buf, 64);
-    let (len, halo) = cell.recv_slice::<f64>(left, inbox, 128, 8);
+    let (len, halo) = cell.recv_slice::<f64>(left, inbox, 128, 8).await;
     cell.work(50 * (n - me) as u64);
-    let sum = cell.reduce_sum_f64(halo[0] + len as f64);
-    let max = cell.reduce_max_f64(me as f64);
+    let sum = cell.reduce_sum_f64(halo[0] + len as f64).await;
+    let max = cell.reduce_max_f64(me as f64).await;
 
     cell.remote_store(right, 64, &[me as u8; 8]);
     cell.remote_fence();
     cell.barrier();
-    let loaded = cell.remote_load(right, 64, 8);
-    sum + max + f64::from(loaded[0]) + cell.read_pod::<f64>(got)
+    let loaded = cell.remote_load(right, 64, 8).await;
+    sum + max + f64::from(loaded[0]) + cell.read_pod::<f64>(got).await
 }
 
 /// What a completed run of the mix is pinned by: final simulated time
@@ -147,17 +147,17 @@ const MIX: [(u32, Digest); 4] = [
 ];
 
 /// On the 16-cell mix, cell 5's wake out of the first S-net barrier. It
-/// is a batched wake: the posted PUT behind it dispatches at its commit.
+/// resumes nothing: the posted PUT behind it dispatches at its commit.
 const BARRIER_RELEASE_NS: u64 = 14_100;
 /// On the 16-cell mix, cell 5's wake carrying the halo RECEIVE's length:
-/// scheduled 1480 ns (the copy-out) ahead of its commit, inside the
-/// dispatch window — the response a fault-free run hands over early.
+/// scheduled 1480 ns (the copy-out) ahead of its commit, and the program
+/// is suspended on it.
 const RECV_WAKE_NS: u64 = 59_408;
 
 #[test]
 fn mix_matches_the_serial_reference_pin() {
     for (cells, want) in MIX {
-        let r = run_with(cfg(cells), mix).expect("mix");
+        let r = run(cfg(cells), None, mix).expect("mix");
         assert_eq!(r.outputs, mix_outputs(cells), "{cells} cells");
         assert_eq!(digest(&r), want, "{cells} cells");
         if cells == 16 {
@@ -292,7 +292,7 @@ fn quiet_schedule_matches_the_serial_reference_pin() {
         injected (0):\n  retries (0 total):\n  \
         drops: 0  corrupt: 0  dups: 0  detours: 0  acks: 296\n";
     for _ in 0..2 {
-        let r = run_with_faults(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
+        let r = run(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
         assert_eq!(r.outputs, mix_outputs(16));
         assert_eq!(digest(&r), QUIET);
         assert_eq!(r.fault.expect("report").render(), REPORT);
@@ -342,8 +342,8 @@ fn unsurvivable_schedules_match_the_serial_reference_pin() {
     ];
     for (spec, display, report) in shapes {
         let what = apfault::to_ron(&spec);
-        let run = || run_with_faults(cfg(16), Some(&spec), mix).expect_err(&what);
-        let (first, second) = (run(), run());
+        let abort = || run(cfg(16), Some(&spec), mix).expect_err(&what);
+        let (first, second) = (abort(), abort());
         assert_eq!(first, second, "two runs disagree under {what}");
         assert_eq!(first.to_string(), display, "{what}");
         let rendered = match &first {
@@ -355,30 +355,27 @@ fn unsurvivable_schedules_match_the_serial_reference_pin() {
     }
 }
 
-/// The property the crash-time guard in `Kernel::eager_offer` exists
-/// for. A RECEIVE's wake is scheduled one copy-out ahead of its commit,
-/// well inside the dispatch window, so its response would normally go to
-/// the program at once; a crash of that cell in between cancels the wake,
-/// and the program must then never see the response — host-visible state
-/// a dead cell's program touches must not depend on the window.
+/// A RECEIVE's wake is scheduled one copy-out ahead of its commit; a
+/// crash of that cell in between cancels the wake, and the program must
+/// then never see the response — host-visible state a dead cell's program
+/// touches stops where its simulated life did. Nothing guards this: a
+/// response reaches a program only at its wake's commit, and a cancelled
+/// wake never commits.
 #[test]
 fn a_wake_cancelled_by_a_crash_is_never_observed() {
-    let ring = |received: Arc<AtomicU32>| {
-        move |cell: &mut Cell| {
+    let ring_run = |spec: &FaultSpec| {
+        let received = HostCell::new(0u32);
+        let r = run(cfg(4), Some(spec), async |cell| {
             let (me, n) = (cell.id(), cell.ncells());
             let buf = cell.alloc::<f64>(8);
             cell.send((me + 1) % n, buf, 64);
-            cell.recv((me + n - 1) % n, buf, 64);
-            received.fetch_or(1 << me, Ordering::SeqCst);
+            cell.recv((me + n - 1) % n, buf, 64).await;
+            received.set(received.get() | 1 << me);
             cell.barrier();
-        }
+        });
+        (r, received.get())
     };
-    let run = |spec: &FaultSpec| {
-        let received = Arc::new(AtomicU32::new(0));
-        let r = run_with_faults(cfg(4), Some(spec), ring(Arc::clone(&received)));
-        (r, received.load(Ordering::SeqCst))
-    };
-    let (quiet, received) = run(&FaultSpec::quiet());
+    let (quiet, received) = ring_run(&FaultSpec::quiet());
     assert_eq!(received, 0b1111);
     let quiet = quiet.expect("quiet");
     let copy_out = quiet.timeline.events.iter();
@@ -389,9 +386,122 @@ fn a_wake_cancelled_by_a_crash_is_never_observed() {
         .expect("cell 1 copies its message out");
     for (at, cell1_received) in [(wake - 1, false), (wake, false), (wake + 1, true)] {
         for _ in 0..2 {
-            let (r, received) = run(&crash(1, at));
+            let (r, received) = ring_run(&crash(1, at));
             r.expect_err("cell 1 crashed");
             assert_eq!(received & 0b10 != 0, cell1_received, "crash at {at} ns");
         }
     }
+}
+
+/// The same argument swept: crash cell 5 of the 16-cell mix one
+/// nanosecond before, exactly at and one after every instant its
+/// timeline shows — every wake of the cell commits at one of them. Each
+/// run ends the same way twice: a structured abort, or (once the crash
+/// lands after the program's end and is skipped) the fault-free outputs.
+#[test]
+fn a_crash_at_any_wake_of_a_cell_aborts_the_same_way_twice() {
+    let quiet = run(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
+    let mut instants: Vec<u64> = quiet
+        .timeline
+        .events
+        .iter()
+        .filter(|e| e.cell == 5)
+        .flat_map(|e| [e.start.as_nanos(), e.end().as_nanos()])
+        .flat_map(|t| [t.saturating_sub(1), t, t + 1])
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+    assert!(
+        instants.len() > 100,
+        "cell 5 has {} instants",
+        instants.len()
+    );
+    let (mut aborted, mut survived) = (0, 0);
+    for at in instants {
+        let spec = crash(5, at);
+        let outcome = || match run(cfg(16), Some(&spec), mix) {
+            Ok(r) => Ok((r.outputs, r.total_time)),
+            Err(e @ (ApError::Fault(_) | ApError::BarrierAborted { .. })) => Err(e),
+            Err(e) => panic!("crash at {at} ns: unstructured abort {e}"),
+        };
+        let (first, second) = (outcome(), outcome());
+        assert_eq!(first, second, "two runs disagree on a crash at {at} ns");
+        match first {
+            Ok((outputs, _)) => {
+                assert_eq!(outputs, mix_outputs(16), "crash at {at} ns");
+                survived += 1;
+            }
+            Err(_) => aborted += 1,
+        }
+    }
+    assert!(
+        aborted > 100 && survived > 0,
+        "{aborted} aborted, {survived} survived"
+    );
+}
+
+/// `alloc` picks its address on the host, ahead of simulated time, but an
+/// exhausted allocation is still raised where the program's simulated
+/// clock stands when it allocates: cell 0 runs out of its 1 MB at
+/// 20.140 µs, and cell 1's own error lands 20 ns before, exactly at (it
+/// was scheduled first) or 20 ns after that.
+#[test]
+fn allocation_exhaustion_is_raised_at_its_simulated_time() {
+    const NO_CELL: &str = "no such cell cell9 (machine has 2 cells)";
+    const NO_MEMORY: &str = "invalid argument: cell0 cannot allocate 1048576 bytes";
+    for (other_work, want) in [(1006, NO_CELL), (1007, NO_CELL), (1008, NO_MEMORY)] {
+        let err = run_with(MachineConfig::new(2).with_mem_size(1 << 20), move |cell| {
+            if cell.id() == 0 {
+                cell.work(1000);
+                cell.alloc_bytes(1 << 19);
+                cell.work(7);
+                cell.alloc_bytes(1 << 20);
+            } else {
+                cell.work(other_work);
+                cell.put(
+                    9,
+                    VAddr::NULL,
+                    VAddr::NULL,
+                    8,
+                    VAddr::NULL,
+                    VAddr::NULL,
+                    false,
+                );
+            }
+        })
+        .expect_err(want);
+        assert_eq!(err.to_string(), want, "cell 1 works {other_work} flops");
+    }
+    let err = run_with(MachineConfig::new(1), |cell| cell.alloc_bytes(0)).expect_err("empty");
+    assert_eq!(
+        err.to_string(),
+        "invalid argument: cell0 cannot allocate 0 bytes"
+    );
+}
+
+/// The shape the frozen benchmark's `apcore.put_roundtrip_us` probe runs:
+/// a synchronous closure that only posts, through the `run_with` adapter.
+#[test]
+fn a_posting_only_program_through_run_with_matches_the_threaded_pin() {
+    let trips = 100u32;
+    let r = run_with(MachineConfig::new(2).with_trace(false), move |cell| {
+        let buf = cell.alloc::<f64>(1);
+        let flag = cell.alloc_flag();
+        cell.barrier();
+        let me = cell.id();
+        for i in 1..=trips {
+            if me == 0 {
+                cell.put(1, buf, buf, 8, VAddr::NULL, flag, false);
+                cell.wait_flag(flag, i);
+            } else {
+                cell.wait_flag(flag, i);
+                cell.put(0, buf, buf, 8, VAddr::NULL, flag, false);
+            }
+        }
+    })
+    .expect("ping-pong");
+    assert_eq!(r.total_time.as_nanos(), 863_400);
+    assert_eq!(r.tnet.messages, 200);
+    let counters = r.counters.to_json().to_string();
+    assert_eq!(fnv1a_64(counters.as_bytes()), 0xaf22_ab89_c041_cd29);
 }
