@@ -51,7 +51,14 @@ pub struct Expectation {
     pub loads: Vec<Vec<Vec<u8>>>,
 }
 
-fn gather(mem: &[u8], base: u64, spec: StrideSpec) -> Vec<u8> {
+/// The stride gather of §3.1 over a plain byte array: item `k` is the
+/// `item_size` bytes at `base + k * skip`. Public so the data plane
+/// (`apmsc::stride`, `apmsc::dma`) can be tested against it directly.
+///
+/// # Panics
+///
+/// Panics if an item lies outside `mem`.
+pub fn gather(mem: &[u8], base: u64, spec: StrideSpec) -> Vec<u8> {
     let mut out = Vec::with_capacity(spec.total_bytes() as usize);
     for k in 0..spec.count as u64 {
         let at = (base + k * spec.skip as u64) as usize;
@@ -60,7 +67,13 @@ fn gather(mem: &[u8], base: u64, spec: StrideSpec) -> Vec<u8> {
     out
 }
 
-fn scatter(mem: &mut [u8], base: u64, spec: StrideSpec, payload: &[u8]) {
+/// The matching scatter: item `k` of `payload` lands at `base + k * skip`.
+///
+/// # Panics
+///
+/// Panics if `payload` is not `spec.total_bytes()` long or an item lies
+/// outside `mem`.
+pub fn scatter(mem: &mut [u8], base: u64, spec: StrideSpec, payload: &[u8]) {
     assert_eq!(payload.len() as u64, spec.total_bytes(), "oracle scatter");
     for (k, item) in payload.chunks(spec.item_size as usize).enumerate() {
         let at = (base + k as u64 * spec.skip as u64) as usize;

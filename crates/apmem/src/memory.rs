@@ -3,7 +3,6 @@
 use aputil::bytes::Pod;
 use aputil::{PAddr, VAddr};
 use core::fmt;
-use std::collections::HashMap;
 use std::error::Error;
 
 /// Allocation granule of the sparse backing store (matches the small MMU
@@ -58,7 +57,10 @@ impl Error for MemError {}
 /// One cell's DRAM: byte-addressable, zero-initialized, sparsely backed.
 ///
 /// Frames are materialized on first write; reads of untouched memory return
-/// zeros, like freshly installed SIMMs. All accesses are bounds-checked
+/// zeros, like freshly installed SIMMs. The MMU bump-allocates physical
+/// frames from 0, so the backing table is a vector indexed by frame number,
+/// grown only as far as the highest frame written — a cell that never
+/// writes allocates nothing. All accesses are bounds-checked
 /// against the configured DRAM size (16 or 64 MB on the real machine, any
 /// size here).
 ///
@@ -77,7 +79,7 @@ impl Error for MemError {}
 #[derive(Clone, Debug)]
 pub struct Memory {
     size: u64,
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: Vec<Option<Box<[u8]>>>,
 }
 
 impl Memory {
@@ -86,7 +88,7 @@ impl Memory {
         let size = size.div_ceil(FRAME_SIZE) * FRAME_SIZE;
         Memory {
             size,
-            frames: HashMap::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -97,7 +99,7 @@ impl Memory {
 
     /// Number of frames actually materialized (host-memory diagnostic).
     pub fn resident_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().flatten().count()
     }
 
     fn check(&self, addr: PAddr, len: u64) -> Result<(), MemError> {
@@ -129,12 +131,14 @@ impl Memory {
         let mut pos = addr.as_u64();
         let mut off = 0usize;
         while off < buf.len() {
-            let frame = pos / FRAME_SIZE;
+            let frame = (pos / FRAME_SIZE) as usize;
             let in_frame = (pos % FRAME_SIZE) as usize;
             let n = (FRAME_SIZE as usize - in_frame).min(buf.len() - off);
-            match self.frames.get(&frame) {
-                Some(data) => buf[off..off + n].copy_from_slice(&data[in_frame..in_frame + n]),
-                None => buf[off..off + n].fill(0),
+            match self.frames.get(frame) {
+                Some(Some(data)) => {
+                    buf[off..off + n].copy_from_slice(&data[in_frame..in_frame + n])
+                }
+                _ => buf[off..off + n].fill(0),
             }
             pos += n as u64;
             off += n;
@@ -152,13 +156,14 @@ impl Memory {
         let mut pos = addr.as_u64();
         let mut off = 0usize;
         while off < data.len() {
-            let frame = pos / FRAME_SIZE;
+            let frame = (pos / FRAME_SIZE) as usize;
             let in_frame = (pos % FRAME_SIZE) as usize;
             let n = (FRAME_SIZE as usize - in_frame).min(data.len() - off);
-            let frame_data = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| vec![0u8; FRAME_SIZE as usize].into_boxed_slice());
+            if frame >= self.frames.len() {
+                self.frames.resize_with(frame + 1, || None);
+            }
+            let frame_data = self.frames[frame]
+                .get_or_insert_with(|| vec![0u8; FRAME_SIZE as usize].into_boxed_slice());
             frame_data[in_frame..in_frame + n].copy_from_slice(&data[off..off + n]);
             pos += n as u64;
             off += n;

@@ -1,8 +1,9 @@
-//! Shared, immutable payload buffers for the zero-copy transfer path.
+//! Shared, immutable payload buffers for the single-copy transfer path.
 //!
 //! A payload is gathered from simulated memory exactly once, when the
-//! send DMA activates, and scattered into the destination memory exactly
-//! once, when the receive DMA completes. Between those two points it
+//! send DMA activates — straight into the shared allocation
+//! ([`Payload::build`]) — and scattered into the destination memory
+//! exactly once, when the receive DMA completes. Between those two points it
 //! passes through the transmit queue, the active-DMA slot, the network
 //! packet and (for SEND) the ring buffer — stations that previously each
 //! held their own `Vec<u8>`. Backing the bytes with an [`Arc`] makes
@@ -22,6 +23,20 @@ impl Payload {
     /// An empty payload (requests, probes, acks).
     pub fn empty() -> Self {
         Payload(Arc::from(&[][..]))
+    }
+
+    /// Allocates the shared `len`-byte buffer once and lets `fill` write
+    /// the payload into it in place — the send DMA gathers straight into
+    /// the allocation every later station shares, so the bytes are written
+    /// once here and read once at the delivery-side scatter.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fill` returns; the buffer is dropped.
+    pub fn build<E>(len: usize, fill: impl FnOnce(&mut [u8]) -> Result<(), E>) -> Result<Self, E> {
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Arc::get_mut(&mut buf).expect("a fresh Arc has one owner"))?;
+        Ok(Payload(buf))
     }
 
     /// Payload length in bytes.
@@ -76,6 +91,18 @@ mod tests {
         let q = p.clone();
         assert!(Arc::ptr_eq(&p.0, &q.0), "clone must not copy the bytes");
         assert_eq!(q.as_slice(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn build_fills_the_shared_buffer_in_place() {
+        let p = Payload::build(4, |buf| {
+            buf.copy_from_slice(&[1, 2, 3, 4]);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(p.as_slice(), &[1, 2, 3, 4]);
+        assert_eq!(Payload::build(8, |_| Err::<(), _>("fault")), Err("fault"));
+        assert!(Payload::build(0, |_| Ok::<(), ()>(())).unwrap().is_empty());
     }
 
     #[test]

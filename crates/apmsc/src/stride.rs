@@ -8,7 +8,7 @@
 //! two sides may re-block the same byte stream differently (Figure 3 shows
 //! `send_cnt = 3`, `recv_cnt = 2`).
 
-use crate::dma::{read_virtual, write_virtual};
+use crate::dma::RunCursor;
 use apmem::{MemError, Memory, Mmu};
 use aputil::VAddr;
 
@@ -149,6 +149,39 @@ impl StrideSpec {
     }
 }
 
+/// Gathers the strided bytes starting at `base` into `out` (the send DMA
+/// filling a payload buffer in place): the MMU is consulted once per page
+/// run the items touch, and each item is copied straight from its frame.
+/// Returns the TLB miss count.
+///
+/// # Errors
+///
+/// Propagates page faults and physical bounds errors.
+///
+/// # Panics
+///
+/// Panics if `out.len() != spec.total_bytes()`.
+pub fn gather_into(
+    mmu: &mut Mmu,
+    mem: &Memory,
+    base: VAddr,
+    spec: StrideSpec,
+    out: &mut [u8],
+) -> Result<u64, MemError> {
+    assert_eq!(
+        out.len() as u64,
+        spec.total_bytes(),
+        "gather buffer does not match stride spec"
+    );
+    let mut cursor = RunCursor::default();
+    // `item_size` is nonzero whenever the buffer is nonempty.
+    let items = out.chunks_exact_mut(spec.item_size.max(1) as usize);
+    for (i, item) in items.enumerate() {
+        cursor.read(mmu, mem, base + i as u64 * spec.skip as u64, item)?;
+    }
+    Ok(cursor.tlb_misses)
+}
+
 /// Gathers the strided bytes starting at `base` into a contiguous payload.
 /// Returns `(payload, tlb_misses)`.
 ///
@@ -161,19 +194,13 @@ pub fn gather(
     base: VAddr,
     spec: StrideSpec,
 ) -> Result<(Vec<u8>, u64), MemError> {
-    let mut out = Vec::with_capacity(spec.total_bytes() as usize);
-    let mut misses = 0u64;
-    for i in 0..spec.count {
-        let at = base + i as u64 * spec.skip as u64;
-        let r = read_virtual(mmu, mem, at, spec.item_size as u64)?;
-        misses += r.tlb_misses;
-        out.extend_from_slice(&r.data);
-    }
+    let mut out = vec![0u8; spec.total_bytes() as usize];
+    let misses = gather_into(mmu, mem, base, spec, &mut out)?;
     Ok((out, misses))
 }
 
-/// Scatters a contiguous `payload` to the strided layout at `base`.
-/// Returns the TLB miss count.
+/// Scatters a contiguous `payload` to the strided layout at `base`, one
+/// MMU translation per page run touched. Returns the TLB miss count.
 ///
 /// # Errors
 ///
@@ -195,19 +222,18 @@ pub fn scatter(
         spec.total_bytes(),
         "scatter payload does not match stride spec"
     );
-    let mut misses = 0u64;
-    for i in 0..spec.count {
-        let at = base + i as u64 * spec.skip as u64;
-        let lo = (i * spec.item_size) as usize;
-        let hi = lo + spec.item_size as usize;
-        misses += write_virtual(mmu, mem, at, &payload[lo..hi])?;
+    let mut cursor = RunCursor::default();
+    let items = payload.chunks_exact(spec.item_size.max(1) as usize);
+    for (i, item) in items.enumerate() {
+        cursor.write(mmu, mem, base + i as u64 * spec.skip as u64, item)?;
     }
-    Ok(misses)
+    Ok(cursor.tlb_misses)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dma::{read_virtual, write_virtual};
 
     fn setup() -> (Mmu, Memory, VAddr) {
         let mut mmu = Mmu::new(16 << 20);
@@ -356,6 +382,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::dma::write_virtual;
     use proptest::prelude::*;
 
     proptest! {

@@ -21,8 +21,7 @@ use crate::torus::Torus;
 use apfault::{FaultPlan, RouteVerdict};
 use apobs::{Bucket, Hist, Recorder, TimelineEvent, Unit};
 use apsim::Resource;
-use aputil::{ApError, ApResult, CellId, SimTime};
-use std::collections::HashMap;
+use aputil::{ApError, ApResult, CellId, IntMap, SimTime};
 
 /// Timing parameters of the T-net (Figure 6 names).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +122,7 @@ struct LinkStats {
     /// (one message over `h` hops charges `h` transmission times).
     total_busy: SimTime,
     /// Busy time per directed link.
-    per_link: HashMap<(CellId, CellId), SimTime>,
+    per_link: IntMap<(CellId, CellId), SimTime>,
 }
 
 /// The T-net: topology + timing + ordering state.
@@ -134,8 +133,8 @@ pub struct TNet {
     contention: Contention,
     in_port: Vec<Resource>,
     out_port: Vec<Resource>,
-    links: HashMap<(CellId, CellId), Resource>,
-    last_arrival: HashMap<(CellId, CellId), SimTime>,
+    links: IntMap<(CellId, CellId), Resource>,
+    last_arrival: IntMap<(CellId, CellId), SimTime>,
     stats: TNetStats,
     obs: TNetObs,
     link_stats: Option<LinkStats>,
@@ -152,8 +151,8 @@ impl TNet {
             contention,
             in_port: vec![Resource::new(); n],
             out_port: vec![Resource::new(); n],
-            links: HashMap::new(),
-            last_arrival: HashMap::new(),
+            links: IntMap::default(),
+            last_arrival: IntMap::default(),
             stats: TNetStats::default(),
             obs: TNetObs::default(),
             link_stats: None,
@@ -260,37 +259,51 @@ impl TNet {
         size: u64,
         tid: u64,
     ) -> SimTime {
-        let hops = self.torus.hops(src, dst);
+        let route = self.torus.route_iter(src, dst);
+        let hops = route.hops();
         let serialize = self
             .serialize_cost(src, dst, size)
             .unwrap_or_else(|e| panic!("{e}"));
-        let mut depart = now;
-        if let Contention::Links = self.contention {
-            // Wormhole over the static route: the head advances one hop per
-            // `per_hop`, each directed link holds the message for its
-            // serialization time, and a busy link stalls the whole worm.
-            let route = self.torus.route(src, dst);
-            let mut head = now + self.params.prolog;
-            for pair in route.windows(2) {
-                let link = self.links.entry((pair[0], pair[1])).or_default();
-                let (start, _) = link.reserve(head, serialize);
-                head = start + self.params.per_hop;
+        let arrival = self.contended_arrival(now, src, dst, serialize, route.clone(), hops);
+        self.finish(now, src, dst, size, arrival, tid, route, hops)
+    }
+
+    /// Arrival time of a message injected at `now` along `route` under the
+    /// configured contention model, before the per-pair FIFO hold.
+    fn contended_arrival(
+        &mut self,
+        now: SimTime,
+        src: CellId,
+        dst: CellId,
+        serialize: SimTime,
+        route: impl Iterator<Item = CellId>,
+        hops: u32,
+    ) -> SimTime {
+        match self.contention {
+            Contention::Links => {
+                // Wormhole over the route: the head advances one hop per
+                // `per_hop`, each directed link holds the message for its
+                // serialization time, and a busy link stalls the whole worm.
+                let mut head = now + self.params.prolog;
+                for link in links(route) {
+                    let (start, _) = self.links.entry(link).or_default().reserve(head, serialize);
+                    head = start + self.params.per_hop;
+                }
+                head + serialize
             }
-            let arrival = head + serialize;
-            return self.finish(now, src, dst, hops, size, arrival, tid, None);
+            Contention::Ports => {
+                // Hold the sender's injection channel for the serialization
+                // time, then the receiver's ejection channel.
+                let (_, inj_end) = self.out_port[src.index()].reserve(now, serialize);
+                let depart = inj_end - serialize; // wormhole: head leaves when channel granted
+                let head_at_dst = depart + self.params.prolog + self.params.per_hop * hops as u64;
+                let (_, ej_end) = self.in_port[dst.index()].reserve(head_at_dst, serialize);
+                ej_end
+            }
+            Contention::None => {
+                now + self.params.prolog + self.params.per_hop * hops as u64 + serialize
+            }
         }
-        if let Contention::Ports = self.contention {
-            // Hold the sender's injection channel for the serialization
-            // time, then the receiver's ejection channel.
-            let (_, inj_end) = self.out_port[src.index()].reserve(depart, serialize);
-            depart = inj_end - serialize; // wormhole: head leaves when channel granted
-            let head_at_dst = depart + self.params.prolog + self.params.per_hop * hops as u64;
-            let (_, ej_end) = self.in_port[dst.index()].reserve(head_at_dst, serialize);
-            let arrival = ej_end;
-            return self.finish(now, src, dst, hops, size, arrival, tid, None);
-        }
-        let arrival = depart + self.params.prolog + self.params.per_hop * hops as u64 + serialize;
-        self.finish(now, src, dst, hops, size, arrival, tid, None)
     }
 
     /// Like [`TNet::transfer_tagged`], but consulting a [`FaultPlan`]:
@@ -347,28 +360,8 @@ impl TNet {
             ))
         })? as u32;
         let serialize = self.serialize_cost(src, dst, size)?;
-        let arrival = match self.contention {
-            Contention::Links => {
-                let mut head = now + self.params.prolog;
-                for pair in route.windows(2) {
-                    let link = self.links.entry((pair[0], pair[1])).or_default();
-                    let (start, _) = link.reserve(head, serialize);
-                    head = start + self.params.per_hop;
-                }
-                head + serialize
-            }
-            Contention::Ports => {
-                let (_, inj_end) = self.out_port[src.index()].reserve(now, serialize);
-                let depart = inj_end - serialize;
-                let head_at_dst = depart + self.params.prolog + self.params.per_hop * hops as u64;
-                let (_, ej_end) = self.in_port[dst.index()].reserve(head_at_dst, serialize);
-                ej_end
-            }
-            Contention::None => {
-                now + self.params.prolog + self.params.per_hop * hops as u64 + serialize
-            }
-        };
-        let arrival = arrival + plan.delay(src, dst, now);
+        let arrival = self.contended_arrival(now, src, dst, serialize, route.iter().copied(), hops)
+            + plan.delay(src, dst, now);
         if detoured && self.obs.recorder.is_enabled() {
             self.obs.recorder.instant_id(
                 src.as_u32(),
@@ -380,7 +373,16 @@ impl TNet {
                 tid,
             );
         }
-        let at = self.finish(now, src, dst, hops, size, arrival, tid, Some(&route));
+        let at = self.finish(
+            now,
+            src,
+            dst,
+            size,
+            arrival,
+            tid,
+            route.iter().copied(),
+            hops,
+        );
         Ok(Delivery::Delivered { at, detoured })
     }
 
@@ -399,17 +401,20 @@ impl TNet {
         }
     }
 
+    /// Applies the per-pair FIFO hold and books the message. `route` is
+    /// the path actually taken (`hops` links long): the static route walked
+    /// as an iterator, or the detour the fault layer chose.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &mut self,
         now: SimTime,
         src: CellId,
         dst: CellId,
-        hops: u32,
         size: u64,
         arrival: SimTime,
         tid: u64,
-        route: Option<&[CellId]>,
+        route: impl Iterator<Item = CellId> + Clone,
+        hops: u32,
     ) -> SimTime {
         let slot = self.last_arrival.entry((src, dst)).or_insert(SimTime::ZERO);
         let arrival = arrival.max(*slot);
@@ -421,52 +426,29 @@ impl TNet {
         self.obs
             .latency
             .record(arrival.saturating_sub(now).as_nanos());
-        if self.link_stats.is_some() || self.obs.recorder.is_enabled() {
-            // Resolve the actual route once for both consumers (the
-            // detour route is passed in; otherwise it's the static one).
-            let computed;
-            let route: &[CellId] = match route {
-                Some(r) => r,
-                None => {
-                    computed = self.torus.route(src, dst);
-                    &computed
-                }
-            };
-            if let Some(ls) = &mut self.link_stats {
-                // Each directed link holds the message for one hop delay
-                // plus its serialization time. `SimTime`'s `+`/`*` are
-                // checked: an overflow panics with context instead of
-                // clamping the busy accumulators.
-                let tx = self.params.per_hop
-                    + self
-                        .params
-                        .per_byte
-                        .checked_mul(size)
-                        .expect("T-net link-busy cost overflowed the sim-time range");
-                let crossings = route
-                    .len()
-                    .checked_sub(1)
-                    .expect("a route always includes its source cell")
-                    as u64;
-                ls.total_busy += tx * crossings;
-                for pair in route.windows(2) {
-                    let slot = ls
-                        .per_link
-                        .entry((pair[0], pair[1]))
-                        .or_insert(SimTime::ZERO);
-                    *slot += tx;
-                }
+        if let Some(ls) = &mut self.link_stats {
+            // Each directed link holds the message for one hop delay
+            // plus its serialization time. `SimTime`'s `+`/`*` are
+            // checked: an overflow panics with context instead of
+            // clamping the busy accumulators.
+            let tx = self.params.per_hop
+                + self
+                    .params
+                    .per_byte
+                    .checked_mul(size)
+                    .expect("T-net link-busy cost overflowed the sim-time range");
+            ls.total_busy += tx * hops as u64;
+            for link in links(route.clone()) {
+                *ls.per_link.entry(link).or_insert(SimTime::ZERO) += tx;
             }
-            if self.obs.recorder.is_enabled() {
-                self.record_route_events(now, src, dst, size, arrival, tid, route);
-            }
+        }
+        if self.obs.recorder.is_enabled() {
+            self.record_route_events(now, src, dst, size, arrival, tid, route);
         }
         arrival
     }
 
-    /// The per-message timeline events along `route` (extracted from
-    /// [`TNet::finish`] so the route resolves once for events and link
-    /// stats alike).
+    /// The per-message timeline events along `route`.
     #[allow(clippy::too_many_arguments)]
     fn record_route_events(
         &mut self,
@@ -476,7 +458,7 @@ impl TNet {
         size: u64,
         arrival: SimTime,
         tid: u64,
-        route: &[CellId],
+        route: impl Iterator<Item = CellId>,
     ) {
         self.obs.recorder.span_id(
             src.as_u32(),
@@ -492,8 +474,8 @@ impl TNet {
         // detour actually taken); contention stalls show up as the gap
         // to the delivery instant.
         let head = now + self.params.prolog;
-        for (k, cell) in route.iter().enumerate().skip(1) {
-            if *cell != dst {
+        for (k, cell) in route.enumerate().skip(1) {
+            if cell != dst {
                 self.obs.recorder.instant_id(
                     cell.as_u32(),
                     Unit::Net,
@@ -515,6 +497,12 @@ impl TNet {
             tid,
         );
     }
+}
+
+/// The directed links a route crosses, in order.
+fn links(route: impl Iterator<Item = CellId>) -> impl Iterator<Item = (CellId, CellId)> {
+    let mut from = None;
+    route.filter_map(move |to| from.replace(to).map(|from| (from, to)))
 }
 
 #[cfg(test)]
@@ -591,6 +579,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     proptest! {
         /// FIFO per pair under arbitrary interleavings, both contention

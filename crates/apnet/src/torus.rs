@@ -110,31 +110,29 @@ impl Torus {
 
     /// Hop count of the static X-then-Y route between two cells.
     pub fn hops(self, src: CellId, dst: CellId) -> u32 {
+        self.route_iter(src, dst).hops()
+    }
+
+    /// The static route as an iterator over the cells visited, `src` first
+    /// and `dst` last (X dimension resolved first, then Y) — the
+    /// per-message form: nothing is allocated.
+    pub fn route_iter(self, src: CellId, dst: CellId) -> Route {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        (Self::delta(sx, dx, self.width).unsigned_abs()
-            + Self::delta(sy, dy, self.height).unsigned_abs()) as u32
+        Route {
+            torus: self,
+            x: sx,
+            y: sy,
+            dx: Self::delta(sx, dx, self.width),
+            dy: Self::delta(sy, dy, self.height),
+            started: false,
+        }
     }
 
     /// The full static route as the sequence of cells visited, starting at
     /// `src` and ending at `dst` (X dimension resolved first, then Y).
     pub fn route(self, src: CellId, dst: CellId) -> Vec<CellId> {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let mut path = vec![src];
-        let mut x = sx as i64;
-        let step_x = Self::delta(sx, dx, self.width).signum();
-        while (x.rem_euclid(self.width as i64)) as u32 != dx {
-            x += step_x;
-            path.push(self.cell_at(x.rem_euclid(self.width as i64) as u32, sy));
-        }
-        let mut y = sy as i64;
-        let step_y = Self::delta(sy, dy, self.height).signum();
-        while (y.rem_euclid(self.height as i64)) as u32 != dy {
-            y += step_y;
-            path.push(self.cell_at(dx, y.rem_euclid(self.height as i64) as u32));
-        }
-        path
+        self.route_iter(src, dst).collect()
     }
 
     /// The deterministic **detour** route: Y dimension resolved first, then
@@ -163,6 +161,72 @@ impl Torus {
         path
     }
 }
+
+/// One step of `d` (±1) from `at` along a dimension of size `dim`, with
+/// wraparound.
+#[inline]
+fn step(at: u32, d: i64, dim: u32) -> u32 {
+    if d > 0 {
+        if at + 1 == dim {
+            0
+        } else {
+            at + 1
+        }
+    } else if at == 0 {
+        dim - 1
+    } else {
+        at - 1
+    }
+}
+
+/// The static X-then-Y route between two cells ([`Torus::route_iter`]).
+#[derive(Clone, Debug)]
+pub struct Route {
+    torus: Torus,
+    x: u32,
+    y: u32,
+    /// Signed steps still to take in each dimension.
+    dx: i64,
+    dy: i64,
+    started: bool,
+}
+
+impl Route {
+    /// Links the route has yet to cross; on a fresh route, the hop count
+    /// [`Torus::hops`] reports.
+    pub fn hops(&self) -> u32 {
+        (self.dx.unsigned_abs() + self.dy.unsigned_abs()) as u32
+    }
+}
+
+impl Iterator for Route {
+    type Item = CellId;
+
+    #[inline]
+    fn next(&mut self) -> Option<CellId> {
+        if !self.started {
+            self.started = true;
+        } else if self.dx != 0 {
+            let d = self.dx.signum();
+            self.x = step(self.x, d, self.torus.width);
+            self.dx -= d;
+        } else if self.dy != 0 {
+            let d = self.dy.signum();
+            self.y = step(self.y, d, self.torus.height);
+            self.dy -= d;
+        } else {
+            return None;
+        }
+        Some(CellId::new(self.y * self.torus.width + self.x))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.hops() as usize + usize::from(!self.started);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Route {}
 
 #[cfg(test)]
 mod tests {
@@ -216,6 +280,22 @@ mod tests {
         let (x1, y1) = t.coords(route[1]);
         assert_eq!(y1, 0);
         assert_ne!(x1, 0);
+    }
+
+    #[test]
+    fn route_iter_knows_its_length_and_hops_shrink_as_it_walks() {
+        let t = Torus::new(6, 4);
+        for a in 0..t.ncells() {
+            for b in 0..t.ncells() {
+                let (src, dst) = (CellId::new(a), CellId::new(b));
+                let mut route = t.route_iter(src, dst);
+                assert_eq!(route.hops(), t.hops(src, dst));
+                assert_eq!(route.len(), t.hops(src, dst) as usize + 1);
+                assert_eq!(route.next(), Some(src));
+                assert_eq!(route.len(), route.hops() as usize);
+                assert_eq!(route.last().unwrap_or(src), dst);
+            }
+        }
     }
 
     #[test]

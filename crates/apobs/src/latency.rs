@@ -15,8 +15,7 @@
 //! tests), so the decomposition never invents or loses time.
 
 use crate::hist::Hist;
-use aputil::{Json, SimTime};
-use std::collections::HashMap;
+use aputil::{IntMap, Json, SimTime};
 
 /// What kind of transfer a latency record describes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -221,7 +220,7 @@ pub enum Seg {
 /// fold into the per-segment histograms.
 #[derive(Clone, Debug, Default)]
 pub struct XferTracker {
-    inflight: HashMap<u64, (XferLat, SimTime)>,
+    inflight: IntMap<u64, (XferLat, SimTime)>,
     /// Figure-6 segment decomposition of every completed PUT.
     pub put_lat: SegmentHists,
     /// Same for GETs (request + reply legs combined).

@@ -496,13 +496,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
+                    // Everything up to the next quote or backslash is
+                    // literal text. Both delimiters are ASCII, so the run
+                    // ends on a scalar boundary: validate and append it
+                    // once, not once per character.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -624,6 +630,54 @@ mod tests {
     fn surrogate_pair_parses() {
         let v = Json::parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn string_runs_keep_multibyte_scalars_next_to_escapes() {
+        // 2-, 3- and 4-byte scalars hard against escapes, each other and
+        // both delimiters; raw control characters pass through as before.
+        let v = Json::parse("\"é\\n€\\\"😀\\\\é\\u00e9€\\ud83d\\ude00é\"").unwrap();
+        assert_eq!(v.as_str(), Some("é\n€\"😀\\éé€😀é"));
+        let v = Json::parse("\"a\tb\u{1}€\"").unwrap();
+        assert_eq!(v.as_str(), Some("a\tb\u{1}€"));
+        assert_eq!(Json::parse("\"\"").unwrap().as_str(), Some(""));
+        assert_eq!(Json::parse("\"€\"").unwrap().as_str(), Some("€"));
+        // Lone surrogates (high without low, low alone) become U+FFFD and
+        // the text after them survives.
+        let v = Json::parse(r#""\ud83dé\udc00€""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{FFFD}é\u{FFFD}€"));
+        // A long literal run costs one validation (the quadratic scan took
+        // seconds on this).
+        let long = format!("\"{}\"", "é€😀x".repeat(200_000));
+        assert_eq!(
+            Json::parse(&long).unwrap().as_str().map(str::len),
+            Some(2_000_000)
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_kind_offset_and_message() {
+        for (text, offset, message) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"é€", 6, "unterminated string"),
+            ("\"é\\n", 5, "unterminated string"),
+            ("\"ab\\", 4, "invalid escape sequence"),
+            ("\"é\\x€\"", 4, "invalid escape sequence"),
+            ("\"€\\u12", 6, "truncated \\u escape"),
+            ("\"€\\u12zz\"", 6, "invalid \\u escape"),
+            ("\"\\u00é9\"", 3, "invalid \\u escape"),
+            ("\"é\\ud83d\\u12", 11, "truncated \\u escape"),
+            ("\"é\\ud83d\\uzzzz\"", 11, "invalid \\u escape"),
+            ("{\"k€\":\"v\\q\"}", 11, "invalid escape sequence"),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::Syntax, "{text:?}");
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use addr::{PAddr, VAddr};
 pub use error::{panic_message, ApError, ApResult, BlockReason, BlockedCell, DeadlockReport};
 pub use fault::{DeliveryFailure, FaultReport, InjectedFault};
 pub use fsio::{write_atomic, TempSibling};
-pub use hash::{fnv1a_64, key_hex, parse_key_hex};
+pub use hash::{fnv1a_64, key_hex, parse_key_hex, IntHasher, IntMap};
 pub use id::CellId;
 pub use json::{write_json_escaped, Json, JsonError, JsonErrorKind, MAX_JSON_DEPTH};
 pub use par::{available_threads, par_map_ordered};

@@ -1288,12 +1288,12 @@ impl Kernel {
         // packet, ring buffer, delivery — shares the same allocation.
         let (payload, items) = match &job {
             TxJob::Put(a) => (
-                Payload::from(self.machine.gather(cid, a.laddr, a.send_stride)?),
+                self.machine.gather(cid, a.laddr, a.send_stride)?,
                 a.send_stride.count,
             ),
             TxJob::GetReq(_) => (Payload::empty(), 1),
             TxJob::Ring { laddr, bytes, .. } => {
-                (Payload::from(self.machine.read_v(cid, *laddr, *bytes)?), 1)
+                (self.machine.read_payload(cid, *laddr, *bytes)?, 1)
             }
             TxJob::GetReply {
                 raddr, send_stride, ..
@@ -1302,7 +1302,7 @@ impl Kernel {
                     (Payload::empty(), 1)
                 } else {
                     (
-                        Payload::from(self.machine.gather(cid, *raddr, *send_stride)?),
+                        self.machine.gather(cid, *raddr, *send_stride)?,
                         send_stride.count,
                     )
                 }

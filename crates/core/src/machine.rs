@@ -7,8 +7,8 @@ use apmsc::stride;
 use apmsc::{dma, GetArgs, HwQueue, Payload, PutArgs, StrideSpec};
 use apnet::{BNet, SNet, TNet, TNetParams, Torus};
 use apsim::Resource;
-use aputil::{ApError, ApResult, CellId, SimTime, VAddr};
-use std::collections::{HashMap, VecDeque};
+use aputil::{ApError, ApResult, CellId, IntMap, SimTime, VAddr};
+use std::collections::VecDeque;
 
 /// A queued transmit job for a cell's send controller.
 #[derive(Clone, Debug)]
@@ -89,7 +89,7 @@ pub(crate) struct CellHw {
     /// (each source's messages stay FIFO, which is all the in-order T-net
     /// guarantees anyway). A source gets its queue on first arrival: a
     /// cell hears from a handful of senders, not from all of them.
-    pub ring: HashMap<u32, VecDeque<Payload>>,
+    pub ring: IntMap<u32, VecDeque<Payload>>,
     /// Bytes currently buffered in the ring.
     pub ring_bytes: u64,
     /// Times the ring exceeded its capacity (§4.3 OS allocations).
@@ -114,7 +114,7 @@ impl CellHw {
             send_busy: false,
             active_tx: None,
             recv_dma: Resource::new(),
-            ring: HashMap::new(),
+            ring: IntMap::default(),
             ring_bytes: 0,
             ring_overflows: 0,
             rstore_issued: 0,
@@ -283,12 +283,23 @@ impl Machine {
             .map_err(|e| Self::wrap(cell, e))
     }
 
-    /// Stride-gather on a cell (send-side DMA).
-    pub fn gather(&mut self, cell: CellId, base: VAddr, spec: StrideSpec) -> ApResult<Vec<u8>> {
+    /// Stride-gather on a cell (send-side DMA), straight into the buffer
+    /// the packet, ring buffer and delivery will share.
+    pub fn gather(&mut self, cell: CellId, base: VAddr, spec: StrideSpec) -> ApResult<Payload> {
         let hw = &mut self.cells[cell.index()];
-        stride::gather(&mut hw.mmu, &hw.mem, base, spec)
-            .map(|(d, _)| d)
-            .map_err(|e| Self::wrap(cell, e))
+        Payload::build(spec.total_bytes() as usize, |buf| {
+            stride::gather_into(&mut hw.mmu, &hw.mem, base, spec, buf).map(|_| ())
+        })
+        .map_err(|e| Self::wrap(cell, e))
+    }
+
+    /// Contiguous send-side DMA read of `len` bytes (SEND's ring message).
+    pub fn read_payload(&mut self, cell: CellId, addr: VAddr, len: u64) -> ApResult<Payload> {
+        let hw = &mut self.cells[cell.index()];
+        Payload::build(len as usize, |buf| {
+            dma::read_virtual_into(&mut hw.mmu, &hw.mem, addr, buf).map(|_| ())
+        })
+        .map_err(|e| Self::wrap(cell, e))
     }
 
     /// Stride-scatter on a cell (receive-side DMA).

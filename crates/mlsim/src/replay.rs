@@ -16,9 +16,9 @@ use apnet::{Contention, TNet, TNetParams, Torus};
 use apobs::{Bucket, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
 use apsim::{Clock, EventQueue, Resource};
 use aptrace::{Op, Trace};
-use aputil::{CellId, SimTime};
+use aputil::{CellId, IntMap, SimTime};
 use core::fmt;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::error::Error;
 
 /// Per-PE Figure-8 buckets.
@@ -146,6 +146,32 @@ enum REv {
     },
 }
 
+/// What a blocked PE is waiting for, and since when. A PE runs one op at a
+/// time, so it has at most one wait: the table is a vector indexed by PE.
+#[derive(Clone, Copy, Debug)]
+enum Wait {
+    None,
+    Flag {
+        flag: u64,
+        target: u32,
+        since: SimTime,
+    },
+    Recv {
+        src: u32,
+        since: SimTime,
+    },
+    Reg {
+        reg: u16,
+        since: SimTime,
+    },
+    Fence {
+        since: SimTime,
+    },
+    Load {
+        since: SimTime,
+    },
+}
+
 struct Engine<'t> {
     p: ModelParams,
     trace: &'t Trace,
@@ -159,19 +185,15 @@ struct Engine<'t> {
     bd: Vec<PeBreakdown>,
     done: Vec<bool>,
     done_count: usize,
-    flag_counts: HashMap<(u32, u64), u32>,
-    flag_waiters: HashMap<(u32, u64), (u32, SimTime)>,
-    ring_ready: HashMap<(u32, u32), std::collections::VecDeque<(SimTime, u64)>>,
-    recv_waiters: HashMap<u32, (u32, u64, SimTime)>,
-    reg_ready: HashMap<(u32, u16), std::collections::VecDeque<SimTime>>,
-    reg_waiters: HashMap<(u32, u16), SimTime>,
+    waits: Vec<Wait>,
+    flag_counts: IntMap<(u32, u64), u32>,
+    ring_ready: IntMap<(u32, u32), VecDeque<(SimTime, u64)>>,
+    reg_ready: IntMap<(u32, u16), VecDeque<SimTime>>,
     barrier: Vec<(u32, SimTime)>,
     bcast: Vec<(u32, SimTime)>,
     bcast_sig: Option<(u32, u64)>,
     rstore_issued: Vec<u64>,
     rstore_acked: Vec<u64>,
-    fence_waiters: HashMap<u32, SimTime>,
-    load_waiters: HashMap<u32, SimTime>,
     obs: Recorder,
     flag_wait: Hist,
     next_tid: u64,
@@ -227,19 +249,15 @@ pub fn replay_observed(
         bd: vec![PeBreakdown::default(); n],
         done: vec![false; n],
         done_count: 0,
-        flag_counts: HashMap::new(),
-        flag_waiters: HashMap::new(),
-        ring_ready: HashMap::new(),
-        recv_waiters: HashMap::new(),
-        reg_ready: HashMap::new(),
-        reg_waiters: HashMap::new(),
+        waits: vec![Wait::None; n],
+        flag_counts: IntMap::default(),
+        ring_ready: IntMap::default(),
+        reg_ready: IntMap::default(),
         barrier: Vec::new(),
         bcast: Vec::new(),
         bcast_sig: None,
         rstore_issued: vec![0; n],
         rstore_acked: vec![0; n],
-        fence_waiters: HashMap::new(),
-        load_waiters: HashMap::new(),
         obs: Recorder::new(mode),
         flag_wait: Hist::new(),
         next_tid: 0,
@@ -300,6 +318,15 @@ impl Engine<'_> {
     fn advance(&mut self, pe: u32, at: SimTime) {
         self.pc[pe as usize] += 1;
         self.evq.push(at, REv::Step { pe });
+    }
+
+    /// Clears `pe`'s wait and returns what `woken` extracts from it, if
+    /// the wait is the one the arriving event satisfies.
+    fn take_wait<T>(&mut self, pe: u32, woken: impl FnOnce(Wait) -> Option<T>) -> Option<T> {
+        let slot = &mut self.waits[pe as usize];
+        let hit = woken(*slot)?;
+        *slot = Wait::None;
+        Some(hit)
     }
 
     /// Allocates a fresh nonzero transfer-chain id.
@@ -400,25 +427,27 @@ impl Engine<'_> {
                     .entry((dst, src))
                     .or_default()
                     .push_back((ready, bytes));
-                if let Some(&(wsrc, wbytes, since)) = self.recv_waiters.get(&dst) {
-                    if wsrc == src {
-                        self.recv_waiters.remove(&dst);
-                        let (r, b) = self
-                            .ring_ready
-                            .get_mut(&(dst, src))
-                            .expect("just pushed")
-                            .pop_front()
-                            .expect("just pushed");
-                        let _ = wbytes;
-                        self.finish_recv(dst, b, since, r);
-                    }
+                if let Some(since) = self.take_wait(dst, |w| match w {
+                    Wait::Recv { src: s, since } if s == src => Some(since),
+                    _ => None,
+                }) {
+                    let (r, b) = self
+                        .ring_ready
+                        .get_mut(&(dst, src))
+                        .expect("just pushed")
+                        .pop_front()
+                        .expect("just pushed");
+                    self.finish_recv(dst, b, since, r);
                 }
                 Ok(())
             }
             REv::RegArrive { dst, reg } => {
                 let now = self.now();
                 self.reg_ready.entry((dst, reg)).or_default().push_back(now);
-                if let Some(since) = self.reg_waiters.remove(&(dst, reg)) {
+                if let Some(since) = self.take_wait(dst, |w| match w {
+                    Wait::Reg { reg: r, since } if r == reg => Some(since),
+                    _ => None,
+                }) {
                     self.reg_ready
                         .get_mut(&(dst, reg))
                         .expect("just pushed")
@@ -455,7 +484,10 @@ impl Engine<'_> {
                 let now = self.now();
                 self.rstore_acked[dst as usize] += 1;
                 if self.rstore_acked[dst as usize] == self.rstore_issued[dst as usize] {
-                    if let Some(since) = self.fence_waiters.remove(&dst) {
+                    if let Some(since) = self.take_wait(dst, |w| match w {
+                        Wait::Fence { since } => Some(since),
+                        _ => None,
+                    }) {
                         self.obs.span(
                             dst,
                             Unit::Cpu,
@@ -498,7 +530,10 @@ impl Engine<'_> {
             }
             REv::RLoadReply { dst } => {
                 let now = self.now();
-                if let Some(since) = self.load_waiters.remove(&dst) {
+                if let Some(since) = self.take_wait(dst, |w| match w {
+                    Wait::Load { since } => Some(since),
+                    _ => None,
+                }) {
                     self.obs.span(
                         dst,
                         Unit::Cpu,
@@ -520,26 +555,30 @@ impl Engine<'_> {
                 let c = self.flag_counts.entry((pe, flag)).or_insert(0);
                 *c += 1;
                 let count = *c;
-                if let Some(&(target, since)) = self.flag_waiters.get(&(pe, flag)) {
-                    if count >= target {
-                        self.flag_waiters.remove(&(pe, flag));
-                        let waited = now.saturating_sub(since);
-                        self.flag_wait.record(waited.as_nanos());
-                        self.obs.span_id(
-                            pe,
-                            Unit::Cpu,
-                            "wait_flag",
-                            since,
-                            waited,
-                            Bucket::Idle,
-                            flag,
-                            tid,
-                        );
-                        self.bd[pe as usize].idle += waited;
-                        let (_, e) = self.cpu[pe as usize].reserve(now, self.p.flag_check);
-                        self.bd[pe as usize].overhead += self.p.flag_check;
-                        self.advance(pe, e);
-                    }
+                if let Some(since) = self.take_wait(pe, |w| match w {
+                    Wait::Flag {
+                        flag: f,
+                        target,
+                        since,
+                    } if f == flag && count >= target => Some(since),
+                    _ => None,
+                }) {
+                    let waited = now.saturating_sub(since);
+                    self.flag_wait.record(waited.as_nanos());
+                    self.obs.span_id(
+                        pe,
+                        Unit::Cpu,
+                        "wait_flag",
+                        since,
+                        waited,
+                        Bucket::Idle,
+                        flag,
+                        tid,
+                    );
+                    self.bd[pe as usize].idle += waited;
+                    let (_, e) = self.cpu[pe as usize].reserve(now, self.p.flag_check);
+                    self.bd[pe as usize].overhead += self.p.flag_check;
+                    self.advance(pe, e);
                 }
                 Ok(())
             }
@@ -790,7 +829,10 @@ impl Engine<'_> {
                         return Ok(());
                     }
                 }
-                self.recv_waiters.insert(pe, (src.as_u32(), 0, t));
+                self.waits[pe as usize] = Wait::Recv {
+                    src: src.as_u32(),
+                    since: t,
+                };
             }
             Op::WaitFlag { flag, target } => {
                 let have = self.flag_counts.get(&(pe, flag)).copied().unwrap_or(0);
@@ -809,7 +851,11 @@ impl Engine<'_> {
                     self.bd[pe as usize].overhead += self.p.flag_check;
                     self.advance(pe, e);
                 } else {
-                    self.flag_waiters.insert((pe, flag), (target, t));
+                    self.waits[pe as usize] = Wait::Flag {
+                        flag,
+                        target,
+                        since: t,
+                    };
                 }
             }
             Op::Barrier => {
@@ -919,7 +965,7 @@ impl Engine<'_> {
                         self.advance(pe, e);
                     }
                     None => {
-                        self.reg_waiters.insert(key, t);
+                        self.waits[pe as usize] = Wait::Reg { reg, since: t };
                     }
                 }
             }
@@ -977,13 +1023,13 @@ impl Engine<'_> {
                         bytes,
                     },
                 );
-                self.load_waiters.insert(pe, t);
+                self.waits[pe as usize] = Wait::Load { since: t };
             }
             Op::RemoteFence => {
                 if self.rstore_acked[pe as usize] == self.rstore_issued[pe as usize] {
                     self.advance(pe, t);
                 } else {
-                    self.fence_waiters.insert(pe, t);
+                    self.waits[pe as usize] = Wait::Fence { since: t };
                 }
             }
             Op::MarkGopScalar | Op::MarkGopVector => {
