@@ -287,6 +287,23 @@ impl Packet {
         }
     }
 
+    /// Fills in the payload of a data-carrying packet — the send DMA
+    /// gathers it when the packet leaves its queue, not when it is
+    /// queued. Payload-free kinds ignore the call.
+    pub fn set_payload(&mut self, bytes: Payload) {
+        match self {
+            Packet::PutData { payload, .. }
+            | Packet::GetReply { payload, .. }
+            | Packet::RingMsg { payload, .. }
+            | Packet::RemoteStore { payload, .. }
+            | Packet::RemoteLoadReply { payload, .. } => *payload = bytes,
+            Packet::GetReq { .. }
+            | Packet::RemoteStoreAck { .. }
+            | Packet::RemoteLoadReq { .. }
+            | Packet::RegStore { .. } => {}
+        }
+    }
+
     /// Bytes on the wire: header + payload, what the network serializes.
     pub fn wire_bytes(&self) -> u64 {
         HEADER_BYTES + self.payload_bytes()

@@ -111,6 +111,45 @@ impl Bucket {
     }
 }
 
+/// One cell's (or MLSim PE's) time split into the four Figure-8 buckets
+/// (§5.2): **execution**, **run-time system**, communication-library
+/// **overhead**, and **idle** — plus when its program finished.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BucketTimes {
+    /// User computation time.
+    pub exec: SimTime,
+    /// Run-time-system time (address calculation, stride discovery, …).
+    pub rts: SimTime,
+    /// Communication-library / interrupt CPU overhead (issue costs,
+    /// copies, checks).
+    pub overhead: SimTime,
+    /// Time spent blocked (flag waits, receives, barriers, reductions).
+    pub idle: SimTime,
+    /// Time the cell finished its program.
+    pub finish: SimTime,
+}
+
+impl BucketTimes {
+    /// Bills `t` to `bucket`. `Hw` time is off the CPU and belongs to no
+    /// Figure-8 bucket.
+    #[inline]
+    pub fn charge(&mut self, bucket: Bucket, t: SimTime) {
+        match bucket {
+            Bucket::Exec => self.exec += t,
+            Bucket::Rts => self.rts += t,
+            Bucket::Overhead => self.overhead += t,
+            Bucket::Idle => self.idle += t,
+            Bucket::Hw => {}
+        }
+    }
+
+    /// Sum of the accounted buckets (≤ `finish`; untracked gaps are times
+    /// when the CPU was free between events).
+    pub fn accounted(&self) -> SimTime {
+        self.exec + self.rts + self.overhead + self.idle
+    }
+}
+
 /// One sim-time-stamped structured event.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TimelineEvent {

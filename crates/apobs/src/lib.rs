@@ -37,7 +37,7 @@ pub mod timeline;
 pub use chrome::{chrome_trace, stream_chrome_trace, write_chrome_trace, write_chrome_trace_with};
 pub use counters::{CacheCounters, Counters};
 pub use critpath::{critical_path, CritPath, CritStep, GatingOp};
-pub use event::{Bucket, TimelineEvent, Unit};
+pub use event::{Bucket, BucketTimes, TimelineEvent, Unit};
 pub use hist::Hist;
 pub use latency::{Seg, SegmentHists, XferKind, XferLat, XferTracker};
 pub use recorder::{EventSink, Recorder, SharedSink, TimelineMode};

@@ -568,8 +568,8 @@ fn remodel_cmd(args: &Args) -> Result<i32, CliError> {
     let bench_out = args.value::<String>("--bench-out")?;
     let rev = args.value::<String>("--rev")?;
     let doc = read_trace(path)?;
-    let rows =
-        record::remodel_rows(&doc, &factors).map_err(|e| usage_err(format!("{path}: {e}")))?;
+    let rows = record::remodel_rows(&doc, &factors)
+        .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
     let scale = record::parse_scale_label(&doc.header.scale).map_err(usage_err)?;
     if let Some(out) = bench_out {
         let report = crate::bench_report(&rows, scale, rev.as_deref());

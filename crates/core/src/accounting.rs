@@ -9,27 +9,7 @@
 use aputil::SimTime;
 
 /// Time breakdown of one cell.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CellTimes {
-    /// User computation time.
-    pub exec: SimTime,
-    /// Run-time-system time (address calculation, stride discovery, …).
-    pub rts: SimTime,
-    /// Communication-library CPU overhead (issue costs, copies, checks).
-    pub overhead: SimTime,
-    /// Time spent blocked (flag waits, receives, barriers, reductions).
-    pub idle: SimTime,
-    /// Time the cell finished its program.
-    pub finish: SimTime,
-}
-
-impl CellTimes {
-    /// Sum of the accounted buckets (≤ `finish`; untracked gaps are times
-    /// when the CPU was free between events).
-    pub fn accounted(&self) -> SimTime {
-        self.exec + self.rts + self.overhead + self.idle
-    }
-}
+pub use apobs::BucketTimes as CellTimes;
 
 /// Result of running one SPMD program on the emulator.
 #[derive(Debug)]

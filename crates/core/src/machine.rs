@@ -4,66 +4,50 @@ use crate::accounting::CellTimes;
 use crate::config::MachineConfig;
 use apmem::{CommRegs, DsmMap, FlagUnit, MemError, Memory, Mmu};
 use apmsc::stride;
-use apmsc::{dma, GetArgs, HwQueue, Payload, PutArgs, StrideSpec};
+use apmsc::{dma, HwQueue, Packet, Payload, StrideSpec};
 use apnet::{BNet, SNet, TNet, TNetParams, Torus};
 use apsim::Resource;
 use aputil::{ApError, ApResult, CellId, IntMap, SimTime, VAddr};
 use std::collections::VecDeque;
 
-/// A queued transmit job for a cell's send controller.
-#[derive(Clone, Debug)]
-pub(crate) enum TxJob {
-    /// User PUT.
-    Put(PutArgs),
-    /// User GET request.
-    GetReq(GetArgs),
-    /// SEND-model ring-buffer message; `wake_sender` marks the blocking
-    /// SEND library call waiting for send-DMA completion.
-    Ring {
-        dst: CellId,
-        laddr: VAddr,
-        bytes: u64,
-        wake_sender: bool,
-    },
-    /// Reply to a GET served by this cell.
-    GetReply {
-        requester: CellId,
-        raddr: VAddr,
-        send_stride: StrideSpec,
-        send_flag: VAddr,
-        reply_laddr: VAddr,
-        reply_stride: StrideSpec,
-        reply_flag: VAddr,
-    },
-    /// DSM remote store.
-    RemoteStoreTx {
-        dst: CellId,
-        offset: u64,
-        data: Payload,
-    },
-    /// DSM remote load request.
-    RemoteLoadReqTx { dst: CellId, offset: u64, len: u64 },
-    /// DSM remote load reply.
-    RemoteLoadReplyTx { dst: CellId, data: Payload },
-    /// Automatic acknowledge of a received remote store.
-    RemoteAckTx { dst: CellId },
+/// Where a queued packet's payload bytes come from when the send DMA
+/// starts on it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum TxSource {
+    /// Nowhere: the packet is a request or an acknowledge, or already
+    /// carries its bytes (a DSM store's data, a served remote load).
+    Packet,
+    /// A contiguous read of the sender's memory (SEND's ring message).
+    Read(VAddr, u64),
+    /// A stride gather from the sender's memory (PUT, GET reply).
+    Gather(VAddr, StrideSpec),
 }
 
-/// A transmit job queued with the id of the transfer chain it belongs to
-/// (0 for operations latency attribution does not follow).
+/// One entry of an MSC+ transmit queue: the packet the send DMA will put
+/// on the wire to `dst`, and what it does on the way.
 #[derive(Clone, Debug)]
 pub(crate) struct TxEntry {
+    /// The transfer chain the packet belongs to (0 for operations latency
+    /// attribution does not follow).
     pub tid: u64,
-    pub job: TxJob,
+    pub dst: CellId,
+    pub pkt: Packet,
+    pub from: TxSource,
+    /// Bumped on the sender when the send DMA completes (null = none).
+    pub send_flag: VAddr,
 }
 
-/// A transmit job popped from a queue with its gathered payload, occupying
-/// the send DMA engine.
-#[derive(Clone, Debug)]
-pub(crate) struct ActiveTx {
-    pub tid: u64,
-    pub job: TxJob,
-    pub payload: Payload,
+impl TxEntry {
+    /// An entry not yet assigned to a transfer chain.
+    pub fn new(dst: CellId, pkt: Packet, from: TxSource, send_flag: VAddr) -> TxEntry {
+        TxEntry {
+            tid: 0,
+            dst,
+            pkt,
+            from,
+            send_flag,
+        }
+    }
 }
 
 /// One cell's hardware state.
@@ -81,8 +65,8 @@ pub(crate) struct CellHw {
     pub reply_get_q: HwQueue<TxEntry>,
     /// Remote-load replies ("remote load replies precede GET replies").
     pub reply_remote_q: HwQueue<TxEntry>,
-    pub send_busy: bool,
-    pub active_tx: Option<ActiveTx>,
+    /// The entry occupying the send DMA engine, payload gathered.
+    pub active_tx: Option<TxEntry>,
     pub recv_dma: Resource,
     /// Arrived ring-buffer messages, keyed by sending cell so the
     /// RECEIVE path matches a source without scanning unrelated traffic
@@ -111,7 +95,6 @@ impl CellHw {
             remote_q: HwQueue::new("remote access", 8),
             reply_get_q: HwQueue::new("get reply", 8),
             reply_remote_q: HwQueue::new("remote reply", 8),
-            send_busy: false,
             active_tx: None,
             recv_dma: Resource::new(),
             ring: IntMap::default(),
@@ -395,7 +378,7 @@ impl Machine {
             let d = hw.total_pending() as u32;
             depth += d as u64;
             depth_max = depth_max.max(d);
-            if hw.send_busy {
+            if hw.active_tx.is_some() {
                 send_busy += 1;
             }
             if hw.recv_dma.busy_until() > now {

@@ -10,6 +10,13 @@
 //!   communication/computation overlap on the AP1000;
 //! * one send-DMA engine and one receive engine per PE;
 //! * the T-net latency/FIFO model shared with the machine emulator.
+//!
+//! Time is charged in three places: [`Engine::book`] bills a bucket and
+//! records its span, [`Engine::release`] ends a blocked PE's wait, and
+//! [`Engine::transmit`] is the send engine → T-net → arrival chain every
+//! message walks.
+
+#![deny(clippy::too_many_lines)]
 
 use crate::params::ModelParams;
 use apnet::{Contention, TNet, TNetParams, Torus};
@@ -22,19 +29,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 
 /// Per-PE Figure-8 buckets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeBreakdown {
-    /// User computation.
-    pub exec: SimTime,
-    /// Run-time-system time.
-    pub rts: SimTime,
-    /// Communication-library / interrupt CPU overhead.
-    pub overhead: SimTime,
-    /// Blocked time (flags, receives, barriers).
-    pub idle: SimTime,
-    /// Completion time of this PE.
-    pub finish: SimTime,
-}
+pub use apobs::BucketTimes as PeBreakdown;
 
 /// Result of one replay.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,30 +141,14 @@ enum REv {
     },
 }
 
-/// What a blocked PE is waiting for, and since when. A PE runs one op at a
-/// time, so it has at most one wait: the table is a vector indexed by PE.
-#[derive(Clone, Copy, Debug)]
+/// What a blocked PE is waiting for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Wait {
-    None,
-    Flag {
-        flag: u64,
-        target: u32,
-        since: SimTime,
-    },
-    Recv {
-        src: u32,
-        since: SimTime,
-    },
-    Reg {
-        reg: u16,
-        since: SimTime,
-    },
-    Fence {
-        since: SimTime,
-    },
-    Load {
-        since: SimTime,
-    },
+    Flag { flag: u64, target: u32 },
+    Recv { src: u32 },
+    Reg { reg: u16 },
+    Fence,
+    Load,
 }
 
 struct Engine<'t> {
@@ -185,7 +164,9 @@ struct Engine<'t> {
     bd: Vec<PeBreakdown>,
     done: Vec<bool>,
     done_count: usize,
-    waits: Vec<Wait>,
+    /// Since when, and for what, each PE is blocked. A PE runs one op at
+    /// a time, so it has at most one wait.
+    waits: Vec<Option<(SimTime, Wait)>>,
     flag_counts: IntMap<(u32, u64), u32>,
     ring_ready: IntMap<(u32, u32), VecDeque<(SimTime, u64)>>,
     reg_ready: IntMap<(u32, u16), VecDeque<SimTime>>,
@@ -210,19 +191,44 @@ pub fn replay(trace: &Trace, params: &ModelParams) -> Result<ReplayResult, Repla
     replay_observed(trace, params, false)
 }
 
+/// The cell an op names besides the one running it.
+fn peer(op: &Op) -> Option<CellId> {
+    match *op {
+        Op::Put { dst, .. }
+        | Op::Send { dst, .. }
+        | Op::RegStore { dst, .. }
+        | Op::RemoteStore { dst, .. } => Some(dst),
+        Op::Get { src, .. } | Op::Recv { src, .. } | Op::RemoteLoad { src, .. } => Some(src),
+        Op::Bcast { root, .. } => Some(root),
+        _ => None,
+    }
+}
+
 /// Replays `trace` under model `params`, optionally recording the
 /// sim-time event timeline (the same vocabulary the machine emulator
 /// emits, so both can be compared side by side in Perfetto).
 ///
 /// # Errors
 ///
-/// [`ReplayError`] on malformed traces.
+/// [`ReplayError`] on malformed traces — a trace is outside input (a
+/// decoded `.evtrace`), so an op naming a cell the trace does not have is
+/// a [`ReplayError::Mismatch`], found before anything is replayed.
 pub fn replay_observed(
     trace: &Trace,
     params: &ModelParams,
     record_timeline: bool,
 ) -> Result<ReplayResult, ReplayError> {
     let n = trace.ncells();
+    for (pe, ops) in trace.iter() {
+        for (i, op) in ops.ops.iter().enumerate() {
+            if let Some(cell) = peer(op).filter(|cell| cell.index() >= n) {
+                return Err(ReplayError::Mismatch(format!(
+                    "pe{} op {i} names {cell}, but the trace has {n} cells",
+                    pe.as_u32()
+                )));
+            }
+        }
+    }
     let torus = Torus::for_cells(n as u32);
     let tparams = TNetParams {
         prolog: params.network_prolog,
@@ -249,7 +255,7 @@ pub fn replay_observed(
         bd: vec![PeBreakdown::default(); n],
         done: vec![false; n],
         done_count: 0,
-        waits: vec![Wait::None; n],
+        waits: vec![None; n],
         flag_counts: IntMap::default(),
         ring_ready: IntMap::default(),
         reg_ready: IntMap::default(),
@@ -320,13 +326,17 @@ impl Engine<'_> {
         self.evq.push(at, REv::Step { pe });
     }
 
-    /// Clears `pe`'s wait and returns what `woken` extracts from it, if
-    /// the wait is the one the arriving event satisfies.
-    fn take_wait<T>(&mut self, pe: u32, woken: impl FnOnce(Wait) -> Option<T>) -> Option<T> {
+    fn block(&mut self, pe: u32, on: Wait) {
+        self.waits[pe as usize] = Some((self.now(), on));
+    }
+
+    /// Clears `pe`'s wait and returns since when it was blocked — if what
+    /// it waits for is exactly `on`.
+    fn wake(&mut self, pe: u32, on: Wait) -> Option<SimTime> {
         let slot = &mut self.waits[pe as usize];
-        let hit = woken(*slot)?;
-        *slot = Wait::None;
-        Some(hit)
+        let (since, _) = slot.filter(|&(_, w)| w == on)?;
+        *slot = None;
+        Some(since)
     }
 
     /// Allocates a fresh nonzero transfer-chain id.
@@ -335,9 +345,101 @@ impl Engine<'_> {
         self.next_tid
     }
 
+    // ---- where time is charged ------------------------------------------
+
+    /// Bills `dur` of `pe`'s time from `start` to `bucket` and records the
+    /// span that shows it (`tid` 0 = no transfer chain).
+    #[allow(clippy::too_many_arguments)] // `Recorder::span_id`'s own list
+    fn book(
+        &mut self,
+        pe: u32,
+        name: &'static str,
+        start: SimTime,
+        dur: SimTime,
+        bucket: Bucket,
+        arg: u64,
+        tid: u64,
+    ) {
+        self.bd[pe as usize].charge(bucket, dur);
+        self.obs
+            .span_id(pe, Unit::Cpu, name, start, dur, bucket, arg, tid);
+    }
+
+    /// Occupies `pe`'s CPU for `dur` of span-less overhead (interrupt
+    /// service, a check folded into a wake) from `at`, or from when it is
+    /// next free. Returns when it is done.
+    fn occupy(&mut self, pe: u32, at: SimTime, dur: SimTime) -> SimTime {
+        let (_, end) = self.cpu[pe as usize].reserve(at, dur);
+        self.bd[pe as usize].charge(Bucket::Overhead, dur);
+        end
+    }
+
+    /// The message handler's CPU share of serving a request that just
+    /// arrived at `pe`: nothing on hardware that answers by itself.
+    fn serve(&mut self, pe: u32, cost: SimTime) -> SimTime {
+        if cost > SimTime::ZERO {
+            self.occupy(pe, self.now(), cost)
+        } else {
+            self.now()
+        }
+    }
+
+    /// Releases blocked `pe`: its wait from `since` to `until` is booked
+    /// idle under span `name`, and its next op steps at `until`.
+    fn release(&mut self, pe: u32, name: &'static str, since: SimTime, until: SimTime, arg: u64) {
+        let waited = until.saturating_sub(since);
+        self.book(pe, name, since, waited, Bucket::Idle, arg, 0);
+        self.advance(pe, until);
+    }
+
+    /// `pe`'s send engine moves a `bytes` payload from `ready` on.
+    /// Returns when it started and when the message departs.
+    fn send_dma(&mut self, pe: u32, ready: SimTime, bytes: u64, tid: u64) -> (SimTime, SimTime) {
+        let busy = self.p.send_hw_latency(bytes);
+        let (start, depart) = self.send_engine[pe as usize].reserve(ready, busy);
+        self.xfers.charge(tid, Seg::Queue, start);
+        self.xfers.charge(tid, Seg::Dma, depart);
+        (start, depart)
+    }
+
+    /// Header plus `bytes` cross the T-net from `src` to `dst`; `arrive`
+    /// fires on arrival.
+    fn wire(&mut self, src: u32, dst: u32, depart: SimTime, bytes: u64, tid: u64, arrive: REv) {
+        let (src, dst) = (CellId::new(src), CellId::new(dst));
+        let arrival = self
+            .tnet
+            .transfer_tagged(depart, src, dst, bytes + HEADER, tid);
+        self.xfers.charge(tid, Seg::Net, arrival);
+        self.evq.push(arrival, arrive);
+    }
+
+    /// The chain every message outside a tracked PUT/GET walks from
+    /// `ready`: send engine, then the T-net, then `arrive` at `dst`.
+    fn transmit(
+        &mut self,
+        src: u32,
+        dst: u32,
+        ready: SimTime,
+        bytes: u64,
+        arrive: REv,
+    ) -> (SimTime, SimTime) {
+        let (start, depart) = self.send_dma(src, ready, bytes, 0);
+        self.wire(src, dst, depart, bytes, 0, arrive);
+        (start, depart)
+    }
+
+    /// Schedules the fetch-and-increment of `pe`'s `flag` (0 = none).
+    fn flag_inc_at(&mut self, at: SimTime, pe: u32, flag: u64, tid: u64) {
+        if flag != 0 {
+            self.evq.push(at, REv::FlagInc { pe, flag, tid });
+        }
+    }
+
+    // ---- arrivals --------------------------------------------------------
+
     fn handle(&mut self, ev: REv) -> Result<(), ReplayError> {
         match ev {
-            REv::Step { pe } => self.step(pe),
+            REv::Step { pe } => return self.step(pe),
             REv::PutArrive {
                 dst,
                 bytes,
@@ -347,17 +449,7 @@ impl Engine<'_> {
                 let landed = self.receive_payload(dst, bytes, tid);
                 self.xfers.charge(tid, Seg::Delivery, landed);
                 self.xfers.finish(tid, landed);
-                if recv_flag != 0 {
-                    self.evq.push(
-                        landed,
-                        REv::FlagInc {
-                            pe: dst,
-                            flag: recv_flag,
-                            tid,
-                        },
-                    );
-                }
-                Ok(())
+                self.flag_inc_at(landed, dst, recv_flag, tid);
             }
             REv::GetArrive {
                 dst,
@@ -366,221 +458,121 @@ impl Engine<'_> {
                 send_flag,
                 recv_flag,
                 tid,
-            } => {
-                // The owner's MSC+ (or interrupt handler) produces the reply.
-                // Under software handling the reply is issued from *inside*
-                // the interrupt handler — it pays header analysis, the
-                // cache post for the gathered data, and the reply DMA
-                // setup, but not the user-level SVC prolog/epilog of
-                // Figure 7 (the handler is already in the kernel).
-                let now = self.now();
-                let cpu_cost = self.p.recv_cpu_overhead(0)
-                    + if self.p.software_handling {
-                        self.p.put_msg_post_per_byte.saturating_mul(bytes) + self.p.put_dma_set
-                    } else {
-                        SimTime::ZERO
-                    };
-                let ready = if cpu_cost > SimTime::ZERO {
-                    let (_, e) = self.cpu[dst as usize].reserve(now, cpu_cost);
-                    self.bd[dst as usize].overhead += cpu_cost;
-                    e
-                } else {
-                    now
-                };
-                self.xfers.charge(tid, Seg::Issue, ready);
-                let (rs, depart) =
-                    self.send_engine[dst as usize].reserve(ready, self.p.send_hw_latency(bytes));
-                self.xfers.charge(tid, Seg::Queue, rs);
-                self.xfers.charge(tid, Seg::Dma, depart);
-                if send_flag != 0 {
-                    self.evq.push(
-                        depart,
-                        REv::FlagInc {
-                            pe: dst,
-                            flag: send_flag,
-                            tid,
-                        },
-                    );
-                }
-                let arrival = self.tnet.transfer_tagged(
-                    depart,
-                    CellId::new(dst),
-                    CellId::new(requester),
-                    bytes + HEADER,
-                    tid,
-                );
-                self.xfers.charge(tid, Seg::Net, arrival);
-                self.evq.push(
-                    arrival,
-                    REv::PutArrive {
-                        dst: requester,
-                        bytes,
-                        recv_flag,
-                        tid,
-                    },
-                );
-                Ok(())
-            }
+            } => self.get_arrive(dst, requester, bytes, send_flag, recv_flag, tid),
             REv::RingArrive { dst, src, bytes } => {
                 let ready = self.receive_payload(dst, bytes, 0);
-                self.ring_ready
-                    .entry((dst, src))
-                    .or_default()
-                    .push_back((ready, bytes));
-                if let Some(since) = self.take_wait(dst, |w| match w {
-                    Wait::Recv { src: s, since } if s == src => Some(since),
-                    _ => None,
-                }) {
-                    let (r, b) = self
-                        .ring_ready
-                        .get_mut(&(dst, src))
-                        .expect("just pushed")
-                        .pop_front()
-                        .expect("just pushed");
-                    self.finish_recv(dst, b, since, r);
+                // A blocked receiver found its queue empty, so the message
+                // that satisfies it is this one.
+                match self.wake(dst, Wait::Recv { src }) {
+                    Some(since) => self.finish_recv(dst, bytes, since, ready),
+                    None => {
+                        let q = self.ring_ready.entry((dst, src)).or_default();
+                        q.push_back((ready, bytes));
+                    }
                 }
-                Ok(())
             }
             REv::RegArrive { dst, reg } => {
                 let now = self.now();
-                self.reg_ready.entry((dst, reg)).or_default().push_back(now);
-                if let Some(since) = self.take_wait(dst, |w| match w {
-                    Wait::Reg { reg: r, since } if r == reg => Some(since),
-                    _ => None,
-                }) {
-                    self.reg_ready
-                        .get_mut(&(dst, reg))
-                        .expect("just pushed")
-                        .pop_front();
-                    self.obs.span(
-                        dst,
-                        Unit::Cpu,
-                        "reg_load_wait",
-                        since,
-                        now.saturating_sub(since),
-                        Bucket::Idle,
-                        reg as u64,
-                    );
-                    self.bd[dst as usize].idle += now.saturating_sub(since);
-                    let (_, e) = self.cpu[dst as usize].reserve(now, self.p.reg_load);
-                    self.bd[dst as usize].overhead += self.p.reg_load;
-                    self.advance(dst, e);
+                match self.wake(dst, Wait::Reg { reg }) {
+                    Some(since) => {
+                        let waited = now.saturating_sub(since);
+                        self.book(
+                            dst,
+                            "reg_load_wait",
+                            since,
+                            waited,
+                            Bucket::Idle,
+                            reg as u64,
+                            0,
+                        );
+                        let loaded = self.occupy(dst, now, self.p.reg_load);
+                        self.advance(dst, loaded);
+                    }
+                    None => self.reg_ready.entry((dst, reg)).or_default().push_back(now),
                 }
-                Ok(())
             }
             REv::RStoreArrive { dst, src, bytes } => {
                 // Land the store (receive side), then the MSC+ replies with
                 // an acknowledge packet automatically (§4.2).
                 let landed = self.receive_payload(dst, bytes, 0);
-                let (_, depart) =
-                    self.send_engine[dst as usize].reserve(landed, self.p.send_hw_latency(0));
-                let arrival =
-                    self.tnet
-                        .transfer(depart, CellId::new(dst), CellId::new(src), HEADER);
-                self.evq.push(arrival, REv::RAckArrive { dst: src });
-                Ok(())
+                self.transmit(dst, src, landed, 0, REv::RAckArrive { dst: src });
             }
             REv::RAckArrive { dst } => {
-                let now = self.now();
-                self.rstore_acked[dst as usize] += 1;
-                if self.rstore_acked[dst as usize] == self.rstore_issued[dst as usize] {
-                    if let Some(since) = self.take_wait(dst, |w| match w {
-                        Wait::Fence { since } => Some(since),
-                        _ => None,
-                    }) {
-                        self.obs.span(
-                            dst,
-                            Unit::Cpu,
-                            "remote_fence",
-                            since,
-                            now.saturating_sub(since),
-                            Bucket::Idle,
-                            self.rstore_acked[dst as usize],
-                        );
-                        self.bd[dst as usize].idle += now.saturating_sub(since);
-                        self.advance(dst, now);
+                let acked = &mut self.rstore_acked[dst as usize];
+                *acked += 1;
+                let acked = *acked;
+                if acked == self.rstore_issued[dst as usize] {
+                    if let Some(since) = self.wake(dst, Wait::Fence) {
+                        self.release(dst, "remote_fence", since, self.now(), acked);
                     }
                 }
-                Ok(())
             }
             REv::RLoadArrive {
                 dst,
                 requester,
                 bytes,
             } => {
-                let now = self.now();
-                let serve = self.p.recv_cpu_overhead(0);
-                let ready = if serve > SimTime::ZERO {
-                    let (_, e) = self.cpu[dst as usize].reserve(now, serve);
-                    self.bd[dst as usize].overhead += serve;
-                    e
-                } else {
-                    now
-                };
-                let (_, depart) =
-                    self.send_engine[dst as usize].reserve(ready, self.p.send_hw_latency(bytes));
-                let arrival = self.tnet.transfer(
-                    depart,
-                    CellId::new(dst),
-                    CellId::new(requester),
-                    bytes + HEADER,
-                );
-                self.evq.push(arrival, REv::RLoadReply { dst: requester });
-                Ok(())
+                let ready = self.serve(dst, self.p.recv_cpu_overhead(0));
+                let reply = REv::RLoadReply { dst: requester };
+                self.transmit(dst, requester, ready, bytes, reply);
             }
             REv::RLoadReply { dst } => {
-                let now = self.now();
-                if let Some(since) = self.take_wait(dst, |w| match w {
-                    Wait::Load { since } => Some(since),
-                    _ => None,
-                }) {
-                    self.obs.span(
-                        dst,
-                        Unit::Cpu,
-                        "remote_load",
-                        since,
-                        now.saturating_sub(since),
-                        Bucket::Idle,
-                        0,
-                    );
-                    self.bd[dst as usize].idle += now.saturating_sub(since);
-                    self.advance(dst, now);
+                if let Some(since) = self.wake(dst, Wait::Load) {
+                    self.release(dst, "remote_load", since, self.now(), 0);
                 }
-                Ok(())
             }
-            REv::FlagInc { pe, flag, tid } => {
-                let now = self.now();
-                self.obs
-                    .instant_id(pe, Unit::Cpu, "flag_update", now, Bucket::Hw, flag, tid);
-                let c = self.flag_counts.entry((pe, flag)).or_insert(0);
-                *c += 1;
-                let count = *c;
-                if let Some(since) = self.take_wait(pe, |w| match w {
-                    Wait::Flag {
-                        flag: f,
-                        target,
-                        since,
-                    } if f == flag && count >= target => Some(since),
-                    _ => None,
-                }) {
-                    let waited = now.saturating_sub(since);
-                    self.flag_wait.record(waited.as_nanos());
-                    self.obs.span_id(
-                        pe,
-                        Unit::Cpu,
-                        "wait_flag",
-                        since,
-                        waited,
-                        Bucket::Idle,
-                        flag,
-                        tid,
-                    );
-                    self.bd[pe as usize].idle += waited;
-                    let (_, e) = self.cpu[pe as usize].reserve(now, self.p.flag_check);
-                    self.bd[pe as usize].overhead += self.p.flag_check;
-                    self.advance(pe, e);
-                }
-                Ok(())
+            REv::FlagInc { pe, flag, tid } => self.flag_inc(pe, flag, tid),
+        }
+        Ok(())
+    }
+
+    /// A GET request reached its owner `dst`: the owner's MSC+ (or
+    /// interrupt handler) produces the reply. Under software handling the
+    /// reply is issued from *inside* the interrupt handler — it pays
+    /// header analysis, the cache post for the gathered data, and the
+    /// reply DMA setup, but not the user-level SVC prolog/epilog of
+    /// Figure 7 (the handler is already in the kernel).
+    fn get_arrive(
+        &mut self,
+        dst: u32,
+        requester: u32,
+        bytes: u64,
+        send_flag: u64,
+        recv_flag: u64,
+        tid: u64,
+    ) {
+        let mut cpu_cost = self.p.recv_cpu_overhead(0);
+        if self.p.software_handling {
+            cpu_cost += self.p.put_msg_post_per_byte.saturating_mul(bytes) + self.p.put_dma_set;
+        }
+        let ready = self.serve(dst, cpu_cost);
+        self.xfers.charge(tid, Seg::Issue, ready);
+        let (_, depart) = self.send_dma(dst, ready, bytes, tid);
+        self.flag_inc_at(depart, dst, send_flag, tid);
+        let reply = REv::PutArrive {
+            dst: requester,
+            bytes,
+            recv_flag,
+            tid,
+        };
+        self.wire(dst, requester, depart, bytes, tid, reply);
+    }
+
+    fn flag_inc(&mut self, pe: u32, flag: u64, tid: u64) {
+        let now = self.now();
+        self.obs
+            .instant_id(pe, Unit::Cpu, "flag_update", now, Bucket::Hw, flag, tid);
+        let count = self.flag_counts.entry((pe, flag)).or_insert(0);
+        *count += 1;
+        let count = *count;
+        if let Some((since, Wait::Flag { flag: f, target })) = self.waits[pe as usize] {
+            if f == flag && count >= target {
+                self.waits[pe as usize] = None;
+                let waited = now.saturating_sub(since);
+                self.flag_wait.record(waited.as_nanos());
+                self.book(pe, "wait_flag", since, waited, Bucket::Idle, flag, tid);
+                let checked = self.occupy(pe, now, self.p.flag_check);
+                self.advance(pe, checked);
             }
         }
     }
@@ -593,26 +585,17 @@ impl Engine<'_> {
         if self.p.software_handling {
             let service = self.p.recv_cpu_overhead(bytes);
             let (s, e) = self.cpu[dst as usize].reserve(now, service);
-            self.obs.span_id(
-                dst,
-                Unit::Cpu,
-                "recv_intr",
-                s,
-                service,
-                Bucket::Overhead,
-                bytes,
-                tid,
-            );
-            self.bd[dst as usize].overhead += service;
+            self.book(dst, "recv_intr", s, service, Bucket::Overhead, bytes, tid);
             e + self.p.put_msg_per_byte.saturating_mul(bytes)
         } else {
             let (s, e) = self.recv_engine[dst as usize].reserve(now, self.p.recv_hw_latency(bytes));
+            let busy = e.saturating_sub(s);
             self.obs.span_id(
                 dst,
                 Unit::RecvDma,
                 "recv_dma",
                 s,
-                e.saturating_sub(s),
+                busy,
                 Bucket::Hw,
                 bytes,
                 tid,
@@ -621,419 +604,258 @@ impl Engine<'_> {
         }
     }
 
+    /// `pe`, in RECEIVE since `since`, gets a message usable at `ready`:
+    /// whatever it waited is idle, then it copies the message out.
     fn finish_recv(&mut self, pe: u32, bytes: u64, since: SimTime, ready: SimTime) {
-        let now = self.now().max(ready);
-        let waited = now.saturating_sub(since);
-        if waited > SimTime::ZERO {
-            self.obs.span(
-                pe,
-                Unit::Cpu,
-                "recv_wait",
-                since,
-                waited,
-                Bucket::Idle,
-                bytes,
-            );
+        let until = self.now().max(ready);
+        if until > since {
+            let waited = until.saturating_sub(since);
+            self.book(pe, "recv_wait", since, waited, Bucket::Idle, bytes, 0);
         }
-        self.bd[pe as usize].idle += waited;
         let copy = self.p.recv_copy_per_byte.saturating_mul(bytes) + self.p.flag_check;
-        let (s, e) = self.cpu[pe as usize].reserve(now, copy);
-        self.obs
-            .span(pe, Unit::Cpu, "recv_copy", s, copy, Bucket::Overhead, bytes);
-        self.bd[pe as usize].overhead += copy;
+        let (s, e) = self.cpu[pe as usize].reserve(until, copy);
+        self.book(pe, "recv_copy", s, copy, Bucket::Overhead, bytes, 0);
         self.advance(pe, e);
     }
 
+    // ---- ops ---------------------------------------------------------------
+
     fn step(&mut self, pe: u32) -> Result<(), ReplayError> {
         let t = self.now();
-        let idx = self.pc[pe as usize];
-        let ops = &self.trace.pe(CellId::new(pe)).ops;
-        if idx >= ops.len() {
-            if !self.done[pe as usize] {
-                self.done[pe as usize] = true;
+        let i = pe as usize;
+        let Some(&op) = self.trace.pe(CellId::new(pe)).ops.get(self.pc[i]) else {
+            if !self.done[i] {
+                self.done[i] = true;
                 self.done_count += 1;
-                self.bd[pe as usize].finish = t;
+                self.bd[i].finish = t;
             }
             return Ok(());
-        }
-        let op = ops[idx];
+        };
         match op {
-            Op::Work { flops } => {
-                let dur = SimTime::from_nanos(
-                    (self.p.flop_time().as_nanos() as f64 * flops as f64) as u64,
-                );
-                let (s, e) = self.cpu[pe as usize].reserve(t, dur);
-                self.obs
-                    .span(pe, Unit::Cpu, "work", s, dur, Bucket::Exec, flops);
-                self.bd[pe as usize].exec += dur;
-                self.advance(pe, e);
-            }
-            Op::Rts { units } => {
-                let dur = SimTime::from_nanos(
-                    (self.p.rts_time().as_nanos() as f64 * units as f64) as u64,
-                );
-                let (s, e) = self.cpu[pe as usize].reserve(t, dur);
-                self.obs
-                    .span(pe, Unit::Cpu, "rts", s, dur, Bucket::Rts, units);
-                self.bd[pe as usize].rts += dur;
-                self.advance(pe, e);
-            }
+            Op::Work { flops } => self.compute(pe, "work", Bucket::Exec, self.p.flop_time(), flops),
+            Op::Rts { units } => self.compute(pe, "rts", Bucket::Rts, self.p.rts_time(), units),
             Op::Put {
                 dst,
                 bytes,
                 send_flag,
                 recv_flag,
                 ..
-            } => {
-                let over = self.p.send_cpu_overhead(bytes);
-                let tid = self.alloc_tid();
-                self.xfers.start(tid, XferKind::Put, bytes, t);
-                let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.xfers.charge(tid, Seg::Issue, e);
-                self.obs.span_id(
-                    pe,
-                    Unit::Cpu,
-                    "put_issue",
-                    s,
-                    over,
-                    Bucket::Overhead,
-                    bytes,
-                    tid,
-                );
-                self.bd[pe as usize].overhead += over;
-                let (ds, depart) =
-                    self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(bytes));
-                self.xfers.charge(tid, Seg::Queue, ds);
-                self.xfers.charge(tid, Seg::Dma, depart);
-                self.obs.span_id(
-                    pe,
-                    Unit::SendDma,
-                    "send_dma",
-                    ds,
-                    depart.saturating_sub(ds),
-                    Bucket::Hw,
-                    bytes,
-                    tid,
-                );
-                if send_flag != 0 {
-                    self.evq.push(
-                        depart,
-                        REv::FlagInc {
-                            pe,
-                            flag: send_flag,
-                            tid,
-                        },
-                    );
-                }
-                let arrival =
-                    self.tnet
-                        .transfer_tagged(depart, CellId::new(pe), dst, bytes + HEADER, tid);
-                self.xfers.charge(tid, Seg::Net, arrival);
-                self.evq.push(
-                    arrival,
-                    REv::PutArrive {
-                        dst: dst.as_u32(),
-                        bytes,
-                        recv_flag,
-                        tid,
-                    },
-                );
-                self.advance(pe, e);
-            }
+            } => self.put(pe, dst.as_u32(), bytes, send_flag, recv_flag),
             Op::Get {
                 src,
                 bytes,
                 send_flag,
                 recv_flag,
                 ..
-            } => {
-                let over = self.p.send_cpu_overhead(0);
-                let tid = self.alloc_tid();
-                self.xfers.start(tid, XferKind::Get, bytes, t);
-                let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.xfers.charge(tid, Seg::Issue, e);
-                self.obs.span_id(
-                    pe,
-                    Unit::Cpu,
-                    "get_issue",
-                    s,
-                    over,
-                    Bucket::Overhead,
-                    bytes,
-                    tid,
-                );
-                self.bd[pe as usize].overhead += over;
-                let (rs, depart) =
-                    self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(0));
-                self.xfers.charge(tid, Seg::Queue, rs);
-                self.xfers.charge(tid, Seg::Dma, depart);
-                let arrival = self
-                    .tnet
-                    .transfer_tagged(depart, CellId::new(pe), src, HEADER, tid);
-                self.xfers.charge(tid, Seg::Net, arrival);
-                self.evq.push(
-                    arrival,
-                    REv::GetArrive {
-                        dst: src.as_u32(),
-                        requester: pe,
-                        bytes,
-                        send_flag,
-                        recv_flag,
-                        tid,
-                    },
-                );
-                self.advance(pe, e);
-            }
-            Op::Send { dst, bytes } => {
-                let over = self.p.send_call + self.p.send_cpu_overhead(bytes);
-                let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.obs
-                    .span(pe, Unit::Cpu, "send_call", s, over, Bucket::Overhead, bytes);
-                self.bd[pe as usize].overhead += over;
-                let (ds, depart) =
-                    self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(bytes));
-                self.obs.span(
-                    pe,
-                    Unit::SendDma,
-                    "send_dma",
-                    ds,
-                    depart.saturating_sub(ds),
-                    Bucket::Hw,
-                    bytes,
-                );
-                let arrival = self
-                    .tnet
-                    .transfer(depart, CellId::new(pe), dst, bytes + HEADER);
-                self.evq.push(
-                    arrival,
-                    REv::RingArrive {
-                        dst: dst.as_u32(),
-                        src: pe,
-                        bytes,
-                    },
-                );
-                // Blocking SEND: the library waits for send completion.
-                let blocked = depart.saturating_sub(e);
-                if blocked > SimTime::ZERO {
-                    self.obs
-                        .span(pe, Unit::Cpu, "send_wait", e, blocked, Bucket::Idle, bytes);
-                }
-                self.bd[pe as usize].idle += blocked;
-                self.advance(pe, e.max(depart));
-            }
+            } => self.get(pe, src.as_u32(), bytes, send_flag, recv_flag),
+            Op::Send { dst, bytes } => self.send(pe, dst.as_u32(), bytes),
             Op::Recv { src, .. } => {
-                let key = (pe, src.as_u32());
-                if let Some(q) = self.ring_ready.get_mut(&key) {
-                    if let Some((ready, bytes)) = q.pop_front() {
-                        self.finish_recv(pe, bytes, t, ready);
-                        return Ok(());
-                    }
+                let src = src.as_u32();
+                let queued = self.ring_ready.get_mut(&(pe, src));
+                match queued.and_then(|q| q.pop_front()) {
+                    Some((ready, bytes)) => self.finish_recv(pe, bytes, t, ready),
+                    None => self.block(pe, Wait::Recv { src }),
                 }
-                self.waits[pe as usize] = Wait::Recv {
-                    src: src.as_u32(),
-                    since: t,
-                };
             }
             Op::WaitFlag { flag, target } => {
                 let have = self.flag_counts.get(&(pe, flag)).copied().unwrap_or(0);
                 if have >= target {
                     self.flag_wait.record(0);
-                    let (s, e) = self.cpu[pe as usize].reserve(t, self.p.flag_check);
-                    self.obs.span(
-                        pe,
-                        Unit::Cpu,
-                        "flag_check",
-                        s,
-                        self.p.flag_check,
-                        Bucket::Overhead,
-                        flag,
-                    );
-                    self.bd[pe as usize].overhead += self.p.flag_check;
+                    let check = self.p.flag_check;
+                    let (s, e) = self.cpu[i].reserve(t, check);
+                    self.book(pe, "flag_check", s, check, Bucket::Overhead, flag, 0);
                     self.advance(pe, e);
                 } else {
-                    self.waits[pe as usize] = Wait::Flag {
-                        flag,
-                        target,
-                        since: t,
-                    };
+                    self.block(pe, Wait::Flag { flag, target });
                 }
             }
             Op::Barrier => {
                 self.barrier.push((pe, t));
                 if self.barrier.len() == self.done.len() {
-                    let latest = self
-                        .barrier
-                        .iter()
-                        .map(|&(_, s)| s)
-                        .max()
-                        .expect("nonempty");
-                    let release = latest + self.p.barrier_latency;
-                    let parts = std::mem::take(&mut self.barrier);
-                    for (p, since) in parts {
-                        self.obs.span(
-                            p,
-                            Unit::Cpu,
-                            "barrier",
-                            since,
-                            release.saturating_sub(since),
-                            Bucket::Idle,
-                            0,
-                        );
-                        self.bd[p as usize].idle += release.saturating_sub(since);
-                        self.advance(p, release);
+                    // The last arrival is the latest one.
+                    let release = t + self.p.barrier_latency;
+                    for (p, since) in std::mem::take(&mut self.barrier) {
+                        self.release(p, "barrier", since, release, 0);
                     }
                 }
             }
-            Op::Bcast { root, bytes } => {
-                match self.bcast_sig {
-                    None => self.bcast_sig = Some((root.as_u32(), bytes)),
-                    Some(sig) => {
-                        if sig != (root.as_u32(), bytes) {
-                            return Err(ReplayError::Mismatch(format!(
-                                "pe{pe} joined bcast({root},{bytes}) but collective is {sig:?}"
-                            )));
-                        }
-                    }
-                }
-                self.bcast.push((pe, t));
-                if self.bcast.len() == self.done.len() {
-                    let latest = self.bcast.iter().map(|&(_, s)| s).max().expect("nonempty");
-                    let delivery = latest
-                        + self.p.network_prolog
-                        + self.p.bnet_per_byte.saturating_mul(bytes + HEADER);
-                    let parts = std::mem::take(&mut self.bcast);
-                    self.bcast_sig = None;
-                    for (p, since) in parts {
-                        self.obs.span(
-                            p,
-                            Unit::Cpu,
-                            "bcast",
-                            since,
-                            delivery.saturating_sub(since),
-                            Bucket::Idle,
-                            bytes,
-                        );
-                        self.bd[p as usize].idle += delivery.saturating_sub(since);
-                        self.advance(p, delivery);
-                    }
-                }
+            Op::Bcast { root, bytes } => self.bcast(pe, root.as_u32(), bytes)?,
+            Op::RegStore { dst, reg } => self.reg_store(pe, dst.as_u32(), reg),
+            Op::RegLoad { reg } => self.reg_load(pe, reg),
+            Op::RemoteStore { dst, bytes } => self.remote_store(pe, dst.as_u32(), bytes),
+            Op::RemoteLoad { src, bytes } => self.remote_load(pe, src.as_u32(), bytes),
+            Op::RemoteFence if self.rstore_acked[i] != self.rstore_issued[i] => {
+                self.block(pe, Wait::Fence)
             }
-            Op::RegStore { dst, reg } => {
-                let (s, e) = self.cpu[pe as usize].reserve(t, self.p.reg_store);
-                self.obs.span(
-                    pe,
-                    Unit::Cpu,
-                    "reg_store",
-                    s,
-                    self.p.reg_store,
-                    Bucket::Overhead,
-                    reg as u64,
-                );
-                self.bd[pe as usize].overhead += self.p.reg_store;
-                if dst.as_u32() == pe {
-                    self.evq.push(e, REv::RegArrive { dst: pe, reg });
-                } else {
-                    let arrival = self.tnet.transfer(e, CellId::new(pe), dst, 4 + HEADER);
-                    self.evq.push(
-                        arrival,
-                        REv::RegArrive {
-                            dst: dst.as_u32(),
-                            reg,
-                        },
-                    );
-                }
-                self.advance(pe, e);
-            }
-            Op::RegLoad { reg } => {
-                let key = (pe, reg);
-                let token = self.reg_ready.get_mut(&key).and_then(|q| q.pop_front());
-                match token {
-                    Some(ready) => {
-                        let start = t.max(ready);
-                        self.bd[pe as usize].idle += ready.saturating_sub(t);
-                        let (s, e) = self.cpu[pe as usize].reserve(start, self.p.reg_load);
-                        self.obs.span(
-                            pe,
-                            Unit::Cpu,
-                            "reg_load",
-                            s,
-                            self.p.reg_load,
-                            Bucket::Overhead,
-                            reg as u64,
-                        );
-                        self.bd[pe as usize].overhead += self.p.reg_load;
-                        self.advance(pe, e);
-                    }
-                    None => {
-                        self.waits[pe as usize] = Wait::Reg { reg, since: t };
-                    }
-                }
-            }
-            Op::RemoteStore { dst, bytes } => {
-                // Hardware-generated on the AP1000+ (a plain store into
-                // shared space); software emulation pays the PUT chain.
-                let over = if self.p.software_handling {
-                    self.p.send_cpu_overhead(bytes)
-                } else {
-                    self.p.reg_store
-                };
-                let (s, e) = self.cpu[pe as usize].reserve(t, over);
-                self.obs.span(
-                    pe,
-                    Unit::Cpu,
-                    "remote_store",
-                    s,
-                    over,
-                    Bucket::Overhead,
-                    bytes,
-                );
-                self.bd[pe as usize].overhead += over;
-                self.rstore_issued[pe as usize] += 1;
-                let (_, depart) =
-                    self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(bytes));
-                let arrival = self
-                    .tnet
-                    .transfer(depart, CellId::new(pe), dst, bytes + HEADER);
-                self.evq.push(
-                    arrival,
-                    REv::RStoreArrive {
-                        dst: dst.as_u32(),
-                        src: pe,
-                        bytes,
-                    },
-                );
-                self.advance(pe, e);
-            }
-            Op::RemoteLoad { src, bytes } => {
-                let over = if self.p.software_handling {
-                    self.p.send_cpu_overhead(0)
-                } else {
-                    self.p.reg_load
-                };
-                let (_, e) = self.cpu[pe as usize].reserve(t, over);
-                self.bd[pe as usize].overhead += over;
-                let (_, depart) =
-                    self.send_engine[pe as usize].reserve(e, self.p.send_hw_latency(0));
-                let arrival = self.tnet.transfer(depart, CellId::new(pe), src, HEADER);
-                self.evq.push(
-                    arrival,
-                    REv::RLoadArrive {
-                        dst: src.as_u32(),
-                        requester: pe,
-                        bytes,
-                    },
-                );
-                self.waits[pe as usize] = Wait::Load { since: t };
-            }
-            Op::RemoteFence => {
-                if self.rstore_acked[pe as usize] == self.rstore_issued[pe as usize] {
-                    self.advance(pe, t);
-                } else {
-                    self.waits[pe as usize] = Wait::Fence { since: t };
-                }
-            }
-            Op::MarkGopScalar | Op::MarkGopVector => {
-                self.advance(pe, t);
+            Op::RemoteFence | Op::MarkGopScalar | Op::MarkGopVector => self.advance(pe, t),
+        }
+        Ok(())
+    }
+
+    fn compute(&mut self, pe: u32, name: &'static str, bucket: Bucket, unit: SimTime, n: u64) {
+        let dur = SimTime::from_nanos((unit.as_nanos() as f64 * n as f64) as u64);
+        let t = self.now();
+        let (s, e) = self.cpu[pe as usize].reserve(t, dur);
+        self.book(pe, name, s, dur, bucket, n, 0);
+        self.advance(pe, e);
+    }
+
+    /// The CPU side of a PUT or GET: a tracked transfer chain starts and
+    /// the library call pays `over`. Returns the chain id and when the CPU
+    /// is done.
+    fn issue_xfer(
+        &mut self,
+        pe: u32,
+        kind: XferKind,
+        name: &'static str,
+        over: SimTime,
+        bytes: u64,
+    ) -> (u64, SimTime) {
+        let (t, tid) = (self.now(), self.alloc_tid());
+        self.xfers.start(tid, kind, bytes, t);
+        let (s, e) = self.cpu[pe as usize].reserve(t, over);
+        self.xfers.charge(tid, Seg::Issue, e);
+        self.book(pe, name, s, over, Bucket::Overhead, bytes, tid);
+        (tid, e)
+    }
+
+    fn put(&mut self, pe: u32, dst: u32, bytes: u64, send_flag: u64, recv_flag: u64) {
+        let over = self.p.send_cpu_overhead(bytes);
+        let (tid, e) = self.issue_xfer(pe, XferKind::Put, "put_issue", over, bytes);
+        let (ds, depart) = self.send_dma(pe, e, bytes, tid);
+        let busy = depart.saturating_sub(ds);
+        self.obs.span_id(
+            pe,
+            Unit::SendDma,
+            "send_dma",
+            ds,
+            busy,
+            Bucket::Hw,
+            bytes,
+            tid,
+        );
+        self.flag_inc_at(depart, pe, send_flag, tid);
+        let arrive = REv::PutArrive {
+            dst,
+            bytes,
+            recv_flag,
+            tid,
+        };
+        self.wire(pe, dst, depart, bytes, tid, arrive);
+        self.advance(pe, e);
+    }
+
+    fn get(&mut self, pe: u32, src: u32, bytes: u64, send_flag: u64, recv_flag: u64) {
+        let over = self.p.send_cpu_overhead(0);
+        let (tid, e) = self.issue_xfer(pe, XferKind::Get, "get_issue", over, bytes);
+        // Only the request header goes out; the owner sends the data.
+        let (_, depart) = self.send_dma(pe, e, 0, tid);
+        let arrive = REv::GetArrive {
+            dst: src,
+            requester: pe,
+            bytes,
+            send_flag,
+            recv_flag,
+            tid,
+        };
+        self.wire(pe, src, depart, 0, tid, arrive);
+        self.advance(pe, e);
+    }
+
+    fn send(&mut self, pe: u32, dst: u32, bytes: u64) {
+        let (t, over) = (
+            self.now(),
+            self.p.send_call + self.p.send_cpu_overhead(bytes),
+        );
+        let (s, e) = self.cpu[pe as usize].reserve(t, over);
+        self.book(pe, "send_call", s, over, Bucket::Overhead, bytes, 0);
+        let src = pe;
+        let (ds, depart) = self.transmit(pe, dst, e, bytes, REv::RingArrive { dst, src, bytes });
+        let busy = depart.saturating_sub(ds);
+        self.obs
+            .span(pe, Unit::SendDma, "send_dma", ds, busy, Bucket::Hw, bytes);
+        // Blocking SEND: the library waits for send completion.
+        if depart > e {
+            self.release(pe, "send_wait", e, depart, bytes);
+        } else {
+            self.advance(pe, e);
+        }
+    }
+
+    fn reg_store(&mut self, pe: u32, dst: u32, reg: u16) {
+        let (t, cost) = (self.now(), self.p.reg_store);
+        let (s, e) = self.cpu[pe as usize].reserve(t, cost);
+        self.book(pe, "reg_store", s, cost, Bucket::Overhead, reg as u64, 0);
+        if dst == pe {
+            self.evq.push(e, REv::RegArrive { dst, reg });
+        } else {
+            self.wire(pe, dst, e, 4, 0, REv::RegArrive { dst, reg });
+        }
+        self.advance(pe, e);
+    }
+
+    fn reg_load(&mut self, pe: u32, reg: u16) {
+        let stored = self.reg_ready.get_mut(&(pe, reg));
+        let Some(ready) = stored.and_then(|q| q.pop_front()) else {
+            return self.block(pe, Wait::Reg { reg });
+        };
+        let (t, cost) = (self.now(), self.p.reg_load);
+        self.bd[pe as usize].charge(Bucket::Idle, ready.saturating_sub(t));
+        let (s, e) = self.cpu[pe as usize].reserve(t.max(ready), cost);
+        self.book(pe, "reg_load", s, cost, Bucket::Overhead, reg as u64, 0);
+        self.advance(pe, e);
+    }
+
+    fn remote_store(&mut self, pe: u32, dst: u32, bytes: u64) {
+        // Hardware-generated on the AP1000+ (a plain store into shared
+        // space); software emulation pays the PUT chain.
+        let over = if self.p.software_handling {
+            self.p.send_cpu_overhead(bytes)
+        } else {
+            self.p.reg_store
+        };
+        let t = self.now();
+        let (s, e) = self.cpu[pe as usize].reserve(t, over);
+        self.book(pe, "remote_store", s, over, Bucket::Overhead, bytes, 0);
+        self.rstore_issued[pe as usize] += 1;
+        let src = pe;
+        self.transmit(pe, dst, e, bytes, REv::RStoreArrive { dst, src, bytes });
+        self.advance(pe, e);
+    }
+
+    fn remote_load(&mut self, pe: u32, owner: u32, bytes: u64) {
+        let over = if self.p.software_handling {
+            self.p.send_cpu_overhead(0)
+        } else {
+            self.p.reg_load
+        };
+        let e = self.occupy(pe, self.now(), over);
+        let arrive = REv::RLoadArrive {
+            dst: owner,
+            requester: pe,
+            bytes,
+        };
+        self.transmit(pe, owner, e, 0, arrive);
+        self.block(pe, Wait::Load);
+    }
+
+    fn bcast(&mut self, pe: u32, root: u32, bytes: u64) -> Result<(), ReplayError> {
+        let sig = *self.bcast_sig.get_or_insert((root, bytes));
+        if sig != (root, bytes) {
+            return Err(ReplayError::Mismatch(format!(
+                "pe{pe} joined bcast({},{bytes}) but collective is {sig:?}",
+                CellId::new(root)
+            )));
+        }
+        self.bcast.push((pe, self.now()));
+        if self.bcast.len() == self.done.len() {
+            // The last arrival is the latest one.
+            let delivery = self.now()
+                + self.p.network_prolog
+                + self.p.bnet_per_byte.saturating_mul(bytes + HEADER);
+            self.bcast_sig = None;
+            for (p, since) in std::mem::take(&mut self.bcast) {
+                self.release(p, "bcast", since, delivery, bytes);
             }
         }
         Ok(())
@@ -1168,6 +990,16 @@ mod tests {
             replay(&t, &ModelParams::ap1000_plus()),
             Err(ReplayError::Mismatch(_))
         ));
+    }
+
+    #[test]
+    fn an_op_naming_a_cell_outside_the_trace_is_a_mismatch_not_a_panic() {
+        let mut t = Trace::new(4);
+        t.pe_mut(CellId::new(2)).push(Op::Work { flops: 10 });
+        t.pe_mut(CellId::new(2)).push(put(99, 64, 0));
+        let err = replay(&t, &ModelParams::ap1000_plus()).unwrap_err();
+        let want = "pe2 op 1 names cell99, but the trace has 4 cells";
+        assert_eq!(err, ReplayError::Mismatch(want.to_string()));
     }
 
     #[test]

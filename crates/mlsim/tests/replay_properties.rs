@@ -1,5 +1,6 @@
 //! Property tests of the replay engine on randomized well-formed traces.
 
+use aptrace::evtrace::{encode, EvHeader, EvTrace};
 use aptrace::{Op, Trace};
 use aputil::{CellId, SimTime};
 use mlsim::{replay, ModelParams};
@@ -89,6 +90,30 @@ proptest! {
         let a = replay(&trace, &ModelParams::ap1000()).unwrap();
         let b = replay(&trace, &ModelParams::ap1000()).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    /// A trace is outside input — `repro remodel` and `apserve` replay
+    /// whatever an `.evtrace` decodes to. Flip any bit of an encoded
+    /// recording: if it still decodes, the replay of its ops returns
+    /// (`Ok`, `Stuck` or `Mismatch`); it never panics on a peer the flip
+    /// moved off the machine.
+    #[test]
+    fn replay_of_a_bit_flipped_recording_returns(
+        trace in arb_trace(),
+        pos in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let doc = EvTrace {
+            header: EvHeader::new(4, "fuzz", "test"),
+            ops: Some(trace),
+            ..EvTrace::default()
+        };
+        let mut bytes = encode(&doc);
+        let i = (pos % bytes.len() as u64) as usize;
+        bytes[i] ^= 1 << bit;
+        if let Ok(EvTrace { ops: Some(ops), .. }) = EvTrace::decode(&bytes) {
+            let _ = replay(&ops, &ModelParams::ap1000_star());
+        }
     }
 
     /// Scaling only the processor (computation_factor) can never slow a

@@ -173,6 +173,206 @@ fn mix_matches_the_serial_reference_pin() {
     }
 }
 
+/// The second pinned program: the event paths neither `mix` nor the nine
+/// app recordings reach. A B-net broadcast from a non-zero root with
+/// skewed arrivals; a `remote_fence` with nothing to wait for; an
+/// immediate and a blocked `reg_load`; twelve
+/// back-to-back 1 KB PUTs, which overflow the 8-entry user send queue
+/// (`spill`, then `queue_refill`); a blocked and then an immediate
+/// `wait_flag` (`flag_check`) around the GET ack probe; and three blocking
+/// SENDs (`send_wait`) into a 256-byte receive ring whose owner is either
+/// already blocked in RECEIVE (`recv_wait`) or still computing
+/// (`ring_overflow`).
+async fn edges(cell: &mut Cell) -> f64 {
+    let (me, n) = (cell.id(), cell.ncells());
+    let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+    let buf = cell.alloc::<f64>(128);
+    let inbox = cell.alloc::<f64>(128);
+    let put_flag = cell.alloc_flag();
+    let data: Vec<f64> = (0..128).map(|i| (me * 128 + i) as f64).collect();
+    cell.write_slice(buf, &data);
+
+    cell.work(20 * me as u64);
+    cell.rts(1 + me as u64);
+    cell.remote_fence();
+    cell.bcast(1 % n, buf, 64);
+
+    cell.reg_store(me, 40, me as u32 + 1);
+    let own = cell.reg_load(40).await;
+    cell.work(200 * (n - me) as u64);
+    cell.reg_store(right, 41, 7 * me as u32);
+    let theirs = cell.reg_load(41).await;
+
+    for k in 0..12 {
+        cell.put(right, inbox, buf, 1024, VAddr::NULL, put_flag, k == 11);
+    }
+    cell.wait_flag(put_flag, 12);
+    cell.wait_acks();
+    cell.wait_flag(put_flag, 12);
+    let seen = cell.read_flag(put_flag).await;
+    cell.barrier();
+
+    for _ in 0..3 {
+        cell.send(right, buf, 128);
+    }
+    cell.work(5000 * (me % 2) as u64);
+    let mut received = 0;
+    for _ in 0..3 {
+        received += cell.recv(left, inbox, 128).await;
+    }
+    let landed = cell.read_pod::<f64>(inbox + 8).await;
+    f64::from(own + theirs + seen) + received as f64 + landed + cell.read_pod::<f64>(buf).await
+}
+
+/// `cfg` with a receive ring three 128-byte messages overflow.
+fn edges_cfg(cells: u32) -> MachineConfig {
+    let hw = apcore::HwParams {
+        ring_capacity: 256,
+        ..Default::default()
+    };
+    cfg(cells).with_hw(hw)
+}
+
+/// (cells, FNV-1a-64 of the outputs' `Debug`, fault-free digest, digest
+/// under `FaultSpec::quiet()`), captured at `d00720b` — the last commit
+/// whose kernel was one file with a 463-line `dispatch`.
+const EDGES: [(u32, u64, Digest, Digest); 3] = [
+    (
+        4,
+        0x24a4_9f61_5ad6_5700,
+        Digest {
+            total_ns: 376_752,
+            counters: 0x5966_653c_9ce3_b653,
+            ops: 0xf885_7d78_3003_a806,
+            timeline: 0xb253_00b1_af26_0f37,
+        },
+        Digest {
+            total_ns: 376_752,
+            counters: 0xd6e3_f2cf_0a7d_e9ec,
+            ops: 0xf885_7d78_3003_a806,
+            timeline: 0x5a6e_650f_0b56_9db9,
+        },
+    ),
+    (
+        7,
+        0xf425_c73e_54c3_bc68,
+        Digest {
+            total_ns: 391_132,
+            counters: 0x72bc_d041_eac2_acf6,
+            ops: 0x062a_0988_d088_64d1,
+            timeline: 0x83b5_3d0a_840e_d567,
+        },
+        Digest {
+            total_ns: 391_132,
+            counters: 0xb7aa_93b3_f8b4_8a99,
+            ops: 0x062a_0988_d088_64d1,
+            timeline: 0xfcf9_7d1f_a3c7_2fb3,
+        },
+    ),
+    (
+        16,
+        0xb1b4_740d_aa8b_5f89,
+        Digest {
+            total_ns: 435_232,
+            counters: 0xf093_bea8_899f_e1eb,
+            ops: 0x52db_766b_c949_268b,
+            timeline: 0xe3f1_cf09_33d9_262e,
+        },
+        Digest {
+            total_ns: 435_232,
+            counters: 0xb803_aa86_c35f_313e,
+            ops: 0x52db_766b_c949_268b,
+            timeline: 0x59b1_2c36_632b_7391,
+        },
+    ),
+];
+
+#[test]
+fn edges_match_the_single_file_kernel_pin() {
+    for (cells, outputs, plain, quiet) in EDGES {
+        for (spec, want) in [(None, plain), (Some(FaultSpec::quiet()), quiet)] {
+            let r = run(edges_cfg(cells), spec.as_ref(), edges).expect("edges");
+            let what = format!("{cells} cells, faults armed: {}", spec.is_some());
+            let got = fnv1a_64(format!("{:?}", r.outputs).as_bytes());
+            assert_eq!(got, outputs, "{what}: {:?}", r.outputs);
+            assert_eq!(digest(&r), want, "{what}");
+            // The program is only a referee while it reaches these paths.
+            for name in [
+                "bcast",
+                "reg_load",
+                "reg_load_wait",
+                "spill",
+                "queue_refill",
+                "wait_flag",
+                "flag_check",
+                "send_wait",
+                "recv_wait",
+                "ring_overflow",
+            ] {
+                let hit = r.timeline.events.iter().any(|e| e.name == name);
+                assert!(hit, "{what}: no {name:?} event");
+            }
+            assert!(r.counters.queue_spills > 0 && r.counters.queue_refills > 0);
+            assert!(r.counters.ring_overflows > 0, "{what}");
+        }
+    }
+}
+
+/// MLSim's side of the same referee: the op trace `edges` records,
+/// replayed with the timeline on under the paper's three models. One
+/// FNV-1a-64 per (cells, model) over the total, the per-PE buckets, the
+/// counters and the timeline — captured at `d00720b` like [`EDGES`].
+const EDGES_REPLAYED: [(u32, [u64; 3]); 3] = [
+    (
+        4,
+        [
+            0x78b8_e7e8_8fc9_8c89,
+            0x29fe_a820_f0db_8cb1,
+            0x4a59_5875_5351_51f5,
+        ],
+    ),
+    (
+        7,
+        [
+            0xea3a_83d3_d46e_e6d9,
+            0xdabf_77a8_1c63_b73d,
+            0xc13d_e3af_9552_ecd0,
+        ],
+    ),
+    (
+        16,
+        [
+            0xb5be_a337_fe4a_ff8d,
+            0x2fec_e5cb_989c_d899,
+            0xa132_a58a_f2d0_1090,
+        ],
+    ),
+];
+
+#[test]
+fn edges_replay_matches_the_single_function_mlsim_pin() {
+    use mlsim::ModelParams;
+    for (cells, want) in EDGES_REPLAYED {
+        let trace = run(edges_cfg(cells), None, edges).expect("edges").trace;
+        let models = [
+            ModelParams::ap1000(),
+            ModelParams::ap1000_star(),
+            ModelParams::ap1000_plus(),
+        ];
+        let got = models.map(|model| {
+            let r = mlsim::replay_observed(&trace, &model, true).expect("replay");
+            let counters = r.counters.to_json().to_string();
+            let buckets = r.per_pe.iter();
+            let buckets: Vec<_> = buckets
+                .map(|b| [b.exec, b.rts, b.overhead, b.idle, b.finish])
+                .collect();
+            let all = format!("{:?}{buckets:?}{counters}{:?}", r.total, r.timeline.events);
+            fnv1a_64(all.as_bytes())
+        });
+        assert_eq!(got, want, "{cells} cells: {got:#x?}");
+    }
+}
+
 /// Cell 0's flag wait can never be satisfied (one PUT, target 2); the
 /// rest block on a flag nobody bumps or in a barrier cell 0 never joins.
 fn deadlock(cell: &mut Cell) {

@@ -344,6 +344,38 @@ fn remodel_emits_a_versioned_bench_report_without_the_emulator() {
     assert_eq!(apps.len(), 2);
 }
 
+/// A `.evtrace` is outside input: one whose ops section names a cell the
+/// machine does not have is an inconsistent trace — `repro remodel` exit
+/// 1 and a message naming the op — not a torus index panic (exit 101, or
+/// `job_crashed` from `apserve`).
+#[test]
+fn remodel_rejects_an_op_naming_a_cell_outside_the_machine() {
+    let mut doc = golden();
+    let ops = doc.ops.as_mut().expect("golden has an ops section");
+    let pe = ops.pe_mut(apcore::CellId::new(1));
+    let (k, peer) = (pe.ops.iter_mut().enumerate())
+        .find_map(|(k, op)| match op {
+            aptrace::Op::Put { dst, .. } | aptrace::Op::Send { dst, .. } => Some((k, dst)),
+            _ => None,
+        })
+        .expect("CG cell 1 sends");
+    *peer = apcore::CellId::new(peer.as_u32() ^ 64);
+    let named = format!(
+        "pe1 op {k} names {peer}, but the trace has {} cells",
+        doc.header.ncells
+    );
+    let Err(err) = remodel_rows(&doc, &[1.0]) else {
+        panic!("an inconsistent trace remodels");
+    };
+    assert!(err.contains(&named), "{err}");
+
+    let path = tmp("stray-peer.evtrace");
+    std::fs::write(&path, aptrace::evtrace::encode(&doc)).expect("write the crafted trace");
+    let argv = ["remodel".to_string(), path.display().to_string()];
+    assert_eq!(apbench::cli::REPRO.main(&argv), 1);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn binary_recording_is_at_least_5x_smaller_than_json() {
     let doc = golden();
