@@ -3,8 +3,9 @@
 //! This crate provides the time-ordered machinery every simulator in the
 //! workspace is built on:
 //!
-//! * [`EventQueue`] — a priority queue of `(SimTime, E)` pairs with strict
-//!   FIFO ordering among events scheduled for the same instant, which is the
+//! * [`EventQueue`] — a monotone priority queue of `(SimTime, E)` pairs
+//!   (nothing is scheduled before the last popped time) with strict FIFO
+//!   ordering among events scheduled for the same instant, which is the
 //!   property that makes whole-machine simulations deterministic.
 //! * [`Clock`] — the monotonically advancing notion of "now".
 //! * [`resource::Resource`] — a serially-occupied hardware

@@ -1,16 +1,18 @@
 //! The deterministic event queue.
 
 use aputil::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// A time-ordered event queue with FIFO tie-breaking.
+/// A time-ordered event queue: events pop in nondecreasing time order and,
+/// among equal times, in push order — what makes simulations built on it
+/// reproducible run-to-run.
 ///
-/// Events popped from the queue come out in nondecreasing time order; among
-/// events scheduled for the *same* instant, insertion order is preserved.
-/// This last property is what makes simulations built on the queue
-/// reproducible run-to-run: `BinaryHeap` alone leaves same-key order
-/// unspecified, so each entry carries a monotone sequence number.
+/// A monotone radix heap: pushes never precede the last popped time, events
+/// at exactly that time wait in a FIFO, and bucket `b` holds those first
+/// differing from it in bit `b`; a dry FIFO is refilled by draining the
+/// lowest non-empty bucket in order. Ties need no sequence number: equal
+/// times always share a bucket, a bucket only receives events by in-order
+/// append, and it is only refilled while it is empty.
 ///
 /// # Examples
 ///
@@ -27,78 +29,76 @@ use std::collections::BinaryHeap;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
+    /// The last popped time (zero before the first pop).
+    last: SimTime,
+    /// The events at exactly `last`, in push order.
+    due: VecDeque<E>,
+    /// `buckets[b]`: the events whose time first differs from `last` in bit `b`.
+    buckets: [Vec<(SimTime, E)>; 64],
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    mask: u64,
 }
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-// Reverse ordering: BinaryHeap is a max-heap, we want earliest (time, seq)
-// first.
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            last: SimTime::ZERO,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mask: 0,
         }
     }
 
-    /// Schedules `event` at absolute time `time`.
+    /// Schedules `event` at absolute time `time`, which must not precede
+    /// the last popped time: a causality bug panics here, at its source.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let last = self.last;
+        assert!(time >= last, "event scheduled in the past: {time} < {last}");
+        self.place(time, event);
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        if self.due.is_empty() && self.mask != 0 {
+            self.refill();
+        }
+        self.due.pop_front().map(|e| (self.last, e))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.due.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.due.is_empty() && self.mask == 0
     }
 
-    /// Total number of events ever scheduled (diagnostic counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
+    /// Files an event at `time >= last`: in `due` if it is at `last`, else
+    /// at the back of the bucket of the highest bit the two times differ in.
+    fn place(&mut self, time: SimTime, event: E) {
+        match (time.as_nanos() ^ self.last.as_nanos()).checked_ilog2() {
+            None => self.due.push_back(event),
+            Some(b) => {
+                self.buckets[b as usize].push((time, event));
+                self.mask |= 1 << b;
+            }
+        }
+    }
+
+    /// Drains the lowest non-empty bucket into `due` and the buckets below
+    /// it; the emptied `Vec` keeps its slot and its capacity.
+    fn refill(&mut self) {
+        let b = self.mask.trailing_zeros() as usize;
+        self.mask &= !(1 << b);
+        let mut drained = std::mem::take(&mut self.buckets[b]);
+        self.last = drained.iter().map(|&(t, _)| t).min().unwrap_or(self.last);
+        for (time, event) in drained.drain(..) {
+            self.place(time, event);
+        }
+        self.buckets[b] = drained;
     }
 }
 
@@ -119,8 +119,8 @@ mod tests {
         q.push(SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(20), 2);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
+        assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
         assert_eq!(q.pop(), None);
@@ -148,14 +148,13 @@ mod tests {
         q.push(SimTime::from_nanos(5), 'c');
         assert_eq!(q.pop().unwrap().1, 'b');
         assert_eq!(q.pop().unwrap().1, 'c');
-        assert_eq!(q.scheduled_total(), 3);
     }
 
     #[test]
     fn default_is_empty() {
         let q: EventQueue<()> = EventQueue::default();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.len(), 0);
     }
 }
 
@@ -165,22 +164,34 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Popping the whole queue yields a sequence sorted by time, and
-        /// stable (insertion-ordered) among equal times.
+        /// Interleaved monotone pushes and pops: every pop returns the
+        /// earliest pending event, FIFO among equal times. Each step pushes
+        /// at `last + delta` (deltas repeat, so ties are common) or pops.
         #[test]
-        fn pop_order_is_stable_sort(times in proptest::collection::vec(0u64..50, 0..200)) {
+        fn interleaved_pops_are_a_stable_sort(
+            steps in proptest::collection::vec((0u64..4, 0u64..40), 0..300)
+        ) {
             let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.push(SimTime::from_nanos(t), i);
+            let mut pending: Vec<(u64, usize)> = Vec::new();
+            let mut last = 0;
+            for (i, &(op, delta)) in steps.iter().enumerate() {
+                if op == 0 {
+                    let want = pending.iter().copied().min();
+                    pending.retain(|&e| Some(e) != want);
+                    let got = q.pop().map(|(t, i)| (t.as_nanos(), i));
+                    prop_assert_eq!(got, want);
+                    last = got.map_or(last, |(t, _)| t);
+                } else {
+                    q.push(SimTime::from_nanos(last + delta), i);
+                    pending.push((last + delta, i));
+                }
             }
-            let mut expected: Vec<(u64, usize)> =
-                times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-            expected.sort(); // stable on (time, index) because index is unique & increasing
-            let mut got = Vec::new();
+            let mut rest = Vec::new();
             while let Some((t, i)) = q.pop() {
-                got.push((t.as_nanos(), i));
+                rest.push((t.as_nanos(), i));
             }
-            prop_assert_eq!(got, expected);
+            pending.sort();
+            prop_assert_eq!(rest, pending);
         }
     }
 }

@@ -544,7 +544,6 @@ pub fn remodel_rows(doc: &EvTrace, factors: &[f64]) -> Result<Vec<ExperimentRow>
         .ops
         .as_ref()
         .ok_or("trace has no ops section (recorded without probe tracing?)")?;
-    let stats = AppStats::from_trace(trace).to_row();
     let replay_grid = |base: ModelParams| {
         mlsim::remodel(trace, &mlsim::factor_grid(&base, factors))
             .map_err(|e| format!("remodel under {}: {e}", base.name))
@@ -552,6 +551,8 @@ pub fn remodel_rows(doc: &EvTrace, factors: &[f64]) -> Result<Vec<ExperimentRow>
     let ap1000 = replay_grid(ModelParams::ap1000())?;
     let star = replay_grid(ModelParams::ap1000_star())?;
     let plus = replay_grid(ModelParams::ap1000_plus())?;
+    // Summed only once a replay has bounded the trace's operands.
+    let stats = AppStats::from_trace(trace).to_row();
     let mut rows = Vec::new();
     for (i, &f) in factors.iter().enumerate() {
         rows.push(ExperimentRow {

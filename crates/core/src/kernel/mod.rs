@@ -3,10 +3,10 @@
 //! The kernel owns the whole [`Machine`] and steps every cell program
 //! inline: a program is a future ([`Step`]) that runs on the kernel's own
 //! stack up to its next data-returning [`Request`]. All hardware activity
-//! (DMA, packets, flags, barriers) is driven through a single time-ordered
-//! event queue with FIFO tie-breaking, and every event commits in
-//! `(time, seq)` order, so a given program and configuration always
-//! produces the identical execution.
+//! (DMA, packets, flags, barriers) is driven through a single event queue,
+//! and every event commits in time order, ties in the order they were
+//! scheduled, so a given program and configuration always produces the
+//! identical execution.
 //!
 //! The cell↔kernel protocol is *run-to-block* (DESIGN.md §10): a wake's
 //! [`Response`] reaches its program at the wake's own commit and nowhere
@@ -58,8 +58,9 @@ enum Ev {
     Arrive { dst: u32, pkt: Packet, tid: u64 },
     /// `dst`'s receive DMA finished landing a packet.
     RecvDone { dst: u32, pkt: Packet, tid: u64 },
-    /// Fault layer: a sequence-numbered envelope reached its destination.
-    ArriveF(Envelope),
+    /// Fault layer: a sequence-numbered envelope reached its destination
+    /// (boxed: the widest variant, and fault-free runs never build it).
+    ArriveF(Box<Envelope>),
     /// Fault layer: the hardware ack for envelope `seq` reached its
     /// original sender.
     AckArrive { seq: u64 },
@@ -70,6 +71,9 @@ enum Ev {
     /// Fault layer: fail-stop crash of `cell`.
     Crash { cell: u32 },
 }
+
+// Events move by value through the queue, so a fat variant costs every event.
+const _: () = assert!(size_of::<Ev>() <= 80);
 
 /// The fault layer, or a structured [`ApError::Internal`] if a fault-only
 /// event fired on an unfaulted run (a kernel bug — fault events are only
@@ -330,7 +334,7 @@ impl Kernel {
             Ev::ArriveF(env) => {
                 let (now, dst) = (self.now(), env.dst);
                 let delivered =
-                    armed(&mut self.fault)?.arrive(now, env, &mut self.machine, &mut self.evq)?;
+                    armed(&mut self.fault)?.arrive(now, *env, &mut self.machine, &mut self.evq)?;
                 let Some((pkt, tid)) = delivered else {
                     return Ok(());
                 };

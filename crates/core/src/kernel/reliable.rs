@@ -188,7 +188,7 @@ impl FaultState {
                     pkt,
                     tid,
                 };
-                evq.push(arrival, Ev::ArriveF(env));
+                evq.push(arrival, Ev::ArriveF(Box::new(env)));
                 arrival + timeout
             }
             Delivery::Dropped => at + timeout,

@@ -141,6 +141,9 @@ enum REv {
     },
 }
 
+// Events move by value through the queue, so a fat variant costs every event.
+const _: () = assert!(size_of::<REv>() <= 48);
+
 /// What a blocked PE is waiting for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Wait {
@@ -204,6 +207,56 @@ fn peer(op: &Op) -> Option<CellId> {
     }
 }
 
+/// The op's cost operand: its flops, RTS units or payload bytes.
+fn operand(op: &Op) -> Option<(&'static str, u64)> {
+    match *op {
+        Op::Work { flops } => Some(("flops", flops)),
+        Op::Rts { units } => Some(("units", units)),
+        Op::Put { bytes, .. }
+        | Op::Get { bytes, .. }
+        | Op::Send { bytes, .. }
+        | Op::Recv { bytes, .. }
+        | Op::Bcast { bytes, .. }
+        | Op::RemoteStore { bytes, .. }
+        | Op::RemoteLoad { bytes, .. } => Some(("bytes", bytes)),
+        _ => None,
+    }
+}
+
+/// The most flops, RTS units and bytes a trace may carry in total. At the
+/// slowest built-in model's 4 µs per RTS unit that is ≈ 51 simulated days,
+/// far inside `SimTime`'s 584 years, so no sum of a replay's costs
+/// overflows it.
+const MAX_TRACE_OPERANDS: u64 = 1 << 40;
+
+/// Checks, before anything is replayed, that every op names a cell the
+/// trace has and that the ops' operands stay inside [`MAX_TRACE_OPERANDS`].
+fn validate(trace: &Trace) -> Result<(), ReplayError> {
+    let (n, mut total) = (trace.ncells(), 0u64);
+    for (pe, ops) in trace.iter() {
+        let pe = pe.as_u32();
+        for (i, op) in ops.ops.iter().enumerate() {
+            if let Some(cell) = peer(op).filter(|cell| cell.index() >= n) {
+                return Err(ReplayError::Mismatch(format!(
+                    "pe{pe} op {i} names {cell}, but the trace has {n} cells"
+                )));
+            }
+            let Some((what, v)) = operand(op) else {
+                continue;
+            };
+            total = (total.checked_add(v))
+                .filter(|&t| t <= MAX_TRACE_OPERANDS)
+                .ok_or_else(|| {
+                    ReplayError::Mismatch(format!(
+                        "pe{pe} op {i} carries {what} {v}, past the \
+                         {MAX_TRACE_OPERANDS} flops, units and bytes a trace may total"
+                    ))
+                })?;
+        }
+    }
+    Ok(())
+}
+
 /// Replays `trace` under model `params`, optionally recording the
 /// sim-time event timeline (the same vocabulary the machine emulator
 /// emits, so both can be compared side by side in Perfetto).
@@ -211,24 +264,16 @@ fn peer(op: &Op) -> Option<CellId> {
 /// # Errors
 ///
 /// [`ReplayError`] on malformed traces — a trace is outside input (a
-/// decoded `.evtrace`), so an op naming a cell the trace does not have is
-/// a [`ReplayError::Mismatch`], found before anything is replayed.
+/// decoded `.evtrace`), so an op naming a cell the trace does not have, or
+/// operands too large to time, is a [`ReplayError::Mismatch`], found
+/// before anything is replayed.
 pub fn replay_observed(
     trace: &Trace,
     params: &ModelParams,
     record_timeline: bool,
 ) -> Result<ReplayResult, ReplayError> {
+    validate(trace)?;
     let n = trace.ncells();
-    for (pe, ops) in trace.iter() {
-        for (i, op) in ops.ops.iter().enumerate() {
-            if let Some(cell) = peer(op).filter(|cell| cell.index() >= n) {
-                return Err(ReplayError::Mismatch(format!(
-                    "pe{} op {i} names {cell}, but the trace has {n} cells",
-                    pe.as_u32()
-                )));
-            }
-        }
-    }
     let torus = Torus::for_cells(n as u32);
     let tparams = TNetParams {
         prolog: params.network_prolog,
@@ -1000,6 +1045,28 @@ mod tests {
         let err = replay(&t, &ModelParams::ap1000_plus()).unwrap_err();
         let want = "pe2 op 1 names cell99, but the trace has 4 cells";
         assert_eq!(err, ReplayError::Mismatch(want.to_string()));
+    }
+
+    #[test]
+    fn an_astronomic_operand_is_a_mismatch_not_an_overflow_panic() {
+        let mut t = Trace::new(2);
+        t.pe_mut(CellId::new(1)).push(Op::Barrier);
+        t.pe_mut(CellId::new(1)).push(Op::Work { flops: u64::MAX });
+        let err = replay(&t, &ModelParams::ap1000()).unwrap_err();
+        let want = format!(
+            "pe1 op 1 carries flops {}, past the 1099511627776 flops, units and bytes a trace may total",
+            u64::MAX
+        );
+        assert_eq!(err, ReplayError::Mismatch(want));
+        // The bound is on the trace's total, so many large ops trip it too.
+        let mut t = Trace::new(1);
+        for _ in 0..3 {
+            t.pe_mut(CellId::new(0)).push(put(0, 1 << 39, 0));
+        }
+        let err = replay(&t, &ModelParams::ap1000_plus())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("pe0 op 2 carries bytes 549755813888"), "{err}");
     }
 
     #[test]

@@ -376,6 +376,37 @@ fn remodel_rejects_an_op_naming_a_cell_outside_the_machine() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// An op whose operand is too large to time — `flops = u64::MAX` — is an
+/// inconsistent trace as well: `repro remodel` exit 1 and a message
+/// naming the op and the value, not "SimTime addition overflowed" (exit
+/// 101, or `job_crashed` from `apserve`).
+#[test]
+fn remodel_rejects_an_astronomic_operand() {
+    let mut doc = golden();
+    let ops = doc.ops.as_mut().expect("golden has an ops section");
+    let pe = ops.pe_mut(apcore::CellId::new(1));
+    let k = (pe.ops.iter_mut().enumerate())
+        .find_map(|(k, op)| match op {
+            aptrace::Op::Work { flops } => {
+                *flops = u64::MAX;
+                Some(k)
+            }
+            _ => None,
+        })
+        .expect("CG cell 1 computes");
+    let named = format!("pe1 op {k} carries flops {}, past the", u64::MAX);
+    let Err(err) = remodel_rows(&doc, &[1.0]) else {
+        panic!("a trace with an astronomic operand remodels");
+    };
+    assert!(err.contains(&named), "{err}");
+
+    let path = tmp("astronomic-flops.evtrace");
+    std::fs::write(&path, aptrace::evtrace::encode(&doc)).expect("write the crafted trace");
+    let argv = ["remodel".to_string(), path.display().to_string()];
+    assert_eq!(apbench::cli::REPRO.main(&argv), 1);
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn binary_recording_is_at_least_5x_smaller_than_json() {
     let doc = golden();
