@@ -68,11 +68,23 @@ struct PageEntry {
     size: PageSize,
 }
 
+/// One direct-mapped TLB line. An empty line holds [`TlbLine::EMPTY`],
+/// whose `vpn` no address reaches: a page number is at most 52 bits.
 #[derive(Clone, Copy, Debug)]
 struct TlbLine {
     vpn: u64,
     pframe: u64,
 }
+
+impl TlbLine {
+    const EMPTY: TlbLine = TlbLine {
+        vpn: u64::MAX,
+        pframe: 0,
+    };
+}
+
+// Every cell holds 320 lines: keep a line two words, with no tag.
+const _: () = assert!(size_of::<TlbLine>() <= 16);
 
 /// Where [`Mmu::map_anywhere`] puts the next region: the logical and
 /// physical bump cursors against the DRAM size. Placement is a pure
@@ -159,8 +171,8 @@ impl Layout {
 #[derive(Clone, Debug)]
 pub struct Mmu {
     table: BTreeMap<u64, PageEntry>, // key: vaddr >> SMALL_SHIFT of page base
-    small_tlb: Vec<Option<TlbLine>>,
-    large_tlb: Vec<Option<TlbLine>>,
+    small_tlb: Vec<TlbLine>,
+    large_tlb: Vec<TlbLine>,
     layout: Layout,
     stats: TlbStats,
 }
@@ -170,8 +182,8 @@ impl Mmu {
     pub fn new(dram_size: u64) -> Self {
         Mmu {
             table: BTreeMap::new(),
-            small_tlb: vec![None; SMALL_TLB_ENTRIES],
-            large_tlb: vec![None; LARGE_TLB_ENTRIES],
+            small_tlb: vec![TlbLine::EMPTY; SMALL_TLB_ENTRIES],
+            large_tlb: vec![TlbLine::EMPTY; LARGE_TLB_ENTRIES],
             layout: Layout::new(dram_size),
             stats: TlbStats::default(),
         }
@@ -241,29 +253,27 @@ impl Mmu {
         // 1. TLB probes (large then small; disjoint address bits, no alias).
         let large_vpn = va >> LARGE_SHIFT;
         let lidx = (large_vpn as usize) % LARGE_TLB_ENTRIES;
-        if let Some(line) = self.large_tlb[lidx] {
-            if line.vpn == large_vpn {
-                self.stats.hits += 1;
-                let off = va & (PageSize::Large.bytes() - 1);
-                return Ok(Translation {
-                    paddr: PAddr::new(line.pframe + off),
-                    tlb_hit: true,
-                    run: PageSize::Large.bytes() - off,
-                });
-            }
+        let line = self.large_tlb[lidx];
+        if line.vpn == large_vpn {
+            self.stats.hits += 1;
+            let off = va & (PageSize::Large.bytes() - 1);
+            return Ok(Translation {
+                paddr: PAddr::new(line.pframe + off),
+                tlb_hit: true,
+                run: PageSize::Large.bytes() - off,
+            });
         }
         let small_vpn = va >> SMALL_SHIFT;
         let sidx = (small_vpn as usize) % SMALL_TLB_ENTRIES;
-        if let Some(line) = self.small_tlb[sidx] {
-            if line.vpn == small_vpn {
-                self.stats.hits += 1;
-                let off = va & (PageSize::Small.bytes() - 1);
-                return Ok(Translation {
-                    paddr: PAddr::new(line.pframe + off),
-                    tlb_hit: true,
-                    run: PageSize::Small.bytes() - off,
-                });
-            }
+        let line = self.small_tlb[sidx];
+        if line.vpn == small_vpn {
+            self.stats.hits += 1;
+            let off = va & (PageSize::Small.bytes() - 1);
+            return Ok(Translation {
+                paddr: PAddr::new(line.pframe + off),
+                tlb_hit: true,
+                run: PageSize::Small.bytes() - off,
+            });
         }
         // 2. Page-table walk.
         let Some((page_base, entry)) = self.lookup_entry(va) else {
@@ -274,16 +284,16 @@ impl Mmu {
         let off = va - page_base;
         match entry.size {
             PageSize::Small => {
-                self.small_tlb[sidx] = Some(TlbLine {
+                self.small_tlb[sidx] = TlbLine {
                     vpn: small_vpn,
                     pframe: entry.pframe,
-                });
+                };
             }
             PageSize::Large => {
-                self.large_tlb[lidx] = Some(TlbLine {
+                self.large_tlb[lidx] = TlbLine {
                     vpn: large_vpn,
                     pframe: entry.pframe,
-                });
+                };
             }
         }
         Ok(Translation {
@@ -309,8 +319,8 @@ impl Mmu {
 
     /// Flushes the TLB (context switch on a real machine).
     pub fn flush_tlb(&mut self) {
-        self.small_tlb.fill(None);
-        self.large_tlb.fill(None);
+        self.small_tlb.fill(TlbLine::EMPTY);
+        self.large_tlb.fill(TlbLine::EMPTY);
     }
 
     /// `FRAME_SIZE`-granularity check that an entire `[vaddr, vaddr+len)`

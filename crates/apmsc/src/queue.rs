@@ -14,7 +14,6 @@
 //! charge: how many entries went to DRAM, and how many OS refill
 //! interrupts fired.
 
-use aputil::SimTime;
 use std::collections::VecDeque;
 
 /// Words of on-chip RAM per queue (§4.1).
@@ -68,12 +67,10 @@ pub struct QueueStats {
 #[derive(Clone, Debug)]
 pub struct HwQueue<T> {
     name: &'static str,
-    ram: VecDeque<(T, SimTime)>,
-    spill: VecDeque<(T, SimTime)>,
+    ram: VecDeque<T>,
+    spill: VecDeque<T>,
     ram_capacity: usize,
     stats: QueueStats,
-    occupancy: apobs::Hist,
-    wait: apobs::Hist,
 }
 
 impl<T> HwQueue<T> {
@@ -93,8 +90,6 @@ impl<T> HwQueue<T> {
             spill: VecDeque::new(),
             ram_capacity: QUEUE_RAM_WORDS / entry_words,
             stats: QueueStats::default(),
-            occupancy: apobs::Hist::new(),
-            wait: apobs::Hist::new(),
         }
     }
 
@@ -123,57 +118,30 @@ impl<T> HwQueue<T> {
         self.stats
     }
 
-    /// Log2 histogram of total occupancy (RAM + spill) observed after each
-    /// enqueue.
-    pub fn occupancy(&self) -> &apobs::Hist {
-        &self.occupancy
-    }
-
-    /// Log2 histogram of nanoseconds each entry sat queued before being
-    /// popped (timestamped by [`HwQueue::push_at`] / [`HwQueue::pop_at`]).
-    pub fn wait(&self) -> &apobs::Hist {
-        &self.wait
-    }
-
-    /// Pushes an entry without a timestamp; reports whether it landed in
-    /// RAM or spilled.
+    /// Pushes an entry; reports whether it landed in RAM or spilled.
     pub fn push(&mut self, entry: T) -> PushOutcome {
-        self.push_at(entry, SimTime::ZERO)
-    }
-
-    /// Pushes an entry stamped with its enqueue time `now`, so the
-    /// matching [`HwQueue::pop_at`] can report how long it waited.
-    pub fn push_at(&mut self, entry: T, now: SimTime) -> PushOutcome {
         self.stats.pushed += 1;
         let outcome = if self.spill.is_empty() && self.ram.len() < self.ram_capacity {
-            self.ram.push_back((entry, now));
+            self.ram.push_back(entry);
             PushOutcome::Ram
         } else {
             // Once anything has spilled, later entries must also go to DRAM
             // to preserve FIFO order ("all data written by the processor
             // after the queue becomes full is written into the buffer").
-            self.spill.push_back((entry, now));
+            self.spill.push_back(entry);
             self.stats.spilled += 1;
             PushOutcome::Spilled
         };
         self.stats.high_water = self.stats.high_water.max(self.len());
-        self.occupancy.record(self.len() as u64);
         outcome
     }
 
-    /// Pops the oldest entry.
-    pub fn pop(&mut self) -> Option<T> {
-        self.pop_at(SimTime::ZERO).map(|(e, _)| e)
-    }
-
-    /// Pops the oldest entry at time `now`, returning it with how long it
-    /// sat queued (`now -` its enqueue stamp; recorded in
-    /// [`HwQueue::wait`]). When popping drains the RAM part while entries
-    /// remain in DRAM, the OS refill interrupt fires and up to a RAM's
-    /// worth of spilled entries are reloaded — visible in
+    /// Pops the oldest entry. When popping drains the RAM part while
+    /// entries remain in DRAM, the OS refill interrupt fires and up to a
+    /// RAM's worth of spilled entries are reloaded — visible in
     /// [`QueueStats::refill_interrupts`].
-    pub fn pop_at(&mut self, now: SimTime) -> Option<(T, SimTime)> {
-        let (entry, since) = self.ram.pop_front().or_else(|| {
+    pub fn pop(&mut self) -> Option<T> {
+        let entry = self.ram.pop_front().or_else(|| {
             // RAM empty but spill non-empty can only happen transiently
             // inside refill; treat as direct DRAM pop.
             self.spill.pop_front()
@@ -187,9 +155,7 @@ impl<T> HwQueue<T> {
                 }
             }
         }
-        let waited = now.saturating_sub(since);
-        self.wait.record(waited.as_nanos());
-        Some((entry, waited))
+        Some(entry)
     }
 }
 
@@ -277,34 +243,5 @@ mod proptests {
             }
             prop_assert!(q.is_empty());
         }
-    }
-}
-
-#[cfg(test)]
-mod obs_tests {
-    use super::*;
-
-    #[test]
-    fn occupancy_histogram_tracks_enqueue_depth() {
-        let mut q: HwQueue<u32> = HwQueue::new("t", 8);
-        for i in 0..12 {
-            q.push(i);
-        }
-        assert_eq!(q.occupancy().count(), 12);
-        assert_eq!(q.occupancy().max(), 12);
-        assert_eq!(q.occupancy().min(), 1);
-    }
-
-    #[test]
-    fn wait_histogram_measures_queueing_delay() {
-        let mut q: HwQueue<u32> = HwQueue::new("t", 8);
-        q.push_at(1, SimTime::from_nanos(100));
-        q.push_at(2, SimTime::from_nanos(150));
-        let (e, w) = q.pop_at(SimTime::from_nanos(100)).unwrap();
-        assert_eq!((e, w), (1, SimTime::ZERO));
-        let (e, w) = q.pop_at(SimTime::from_nanos(400)).unwrap();
-        assert_eq!((e, w), (2, SimTime::from_nanos(250)));
-        assert_eq!(q.wait().count(), 2);
-        assert_eq!(q.wait().max(), 250);
     }
 }

@@ -10,7 +10,7 @@ use apapps::{standard_suite, Scale, Workload};
 use apcore::{MachineConfig, TimelineMode};
 use apobs::{Counters, CritPath, Timeline};
 use aptrace::{AppStats, StatsRow};
-use aputil::Json;
+use aputil::{Json, SimTime};
 use mlsim::{
     fig8_rows, replay, replay_observed, speedup, DivergenceReport, Fig8Row, ModelParams,
     ReplayResult,
@@ -286,6 +286,28 @@ pub fn fig6() -> String {
     )
 }
 
+/// Figure 7's PUT chain under the AP1000 and AP1000+ models for one
+/// message of `bytes`: per model, send CPU, send HW, network over 4 hops,
+/// receive CPU and receive HW.
+fn fig7_chains(bytes: u64) -> Vec<(String, [SimTime; 5])> {
+    [ModelParams::ap1000(), ModelParams::ap1000_plus()]
+        .into_iter()
+        .map(|m| {
+            let net = m.network_prolog
+                + m.network_delay * 4
+                + m.network_msg_per_byte.saturating_mul(bytes + 32);
+            let legs = [
+                m.send_cpu_overhead(bytes),
+                m.send_hw_latency(bytes),
+                net,
+                m.recv_cpu_overhead(bytes),
+                m.recv_hw_latency(bytes),
+            ];
+            (m.name, legs)
+        })
+        .collect()
+}
+
 /// Renders Figure 7 (the PUT communication model): the overhead chains of
 /// one PUT of `bytes` under both models.
 pub fn fig7(bytes: u64) -> String {
@@ -293,18 +315,11 @@ pub fn fig7(bytes: u64) -> String {
     out.push_str(&format!(
         "Figure 7: PUT communication model ({bytes}-byte message)\n"
     ));
-    for m in [ModelParams::ap1000(), ModelParams::ap1000_plus()] {
-        let send = m.send_cpu_overhead(bytes);
-        let net = m.network_prolog
-            + m.network_delay * 4
-            + m.network_msg_per_byte.saturating_mul(bytes + 32);
-        let recv = m.recv_cpu_overhead(bytes);
-        let hw_send = m.send_hw_latency(bytes);
-        let hw_recv = m.recv_hw_latency(bytes);
+    for (name, [send, hw_send, net, recv, hw_recv]) in fig7_chains(bytes) {
         out.push_str(&format!(
             "  {:8}  send-CPU {:>10}   send-HW {:>10}   network(4 hops) {:>10}   \
              recv-CPU {:>10}   recv-HW {:>10}   end-to-end {:>10}\n",
-            m.name,
+            name,
             send.to_string(),
             hw_send.to_string(),
             net.to_string(),
@@ -312,6 +327,23 @@ pub fn fig7(bytes: u64) -> String {
             hw_recv.to_string(),
             (send + hw_send + net + recv + hw_recv).to_string(),
         ));
+    }
+    out
+}
+
+/// [`fig7`] as the GitHub-flavored table EXPERIMENTS.md carries, in µs.
+pub fn fig7_markdown(bytes: u64) -> String {
+    let mut out = String::from(
+        "| model | send CPU | send HW | network (4 hops) | recv CPU | recv HW | end to end |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for (name, legs) in fig7_chains(bytes) {
+        let total: SimTime = legs.iter().copied().sum();
+        out.push_str(&format!("| {name} |"));
+        for t in legs.iter().chain([&total]) {
+            out.push_str(&format!(" {} µs |", t.as_micros_f64()));
+        }
+        out.push('\n');
     }
     out
 }

@@ -562,8 +562,9 @@ impl Cell {
     /// registers (binary tree up, broadcast down). Returns the reduced
     /// value on every cell. Counted as one "Gop" in Table 3.
     pub async fn reduce_f64(&mut self, x: f64, op: ReduceOp) -> f64 {
-        let group: Vec<usize> = (0..self.ncells()).collect();
-        self.group_reduce_f64(&group, x, op).await
+        self.post(Request::Mark(Mark::GopScalar));
+        let (pos, n) = (self.id(), self.ncells());
+        self.tree_reduce(pos, n, |i| i, x, op).await
     }
 
     /// Scalar sum over all cells.
@@ -589,7 +590,24 @@ impl Cell {
             .iter()
             .position(|&c| c == self.id())
             .expect("cell must be a member of its reduction group");
-        let n = group.len();
+        self.tree_reduce(pos, group.len(), |i| group[i], x, op)
+            .await
+    }
+
+    /// The binary-tree walk behind every scalar reduction: this cell is
+    /// position `pos` of an `n`-member group whose member at position `i`
+    /// is cell `member(i)`. Children's partials come up through the
+    /// communication registers, the result goes back down. Works by
+    /// index, so a machine-wide reduction costs each cell O(1) host
+    /// memory whatever the machine size.
+    async fn tree_reduce(
+        &mut self,
+        pos: usize,
+        n: usize,
+        member: impl Fn(usize) -> usize,
+        x: f64,
+        op: ReduceOp,
+    ) -> f64 {
         let (l, r) = (2 * pos + 1, 2 * pos + 2);
         let mut acc = x;
         for (child, slot) in [(l, REG_UP_L), (r, REG_UP_R)] {
@@ -600,7 +618,7 @@ impl Cell {
             }
         }
         let result = if pos > 0 {
-            let parent = group[(pos - 1) / 2];
+            let parent = member((pos - 1) / 2);
             let slot = if pos % 2 == 1 { REG_UP_L } else { REG_UP_R };
             self.reg_store_f64(parent, slot, acc);
             self.reg_load_f64(REG_DOWN).await
@@ -608,10 +626,10 @@ impl Cell {
             acc
         };
         if l < n {
-            self.reg_store_f64(group[l], REG_DOWN, result);
+            self.reg_store_f64(member(l), REG_DOWN, result);
         }
         if r < n {
-            self.reg_store_f64(group[r], REG_DOWN, result);
+            self.reg_store_f64(member(r), REG_DOWN, result);
         }
         result
     }

@@ -146,9 +146,9 @@ impl Kernel {
         self.wake_at(cell, at + check, resp);
     }
 
-    /// Puts `entry` into one of `cell`'s transmit queues at `at` (emitting
-    /// the queue's enqueue/spill events) and kicks the send controller at
-    /// `kick`.
+    /// Puts `entry` into one of `cell`'s transmit queues at `at` (recording
+    /// the queue's new depth and emitting its enqueue/spill events) and
+    /// kicks the send controller at `kick`.
     fn enqueue(
         &mut self,
         cell: u32,
@@ -166,8 +166,9 @@ impl Kernel {
             TxQueue::GetReply => &mut hw.reply_get_q,
             TxQueue::RemoteReply => &mut hw.reply_remote_q,
         };
-        let outcome = q.push_at(entry, at);
+        let outcome = q.push(entry);
         let depth = q.len() as u64;
+        self.machine.queue_occupancy.record(depth);
         let obs = &mut self.machine.obs;
         obs.instant_id(cell, Unit::Queue, "enqueue", at, Bucket::Hw, depth, tid);
         if outcome == PushOutcome::Spilled {
@@ -691,7 +692,7 @@ impl Kernel {
             return Ok(());
         }
         let refills_before = hw.total_refills();
-        let Some((mut entry, _waited)) = hw.pop_tx_at(now) else {
+        let Some(mut entry) = hw.pop_tx() else {
             return Ok(());
         };
         let refills = hw.total_refills() - refills_before;

@@ -84,6 +84,10 @@ pub(crate) struct CellHw {
     pub rstore_acked: u64,
 }
 
+// A machine holds up to 65 536 of these: only functional hardware state
+// lives here, and telemetry is kept machine-wide.
+const _: () = assert!(size_of::<CellHw>() <= 1504);
+
 impl CellHw {
     fn new(mem_size: u64) -> Self {
         CellHw {
@@ -110,16 +114,15 @@ impl CellHw {
         self.ring.get_mut(&src.as_u32())?.pop_front()
     }
 
-    /// Pops the highest-priority pending transmit job at time `now`,
-    /// returning it with how long it sat queued. Priority (§4.1):
+    /// Pops the highest-priority pending transmit job. Priority (§4.1):
     /// remote-load replies, then remote access, then GET replies, then
     /// user sends.
-    pub fn pop_tx_at(&mut self, now: SimTime) -> Option<(TxEntry, SimTime)> {
+    pub fn pop_tx(&mut self) -> Option<TxEntry> {
         self.reply_remote_q
-            .pop_at(now)
-            .or_else(|| self.remote_q.pop_at(now))
-            .or_else(|| self.reply_get_q.pop_at(now))
-            .or_else(|| self.user_q.pop_at(now))
+            .pop()
+            .or_else(|| self.remote_q.pop())
+            .or_else(|| self.reply_get_q.pop())
+            .or_else(|| self.user_q.pop())
     }
 
     /// Total OS refill interrupts across the four queues (§4.1: "When
@@ -159,14 +162,6 @@ impl CellHw {
         .map(|q| (q.name(), q.len()))
         .collect()
     }
-
-    /// Merges the four queues' occupancy histograms into `into`.
-    pub fn merge_occupancy(&self, into: &mut apobs::Hist) {
-        into.merge(self.user_q.occupancy());
-        into.merge(self.remote_q.occupancy());
-        into.merge(self.reply_get_q.occupancy());
-        into.merge(self.reply_remote_q.occupancy());
-    }
 }
 
 /// The whole machine.
@@ -183,6 +178,9 @@ pub(crate) struct Machine {
     pub obs: apobs::Recorder,
     /// Nanoseconds blocked per flag wait (0 for waits satisfied on check).
     pub flag_wait: apobs::Hist,
+    /// Depth (RAM + spill) of the queue each transmit entry joined, right
+    /// after it joined.
+    pub queue_occupancy: apobs::Hist,
     /// Figure-6 latency attribution of in-flight and completed PUT/GETs.
     pub xfers: apobs::XferTracker,
     /// Next transfer-chain id (`alloc_tid` starts at 1; 0 = untracked).
@@ -212,6 +210,7 @@ impl Machine {
             trace: aptrace::Trace::new(cfg.ncells as usize),
             obs: apobs::Recorder::new(cfg.timeline.clone()),
             flag_wait: apobs::Hist::new(),
+            queue_occupancy: apobs::Hist::new(),
             xfers: apobs::XferTracker::new(),
             next_tid: 0,
             cfg,
@@ -356,8 +355,8 @@ impl Machine {
             c.queue_spills += hw.total_spills();
             c.queue_refills += hw.total_refills();
             c.ring_overflows += hw.ring_overflows;
-            hw.merge_occupancy(&mut c.queue_occupancy);
         }
+        c.queue_occupancy.merge(&self.queue_occupancy);
         c.msg_size.merge(&self.tnet.obs().msg_size);
         c.hop_latency.merge(&self.tnet.obs().latency);
         c.flag_wait.merge(&self.flag_wait);

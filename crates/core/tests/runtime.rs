@@ -797,8 +797,32 @@ fn timeline_records_events_and_counters_fill_histograms() {
     // Histograms are always on, independent of the timeline switch.
     assert_eq!(r.counters.msg_size.count(), 4, "one PUT per cell");
     assert!(r.counters.flag_wait.count() >= 4, "one wait_flag per cell");
-    assert!(r.counters.queue_occupancy.count() > 0);
+    // One PUT per cell into an idle queue: four enqueues, each at depth 1.
+    let occ = &r.counters.queue_occupancy;
+    assert_eq!((occ.count(), occ.min(), occ.max()), (4, 1, 1));
     assert!(r.counters.hop_latency.count() > 0);
+}
+
+#[test]
+fn queue_occupancy_records_every_enqueue_depth_machine_wide() {
+    // Each cell issues a burst of 4 KB PUTs. The send DMA takes the first
+    // at once and then needs ~50 µs per PUT, far longer than the 1 µs
+    // issue, so the rest pile up behind it: depths 1, 1, 2, …, N-1 per
+    // cell, merged over both cells.
+    const N: u64 = 12;
+    let r = run(cfg(2), None, async |cell| {
+        let buf = cell.alloc_bytes(4096);
+        let flag = cell.alloc_flag();
+        let peer = 1 - cell.id();
+        for _ in 0..N {
+            cell.put(peer, buf, buf, 4096, VAddr::NULL, flag, false);
+        }
+        cell.wait_flag(flag, N as u32);
+    })
+    .unwrap();
+    let occ = &r.counters.queue_occupancy;
+    assert_eq!((occ.count(), occ.min(), occ.max()), (2 * N, 1, N - 1));
+    assert_eq!(occ.sum(), 2 * (1 + (N - 1) * N / 2) as u128);
 }
 
 #[test]

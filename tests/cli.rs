@@ -69,7 +69,7 @@ fn every_ci_command_line_resolves() {
         "record --apps CG,SCG --scale test --size 2048 --out-dir big_t1 --threads 1",
         "record --apps CG,SCG --scale test --size 2048 --out-dir big_t2 --threads 2",
         "replay big_t2/CG.evtrace",
-        // scale-smoke (the 65536-cell line is attempted, not gated)
+        // scale-smoke (all three under a 1 GiB address-space limit)
         "sweep --apps CG --sizes 4096 --scale test --threads 1 --bench-out cg4096.json",
         "sweep --apps EP --sizes 16384 --scale test --threads 1 --bench-out ep16384.json",
         "sweep --apps EP --sizes 65536 --scale test --threads 1 --bench-out ep65536.json",

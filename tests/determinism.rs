@@ -18,9 +18,11 @@
 //!   file; recordings are engine-order now, so its digest is asserted on
 //!   the recording's sorted re-encode and the engine-order bytes carry a
 //!   pin of their own;
-//! * CG on 4096 cells — four times the hardware limit, and 23 s of
-//!   mostly context switches when every cell was a thread — ends at the
-//!   simulated time the last thread-per-cell kernel gave it.
+//! * CG on 4096 cells — four times the hardware limit — ends at the
+//!   simulated time the last thread-per-cell kernel gave it. The pin
+//!   runs in about 4.5 s of a debug build on a 2-core Xeon: the machine
+//!   is one host thread, and a scalar reduction walks its tree by index
+//!   instead of building a 4096-entry group on every cell.
 //!
 //! If an *intentional* timing-model change moves the suite times, update
 //! the constants here in the same commit and say why.

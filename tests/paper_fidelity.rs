@@ -177,3 +177,14 @@ fn ablation2_separate_flag_message_costs_a_fifth() {
     let printed = num(field("separate", 5).trim_end_matches('x'));
     assert!((printed - ratio).abs() < 0.01, "{printed} vs {ratio:.3}");
 }
+
+#[test]
+fn experiments_md_figure7_table_is_what_repro_fig7_computes() {
+    let path = format!("{}/EXPERIMENTS.md", env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let table = apbench::fig7_markdown(1600);
+    assert!(
+        doc.contains(&table),
+        "EXPERIMENTS.md's Figure 7 table is stale; `repro fig7 --bytes 1600` gives:\n{table}"
+    );
+}
