@@ -66,26 +66,6 @@ pub struct Penta {
 }
 
 impl Penta {
-    /// A diagonally dominant test system from a deterministic pattern.
-    pub fn diagonally_dominant(n: usize, seed: u64) -> Self {
-        let mut rows = Vec::with_capacity(n);
-        let mut rhs = Vec::with_capacity(n);
-        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 1000) as f64 / 1000.0 - 0.5
-        };
-        for _ in 0..n {
-            let (a2, a1, c1, c2) = (next(), next(), next(), next());
-            let d = 4.0 + a2.abs() + a1.abs() + c1.abs() + c2.abs();
-            rows.push([a2, a1, d, c1, c2]);
-            rhs.push(next() * 10.0);
-        }
-        Penta { rows, rhs }
-    }
-
     /// Direct sequential solve (reference for the pipelined version).
     pub fn solve(&self) -> Vec<f64> {
         let n = self.rows.len();
@@ -130,15 +110,29 @@ impl Penta {
     }
 }
 
-/// Approximate flop count of one pentadiagonal solve of length `n`
-/// (elimination + back substitution), for `work()` accounting.
-pub fn penta_flops(n: usize) -> u64 {
-    19 * n as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A diagonally dominant test system from a deterministic pattern.
+    fn diagonally_dominant(n: usize, seed: u64) -> Penta {
+        let mut rows = Vec::with_capacity(n);
+        let mut rhs = Vec::with_capacity(n);
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % 1000) as f64 / 1000.0 - 0.5
+        };
+        for _ in 0..n {
+            let (a2, a1, c1, c2) = (next(), next(), next(), next());
+            let d = 4.0 + a2.abs() + a1.abs() + c1.abs() + c2.abs();
+            rows.push([a2, a1, d, c1, c2]);
+            rhs.push(next() * 10.0);
+        }
+        Penta { rows, rhs }
+    }
 
     #[test]
     fn solves_identity() {
@@ -154,7 +148,7 @@ mod tests {
     #[test]
     fn random_dominant_system_solves_accurately() {
         for seed in [1, 7, 42] {
-            let p = Penta::diagonally_dominant(64, seed);
+            let p = diagonally_dominant(64, seed);
             let x = p.solve();
             assert!(p.residual(&x) < 1e-9, "residual {}", p.residual(&x));
         }
@@ -163,7 +157,7 @@ mod tests {
     #[test]
     fn tiny_systems() {
         for n in 1..=4 {
-            let p = Penta::diagonally_dominant(n, 5);
+            let p = diagonally_dominant(n, 5);
             let x = p.solve();
             assert!(p.residual(&x) < 1e-10, "n={n}");
         }
@@ -173,7 +167,7 @@ mod tests {
     fn pipelined_elimination_equals_sequential() {
         // Split a 40-row system into 4 chunks of 10 and run the chunked
         // (carry-passing) elimination — must be bit-identical to solve().
-        let p = Penta::diagonally_dominant(40, 9);
+        let p = diagonally_dominant(40, 9);
         let expected = p.solve();
         let mut w: Vec<WRow> = Vec::new();
         // Forward across chunks: the carry is just the last two w rows.
@@ -194,10 +188,5 @@ mod tests {
             }
         }
         assert_eq!(x, expected);
-    }
-
-    #[test]
-    fn flops_formula() {
-        assert_eq!(penta_flops(10), 190);
     }
 }

@@ -17,11 +17,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// `y = A x` (dense vectors).
     ///
     /// # Panics
@@ -36,17 +31,6 @@ impl Csr {
                 s += self.vals[k] * x[self.cols[k]];
             }
             *out = s;
-        }
-    }
-
-    /// Rows `[lo, hi)` of `A x` only (a PE's partial matvec).
-    pub fn matvec_rows(&self, x: &[f64], lo: usize, hi: usize, y: &mut [f64]) {
-        for i in lo..hi {
-            let mut s = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                s += self.vals[k] * x[self.cols[k]];
-            }
-            y[i - lo] = s;
         }
     }
 
@@ -220,16 +204,5 @@ mod tests {
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn matvec_rows_matches_full() {
-        let a = Csr::random_spd(60, 6, 3);
-        let x: Vec<f64> = (0..60).map(|i| (i as f64).cos()).collect();
-        let mut full = vec![0.0; 60];
-        a.matvec(&x, &mut full);
-        let mut part = vec![0.0; 20];
-        a.matvec_rows(&x, 20, 40, &mut part);
-        assert_eq!(&full[20..40], &part[..]);
     }
 }

@@ -306,19 +306,6 @@ impl Plan {
             rounds,
         }
     }
-
-    /// Number of RLoad results each cell collects, in plan order.
-    pub fn loads_per_cell(&self) -> Vec<usize> {
-        let mut n = vec![0usize; self.ncells as usize];
-        for round in &self.rounds {
-            for op in &round.ops {
-                if let Op::RLoad { reader, .. } = op {
-                    n[*reader as usize] += 1;
-                }
-            }
-        }
-        n
-    }
 }
 
 #[allow(clippy::too_many_lines)]

@@ -87,46 +87,6 @@ impl CommRegs {
         Some(self.value[idx])
     }
 
-    /// Non-consuming inspection of a register's p-bit.
-    pub fn is_present(&self, idx: usize) -> bool {
-        idx < NUM_COMM_REGS && self.present[idx]
-    }
-
-    /// Stores an 8-byte value into the even-aligned register pair
-    /// `(idx, idx+1)` — §4.4 allows 4- or 8-byte access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is odd or `idx + 1 >= NUM_COMM_REGS`.
-    pub fn store_pair(&mut self, idx: usize, v: u64) -> bool {
-        assert!(
-            idx.is_multiple_of(2),
-            "8-byte comm-reg access must be even-aligned"
-        );
-        let lo = self.store(idx, v as u32);
-        let hi = self.store(idx + 1, (v >> 32) as u32);
-        lo || hi
-    }
-
-    /// Loads an 8-byte value from the pair `(idx, idx+1)`; both p-bits must
-    /// be set, and both are consumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is odd or `idx + 1 >= NUM_COMM_REGS`.
-    pub fn load_pair(&mut self, idx: usize) -> Option<u64> {
-        assert!(
-            idx.is_multiple_of(2),
-            "8-byte comm-reg access must be even-aligned"
-        );
-        if !self.is_present(idx) || !self.is_present(idx + 1) {
-            return None;
-        }
-        let lo = self.load(idx).expect("p-bit checked") as u64;
-        let hi = self.load(idx + 1).expect("p-bit checked") as u64;
-        Some(lo | (hi << 32))
-    }
-
     /// `(stores, loads)` performed, for statistics.
     pub fn counters(&self) -> (u64, u64) {
         (self.stores, self.loads)
@@ -147,9 +107,7 @@ mod tests {
     fn store_load_consumes() {
         let mut r = CommRegs::new();
         assert!(!r.store(0, 7));
-        assert!(r.is_present(0));
         assert_eq!(r.load(0), Some(7));
-        assert!(!r.is_present(0));
         assert_eq!(r.load(0), None);
         assert_eq!(r.counters(), (1, 1));
     }
@@ -163,34 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn pair_access() {
-        let mut r = CommRegs::new();
-        let v = 0xdead_beef_cafe_f00du64;
-        assert!(!r.store_pair(2, v));
-        assert_eq!(r.load_pair(2), Some(v));
-        assert_eq!(r.load_pair(2), None);
-    }
-
-    #[test]
-    fn pair_requires_both_present() {
-        let mut r = CommRegs::new();
-        r.store(4, 1);
-        assert_eq!(r.load_pair(4), None);
-        // The half store must not have been consumed by the failed pair load.
-        assert!(r.is_present(4));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let mut r = CommRegs::new();
         r.store(NUM_COMM_REGS, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "even-aligned")]
-    fn odd_pair_panics() {
-        let mut r = CommRegs::new();
-        r.store_pair(1, 0);
     }
 }

@@ -79,11 +79,6 @@ impl DsmMap {
         self.window
     }
 
-    /// `true` if `addr` falls in the shared half of the address space.
-    pub fn is_shared(&self, addr: PAddr) -> bool {
-        addr.as_u64() >= SHARED_BASE
-    }
-
     /// Builds the global shared-space address for byte `offset` of `cell`'s
     /// window. Returns `None` if `offset` exceeds the window or the cell is
     /// out of range.
@@ -141,9 +136,7 @@ mod tests {
     #[test]
     fn local_half_is_not_shared() {
         let map = DsmMap::new(16, 16 << 20);
-        assert!(!map.is_shared(PAddr::new(0x1000)));
         assert_eq!(map.resolve(PAddr::new(0x1000)), None);
-        assert!(map.is_shared(PAddr::new(SHARED_BASE)));
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl Mmu {
         self.stats
     }
 
-    /// Physical bytes allocated so far.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.layout.next_frame
-    }
-
     /// Maps `len` bytes of fresh logical memory, placed by
     /// [`Layout::place`], and returns its base.
     ///
@@ -316,35 +311,6 @@ impl Mmu {
             .ok_or(MemError::PageFault { addr: vaddr })?;
         Ok(PAddr::new(entry.pframe + (va - page_base)))
     }
-
-    /// Flushes the TLB (context switch on a real machine).
-    pub fn flush_tlb(&mut self) {
-        self.small_tlb.fill(TlbLine::EMPTY);
-        self.large_tlb.fill(TlbLine::EMPTY);
-    }
-
-    /// `FRAME_SIZE`-granularity check that an entire `[vaddr, vaddr+len)`
-    /// range is mapped — used to validate DMA descriptors up front.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::PageFault`] at the first unmapped page.
-    pub fn check_range(&self, vaddr: VAddr, len: u64) -> Result<(), MemError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let mut va = vaddr.as_u64();
-        let end = va
-            .checked_add(len)
-            .ok_or(MemError::PageFault { addr: vaddr })?;
-        while va < end {
-            let (page_base, entry) = self.lookup_entry(va).ok_or(MemError::PageFault {
-                addr: VAddr::new(va),
-            })?;
-            va = page_base + entry.size.bytes();
-        }
-        Ok(())
-    }
 }
 
 // Keep FRAME_SIZE consistent with the small page: DMA and allocator logic
@@ -445,29 +411,6 @@ mod tests {
         assert!(mmu.translate(p0).unwrap().tlb_hit);
         mmu.translate(conflicting).unwrap(); // evicts p0's line
         assert!(!mmu.translate(p0).unwrap().tlb_hit);
-    }
-
-    #[test]
-    fn flush_clears_tlb() {
-        let mut mmu = Mmu::new(1 << 22);
-        let a = mmu.map_anywhere(64).unwrap();
-        mmu.translate(a).unwrap();
-        assert!(mmu.translate(a).unwrap().tlb_hit);
-        mmu.flush_tlb();
-        assert!(!mmu.translate(a).unwrap().tlb_hit);
-    }
-
-    #[test]
-    fn check_range_spans_pages() {
-        let mut mmu = Mmu::new(1 << 22);
-        let a = mmu.map_anywhere(2 * 4096).unwrap();
-        assert!(mmu.check_range(a, 2 * 4096).is_ok());
-        assert!(mmu.check_range(a, 0).is_ok());
-        assert!(matches!(
-            mmu.check_range(a, 2 * 4096 + 1),
-            Err(MemError::PageFault { .. })
-        ));
-        assert!(mmu.check_range(VAddr::new(u64::MAX - 2), 8).is_err());
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl Progress {
         }
     }
 
-    /// Overrides the minimum wall-clock gap between lines (tests).
-    pub fn with_min_gap(mut self, gap: Duration) -> Self {
-        self.min_gap = gap;
-        self
-    }
-
     /// Prints one line if at least the minimum gap has elapsed. Returns
     /// whether a line was printed.
     pub fn maybe_report(
@@ -78,7 +72,8 @@ mod tests {
 
     #[test]
     fn rate_limits_by_wall_clock() {
-        let mut p = Progress::new("test").with_min_gap(Duration::from_millis(20));
+        let mut p = Progress::new("test");
+        p.min_gap = Duration::from_millis(20);
         assert!(!p.maybe_report(aputil::SimTime::ZERO, 10, 0, 0));
         std::thread::sleep(Duration::from_millis(25));
         assert!(p.maybe_report(aputil::SimTime::from_nanos(500), 100, 1, 0));

@@ -1,6 +1,5 @@
 //! The sampled metrics time series and its deterministic sampler.
 
-use apobs::{Timeline, Unit};
 use aputil::{Json, SimTime};
 
 /// One snapshot row. Every field is a plain integer so rows are
@@ -116,69 +115,6 @@ impl MetricsSeries {
             ),
         ])
     }
-
-    /// Derives a comparable series from a recorded [`Timeline`] — the
-    /// model-side (MLSim) counterpart of the emulator's live sampling,
-    /// for divergence-style comparison. Only the gauges a timeline can
-    /// answer are filled: cumulative event count, and per-tick busy
-    /// populations of the send/recv DMA units (a span `[s, s+d)` counts
-    /// at tick `k` iff it covers `k·interval`). Everything else stays 0.
-    pub fn from_timeline(timeline: &Timeline, interval: SimTime) -> Self {
-        assert!(interval > SimTime::ZERO, "sampling interval must be > 0");
-        let end = timeline
-            .events
-            .iter()
-            .map(apobs::TimelineEvent::end)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let nticks = (end.as_nanos() / interval.as_nanos()) as usize + 1;
-        // Diff arrays: +1 at the first covered tick, -1 after the last.
-        let mut send_d = vec![0i64; nticks + 1];
-        let mut recv_d = vec![0i64; nticks + 1];
-        let mut events_d = vec![0u64; nticks + 1];
-        let i_ns = interval.as_nanos();
-        for e in &timeline.events {
-            let s = e.start.as_nanos();
-            // Cumulative "events so far at tick k" counts events starting
-            // strictly before the tick, matching the emulator's rule.
-            let first_after = (s / i_ns + 1).min(nticks as u64) as usize;
-            events_d[first_after] += 1;
-            let Some(d) = e.dur else { continue };
-            let span_end = s + d.as_nanos();
-            // First tick at or after s; last tick strictly before end.
-            let lo = s.div_ceil(i_ns);
-            if span_end == s || lo * i_ns >= span_end {
-                continue;
-            }
-            let hi = (span_end - 1) / i_ns;
-            let (lo, hi) = (lo as usize, (hi as usize).min(nticks - 1));
-            if lo > hi {
-                continue;
-            }
-            let diff = match e.unit {
-                Unit::SendDma => &mut send_d,
-                Unit::RecvDma => &mut recv_d,
-                _ => continue,
-            };
-            diff[lo] += 1;
-            diff[hi + 1] -= 1;
-        }
-        let mut samples = Vec::with_capacity(nticks);
-        let (mut send, mut recv, mut events) = (0i64, 0i64, 0u64);
-        for k in 0..nticks {
-            send += send_d[k];
-            recv += recv_d[k];
-            events += events_d[k];
-            samples.push(MetricsSample {
-                t: interval * k as u64,
-                events,
-                send_dma_busy: send.max(0) as u32,
-                recv_dma_busy: recv.max(0) as u32,
-                ..MetricsSample::default()
-            });
-        }
-        MetricsSeries { interval, samples }
-    }
 }
 
 /// Deterministic tick placement for the emulator kernel.
@@ -242,7 +178,6 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apobs::{Bucket, TimelineEvent};
 
     #[test]
     fn sampler_places_ticks_deterministically() {
@@ -264,33 +199,5 @@ mod tests {
     fn rows_are_fixed_width() {
         let row = MetricsSample::default().to_row();
         assert_eq!(row.as_arr().unwrap().len(), MetricsSample::COLUMNS.len());
-    }
-
-    #[test]
-    fn from_timeline_counts_dma_spans_per_tick() {
-        let mut t = Timeline::new("model");
-        let ev = |unit, start, dur| TimelineEvent {
-            cell: 0,
-            unit,
-            name: "dma",
-            start: SimTime::from_nanos(start),
-            dur: Some(SimTime::from_nanos(dur)),
-            bucket: Bucket::Hw,
-            arg: 0,
-            tid: 0,
-        };
-        // Send DMA busy over [50, 250): covers ticks 100 and 200.
-        t.events.push(ev(Unit::SendDma, 50, 200));
-        // Recv DMA busy over [100, 150): covers tick 100 only (half-open).
-        t.events.push(ev(Unit::RecvDma, 100, 50));
-        let s = MetricsSeries::from_timeline(&t, SimTime::from_nanos(100));
-        let send: Vec<u32> = s.samples.iter().map(|r| r.send_dma_busy).collect();
-        let recv: Vec<u32> = s.samples.iter().map(|r| r.recv_dma_busy).collect();
-        assert_eq!(send, [0, 1, 1]);
-        assert_eq!(recv, [0, 1, 0]);
-        // Cumulative "strictly before the tick": the t=50 span counts
-        // from tick 1; the one starting exactly at t=100 only from tick 2.
-        let events: Vec<u64> = s.samples.iter().map(|r| r.events).collect();
-        assert_eq!(events, [0, 1, 2]);
     }
 }

@@ -13,19 +13,22 @@
 //!   the MMU page-run by page-run and reporting TLB misses for timing.
 //! * [`stride::StrideSpec`] and the gather/scatter engine — the
 //!   one-dimensional stride transfer of §3.1/§4.1.
-//! * [`message::Command`] and [`message::Packet`] — what
-//!   the processor writes into the send queue, and what travels on the
-//!   T-net, including header-size accounting for the timing models.
+//! * [`message::PutArgs`] / [`message::GetArgs`] and [`message::Packet`]
+//!   — the §3.1 argument blocks a PUT/GET carries, and what travels on
+//!   the T-net, including header-size accounting for the timing models.
+//!
+//! The 8-word command image the processor stores into the send queue is
+//! not built: its cost, the paper's "8 store instructions" (§4.1), is one
+//! timing constant in each engine (`HwParams::issue_time` in the
+//! emulator, `ModelParams::put_prolog` in MLSim).
 
 pub mod dma;
-pub mod encode;
 pub mod message;
 pub mod payload;
 pub mod queue;
 pub mod stride;
 
-pub use encode::{checksum, decode, encodable, encode, DecodeError};
-pub use message::{Command, GetArgs, Packet, PutArgs, HEADER_BYTES, MAX_DMA_BYTES};
+pub use message::{GetArgs, Packet, PutArgs, HEADER_BYTES, MAX_DMA_BYTES};
 pub use payload::Payload;
 pub use queue::{HwQueue, PushOutcome, QueueStats};
 pub use stride::StrideSpec;

@@ -1,10 +1,10 @@
-//! Command and packet formats.
+//! PUT/GET arguments and packet formats.
 //!
-//! A [`Command`] is what the processor writes into the MSC+ send queue —
-//! eight 4-byte parameter words per PUT/GET (§4.1), which is why issuing
-//! one costs only eight store instructions. A [`Packet`] is what the send
-//! controller injects into the T-net, and what the receive controller
-//! parses on the other side.
+//! [`PutArgs`] and [`GetArgs`] are the §3.1 argument lists the processor
+//! writes into the MSC+ send queue as eight 4-byte parameter words (§4.1),
+//! which is why issuing one costs only eight store instructions. A
+//! [`Packet`] is what the send controller injects into the T-net, and what
+//! the receive controller parses on the other side.
 
 use crate::payload::Payload;
 use crate::stride::StrideSpec;
@@ -138,25 +138,6 @@ fn validate_pair(send: StrideSpec, recv: StrideSpec) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// A command in the MSC+ send queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Command {
-    /// One-sided write.
-    Put(PutArgs),
-    /// One-sided read request.
-    Get(GetArgs),
-}
-
-impl Command {
-    /// The destination cell the command's first packet travels to.
-    pub fn dst(&self) -> CellId {
-        match self {
-            Command::Put(p) => p.dst,
-            Command::Get(g) => g.src_cell,
-        }
-    }
 }
 
 /// A packet travelling on the T-net or B-net.
@@ -462,11 +443,5 @@ mod tests {
             reply_flag: VAddr::NULL,
         };
         assert_eq!(req.wire_bytes(), HEADER_BYTES);
-    }
-
-    #[test]
-    fn command_dst_routes_correctly() {
-        let c = Command::Put(put(StrideSpec::contiguous(4), StrideSpec::contiguous(4)));
-        assert_eq!(c.dst(), CellId::new(1));
     }
 }

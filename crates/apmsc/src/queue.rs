@@ -18,9 +18,6 @@ use std::collections::VecDeque;
 
 /// Words of on-chip RAM per queue (§4.1).
 pub const QUEUE_RAM_WORDS: usize = 64;
-/// Words per PUT/GET command (§4.1: "PUT/GET operations require 8-word
-/// parameters").
-pub const COMMAND_WORDS: usize = 8;
 
 /// Where a pushed entry landed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -34,17 +34,6 @@ pub struct TNetParams {
     pub per_byte: SimTime,
 }
 
-impl TNetParams {
-    /// Minimum latency of any packet that crosses at least one torus link:
-    /// one prolog plus one hop, with zero payload bytes — no event
-    /// injected at time `t` on one cell can affect another before
-    /// `t + min_crossing_latency()`. The kernel sizes its wake-delivery
-    /// window in units of it (DESIGN.md §10).
-    pub fn min_crossing_latency(&self) -> SimTime {
-        self.prolog + self.per_hop
-    }
-}
-
 impl Default for TNetParams {
     /// The AP1000 hardware numbers: 0.16 µs prolog, 0.16 µs per hop,
     /// 25 MB/s channels.

@@ -150,27 +150,10 @@ impl Hist {
         }
     }
 
-    /// An approximate quantile (`q` in `[0, 1]`) from the bucket counts:
-    /// returns the lower bound of the bucket containing the q-th sample.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.n == 0 {
-            return 0;
-        }
-        let rank = ((self.n as f64 * q).ceil() as u64).clamp(1, self.n);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_lo(i);
-            }
-        }
-        self.max
-    }
-
     /// An interpolated quantile (`q` in `[0, 1]`): finds the bucket
-    /// containing the q-th sample like [`Hist::quantile`], then places the
-    /// sample linearly inside the bucket's `[lo, hi)` range by its rank
-    /// among the bucket's occupants. The result is clamped to the observed
+    /// containing the q-th sample, then places the sample linearly inside
+    /// the bucket's `[lo, hi)` range by its rank among the bucket's
+    /// occupants. The result is clamped to the observed
     /// `[min, max]`, so `p(0.0) == min` and `p(1.0) == max` exactly.
     pub fn p(&self, q: f64) -> f64 {
         if self.n == 0 {
@@ -308,18 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_brackets_samples() {
-        let mut h = Hist::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.0), 1);
-        let med = h.quantile(0.5);
-        assert!((256..=512).contains(&med), "median bucket lo {med}");
-        assert!(h.quantile(1.0) >= 512);
-    }
-
-    #[test]
     fn p_interpolates_within_buckets() {
         let mut h = Hist::new();
         for v in 1..=1000u64 {
@@ -360,7 +331,6 @@ mod tests {
     fn empty_hist_percentiles_are_all_zero() {
         let h = Hist::new();
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0, "quantile({q}) on empty");
             assert_eq!(h.p(q), 0.0, "p({q}) on empty");
         }
         assert_eq!(h.count(), 0);

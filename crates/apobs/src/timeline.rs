@@ -47,12 +47,4 @@ impl Timeline {
         self.events
             .sort_by_key(|e| (e.cell, e.unit, e.start, e.end()));
     }
-
-    /// Events of one `(cell, unit)` track, in stored order.
-    pub fn track(&self, cell: u32, unit: crate::event::Unit) -> Vec<&TimelineEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.cell == cell && e.unit == unit)
-            .collect()
-    }
 }

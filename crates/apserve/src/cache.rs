@@ -229,18 +229,6 @@ impl ResultCache {
         self.enforce_disk_budget();
         Ok(())
     }
-
-    /// Deletes any partial or complete disk entry for `key` (used when a
-    /// job is abandoned mid-flight; write_atomic means this is usually a
-    /// no-op, but it keeps "no partial entries" an invariant, not a hope).
-    pub fn forget_disk(&mut self, key: u64) {
-        if self.disk_sizes.remove(&key).is_some() {
-            self.disk_order.retain(|&k| k != key);
-        }
-        if let Some(path) = self.disk_path(key) {
-            let _ = std::fs::remove_file(path);
-        }
-    }
 }
 
 /// Validates and unwraps one on-disk envelope; `None` means "treat as
@@ -380,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_hits_refresh_recency_and_forget_removes_files() {
+    fn disk_hits_refresh_recency() {
         let dir = tmpdir("touch");
         let mut c = ResultCache::new(1, Some(dir.clone()), Some(2500));
         c.put(1, "{}", &big('a')).unwrap();
@@ -391,10 +379,6 @@ mod tests {
         c.put(3, "{}", &big('c')).unwrap(); // evicts 2, not the touched 1
         assert!(dir.join(format!("{}.json", key_hex(1))).exists());
         assert!(!dir.join(format!("{}.json", key_hex(2))).exists());
-
-        c.forget_disk(3);
-        assert!(!dir.join(format!("{}.json", key_hex(3))).exists());
-        assert_eq!(c.disk_entries(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,11 +1,10 @@
 //! The `ap1000plus.evtrace` compact binary trace store (format v2).
 //!
-//! The JSON codecs ([`crate::json`], `apobs::chrome_trace`) are the right
-//! interchange format for small machines, but at the 1024-cell paper
-//! scale a timeline runs to millions of events and the textual forms are
-//! an order of magnitude larger than the information they carry. This
-//! module defines the binary on-disk format the record/replay subsystem
-//! stores runs in:
+//! Chrome-trace JSON (`apobs::chrome_trace`) is the right interchange
+//! format for small machines, but at the 1024-cell paper scale a timeline
+//! runs to millions of events and the textual form is an order of
+//! magnitude larger than the information it carries. This module defines
+//! the binary on-disk format the record/replay subsystem stores runs in:
 //!
 //! * a **magic + version** prefix so stale readers fail loudly,
 //! * a **header** section naming the machine size and workload,
@@ -702,12 +701,7 @@ fn check_trailer(trailer: &[u8], pos: usize, index_at: usize) -> Result<(), EvEr
 }
 
 /// Parses the v2 footer and seek index without touching the rest of the
-/// file: trailer → index section → summary → end marker. Also the
-/// public entry point for tools that only want the section map.
-pub fn read_index(bytes: &[u8]) -> Result<Vec<EvIndexEntry>, EvError> {
-    read_footer(bytes).map(|(entries, _)| entries)
-}
-
+/// file: trailer → index section → summary → end marker.
 fn read_footer(bytes: &[u8]) -> Result<(Vec<EvIndexEntry>, EvSummary), EvError> {
     check_magic(bytes)?;
     if bytes.len() < MAGIC.len() + 1 + TRAILER_LEN {
@@ -813,7 +807,17 @@ fn decode_events(r: &mut Reader<'_>) -> Result<Vec<TimelineEvent>, EvError> {
         })?;
         prev_start = start as i64;
         let dur = if flags & 0x40 != 0 {
-            Some(SimTime::from_nanos(r.varint("event duration")?))
+            let dur = r.varint("event duration")?;
+            // Every reader computes an event's end. No recorder can write
+            // one whose end overflows: its own `SimTime` addition would
+            // panic first.
+            if start.checked_add(dur).is_none() {
+                return Err(EvError::Corrupt {
+                    at,
+                    what: format!("event start {start} ns + duration {dur} ns overflows"),
+                });
+            }
+            Some(SimTime::from_nanos(dur))
         } else {
             None
         };
@@ -1393,6 +1397,10 @@ pub fn encode(doc: &EvTrace) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    fn read_index(bytes: &[u8]) -> Result<Vec<EvIndexEntry>, EvError> {
+        read_footer(bytes).map(|(entries, _)| entries)
+    }
+
     fn ev(
         cell: u32,
         unit: Unit,
@@ -1535,6 +1543,26 @@ mod tests {
         assert_eq!(doc.streams[0].label, "live");
         assert_eq!(doc.streams[0].events.len(), 2);
         assert_eq!(doc.summary.events, 2);
+    }
+
+    #[test]
+    fn an_event_ending_past_u64_max_is_corrupt_at_its_offset() {
+        let mut out = Vec::new();
+        let mut w = StreamWriter::new(&mut out, "<mem>", &EvHeader::new(1, "x", "test"));
+        let late = ev(0, Unit::SendDma, "send_dma", 10, Some(u64::MAX - 5));
+        w.write_events("emulator", &[late]);
+        w.finish(15).unwrap();
+        // The event follows the section tag and its label "emulator".
+        let event_at = read_index(&out).unwrap()[0].offset as usize + 1 + 1 + 8;
+        for err in [
+            EvTrace::decode(&out).unwrap_err(),
+            EvTrace::decode_at(&out, 15).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, EvError::Corrupt { at, what } if *at == event_at && what.contains("overflows")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1974,33 +2002,6 @@ mod proptests {
             let bytes = encode(&doc);
             let back = EvTrace::decode(&bytes).unwrap();
             prop_assert_eq!(back, doc);
-        }
-
-        /// The binary ops section and the JSON codec agree: the same
-        /// random trace round-trips identically through both, so the two
-        /// interchange formats can never drift apart silently.
-        #[test]
-        fn ops_agree_with_json_codec(
-            pes in proptest::collection::vec(
-                proptest::collection::vec(arb_op(), 0..12),
-                1..6,
-            )
-        ) {
-            let mut t = Trace::new(pes.len());
-            for (i, ops) in pes.into_iter().enumerate() {
-                for op in ops {
-                    t.pe_mut(CellId::new(i as u32)).push(op);
-                }
-            }
-            let doc = EvTrace {
-                header: EvHeader::new(t.ncells() as u32, "x", "test"),
-                ops: Some(t.clone()),
-                ..EvTrace::default()
-            };
-            let via_binary = EvTrace::decode(&encode(&doc)).unwrap().ops.unwrap();
-            let via_json = Trace::from_json_str(&t.to_json_string()).unwrap();
-            prop_assert_eq!(&via_binary, &via_json);
-            prop_assert_eq!(&via_binary, &t);
         }
 
         /// Every truncation of a valid file is a structured error.

@@ -10,13 +10,11 @@
 //! message size).
 
 pub mod evtrace;
-pub mod json;
 pub mod op;
 pub mod stats;
 
 pub use evtrace::{
-    read_index, CounterTicks, EvError, EvHeader, EvIndexEntry, EvStream, EvSummary, EvTrace,
-    StreamWriter,
+    CounterTicks, EvError, EvHeader, EvIndexEntry, EvStream, EvSummary, EvTrace, StreamWriter,
 };
 pub use op::{Op, OpCounts, PeTrace, Trace};
 pub use stats::{AppStats, StatsRow};

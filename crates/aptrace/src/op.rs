@@ -133,23 +133,6 @@ pub enum Op {
     MarkGopVector,
 }
 
-impl Op {
-    /// `true` for ops that can block on another cell's progress.
-    pub fn is_blocking(&self) -> bool {
-        matches!(
-            self,
-            Op::Send { .. }
-                | Op::Recv { .. }
-                | Op::WaitFlag { .. }
-                | Op::Barrier
-                | Op::Bcast { .. }
-                | Op::RegLoad { .. }
-                | Op::RemoteLoad { .. }
-                | Op::RemoteFence
-        )
-    }
-}
-
 /// The recorded operation sequence of one cell.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PeTrace {
@@ -292,23 +275,6 @@ pub struct OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocking_classification() {
-        assert!(Op::Barrier.is_blocking());
-        assert!(Op::RegLoad { reg: 0 }.is_blocking());
-        assert!(Op::WaitFlag { flag: 1, target: 1 }.is_blocking());
-        assert!(!Op::Work { flops: 1 }.is_blocking());
-        assert!(!Op::Put {
-            dst: CellId::new(0),
-            bytes: 8,
-            stride: false,
-            ack: false,
-            send_flag: 0,
-            recv_flag: 0
-        }
-        .is_blocking());
-    }
 
     #[test]
     fn trace_indexing() {

@@ -21,9 +21,6 @@ use core::fmt;
 pub struct CellId(u32);
 
 impl CellId {
-    /// Cell 0, conventionally the "root" for reductions and broadcasts.
-    pub const ROOT: CellId = CellId(0);
-
     /// Creates a cell ID from a dense index.
     #[inline]
     pub const fn new(index: u32) -> Self {
@@ -62,7 +59,6 @@ mod tests {
     #[test]
     fn ordering_follows_index() {
         assert!(CellId::new(1) < CellId::new(2));
-        assert_eq!(CellId::ROOT, CellId::new(0));
     }
 
     #[test]

@@ -734,10 +734,8 @@ fn tracecat_stats(args: &Args) -> Result<i32, CliError> {
     let st = record::trace_stats(&doc, bytes);
     println!("binary: {} bytes ({} events)", st.binary_bytes, st.events);
     println!(
-        "json equivalent: {} bytes (timeline {} + ops {})",
-        st.json_bytes(),
-        st.json_timeline_bytes,
-        st.json_ops_bytes
+        "json equivalent: {} bytes (Chrome-trace timeline)",
+        st.json_bytes
     );
     println!("ratio: {:.1}x", st.ratio());
     if let Some(min) = min_ratio.filter(|&min| st.ratio() < min) {

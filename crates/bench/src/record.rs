@@ -603,30 +603,22 @@ pub fn remodel_text(rows: &[ExperimentRow]) -> String {
 // Inspection (`tracecat`).
 // ---------------------------------------------------------------------------
 
-/// Size accounting for `tracecat stats`: the binary recording vs the
-/// same data serialized the pre-binary way (Chrome-trace JSON for the
-/// timeline, the versioned JSON op codec for the probe trace).
+/// Size accounting for `tracecat stats`: the binary recording vs its
+/// timeline serialized the pre-binary way, as Chrome-trace JSON.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceStats {
     /// Bytes of the binary `.evtrace` file.
     pub binary_bytes: u64,
     /// Bytes of the equivalent Chrome-trace JSON timeline.
-    pub json_timeline_bytes: u64,
-    /// Bytes of the equivalent JSON op-trace document (0 if no ops).
-    pub json_ops_bytes: u64,
+    pub json_bytes: u64,
     /// Events across all streams.
     pub events: u64,
 }
 
 impl TraceStats {
-    /// Total JSON-equivalent size.
-    pub fn json_bytes(&self) -> u64 {
-        self.json_timeline_bytes + self.json_ops_bytes
-    }
-
     /// Compression ratio (JSON bytes per binary byte).
     pub fn ratio(&self) -> f64 {
-        self.json_bytes() as f64 / self.binary_bytes.max(1) as f64
+        self.json_bytes as f64 / self.binary_bytes.max(1) as f64
     }
 }
 
@@ -643,20 +635,15 @@ impl Write for CountWriter {
     }
 }
 
-/// Measures a decoded trace against its JSON-equivalent serializations
-/// without materializing them (`binary_bytes` comes from the file).
+/// Measures a decoded trace against its Chrome-trace JSON timeline
+/// without materializing it (`binary_bytes` comes from the file).
 pub fn trace_stats(doc: &EvTrace, binary_bytes: u64) -> TraceStats {
     let tl = Timeline::from_events(doc.header.app.clone(), doc.all_events());
     let mut cw = CountWriter(0);
     apobs::stream_chrome_trace(&mut cw, &[&tl], &[]).expect("counting writer cannot fail");
-    let json_ops_bytes = doc
-        .ops
-        .as_ref()
-        .map_or(0, |t| t.to_json_string().len() as u64);
     TraceStats {
         binary_bytes,
-        json_timeline_bytes: cw.0,
-        json_ops_bytes,
+        json_bytes: cw.0,
         events: doc.streams.iter().map(|s| s.events.len() as u64).sum(),
     }
 }
@@ -875,7 +862,7 @@ mod tests {
             st.ratio() >= 5.0,
             "binary must be >=5x smaller than JSON, got {:.1}x ({} vs {} bytes)",
             st.ratio(),
-            st.json_bytes(),
+            st.json_bytes,
             st.binary_bytes
         );
         assert!(header_text(&doc).contains("ap1000plus.evtrace v2"));

@@ -45,17 +45,6 @@ pub struct RunReport<T> {
     pub metrics: Option<Box<apmon::RunMetrics>>,
 }
 
-impl<T> RunReport<T> {
-    /// Mean of a bucket across cells, as a fraction of total time.
-    pub fn mean_fraction(&self, f: impl Fn(&CellTimes) -> SimTime) -> f64 {
-        if self.times.is_empty() || self.total_time == SimTime::ZERO {
-            return 0.0;
-        }
-        let sum: u128 = self.times.iter().map(|t| f(t).as_nanos() as u128).sum();
-        sum as f64 / (self.times.len() as f64 * self.total_time.as_nanos() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,19 +140,9 @@ impl Cell {
         self.id.index()
     }
 
-    /// This cell's [`CellId`].
-    pub fn cell_id(&self) -> CellId {
-        self.id
-    }
-
     /// Number of cells in the machine.
     pub fn ncells(&self) -> usize {
         self.ncells as usize
-    }
-
-    /// `true` on cell 0.
-    pub fn is_root(&self) -> bool {
-        self.id == CellId::ROOT
     }
 
     // ---- memory (data plane) ---------------------------------------------
@@ -678,15 +668,9 @@ impl Cell {
         xs.copy_from_slice(&total);
     }
 
-    /// Records a scalar global-operation marker (Table 3 "Gop") for
-    /// collectives built directly on the primitives; the built-in
-    /// [`Cell::reduce_f64`] family marks automatically.
-    pub fn mark_gop_scalar(&mut self) {
-        self.post(Request::Mark(Mark::GopScalar));
-    }
-
-    /// Records a vector global-operation marker (Table 3 "V Gop"); see
-    /// [`Cell::mark_gop_scalar`].
+    /// Records a vector global-operation marker (Table 3 "V Gop") for a
+    /// vector collective built directly on the primitives; the built-in
+    /// reductions mark automatically.
     pub fn mark_gop_vector(&mut self) {
         self.post(Request::Mark(Mark::GopVector));
     }

@@ -19,7 +19,7 @@ static METRICS_INTERVAL_DEFAULT_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Sets the sampled-metrics interval [`MachineConfig::new`] starts from
 /// (`None` turns sampling off). Retained for the frozen benchmark only:
-/// in-repo code sets [`MachineConfig::with_metrics_interval`] instead.
+/// in-repo code sets the [`MachineConfig::metrics_interval`] field instead.
 pub fn set_metrics_default(interval: Option<SimTime>) {
     METRICS_INTERVAL_DEFAULT_NS.store(
         interval.map_or(0, |t| t.as_nanos().max(1)),
@@ -217,12 +217,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the hardware parameters.
-    pub fn with_hw(mut self, hw: HwParams) -> Self {
-        self.hw = hw;
-        self
-    }
-
     /// Sets the T-net contention model.
     pub fn with_contention(mut self, c: Contention) -> Self {
         self.contention = c;
@@ -244,12 +238,6 @@ impl MachineConfig {
             (true, TimelineMode::Off) => self.timeline = TimelineMode::Full,
             (true, _) => {}
         }
-        self
-    }
-
-    /// Sets the sampled-metrics interval (`None` disables sampling).
-    pub fn with_metrics_interval(mut self, interval: Option<SimTime>) -> Self {
-        self.metrics_interval = interval;
         self
     }
 
@@ -312,10 +300,12 @@ mod tests {
 
     #[test]
     fn with_cells_keeps_every_option() {
-        let proto = MachineConfig::new(1)
-            .with_trace(false)
-            .with_metrics_interval(Some(SimTime::from_micros(50)))
-            .with_flight_recorder(NonZeroUsize::new(8));
+        let proto = MachineConfig {
+            metrics_interval: Some(SimTime::from_micros(50)),
+            ..MachineConfig::new(1)
+                .with_trace(false)
+                .with_flight_recorder(NonZeroUsize::new(8))
+        };
         let cfg = proto.with_cells(4096);
         assert_eq!(cfg.ncells, 4096);
         assert!(!cfg.record_trace);
@@ -359,11 +349,5 @@ mod tests {
             ring.with_timeline(false).timeline,
             TimelineMode::Off
         ));
-    }
-
-    #[test]
-    fn metrics_interval_builder() {
-        let cfg = MachineConfig::new(4).with_metrics_interval(Some(SimTime::from_micros_f64(10.0)));
-        assert_eq!(cfg.metrics_interval, Some(SimTime::from_micros_f64(10.0)));
     }
 }

@@ -704,7 +704,10 @@ fn queue_refill_interrupts_cost_time() {
             ..apcore::HwParams::default()
         };
         let r = run(
-            MachineConfig::new(2).with_hw(hw).with_trace(false),
+            MachineConfig {
+                hw,
+                ..MachineConfig::new(2).with_trace(false)
+            },
             None,
             async |cell| {
                 let n_msgs = 64u64;

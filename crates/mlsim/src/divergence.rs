@@ -150,23 +150,6 @@ pub fn divergence(
     }
 }
 
-/// Samples both timelines into `apmon` gauge series at `interval` — the
-/// time-resolved counterpart of [`divergence`]'s per-op totals. The two
-/// series are tick-aligned (cumulative events, send/recv-DMA busy
-/// populations), so a model's disagreement can be located *in time*
-/// rather than only by op class. Both use the emulator's deterministic
-/// sampling rule, so the pair is byte-stable across runs.
-pub fn sampled_divergence(
-    emulator: &Timeline,
-    model: &Timeline,
-    interval: SimTime,
-) -> (apmon::MetricsSeries, apmon::MetricsSeries) {
-    (
-        apmon::MetricsSeries::from_timeline(emulator, interval),
-        apmon::MetricsSeries::from_timeline(model, interval),
-    )
-}
-
 impl DivergenceReport {
     /// model / emulator run-length ratio.
     pub fn total_ratio(&self) -> f64 {
@@ -310,26 +293,6 @@ mod tests {
             arg: 0,
             tid: 0,
         });
-    }
-
-    #[test]
-    fn sampled_divergence_pairs_tick_aligned_series() {
-        let mut emu = Timeline::new("emulator");
-        span(&mut emu, 0, "work", 0, 1000);
-        let mut model = Timeline::new("mlsim/ap1000+");
-        span(&mut model, 0, "work", 0, 2000);
-        let (a, b) = sampled_divergence(&emu, &model, SimTime::from_nanos(500));
-        assert_eq!(a.interval, b.interval);
-        // The model's run is twice as long, so its series has more ticks.
-        assert!(
-            b.samples.len() > a.samples.len(),
-            "{} vs {}",
-            b.samples.len(),
-            a.samples.len()
-        );
-        // Both count the one event as handled by their second tick.
-        assert_eq!(a.samples[1].events, 1);
-        assert_eq!(b.samples[1].events, 1);
     }
 
     #[test]

@@ -50,9 +50,7 @@ pub mod remodel;
 pub mod replay;
 pub mod report;
 
-pub use divergence::{
-    divergence, sampled_divergence, DivergenceReport, DivergenceRow, SegmentDelta,
-};
+pub use divergence::{divergence, DivergenceReport, DivergenceRow, SegmentDelta};
 pub use params::ModelParams;
 pub use remodel::{factor_grid, remodel, RemodelPoint};
 pub use replay::{replay, replay_observed, PeBreakdown, ReplayError, ReplayResult};

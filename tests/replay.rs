@@ -19,7 +19,7 @@
 //!    missing or extra event fails strict replay — at any machine size —
 //!    with a two-sided context window naming the index.
 //! 3. **Format economy** — the binary recording stays ≥5× smaller than
-//!    the equivalent JSON serializations (`tracecat stats` pins the same
+//!    its Chrome-trace JSON timeline (`tracecat stats` pins the same
 //!    ratio in CI).
 //! 4. **Isolation** — a recording owns its writer, so recordings running
 //!    side by side write exactly the bytes they write alone. Nothing
@@ -404,6 +404,49 @@ fn remodel_rejects_an_astronomic_operand() {
     std::fs::write(&path, aptrace::evtrace::encode(&doc)).expect("write the crafted trace");
     let argv = ["remodel".to_string(), path.display().to_string()];
     assert_eq!(apbench::cli::REPRO.main(&argv), 1);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An event whose `start + dur` passes `u64::MAX` ns cannot be timed: the
+/// reader rejects it as corrupt — on the full decode and on the seek fast
+/// path — so `repro replay --at`, strict `repro replay` and `tracecat
+/// stats` exit 1 instead of panicking in `TimelineEvent::end` (exit 101).
+#[test]
+fn an_event_ending_past_the_end_of_time_is_corrupt_not_a_panic() {
+    let late = apobs::TimelineEvent {
+        cell: 0,
+        unit: apobs::Unit::SendDma,
+        name: "send_dma",
+        start: aputil::SimTime::from_nanos(10),
+        dur: Some(aputil::SimTime::from_nanos(u64::MAX - 5)),
+        bucket: apobs::Bucket::Hw,
+        arg: 0,
+        tid: 0,
+    };
+    let mut bytes = Vec::new();
+    let header = aptrace::EvHeader::new(1, "CG", "test");
+    let mut w = aptrace::StreamWriter::new(&mut bytes, "<mem>", &header);
+    w.write_events("emulator", &[late]);
+    w.finish(15).expect("the writer takes the event");
+    let corrupt = |err: EvError| {
+        assert!(
+            matches!(&err, EvError::Corrupt { what, .. } if what.contains("overflows")),
+            "{err:?}"
+        );
+    };
+    corrupt(EvTrace::decode(&bytes).expect_err("decode"));
+    corrupt(EvTrace::decode_at(&bytes, 15).expect_err("decode_at"));
+
+    let path = tmp("end-of-time.evtrace");
+    std::fs::write(&path, &bytes).expect("write the crafted trace");
+    let file = path.display().to_string();
+    let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    assert_eq!(
+        apbench::cli::REPRO.main(&argv(&["replay", &file, "--at", "15"])),
+        1
+    );
+    assert_eq!(apbench::cli::REPRO.main(&argv(&["replay", &file])), 1);
+    assert_eq!(apbench::cli::TRACECAT.main(&argv(&["stats", &file])), 1);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -29,7 +29,10 @@ fn sweep_cfg(threads: usize) -> SweepConfig {
         sizes: vec![None],
         factors: vec![1.0],
         threads,
-        machine: MachineConfig::new(1).with_metrics_interval(Some(SimTime::from_micros(10))),
+        machine: MachineConfig {
+            metrics_interval: Some(SimTime::from_micros(10)),
+            ..MachineConfig::new(1)
+        },
     }
 }
 
@@ -85,9 +88,10 @@ fn huge_machines_refuse_unbounded_timeline_but_accept_the_flight_recorder() {
     // recorded tail small, and the sampled metrics carry torus heatmaps.
     let cells = 1156u32; // 34x34 torus, just past the hardware limit
     let r = run_with(
-        MachineConfig::new(cells)
-            .with_flight_recorder(NonZeroUsize::new(64))
-            .with_metrics_interval(Some(SimTime::from_micros(1))),
+        MachineConfig {
+            metrics_interval: Some(SimTime::from_micros(1)),
+            ..MachineConfig::new(cells).with_flight_recorder(NonZeroUsize::new(64))
+        },
         |cell| {
             let peer = (cell.id() + 1) % cell.ncells();
             let a = cell.alloc::<u64>(8);
@@ -127,7 +131,10 @@ fn sampled_metrics_overhead_is_bounded() {
     let time = |metrics: Option<SimTime>| {
         let runs = (0..3).map(|_| {
             let w = apbench::sweep::build_workload("CG", scale, None).unwrap();
-            let machine = MachineConfig::new(w.pe()).with_metrics_interval(metrics);
+            let machine = MachineConfig {
+                metrics_interval: metrics,
+                ..MachineConfig::new(w.pe())
+            };
             let t0 = std::time::Instant::now();
             let report = w.run_on(machine, None).expect("CG run");
             (t0.elapsed(), report)
