@@ -5,6 +5,7 @@ use crate::heatmap::Heatmap;
 use crate::hostprof::HostProf;
 use crate::series::MetricsSeries;
 use aputil::{Json, SimTime};
+use std::io::Write;
 use std::path::Path;
 
 /// Schema identifier stamped into every metrics artifact.
@@ -108,9 +109,11 @@ pub fn check_metrics_schema(doc: &Json) -> Result<(), String> {
 
 /// Writes one or more labeled runs as a single versioned document:
 /// `{schema, version, runs: [{name, ...RunMetrics}]}`. Host fields are
-/// stripped (the artifact is a byte-reproducibility surface).
+/// stripped (the artifact is a byte-reproducibility surface). The file is
+/// whole or absent: a failed write leaves `path` as it was.
 pub fn write_metrics_report(path: &Path, runs: &[(String, &RunMetrics)]) -> std::io::Result<()> {
-    std::fs::write(path, metrics_report(runs).to_string())
+    let doc = metrics_report(runs).to_string();
+    aputil::write_replacing(path, |w| w.write_all(doc.as_bytes()))
 }
 
 /// The document [`write_metrics_report`] serializes.

@@ -185,7 +185,8 @@ pub fn stream_chrome_trace<W: Write>(
     w.write_all(b"],\"displayTimeUnit\":\"ms\"}")
 }
 
-/// Writes the Chrome trace for `timelines` to `path` (streaming).
+/// Writes the Chrome trace for `timelines` to `path` (streaming). The
+/// file is whole or absent: a failed write leaves `path` as it was.
 pub fn write_chrome_trace(path: &Path, timelines: &[&Timeline]) -> std::io::Result<()> {
     write_chrome_trace_with(path, timelines, &[])
 }
@@ -197,9 +198,7 @@ pub fn write_chrome_trace_with(
     timelines: &[&Timeline],
     extra: &[Json],
 ) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    stream_chrome_trace(&mut f, timelines, extra)?;
-    f.flush()
+    aputil::write_replacing(path, |w| stream_chrome_trace(w, timelines, extra))
 }
 
 #[cfg(test)]

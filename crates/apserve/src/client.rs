@@ -62,21 +62,12 @@ fn read_response(stream: TcpStream) -> Result<HttpResponse, String> {
             headers.push((name, value));
         }
     }
-    let body = match content_length {
-        Some(n) => {
-            let mut body = vec![0u8; n];
-            r.read_exact(&mut body)
-                .map_err(|e| format!("read body: {e}"))?;
-            body
-        }
-        None => {
-            // Streamed response: read to connection close.
-            let mut body = Vec::new();
-            r.read_to_end(&mut body)
-                .map_err(|e| format!("read stream: {e}"))?;
-            body
-        }
-    };
+    // Every server answer is length-delimited; a body that only the
+    // connection close would end is a protocol error.
+    let n = content_length.ok_or("response without a Content-Length")?;
+    let mut body = vec![0u8; n];
+    r.read_exact(&mut body)
+        .map_err(|e| format!("read body: {e}"))?;
     Ok(HttpResponse {
         status,
         headers,
@@ -84,16 +75,11 @@ fn read_response(stream: TcpStream) -> Result<HttpResponse, String> {
     })
 }
 
-/// Connects and writes one request. A write error is handed back next
-/// to the stream instead of ending the exchange: a server that rejects
-/// a request early (413) answers and closes before the body is fully
-/// sent, and the caller should still read that answer.
-fn send_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> Result<(TcpStream, Result<(), String>), String> {
+/// One request/response exchange (the server closes after each). A
+/// write error does not end the exchange: a server that rejects a request
+/// early (413) answers and closes before the body is fully sent, so a
+/// parsed response wins over a write error.
+pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .set_read_timeout(Some(CLIENT_TIMEOUT))
@@ -112,13 +98,6 @@ fn send_request(
             .write_all(body)
             .map_err(|e| format!("write body: {e}"))
     });
-    Ok((stream, sent))
-}
-
-/// One request/response exchange (the server closes after each). A
-/// parsed response wins over a write error.
-pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
-    let (stream, sent) = send_request(addr, method, path, body)?;
     read_response(stream).map_err(|read_err| sent.err().unwrap_or(read_err))
 }
 
@@ -161,53 +140,4 @@ pub fn submit_with_retry(
         on_retry(attempt, delay_ms);
         std::thread::sleep(Duration::from_millis(delay_ms));
     }
-}
-
-/// `POST /submit` for a streaming job: invokes `on_line` for every
-/// NDJSON line as it arrives (progress lines first, the report last)
-/// and returns the final line.
-pub fn submit_stream(
-    addr: &str,
-    job_json: &str,
-    mut on_line: impl FnMut(&str),
-) -> Result<String, String> {
-    let (stream, sent) = send_request(addr, "POST", "/submit", job_json.as_bytes())?;
-    let mut r = BufReader::new(stream);
-    // Skip the status line and headers.
-    let mut status = String::new();
-    let got = r.read_line(&mut status).map_err(|e| e.to_string());
-    if let Err(write_err) = sent {
-        if !matches!(got, Ok(n) if n > 0) {
-            return Err(write_err);
-        }
-    }
-    got?;
-    if !status.contains("200") {
-        return Err(format!("stream refused: {}", status.trim_end()));
-    }
-    loop {
-        let mut line = String::new();
-        r.read_line(&mut line).map_err(|e| e.to_string())?;
-        if line.trim_end().is_empty() {
-            break;
-        }
-    }
-    let mut last = String::new();
-    loop {
-        let mut line = String::new();
-        let n = r.read_line(&mut line).map_err(|e| e.to_string())?;
-        if n == 0 {
-            break;
-        }
-        let line = line.trim_end().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        on_line(&line);
-        last = line;
-    }
-    if last.is_empty() {
-        return Err("stream ended with no report line".to_string());
-    }
-    Ok(last)
 }

@@ -148,13 +148,15 @@ pub fn read_request(r: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
     Ok(req)
 }
 
-/// A response about to be written. `Connection: close` is implied.
+/// A JSON response about to be written. `Content-Type:
+/// application/json` and `Connection: close` are implied, and
+/// `Content-Length` is the body's: every answer the server gives is
+/// length-delimited.
 #[derive(Clone, Debug)]
 pub struct Response {
     pub status: u16,
     /// Extra headers beyond `Content-Type`/`Content-Length`/`Connection`.
     pub headers: Vec<(String, String)>,
-    pub content_type: &'static str,
     pub body: Vec<u8>,
 }
 
@@ -164,7 +166,6 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/json",
             body: body.into(),
         }
     }
@@ -191,10 +192,9 @@ pub fn reason(status: u16) -> &'static str {
 pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
     write!(
         w,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
         reason(resp.status),
-        resp.content_type,
         resp.body.len()
     )?;
     for (k, v) in &resp.headers {
@@ -202,21 +202,6 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()
     }
     w.write_all(b"\r\n")?;
     w.write_all(&resp.body)?;
-    w.flush()
-}
-
-/// Writes the header block of a streamed (NDJSON, no `Content-Length`)
-/// response; the caller then writes newline-terminated lines and relies
-/// on `Connection: close` to delimit the body.
-pub fn write_stream_header(w: &mut impl Write, extra: &[(String, String)]) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n"
-    )?;
-    for (k, v) in extra {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    w.write_all(b"\r\n")?;
     w.flush()
 }
 

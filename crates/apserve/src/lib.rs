@@ -2,10 +2,10 @@
 //!
 //! A long-running job server that turns the workspace's deterministic
 //! simulators into a shared service: clients `POST /submit` small JSON
-//! job documents (bench suites, sweep grids, fault campaigns, trace
-//! remodels) and get back the same versioned report documents the CLI
-//! tools write — except that identical requests are answered from a
-//! **content-addressed result cache** instead of being re-simulated.
+//! job documents (bench grids, fault campaigns, trace remodels) and get
+//! back the same versioned report documents the CLI tools write — except
+//! that identical requests are answered from a **content-addressed
+//! result cache** instead of being re-simulated.
 //!
 //! The design leans entirely on a property the rest of the workspace
 //! already pays for: reports are byte-reproducible (deterministic
@@ -26,7 +26,8 @@
 //!   processes, wall-clock deadlines, rlimit ceilings, and the
 //!   stdin/stdout result-envelope protocol for `repro job-exec`;
 //! - [`server`]: accept loop and routing (`/healthz`, `/stats`,
-//!   `/submit`, `/shutdown`), with NDJSON progress streaming;
+//!   `/submit`, `/shutdown`); every answer is one `Content-Length`
+//!   response whose status says whether the job failed;
 //! - [`client`]: the blocking client used by `repro submit` and CI.
 //!
 //! The crate is simulator-agnostic: the binary that owns the workloads
@@ -47,7 +48,5 @@ pub use client::HttpResponse;
 pub use http::{HttpError, HttpRequest, Response, MAX_BODY_BYTES};
 pub use request::{parse_request, CanonRequest, Kind, RequestError};
 pub use server::{serve, ServerHandle};
-pub use service::{
-    sleep_report, ClientGone, Config, Executor, JobError, Service, Stats, Submission,
-};
+pub use service::{run_sleep, Config, Executor, JobError, Service, Stats, Submission};
 pub use worker::{result_envelope, SandboxConfig};

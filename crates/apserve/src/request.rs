@@ -16,11 +16,9 @@ use aputil::{fnv1a_64, Json, JsonErrorKind};
 /// What a request asks the simulator to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
-    /// One suite-style run over `apps` (a sweep with default sizes and
-    /// factors), reported as a versioned `ap1000plus.bench` document.
+    /// An `apps` × `sizes` × `factors` grid (one point per app with the
+    /// defaults), reported as a versioned `ap1000plus.bench` document.
     Bench,
-    /// An app × size × factor grid, reported the same way.
-    Sweep,
     /// Apps under a seed-derived survivable fault schedule.
     Fault,
     /// Re-cost a recorded `.evtrace` under a factor grid.
@@ -34,7 +32,6 @@ impl Kind {
     pub fn as_str(&self) -> &'static str {
         match self {
             Kind::Bench => "bench",
-            Kind::Sweep => "sweep",
             Kind::Fault => "fault",
             Kind::Remodel => "remodel",
             Kind::Sleep => "sleep",
@@ -84,8 +81,6 @@ pub struct CanonRequest {
     pub text: String,
     /// `fnv1a_64(text)`: the content address.
     pub key: u64,
-    /// Transport option (progress streaming); never part of the hash.
-    pub stream: bool,
 }
 
 impl CanonRequest {
@@ -102,7 +97,7 @@ impl CanonRequest {
 
 /// Most entries accepted in `apps`/`sizes`/`factors` — bounds the cost
 /// of a single job.
-const MAX_LIST: usize = 16;
+pub(crate) const MAX_LIST: usize = 16;
 /// Largest accepted machine size (the emulator's cell cap).
 const MAX_PE: u64 = 65_536;
 /// Longest accepted sleep, in host-milliseconds.
@@ -258,34 +253,24 @@ pub fn parse_request(body: &[u8]) -> Result<CanonRequest, RequestError> {
     let kind = match doc.get("kind").map(|j| (j, j.as_str())) {
         None => return Err(RequestError::new("kind", "required field is missing")),
         Some((_, Some("bench"))) => Kind::Bench,
-        Some((_, Some("sweep"))) => Kind::Sweep,
         Some((_, Some("fault"))) => Kind::Fault,
         Some((_, Some("remodel"))) => Kind::Remodel,
         Some((_, Some("sleep"))) => Kind::Sleep,
         Some((j, _)) => {
             return Err(RequestError::new(
                 "kind",
-                format!("must be one of bench|sweep|fault|remodel|sleep, got {j}"),
+                format!("must be one of bench|fault|remodel|sleep, got {j}"),
             ))
         }
-    };
-
-    let stream = match doc.get("stream") {
-        None => false,
-        Some(j) => j
-            .as_bool()
-            .ok_or_else(|| RequestError::new("stream", format!("must be a boolean, got {j}")))?,
     };
 
     // Strict field allowlist per kind: a field the job would silently
     // ignore must not silently vary the content address.
     let allowed: &[&str] = match kind {
-        Kind::Bench | Kind::Sweep => {
-            &["kind", "stream", "apps", "scale", "sizes", "factors", "rev"]
-        }
-        Kind::Fault => &["kind", "stream", "apps", "scale", "fault_seed"],
-        Kind::Remodel => &["kind", "stream", "trace", "factors", "rev"],
-        Kind::Sleep => &["kind", "stream", "ms", "crash"],
+        Kind::Bench => &["kind", "apps", "scale", "sizes", "factors", "rev"],
+        Kind::Fault => &["kind", "apps", "scale", "fault_seed"],
+        Kind::Remodel => &["kind", "trace", "factors", "rev"],
+        Kind::Sleep => &["kind", "ms", "crash"],
     };
     for (k, _) in members {
         if !allowed.contains(&k.as_str()) {
@@ -300,7 +285,7 @@ pub fn parse_request(body: &[u8]) -> Result<CanonRequest, RequestError> {
     // re-typed; `canonicalize` then pins the key order.
     let mut canon: Vec<(String, Json)> = vec![("kind".into(), Json::from(kind.as_str()))];
     match kind {
-        Kind::Bench | Kind::Sweep => {
+        Kind::Bench => {
             let apps = match doc.get("apps") {
                 Some(v) => str_list(v, "apps", 32)?,
                 None => vec!["EP".to_string()],
@@ -402,7 +387,6 @@ pub fn parse_request(body: &[u8]) -> Result<CanonRequest, RequestError> {
         canonical,
         text,
         key,
-        stream,
     })
 }
 
@@ -438,18 +422,22 @@ mod tests {
     fn different_jobs_get_different_keys() {
         let a = parse(r#"{"kind":"bench","apps":["EP"]}"#).unwrap();
         let b = parse(r#"{"kind":"bench","apps":["MatMul"]}"#).unwrap();
-        let c = parse(r#"{"kind":"sweep","apps":["EP"]}"#).unwrap();
+        let c = parse(r#"{"kind":"fault","apps":["EP"]}"#).unwrap();
         assert_ne!(a.key, b.key);
         assert_ne!(a.key, c.key);
     }
 
     #[test]
-    fn stream_is_transport_only() {
-        let plain = parse(r#"{"kind":"sleep","ms":5}"#).unwrap();
-        let stream = parse(r#"{"kind":"sleep","ms":5,"stream":true}"#).unwrap();
-        assert!(!plain.stream);
-        assert!(stream.stream);
-        assert_eq!(plain.key, stream.key, "stream must not change the address");
+    fn one_spelling_per_job_and_no_transport_options() {
+        // A grid job is `bench`; there is no second kind for the same
+        // fields, and no field that changes how the answer travels.
+        let e = parse(r#"{"kind":"sweep","apps":["EP"]}"#).unwrap_err();
+        assert_eq!(e.field, "kind");
+        assert!(e.detail.contains("bench|fault|remodel|sleep"), "{e:?}");
+        for kind in ["bench", "fault", "remodel", "sleep"] {
+            let body = format!(r#"{{"kind":"{kind}","stream":true}}"#);
+            assert_eq!(parse(&body).unwrap_err().field, "stream", "{body}");
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The HTTP front end: accept loop, routing, and response shaping over
 //! [`crate::service::Service`].
 //!
-//! Response-shaping rule that the cache-correctness suite pins: cache
-//! status travels in the `X-Cache` header (`miss`, `hit`, `disk-hit`,
-//! `join`), **never** in the body — so a cached response body is
-//! byte-for-byte the cold response body.
+//! Response-shaping rules that the cache-correctness suite pins: every
+//! request gets exactly one response, written by
+//! [`crate::http::write_response`] with a `Content-Length` equal to its
+//! body; and cache status travels in the `X-Cache` header (`miss`, `hit`,
+//! `disk-hit`, `join`), **never** in the body — so a cached response body
+//! is byte-for-byte the cold response body.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,10 +16,7 @@ use std::time::{Duration, Instant};
 
 use aputil::Json;
 
-use crate::http::{
-    read_request, write_response, write_stream_header, HttpError, HttpRequest, Response,
-    MAX_BODY_BYTES,
-};
+use crate::http::{read_request, write_response, HttpError, HttpRequest, Response, MAX_BODY_BYTES};
 use crate::service::{Config, Executor, Service, Stats, Submission};
 
 /// Per-connection socket deadline: a stalled or vanished client cannot
@@ -264,62 +263,17 @@ fn submit(svc: &Service, req: &HttpRequest, w: &mut TcpStream) -> std::io::Resul
         }
     };
     let key = canon.key_hex();
-    let stream = canon.stream;
     match svc.submit(canon) {
         Submission::Done { body, tier } => {
             let status = match tier {
                 crate::cache::CacheTier::Memory => "hit",
                 crate::cache::CacheTier::Disk => "disk-hit",
             };
-            if stream {
-                // A streamed hit has no progress to narrate: the stream
-                // is just the final report line.
-                let extra = vec![
-                    ("X-Cache".to_string(), status.to_string()),
-                    ("X-Key".to_string(), key.clone()),
-                ];
-                write_stream_header(w, &extra)?;
-                w.write_all(&body)?;
-                w.write_all(b"\n")?;
-                w.flush()
-            } else {
-                finish(w, &key, status, Ok(body))
-            }
+            finish(w, &key, status, Ok(body))
         }
         Submission::Pending { job, joined } => {
             let status = if joined { "join" } else { "miss" };
-            if stream {
-                // NDJSON: progress lines as they happen, then the final
-                // report line. Headers go out first so the client sees
-                // the stream start before the job finishes.
-                let extra = vec![
-                    ("X-Cache".to_string(), status.to_string()),
-                    ("X-Key".to_string(), key.clone()),
-                ];
-                write_stream_header(w, &extra)?;
-                let outcome = job.wait_streaming(|line| {
-                    let doc = Json::obj([("progress", Json::from(line))]);
-                    writeln!(w, "{doc}")
-                        .and_then(|()| w.flush())
-                        .map_err(|_| crate::service::ClientGone)
-                });
-                let Ok(outcome) = outcome else {
-                    return Ok(()); // client went away mid-stream
-                };
-                let line = match outcome {
-                    Ok(body) => {
-                        // Reports are compact JSON (single line) by
-                        // construction; stream it as the final record.
-                        String::from_utf8(body)
-                            .unwrap_or_else(|_| r#"{"error":"non-utf8 report"}"#.to_string())
-                    }
-                    Err(e) => e.to_json().to_string(),
-                };
-                writeln!(w, "{line}")?;
-                w.flush()
-            } else {
-                finish(w, &key, status, job.wait())
-            }
+            finish(w, &key, status, job.wait())
         }
         Submission::Poisoned { crashes } => {
             let err = crate::service::JobError::Poisoned { crashes };
@@ -346,8 +300,9 @@ fn submit(svc: &Service, req: &HttpRequest, w: &mut TcpStream) -> std::io::Resul
     }
 }
 
-/// Writes the terminal response for a non-streamed submit. Cache status
-/// rides in `X-Cache`; the body is exactly the report bytes.
+/// Writes the one response of an admitted submit. Cache status rides in
+/// `X-Cache`; the body is exactly the report bytes, or the job's
+/// structured error under its own status.
 fn finish(
     w: &mut TcpStream,
     key: &str,

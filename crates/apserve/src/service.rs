@@ -173,83 +173,35 @@ impl std::fmt::Display for JobError {
     }
 }
 
-/// The streaming waiter's client disconnected mid-stream; the job
-/// itself keeps running (other waiters, and the cache, still want it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientGone;
-
 /// One admitted job, shared by its executing worker and every waiter
 /// that joined it.
 pub struct Job {
     pub request: CanonRequest,
-    state: Mutex<JobState>,
-    done_cv: Condvar,
-}
-
-struct JobState {
-    /// Progress lines appended as the job advances; waiters stream them.
-    progress: Vec<String>,
     /// `Some` once finished: the report bytes or a structured failure.
-    outcome: Option<Result<Vec<u8>, JobError>>,
+    outcome: Mutex<Option<Result<Vec<u8>, JobError>>>,
+    done_cv: Condvar,
 }
 
 impl Job {
     fn new(request: CanonRequest) -> Arc<Job> {
         Arc::new(Job {
             request,
-            state: Mutex::new(JobState {
-                progress: vec!["queued".to_string()],
-                outcome: None,
-            }),
+            outcome: Mutex::new(None),
             done_cv: Condvar::new(),
         })
     }
 
-    fn push_progress(&self, line: &str) {
-        let mut st = lock(&self.state);
-        st.progress.push(line.to_string());
-        self.done_cv.notify_all();
-    }
-
     fn complete(&self, outcome: Result<Vec<u8>, JobError>) {
-        let mut st = lock(&self.state);
-        st.progress
-            .push(if outcome.is_ok() { "done" } else { "failed" }.to_string());
-        st.outcome = Some(outcome);
+        *lock(&self.outcome) = Some(outcome);
         self.done_cv.notify_all();
     }
 
     /// Blocks until the job finishes; returns report bytes or failure.
     pub fn wait(&self) -> Result<Vec<u8>, JobError> {
-        let mut st = lock(&self.state);
+        let mut st = lock(&self.outcome);
         loop {
-            if let Some(outcome) = &st.outcome {
+            if let Some(outcome) = &*st {
                 return outcome.clone();
-            }
-            st = wait_on(&self.done_cv, st);
-        }
-    }
-
-    /// Streaming wait: hands each progress line past `seen` to `emit`,
-    /// then returns the outcome. `emit` returning `Err(ClientGone)`
-    /// stops the stream early without affecting the job.
-    pub fn wait_streaming(
-        &self,
-        mut emit: impl FnMut(&str) -> Result<(), ClientGone>,
-    ) -> Result<Result<Vec<u8>, JobError>, ClientGone> {
-        let mut seen = 0usize;
-        let mut st = lock(&self.state);
-        loop {
-            while seen < st.progress.len() {
-                let line = st.progress[seen].clone();
-                seen += 1;
-                // Drop the lock while the client socket is written to.
-                drop(st);
-                emit(&line)?;
-                st = lock(&self.state);
-            }
-            if let Some(outcome) = &st.outcome {
-                return Ok(outcome.clone());
             }
             st = wait_on(&self.done_cv, st);
         }
@@ -315,15 +267,29 @@ pub struct Stats {
     pub sandbox: bool,
 }
 
-/// The report document for a `kind:"sleep"` job — shared with `repro
-/// job-exec` so sandboxed and in-process sleep results are identical.
-pub fn sleep_report(ms: u64) -> String {
-    Json::obj([
-        ("schema", Json::from("ap1000plus.sleep")),
-        ("version", Json::from(1u64)),
-        ("slept_ms", Json::from(ms)),
-    ])
-    .to_string()
+/// Executes a `kind:"sleep"` test job — the one implementation behind
+/// both the in-process worker and `repro job-exec`, so their reports are
+/// identical. Sleeps `ms`, then honours `crash` literally: `"panic"`
+/// panics, `"abort"` calls `abort(2)`. Only a sandboxed child may abort
+/// (`in_child`); in-process the request is refused up front, because the
+/// abort would take the whole server with it.
+pub fn run_sleep(request: &CanonRequest, in_child: bool) -> Result<String, String> {
+    let ms = request.field("ms").and_then(Json::as_u64).unwrap_or(0);
+    let crash = request.field("crash").and_then(Json::as_str);
+    if crash == Some("abort") && !in_child {
+        return Err("crash=\"abort\" requires sandbox mode (--sandbox)".to_string());
+    }
+    std::thread::sleep(Duration::from_millis(ms));
+    match crash {
+        Some("panic") => panic!("injected panic (crash=\"panic\")"),
+        Some("abort") => std::process::abort(),
+        _ => Ok(Json::obj([
+            ("schema", Json::from("ap1000plus.sleep")),
+            ("version", Json::from(1u64)),
+            ("slept_ms", Json::from(ms)),
+        ])
+        .to_string()),
+    }
 }
 
 impl Service {
@@ -424,7 +390,6 @@ impl Service {
                     inner = wait_on(&self.work_cv, inner);
                 }
             };
-            job.push_progress("started");
             let result = self.run_with_retry(&job);
             let mut inner = lock(&self.inner);
             let key = job.request.key;
@@ -484,9 +449,6 @@ impl Service {
                     if attempt < retries && !self.is_shutdown() {
                         attempt += 1;
                         lock(&self.inner).counters.job_retries += 1;
-                        job.push_progress(&format!(
-                            "crashed ({status}); retrying ({attempt}/{retries})"
-                        ));
                         std::thread::sleep(Duration::from_millis(
                             backoff_ms.saturating_mul(u64::from(attempt)),
                         ));
@@ -533,23 +495,9 @@ impl Service {
     /// breaker policy as a sandboxed crash, it just can't survive
     /// `abort(2)` or enforce deadlines (that needs `sandbox`).
     fn execute_inproc(&self, request: &CanonRequest) -> RunOutcome {
-        let run = || -> Result<String, String> {
-            if request.kind == Kind::Sleep {
-                let ms = request.field("ms").and_then(Json::as_u64).unwrap_or(0);
-                match request.field("crash").and_then(Json::as_str) {
-                    Some("panic") => {
-                        std::thread::sleep(Duration::from_millis(ms));
-                        panic!("injected panic (crash=\"panic\")");
-                    }
-                    Some("abort") => {
-                        return Err("crash=\"abort\" requires sandbox mode (--sandbox)".to_string())
-                    }
-                    _ => {}
-                }
-                std::thread::sleep(Duration::from_millis(ms));
-                return Ok(sleep_report(ms));
-            }
-            (self.executor)(request)
+        let run = || match request.kind {
+            Kind::Sleep => run_sleep(request, false),
+            _ => (self.executor)(request),
         };
         match std::panic::catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(body)) => RunOutcome::Ok(body.into_bytes()),
@@ -909,22 +857,31 @@ mod tests {
     }
 
     #[test]
-    fn progress_streams_queued_started_done() {
+    fn in_process_sleep_reports_and_refuses_abort() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(Config::default(), runs);
-        let job = match svc.submit(req(r#"{"kind":"bench","apps":["EP"]}"#)) {
-            Submission::Pending { job, .. } => job,
+        let cfg = Config {
+            allow_sleep: true,
+            ..Config::default()
+        };
+        let (svc, workers) = svc(cfg, Arc::clone(&runs));
+        let run = |body: &str| match svc.submit(req(body)) {
+            Submission::Pending { job, .. } => job.wait(),
             _ => panic!("expected pending"),
         };
-        let mut lines = Vec::new();
-        let outcome = job
-            .wait_streaming(|line| {
-                lines.push(line.to_string());
-                Ok(())
-            })
-            .unwrap();
-        assert!(outcome.is_ok());
-        assert_eq!(lines, ["queued", "started", "done"]);
+        let report = run(r#"{"kind":"sleep","ms":1}"#).unwrap();
+        assert_eq!(
+            String::from_utf8(report).unwrap(),
+            r#"{"schema":"ap1000plus.sleep","version":1,"slept_ms":1}"#
+        );
+        // An abort would take the server down: refused, not executed.
+        let err = run(r#"{"kind":"sleep","ms":1,"crash":"abort"}"#).unwrap_err();
+        assert_eq!(err.code(), "job_failed");
+        assert!(err.to_string().contains("--sandbox"), "{err}");
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            0,
+            "sleep never reaches the executor"
+        );
         finish(svc, workers);
     }
 

@@ -16,12 +16,15 @@
 //! - panic, abort, OOM-kill, or any other nonzero/signal death →
 //!   [`RunOutcome::Crashed`] carrying [`aputil::exit_desc`] and a
 //!   bounded stderr tail;
+//! - stdout past [`MAX_RESULT_BYTES`] → SIGKILL + [`RunOutcome::Crashed`]
+//!   naming the cap;
 //! - killed by the shutdown drain → [`RunOutcome::Canceled`].
 //!
 //! The supervisor never blocks in `wait(2)`: it polls `try_wait` every
-//! [`POLL_INTERVAL`] while dedicated threads drain stdout (unbounded —
-//! it is the report) and stderr (bounded by [`STDERR_TAIL_BYTES`]), so
-//! a child that fills a pipe and stalls still hits the deadline.
+//! [`POLL_INTERVAL`] while dedicated threads drain stdout (bounded by
+//! [`MAX_RESULT_BYTES`]) and stderr (bounded by [`STDERR_TAIL_BYTES`]),
+//! so a child that fills a pipe and stalls still hits the deadline, and
+//! no child can grow the server's memory without bound.
 
 use std::io::{Read, Write};
 use std::process::Child;
@@ -31,6 +34,7 @@ use std::time::{Duration, Instant};
 use aputil::{exit_desc, spawn_limited, Json, TailBuf};
 
 use crate::poison::lock;
+use crate::request::MAX_LIST;
 
 /// Result-envelope schema the child writes on stdout; bump the version
 /// and old workers read as crashed (malformed envelope), never as a
@@ -42,6 +46,13 @@ pub const RESULT_VERSION: u64 = 1;
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// Bytes of child stderr retained for the `job_crashed` document.
 pub const STDERR_TAIL_BYTES: usize = 2048;
+/// Most stdout bytes read from a child: the largest envelope a valid
+/// request can produce, with headroom. That is a `bench` grid of
+/// `MAX_LIST`³ = 16³ = 4096 rows. A row is at most ~9.4 KB of compact
+/// JSON (paper scale; the row does not grow with the PE count), ~10.6 KB
+/// once the envelope escapes it as a string, so 16 KiB a row also covers
+/// the header and `totals`: 4096 × 16 KiB = 64 MiB.
+const MAX_RESULT_BYTES: usize = MAX_LIST * MAX_LIST * MAX_LIST * (16 << 10);
 
 /// Sandbox policy: what to run and how hard to contain it.
 #[derive(Clone, Debug)]
@@ -82,6 +93,8 @@ pub enum KillReason {
     Deadline,
     /// The server is shutting down and the drain deadline passed.
     Drain,
+    /// The child wrote more than [`MAX_RESULT_BYTES`] on stdout.
+    OutputCap,
 }
 
 /// A handle to a running child that both the supervising worker thread
@@ -176,10 +189,16 @@ pub fn run_job(
 
     // Drain both pipes concurrently so a chatty child can never stall
     // against a full pipe while the supervisor waits for it to exit.
+    // Stdout is read up to one byte past the cap; a child that gets there
+    // is killed rather than drained.
+    let out_slot = Arc::clone(&slot);
     let out_thread = std::thread::spawn(move || {
         let mut buf = Vec::new();
-        if let Some(mut r) = stdout {
-            let _ = r.read_to_end(&mut buf);
+        if let Some(r) = stdout {
+            let _ = r.take(MAX_RESULT_BYTES as u64 + 1).read_to_end(&mut buf);
+        }
+        if buf.len() > MAX_RESULT_BYTES {
+            out_slot.kill(KillReason::OutputCap);
         }
         buf
     });
@@ -209,6 +228,10 @@ pub fn run_job(
         }
         std::thread::sleep(POLL_INTERVAL);
     };
+    let over_cap = || RunOutcome::Crashed {
+        status: format!("killed: stdout exceeded the {MAX_RESULT_BYTES}-byte result cap"),
+        stderr_tail: String::new(),
+    };
     // A killed child's output is not consulted, so don't join the
     // reader threads for it: surviving grandchildren could hold the
     // pipes open long after the kill, and the verdict must not wait on
@@ -220,9 +243,14 @@ pub fn run_job(
             }
         }
         Some(KillReason::Drain) => return RunOutcome::Canceled,
+        Some(KillReason::OutputCap) => return over_cap(),
         None => {}
     }
     let stdout_bytes = out_thread.join().unwrap_or_default();
+    // The child may have exited before its reader reached the cap.
+    if stdout_bytes.len() > MAX_RESULT_BYTES {
+        return over_cap();
+    }
     let stderr_tail = err_thread
         .join()
         .unwrap_or_else(|_| TailBuf::new(STDERR_TAIL_BYTES));
@@ -391,6 +419,38 @@ mod tests {
         });
         killer.join().unwrap();
         assert_eq!(outcome, RunOutcome::Canceled);
+    }
+
+    #[test]
+    fn every_truncation_of_an_envelope_is_a_structured_error() {
+        // Multi-byte characters put some cuts inside a UTF-8 sequence.
+        let enc = result_envelope(&Ok(r#"{"rows":["µs","→"],"n":1}"#.to_string()));
+        assert!(decode_envelope(enc.as_bytes()).unwrap().is_ok());
+        for cut in 0..enc.len() {
+            assert!(
+                decode_envelope(&enc.as_bytes()[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn stdout_past_the_cap_is_killed_and_reported_as_a_crash() {
+        // The child then stalls: only a reader that stops at the cap and
+        // kills it answers before the deadline.
+        let cfg = sh(&format!(
+            "cat > /dev/null; head -c {} /dev/zero; exec sleep 30",
+            MAX_RESULT_BYTES + 1
+        ));
+        match run_job(&cfg, "", |_| {}) {
+            RunOutcome::Crashed { status, .. } => {
+                assert!(
+                    status.contains(&format!("{MAX_RESULT_BYTES}-byte")),
+                    "{status}"
+                );
+            }
+            other => panic!("expected Crashed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! sibling in the same directory and renames it into place: readers see
 //! either the old bytes or the complete new bytes, never a prefix.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,12 +76,28 @@ impl Drop for TempSibling {
 /// the temporary file is removed and `path` is left untouched.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = TempSibling::new(path)?;
-    let mut f = std::fs::File::create(tmp.path())?;
+    let mut f = File::create(tmp.path())?;
     f.write_all(contents)?;
     // Push the bytes to the device before the rename makes them
     // visible; a rename of an unflushed file can still surface a
     // truncated entry after power loss.
     f.sync_all()?;
+    tmp.commit()
+}
+
+/// Streams an artifact into `path` whole or not at all: `write` fills a
+/// buffered [`TempSibling`], which is renamed over `path` only once
+/// `write` and the flush succeed. No `fsync`: for files a rerun
+/// regenerates (traces, metrics), whole-or-absent is enough.
+pub fn write_replacing(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let tmp = TempSibling::new(path)?;
+    let mut w = BufWriter::new(File::create(tmp.path())?);
+    write(&mut w)?;
+    w.flush()?;
+    drop(w);
     tmp.commit()
 }
 
@@ -98,6 +115,14 @@ mod tests {
         d
     }
 
+    fn tmp_siblings(d: &Path) -> Vec<std::ffi::OsString> {
+        std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect()
+    }
+
     #[test]
     fn writes_and_replaces() {
         let d = temp_dir("basic");
@@ -107,12 +132,7 @@ mod tests {
         write_atomic(&p, b"second, longer contents").unwrap();
         assert_eq!(std::fs::read(&p).unwrap(), b"second, longer contents");
         // No temp droppings left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&d)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|n| n.to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+        assert!(tmp_siblings(&d).is_empty(), "{:?}", tmp_siblings(&d));
         std::fs::remove_dir_all(&d).unwrap();
     }
 
@@ -126,6 +146,25 @@ mod tests {
         let bad = p.join("child.json");
         assert!(write_atomic(&bad, b"x").is_err());
         assert_eq!(std::fs::read(&p).unwrap(), b"precious");
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_write_that_fails_mid_stream_leaves_the_destination_whole() {
+        let d = temp_dir("stream");
+        let p = d.join("trace.json");
+        write_replacing(&p, |w| w.write_all(b"{\"old\":1}")).unwrap();
+        let failed = write_replacing(&p, |w| {
+            // Far past the buffer, so part of it reached the temporary.
+            w.write_all(&[b'x'; 1 << 16])?;
+            Err(std::io::Error::other("disk full"))
+        });
+        assert_eq!(failed.unwrap_err().to_string(), "disk full");
+        assert_eq!(std::fs::read(&p).unwrap(), b"{\"old\":1}");
+        assert!(tmp_siblings(&d).is_empty(), "{:?}", tmp_siblings(&d));
+        write_replacing(&p, |w| w.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&p).unwrap(), b"new");
+        assert!(tmp_siblings(&d).is_empty());
         std::fs::remove_dir_all(&d).unwrap();
     }
 

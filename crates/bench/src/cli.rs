@@ -645,14 +645,6 @@ fn submit_cmd(args: &Args) -> Result<i32, CliError> {
         return Err(usage_err(format!("submit takes exactly one of {actions}")));
     }
     let transport = |e: String| CliError::Failed(format!("submit failed: {e}"));
-    // The report goes to stdout, or (atomically) to `--out`.
-    let emit = |report: &str| match &out {
-        Some(path) => write_out(path, report, "report").map(|()| 0),
-        None => {
-            println!("{report}");
-            Ok(0)
-        }
-    };
     let job = match (job, job_file) {
         (Some(json), _) => json,
         (_, Some(path)) => std::fs::read_to_string(&path)
@@ -668,30 +660,6 @@ fn submit_cmd(args: &Args) -> Result<i32, CliError> {
             return Ok(i32::from(resp.status != 200));
         }
     };
-    if args.switch("--stream") {
-        // The flag is transport-only: inject `"stream": true` into the
-        // job document (it is excluded from the cache key), so the
-        // server narrates progress instead of answering in one piece.
-        let Ok(Json::Obj(mut fields)) = Json::parse(&job) else {
-            return Err(usage_err(format!(
-                "--stream needs a JSON object job, got: {job}"
-            )));
-        };
-        fields.retain(|(k, _)| k != "stream");
-        fields.push(("stream".to_string(), Json::Bool(true)));
-        let job = Json::Obj(fields).to_string();
-        // Progress lines go to stderr as they arrive; the final report
-        // line is the stdout payload, same as the non-streamed mode.
-        let narrate = |line: &str| eprintln!("{line}");
-        let report = client::submit_stream(&addr, &job, narrate).map_err(transport)?;
-        // A streamed job failure arrives as a final `{"error": ...}`
-        // line over the same 200 stream; it is not a report.
-        if Json::parse(&report).is_ok_and(|doc| doc.get("error").is_some()) {
-            eprintln!("{report}");
-            return Ok(1);
-        }
-        return emit(&report);
-    }
     let on_retry = |attempt, delay_ms| {
         eprintln!("server busy (429); retry {attempt}/{retries} in {delay_ms} ms")
     };
@@ -701,7 +669,15 @@ fn submit_cmd(args: &Args) -> Result<i32, CliError> {
         eprintln!("x-cache: {cache}  x-key: {key}");
     }
     if resp.status == 200 {
-        return emit(&resp.body_str());
+        // The report goes to stdout, or (atomically) to `--out`.
+        let report = resp.body_str();
+        return match &out {
+            Some(path) => write_out(path, &report, "report").map(|()| 0),
+            None => {
+                println!("{report}");
+                Ok(0)
+            }
+        };
     }
     eprintln!("{}", resp.body_str());
     Ok(match resp.status {
@@ -933,7 +909,6 @@ mod table {
         Flag::new("--stats", "print GET /stats"),
         Flag::new("--health", "print GET /healthz"),
         Flag::new("--shutdown", "POST /shutdown: drain, then stop the server"),
-        Flag::new("--stream", "print NDJSON progress lines on stderr"),
         Flag::new("--retry N", "wait out up to N 429 answers (Retry-After, capped backoff)"),
         Flag::new("--out FILE", "write the report to FILE instead of stdout"),
     ];
@@ -977,7 +952,7 @@ mod table {
     /// `tracecat` — inspect binary `.evtrace` recordings.
     pub static TRACECAT: Tool = Tool { prog: "tracecat", default: None, commands: &[
         cmd("header", "header + section inventory",                    TRACE, &[],          |a| show(record::header_text(&read_trace(positional(a, 0))?))),
-        cmd("stats",  "size vs Chrome-trace JSON + the JSON op codec", TRACE, &[MIN_RATIO], tracecat_stats),
+        cmd("stats",  "size vs the Chrome-trace JSON timeline",          TRACE, &[MIN_RATIO], tracecat_stats),
     ] };
 
     /// `probe` — dev tool: per-model breakdown for one workload (not part

@@ -5,9 +5,9 @@
 //! Every job kind maps onto an existing deterministic driver, and every
 //! produced report is one the CLI already emits:
 //!
-//! - `bench` / `sweep` → [`run_sweep`] → the `ap1000plus.bench` document;
+//! - `bench` → [`run_sweep`] → the `ap1000plus.bench` document;
 //! - `fault` → [`run_fault_sweep`] → the text fault report, wrapped in a
-//!   one-line `ap1000plus.faultreport` JSON envelope (NDJSON-streamable);
+//!   one-line `ap1000plus.faultreport` JSON envelope;
 //! - `remodel` → [`remodel_rows`] over a recorded `.evtrace` → the
 //!   `ap1000plus.bench` document.
 //!
@@ -58,7 +58,7 @@ fn rev_of(req: &CanonRequest) -> Option<String> {
     req.field("rev").and_then(Json::as_str).map(str::to_string)
 }
 
-fn run_bench_like(req: &CanonRequest) -> Result<String, String> {
+fn run_bench(req: &CanonRequest) -> Result<String, String> {
     let sizes: Vec<Option<u32>> = req
         .field("sizes")
         .and_then(Json::as_arr)
@@ -107,7 +107,7 @@ fn run_fault(req: &CanonRequest) -> Result<String, String> {
         ));
     }
     // The fault report is multi-line text; the envelope makes it one
-    // JSON line, so it caches and streams like every other report.
+    // JSON document, so it caches and travels like every other report.
     Ok(Json::obj([
         ("schema", Json::from("ap1000plus.faultreport")),
         ("version", Json::from(1u64)),
@@ -131,7 +131,7 @@ fn run_remodel(req: &CanonRequest) -> Result<String, String> {
 /// Builds the executor `repro serve` hands to [`apserve::serve`].
 pub fn simulator_executor() -> Executor {
     Arc::new(|req: &CanonRequest| match req.kind {
-        Kind::Bench | Kind::Sweep => run_bench_like(req),
+        Kind::Bench => run_bench(req),
         Kind::Fault => run_fault(req),
         Kind::Remodel => run_remodel(req),
         // The service intercepts sleep jobs before the executor.
@@ -157,22 +157,11 @@ pub fn job_exec_main() -> Result<(), String> {
         .map_err(|e| format!("job-exec: cannot read request from stdin: {e}"))?;
     let result = match apserve::parse_request(input.trim_end().as_bytes()) {
         Err(e) => Err(format!("job-exec: invalid canonical request: {e}")),
-        Ok(req) if req.kind == Kind::Sleep => run_sleep(&req),
+        Ok(req) if req.kind == Kind::Sleep => apserve::run_sleep(&req, true),
         Ok(req) => (simulator_executor())(&req),
     };
     println!("{}", apserve::result_envelope(&result));
     Ok(())
-}
-
-fn run_sleep(req: &CanonRequest) -> Result<String, String> {
-    let ms = req.field("ms").and_then(Json::as_u64).unwrap_or(0);
-    std::thread::sleep(std::time::Duration::from_millis(ms));
-    match req.field("crash").and_then(Json::as_str) {
-        Some("panic") => panic!("injected panic (crash=\"panic\")"),
-        Some("abort") => std::process::abort(),
-        _ => {}
-    }
-    Ok(apserve::sleep_report(ms))
 }
 
 #[cfg(test)]

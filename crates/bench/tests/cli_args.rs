@@ -258,6 +258,10 @@ fn relations_between_flags_are_checked() {
         "--stream",
     ]);
     assert_usage_error(out, "--stream is not a flag");
+    // Nor has `submit`: every answer is one length-delimited response.
+    let job = r#"{"kind":"sleep","ms":40}"#;
+    let out = repro(&["submit", "--addr", "127.0.0.1:1", "--stream", "--job", job]);
+    assert_usage_error(out, "--stream is not a flag of this command");
     // Exactly one submit action.
     assert_usage_error(
         repro(&[

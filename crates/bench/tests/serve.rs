@@ -11,6 +11,8 @@
 //! - an evicted entry is recomputed byte-identically;
 //! - a full queue yields the structured 429 backpressure document;
 //! - hostile input gets structured 400/404/405/413 errors;
+//! - every answer, whatever its status, is one response whose
+//!   `Content-Length` is exactly its body;
 //! - a disk-tier entry survives a server restart as a `disk-hit`.
 //!
 //! Plus the sandbox failure matrix (DESIGN.md §11's worker-supervision
@@ -272,36 +274,109 @@ fn hostile_inputs_get_structured_errors() {
     handle.shutdown();
 }
 
+/// One raw HTTP exchange over a fresh connection: returns the status
+/// and body after checking that the answer is length-delimited, i.e. its
+/// `Content-Length` is exactly the body that follows it.
+fn exchange(addr: &str, request: &[u8]) -> (u16, String) {
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    // A server that answers early (413) may close before this finishes.
+    let _ = conn.write_all(request);
+    let mut raw = Vec::new();
+    conn.read_to_end(&mut raw).expect("the answer, then EOF");
+    let text = String::from_utf8(raw).expect("UTF-8 answer");
+    let (head, body) = text.split_once("\r\n\r\n").expect("a header block");
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+    let length = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse::<usize>().ok());
+    assert_eq!(length, Some(body.len()), "{head}");
+    (status.expect("a status code"), body.to_string())
+}
+
+fn post_submit(addr: &str, job: &str) -> (u16, String) {
+    let head = format!(
+        "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        job.len()
+    );
+    exchange(addr, &[head.as_bytes(), job.as_bytes()].concat())
+}
+
+/// Every status the failure matrix produces arrives as one
+/// `Content-Length`-delimited response — the invariant keep-alive needs.
 #[test]
-fn streaming_submits_narrate_then_report() {
-    let (handle, addr) = test_server(cfg());
-    let job = r#"{"kind":"sleep","ms":50,"stream":true}"#;
-    let mut lines = Vec::new();
-    let report = client::submit_stream(&addr, job, |line| lines.push(line.to_string())).unwrap();
-    // Progress lines arrived before the report line.
-    let progress: Vec<String> = lines
-        .iter()
-        .filter_map(|l| {
-            Json::parse(l)
-                .ok()
-                .and_then(|d| d.get("progress").and_then(Json::as_str).map(str::to_string))
-        })
-        .collect();
-    assert!(progress.iter().any(|p| p == "queued"), "{lines:?}");
-    assert!(progress.iter().any(|p| p == "done"), "{lines:?}");
-    let doc = Json::parse(&report).unwrap();
+fn every_status_is_one_length_delimited_response() {
+    let (handle, addr) = test_server(Config {
+        workers: 1,
+        queue_cap: 1,
+        drain_ms: 100,
+        ..cfg()
+    });
+    let mut seen = std::collections::BTreeSet::new();
+    let mut expect = |(status, body): (u16, String), want: u16| {
+        assert_eq!(status, want, "{body}");
+        seen.insert(status);
+        Json::parse(&body).expect("a JSON body")
+    };
+    let field = |doc: &Json| doc.get("field").and_then(Json::as_str).map(str::to_string);
+
+    let report = expect(post_submit(&addr, r#"{"kind":"sleep","ms":1}"#), 200);
     assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
+        report.get("schema").and_then(Json::as_str),
         Some("ap1000plus.sleep")
     );
+    expect(exchange(&addr, b"GET /healthz HTTP/1.1\r\n\r\n"), 200);
+    // Neither a transport option nor a second spelling of `bench` exists.
+    for (job, named) in [
+        ("not json", "body"),
+        (r#"{"kind":"sleep","ms":1,"stream":true}"#, "stream"),
+        (r#"{"kind":"sweep","apps":["EP"],"scale":"test"}"#, "kind"),
+    ] {
+        let doc = expect(post_submit(&addr, job), 400);
+        assert_eq!(field(&doc).as_deref(), Some(named), "{job} -> {doc}");
+    }
+    expect(exchange(&addr, b"GET /nope HTTP/1.1\r\n\r\n"), 404);
+    expect(exchange(&addr, b"GET /submit HTTP/1.1\r\n\r\n"), 405);
+    let huge = format!(
+        "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        usize::MAX
+    );
+    expect(exchange(&addr, huge.as_bytes()), 413);
+    // A crashing job: 500 through its retry, then its key is poisoned.
+    let crasher = r#"{"kind":"sleep","ms":1,"crash":"panic"}"#;
+    expect(post_submit(&addr, crasher), 500);
+    expect(post_submit(&addr, crasher), 422);
 
-    // A streamed repeat is a hit: no progress, just the report line —
-    // byte-identical to the cold report.
-    let mut lines2 = Vec::new();
-    let report2 = client::submit_stream(&addr, job, |l| lines2.push(l.to_string())).unwrap();
-    assert_eq!(lines2.len(), 1, "a hit streams exactly the report line");
-    assert_eq!(report, report2);
+    // One job on the worker, one in the queue: the next is a 429, and
+    // shutdown cancels the queued one with a 503.
+    let slow: Vec<_> = [800u64, 801]
+        .into_iter()
+        .map(|ms| {
+            let addr = addr.clone();
+            let t = std::thread::spawn(move || {
+                post_submit(&addr, &format!(r#"{{"kind":"sleep","ms":{ms}}}"#))
+            });
+            std::thread::sleep(std::time::Duration::from_millis(150));
+            t
+        })
+        .collect();
+    expect(post_submit(&addr, r#"{"kind":"sleep","ms":802}"#), 429);
     handle.shutdown();
+    for (t, want) in slow.into_iter().zip([200, 503]) {
+        expect(t.join().unwrap(), want);
+    }
+
+    // The deadline needs the sandbox.
+    let mut c = sandbox_cfg("status");
+    c.sandbox.as_mut().unwrap().job_timeout_ms = 200;
+    let (handle, addr) = test_server(c);
+    expect(post_submit(&addr, r#"{"kind":"sleep","ms":30000}"#), 504);
+    handle.shutdown();
+
+    let all = [200, 400, 404, 405, 413, 422, 429, 500, 503, 504];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
 }
 
 /// End-to-end through the binaries: `repro serve` on an ephemeral port,
@@ -345,6 +420,11 @@ fn repro_serve_and_submit_round_trip() {
         String::from_utf8_lossy(&cold.stderr)
     );
     assert!(String::from_utf8_lossy(&cold.stderr).contains("x-cache: miss"));
+    let out = String::from_utf8_lossy(&cold.stdout);
+    assert!(
+        out.trim().starts_with(r#"{"schema":"ap1000plus.sleep""#),
+        "{out}"
+    );
     let warm = submit(&["--job", job]);
     assert!(warm.status.success());
     assert!(String::from_utf8_lossy(&warm.stderr).contains("x-cache: hit"));
@@ -363,22 +443,23 @@ fn repro_serve_and_submit_round_trip() {
     assert_eq!(bad.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad.stderr).contains("bogus"));
 
-    // `--stream` injects the transport flag itself: progress narration
-    // lands on stderr, the report alone on stdout.
-    let streamed = submit(&["--stream", "--job", r#"{"kind":"sleep","ms":40}"#]);
-    assert!(streamed.status.success());
-    let err = String::from_utf8_lossy(&streamed.stderr);
-    assert!(err.contains(r#"{"progress":"queued"}"#), "{err}");
-    assert!(err.contains(r#"{"progress":"done"}"#), "{err}");
-    let out = String::from_utf8_lossy(&streamed.stdout);
-    assert!(
-        out.trim().starts_with(r#"{"schema":"ap1000plus.sleep""#),
-        "{out}"
-    );
+    // Two concurrent submits of one slow job: one runs it, the other
+    // joins it, and both print the same report.
+    let slow = r#"{"kind":"sleep","ms":600}"#;
+    let (first, second) = std::thread::scope(|s| {
+        let first = s.spawn(|| submit(&["--job", slow]));
+        std::thread::sleep(std::time::Duration::from_millis(120));
+        let second = submit(&["--job", slow]);
+        (first.join().unwrap(), second)
+    });
+    let err = String::from_utf8_lossy(&first.stderr);
+    assert!(err.contains("x-cache: miss"), "{err}");
+    let err = String::from_utf8_lossy(&second.stderr);
+    assert!(err.contains("x-cache: join"), "{err}");
+    assert_eq!(first.stdout, second.stdout);
 
-    // A failed streamed job exits 1 and keeps stdout clean.
+    // A failed job exits 1 and keeps stdout clean.
     let failed = submit(&[
-        "--stream",
         "--job",
         r#"{"kind":"bench","apps":["NoSuchApp"],"scale":"test"}"#,
     ]);
@@ -388,6 +469,12 @@ fn repro_serve_and_submit_round_trip() {
         "no report on stdout for a failure"
     );
     assert!(String::from_utf8_lossy(&failed.stderr).contains("job_failed"));
+
+    // There is no progress stream: `--stream` is a usage error.
+    let streamed = submit(&["--stream", "--job", job]);
+    assert_eq!(streamed.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&streamed.stderr);
+    assert!(err.contains("not a flag of this command"), "{err}");
 
     // Remote shutdown stops the foreground server process.
     let down = submit(&["--shutdown"]);

@@ -52,6 +52,7 @@ fn every_ci_command_line_resolves() {
         r#"submit --addr 127.0.0.1:4242 --job {"kind":"bench","apps":["EP"],"scale":"test"} --out cold.json"#,
         r#"submit --addr 127.0.0.1:4242 --job {"kind":"fault","scale":"test","fault_seed":1} --out fault.json"#,
         r#"submit --addr 127.0.0.1:4242 --job {"kind":"sleep","ms":4000}"#,
+        r#"submit --addr 127.0.0.1:4242 --job {"kind":"sweep","apps":["EP"],"scale":"test"}"#,
         "submit --addr 127.0.0.1:4242 --stats",
         "submit --addr 127.0.0.1:4242 --shutdown",
         // sandbox-smoke
@@ -117,9 +118,13 @@ fn documented_command_lines_resolve() {
         "replay /tmp/cg.evtrace --at 1800000 --cell 17",
         "remodel /tmp/cg.evtrace --factors 0.5,1.0,2.0 --bench-out /tmp/remodel.json",
         "serve --addr 127.0.0.1:0 --workers 4 --sandbox --job-timeout 600000 --job-mem-mb 2048 --job-retries 1 --cache-dir /tmp/apcache --disk-cache-bytes 256000000",
-        r#"submit --addr h:1 --stream --job {"kind":"sleep","ms":40} --retry 5"#,
+        r#"submit --addr h:1 --job {"kind":"sleep","ms":40} --retry 5"#,
+        r#"submit --addr h:1 --job {"kind":"bench","apps":["EP","CG"],"scale":"test","factors":[0.5,1.0]} --out /tmp/grid.json"#,
     ];
     all_resolve(&REPRO, &repro);
+    // A submit answers in one piece: there is no progress stream to ask for.
+    let line = r#"submit --addr h:1 --stream --job {"kind":"sleep","ms":40}"#;
+    rejected(&REPRO, line, "--stream is not a flag of this command");
     // No command word at all runs `all`; probe takes no command word.
     assert_eq!(resolve(&REPRO, ""), Ok("all"));
     assert_eq!(resolve(&PROBE, "SP --json --trace-out sp.json"), Ok(""));
