@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn run_faulted_defaults_to_a_structured_unsupported_error() {
         let err = ep::Ep::new(Scale::Test)
-            .run_faulted(&FaultSpec::quiet())
+            .run_faulted(&FaultSpec::default())
             .unwrap_err();
         assert!(err.to_string().contains("not wired up"), "{err}");
     }

@@ -18,11 +18,6 @@ pub struct NpbRandom {
 }
 
 impl NpbRandom {
-    /// Starts the stream at `seed` (only the low 46 bits are used).
-    pub fn new(seed: u64) -> Self {
-        NpbRandom { x: seed & M46 }
-    }
-
     /// Starts at position `k` of the stream from `seed`, in `O(log k)`.
     pub fn skip_to(seed: u64, k: u64) -> Self {
         // x_k = a^k * seed mod 2^46.
@@ -36,11 +31,6 @@ impl NpbRandom {
     pub fn next_f64(&mut self) -> f64 {
         self.x = mul_mod46(A, self.x);
         self.x as f64 / (1u64 << 46) as f64
-    }
-
-    /// Raw 46-bit state (for tests).
-    pub fn state(&self) -> u64 {
-        self.x
     }
 }
 
@@ -69,17 +59,17 @@ mod tests {
 
     #[test]
     fn skip_matches_sequential() {
-        let mut seq = NpbRandom::new(SEED);
+        let mut seq = NpbRandom::skip_to(SEED, 0);
         for _ in 0..1000 {
             seq.next_f64();
         }
         let skipped = NpbRandom::skip_to(SEED, 1000);
-        assert_eq!(seq.state(), skipped.state());
+        assert_eq!(seq, skipped);
     }
 
     #[test]
     fn deviates_are_in_unit_interval() {
-        let mut r = NpbRandom::new(SEED);
+        let mut r = NpbRandom::skip_to(SEED, 0);
         for _ in 0..10_000 {
             let x = r.next_f64();
             assert!(x > 0.0 && x < 1.0);
@@ -90,7 +80,7 @@ mod tests {
     fn partitioned_streams_tile_the_sequence() {
         // 4 PEs × 250 numbers == 1000 sequential numbers.
         let mut seq = Vec::new();
-        let mut r = NpbRandom::new(SEED);
+        let mut r = NpbRandom::skip_to(SEED, 0);
         for _ in 0..1000 {
             seq.push(r.next_f64());
         }
@@ -106,7 +96,7 @@ mod tests {
 
     #[test]
     fn mean_is_about_half() {
-        let mut r = NpbRandom::new(SEED);
+        let mut r = NpbRandom::skip_to(SEED, 0);
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");

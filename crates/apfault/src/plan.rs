@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn retries_stay_sorted_by_op() {
-        let mut plan = FaultPlan::new(&FaultSpec::quiet());
+        let mut plan = FaultPlan::new(&FaultSpec::default());
         plan.note_retry("PutData");
         plan.note_retry("GetReq");
         plan.note_retry("PutData");

@@ -28,16 +28,6 @@ impl ReplayGuard {
     pub fn first_sighting(&mut self, src: CellId, seq: u64) -> bool {
         self.seen.insert((src.index() as u32, seq))
     }
-
-    /// Distinct packets sighted so far.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// `true` if nothing has been sighted.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -51,7 +41,6 @@ mod tests {
         assert!(!g.first_sighting(CellId::new(0), 7));
         assert!(g.first_sighting(CellId::new(1), 7), "per-sender sequences");
         assert!(g.first_sighting(CellId::new(0), 8));
-        assert_eq!(g.len(), 3);
     }
 }
 

@@ -81,13 +81,15 @@ pub fn from_ron(text: &str) -> Result<FaultSpec, String> {
 }
 
 /// `name: int` pairs inside `( ... )`, any order, trailing comma ok.
+/// Values are read as `u64`; [`Lexer::fit`] narrows each to its field.
 fn int_fields(p: &mut Lexer) -> Result<Vec<(String, u64)>, String> {
     p.eat(b'(')?;
     let mut out = Vec::new();
     while !p.peek(b')') {
         let name = p.word()?;
         p.eat(b':')?;
-        out.push((name, p.int()?));
+        let v = p.int(&name)?;
+        out.push((name, v));
         p.comma();
     }
     p.eat(b')')?;
@@ -107,7 +109,7 @@ fn spec(p: &mut Lexer) -> Result<FaultSpec, String> {
                 "None" => {}
                 "Some" => {
                     p.eat(b'(')?;
-                    seed = Some(p.int()?);
+                    seed = Some(p.int("seed")?);
                     p.eat(b')')?;
                 }
                 w => return Err(p.err(&format!("expected None/Some, got `{w}`"))),
@@ -118,7 +120,7 @@ fn spec(p: &mut Lexer) -> Result<FaultSpec, String> {
                     match field.as_str() {
                         "ack_timeout_ns" => recovery.ack_timeout = SimTime::from_nanos(v),
                         "backoff_cap_ns" => recovery.backoff_cap = SimTime::from_nanos(v),
-                        "max_retries" => recovery.max_retries = v as u32,
+                        "max_retries" => recovery.max_retries = p.fit(at, &field, v)?,
                         other => {
                             return Err(p.err_at(at, &format!("unknown recovery field `{other}`")))
                         }
@@ -156,8 +158,8 @@ fn event(p: &mut Lexer) -> Result<FaultEvent, String> {
         let name = p.word()?;
         p.eat(b':')?;
         match name.as_str() {
-            "from_ns" => from = Some(SimTime::from_nanos(p.int()?)),
-            "until_ns" => until = Some(SimTime::from_nanos(p.int()?)),
+            "from_ns" => from = Some(SimTime::from_nanos(p.int(&name)?)),
+            "until_ns" => until = Some(SimTime::from_nanos(p.int(&name)?)),
             "kind" => kind = Some(self::kind(p)?),
             other => return Err(p.err(&format!("unknown event field `{other}`"))),
         }
@@ -182,23 +184,25 @@ fn kind(p: &mut Lexer) -> Result<FaultKind, String> {
             .map(|(_, v)| *v)
             .ok_or_else(|| p.err_at(at, &format!("{variant} needs field `{name}`")))
     };
+    let get32 = |name: &str| -> Result<u32, String> { p.fit(at, name, get(name)?) };
+    let cell = |name: &str| get32(name).map(CellId::new);
     Ok(match variant.as_str() {
         "LinkDown" => FaultKind::LinkDown {
-            from: CellId::new(get("from")? as u32),
-            to: CellId::new(get("to")? as u32),
+            from: cell("from")?,
+            to: cell("to")?,
         },
         "Delay" => FaultKind::Delay {
-            src: CellId::new(get("src")? as u32),
-            dst: CellId::new(get("dst")? as u32),
+            src: cell("src")?,
+            dst: cell("dst")?,
             extra: SimTime::from_nanos(get("extra_ns")?),
         },
         "Corrupt" => FaultKind::Corrupt {
-            src: CellId::new(get("src")? as u32),
-            dst: CellId::new(get("dst")? as u32),
-            count: get("count")? as u32,
+            src: cell("src")?,
+            dst: cell("dst")?,
+            count: get32("count")?,
         },
         "Crash" => FaultKind::Crash {
-            cell: CellId::new(get("cell")? as u32),
+            cell: cell("cell")?,
         },
         "BnetDown" => FaultKind::BnetDown,
         other => return Err(format!("unknown fault kind `{other}`")),
@@ -263,5 +267,39 @@ mod tests {
         assert!(from_ron("(seed: None)")
             .unwrap_err()
             .contains("missing events"));
+    }
+
+    #[test]
+    fn integers_are_read_at_their_field_width_never_wrapped() {
+        let event = |kind: &str| format!("(events: [(from_ns: 0, until_ns: 9, kind: {kind})])");
+        for (text, field, width) in [
+            (event("Crash(cell: 4294967296)"), "cell", "u32"),
+            (event("LinkDown(from: 0, to: 4294967297)"), "to", "u32"),
+            (
+                event("Corrupt(src: 0, dst: 1, count: 4294967296)"),
+                "count",
+                "u32",
+            ),
+            (
+                "(recovery: (max_retries: 4294967296), events: [])".to_string(),
+                "max_retries",
+                "u32",
+            ),
+            ("(seed: Some(-1), events: [])".to_string(), "seed", "u64"),
+            (
+                event("Delay(src: 0, dst: 1, extra_ns: -5)"),
+                "extra_ns",
+                "u64",
+            ),
+        ] {
+            let err = from_ron(&text).unwrap_err();
+            let want = format!("`{field}` needs an integer that fits {width}");
+            assert!(err.contains(&want), "{text}: {err}");
+        }
+        let widest = from_ron(&event("Crash(cell: 4294967295)")).unwrap();
+        assert!(matches!(
+            widest.events[0].kind,
+            FaultKind::Crash { cell } if cell.as_u32() == u32::MAX
+        ));
     }
 }

@@ -120,8 +120,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// A complete, deterministic fault schedule.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A complete, deterministic fault schedule. The default is the quiet
+/// one: the recovery protocol runs (seq/ack/dedup) but nothing is ever
+/// injected.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FaultSpec {
     /// Seed the schedule was derived from (`None` for hand-written specs).
     pub seed: Option<u64>,
@@ -132,16 +134,6 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// An empty schedule: the recovery protocol runs (seq/ack/dedup) but
-    /// nothing is ever injected.
-    pub fn quiet() -> FaultSpec {
-        FaultSpec {
-            seed: None,
-            recovery: RecoveryParams::default(),
-            events: Vec::new(),
-        }
-    }
-
     /// Derives a whole schedule from one seed, for the chaos fuzzer.
     ///
     /// A survivable schedule mixes link outages, delays, corruption, and
@@ -246,7 +238,7 @@ mod tests {
             assert!(FaultSpec::random(seed, 9, true).is_survivable());
             assert!(!FaultSpec::random(seed, 9, false).is_survivable());
         }
-        assert!(FaultSpec::quiet().is_survivable());
+        assert!(FaultSpec::default().is_survivable());
     }
 
     #[test]

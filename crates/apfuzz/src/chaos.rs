@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn quiet_schedule_survives_with_no_retries() {
         let prog = gen_program(11, 4);
-        match run_chaos(&prog, &FaultSpec::quiet()).unwrap() {
+        match run_chaos(&prog, &FaultSpec::default()).unwrap() {
             ChaosVerdict::Survived { retries, .. } => assert_eq!(retries, 0),
             ChaosVerdict::Aborted(e) => panic!("quiet schedule aborted: {e}"),
         }

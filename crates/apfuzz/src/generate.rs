@@ -175,10 +175,17 @@ mod tests {
         let mut hostile = 0;
         for seed in 0..200 {
             let p = gen_program(seed, 4);
-            assert_eq!(p.is_hostile(), p.expect_error.is_some());
-            if p.is_hostile() {
-                hostile += 1;
-            }
+            // The actions issue-time validation must reject.
+            let is_hostile = p.rounds.iter().flatten().any(|a| {
+                matches!(
+                    a,
+                    Action::BadPutEmpty { .. }
+                        | Action::BadPutOverlap { .. }
+                        | Action::BadGetMismatch { .. }
+                )
+            });
+            assert_eq!(is_hostile, p.expect_error.is_some());
+            hostile += usize::from(is_hostile);
         }
         assert!(hostile > 0, "hostile programs should appear in 200 seeds");
     }

@@ -93,19 +93,6 @@ pub enum Action {
     BadGetMismatch { reader: u32, owner: u32 },
 }
 
-impl Action {
-    /// `true` for the hostile actions that issue-time validation must
-    /// reject (the whole run errors out).
-    pub fn is_hostile(&self) -> bool {
-        matches!(
-            self,
-            Action::BadPutEmpty { .. }
-                | Action::BadPutOverlap { .. }
-                | Action::BadGetMismatch { .. }
-        )
-    }
-}
-
 /// A complete fuzz case.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FuzzProgram {
@@ -128,10 +115,5 @@ impl FuzzProgram {
     /// Total number of actions across all rounds.
     pub fn total_actions(&self) -> usize {
         self.rounds.iter().map(Vec::len).sum()
-    }
-
-    /// `true` if any action is hostile (the program expects rejection).
-    pub fn is_hostile(&self) -> bool {
-        self.rounds.iter().flatten().any(Action::is_hostile)
     }
 }

@@ -124,7 +124,7 @@ fn fields(p: &mut Lexer) -> Result<Vec<(String, Val)>, String> {
         let name = p.word()?;
         p.eat(b':')?;
         let val = if p.at_int() {
-            Val::Int(p.int()?)
+            Val::Int(p.int(&name)?)
         } else {
             Val::Word(p.word()?)
         };
@@ -144,9 +144,9 @@ fn program(p: &mut Lexer) -> Result<FuzzProgram, String> {
         let name = p.word()?;
         p.eat(b':')?;
         match name.as_str() {
-            "seed" => seed = Some(p.int::<i64>()? as u64),
-            "ncells" => ncells = Some(p.int::<i64>()? as u32),
-            "region" => region = Some(p.int::<i64>()? as u64),
+            "seed" => seed = Some(p.int(&name)?),
+            "ncells" => ncells = Some(p.int(&name)?),
+            "region" => region = Some(p.int(&name)?),
             "expect_error" => match p.word()?.as_str() {
                 "None" => {}
                 "Some" => {
@@ -189,29 +189,49 @@ fn rounds(p: &mut Lexer) -> Result<Vec<Vec<Action>>, String> {
     Ok(rounds)
 }
 
+/// One action's parsed field list, read back field by field.
+struct Fields<'a> {
+    p: &'a Lexer<'a>,
+    /// Where the list starts, for errors.
+    at: usize,
+    variant: &'a str,
+    vals: Vec<(String, Val)>,
+}
+
+impl Fields<'_> {
+    fn find(&self, name: &str) -> Option<&Val> {
+        self.vals.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    /// Integer field `name`, narrowed to its own width.
+    fn int<T: TryFrom<i64>>(&self, name: &str) -> Result<T, String> {
+        let Some(&Val::Int(v)) = self.find(name) else {
+            let what = format!("{} needs integer field `{name}`", self.variant);
+            return Err(self.p.err_at(self.at, &what));
+        };
+        self.p.fit(self.at, name, v)
+    }
+
+    fn word(&self, name: &str) -> Result<&str, String> {
+        match self.find(name) {
+            Some(Val::Word(w)) => Ok(w),
+            _ => {
+                let what = format!("{} needs word field `{name}`", self.variant);
+                Err(self.p.err_at(self.at, &what))
+            }
+        }
+    }
+}
+
 fn action(p: &mut Lexer) -> Result<Action, String> {
     let variant = p.word()?;
     let at = p.pos();
-    let fields = fields(p)?;
-    let get = |name: &str| -> Result<i64, String> {
-        fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| match v {
-                Val::Int(i) => Some(*i),
-                Val::Word(_) => None,
-            })
-            .ok_or_else(|| p.err_at(at, &format!("{variant} needs integer field `{name}`")))
-    };
-    let get_word = |name: &str| -> Result<&str, String> {
-        fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| match v {
-                Val::Word(w) => Some(w.as_str()),
-                Val::Int(_) => None,
-            })
-            .ok_or_else(|| p.err_at(at, &format!("{variant} needs word field `{name}`")))
+    let vals = fields(p)?;
+    let f = Fields {
+        p,
+        at,
+        variant: &variant,
+        vals,
     };
     let mode = |w: &str| -> Result<StrideMode, String> {
         match w {
@@ -224,65 +244,65 @@ fn action(p: &mut Lexer) -> Result<Action, String> {
     };
     Ok(match variant.as_str() {
         "Put" => Action::Put {
-            src: get("src")? as u32,
-            dst: get("dst")? as u32,
-            src_off: get("src_off")? as u32,
-            item: get("item")? as u32,
-            count: get("count")? as u32,
-            extra: get("extra")? as u32,
-            mode: mode(get_word("mode")?)?,
-            flag_send: get("flag_send")? as i8,
-            flag_recv: get("flag_recv")? as i8,
-            ack: get_word("ack")? == "true",
+            src: f.int("src")?,
+            dst: f.int("dst")?,
+            src_off: f.int("src_off")?,
+            item: f.int("item")?,
+            count: f.int("count")?,
+            extra: f.int("extra")?,
+            mode: mode(f.word("mode")?)?,
+            flag_send: f.int("flag_send")?,
+            flag_recv: f.int("flag_recv")?,
+            ack: f.word("ack")? == "true",
         },
         "Get" => Action::Get {
-            owner: get("owner")? as u32,
-            reader: get("reader")? as u32,
-            src_off: get("src_off")? as u32,
-            item: get("item")? as u32,
-            count: get("count")? as u32,
-            extra: get("extra")? as u32,
-            mode: mode(get_word("mode")?)?,
-            flag_send: get("flag_send")? as i8,
-            flag_recv: get("flag_recv")? as i8,
+            owner: f.int("owner")?,
+            reader: f.int("reader")?,
+            src_off: f.int("src_off")?,
+            item: f.int("item")?,
+            count: f.int("count")?,
+            extra: f.int("extra")?,
+            mode: mode(f.word("mode")?)?,
+            flag_send: f.int("flag_send")?,
+            flag_recv: f.int("flag_recv")?,
         },
         "Send" => Action::Send {
-            src: get("src")? as u32,
-            dst: get("dst")? as u32,
-            src_off: get("src_off")? as u32,
-            bytes: get("bytes")? as u32,
+            src: f.int("src")?,
+            dst: f.int("dst")?,
+            src_off: f.int("src_off")?,
+            bytes: f.int("bytes")?,
         },
         "Bcast" => Action::Bcast {
-            root: get("root")? as u32,
-            bytes: get("bytes")? as u32,
+            root: f.int("root")?,
+            bytes: f.int("bytes")?,
         },
         "RStore" => Action::RStore {
-            src: get("src")? as u32,
-            owner: get("owner")? as u32,
-            bytes: get("bytes")? as u32,
-            pattern: get("pattern")? as u32,
+            src: f.int("src")?,
+            owner: f.int("owner")?,
+            bytes: f.int("bytes")?,
+            pattern: f.int("pattern")?,
         },
         "RLoad" => Action::RLoad {
-            reader: get("reader")? as u32,
-            owner: get("owner")? as u32,
-            off: get("off")? as u32,
-            bytes: get("bytes")? as u32,
+            reader: f.int("reader")?,
+            owner: f.int("owner")?,
+            off: f.int("off")?,
+            bytes: f.int("bytes")?,
         },
         "Work" => Action::Work {
-            cell: get("cell")? as u32,
-            flops: get("flops")? as u32,
+            cell: f.int("cell")?,
+            flops: f.int("flops")?,
         },
         "BadPutEmpty" => Action::BadPutEmpty {
-            src: get("src")? as u32,
-            dst: get("dst")? as u32,
+            src: f.int("src")?,
+            dst: f.int("dst")?,
         },
         "BadPutOverlap" => Action::BadPutOverlap {
-            src: get("src")? as u32,
-            dst: get("dst")? as u32,
+            src: f.int("src")?,
+            dst: f.int("dst")?,
         },
         "BadGetMismatch" => Action::BadGetMismatch {
-            reader: get("reader")? as u32,
-            owner: get("owner")? as u32,
+            reader: f.int("reader")?,
+            owner: f.int("owner")?,
         },
         other => return Err(format!("unknown action `{other}`")),
     })
@@ -329,5 +349,42 @@ mod tests {
         assert!(from_ron("(seed: 1, ncells: 2, rounds: [])")
             .unwrap_err()
             .contains("missing region"));
+    }
+
+    #[test]
+    fn integers_are_read_at_their_field_width_never_wrapped() {
+        let put = "Put(src: 0, dst: 1, src_off: 0, item: 8, count: 1, extra: 0, \
+                   mode: Contig, flag_send: 300, flag_recv: -1, ack: false)";
+        let prog = |head: &str, action: &str| format!("({head}, rounds: [[{action}]])");
+        let base = "seed: 1, ncells: 2, region: 4096";
+        for (text, field, width) in [
+            (prog("seed: -1, ncells: 2, region: 4096", ""), "seed", "u64"),
+            (
+                prog("seed: 1, ncells: 4294967296, region: 4096", ""),
+                "ncells",
+                "u32",
+            ),
+            (prog(base, put), "flag_send", "i8"),
+            (prog(base, "Work(cell: -1, flops: 1)"), "cell", "u32"),
+            (
+                prog(base, "Send(src: 0, dst: 1, src_off: 0, bytes: 4294967296)"),
+                "bytes",
+                "u32",
+            ),
+        ] {
+            let err = from_ron(&text).unwrap_err();
+            let want = format!("`{field}` needs an integer that fits {width}");
+            assert!(err.contains(&want), "{text}: {err}");
+        }
+        let ok = prog(base, &put.replace("300", "-128"));
+        let p = from_ron(&ok).unwrap();
+        assert!(matches!(
+            p.rounds[0][0],
+            Action::Put {
+                flag_send: -128,
+                flag_recv: -1,
+                ..
+            }
+        ));
     }
 }

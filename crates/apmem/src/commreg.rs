@@ -31,8 +31,6 @@ pub const NUM_COMM_REGS: usize = 128;
 pub struct CommRegs {
     value: [u32; NUM_COMM_REGS],
     present: [bool; NUM_COMM_REGS],
-    stores: u64,
-    loads: u64,
 }
 
 impl CommRegs {
@@ -41,8 +39,6 @@ impl CommRegs {
         CommRegs {
             value: [0; NUM_COMM_REGS],
             present: [false; NUM_COMM_REGS],
-            stores: 0,
-            loads: 0,
         }
     }
 
@@ -63,7 +59,6 @@ impl CommRegs {
         let clobbered = self.present[idx];
         self.value[idx] = v;
         self.present[idx] = true;
-        self.stores += 1;
         clobbered
     }
 
@@ -83,13 +78,7 @@ impl CommRegs {
             return None;
         }
         self.present[idx] = false;
-        self.loads += 1;
         Some(self.value[idx])
-    }
-
-    /// `(stores, loads)` performed, for statistics.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.stores, self.loads)
     }
 }
 
@@ -109,7 +98,6 @@ mod tests {
         assert!(!r.store(0, 7));
         assert_eq!(r.load(0), Some(7));
         assert_eq!(r.load(0), None);
-        assert_eq!(r.counters(), (1, 1));
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl DsmMap {
         }
     }
 
-    /// Size of each cell's shared block in the 36-bit decode.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Usable bytes of each cell's shared window (limited by DRAM).
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
     /// Builds the global shared-space address for byte `offset` of `cell`'s
     /// window. Returns `None` if `offset` exceeds the window or the cell is
     /// out of range.
@@ -124,8 +114,8 @@ mod tests {
         // §4.2: 1024 cells, 64 MB local -> 32 MB blocks, half of local
         // memory mapped for shared space.
         let map = DsmMap::new(1024, 64 << 20);
-        assert_eq!(map.block_size(), 32 << 20);
-        assert_eq!(map.window(), 32 << 20);
+        assert_eq!(map.block_size, 32 << 20);
+        assert_eq!(map.window, 32 << 20);
         let (cell, local) = map
             .resolve(map.shared_addr(CellId::new(1023), 5).unwrap())
             .unwrap();
@@ -150,16 +140,16 @@ mod tests {
         }
         // Cell beyond ncells but within the power-of-two decode: unmapped.
         assert_eq!(map.shared_addr(CellId::new(13), 0), None);
-        let hole = PAddr::new(SHARED_BASE + 15 * map.block_size());
+        let hole = PAddr::new(SHARED_BASE + 15 * map.block_size);
         assert_eq!(map.resolve(hole), None);
     }
 
     #[test]
     fn window_limited_by_dram() {
         let map = DsmMap::new(4, 1 << 20); // tiny DRAM: window = 512 KB
-        assert_eq!(map.window(), (1 << 20) / 2);
-        assert!(map.shared_addr(CellId::new(0), map.window()).is_none());
-        assert!(map.shared_addr(CellId::new(0), map.window() - 1).is_some());
+        assert_eq!(map.window, (1 << 20) / 2);
+        assert!(map.shared_addr(CellId::new(0), map.window).is_none());
+        assert!(map.shared_addr(CellId::new(0), map.window - 1).is_some());
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod proptests {
                 prop_assert_eq!(c, CellId::new(cell));
                 prop_assert_eq!(local.as_u64(), (64u64 << 20) / 2 + offset);
             } else {
-                prop_assert!(cell >= ncells || offset >= map.window());
+                prop_assert!(cell >= ncells || offset >= map.window);
             }
         }
     }

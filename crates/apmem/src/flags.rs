@@ -15,31 +15,12 @@ use aputil::VAddr;
 
 /// The fetch-and-increment unit.
 ///
-/// Stateless apart from a counter of performed updates; owns neither the
-/// MMU nor the memory, mirroring the hardware where the incrementer is a
-/// datapath inside the MC.
+/// Stateless; owns neither the MMU nor the memory, mirroring the hardware
+/// where the incrementer is a datapath inside the MC.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FlagUnit {
-    updates: u64,
-    skipped: u64,
-}
+pub struct FlagUnit;
 
 impl FlagUnit {
-    /// Creates a flag unit.
-    pub fn new() -> Self {
-        FlagUnit::default()
-    }
-
-    /// Number of flag increments performed.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Number of updates skipped because the address was 0.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
     /// Fetch-and-increment the flag at logical `flag` using the given MMU
     /// and memory. Returns the *previous* value, or `None` when `flag` is
     /// the null address (update skipped, per §4.1: "if flag addresses are
@@ -50,19 +31,17 @@ impl FlagUnit {
     /// Propagates [`MemError::PageFault`] from translation and
     /// [`MemError::OutOfBounds`] from the physical access.
     pub fn fetch_increment(
-        &mut self,
+        &self,
         mmu: &mut Mmu,
         mem: &mut Memory,
         flag: VAddr,
     ) -> Result<Option<u32>, MemError> {
         if flag.is_null() {
-            self.skipped += 1;
             return Ok(None);
         }
         let t = mmu.translate(flag)?;
         let old: u32 = mem.read_pod(t.paddr)?;
         mem.write_pod(t.paddr, old.wrapping_add(1))?;
-        self.updates += 1;
         Ok(Some(old))
     }
 
@@ -97,7 +76,7 @@ mod tests {
     #[test]
     fn increments_from_zero() {
         let (mut mmu, mut mem, flag) = setup();
-        let mut fu = FlagUnit::new();
+        let fu = FlagUnit;
         assert_eq!(
             fu.fetch_increment(&mut mmu, &mut mem, flag).unwrap(),
             Some(0)
@@ -107,26 +86,23 @@ mod tests {
             Some(1)
         );
         assert_eq!(fu.read(&mmu, &mem, flag).unwrap(), 2);
-        assert_eq!(fu.updates(), 2);
     }
 
     #[test]
     fn null_flag_is_skipped() {
         let (mut mmu, mut mem, _) = setup();
-        let mut fu = FlagUnit::new();
+        let fu = FlagUnit;
         assert_eq!(
             fu.fetch_increment(&mut mmu, &mut mem, VAddr::NULL).unwrap(),
             None
         );
-        assert_eq!(fu.updates(), 0);
-        assert_eq!(fu.skipped(), 1);
         assert!(fu.read(&mmu, &mem, VAddr::NULL).is_err());
     }
 
     #[test]
     fn unmapped_flag_faults() {
         let (mut mmu, mut mem, _) = setup();
-        let mut fu = FlagUnit::new();
+        let fu = FlagUnit;
         let bogus = VAddr::new(0xdead_0000);
         assert!(matches!(
             fu.fetch_increment(&mut mmu, &mut mem, bogus),
@@ -139,7 +115,7 @@ mod tests {
         let (mut mmu, mut mem, flag) = setup();
         let p = mmu.translate_peek(flag).unwrap();
         mem.write_pod(p, u32::MAX).unwrap();
-        let mut fu = FlagUnit::new();
+        let fu = FlagUnit;
         assert_eq!(
             fu.fetch_increment(&mut mmu, &mut mem, flag).unwrap(),
             Some(u32::MAX)

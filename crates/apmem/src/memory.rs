@@ -92,11 +92,6 @@ impl Memory {
         }
     }
 
-    /// Installed DRAM size in bytes.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
     /// Number of frames actually materialized (host-memory diagnostic).
     pub fn resident_frames(&self) -> usize {
         self.frames.iter().flatten().count()
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn size_rounds_up_to_frame() {
         let m = Memory::new(1);
-        assert_eq!(m.size(), FRAME_SIZE);
+        assert_eq!(m.size, FRAME_SIZE);
     }
 
     #[test]

@@ -146,24 +146,6 @@ impl HostProf {
             ("host_phases", Json::Arr(phases)),
         ])
     }
-
-    /// One-line human rendering for run summaries.
-    pub fn render(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        for &p in &HostPhase::ALL {
-            parts.push(format!(
-                "{} {}x ~{:.1}ms",
-                p.label(),
-                self.count_of(p),
-                self.estimated_ns(p) as f64 / 1e6
-            ));
-        }
-        format!(
-            "host event-loop: wall {:.1}ms | {}",
-            self.wall_ns as f64 / 1e6,
-            parts.join(" | ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +169,5 @@ mod tests {
         assert_eq!(p.estimated_ns(HostPhase::Pop), 0);
         let j = p.to_json().to_string();
         assert!(j.contains("host_wall_ms") && j.contains("\"dispatch\""));
-        assert!(p.render().contains("dispatch 100x"));
     }
 }

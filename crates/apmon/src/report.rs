@@ -3,7 +3,7 @@
 
 use crate::heatmap::Heatmap;
 use crate::hostprof::HostProf;
-use crate::series::MetricsSeries;
+use crate::series::{MetricsSample, MetricsSeries};
 use aputil::{Json, SimTime};
 use std::io::Write;
 use std::path::Path;
@@ -148,18 +148,23 @@ pub fn metrics_report(runs: &[(String, &RunMetrics)]) -> Json {
 /// track per counter column, mergeable into a Chrome-trace export. `pid`
 /// selects the process the tracks appear under.
 pub fn perfetto_counter_events(series: &MetricsSeries, pid: u64) -> Vec<Json> {
-    // (track name, extractor) — gauges that read well as counter lanes.
-    type Get = fn(&crate::series::MetricsSample) -> u64;
-    let tracks: &[(&str, Get)] = &[
-        ("puts_inflight", |s| s.puts_inflight as u64),
-        ("gets_inflight", |s| s.gets_inflight as u64),
-        ("cells_blocked", |s| s.cells_blocked as u64),
-        ("barrier_waiting", |s| s.barrier_waiting as u64),
-        ("queue_depth", |s| s.queue_depth),
-        ("send_dma_busy", |s| s.send_dma_busy as u64),
-        ("recv_dma_busy", |s| s.recv_dma_busy as u64),
-        ("retries", |s| s.retries),
-    ];
+    // The gauges that read well as counter lanes, with their columns.
+    let tracks: Vec<(&str, usize)> = [
+        "puts_inflight",
+        "gets_inflight",
+        "cells_blocked",
+        "barrier_waiting",
+        "queue_depth",
+        "send_dma_busy",
+        "recv_dma_busy",
+        "retries",
+    ]
+    .into_iter()
+    .map(|name| {
+        let column = MetricsSample::COLUMNS.iter().position(|&c| c == name);
+        (name, column.expect("a MetricsSample column"))
+    })
+    .collect();
     let mut events = Vec::with_capacity(series.samples.len() * tracks.len() + 1);
     events.push(Json::obj([
         ("ph", Json::from("M")),
@@ -169,13 +174,14 @@ pub fn perfetto_counter_events(series: &MetricsSeries, pid: u64) -> Vec<Json> {
     ]));
     for row in &series.samples {
         let ts = Json::F(row.t.as_nanos() as f64 / 1000.0);
-        for (name, get) in tracks {
+        let values = row.values();
+        for &(name, column) in &tracks {
             events.push(Json::obj([
                 ("ph", Json::from("C")),
                 ("pid", Json::from(pid)),
-                ("name", Json::from(*name)),
+                ("name", Json::from(name)),
                 ("ts", ts.clone()),
-                ("args", Json::obj([("value", Json::from(get(row)))])),
+                ("args", Json::obj([("value", Json::from(values[column]))])),
             ]));
         }
     }
@@ -185,7 +191,6 @@ pub fn perfetto_counter_events(series: &MetricsSeries, pid: u64) -> Vec<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::MetricsSample;
 
     fn sample_metrics() -> RunMetrics {
         let mut m = RunMetrics {

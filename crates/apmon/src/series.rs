@@ -44,8 +44,8 @@ pub struct MetricsSample {
 }
 
 impl MetricsSample {
-    /// Field names, in the column order [`to_row`](Self::to_row) uses.
-    pub const COLUMNS: &'static [&'static str] = &[
+    /// Field names, in the order of [`values`](Self::values).
+    pub const COLUMNS: [&'static str; 15] = [
         "t_ns",
         "events",
         "msgs",
@@ -63,26 +63,32 @@ impl MetricsSample {
         "detours",
     ];
 
+    /// The row's values, in [`COLUMNS`](Self::COLUMNS) order: the one
+    /// list every consumer of the columns reads.
+    pub fn values(&self) -> [u64; 15] {
+        [
+            self.t.as_nanos(),
+            self.events,
+            self.msgs,
+            self.bytes,
+            u64::from(self.puts_inflight),
+            u64::from(self.gets_inflight),
+            u64::from(self.cells_blocked),
+            u64::from(self.barrier_waiting),
+            self.queue_depth,
+            self.queue_depth_max,
+            u64::from(self.send_dma_busy),
+            u64::from(self.recv_dma_busy),
+            self.link_busy_ns,
+            self.retries,
+            self.detours,
+        ]
+    }
+
     /// The row as a JSON array in [`COLUMNS`](Self::COLUMNS) order —
     /// column-oriented framing keeps a 10k-sample artifact compact.
     pub fn to_row(&self) -> Json {
-        Json::Arr(vec![
-            Json::U(self.t.as_nanos()),
-            Json::U(self.events),
-            Json::U(self.msgs),
-            Json::U(self.bytes),
-            Json::U(self.puts_inflight as u64),
-            Json::U(self.gets_inflight as u64),
-            Json::U(self.cells_blocked as u64),
-            Json::U(self.barrier_waiting as u64),
-            Json::U(self.queue_depth),
-            Json::U(self.queue_depth_max),
-            Json::U(self.send_dma_busy as u64),
-            Json::U(self.recv_dma_busy as u64),
-            Json::U(self.link_busy_ns),
-            Json::U(self.retries),
-            Json::U(self.detours),
-        ])
+        Json::Arr(self.values().into_iter().map(Json::U).collect())
     }
 }
 

@@ -3,8 +3,9 @@
 //! The MSC+ DMA controllers move data between logical address ranges; the
 //! MC's MMU translates page-run by page-run ("the MSC+ can … quickly obtain
 //! the converted address from the MMU", §4.1). The functions here perform
-//! the data movement functionally and report how many TLB misses occurred
-//! so the timing layer can charge the table-walker.
+//! the data movement functionally and report how many TLB misses occurred.
+//! Nothing charges a miss: the TLB is a host translation cache, and the
+//! count is there for tests that check one translation per page run.
 
 use apmem::{MemError, Memory, Mmu};
 use aputil::{PAddr, VAddr};

@@ -38,27 +38,6 @@ impl Payload {
         fill(Arc::get_mut(&mut buf).expect("a fresh Arc has one owner"))?;
         Ok(Payload(buf))
     }
-
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` when the payload carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Copies the bytes out into an owned vector (the delivery-side
-    /// scatter, or an API boundary that hands bytes to the caller).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.to_vec()
-    }
 }
 
 impl From<Vec<u8>> for Payload {
@@ -90,7 +69,7 @@ mod tests {
         let p = Payload::from(vec![1u8, 2, 3]);
         let q = p.clone();
         assert!(Arc::ptr_eq(&p.0, &q.0), "clone must not copy the bytes");
-        assert_eq!(q.as_slice(), &[1, 2, 3]);
+        assert_eq!(&q[..], &[1, 2, 3]);
     }
 
     #[test]
@@ -100,7 +79,7 @@ mod tests {
             Ok::<(), ()>(())
         })
         .unwrap();
-        assert_eq!(p.as_slice(), &[1, 2, 3, 4]);
+        assert_eq!(&p[..], &[1, 2, 3, 4]);
         assert_eq!(Payload::build(8, |_| Err::<(), _>("fault")), Err("fault"));
         assert!(Payload::build(0, |_| Ok::<(), ()>(())).unwrap().is_empty());
     }

@@ -16,7 +16,8 @@ use aputil::{CellId, SimTime};
 /// use apnet::BNet;
 /// use aputil::{CellId, SimTime};
 ///
-/// let mut b = BNet::new(16);
+/// // The hardware's bus: 0.16 µs prolog, 50 MB/s ⇒ 20 ns per byte.
+/// let mut b = BNet::with_params(16, SimTime::from_nanos(160), SimTime::from_nanos(20));
 /// let t1 = b.broadcast(SimTime::ZERO, CellId::new(0), 1000);
 /// let t2 = b.broadcast(SimTime::ZERO, CellId::new(1), 1000);
 /// assert!(t2 > t1, "bus serializes broadcasts");
@@ -27,25 +28,9 @@ pub struct BNet {
     prolog: SimTime,
     per_byte: SimTime,
     ncells: u32,
-    broadcasts: u64,
-    bytes: u64,
 }
 
 impl BNet {
-    /// Creates a B-net for `ncells` cells with the hardware defaults
-    /// (0.16 µs prolog, 50 MB/s ⇒ 20 ns per byte).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ncells` is zero.
-    pub fn new(ncells: u32) -> Self {
-        Self::with_params(
-            ncells,
-            SimTime::from_micros_f64(0.16),
-            SimTime::from_nanos(20),
-        )
-    }
-
     /// Creates a B-net with explicit timing parameters.
     ///
     /// # Panics
@@ -58,14 +43,7 @@ impl BNet {
             prolog,
             per_byte,
             ncells,
-            broadcasts: 0,
-            bytes: 0,
         }
-    }
-
-    /// Number of cells on the bus.
-    pub fn ncells(&self) -> u32 {
-        self.ncells
     }
 
     /// Broadcasts `size` bytes from `src` at `now`; returns the instant the
@@ -82,19 +60,7 @@ impl BNet {
         );
         let hold = self.prolog + self.per_byte.saturating_mul(size);
         let (_, end) = self.bus.reserve(now, hold);
-        self.broadcasts += 1;
-        self.bytes += size;
         end
-    }
-
-    /// `(broadcasts, payload bytes)` carried so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.broadcasts, self.bytes)
-    }
-
-    /// Fraction of time the bus has been busy up to its last grant.
-    pub fn busy_time(&self) -> SimTime {
-        self.bus.busy_time()
     }
 }
 
@@ -102,27 +68,31 @@ impl BNet {
 mod tests {
     use super::*;
 
+    /// The hardware's bus (Figure 5): 0.16 µs prolog, 20 ns per byte.
+    fn bnet(ncells: u32) -> BNet {
+        BNet::with_params(ncells, SimTime::from_nanos(160), SimTime::from_nanos(20))
+    }
+
     #[test]
     fn latency_is_prolog_plus_serialization() {
-        let mut b = BNet::new(4);
+        let mut b = bnet(4);
         let t = b.broadcast(SimTime::ZERO, CellId::new(0), 100);
         assert_eq!(t.as_nanos(), 160 + 2000);
     }
 
     #[test]
     fn bus_arbitration_serializes() {
-        let mut b = BNet::new(4);
+        let mut b = bnet(4);
         let t1 = b.broadcast(SimTime::ZERO, CellId::new(0), 50);
         let t2 = b.broadcast(SimTime::from_nanos(10), CellId::new(1), 50);
         assert_eq!(t2, t1 + SimTime::from_nanos(160 + 1000));
-        assert_eq!(b.counters(), (2, 100));
     }
 
     #[test]
     fn idle_bus_grants_immediately() {
-        let mut b = BNet::new(4);
+        let mut b = bnet(4);
         b.broadcast(SimTime::ZERO, CellId::new(0), 10);
-        let late = SimTime::from_millis(1);
+        let late = SimTime::from_nanos(1_000_000);
         let t = b.broadcast(late, CellId::new(2), 0);
         assert_eq!(t, late + SimTime::from_nanos(160));
     }
@@ -130,7 +100,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not on this")]
     fn foreign_cell_panics() {
-        let mut b = BNet::new(2);
+        let mut b = bnet(2);
         b.broadcast(SimTime::ZERO, CellId::new(5), 1);
     }
 }

@@ -153,11 +153,6 @@ impl TNet {
         self.torus
     }
 
-    /// The timing parameters (for lookahead derivation and reporting).
-    pub fn params(&self) -> TNetParams {
-        self.params
-    }
-
     /// Per-byte serialization cost of a `size`-byte payload; an overflow
     /// of the sim-time range is a configuration error surfaced as
     /// [`ApError::InvalidArg`], never silently clamped.
@@ -507,7 +502,7 @@ mod tests {
         let mut n = net(Contention::None);
         let src = CellId::new(0);
         let dst = CellId::new(3); // 1 hop away on 4-wide torus (wrap)
-        let hops = n.torus().hops(src, dst);
+        let hops = n.torus().route_iter(src, dst).hops();
         assert_eq!(hops, 1);
         let t = n.transfer(SimTime::ZERO, src, dst, 100);
         // 160 prolog + 160*1 hop + 40*100 bytes = 4320 ns
@@ -699,7 +694,7 @@ mod fault_tests {
             panic!("retry should detour, got {d:?}");
         };
         assert!(detoured);
-        let hops = n.torus().hops(src, dst) as u64;
+        let hops = n.torus().route_iter(src, dst).hops() as u64;
         assert_eq!(
             at.as_nanos() - retry_at.as_nanos(),
             160 + 160 * hops + 40 * 100
@@ -836,7 +831,7 @@ mod obs_tests {
         assert_eq!(inject[0].end(), arrival);
         assert_eq!(
             evs.iter().filter(|e| e.name == "hop").count() as u32,
-            n.torus().hops(src, dst) - 1
+            n.torus().route_iter(src, dst).hops() - 1
         );
         let deliver: Vec<_> = evs.iter().filter(|e| e.name == "deliver").collect();
         assert_eq!(deliver.len(), 1);

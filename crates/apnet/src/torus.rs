@@ -20,7 +20,7 @@ use aputil::CellId;
 ///
 /// let t = Torus::for_cells(16); // 4×4
 /// assert_eq!(t.dims(), (4, 4));
-/// assert_eq!(t.hops(CellId::new(0), CellId::new(15)), 2); // wrap both dims
+/// assert_eq!(t.route_iter(CellId::new(0), CellId::new(15)).hops(), 2); // wrap both dims
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Torus {
@@ -108,11 +108,6 @@ impl Torus {
         }
     }
 
-    /// Hop count of the static X-then-Y route between two cells.
-    pub fn hops(self, src: CellId, dst: CellId) -> u32 {
-        self.route_iter(src, dst).hops()
-    }
-
     /// The static route as an iterator over the cells visited, `src` first
     /// and `dst` last (X dimension resolved first, then Y) — the
     /// per-message form: nothing is allocated.
@@ -192,8 +187,7 @@ pub struct Route {
 }
 
 impl Route {
-    /// Links the route has yet to cross; on a fresh route, the hop count
-    /// [`Torus::hops`] reports.
+    /// Links the route has yet to cross; on a fresh route, its hop count.
     pub fn hops(&self) -> u32 {
         (self.dx.unsigned_abs() + self.dy.unsigned_abs()) as u32
     }
@@ -245,12 +239,12 @@ mod tests {
     #[test]
     fn hop_counts_wrap() {
         let t = Torus::new(8, 8);
-        assert_eq!(t.hops(CellId::new(0), CellId::new(0)), 0);
-        assert_eq!(t.hops(CellId::new(0), CellId::new(7)), 1); // wrap in x
-        assert_eq!(t.hops(CellId::new(0), CellId::new(3)), 3);
-        assert_eq!(t.hops(CellId::new(0), CellId::new(4)), 4); // half way
+        assert_eq!(t.route_iter(CellId::new(0), CellId::new(0)).hops(), 0);
+        assert_eq!(t.route_iter(CellId::new(0), CellId::new(7)).hops(), 1); // wrap in x
+        assert_eq!(t.route_iter(CellId::new(0), CellId::new(3)).hops(), 3);
+        assert_eq!(t.route_iter(CellId::new(0), CellId::new(4)).hops(), 4); // half way
         let far = t.cell_at(4, 4);
-        assert_eq!(t.hops(CellId::new(0), far), 8); // worst case on 8x8
+        assert_eq!(t.route_iter(CellId::new(0), far).hops(), 8); // worst case on 8x8
     }
 
     #[test]
@@ -259,8 +253,8 @@ mod tests {
         for a in 0..t.ncells() {
             for b in 0..t.ncells() {
                 assert_eq!(
-                    t.hops(CellId::new(a), CellId::new(b)),
-                    t.hops(CellId::new(b), CellId::new(a)),
+                    t.route_iter(CellId::new(a), CellId::new(b)).hops(),
+                    t.route_iter(CellId::new(b), CellId::new(a)).hops(),
                     "asymmetric hops {a}->{b}"
                 );
             }
@@ -275,7 +269,7 @@ mod tests {
         let route = t.route(src, dst);
         assert_eq!(route.first(), Some(&src));
         assert_eq!(route.last(), Some(&dst));
-        assert_eq!(route.len() as u32 - 1, t.hops(src, dst));
+        assert_eq!(route.len() as u32 - 1, t.route_iter(src, dst).hops());
         // X resolved first: second node must differ in x, same y.
         let (x1, y1) = t.coords(route[1]);
         assert_eq!(y1, 0);
@@ -289,8 +283,8 @@ mod tests {
             for b in 0..t.ncells() {
                 let (src, dst) = (CellId::new(a), CellId::new(b));
                 let mut route = t.route_iter(src, dst);
-                assert_eq!(route.hops(), t.hops(src, dst));
-                assert_eq!(route.len(), t.hops(src, dst) as usize + 1);
+                assert_eq!(route.hops(), t.route_iter(src, dst).hops());
+                assert_eq!(route.len(), t.route_iter(src, dst).hops() as usize + 1);
                 assert_eq!(route.next(), Some(src));
                 assert_eq!(route.len(), route.hops() as usize);
                 assert_eq!(route.last().unwrap_or(src), dst);
@@ -355,11 +349,24 @@ mod tests {
     fn delta_survives_u32_max_sized_dims() {
         // `to + dim` exceeds u32::MAX here; the math must widen.
         let t = Torus::new(u32::MAX, 1);
-        assert_eq!(t.hops(CellId::new(0), CellId::new(u32::MAX - 1)), 1);
-        assert_eq!(t.hops(CellId::new(u32::MAX - 1), CellId::new(0)), 1);
-        assert_eq!(t.hops(CellId::new(1), CellId::new(u32::MAX - 2)), 3);
         assert_eq!(
-            t.hops(CellId::new(0), CellId::new(u32::MAX / 2)),
+            t.route_iter(CellId::new(0), CellId::new(u32::MAX - 1))
+                .hops(),
+            1
+        );
+        assert_eq!(
+            t.route_iter(CellId::new(u32::MAX - 1), CellId::new(0))
+                .hops(),
+            1
+        );
+        assert_eq!(
+            t.route_iter(CellId::new(1), CellId::new(u32::MAX - 2))
+                .hops(),
+            3
+        );
+        assert_eq!(
+            t.route_iter(CellId::new(0), CellId::new(u32::MAX / 2))
+                .hops(),
             u32::MAX / 2
         );
     }
@@ -377,10 +384,10 @@ mod tests {
                     assert_eq!(route.last(), Some(&dst));
                     assert_eq!(
                         route.len() as u32 - 1,
-                        t.hops(src, dst),
+                        t.route_iter(src, dst).hops(),
                         "route/hops disagree for {a}->{b} on {n}x1"
                     );
-                    assert_eq!(t.hops(src, dst), t.hops(dst, src));
+                    assert_eq!(t.route_iter(src, dst).hops(), t.route_iter(dst, src).hops());
                 }
             }
         }
@@ -394,8 +401,8 @@ mod tests {
         let t = Torus::new(6, 4);
         let src = t.cell_at(1, 1);
         let dst = t.cell_at(4, 3); // dx = 3 = 6/2, dy = 2 = 4/2: ties in both
-        assert_eq!(t.hops(src, dst), 5);
-        assert_eq!(t.hops(dst, src), 5);
+        assert_eq!(t.route_iter(src, dst).hops(), 5);
+        assert_eq!(t.route_iter(dst, src).hops(), 5);
         let fwd = t.route(src, dst);
         assert_eq!(fwd.len(), 6);
         // X first, stepping in the positive direction.
@@ -427,7 +434,7 @@ mod proptests {
             let r1 = t.route(src, dst);
             let r2 = t.route(src, dst);
             prop_assert_eq!(&r1, &r2, "routing must be static");
-            prop_assert_eq!(r1.len() as u32 - 1, t.hops(src, dst));
+            prop_assert_eq!(r1.len() as u32 - 1, t.route_iter(src, dst).hops());
             let unique: std::collections::HashSet<_> = r1.iter().collect();
             prop_assert_eq!(unique.len(), r1.len(), "route revisits a cell");
             // The detour obeys the same invariants with the same length.
@@ -445,7 +452,7 @@ mod proptests {
             let t = Torus::new(w, h);
             let src = CellId::new(a % t.ncells());
             let dst = CellId::new(b % t.ncells());
-            prop_assert!(t.hops(src, dst) <= w / 2 + h / 2 + 1);
+            prop_assert!(t.route_iter(src, dst).hops() <= w / 2 + h / 2 + 1);
         }
     }
 }

@@ -190,24 +190,6 @@ impl CacheCounters {
         CacheCounters::default()
     }
 
-    /// Folds another counter block into this one.
-    pub fn merge(&mut self, other: &CacheCounters) {
-        self.hits += other.hits;
-        self.disk_hits += other.disk_hits;
-        self.misses += other.misses;
-        self.joins += other.joins;
-        self.evictions += other.evictions;
-        self.rejected += other.rejected;
-        self.runs += other.runs;
-        self.failures += other.failures;
-        self.disk_evictions += other.disk_evictions;
-        self.crashed += other.crashed;
-        self.timeouts += other.timeouts;
-        self.job_retries += other.job_retries;
-        self.kills += other.kills;
-        self.poison_rejects += other.poison_rejects;
-    }
-
     /// JSON form, used verbatim inside `GET /stats`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -234,32 +216,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cache_counters_merge_and_serialize() {
-        let mut a = CacheCounters {
-            hits: 2,
-            misses: 1,
+    fn cache_counters_serialize() {
+        let a = CacheCounters {
+            hits: 5,
             ..CacheCounters::new()
         };
-        let b = CacheCounters {
-            hits: 3,
-            joins: 4,
-            rejected: 1,
-            runs: 1,
-            crashed: 2,
-            timeouts: 1,
-            job_retries: 1,
-            kills: 1,
-            poison_rejects: 3,
-            disk_evictions: 2,
-            ..CacheCounters::new()
-        };
-        a.merge(&b);
-        assert_eq!(a.hits, 5);
-        assert_eq!(a.joins, 4);
-        assert_eq!(a.rejected, 1);
-        assert_eq!(a.crashed, 2);
-        assert_eq!(a.poison_rejects, 3);
-        assert_eq!(a.disk_evictions, 2);
         let j = a.to_json();
         for key in [
             "hits",

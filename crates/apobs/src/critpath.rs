@@ -56,9 +56,6 @@ pub struct GatingOp {
     pub total: SimTime,
     /// Fraction of the run total, in percent.
     pub share_pct: f64,
-    /// Index (into [`CritPath::steps`]) of this op's longest instance,
-    /// so callers can show the chain around it.
-    pub longest_step: usize,
 }
 
 /// The extracted critical path and its attribution.
@@ -126,20 +123,16 @@ impl CritPath {
     /// The top-`k` gating operations by contributed time.
     pub fn top_ops(&self, k: usize) -> Vec<GatingOp> {
         let mut acc: HashMap<(&'static str, Unit), GatingOp> = HashMap::new();
-        for (i, s) in self.steps.iter().enumerate() {
+        for s in &self.steps {
             let op = acc.entry((s.name, s.unit)).or_insert(GatingOp {
                 name: s.name,
                 unit: s.unit,
                 count: 0,
                 total: SimTime::ZERO,
                 share_pct: 0.0,
-                longest_step: i,
             });
             op.count += 1;
             op.total += s.contrib();
-            if s.contrib() > self.steps[op.longest_step].contrib() {
-                op.longest_step = i;
-            }
         }
         let mut v: Vec<GatingOp> = acc.into_values().collect();
         let total_ns = self.total.as_nanos().max(1) as f64;
@@ -149,18 +142,6 @@ impl CritPath {
         v.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(b.name)));
         v.truncate(k);
         v
-    }
-
-    /// The chain of steps around step `i`: up to `radius` steps either
-    /// side, chronological. Used to show *why* a gating op sat where it
-    /// did.
-    pub fn chain_around(&self, i: usize, radius: usize) -> &[CritStep] {
-        if self.steps.is_empty() {
-            return &[];
-        }
-        let lo = i.saturating_sub(radius);
-        let hi = (i + radius + 1).min(self.steps.len());
-        &self.steps[lo..hi]
     }
 
     /// JSON summary (top ops, attribution; not the full step list).
@@ -220,58 +201,6 @@ impl CritPath {
                 ),
             ),
         ])
-    }
-
-    /// Multi-line human rendering: attribution summary plus the top-`k`
-    /// gating ops, each with the chain around its longest instance.
-    pub fn render(&self, k: usize) -> String {
-        let mut out = format!(
-            "critical path: total {}  attributed {}  unattributed {}  ({} steps)\n",
-            self.total,
-            self.attributed(),
-            self.unattributed,
-            self.steps.len()
-        );
-        let total_ns = self.total.as_nanos().max(1) as f64;
-        out.push_str("  by bucket: ");
-        for (b, t) in self.by_bucket() {
-            if t > SimTime::ZERO {
-                out.push_str(&format!(
-                    "{} {:.1}%  ",
-                    b.label(),
-                    100.0 * t.as_nanos() as f64 / total_ns
-                ));
-            }
-        }
-        out.push_str("\n  by unit  : ");
-        for (u, t) in self.by_unit() {
-            if t > SimTime::ZERO {
-                out.push_str(&format!(
-                    "{} {:.1}%  ",
-                    u.label(),
-                    100.0 * t.as_nanos() as f64 / total_ns
-                ));
-            }
-        }
-        out.push('\n');
-        for op in self.top_ops(k) {
-            out.push_str(&format!(
-                "  {:<12} on {:<8} ×{:<5} {:>12}  {:5.1}%\n",
-                op.name,
-                op.unit.label(),
-                op.count,
-                op.total.to_string(),
-                op.share_pct
-            ));
-            let window = self.chain_around(op.longest_step, 2);
-            let chain: Vec<String> = window
-                .iter()
-                .map(|s| format!("{}@c{}[{}..{}]", s.name, s.cell, s.start, s.end))
-                .collect();
-            out.push_str(&format!("      chain: {}\n", chain.join(" -> ")));
-        }
-        out.pop();
-        out
     }
 }
 
@@ -637,7 +566,6 @@ mod tests {
         assert_eq!(ops[0].count, 2);
         assert_eq!(ops[0].total, SimTime::from_nanos(390));
         assert!(ops[0].share_pct > 90.0);
-        assert!(p.render(3).contains("work"));
         assert!(p.to_json().get("top_ops").is_some());
     }
 }

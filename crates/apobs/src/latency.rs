@@ -105,10 +105,6 @@ pub struct SegmentHists {
 }
 
 impl SegmentHists {
-    pub fn new() -> Self {
-        SegmentHists::default()
-    }
-
     /// Number of transfers recorded.
     pub fn count(&self) -> u64 {
         self.total.count()
@@ -322,7 +318,7 @@ mod tests {
 
     #[test]
     fn record_feeds_every_segment() {
-        let mut h = SegmentHists::new();
+        let mut h = SegmentHists::default();
         h.record(&sample());
         h.record(&sample());
         assert_eq!(h.count(), 2);
@@ -333,11 +329,11 @@ mod tests {
 
     #[test]
     fn merge_matches_recording_both() {
-        let mut a = SegmentHists::new();
+        let mut a = SegmentHists::default();
         a.record(&sample());
-        let mut b = SegmentHists::new();
+        let mut b = SegmentHists::default();
         b.record(&sample());
-        let mut all = SegmentHists::new();
+        let mut all = SegmentHists::default();
         all.record(&sample());
         all.record(&sample());
         a.merge(&b);
@@ -346,7 +342,7 @@ mod tests {
 
     #[test]
     fn json_carries_quantiles() {
-        let mut h = SegmentHists::new();
+        let mut h = SegmentHists::default();
         h.record(&sample());
         let j = h.to_json();
         let q = j.get("queue").unwrap();

@@ -204,15 +204,6 @@ impl Recorder {
         });
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len() + self.rings.iter().map(VecDeque::len).sum::<usize>()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Takes the buffered events, leaving the recorder empty but keeping
     /// its mode. In ring mode the surviving events come
     /// back in [`Unit`] category order (sort by time downstream if
@@ -247,7 +238,7 @@ mod tests {
             1,
         );
         r.instant(0, Unit::Net, "hop", SimTime::ZERO, Bucket::Hw, 1);
-        assert!(r.is_empty() && !r.is_enabled());
+        assert!(r.take_events().is_empty() && !r.is_enabled());
         assert!(!Recorder::default().is_enabled());
     }
 
@@ -276,7 +267,7 @@ mod tests {
         assert_eq!(evs[0].name, "work");
         assert_eq!(evs[0].end(), SimTime::from_nanos(15));
         assert_eq!(evs[1].dur, None);
-        assert!(r.is_empty());
+        assert!(r.take_events().is_empty());
         assert!(r.is_enabled());
     }
 
@@ -292,8 +283,8 @@ mod tests {
         for i in 0..2u64 {
             r.instant(0, Unit::Net, "hop", SimTime::from_nanos(i), Bucket::Hw, i);
         }
-        assert_eq!(r.len(), 5);
         let evs = r.take_events();
+        assert_eq!(evs.len(), 5);
         let cpu: Vec<u64> = evs
             .iter()
             .filter(|e| e.unit == Unit::Cpu)
@@ -301,12 +292,12 @@ mod tests {
             .collect();
         assert_eq!(cpu, [7, 8, 9], "only the last 3 CPU events survive");
         assert_eq!(evs.iter().filter(|e| e.unit == Unit::Net).count(), 2);
-        assert!(r.is_empty());
+        assert!(r.take_events().is_empty());
         // Taking events keeps the mode: the ring still evicts.
         for i in 0..5u64 {
             r.instant(0, Unit::Cpu, "cpu", SimTime::from_nanos(i), Bucket::Exec, i);
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.take_events().len(), 3);
     }
 
     /// A sink that counts events — the minimal streaming round-trip.
@@ -344,10 +335,9 @@ mod tests {
         );
         r2.instant(3, Unit::Net, "hop", SimTime::from_nanos(12), Bucket::Hw, 1);
         assert!(
-            r.is_empty() && r2.is_empty(),
+            r.take_events().is_empty() && r2.take_events().is_empty(),
             "streamed events are not buffered"
         );
-        assert!(r.take_events().is_empty());
         let s = sink.lock().unwrap();
         assert_eq!(s.n, 2);
         assert_eq!(s.last.as_ref().unwrap().cell, 3);

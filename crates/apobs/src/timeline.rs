@@ -28,14 +28,6 @@ impl Timeline {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Appends events from another buffer.
     pub fn extend(&mut self, events: Vec<TimelineEvent>) {
         self.events.extend(events);

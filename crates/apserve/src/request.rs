@@ -11,6 +11,7 @@
 //! reports are byte-reproducible and `host_ms`-stripped, so
 //! `same canonical request ⇒ same report bytes`, forever.
 
+use aputil::cli::Factor;
 use aputil::{fnv1a_64, Json, JsonErrorKind};
 
 /// What a request asks the simulator to do.
@@ -209,11 +210,14 @@ fn parse_factors(v: Option<&Json>) -> Result<Vec<Json>, RequestError> {
     }
     items
         .iter()
-        .map(|item| match item.as_f64() {
-            Some(f) if f.is_finite() && f > 0.0 && f <= 1000.0 => Ok(Json::F(f)),
-            _ => Err(RequestError::new(
+        .map(|item| match item.as_f64().and_then(Factor::new) {
+            Some(f) => Ok(Json::F(f.0)),
+            None => Err(RequestError::new(
                 "factors",
-                format!("entries must be finite numbers in (0, 1000], got {item}"),
+                format!(
+                    "entries must be finite numbers in (0, {}], got {item}",
+                    Factor::MAX
+                ),
             )),
         })
         .collect()

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use aputil::Json;
 
 use crate::http::{read_request, write_response, HttpError, HttpRequest, Response, MAX_BODY_BYTES};
-use crate::service::{Config, Executor, Service, Stats, Submission};
+use crate::service::{Config, Executor, Service, Submission};
 
 /// Per-connection socket deadline: a stalled or vanished client cannot
 /// hold a handler thread (and its file descriptor) forever.
@@ -52,10 +52,6 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-
-    pub fn stats(&self) -> Stats {
-        self.service.stats()
     }
 
     /// True once the service has been asked to stop — by a local

@@ -129,11 +129,6 @@ impl ChildSlot {
         let _ = st.child.kill();
     }
 
-    /// The child's OS pid (valid until reaped).
-    pub fn pid(&self) -> u32 {
-        lock(&self.state).child.id()
-    }
-
     /// Non-blocking reap attempt; `Some` once the child has exited.
     fn try_wait(&self) -> (Option<std::process::ExitStatus>, Option<KillReason>) {
         let mut st = lock(&self.state);

@@ -66,16 +66,6 @@ impl<E> EventQueue<E> {
         self.due.pop_front().map(|e| (self.last, e))
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.due.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.due.is_empty() && self.mask == 0
-    }
-
     /// Files an event at `time >= last`: in `due` if it is at `last`, else
     /// at the back of the bucket of the highest bit the two times differ in.
     fn place(&mut self, time: SimTime, event: E) {
@@ -118,13 +108,10 @@ mod tests {
         q.push(SimTime::from_nanos(30), 3);
         q.push(SimTime::from_nanos(10), 1);
         q.push(SimTime::from_nanos(20), 2);
-        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
-        assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
         assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -152,9 +139,8 @@ mod tests {
 
     #[test]
     fn default_is_empty() {
-        let q: EventQueue<()> = EventQueue::default();
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        let mut q: EventQueue<()> = EventQueue::default();
+        assert_eq!(q.pop(), None);
     }
 }
 

@@ -25,8 +25,6 @@ use aputil::SimTime;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Resource {
     busy_until: SimTime,
-    busy_time: SimTime,
-    jobs: u64,
 }
 
 impl Resource {
@@ -41,24 +39,12 @@ impl Resource {
         let start = earliest.max(self.busy_until);
         let end = start + duration;
         self.busy_until = end;
-        self.busy_time += duration;
-        self.jobs += 1;
         (start, end)
     }
 
     /// The time at which the resource next becomes free.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total time the resource has been occupied (utilization numerator).
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
-    }
-
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 }
 
@@ -77,17 +63,14 @@ mod tests {
         let (s2, e2) = r.reserve(ns(0), ns(50));
         assert_eq!(s2, e1);
         assert_eq!(e2, ns(100));
-        assert_eq!(r.jobs(), 2);
-        assert_eq!(r.busy_time(), ns(100));
     }
 
     #[test]
-    fn idle_gap_is_not_counted_busy() {
+    fn an_idle_gap_is_not_waited_out() {
         let mut r = Resource::new();
         r.reserve(ns(0), ns(10));
         let (s, e) = r.reserve(ns(100), ns(10));
         assert_eq!((s, e), (ns(100), ns(110)));
-        assert_eq!(r.busy_time(), ns(20));
         assert_eq!(r.busy_until(), ns(110));
     }
 

@@ -18,7 +18,6 @@ use core::ops::{Add, Sub};
 ///
 /// let base = VAddr::new(0x1000);
 /// assert_eq!((base + 8).as_u64(), 0x1008);
-/// assert_eq!(base.offset_from(VAddr::new(0x0ff8)), 8);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct VAddr(u64);
@@ -54,24 +53,6 @@ impl VAddr {
     pub const fn is_null(self) -> bool {
         self.0 == 0
     }
-
-    /// Byte distance from `other` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other > self`.
-    #[inline]
-    pub fn offset_from(self, other: VAddr) -> u64 {
-        self.0
-            .checked_sub(other.0)
-            .expect("VAddr::offset_from underflowed")
-    }
-
-    /// Checked addition of a byte offset.
-    #[inline]
-    pub fn checked_add(self, off: u64) -> Option<VAddr> {
-        self.0.checked_add(off).map(VAddr)
-    }
 }
 
 impl PAddr {
@@ -85,12 +66,6 @@ impl PAddr {
     #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Checked addition of a byte offset.
-    #[inline]
-    pub fn checked_add(self, off: u64) -> Option<PAddr> {
-        self.0.checked_add(off).map(PAddr)
     }
 }
 
@@ -166,8 +141,6 @@ mod tests {
         let a = VAddr::new(0x100);
         assert_eq!((a + 0x10).as_u64(), 0x110);
         assert_eq!((a - 0x10).as_u64(), 0xf0);
-        assert_eq!(a.offset_from(VAddr::new(0x80)), 0x80);
-        assert_eq!(a.checked_add(u64::MAX), None);
     }
 
     #[test]

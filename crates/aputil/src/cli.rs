@@ -209,6 +209,34 @@ impl<const LO: u32, const HI: u32> FromStr for Ranged<LO, HI> {
     }
 }
 
+/// A `computation_factor` multiplier: a finite number in `(0, Factor::MAX]`.
+/// The models scale computation time by it, so a negative, NaN or huge
+/// factor would reach the assert in `SimTime::from_micros_f64`. The CLI
+/// checks it as the flag is parsed, and the job server as a request is
+/// read, both here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Factor(pub f64);
+
+impl Factor {
+    /// The largest factor accepted.
+    pub const MAX: f64 = 1000.0;
+
+    /// `f` as a factor; `None` unless finite and in `(0, MAX]`.
+    pub fn new(f: f64) -> Option<Factor> {
+        (f.is_finite() && f > 0.0 && f <= Self::MAX).then_some(Factor(f))
+    }
+}
+
+impl FromStr for Factor {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, String> {
+        s.parse()
+            .ok()
+            .and_then(Factor::new)
+            .ok_or_else(|| format!("expected a finite number in (0, {}]", Factor::MAX))
+    }
+}
+
 /// Usage text generated from a declaration: one synopsis line, then one
 /// help line per flag. `command` is everything before the arguments,
 /// e.g. `"repro fig7"`.

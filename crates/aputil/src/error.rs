@@ -103,13 +103,6 @@ pub struct DeadlockReport {
     pub blocked: Vec<BlockedCell>,
 }
 
-impl DeadlockReport {
-    /// The blocked-state entry for `cell`, if that cell was blocked.
-    pub fn cell(&self, cell: CellId) -> Option<&BlockedCell> {
-        self.blocked.iter().find(|b| b.cell == cell)
-    }
-}
-
 impl fmt::Display for DeadlockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -93,9 +93,10 @@ impl<'a> Lexer<'a> {
         Ok(String::from_utf8_lossy(word).into_owned())
     }
 
-    /// An integer literal that fits `T`; a sign is accepted where `T`
-    /// has one.
-    pub fn int<T: FromStr>(&mut self) -> Result<T, String> {
+    /// The integer literal of field `field`, read at `T`'s width: a
+    /// value `T` cannot hold is an error naming the field, never a
+    /// wrapped number. A sign is accepted where `T` has one.
+    pub fn int<T: FromStr>(&mut self, field: &str) -> Result<T, String> {
         self.ws();
         let start = self.i;
         self.i += usize::from(self.s.get(start) == Some(&b'-'));
@@ -103,8 +104,20 @@ impl<'a> Lexer<'a> {
         let text = std::str::from_utf8(&self.s[start..self.i]).ok();
         text.and_then(|t| t.parse().ok()).ok_or_else(|| {
             self.i = start;
-            self.err("expected integer")
+            self.err(&not_fitting::<T>(field))
         })
+    }
+
+    /// Like [`Lexer::int`], for a value read wider than its field: `v`
+    /// narrowed to `T`, or an error at `at` naming the field.
+    pub fn fit<T: TryFrom<V>, V: Copy + std::fmt::Display>(
+        &self,
+        at: usize,
+        field: &str,
+        v: V,
+    ) -> Result<T, String> {
+        T::try_from(v)
+            .map_err(|_| self.err_at(at, &format!("{}, got {v}", not_fitting::<T>(field))))
     }
 
     /// A `"`-quoted string without escapes.
@@ -125,6 +138,13 @@ impl<'a> Lexer<'a> {
     }
 }
 
+fn not_fitting<T>(field: &str) -> String {
+    format!(
+        "`{field}` needs an integer that fits {}",
+        std::any::type_name::<T>()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +156,17 @@ mod tests {
         p.eat(b'(').unwrap();
         assert_eq!(p.word().unwrap(), "seed");
         p.eat(b':').unwrap();
-        assert_eq!(p.int::<u64>().unwrap(), u64::MAX);
+        assert_eq!(p.int::<u64>("seed").unwrap(), u64::MAX);
         p.comma();
         assert_eq!((p.word().unwrap().as_str(), p.eat(b':')), ("off", Ok(())));
         assert!(p.at_int());
         // A sign is an error where the target type has none.
-        let err = "ron parse error at byte 43: expected integer";
-        assert_eq!(p.int::<u64>().unwrap_err(), err);
-        assert_eq!(p.int::<i64>().unwrap(), -3);
+        let err = "ron parse error at byte 43: `off` needs an integer that fits u64";
+        assert_eq!(p.int::<u64>("off").unwrap_err(), err);
+        assert_eq!(p.int::<i64>("off").unwrap(), -3);
+        let err = "ron parse error at byte 43: `off` needs an integer that fits u8, got -3";
+        assert_eq!(p.fit::<u8, i64>(43, "off", -3).unwrap_err(), err);
+        assert_eq!(p.fit::<u8, u64>(43, "off", 255), Ok(255));
         p.comma();
         assert_eq!((p.word().unwrap().as_str(), p.eat(b':')), ("s", Ok(())));
         assert!(!p.at_int());

@@ -46,12 +46,6 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
-    /// Creates a time from whole milliseconds.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Creates a time from a fractional microsecond count, rounding to the
     /// nearest nanosecond. This is the natural constructor for Figure-6
     /// parameter values.
@@ -98,24 +92,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition, `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.0.checked_add(other.0).map(SimTime)
-    }
-
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 
     /// Multiplies a per-unit cost by a count with saturation, e.g.
@@ -283,22 +259,13 @@ mod tests {
     fn display_scales() {
         assert_eq!(SimTime::from_nanos(5).to_string(), "5ns");
         assert_eq!(SimTime::from_nanos(1500).to_string(), "1.500µs");
-        assert_eq!(SimTime::from_millis(2).to_string(), "2.000ms");
-        assert_eq!(SimTime::from_millis(2500).to_string(), "2.500s");
+        assert_eq!(SimTime::from_nanos(2_000_000).to_string(), "2.000ms");
+        assert_eq!(SimTime::from_nanos(2_500_000_000).to_string(), "2.500s");
     }
 
     #[test]
     fn saturating_mul_caps() {
         assert_eq!(SimTime::MAX.saturating_mul(2), SimTime::MAX);
         assert_eq!(SimTime::from_nanos(3).saturating_mul(4).as_nanos(), 12);
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_nanos(1)), None);
-        assert_eq!(
-            SimTime::from_nanos(1).checked_add(SimTime::from_nanos(2)),
-            Some(SimTime::from_nanos(3))
-        );
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::{record, report, ExperimentRow, FaultSweepConfig, ReplayMode, SweepConfig};
 use apapps::Scale;
-use aputil::cli::{self, Args, Flag, Ranged, UsageError};
+use aputil::cli::{self, Args, Factor, Flag, Ranged, UsageError};
 use aputil::{ApError, Json};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
@@ -135,6 +135,11 @@ impl Tool {
 /// A machine size: no CLI value can reach `MachineConfig::new`'s assert.
 type CellCount = Ranged<1, 65536>;
 
+/// A Figure 7 message size. Summed over the five legs of its chain, the
+/// slowest model charges under 90 ns per byte, so even 4 GiB stays near
+/// 400 s: far inside `SimTime`'s 584 years, so no leg's `+` can overflow.
+type MessageBytes = Ranged<1, { u32::MAX }>;
+
 /// One `--sizes` element: `default` keeps the scale's own PE count.
 struct SizeArg(Option<u32>);
 
@@ -192,7 +197,8 @@ fn apps(args: &Args, default: &[&str]) -> Result<Vec<String>, UsageError> {
 }
 
 fn factors(args: &Args) -> Result<Vec<f64>, UsageError> {
-    Ok(args.list("--factors")?.unwrap_or_else(|| vec![1.0]))
+    let given = args.list::<Factor>("--factors")?;
+    Ok(given.map_or_else(|| vec![1.0], |fs| fs.into_iter().map(|f| f.0).collect()))
 }
 
 fn positional(args: &Args, i: usize) -> &str {
@@ -282,8 +288,8 @@ fn show(text: String) -> Result<i32, CliError> {
 }
 
 fn fig7_cmd(args: &Args) -> Result<i32, CliError> {
-    let bytes = args.value::<NonZeroU64>("--bytes")?;
-    show(crate::fig7(bytes.map_or(1600, NonZeroU64::get)))
+    let bytes = args.value::<MessageBytes>("--bytes")?;
+    show(crate::fig7(bytes.map_or(1600, |b| u64::from(b.0))))
 }
 
 /// `table2`, `table3`, `fig8`, `all` and `bench`: one suite run, then
@@ -833,7 +839,7 @@ mod table {
     const SCALE: &[Flag] = &[Flag::new("--scale test|paper", "test = small instances (seconds); paper = reduced paper-shaped instances (default)")];
     const THREADS: &[Flag] = &[Flag::new("--threads N", "host worker threads (default: all cores); output is byte-identical for any N")];
     const APPS: Flag = Flag::new("--apps A,B,..", "applications, from EP,CG,FT,SP,TCst,TCnost,MatMul,SCG");
-    const FACTORS: Flag = Flag::new("--factors F,..", "computation_factor multipliers for the three models (default 1.0)");
+    const FACTORS: Flag = Flag::new("--factors F,..", "computation_factor multipliers for the three models, each in (0, 1000] (default 1.0)");
     const SIZES: Flag = Flag::new("--sizes N,..", "machine sizes in cells (1..=65536), or `default` for the scale's own");
     const BENCH_OUT: Flag = Flag::new("--bench-out FILE", "write the versioned ap1000plus.bench report (DESIGN.md §6) to FILE");
     const REV: Flag = Flag::new("--rev REV", "revision stamped into the bench report");
@@ -862,7 +868,7 @@ mod table {
     /// mode themselves: a flight recorder could only truncate a recording.
     const TELEMETRY_RECORDING: &[Flag] = &[METRICS_OUT, METRICS_INTERVAL, HEATMAP, PROGRESS, FLIGHT_DUMP];
     const SUITE: &[&[Flag]] = &[SCALE, SUITE_OUT, TELEMETRY];
-    const FIG7: &[Flag] = &[Flag::new("--bytes N", "message size in bytes (> 0, default 1600)")];
+    const FIG7: &[Flag] = &[Flag::new("--bytes N", "message size in bytes, 1..=4294967295 (default 1600)")];
     const ASCII: &[Flag] = &[Flag::new("--ascii", "render ASCII stacked bars")];
     const COMPARE: &[Flag] = &[Flag::new("--threshold PCT", "fail when a total in CURRENT is more than PCT percent slower (default 10)")];
     const GRID: &[Flag] = &[APPS, SIZES, FACTORS];

@@ -212,7 +212,7 @@ mod tests {
         let cfg = FaultSweepConfig {
             scale: Scale::Test,
             apps: vec!["EP".into()],
-            spec: FaultSpec::quiet(),
+            spec: FaultSpec::default(),
             threads: 1,
             machine: MachineConfig::new(1),
         };

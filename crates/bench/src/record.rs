@@ -69,27 +69,15 @@ pub fn parse_scale_label(label: &str) -> Result<Scale, String> {
 /// counters section stores (one named series per gauge, one value per
 /// tick, [`apmon::MetricsSample::COLUMNS`] order).
 pub fn counter_ticks(m: &apmon::RunMetrics) -> CounterTicks {
-    let s = &m.series.samples;
-    let col = |f: &dyn Fn(&apmon::MetricsSample) -> u64| -> Vec<u64> { s.iter().map(f).collect() };
+    let rows: Vec<[u64; 15]> = m.series.samples.iter().map(|s| s.values()).collect();
+    let column = |i: usize| rows.iter().map(|r| r[i]).collect();
     CounterTicks {
         interval_ns: m.series.interval.as_nanos(),
-        series: vec![
-            ("t_ns".into(), col(&|x| x.t.as_nanos())),
-            ("events".into(), col(&|x| x.events)),
-            ("msgs".into(), col(&|x| x.msgs)),
-            ("bytes".into(), col(&|x| x.bytes)),
-            ("puts_inflight".into(), col(&|x| x.puts_inflight as u64)),
-            ("gets_inflight".into(), col(&|x| x.gets_inflight as u64)),
-            ("cells_blocked".into(), col(&|x| x.cells_blocked as u64)),
-            ("barrier_waiting".into(), col(&|x| x.barrier_waiting as u64)),
-            ("queue_depth".into(), col(&|x| x.queue_depth)),
-            ("queue_depth_max".into(), col(&|x| x.queue_depth_max)),
-            ("send_dma_busy".into(), col(&|x| x.send_dma_busy as u64)),
-            ("recv_dma_busy".into(), col(&|x| x.recv_dma_busy as u64)),
-            ("link_busy_ns".into(), col(&|x| x.link_busy_ns)),
-            ("retries".into(), col(&|x| x.retries)),
-            ("detours".into(), col(&|x| x.detours)),
-        ],
+        series: apmon::MetricsSample::COLUMNS
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.to_string(), column(i)))
+            .collect(),
     }
 }
 
@@ -752,7 +740,7 @@ mod tests {
         let path = dir.join("EP.evtrace");
         record("EP", None, &path).expect("record EP");
         let before = std::fs::read(&path).unwrap();
-        let quiet = apcore::FaultSpec::quiet();
+        let quiet = apcore::FaultSpec::default();
         record_app("EP", Scale::Test, None, Some(&quiet), &path, false)
             .expect_err("EP has no fault support");
         assert_eq!(std::fs::read(&path).unwrap(), before);

@@ -446,3 +446,53 @@ fn probe_names_its_workloads_instead_of_panicking() {
     }
     assert_usage_error(probe(&["SP", "CG"]), "[WORKLOAD]");
 }
+
+#[test]
+fn computation_factors_are_range_checked_as_the_flag_is_parsed() {
+    // Each of these reached `SimTime::from_micros_f64`'s assert: exit 101
+    // from `remodel`, a failed grid point from `sweep`.
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/traces/cg_test.evtrace"
+    );
+    for bad in ["-1", "0", "nan", "inf", "1001", "1e300"] {
+        let out = repro(&["remodel", trace, "--factors", bad]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_usage_error(out, "--factors");
+        assert!(stderr.contains("(0, 1000]"), "{bad}: {stderr}");
+        assert_usage_error(
+            repro(&["sweep", "--bench-out", "/tmp/x.json", "--factors", bad]),
+            "--factors",
+        );
+    }
+}
+
+#[test]
+fn a_fig7_message_too_large_for_sim_time_is_refused() {
+    // The chain's legs used to overflow `SimTime` with a panic (exit 101).
+    for bad in ["18446744073709551615", "4294967296"] {
+        assert_usage_error(repro(&["fig7", "--bytes", bad]), "--bytes");
+    }
+    let out = repro(&["fig7", "--bytes", "4294967295"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+#[test]
+fn a_fault_file_integer_wider_than_its_field_is_refused_not_wrapped() {
+    // `cell: 4294967296` used to wrap to cell 0, pass the range check, and
+    // crash CG's cell 0.
+    let path = std::env::temp_dir().join(format!("ap-wide-cell-{}.ron", std::process::id()));
+    let spec = "(seed: None, events: [(from_ns: 0, until_ns: 9, kind: Crash(cell: 4294967296))])";
+    std::fs::write(&path, spec).expect("write fault spec");
+    let out = repro(&[
+        "fault",
+        "--faults",
+        path.to_str().expect("utf-8 temp path"),
+        "--scale",
+        "test",
+        "--apps",
+        "CG",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_usage_error(out, "`cell` needs an integer that fits u32");
+}

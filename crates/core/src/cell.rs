@@ -413,11 +413,6 @@ impl Cell {
         self.wait_flag(flag, n);
     }
 
-    /// Number of acknowledged PUTs requested so far.
-    pub fn acks_issued(&self) -> u32 {
-        self.acks_issued
-    }
-
     // ---- SEND/RECEIVE (§4.3) ----------------------------------------------
 
     /// Blocking SEND of `bytes` at `laddr` into `dst`'s ring buffer.

@@ -117,7 +117,7 @@ use std::task::{Context, Poll, Waker};
 /// assert!(sums.outputs.iter().all(|&s| s == 28.0));
 ///
 /// // A quiet schedule changes nothing but attaches an (empty) report.
-/// let spec = FaultSpec::quiet();
+/// let spec = FaultSpec::default();
 /// let r = run(MachineConfig::new(4), Some(&spec), async |cell| cell.id()).unwrap();
 /// assert!(r.fault.unwrap().survived());
 /// ```

@@ -86,14 +86,14 @@ pub(crate) struct CellHw {
 
 // A machine holds up to 65 536 of these: only functional hardware state
 // lives here, and telemetry is kept machine-wide.
-const _: () = assert!(size_of::<CellHw>() <= 1504);
+const _: () = assert!(size_of::<CellHw>() <= 1432);
 
 impl CellHw {
     fn new(mem_size: u64) -> Self {
         CellHw {
             mmu: Mmu::new(mem_size),
             mem: Memory::new(mem_size),
-            flag_unit: FlagUnit::new(),
+            flag_unit: FlagUnit,
             regs: CommRegs::new(),
             user_q: HwQueue::new("user send", 8),
             remote_q: HwQueue::new("remote access", 8),

@@ -244,7 +244,11 @@ fn deadlock_report_carries_per_cell_diagnostics() {
     assert_eq!(report.finished_cells, 0);
     assert_eq!(report.blocked.len(), 2);
 
-    let c0 = report.cell(CellId::new(0)).expect("cell 0 in report");
+    let c0 = report
+        .blocked
+        .iter()
+        .find(|b| b.cell == CellId::new(0))
+        .expect("cell 0 in report");
     match c0.reason {
         BlockReason::FlagWait {
             current, target, ..
@@ -256,7 +260,11 @@ fn deadlock_report_carries_per_cell_diagnostics() {
     }
     assert!(c0.pending_tx.is_empty(), "cell 0 issued no transfers");
 
-    let c1 = report.cell(CellId::new(1)).expect("cell 1 in report");
+    let c1 = report
+        .blocked
+        .iter()
+        .find(|b| b.cell == CellId::new(1))
+        .expect("cell 1 in report");
     assert!(
         matches!(c1.reason, BlockReason::Barrier),
         "cell 1 should block in the barrier, got {}",
@@ -288,7 +296,11 @@ fn deadlock_report_lists_pending_queue_contents() {
         ApError::Deadlock(report) => report,
         other => panic!("expected Deadlock, got {other}"),
     };
-    let c0 = report.cell(CellId::new(0)).expect("cell 0 blocked");
+    let c0 = report
+        .blocked
+        .iter()
+        .find(|b| b.cell == CellId::new(0))
+        .expect("cell 0 blocked");
     match c0.reason {
         BlockReason::FlagWait {
             current, target, ..

@@ -56,7 +56,7 @@ fn quiet_schedule_preserves_results_and_reports_nothing() {
     .unwrap();
     assert!(baseline.fault.is_none(), "fault-free runs carry no report");
 
-    let r = ring_shift(Some(&FaultSpec::quiet()));
+    let r = ring_shift(Some(&FaultSpec::default()));
     assert_eq!(r.outputs, baseline.outputs);
     let report = r.fault.expect("faulted run carries a report");
     assert!(report.survived());

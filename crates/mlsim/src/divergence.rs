@@ -253,28 +253,6 @@ impl DivergenceReport {
         }
         Ok(())
     }
-
-    /// Human rendering: the top disagreements, widest first.
-    pub fn render(&self, k: usize) -> String {
-        let mut out = format!(
-            "divergence vs {}: emulator {} model {} (x{:.3})\n",
-            self.model,
-            self.emulator_total,
-            self.model_total,
-            self.total_ratio()
-        );
-        out.push_str("  op            emulator        model        ratio\n");
-        for r in self.ops.iter().take(k) {
-            out.push_str(&format!(
-                "  {:<13} {:>12} {:>12}       x{:.3}\n",
-                r.name,
-                r.emulator.to_string(),
-                r.model.to_string(),
-                r.ratio()
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]

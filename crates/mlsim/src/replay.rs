@@ -1133,7 +1133,7 @@ mod tests {
         }
         // Histograms fill regardless of the timeline switch.
         let off = replay(&t, &ModelParams::ap1000_plus()).unwrap();
-        assert!(off.timeline.is_empty(), "timeline must default off");
+        assert!(off.timeline.events.is_empty(), "timeline must default off");
         assert_eq!(off.counters.msg_size.count(), 1);
         assert_eq!(off.counters.flag_wait.count(), 1);
         // Same trace, same model: identical result modulo the timeline.

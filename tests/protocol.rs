@@ -236,7 +236,7 @@ fn edges_cfg(cells: u32) -> MachineConfig {
 }
 
 /// (cells, FNV-1a-64 of the outputs' `Debug`, fault-free digest, digest
-/// under `FaultSpec::quiet()`), captured at `d00720b` — the last commit
+/// under `FaultSpec::default()`), captured at `d00720b` — the last commit
 /// whose kernel was one file with a 463-line `dispatch`.
 const EDGES: [(u32, u64, Digest, Digest); 3] = [
     (
@@ -292,7 +292,7 @@ const EDGES: [(u32, u64, Digest, Digest); 3] = [
 #[test]
 fn edges_match_the_single_file_kernel_pin() {
     for (cells, outputs, plain, quiet) in EDGES {
-        for (spec, want) in [(None, plain), (Some(FaultSpec::quiet()), quiet)] {
+        for (spec, want) in [(None, plain), (Some(FaultSpec::default()), quiet)] {
             let r = run(edges_cfg(cells), spec.as_ref(), edges).expect("edges");
             let what = format!("{cells} cells, faults armed: {}", spec.is_some());
             let got = fnv1a_64(format!("{:?}", r.outputs).as_bytes());
@@ -494,7 +494,7 @@ fn quiet_schedule_matches_the_serial_reference_pin() {
         injected (0):\n  retries (0 total):\n  \
         drops: 0  corrupt: 0  dups: 0  detours: 0  acks: 296\n";
     for _ in 0..2 {
-        let r = run(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
+        let r = run(cfg(16), Some(&FaultSpec::default()), mix).expect("quiet");
         assert_eq!(r.outputs, mix_outputs(16));
         assert_eq!(digest(&r), QUIET);
         assert_eq!(r.fault.expect("report").render(), REPORT);
@@ -577,7 +577,7 @@ fn a_wake_cancelled_by_a_crash_is_never_observed() {
         });
         (r, received.get())
     };
-    let (quiet, received) = ring_run(&FaultSpec::quiet());
+    let (quiet, received) = ring_run(&FaultSpec::default());
     assert_eq!(received, 0b1111);
     let quiet = quiet.expect("quiet");
     let copy_out = quiet.timeline.events.iter();
@@ -602,7 +602,7 @@ fn a_wake_cancelled_by_a_crash_is_never_observed() {
 /// lands after the program's end and is skipped) the fault-free outputs.
 #[test]
 fn a_crash_at_any_wake_of_a_cell_aborts_the_same_way_twice() {
-    let quiet = run(cfg(16), Some(&FaultSpec::quiet()), mix).expect("quiet");
+    let quiet = run(cfg(16), Some(&FaultSpec::default()), mix).expect("quiet");
     let mut instants: Vec<u64> = quiet
         .timeline
         .events
