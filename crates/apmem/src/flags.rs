@@ -32,7 +32,7 @@ impl FlagUnit {
     /// [`MemError::OutOfBounds`] from the physical access.
     pub fn fetch_increment(
         &self,
-        mmu: &mut Mmu,
+        mmu: &Mmu,
         mem: &mut Memory,
         flag: VAddr,
     ) -> Result<Option<u32>, MemError> {
@@ -56,8 +56,7 @@ impl FlagUnit {
         if flag.is_null() {
             return Err(MemError::PageFault { addr: flag });
         }
-        let p = mmu.translate_peek(flag)?;
-        mem.read_pod(p)
+        mem.read_pod(mmu.translate(flag)?.paddr)
     }
 }
 
@@ -75,25 +74,19 @@ mod tests {
 
     #[test]
     fn increments_from_zero() {
-        let (mut mmu, mut mem, flag) = setup();
+        let (mmu, mut mem, flag) = setup();
         let fu = FlagUnit;
-        assert_eq!(
-            fu.fetch_increment(&mut mmu, &mut mem, flag).unwrap(),
-            Some(0)
-        );
-        assert_eq!(
-            fu.fetch_increment(&mut mmu, &mut mem, flag).unwrap(),
-            Some(1)
-        );
+        assert_eq!(fu.fetch_increment(&mmu, &mut mem, flag).unwrap(), Some(0));
+        assert_eq!(fu.fetch_increment(&mmu, &mut mem, flag).unwrap(), Some(1));
         assert_eq!(fu.read(&mmu, &mem, flag).unwrap(), 2);
     }
 
     #[test]
     fn null_flag_is_skipped() {
-        let (mut mmu, mut mem, _) = setup();
+        let (mmu, mut mem, _) = setup();
         let fu = FlagUnit;
         assert_eq!(
-            fu.fetch_increment(&mut mmu, &mut mem, VAddr::NULL).unwrap(),
+            fu.fetch_increment(&mmu, &mut mem, VAddr::NULL).unwrap(),
             None
         );
         assert!(fu.read(&mmu, &mem, VAddr::NULL).is_err());
@@ -101,23 +94,23 @@ mod tests {
 
     #[test]
     fn unmapped_flag_faults() {
-        let (mut mmu, mut mem, _) = setup();
+        let (mmu, mut mem, _) = setup();
         let fu = FlagUnit;
         let bogus = VAddr::new(0xdead_0000);
         assert!(matches!(
-            fu.fetch_increment(&mut mmu, &mut mem, bogus),
+            fu.fetch_increment(&mmu, &mut mem, bogus),
             Err(MemError::PageFault { .. })
         ));
     }
 
     #[test]
     fn wraps_at_u32_max() {
-        let (mut mmu, mut mem, flag) = setup();
-        let p = mmu.translate_peek(flag).unwrap();
+        let (mmu, mut mem, flag) = setup();
+        let p = mmu.translate(flag).unwrap().paddr;
         mem.write_pod(p, u32::MAX).unwrap();
         let fu = FlagUnit;
         assert_eq!(
-            fu.fetch_increment(&mut mmu, &mut mem, flag).unwrap(),
+            fu.fetch_increment(&mmu, &mut mem, flag).unwrap(),
             Some(u32::MAX)
         );
         assert_eq!(fu.read(&mmu, &mem, flag).unwrap(), 0);

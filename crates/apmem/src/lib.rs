@@ -6,10 +6,9 @@
 //!
 //! * [`memory::Memory`] — the cell's DRAM, sparsely allocated so a
 //!   1024-cell machine with 64 MB cells does not need 64 GB of host RAM.
-//! * [`mmu::Mmu`] — logical→physical translation with the paper's
-//!   direct-mapped TLB: **256 entries for 4 KB pages and 64 entries for
-//!   256 KB pages** (§4.1 "MMU and protection"), plus page-fault protection
-//!   for illegal user addresses.
+//! * [`mmu::Mmu`] — logical→physical translation over 4 KB and 256 KB
+//!   pages (§4.1 "MMU and protection"), one mapping entry per allocated
+//!   region, plus page-fault protection for illegal user addresses.
 //! * [`flags::FlagUnit`] — the MC's fetch-and-increment unit that
 //!   updates PUT/GET completion flags when DMA finishes (§4.1 "Flag update
 //!   combined with data transfer").

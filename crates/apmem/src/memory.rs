@@ -22,7 +22,7 @@ pub enum MemError {
         /// Installed DRAM size in bytes.
         size: u64,
     },
-    /// A logical address had no page-table mapping (the paper's protection
+    /// A logical address had no mapping (the paper's protection
     /// mechanism: user DMA with an illegal address raises a page fault).
     PageFault {
         /// The unmapped logical address.

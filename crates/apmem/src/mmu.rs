@@ -1,32 +1,29 @@
-//! The MC's MMU: page table, frame allocator, and direct-mapped TLB.
+//! The MC's MMU: the logical→physical mapping and the frame allocator.
 //!
 //! Paper §4.1: *"The MC has a translation lookaside buffer (TLB), which is
 //! direct-mapped and has 256 entries for every 4-kilobyte page and 64
-//! entries for every 256-kilobyte page."* Both the page table walk and the
-//! TLB are modeled functionally, but the TLB is a host translation cache:
-//! nothing charges a miss, so a walk costs no simulated time. The
-//! [`Translation::tlb_hit`] outcome is there for tests that check the DMA
-//! engines translate once per page run.
+//! entries for every 256-kilobyte page."* The paper charges no TLB miss,
+//! so the TLB is not modeled: it could only cache what the mapping
+//! already says. The mapping is one entry per [`Mmu::map_anywhere`]
+//! region. [`Layout::place`] makes every region contiguous both logically
+//! and physically, so `(base, end, pbase)` translates each of its bytes,
+//! and a translation's run is the rest of the region. Page size still
+//! decides placement (alignment and rounding), so it fixes every address.
 
 use crate::memory::{MemError, FRAME_SIZE};
 use aputil::{PAddr, VAddr};
-use std::collections::BTreeMap;
 
-/// Small (4 KB) page: shift and TLB geometry.
+/// Small (4 KB) page shift.
 const SMALL_SHIFT: u32 = 12;
 /// Large (256 KB) page shift.
 const LARGE_SHIFT: u32 = 18;
-/// Direct-mapped TLB entries for small pages.
-const SMALL_TLB_ENTRIES: usize = 256;
-/// Direct-mapped TLB entries for large pages.
-const LARGE_TLB_ENTRIES: usize = 64;
 
 /// Page size selector for mappings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PageSize {
-    /// 4 KB page (256 direct-mapped TLB entries).
+    /// 4 KB page.
     Small,
-    /// 256 KB page (64 direct-mapped TLB entries).
+    /// 256 KB page.
     Large,
 }
 
@@ -45,37 +42,10 @@ impl PageSize {
 pub struct Translation {
     /// The physical address.
     pub paddr: PAddr,
-    /// Whether the TLB hit. A miss walks the page table on the host and
-    /// costs no simulated time.
-    pub tlb_hit: bool,
-    /// Bytes remaining in the page from `paddr` (DMA engines translate once
-    /// per page run, not once per byte).
+    /// Bytes left in the region from `paddr` (DMA engines translate once
+    /// per region run, not once per byte).
     pub run: u64,
 }
-
-#[derive(Clone, Copy, Debug)]
-struct PageEntry {
-    pframe: u64, // physical base of the page
-    size: PageSize,
-}
-
-/// One direct-mapped TLB line. An empty line holds [`TlbLine::EMPTY`],
-/// whose `vpn` no address reaches: a page number is at most 52 bits.
-#[derive(Clone, Copy, Debug)]
-struct TlbLine {
-    vpn: u64,
-    pframe: u64,
-}
-
-impl TlbLine {
-    const EMPTY: TlbLine = TlbLine {
-        vpn: u64::MAX,
-        pframe: 0,
-    };
-}
-
-// Every cell holds 320 lines: keep a line two words, with no tag.
-const _: () = assert!(size_of::<TlbLine>() <= 16);
 
 /// Where [`Mmu::map_anywhere`] puts the next region: the logical and
 /// physical bump cursors against the DRAM size. Placement is a pure
@@ -121,38 +91,52 @@ impl Layout {
     ///
     /// # Errors
     ///
-    /// [`MemError::OutOfFrames`] when `len` is zero or DRAM is exhausted.
+    /// [`MemError::OutOfFrames`] when `len` is zero, DRAM is exhausted,
+    /// or rounding `len` to whole pages overflows the address space.
     pub fn place(&mut self, len: u64) -> Result<Placement, MemError> {
+        let out = MemError::OutOfFrames { requested: len };
         if len == 0 {
-            return Err(MemError::OutOfFrames { requested: 0 });
+            return Err(out);
         }
         let size = if len >= PageSize::Large.bytes() {
             PageSize::Large
         } else {
             PageSize::Small
         };
-        let page_bytes = size.bytes();
-        // Align the logical cursor.
-        let base = self.next_vaddr.div_ceil(page_bytes) * page_bytes;
-        let npages = len.div_ceil(page_bytes);
-        let phys_len = npages * page_bytes;
-        let pbase = self.next_frame.div_ceil(page_bytes) * page_bytes;
-        if pbase + phys_len > self.dram_size {
-            return Err(MemError::OutOfFrames { requested: len });
+        let round = |x: u64| x.checked_next_multiple_of(size.bytes());
+        let (Some(phys_len), Some(base), Some(pbase)) =
+            (round(len), round(self.next_vaddr), round(self.next_frame))
+        else {
+            return Err(out);
+        };
+        let (Some(vend), Some(pend)) = (base.checked_add(phys_len), pbase.checked_add(phys_len))
+        else {
+            return Err(out);
+        };
+        if pend > self.dram_size {
+            return Err(out);
         }
-        self.next_vaddr = base + phys_len;
-        self.next_frame = pbase + phys_len;
+        self.next_vaddr = vend;
+        self.next_frame = pend;
         Ok(Placement {
             base: VAddr::new(base),
             pbase,
             size,
-            npages,
+            npages: phys_len / size.bytes(),
         })
     }
 }
 
-/// Per-cell MMU: page table, physical-frame allocator, and the
-/// direct-mapped two-level TLB.
+/// One mapped region: logical `[base, end)` at physical `pbase`.
+#[derive(Clone, Copy, Debug)]
+struct Region {
+    base: u64,
+    end: u64,
+    pbase: u64,
+}
+
+/// Per-cell MMU: one mapping entry per region, and the physical-frame
+/// allocator.
 ///
 /// Logical address space is laid out by [`Mmu::map_anywhere`], which the
 /// runtime's allocator uses: it grabs fresh logical pages backed by fresh
@@ -161,9 +145,8 @@ impl Layout {
 /// sentinel, not a real location).
 #[derive(Clone, Debug)]
 pub struct Mmu {
-    table: BTreeMap<u64, PageEntry>, // key: vaddr >> SMALL_SHIFT of page base
-    small_tlb: Vec<TlbLine>,
-    large_tlb: Vec<TlbLine>,
+    /// Sorted by `base`: the layout only ever moves upward.
+    regions: Vec<Region>,
     layout: Layout,
 }
 
@@ -171,9 +154,7 @@ impl Mmu {
     /// Creates an MMU managing `dram_size` bytes of physical memory.
     pub fn new(dram_size: u64) -> Self {
         Mmu {
-            table: BTreeMap::new(),
-            small_tlb: vec![TlbLine::EMPTY; SMALL_TLB_ENTRIES],
-            large_tlb: vec![TlbLine::EMPTY; LARGE_TLB_ENTRIES],
+            regions: Vec::new(),
             layout: Layout::new(dram_size),
         }
     }
@@ -196,100 +177,30 @@ impl Mmu {
             size,
             npages,
         } = self.layout.place(len)?;
-        let page_bytes = size.bytes();
-        for i in 0..npages {
-            let v = base.as_u64() + i * page_bytes;
-            let p = pbase + i * page_bytes;
-            self.table
-                .insert(v >> SMALL_SHIFT, PageEntry { pframe: p, size });
-        }
+        self.regions.push(Region {
+            base: base.as_u64(),
+            end: base.as_u64() + npages * size.bytes(),
+            pbase,
+        });
         Ok(base)
     }
 
-    fn lookup_entry(&self, vaddr: u64) -> Option<(u64, PageEntry)> {
-        // Small-page key first; if the covering page is large, its entry is
-        // keyed at the large-page base.
-        let small_key = vaddr >> SMALL_SHIFT;
-        if let Some(e) = self.table.get(&small_key) {
-            return Some((small_key << SMALL_SHIFT, *e));
-        }
-        let large_base = (vaddr >> LARGE_SHIFT) << LARGE_SHIFT;
-        let key = large_base >> SMALL_SHIFT;
-        match self.table.get(&key) {
-            Some(e) if e.size == PageSize::Large => Some((large_base, *e)),
-            _ => None,
-        }
-    }
-
-    /// Translates a logical address, filling the TLB on a miss.
+    /// Translates a logical address.
     ///
     /// # Errors
     ///
     /// [`MemError::PageFault`] if no mapping covers `vaddr` — the hardware
     /// protection check of §3.2/§4.1.
-    pub fn translate(&mut self, vaddr: VAddr) -> Result<Translation, MemError> {
+    pub fn translate(&self, vaddr: VAddr) -> Result<Translation, MemError> {
         let va = vaddr.as_u64();
-        // 1. TLB probes (large then small; disjoint address bits, no alias).
-        let large_vpn = va >> LARGE_SHIFT;
-        let lidx = (large_vpn as usize) % LARGE_TLB_ENTRIES;
-        let line = self.large_tlb[lidx];
-        if line.vpn == large_vpn {
-            let off = va & (PageSize::Large.bytes() - 1);
-            return Ok(Translation {
-                paddr: PAddr::new(line.pframe + off),
-                tlb_hit: true,
-                run: PageSize::Large.bytes() - off,
-            });
+        let i = self.regions.partition_point(|r| r.end <= va);
+        match self.regions.get(i) {
+            Some(r) if r.base <= va => Ok(Translation {
+                paddr: PAddr::new(r.pbase + (va - r.base)),
+                run: r.end - va,
+            }),
+            _ => Err(MemError::PageFault { addr: vaddr }),
         }
-        let small_vpn = va >> SMALL_SHIFT;
-        let sidx = (small_vpn as usize) % SMALL_TLB_ENTRIES;
-        let line = self.small_tlb[sidx];
-        if line.vpn == small_vpn {
-            let off = va & (PageSize::Small.bytes() - 1);
-            return Ok(Translation {
-                paddr: PAddr::new(line.pframe + off),
-                tlb_hit: true,
-                run: PageSize::Small.bytes() - off,
-            });
-        }
-        // 2. Page-table walk.
-        let Some((page_base, entry)) = self.lookup_entry(va) else {
-            return Err(MemError::PageFault { addr: vaddr });
-        };
-        let off = va - page_base;
-        match entry.size {
-            PageSize::Small => {
-                self.small_tlb[sidx] = TlbLine {
-                    vpn: small_vpn,
-                    pframe: entry.pframe,
-                };
-            }
-            PageSize::Large => {
-                self.large_tlb[lidx] = TlbLine {
-                    vpn: large_vpn,
-                    pframe: entry.pframe,
-                };
-            }
-        }
-        Ok(Translation {
-            paddr: PAddr::new(entry.pframe + off),
-            tlb_hit: false,
-            run: entry.size.bytes() - off,
-        })
-    }
-
-    /// Translates without touching TLB state (used by diagnostics and
-    /// assertions).
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::PageFault`] if no mapping covers `vaddr`.
-    pub fn translate_peek(&self, vaddr: VAddr) -> Result<PAddr, MemError> {
-        let va = vaddr.as_u64();
-        let (page_base, entry) = self
-            .lookup_entry(va)
-            .ok_or(MemError::PageFault { addr: vaddr })?;
-        Ok(PAddr::new(entry.pframe + (va - page_base)))
     }
 }
 
@@ -310,9 +221,7 @@ mod tests {
         let ta = mmu.translate(a).unwrap();
         let tb = mmu.translate(b).unwrap();
         assert_ne!(ta.paddr, tb.paddr);
-        // First touch misses, second hits.
-        assert!(!ta.tlb_hit);
-        assert!(mmu.translate(a).unwrap().tlb_hit);
+        assert_eq!(mmu.regions.len(), 2, "one entry per region");
     }
 
     #[test]
@@ -330,7 +239,7 @@ mod tests {
         let mut mmu = Mmu::new(1 << 24);
         let a = mmu.map_anywhere(512 * 1024).unwrap(); // 2 large pages
         let t = mmu.translate(a).unwrap();
-        assert_eq!(t.run, PageSize::Large.bytes());
+        assert_eq!(t.run, 2 * PageSize::Large.bytes(), "one run per region");
         // Address in the middle of the second large page.
         let mid = a + (PageSize::Large.bytes() + 12345);
         let tm = mmu.translate(mid).unwrap();
@@ -338,6 +247,7 @@ mod tests {
             tm.paddr.as_u64() - t.paddr.as_u64(),
             PageSize::Large.bytes() + 12345
         );
+        assert_eq!(tm.run, PageSize::Large.bytes() - 12345);
     }
 
     #[test]
@@ -352,6 +262,26 @@ mod tests {
     }
 
     #[test]
+    fn a_region_ends_at_its_last_whole_page() {
+        let mut mmu = Mmu::new(1 << 24);
+        let small = mmu.map_anywhere(100).unwrap();
+        // The large region is aligned to 256 KB, leaving a gap after the
+        // small one.
+        let large = mmu.map_anywhere(256 * 1024).unwrap();
+        assert_eq!(mmu.translate(small + 4095).unwrap().run, 1);
+        let gap = small + 4096;
+        assert!(gap < large);
+        assert_eq!(mmu.translate(gap), Err(MemError::PageFault { addr: gap }));
+        assert_eq!(
+            mmu.translate(large - 1),
+            Err(MemError::PageFault { addr: large - 1 })
+        );
+        let end = large + 256 * 1024;
+        assert_eq!(mmu.translate(end - 1).unwrap().run, 1);
+        assert_eq!(mmu.translate(end), Err(MemError::PageFault { addr: end }));
+    }
+
+    #[test]
     fn out_of_frames() {
         let mut mmu = Mmu::new(8 * 4096);
         assert!(mmu.map_anywhere(4 * 4096).is_ok());
@@ -362,42 +292,26 @@ mod tests {
     }
 
     #[test]
-    fn direct_mapped_conflicts_evict() {
-        let mut mmu = Mmu::new(16 << 20);
-        // Two small pages whose VPNs collide mod 256: allocate 257 pages and
-        // touch page 0 and page 256 alternately.
-        let a = mmu.map_anywhere(257 * 4096).unwrap();
-        // map_anywhere of >=256KB uses large pages, so carve small ones:
-        // 257*4096 > 256KB -> it used large pages. Use smaller allocations.
-        let _ = a;
-        let mut pages = Vec::new();
-        let mut mmu = Mmu::new(16 << 20);
-        for _ in 0..300 {
-            pages.push(mmu.map_anywhere(4096).unwrap());
-        }
-        let p0 = pages[0];
-        // Find a page with the same small-TLB index.
-        let idx0 = (p0.as_u64() >> 12) as usize % 256;
-        let conflicting = pages[1..]
-            .iter()
-            .copied()
-            .find(|p| ((p.as_u64() >> 12) as usize % 256) == idx0)
-            .expect("some page must collide");
-        mmu.translate(p0).unwrap();
-        assert!(mmu.translate(p0).unwrap().tlb_hit);
-        mmu.translate(conflicting).unwrap(); // evicts p0's line
-        assert!(!mmu.translate(p0).unwrap().tlb_hit);
-    }
-
-    #[test]
-    fn translate_peek_matches_translate() {
-        let mut mmu = Mmu::new(1 << 22);
-        let a = mmu.map_anywhere(4096).unwrap();
-        let p = mmu.translate_peek(a + 17).unwrap();
-        // The peek left the TLB cold: the first real translation misses.
-        let t = mmu.translate(a + 17).unwrap();
-        assert!(!t.tlb_hit);
-        assert_eq!(t.paddr, p);
+    fn lengths_that_overflow_page_rounding_are_out_of_frames() {
+        let mut layout = Layout::new(u64::MAX);
+        let fresh = layout;
+        assert_eq!(
+            layout.place(u64::MAX),
+            Err(MemError::OutOfFrames {
+                requested: u64::MAX
+            })
+        );
+        assert_eq!(layout, fresh, "a failed placement leaves the layout");
+        let first = layout.place(4096).unwrap();
+        let after = layout;
+        let huge = u64::MAX - (1 << 18) + 1;
+        assert_eq!(
+            layout.place(huge),
+            Err(MemError::OutOfFrames { requested: huge })
+        );
+        assert_eq!(layout, after);
+        let next = layout.place(4096).unwrap();
+        assert_eq!(next.base, first.base + 4096);
     }
 }
 
@@ -423,20 +337,6 @@ mod proptests {
                         prop_assert_eq!(prev, v, "physical alias detected");
                     }
                 }
-            }
-        }
-
-        /// The TLB never changes *what* an address translates to, only how
-        /// fast: peek (no TLB) and translate agree everywhere.
-        #[test]
-        fn tlb_is_transparent(offsets in proptest::collection::vec(0u64..100_000, 1..50)) {
-            let mut mmu = Mmu::new(16 << 20);
-            let base = mmu.map_anywhere(100_000).unwrap();
-            for off in offsets {
-                let v = base + off;
-                let peek = mmu.translate_peek(v).unwrap();
-                let full = mmu.translate(v).unwrap().paddr;
-                prop_assert_eq!(peek, full);
             }
         }
     }

@@ -10,7 +10,7 @@
 //!   (64 words of RAM each) with automatic **spill to a DRAM buffer** and
 //!   OS-interrupt accounting on refill (§4.1 "Queues and queue overflows").
 //! * [`dma`] — DMA copy between logical address ranges, translating through
-//!   the MMU page-run by page-run and reporting TLB misses for timing.
+//!   the MMU region run by region run.
 //! * [`stride::StrideSpec`] and the gather/scatter engine — the
 //!   one-dimensional stride transfer of §3.1/§4.1.
 //! * [`message::PutArgs`] / [`message::GetArgs`] and [`message::Packet`]

@@ -150,9 +150,9 @@ impl StrideSpec {
 }
 
 /// Gathers the strided bytes starting at `base` into `out` (the send DMA
-/// filling a payload buffer in place): the MMU is consulted once per page
-/// run the items touch, and each item is copied straight from its frame.
-/// Returns the TLB miss count.
+/// filling a payload buffer in place): the MMU is consulted once per
+/// region run the items touch, and each item is copied straight from its
+/// frame.
 ///
 /// # Errors
 ///
@@ -162,12 +162,12 @@ impl StrideSpec {
 ///
 /// Panics if `out.len() != spec.total_bytes()`.
 pub fn gather_into(
-    mmu: &mut Mmu,
+    mmu: &Mmu,
     mem: &Memory,
     base: VAddr,
     spec: StrideSpec,
     out: &mut [u8],
-) -> Result<u64, MemError> {
+) -> Result<(), MemError> {
     assert_eq!(
         out.len() as u64,
         spec.total_bytes(),
@@ -179,28 +179,22 @@ pub fn gather_into(
     for (i, item) in items.enumerate() {
         cursor.read(mmu, mem, base + i as u64 * spec.skip as u64, item)?;
     }
-    Ok(cursor.tlb_misses)
+    Ok(())
 }
 
 /// Gathers the strided bytes starting at `base` into a contiguous payload.
-/// Returns `(payload, tlb_misses)`.
 ///
 /// # Errors
 ///
 /// Propagates page faults and physical bounds errors.
-pub fn gather(
-    mmu: &mut Mmu,
-    mem: &Memory,
-    base: VAddr,
-    spec: StrideSpec,
-) -> Result<(Vec<u8>, u64), MemError> {
+pub fn gather(mmu: &Mmu, mem: &Memory, base: VAddr, spec: StrideSpec) -> Result<Vec<u8>, MemError> {
     let mut out = vec![0u8; spec.total_bytes() as usize];
-    let misses = gather_into(mmu, mem, base, spec, &mut out)?;
-    Ok((out, misses))
+    gather_into(mmu, mem, base, spec, &mut out)?;
+    Ok(out)
 }
 
 /// Scatters a contiguous `payload` to the strided layout at `base`, one
-/// MMU translation per page run touched. Returns the TLB miss count.
+/// MMU translation per region run touched.
 ///
 /// # Errors
 ///
@@ -211,12 +205,12 @@ pub fn gather(
 ///
 /// Panics if `payload.len() != spec.total_bytes()`.
 pub fn scatter(
-    mmu: &mut Mmu,
+    mmu: &Mmu,
     mem: &mut Memory,
     base: VAddr,
     spec: StrideSpec,
     payload: &[u8],
-) -> Result<u64, MemError> {
+) -> Result<(), MemError> {
     assert_eq!(
         payload.len() as u64,
         spec.total_bytes(),
@@ -227,7 +221,7 @@ pub fn scatter(
     for (i, item) in items.enumerate() {
         cursor.write(mmu, mem, base + i as u64 * spec.skip as u64, item)?;
     }
-    Ok(cursor.tlb_misses)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -244,22 +238,22 @@ mod tests {
 
     #[test]
     fn gather_reads_columns() {
-        let (mut mmu, mut mem, base) = setup();
+        let (mmu, mut mem, base) = setup();
         // 4×4 matrix of u8 rows of 4: gather column 1 (skip 4).
         let matrix: Vec<u8> = (0..16).collect();
-        write_virtual(&mut mmu, &mut mem, base, &matrix).unwrap();
+        write_virtual(&mmu, &mut mem, base, &matrix).unwrap();
         let spec = StrideSpec::new(1, 4, 4);
-        let (col, _) = gather(&mut mmu, &mem, base + 1, spec).unwrap();
+        let col = gather(&mmu, &mem, base + 1, spec).unwrap();
         assert_eq!(col, vec![1, 5, 9, 13]);
     }
 
     #[test]
     fn scatter_then_gather_round_trips() {
-        let (mut mmu, mut mem, base) = setup();
+        let (mmu, mut mem, base) = setup();
         let spec = StrideSpec::new(8, 50, 24);
         let payload: Vec<u8> = (0..spec.total_bytes()).map(|i| (i % 251) as u8).collect();
-        scatter(&mut mmu, &mut mem, base, spec, &payload).unwrap();
-        let (back, _) = gather(&mut mmu, &mem, base, spec).unwrap();
+        scatter(&mmu, &mut mem, base, spec, &payload).unwrap();
+        let back = gather(&mmu, &mem, base, spec).unwrap();
         assert_eq!(back, payload);
     }
 
@@ -267,18 +261,18 @@ mod tests {
     fn reblocking_send3_recv2_figure3() {
         // Figure 3: sender gathers 3 items, receiver scatters the same
         // bytes as 2 items of 1.5× the size.
-        let (mut mmu, mut mem, base) = setup();
+        let (mmu, mut mem, base) = setup();
         let send = StrideSpec::new(4, 3, 10);
         let recv = StrideSpec::new(6, 2, 20);
         assert_eq!(send.total_bytes(), recv.total_bytes());
         let src: Vec<u8> = (0..40).collect();
-        write_virtual(&mut mmu, &mut mem, base, &src).unwrap();
-        let (payload, _) = gather(&mut mmu, &mem, base, send).unwrap();
+        write_virtual(&mmu, &mut mem, base, &src).unwrap();
+        let payload = gather(&mmu, &mem, base, send).unwrap();
         assert_eq!(payload, vec![0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]);
         let dst = base + 1000;
-        scatter(&mut mmu, &mut mem, dst, recv, &payload).unwrap();
-        let r0 = read_virtual(&mut mmu, &mem, dst, 6).unwrap().data;
-        let r1 = read_virtual(&mut mmu, &mem, dst + 20, 6).unwrap().data;
+        scatter(&mmu, &mut mem, dst, recv, &payload).unwrap();
+        let r0 = read_virtual(&mmu, &mem, dst, 6).unwrap();
+        let r1 = read_virtual(&mmu, &mem, dst + 20, 6).unwrap();
         assert_eq!(r0, vec![0, 1, 2, 3, 10, 11]);
         assert_eq!(r1, vec![12, 13, 20, 21, 22, 23]);
     }
@@ -308,19 +302,18 @@ mod tests {
 
     #[test]
     fn count_zero_is_a_consistent_empty_stream() {
-        let (mut mmu, mut mem, base) = setup();
+        let (mmu, mut mem, base) = setup();
         let empty = StrideSpec::new(8, 0, 8);
         assert_eq!(empty.total_bytes(), 0);
         assert_eq!(empty.span_bytes(), 0);
         assert!(empty.is_contiguous());
         assert!(empty.check().is_ok(), "count 0 is well-formed, just empty");
-        let (bytes, misses) = gather(&mut mmu, &mem, base, empty).unwrap();
+        let bytes = gather(&mmu, &mem, base, empty).unwrap();
         assert!(bytes.is_empty());
-        assert_eq!(misses, 0);
         // Scatter of the matching (empty) payload writes nothing.
-        let before = read_virtual(&mut mmu, &mem, base, 16).unwrap().data;
-        scatter(&mut mmu, &mut mem, base, empty, &[]).unwrap();
-        let after = read_virtual(&mut mmu, &mem, base, 16).unwrap().data;
+        let before = read_virtual(&mmu, &mem, base, 16).unwrap();
+        scatter(&mmu, &mut mem, base, empty, &[]).unwrap();
+        let after = read_virtual(&mmu, &mem, base, 16).unwrap();
         assert_eq!(before, after);
     }
 
@@ -368,14 +361,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn scatter_size_mismatch_panics() {
-        let (mut mmu, mut mem, base) = setup();
-        let _ = scatter(
-            &mut mmu,
-            &mut mem,
-            base,
-            StrideSpec::new(8, 2, 8),
-            &[0u8; 15],
-        );
+        let (mmu, mut mem, base) = setup();
+        let _ = scatter(&mmu, &mut mem, base, StrideSpec::new(8, 2, 8), &[0u8; 15]);
     }
 }
 
@@ -401,13 +388,13 @@ mod proptests {
             // Fill the whole span with a pattern.
             let span = spec.span_bytes();
             let image: Vec<u8> = (0..span).map(|i| (i * 7 % 251) as u8).collect();
-            write_virtual(&mut mmu, &mut mem, base, &image).unwrap();
-            let (payload, _) = gather(&mut mmu, &mem, base, spec).unwrap();
+            write_virtual(&mmu, &mut mem, base, &image).unwrap();
+            let payload = gather(&mmu, &mem, base, spec).unwrap();
             prop_assert_eq!(payload.len() as u64, spec.total_bytes());
             // Scatter elsewhere, gather again: identical payload.
             let dst = base + 40_000;
-            scatter(&mut mmu, &mut mem, dst, spec, &payload).unwrap();
-            let (again, _) = gather(&mut mmu, &mem, dst, spec).unwrap();
+            scatter(&mmu, &mut mem, dst, spec, &payload).unwrap();
+            let again = gather(&mmu, &mem, dst, spec).unwrap();
             prop_assert_eq!(again, payload);
         }
     }

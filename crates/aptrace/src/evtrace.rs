@@ -1130,6 +1130,9 @@ pub struct StreamWriter<W: Write> {
     sec_first: u64,
     sec_last: u64,
     sec_label: String,
+    /// Events per section before it rotates: [`ROTATE_EVENTS`], lowered
+    /// only by this module's tests to keep their files small.
+    rotate_events: u64,
     err: Option<String>,
     finished: bool,
 }
@@ -1154,6 +1157,7 @@ impl<W: Write> StreamWriter<W> {
             sec_first: u64::MAX,
             sec_last: 0,
             sec_label: String::new(),
+            rotate_events: ROTATE_EVENTS,
             err: None,
             finished: false,
         };
@@ -1254,7 +1258,7 @@ impl<W: Write> StreamWriter<W> {
         self.sec_events += 1;
         self.sec_first = self.sec_first.min(start as u64);
         self.sec_last = self.sec_last.max(start as u64);
-        if self.sec_events >= ROTATE_EVENTS {
+        if self.sec_events >= self.rotate_events {
             // Bound per-section decode work for seeking readers.
             let label = std::mem::take(&mut self.sec_label);
             self.end_events();
@@ -1810,6 +1814,65 @@ mod tests {
         // A seek into the first window decodes only that section.
         let seeked = EvTrace::decode_at(&out, 100).unwrap();
         assert_eq!(seeked.streams.len(), 1);
+
+        // ROADMAP 7b at the rotation boundary: every single-bit flip (and
+        // the whole-byte flip) of the 16 bytes either side of it — the
+        // tail events and end marker of section 0, then section 1's tag,
+        // label and first event — on a writer rotating every `cap` events
+        // (the real cap makes each decode ~1M events). Neither reader
+        // panics, and each returns an `EvError` or the clean section
+        // split: the same sections, event counts and timestamps (which
+        // the index cross-checks). Event payloads and labels carry no
+        // redundancy, so a flip there may decode as a different, well-
+        // formed event or label; the sweep counts those. A seek that
+        // skips section 1 never reads its bytes.
+        let cap = 1 << 10;
+        let t0 = ROTATE_EVENTS - cap; // section 1 starts at ROTATE_EVENTS ns
+        let mut good = Vec::new();
+        let mut w = StreamWriter::new(&mut good, "<mem>", &EvHeader::new(4, "", ""));
+        w.rotate_events = cap;
+        for i in 0..cap + 5 {
+            w.push_event(&ev(0, Unit::Cpu, "work", t0 + i, None));
+        }
+        w.finish(t0 + cap + 5).unwrap();
+        let doc = EvTrace::decode(&good).unwrap();
+        let index = read_index(&good).unwrap();
+        assert_eq!(index.len(), 2);
+        let split = |d: &EvTrace| -> Vec<Vec<u64>> {
+            let starts = |s: &EvStream| s.events.iter().map(|e| e.start.as_nanos()).collect();
+            d.streams.iter().map(starts).collect()
+        };
+        let boundary = index[1].offset as usize;
+        assert_eq!(good[boundary - 1], EVENTS_DONE);
+        assert_eq!(good[boundary], SEC_EVENTS);
+        let (mut errors, mut payload) = (0, 0);
+        for pos in boundary - 16..boundary + 16 {
+            for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                let mut bad = good.clone();
+                bad[pos] ^= mask;
+                let what = format!("byte {pos} ^ {mask:#04x}");
+                let full = EvTrace::decode(&bad);
+                let seek = EvTrace::decode_at(&bad, u64::MAX);
+                match (&full, &seek) {
+                    (Err(_), Err(_)) => errors += 1,
+                    (Ok(f), Ok(s)) => {
+                        assert_eq!(split(f), split(&doc), "{what}");
+                        assert_eq!(f.streams, s.streams, "{what}: the readers disagree");
+                        if f != &doc {
+                            payload += 1;
+                        }
+                    }
+                    _ => panic!("{what}: only one reader noticed ({full:?} vs {seek:?})"),
+                }
+                let early = EvTrace::decode_at(&bad, t0);
+                if pos >= boundary {
+                    assert_eq!(early.unwrap().streams, doc.streams[..1], "{what}");
+                } else if let Ok(early) = early {
+                    assert_eq!(split(&early), split(&doc)[..1], "{what}");
+                }
+            }
+        }
+        assert_eq!((errors, payload), (171, 117));
     }
 }
 

@@ -86,7 +86,7 @@ pub(crate) struct CellHw {
 
 // A machine holds up to 65 536 of these: only functional hardware state
 // lives here, and telemetry is kept machine-wide.
-const _: () = assert!(size_of::<CellHw>() <= 1432);
+const _: () = assert!(size_of::<CellHw>() <= 1384);
 
 impl CellHw {
     fn new(mem_size: u64) -> Self {
@@ -250,36 +250,32 @@ impl Machine {
     }
 
     /// Data-plane read of a cell's logical memory.
-    pub fn read_v(&mut self, cell: CellId, addr: VAddr, len: u64) -> ApResult<Vec<u8>> {
-        let hw = &mut self.cells[cell.index()];
-        dma::read_virtual(&mut hw.mmu, &hw.mem, addr, len)
-            .map(|r| r.data)
-            .map_err(|e| Self::wrap(cell, e))
+    pub fn read_v(&self, cell: CellId, addr: VAddr, len: u64) -> ApResult<Vec<u8>> {
+        let hw = &self.cells[cell.index()];
+        dma::read_virtual(&hw.mmu, &hw.mem, addr, len).map_err(|e| Self::wrap(cell, e))
     }
 
     /// Data-plane write of a cell's logical memory.
     pub fn write_v(&mut self, cell: CellId, addr: VAddr, data: &[u8]) -> ApResult<()> {
         let hw = &mut self.cells[cell.index()];
-        dma::write_virtual(&mut hw.mmu, &mut hw.mem, addr, data)
-            .map(|_| ())
-            .map_err(|e| Self::wrap(cell, e))
+        dma::write_virtual(&hw.mmu, &mut hw.mem, addr, data).map_err(|e| Self::wrap(cell, e))
     }
 
     /// Stride-gather on a cell (send-side DMA), straight into the buffer
     /// the packet, ring buffer and delivery will share.
-    pub fn gather(&mut self, cell: CellId, base: VAddr, spec: StrideSpec) -> ApResult<Payload> {
-        let hw = &mut self.cells[cell.index()];
+    pub fn gather(&self, cell: CellId, base: VAddr, spec: StrideSpec) -> ApResult<Payload> {
+        let hw = &self.cells[cell.index()];
         Payload::build(spec.total_bytes() as usize, |buf| {
-            stride::gather_into(&mut hw.mmu, &hw.mem, base, spec, buf).map(|_| ())
+            stride::gather_into(&hw.mmu, &hw.mem, base, spec, buf)
         })
         .map_err(|e| Self::wrap(cell, e))
     }
 
     /// Contiguous send-side DMA read of `len` bytes (SEND's ring message).
-    pub fn read_payload(&mut self, cell: CellId, addr: VAddr, len: u64) -> ApResult<Payload> {
-        let hw = &mut self.cells[cell.index()];
+    pub fn read_payload(&self, cell: CellId, addr: VAddr, len: u64) -> ApResult<Payload> {
+        let hw = &self.cells[cell.index()];
         Payload::build(len as usize, |buf| {
-            dma::read_virtual_into(&mut hw.mmu, &hw.mem, addr, buf).map(|_| ())
+            dma::read_virtual_into(&hw.mmu, &hw.mem, addr, buf)
         })
         .map_err(|e| Self::wrap(cell, e))
     }
@@ -293,16 +289,14 @@ impl Machine {
         data: &[u8],
     ) -> ApResult<()> {
         let hw = &mut self.cells[cell.index()];
-        stride::scatter(&mut hw.mmu, &mut hw.mem, base, spec, data)
-            .map(|_| ())
-            .map_err(|e| Self::wrap(cell, e))
+        stride::scatter(&hw.mmu, &mut hw.mem, base, spec, data).map_err(|e| Self::wrap(cell, e))
     }
 
     /// Fetch-and-increment of a flag on `cell`; returns the new value, or
     /// `None` when the flag address is null (no-op).
     pub fn incr_flag(&mut self, cell: CellId, flag: VAddr) -> ApResult<Option<u32>> {
         let hw = &mut self.cells[cell.index()];
-        match hw.flag_unit.fetch_increment(&mut hw.mmu, &mut hw.mem, flag) {
+        match hw.flag_unit.fetch_increment(&hw.mmu, &mut hw.mem, flag) {
             Ok(Some(old)) => Ok(Some(old.wrapping_add(1))),
             Ok(None) => Ok(None),
             Err(e) => Err(Self::wrap(cell, e)),

@@ -223,6 +223,18 @@ fn allocation_exhaustion_is_reported() {
 }
 
 #[test]
+fn an_allocation_too_large_to_round_to_pages_is_reported() {
+    let err = run(cfg(1), None, async |cell| {
+        let _ = cell.alloc_bytes(u64::MAX);
+    })
+    .unwrap_err();
+    match err {
+        ApError::InvalidArg(msg) => assert!(msg.contains("allocate"), "msg: {msg}"),
+        other => panic!("expected allocation failure, got {other}"),
+    }
+}
+
+#[test]
 fn deadlock_report_carries_per_cell_diagnostics() {
     // Cell 0 waits forever on a flag nobody bumps; cell 1 blocks in a
     // barrier cell 0 never reaches. The report must name both cells with

@@ -6,7 +6,7 @@
 //!
 //! * [`util`] — time, addresses, IDs, errors.
 //! * [`sim`] — the discrete-event kernel.
-//! * [`mem`] — the MC model (memory, MMU/TLB, flags, communication
+//! * [`mem`] — the MC model (memory, MMU, flags, communication
 //!   registers, DSM map).
 //! * [`net`] — T-net / B-net / S-net interconnect models.
 //! * [`msc`] — the MSC+ message controller (queues, DMA, stride engine).

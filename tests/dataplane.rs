@@ -2,9 +2,9 @@
 //! against the independent byte-array oracle of `apfuzz::oracle`, and the
 //! iteration-order guarantees of the integer-hashed transfer tables.
 //!
-//! The data plane translates once per page run and copies items straight
-//! between frames and one payload buffer; the oracle knows nothing of
-//! pages, frames or TLBs. Bytes, fault addresses, TLB-miss counts and
+//! The data plane translates once per region run and copies items
+//! straight between frames and one payload buffer; the oracle knows
+//! nothing of pages, regions or frames. Bytes, fault addresses and
 //! resident-frame counts must agree with the per-item definition.
 
 use apfuzz::oracle;
@@ -63,46 +63,25 @@ impl Rig {
 
     /// Contiguous write in both worlds.
     fn write(&mut self, region: usize, off: u64, data: &[u8]) {
-        write_virtual(&mut self.mmu, &mut self.mem, self.bases[region] + off, data).unwrap();
+        write_virtual(&self.mmu, &mut self.mem, self.bases[region] + off, data).unwrap();
         self.flat[region][off as usize..][..data.len()].copy_from_slice(data);
         self.mark_written(region, off, data.len() as u64);
     }
 
-    /// TLB misses the per-item definition charges: every item translated
-    /// on its own, page run by page run, on a copy of the MMU.
-    fn misses_per_item(&self, at: VAddr, spec: StrideSpec) -> u64 {
-        let mut mmu = self.mmu.clone();
-        let mut misses = 0;
-        for k in 0..spec.count as u64 {
-            let item = at + k * spec.skip as u64;
-            let mut done = 0;
-            while done < spec.item_size as u64 {
-                let t = mmu.translate(item + done).unwrap();
-                misses += u64::from(!t.tlb_hit);
-                done += t.run;
-            }
-        }
-        misses
-    }
-
-    /// Scatters `payload` in both worlds and checks the miss count.
+    /// Scatters `payload` in both worlds.
     fn scatter(&mut self, region: usize, off: u64, spec: StrideSpec, payload: &[u8]) {
         let at = self.bases[region] + off;
-        let expect = self.misses_per_item(at, spec);
-        let misses = scatter(&mut self.mmu, &mut self.mem, at, spec, payload).unwrap();
-        assert_eq!(misses, expect, "scatter TLB misses, {spec:?} at +{off}");
+        scatter(&self.mmu, &mut self.mem, at, spec, payload).unwrap();
         oracle::scatter(&mut self.flat[region], off, spec, payload);
         for k in 0..spec.count as u64 {
             self.mark_written(region, off + k * spec.skip as u64, spec.item_size as u64);
         }
     }
 
-    /// Gathers in both worlds and checks bytes and the miss count.
-    fn gather(&mut self, region: usize, off: u64, spec: StrideSpec) -> Vec<u8> {
+    /// Gathers in both worlds and checks the bytes.
+    fn gather(&self, region: usize, off: u64, spec: StrideSpec) -> Vec<u8> {
         let at = self.bases[region] + off;
-        let expect = self.misses_per_item(at, spec);
-        let (bytes, misses) = gather(&mut self.mmu, &self.mem, at, spec).unwrap();
-        assert_eq!(misses, expect, "gather TLB misses, {spec:?} at +{off}");
+        let bytes = gather(&self.mmu, &self.mem, at, spec).unwrap();
         assert_eq!(
             bytes,
             oracle::gather(&self.flat[region], off, spec),
@@ -113,11 +92,11 @@ impl Rig {
 
     /// Whole-region readback through the contiguous DMA path; exactly the
     /// frames ever written are resident.
-    fn check_regions(&mut self) {
+    fn check_regions(&self) {
         for region in 0..2 {
             let len = self.flat[region].len() as u64;
-            let back = read_virtual(&mut self.mmu, &self.mem, self.bases[region], len).unwrap();
-            assert!(back.data == self.flat[region], "region {region} diverged");
+            let back = read_virtual(&self.mmu, &self.mem, self.bases[region], len).unwrap();
+            assert!(back == self.flat[region], "region {region} diverged");
         }
         let written = self.written.iter().flatten().filter(|&&w| w).count();
         assert_eq!(self.mem.resident_frames(), written, "resident frames");
@@ -169,14 +148,8 @@ fn figure3_reblocking_and_empty_streams() {
     assert!(rig.gather(1, 0, empty).is_empty());
     rig.scatter(1, 0, empty, &[]);
     let nowhere = VAddr::new(0xdead_0000);
-    assert_eq!(
-        gather(&mut rig.mmu, &rig.mem, nowhere, empty).unwrap(),
-        (vec![], 0)
-    );
-    assert_eq!(
-        scatter(&mut rig.mmu, &mut rig.mem, nowhere, empty, &[]).unwrap(),
-        0
-    );
+    assert_eq!(gather(&rig.mmu, &rig.mem, nowhere, empty), Ok(vec![]));
+    assert_eq!(scatter(&rig.mmu, &mut rig.mem, nowhere, empty, &[]), Ok(()));
     rig.check_regions();
 }
 
@@ -188,19 +161,19 @@ fn a_transfer_running_off_its_mapping_faults_at_the_first_unmapped_run() {
     let mut rig = Rig::new();
     let end = rig.bases[1] + SMALL_LEN;
     // Items 0..=2 are mapped; item 3 starts 4 bytes before the end of the
-    // mapping, so the fault is raised at the page boundary inside it.
+    // mapping, so the fault is raised at the end of the region, inside it.
     let spec = StrideSpec::new(16, 6, 4096);
     let off = SMALL_LEN - 3 * 4096 - 4;
     let base = rig.bases[1] + off;
-    assert_eq!(gather(&mut rig.mmu, &rig.mem, base, spec), fault(end));
+    assert_eq!(gather(&rig.mmu, &rig.mem, base, spec), fault(end));
     let mut buf = vec![0u8; spec.total_bytes() as usize];
     assert_eq!(
-        gather_into(&mut rig.mmu, &rig.mem, base, spec, &mut buf),
+        gather_into(&rig.mmu, &rig.mem, base, spec, &mut buf),
         fault(end)
     );
     let payload = pattern(spec.total_bytes(), 6);
     assert_eq!(
-        scatter(&mut rig.mmu, &mut rig.mem, base, spec, &payload),
+        scatter(&rig.mmu, &mut rig.mem, base, spec, &payload),
         fault(end)
     );
     // The items before the fault landed, as did the mapped head of the
@@ -212,18 +185,15 @@ fn a_transfer_running_off_its_mapping_faults_at_the_first_unmapped_run() {
     rig.check_regions();
     // An item that starts past the mapping faults at its own address.
     let past = StrideSpec::new(8, 2, 4096);
-    assert_eq!(gather(&mut rig.mmu, &rig.mem, end - 4096, past), fault(end));
+    assert_eq!(gather(&rig.mmu, &rig.mem, end - 4096, past), fault(end));
     // The contiguous entry points report the same first unmapped run.
+    assert_eq!(read_virtual(&rig.mmu, &rig.mem, end - 100, 200), fault(end));
     assert_eq!(
-        read_virtual(&mut rig.mmu, &rig.mem, end - 100, 200).map(|r| r.data),
+        read_virtual_into(&rig.mmu, &rig.mem, end - 100, &mut [0u8; 200]),
         fault(end)
     );
     assert_eq!(
-        read_virtual_into(&mut rig.mmu, &rig.mem, end - 100, &mut [0u8; 200]),
-        fault(end)
-    );
-    assert_eq!(
-        write_virtual(&mut rig.mmu, &mut rig.mem, end - 100, &[7u8; 200]),
+        write_virtual(&rig.mmu, &mut rig.mem, end - 100, &[7u8; 200]),
         fault(end)
     );
     rig.flat[1][SMALL_LEN as usize - 100..].fill(7);
@@ -248,8 +218,8 @@ fn reads_never_materialize_frames() {
 
 proptest! {
     /// Any interleaving of strided and contiguous transfers over small
-    /// and large pages leaves the bytes, TLB-miss counts and resident
-    /// frames the per-item definition predicts.
+    /// and large pages leaves the bytes and resident frames the per-item
+    /// definition predicts.
     #[test]
     fn data_plane_matches_the_byte_array_oracle(
         ops in proptest::collection::vec(
@@ -274,9 +244,9 @@ proptest! {
                 2 => rig.write(region, off, &pattern(spec.span_bytes(), salt as u64)),
                 _ => {
                     let at = rig.bases[region] + off;
-                    let back = read_virtual(&mut rig.mmu, &rig.mem, at, spec.span_bytes()).unwrap();
+                    let back = read_virtual(&rig.mmu, &rig.mem, at, spec.span_bytes()).unwrap();
                     let span = &rig.flat[region][off as usize..][..spec.span_bytes() as usize];
-                    prop_assert!(back.data == span, "contiguous read at +{off}");
+                    prop_assert!(back == span, "contiguous read at +{off}");
                 }
             }
         }

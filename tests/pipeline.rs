@@ -42,8 +42,10 @@ fn suite_runs_verifies_and_orders_models() {
 }
 
 /// The emulator's own hardware-parameter timing and MLSim's AP1000+
-/// replay of the same trace must agree on the order of magnitude — they
-/// model the same machine at different levels of detail.
+/// replay of the same trace must agree within 5 % — they model the same
+/// machine at different levels of detail. Measured at test scale, the
+/// emulator/MLSim ratio runs from 0.9625 (CG) to 1.0139 (TC st): EP and
+/// TC no st 1.0000, FT 0.9999, SP 0.9998, SCG 0.9942, MatMul 0.9756.
 #[test]
 fn emulator_and_mlsim_agree_roughly() {
     for w in standard_suite(Scale::Test) {
@@ -54,8 +56,8 @@ fn emulator_and_mlsim_agree_roughly() {
         let plus = replay(&report.trace, &ModelParams::ap1000_plus()).unwrap();
         let ratio = report.total_time.as_nanos() as f64 / plus.total.as_nanos() as f64;
         assert!(
-            (0.3..=3.0).contains(&ratio),
-            "{}: emulator {} vs MLSim {} (ratio {ratio:.2})",
+            (0.95..=1.05).contains(&ratio),
+            "{}: emulator {} vs MLSim {} (ratio {ratio:.4})",
             w.name(),
             report.total_time,
             plus.total
