@@ -89,15 +89,16 @@ pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
                 }
                 let Ok(stream) = stream else { continue };
                 let svc = Arc::clone(&svc);
-                let gauge = Arc::clone(&open_connections);
-                gauge.fetch_add(1, Ordering::SeqCst);
+                let conn = OpenConnection::count(&open_connections);
                 // Detached handler thread per connection; bounded in
                 // practice by Connection: close + the socket deadline.
+                // The closure owns `conn`, so the count comes back when
+                // the handler returns or panics, or when a failed spawn
+                // drops the closure unrun.
                 let _ = std::thread::Builder::new()
                     .name("apserve-conn".to_string())
                     .spawn(move || {
-                        let _ = handle_connection(&svc, stream, &gauge);
-                        gauge.fetch_sub(1, Ordering::SeqCst);
+                        let _ = handle_connection(&svc, stream, &conn.0);
                     });
             }
         })
@@ -110,6 +111,22 @@ pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
         accept_thread: Some(accept_thread),
         workers,
     })
+}
+
+/// One count held on the `open_connections` gauge, given back on drop.
+struct OpenConnection(Arc<AtomicUsize>);
+
+impl OpenConnection {
+    fn count(gauge: &Arc<AtomicUsize>) -> OpenConnection {
+        gauge.fetch_add(1, Ordering::SeqCst);
+        OpenConnection(Arc::clone(gauge))
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 fn error_body(error: &str, detail: &str) -> Vec<u8> {
@@ -313,4 +330,34 @@ fn finish(
         .push(("X-Cache".to_string(), cache_status.to_string()));
     resp.headers.push(("X-Key".to_string(), key.to_string()));
     write_response(w, &resp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_connection_gauge_is_given_back_on_every_path() {
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let conn = OpenConnection::count(&gauge);
+        let returned = std::thread::spawn(move || drop(conn)).join();
+        assert!(returned.is_ok());
+        assert_eq!(gauge.load(Ordering::SeqCst), 0);
+
+        let conn = OpenConnection::count(&gauge);
+        assert_eq!(gauge.load(Ordering::SeqCst), 1);
+        let panicked = std::thread::spawn(move || {
+            let _conn = conn;
+            panic!("handler bug");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(gauge.load(Ordering::SeqCst), 0, "a panicking handler");
+
+        // A failed spawn drops the handler closure without running it.
+        let conn = OpenConnection::count(&gauge);
+        let handler = move || drop(conn);
+        drop(handler);
+        assert_eq!(gauge.load(Ordering::SeqCst), 0, "a closure never run");
+    }
 }

@@ -234,6 +234,10 @@ struct Inner {
     poison_order: VecDeque<u64>,
     counters: CacheCounters,
     shutdown: bool,
+    /// Workers free to take a job, most recently idle last: `submit`
+    /// wakes the top one, so under serial load one warm worker (its
+    /// stack, caches and allocator arena) runs every job.
+    idle: Vec<usize>,
 }
 
 /// The engine. Construct with [`Service::new`], then attach workers via
@@ -241,7 +245,9 @@ struct Inner {
 pub struct Service {
     pub cfg: Config,
     inner: Mutex<Inner>,
-    work_cv: Condvar,
+    /// One condvar per worker, so `submit` wakes exactly the worker it
+    /// took off [`Inner::idle`].
+    work_cvs: Vec<Condvar>,
     executor: Executor,
     /// Serializes [`Service::shutdown`]: the first caller drains, every
     /// concurrent caller blocks here until the drain has finished (the
@@ -299,6 +305,7 @@ impl Service {
             cfg.cache_dir.clone(),
             cfg.disk_cache_bytes,
         );
+        let work_cvs = (0..cfg.workers.max(1)).map(|_| Condvar::new()).collect();
         Arc::new(Service {
             cfg,
             inner: Mutex::new(Inner {
@@ -310,8 +317,9 @@ impl Service {
                 poison_order: VecDeque::new(),
                 counters: CacheCounters::new(),
                 shutdown: false,
+                idle: Vec::new(),
             }),
-            work_cv: Condvar::new(),
+            work_cvs,
             executor,
             drain_lock: Mutex::new(false),
         })
@@ -319,12 +327,12 @@ impl Service {
 
     /// Starts the worker pool; returns the join handles.
     pub fn spawn_workers(self: &Arc<Service>) -> Vec<std::thread::JoinHandle<()>> {
-        (0..self.cfg.workers.max(1))
+        (0..self.work_cvs.len())
             .map(|i| {
                 let svc = Arc::clone(self);
                 std::thread::Builder::new()
                     .name(format!("apserve-worker-{i}"))
-                    .spawn(move || svc.worker_loop())
+                    .spawn(move || svc.worker_loop(i))
                     .expect("spawn worker")
             })
             .collect()
@@ -371,27 +379,35 @@ impl Service {
         let job = Job::new(request);
         inner.inflight.insert(key, Arc::clone(&job));
         inner.queue.push_back(Arc::clone(&job));
+        let wake = inner.idle.pop();
         drop(inner);
-        self.work_cv.notify_one();
+        if let Some(worker) = wake {
+            self.work_cvs[worker].notify_one();
+        }
         Submission::Pending { job, joined: false }
     }
 
-    fn worker_loop(&self) {
+    /// Worker `me`: takes jobs off the queue until shutdown. It is on
+    /// [`Inner::idle`] whenever it waits, and leaves it when it takes a
+    /// job; a wake that finds the queue already emptied by another worker
+    /// puts it back before it waits again.
+    fn worker_loop(&self, me: usize) {
+        let mut inner = lock(&self.inner);
         loop {
-            let job = {
-                let mut inner = lock(&self.inner);
-                loop {
-                    if let Some(job) = inner.queue.pop_front() {
-                        break job;
-                    }
-                    if inner.shutdown {
-                        return;
-                    }
-                    inner = wait_on(&self.work_cv, inner);
+            let Some(job) = inner.queue.pop_front() else {
+                if inner.shutdown {
+                    return;
                 }
+                if !inner.idle.contains(&me) {
+                    inner.idle.push(me);
+                }
+                inner = wait_on(&self.work_cvs[me], inner);
+                continue;
             };
+            inner.idle.retain(|&w| w != me);
+            drop(inner);
             let result = self.run_with_retry(&job);
-            let mut inner = lock(&self.inner);
+            inner = lock(&self.inner);
             let key = job.request.key;
             if let Ok(body) = &result {
                 inner.counters.runs += 1;
@@ -405,8 +421,12 @@ impl Service {
                 inner.counters.disk_evictions = inner.cache.disk_evictions;
             }
             inner.inflight.remove(&key);
+            // Idle again before the waiter learns the result, so the
+            // client's next job finds this worker on top of the stack.
+            inner.idle.push(me);
             drop(inner);
             job.complete(result);
+            inner = lock(&self.inner);
         }
     }
 
@@ -553,7 +573,9 @@ impl Service {
             drop(inner);
             job.complete(Err(JobError::Canceled("server shutting down".to_string())));
         }
-        self.work_cv.notify_all();
+        for cv in &self.work_cvs {
+            cv.notify_one();
+        }
 
         // Phase 1: let in-flight jobs finish on their own.
         let drain_deadline = Instant::now() + Duration::from_millis(self.cfg.drain_ms);
@@ -954,6 +976,101 @@ mod tests {
         }
         assert!(calls.load(Ordering::SeqCst) > before);
         finish(svc, workers);
+    }
+
+    /// Blocks until `n` workers are parked on their own condvars. Before
+    /// any job has run, a worker on the stack is a waiting one: it pushes
+    /// itself and waits under one hold of the lock.
+    fn wait_idle(svc: &Service, n: usize) {
+        while lock(&svc.inner).idle.len() < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn serial_jobs_run_on_the_most_recently_idle_worker() {
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&ran_on);
+        let exec: Executor = Arc::new(move |req: &CanonRequest| {
+            lock(&log).push(std::thread::current().id());
+            Ok(format!(r#"{{"echo":"{}"}}"#, req.key_hex()))
+        });
+        let svc = Service::new(Config::default(), exec);
+        let workers = svc.spawn_workers();
+        wait_idle(&svc, 2);
+        for size in 0..8 {
+            match svc.submit(req(&format!(
+                r#"{{"kind":"bench","apps":["EP"],"sizes":[{}]}}"#,
+                16 << size
+            ))) {
+                Submission::Pending { job, joined } => {
+                    assert!(!joined);
+                    job.wait().unwrap();
+                }
+                _ => panic!("expected pending"),
+            }
+        }
+        let ran_on = lock(&ran_on).clone();
+        assert_eq!(ran_on.len(), 8);
+        assert!(ran_on.iter().all(|&id| id == ran_on[0]), "{ran_on:?}");
+        // The other worker never left its condvar.
+        assert_eq!(lock(&svc.inner).idle.len(), 2);
+        finish(svc, workers);
+    }
+
+    #[test]
+    fn concurrent_jobs_start_on_both_workers() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let (svc, workers) = svc(
+            Config {
+                allow_sleep: true,
+                ..Config::default()
+            },
+            runs,
+        );
+        wait_idle(&svc, 2);
+        let start = Instant::now();
+        let jobs: Vec<Arc<Job>> = [1500, 1501]
+            .map(
+                |ms| match svc.submit(req(&format!(r#"{{"kind":"sleep","ms":{ms}}}"#))) {
+                    Submission::Pending { job, .. } => job,
+                    _ => panic!("expected pending"),
+                },
+            )
+            .into();
+        // Both jobs leave the queue and no worker is idle long before
+        // either sleep ends: the second job did not wait for the first.
+        loop {
+            let inner = lock(&svc.inner);
+            if inner.queue.is_empty() && inner.idle.is_empty() {
+                break;
+            }
+            drop(inner);
+            assert!(
+                start.elapsed() < Duration::from_millis(1200),
+                "a job waited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for job in jobs {
+            job.wait().unwrap();
+        }
+        assert_eq!(svc.stats().counters.runs, 2);
+        finish(svc, workers);
+    }
+
+    #[test]
+    fn shutdown_wakes_workers_parked_on_their_own_condvars() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let (svc, workers) = svc(Config::default(), runs);
+        wait_idle(&svc, 2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            finish(svc, workers);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("shutdown drains and joins both parked workers");
     }
 
     #[test]

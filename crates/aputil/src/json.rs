@@ -244,55 +244,80 @@ impl Json {
 }
 
 impl fmt::Display for Json {
-    /// Compact (no whitespace) JSON serialization.
+    /// Compact (no whitespace) JSON serialization. The whole document is
+    /// built in one `String` and handed to the formatter in one write.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.emit(&mut out)?;
+        f.write_str(&out)
+    }
+}
+
+impl Json {
+    fn emit(&self, out: &mut String) -> fmt::Result {
+        use fmt::Write as _;
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(true) => f.write_str("true"),
-            Json::Bool(false) => f.write_str("false"),
-            Json::U(v) => write!(f, "{v}"),
-            Json::I(v) => write!(f, "{v}"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(true) => out.push_str("true"),
+            Json::Bool(false) => out.push_str("false"),
+            Json::U(v) => write!(out, "{v}")?,
+            Json::I(v) => write!(out, "{v}")?,
             Json::F(v) => {
                 if v.is_finite() {
                     // Guarantee a parseable float even for integral values.
                     if v.fract() == 0.0 && v.abs() < 1e15 {
-                        write!(f, "{v:.1}")
+                        // The bytes of `{v:.1}` (the integer is exact below
+                        // 2^53), without its exact-decimal float formatter.
+                        if v.is_sign_negative() {
+                            out.push('-');
+                        }
+                        write!(out, "{}.0", v.abs() as u64)?;
                     } else {
-                        write!(f, "{v}")
+                        write!(out, "{v}")?;
                     }
                 } else {
                     // JSON has no Infinity/NaN; degrade to null.
-                    f.write_str("null")
+                    out.push_str("null");
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => emit_str(out, s)?,
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.emit(out)?;
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(members) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    emit_str(out, k)?;
+                    out.push(':');
+                    v.emit(out)?;
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
+        Ok(())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write_json_escaped(f, s)
+/// A string that needs no escape is copied whole; any other goes through
+/// [`write_json_escaped`], the one escaping implementation.
+fn emit_str(out: &mut String, s: &str) -> fmt::Result {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        return write_json_escaped(out, s);
+    }
+    out.push('"');
+    out.push_str(s);
+    out.push('"');
+    Ok(())
 }
 
 /// Writes `s` as a quoted JSON string into any [`fmt::Write`] sink, with
@@ -624,6 +649,78 @@ mod tests {
         let v = Json::Str(s.to_string());
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back.as_str(), Some(s));
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        // Every case is checked as literal text and must read back to
+        // the same text.
+        let round_trip = |v: &Json, want: &str| {
+            let text = v.to_string();
+            assert_eq!(text, want, "{v:?}");
+            assert_eq!(Json::parse(&text).unwrap().to_string(), want);
+        };
+        // The 32 control characters, in code-point order.
+        let control: [&str; 32] = [
+            "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+            "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+            "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+            "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+        ];
+        let mut strings: Vec<(String, &str)> = (0u8..0x20)
+            .map(|b| (char::from(b).to_string(), control[usize::from(b)]))
+            .collect();
+        strings.extend(
+            [
+                ("\"", "\\\""),
+                ("\\", "\\\\"),
+                ("\u{7f}", "\u{7f}"),
+                ("é", "é"),
+                ("漢", "漢"),
+                ("😀", "😀"),
+                ("", ""),
+            ]
+            .map(|(s, e)| (s.to_string(), e)),
+        );
+        for (s, escaped) in &strings {
+            let quoted = format!("\"{escaped}\"");
+            round_trip(&Json::from(s.as_str()), &quoted);
+            assert_eq!(Json::parse(&quoted).unwrap().as_str(), Some(s.as_str()));
+            let obj = Json::obj([(s.as_str(), Json::from(s.as_str()))]);
+            round_trip(&obj, &format!("{{{quoted}:{quoted}}}"));
+            assert_eq!(Json::parse(&obj.to_string()).unwrap(), obj);
+        }
+        for (v, want) in [
+            (1.0, "1.0"),
+            (-0.0, "-0.0"),
+            (0.1, "0.1"),
+            (1e15 - 1.0, "999999999999999.0"),
+            (1e15, "1000000000000000"),
+            (1e16, "10000000000000000"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            round_trip(&Json::F(v), want);
+        }
+        // The integral branch spells `{v:.1}` without the float formatter.
+        let mut v = 1.0_f64;
+        while v < 1e15 {
+            let n = v.floor();
+            for x in [n, n - 1.0, n + 1.0, -n, 1e15 - n, n - 1e15] {
+                assert_eq!(Json::F(x).to_string(), format!("{x:.1}"));
+            }
+            v *= 1.7;
+        }
+        round_trip(&Json::from(u64::MAX), "18446744073709551615");
+        round_trip(&Json::from(i64::MIN), "-9223372036854775808");
+        let empty = Json::Arr(vec![
+            Json::Arr(vec![]),
+            Json::Obj(vec![]),
+            Json::Arr(vec![Json::Arr(vec![Json::Obj(vec![])])]),
+            Json::obj([("a", Json::Obj(vec![("b".to_string(), Json::Arr(vec![]))]))]),
+        ]);
+        round_trip(&empty, r#"[[],{},[[{}]],{"a":{"b":[]}}]"#);
     }
 
     #[test]
