@@ -118,8 +118,9 @@ impl GetArgs {
 pub const MAX_DMA_BYTES: u64 = 4 << 20;
 
 fn validate_pair(send: StrideSpec, recv: StrideSpec) -> Result<(), String> {
-    // The specs themselves may be hand-built (the 8-word command image is
-    // plain memory), so validate each side before comparing them.
+    // The specs themselves may be hand-built (their fields are public, so
+    // a struct literal skips `StrideSpec::new`), so validate each side
+    // before comparing them.
     send.check().map_err(|e| format!("send stride: {e}"))?;
     recv.check().map_err(|e| format!("recv stride: {e}"))?;
     let total = send.total_bytes();

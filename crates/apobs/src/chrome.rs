@@ -16,12 +16,11 @@
 //! use apobs::{chrome_trace, Bucket, Timeline, TimelineEvent, Unit};
 //! use aputil::SimTime;
 //!
-//! let mut t = Timeline::new("emulator");
-//! t.events.push(TimelineEvent {
+//! let t = Timeline::from_events("emulator", vec![TimelineEvent {
 //!     cell: 0, unit: Unit::Cpu, name: "work",
 //!     start: SimTime::ZERO, dur: Some(SimTime::from_nanos(2000)),
 //!     bucket: Bucket::Exec, arg: 100, tid: 0,
-//! });
+//! }]);
 //! let json = chrome_trace(&[&t]);
 //! assert!(json.get("traceEvents").is_some());
 //! ```
@@ -208,7 +207,7 @@ mod tests {
     use aputil::SimTime;
 
     fn sample_timeline() -> Timeline {
-        let mut t = Timeline::new("emulator");
+        let mut t = Timeline::from_events("emulator", Vec::new());
         // Deliberately emitted out of order to prove the exporter sorts.
         let ev = |cell, unit, name, start_ns: u64, dur_ns: Option<u64>, bucket| TimelineEvent {
             cell,

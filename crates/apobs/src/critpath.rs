@@ -408,14 +408,14 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_empty_path() {
-        let p = critical_path(&Timeline::new("t"));
+        let p = critical_path(&Timeline::from_events("t", Vec::new()));
         assert_eq!(p.total, SimTime::ZERO);
         assert!(p.steps.is_empty());
     }
 
     #[test]
     fn put_chain_is_followed_across_cells() {
-        let mut t = Timeline::new("t");
+        let mut t = Timeline::from_events("t", Vec::new());
         t.events
             .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
         t.events.push(span(
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn barrier_blames_the_last_arriver() {
-        let mut t = Timeline::new("t");
+        let mut t = Timeline::from_events("t", Vec::new());
         t.events
             .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
         t.events
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn serialized_track_attributes_everything() {
-        let mut t = Timeline::new("t");
+        let mut t = Timeline::from_events("t", Vec::new());
         let mut at = 0;
         for i in 0..20u64 {
             t.events.push(span(
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn gaps_become_unattributed() {
-        let mut t = Timeline::new("t");
+        let mut t = Timeline::from_events("t", Vec::new());
         t.events
             .push(span(0, Unit::Cpu, "work", 10, 20, Bucket::Exec, 0));
         t.events
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn top_ops_rank_by_time() {
-        let mut t = Timeline::new("t");
+        let mut t = Timeline::from_events("t", Vec::new());
         t.events
             .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
         t.events

@@ -104,7 +104,7 @@ mod proptests {
                 0..50,
             )
         ) {
-            let mut t = Timeline::new("fuzz");
+            let mut t = Timeline::from_events("fuzz", Vec::new());
             for (cell, unit, start, dur, instant) in evs {
                 t.events.push(TimelineEvent {
                     cell,
@@ -143,7 +143,7 @@ mod proptests {
                 1..60,
             )
         ) {
-            let mut t = Timeline::new("fuzz");
+            let mut t = Timeline::from_events("fuzz", Vec::new());
             for (cell, unit, start, dur, tid, kind) in evs {
                 let bucket = [Bucket::Exec, Bucket::Rts, Bucket::Overhead, Bucket::Idle, Bucket::Hw][kind];
                 t.events.push(TimelineEvent {
@@ -173,7 +173,7 @@ mod proptests {
         fn critical_path_of_serialized_trace_is_total(
             durs in proptest::collection::vec(1u64..2_000, 1..40)
         ) {
-            let mut t = Timeline::new("serial");
+            let mut t = Timeline::from_events("serial", Vec::new());
             let mut at = 0u64;
             for d in durs {
                 t.events.push(TimelineEvent {

@@ -14,13 +14,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    pub fn new(source: impl Into<String>) -> Self {
-        Timeline {
-            source: source.into(),
-            events: Vec::new(),
-        }
-    }
-
     pub fn from_events(source: impl Into<String>, events: Vec<TimelineEvent>) -> Self {
         Timeline {
             source: source.into(),

@@ -758,13 +758,8 @@ fn probe_cmd(args: &Args) -> Result<i32, CliError> {
     let report = w
         .run_on(machine, None)
         .map_err(|e| failed("on the emulator", &e))?;
-    let models = [
-        ModelParams::ap1000(),
-        ModelParams::ap1000_star(),
-        ModelParams::ap1000_plus(),
-    ];
     let mut replays = Vec::new();
-    for m in &models {
+    for m in &ModelParams::paper_models() {
         let r = replay_observed(&report.trace, m, trace_out.is_some());
         replays.push(r.map_err(|e| failed(&format!("replay under {}", m.name), &e))?);
     }

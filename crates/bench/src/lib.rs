@@ -9,7 +9,7 @@
 use apapps::{standard_suite, Scale, Workload};
 use apcore::{MachineConfig, TimelineMode};
 use apobs::{Counters, CritPath, Timeline};
-use aptrace::{AppStats, StatsRow};
+use aptrace::{AppStats, StatsRow, Trace};
 use aputil::{Json, SimTime};
 use mlsim::{
     fig8_rows, replay, replay_observed, speedup, DivergenceReport, Fig8Row, ModelParams,
@@ -174,57 +174,108 @@ pub fn suite_json(rows: &[ExperimentRow]) -> Json {
     Json::Arr(rows.iter().map(|r| r.to_json()).collect())
 }
 
+/// Replays `trace` under [`ModelParams::paper_models`] with each
+/// `computation_factor` scaled by `factor`: the one replay step behind
+/// every [`ExperimentRow`]. Only AP1000+ records its timeline, and only
+/// when `observe_plus` asks (the run is analyzed against it).
+///
+/// # Errors
+///
+/// `"under <model>: <replay error>"` for the first model that rejects
+/// the trace.
+fn replay_models(
+    trace: &Trace,
+    factor: f64,
+    observe_plus: bool,
+) -> Result<[ReplayResult; 3], String> {
+    let run = |mut m: ModelParams, observed: bool| {
+        m.computation_factor *= factor;
+        replay_observed(trace, &m, observed).map_err(|e| format!("under {}: {e}", m.name))
+    };
+    let [ap1000, star, plus] = ModelParams::paper_models();
+    Ok([
+        run(ap1000, false)?,
+        run(star, false)?,
+        run(plus, observe_plus)?,
+    ])
+}
+
+/// The emulator's half of an [`ExperimentRow`]. A remodel has no
+/// emulator run: it brings the recording's final time and defaults.
+#[derive(Default)]
+struct EmulatorSide {
+    total: SimTime,
+    counters: Counters,
+    timeline: Timeline,
+    metrics: Option<Box<apmon::RunMetrics>>,
+    /// The timeline is a full buffered run, so the row gets its critical
+    /// path and its divergence from the AP1000+ replay.
+    analyze: bool,
+}
+
+/// Assembles the row `label` of a `pe`-cell run: replays `trace` under
+/// the paper models scaled by `factor`, takes its Table-3 statistics —
+/// after the replays, which are what bound an outside trace's operands —
+/// and joins the emulator side.
+///
+/// # Errors
+///
+/// Like [`replay_models`].
+fn experiment_row(
+    label: String,
+    pe: u32,
+    trace: &Trace,
+    factor: f64,
+    emu: EmulatorSide,
+) -> Result<ExperimentRow, String> {
+    let [ap1000, star, plus] = replay_models(trace, factor, emu.analyze)?;
+    let stats = AppStats::from_trace(trace).to_row();
+    let mut timeline = emu.timeline;
+    timeline.source = label.clone();
+    let critpath = emu.analyze.then(|| apobs::critical_path(&timeline));
+    let divergence = emu
+        .analyze
+        .then(|| mlsim::divergence(&timeline, &plus.timeline, &emu.counters, &plus.counters));
+    Ok(ExperimentRow {
+        name: label,
+        pe,
+        stats,
+        ap1000,
+        star,
+        plus,
+        emulator_total: emu.total,
+        counters: emu.counters,
+        timeline,
+        critpath,
+        divergence,
+        host_ms: None,
+        metrics: emu.metrics,
+    })
+}
+
 /// One experiment: emulate `w` on `machine` (a prototype — its options on
-/// a machine of the workload's own size), verify, take the Table-3
-/// statistics, and replay the trace under the three models with each
-/// `computation_factor` scaled by `factor`. `label` names the row. A run
-/// that buffered its full timeline is also analyzed (critical path,
-/// emulator-vs-model divergence); a flight-recorder tail is not a
-/// timeline to analyze.
+/// a machine of the workload's own size), verify, and build its row under
+/// `factor`. `label` names the row. A run that buffered its full timeline
+/// is also analyzed (critical path, emulator-vs-model divergence); a
+/// flight-recorder tail is not a timeline to analyze.
 fn experiment(
     w: &dyn Workload,
     machine: &MachineConfig,
     factor: f64,
     label: String,
 ) -> Result<ExperimentRow, String> {
-    let analyze = matches!(machine.timeline, TimelineMode::Full);
     let report = w
         .run_on(machine.clone().with_cells(w.pe()), None)
         .map_err(|e| format!("{label} failed on the emulator: {e}"))?;
-    let stats = AppStats::from_trace(&report.trace).to_row();
-    let run = |mut m: ModelParams, observed: bool| {
-        m.computation_factor *= factor;
-        // Have the replay record its timeline too when the run is analyzed.
-        let result = if observed {
-            replay_observed(&report.trace, &m, true)
-        } else {
-            replay(&report.trace, &m)
-        };
-        result.map_err(|e| format!("{label} failed replay under {}: {e}", m.name))
-    };
-    let ap1000 = run(ModelParams::ap1000(), false)?;
-    let star = run(ModelParams::ap1000_star(), false)?;
-    let plus = run(ModelParams::ap1000_plus(), analyze)?;
-    let mut timeline = report.timeline;
-    timeline.source = label.clone();
-    let critpath = analyze.then(|| apobs::critical_path(&timeline));
-    let divergence = analyze
-        .then(|| mlsim::divergence(&timeline, &plus.timeline, &report.counters, &plus.counters));
-    Ok(ExperimentRow {
-        name: label,
-        pe: w.pe(),
-        stats,
-        ap1000,
-        star,
-        plus,
-        emulator_total: report.total_time,
+    let emu = EmulatorSide {
+        total: report.total_time,
         counters: report.counters,
-        timeline,
-        critpath,
-        divergence,
-        host_ms: None,
+        timeline: report.timeline,
         metrics: report.metrics,
-    })
+        analyze: matches!(machine.timeline, TimelineMode::Full),
+    };
+    experiment_row(label.clone(), w.pe(), &report.trace, factor, emu)
+        .map_err(|e| format!("{label} failed replay {e}"))
 }
 
 /// Runs one workload end-to-end (emulate → verify → replay×3) on a
@@ -276,14 +327,11 @@ pub fn table1() -> String {
     s
 }
 
-/// Renders Figure 6 (both MLSim parameter files).
+/// Renders Figure 6: the parameter file of each paper model.
 pub fn fig6() -> String {
-    format!(
-        "{}\n{}\n{}",
-        ModelParams::ap1000().to_figure6(),
-        ModelParams::ap1000_star().to_figure6(),
-        ModelParams::ap1000_plus().to_figure6()
-    )
+    ModelParams::paper_models()
+        .map(|m| m.to_figure6())
+        .join("\n")
 }
 
 /// Figure 7's PUT chain under the AP1000 and AP1000+ models for one
@@ -293,9 +341,7 @@ fn fig7_chains(bytes: u64) -> Vec<(String, [SimTime; 5])> {
     [ModelParams::ap1000(), ModelParams::ap1000_plus()]
         .into_iter()
         .map(|m| {
-            let net = m.network_prolog
-                + m.network_delay * 4
-                + m.network_msg_per_byte.saturating_mul(bytes + 32);
+            let net = m.net.prolog + m.net.per_hop * 4 + m.net.per_byte.saturating_mul(bytes + 32);
             let legs = [
                 m.send_cpu_overhead(bytes),
                 m.send_hw_latency(bytes),
@@ -592,6 +638,56 @@ mod tests {
         assert!(fig6().contains("put_prolog_time"));
         let f7 = fig7(1024);
         assert!(f7.contains("AP1000+") && f7.contains("AP1000 "));
+    }
+
+    /// A factor scales computation and nothing else: a compute-only
+    /// trace's exec time scales with it exactly, a communication-only
+    /// trace (the network and handling parameters) does not move. The
+    /// models come back in Figure-6 order, and only an observed AP1000+
+    /// records a timeline.
+    #[test]
+    fn replay_models_scale_only_computation() {
+        use aptrace::Op;
+        use aputil::CellId;
+        let mut work = Trace::new(2);
+        for c in 0..2 {
+            work.pe_mut(CellId::new(c)).push(Op::Work { flops: 10_000 });
+            work.pe_mut(CellId::new(c)).push(Op::Barrier);
+        }
+        let mut comm = Trace::new(2);
+        comm.pe_mut(CellId::new(0)).push(Op::Put {
+            dst: CellId::new(1),
+            bytes: 1024,
+            stride: false,
+            ack: false,
+            send_flag: 0,
+            recv_flag: 7,
+        });
+        comm.pe_mut(CellId::new(1))
+            .push(Op::WaitFlag { flag: 7, target: 1 });
+
+        let half = replay_models(&work, 0.5, false).unwrap();
+        let full = replay_models(&work, 1.0, true).unwrap();
+        let names: Vec<&str> = full.iter().map(|r| r.model.as_str()).collect();
+        let paper = ModelParams::paper_models().map(|m| m.name);
+        assert_eq!(names, paper);
+        for (h, f) in half.iter().zip(&full) {
+            assert_eq!(h.mean(|b| b.exec) * 2, f.mean(|b| b.exec), "{}", f.model);
+            assert!(h.timeline.events.is_empty());
+        }
+        assert!(full[0].timeline.events.is_empty() && full[1].timeline.events.is_empty());
+        assert!(!full[2].timeline.events.is_empty(), "AP1000+ is observed");
+
+        let slow = replay_models(&comm, 2.0, false).unwrap();
+        let fast = replay_models(&comm, 0.25, false).unwrap();
+        for (s, f) in slow.iter().zip(&fast) {
+            assert!(s.total > SimTime::ZERO);
+            assert_eq!(
+                s.per_pe, f.per_pe,
+                "{}: a factor moved communication",
+                s.model
+            );
+        }
     }
 
     #[test]

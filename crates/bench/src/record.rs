@@ -25,18 +25,18 @@
 //! depths, blocked cells) at a recorded sim-time: time-travel debugging
 //! from the trace alone.
 //!
-//! **Remodel** replays the recorded traffic under scaled
-//! [`ModelParams`] via [`mlsim::remodel`] — no emulator, seconds instead
-//! of minutes — and emits a normal versioned `ap1000plus.bench` report.
+//! **Remodel** replays the recorded traffic under the three paper models
+//! with scaled computation factors — the same replay step and row builder
+//! a live run uses, minus the emulator: seconds instead of minutes — and
+//! emits a normal versioned `ap1000plus.bench` report.
 
-use crate::sweep::build_workload;
-use crate::ExperimentRow;
+use crate::sweep::{build_workload, factor_label};
+use crate::{EmulatorSide, ExperimentRow};
 use apapps::Scale;
 use apcore::{MachineConfig, TimelineMode};
 use apobs::{Bucket, Timeline, TimelineEvent, Unit};
-use aptrace::{AppStats, CounterTicks, EvHeader, EvTrace, StreamWriter};
+use aptrace::{CounterTicks, EvHeader, EvTrace, StreamWriter};
 use aputil::{ApError, SimTime};
-use mlsim::ModelParams;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -532,34 +532,18 @@ pub fn remodel_rows(doc: &EvTrace, factors: &[f64]) -> Result<Vec<ExperimentRow>
         .ops
         .as_ref()
         .ok_or("trace has no ops section (recorded without probe tracing?)")?;
-    let replay_grid = |base: ModelParams| {
-        mlsim::remodel(trace, &mlsim::factor_grid(&base, factors))
-            .map_err(|e| format!("remodel under {}: {e}", base.name))
-    };
-    let ap1000 = replay_grid(ModelParams::ap1000())?;
-    let star = replay_grid(ModelParams::ap1000_star())?;
-    let plus = replay_grid(ModelParams::ap1000_plus())?;
-    // Summed only once a replay has bounded the trace's operands.
-    let stats = AppStats::from_trace(trace).to_row();
-    let mut rows = Vec::new();
-    for (i, &f) in factors.iter().enumerate() {
-        rows.push(ExperimentRow {
-            name: format!("{} cf{f:.2}", doc.header.app),
-            pe: doc.header.ncells,
-            stats,
-            ap1000: ap1000[i].1.clone(),
-            star: star[i].1.clone(),
-            plus: plus[i].1.clone(),
-            emulator_total: SimTime::from_nanos(doc.summary.total_ns),
-            counters: apobs::Counters::new(),
-            timeline: Timeline::new("remodel"),
-            critpath: None,
-            divergence: None,
-            host_ms: None,
-            metrics: None,
-        });
-    }
-    Ok(rows)
+    factors
+        .iter()
+        .map(|&f| {
+            let label = format!("{} {}", doc.header.app, factor_label(f));
+            let emu = EmulatorSide {
+                total: SimTime::from_nanos(doc.summary.total_ns),
+                ..EmulatorSide::default()
+            };
+            crate::experiment_row(label, doc.header.ncells, trace, f, emu)
+                .map_err(|e| format!("remodel {e}"))
+        })
+        .collect()
 }
 
 /// Plain-text remodel summary: one line per factor point with all three

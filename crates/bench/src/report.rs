@@ -391,6 +391,35 @@ mod tests {
         );
     }
 
+    /// Rows are paired by name, so two factors that round alike must not
+    /// share one: the baseline's second point would be diffed against the
+    /// current report's first and a regression there would pass unseen.
+    #[test]
+    fn a_regression_at_the_second_of_two_close_factors_is_reported() {
+        let label = |factor| {
+            crate::SweepPoint {
+                app: "EP".into(),
+                pe: None,
+                factor,
+            }
+            .label()
+        };
+        let (first, second) = (label(0.123), label(0.124));
+        let base = report_json(vec![
+            app_json(&first, 1000, 500),
+            app_json(&second, 1000, 600),
+        ]);
+        let cur = report_json(vec![
+            app_json(&first, 1000, 500),
+            app_json(&second, 1000, 900),
+        ]);
+        let cmp = compare_reports(&base, &cur, 10.0).unwrap();
+        assert!(!cmp.pass(), "{}", cmp.render());
+        assert_eq!(cmp.regressions.len(), 1);
+        assert_eq!(cmp.regressions[0].app, second);
+        assert_eq!(cmp.regressions[0].cur_ns, 900);
+    }
+
     #[test]
     fn missing_app_fails() {
         let base = report_json(vec![app_json("EP", 1000, 500), app_json("CG", 2000, 900)]);

@@ -40,7 +40,20 @@ impl SweepPoint {
             Some(p) => format!("pe{p}"),
             None => "pedef".to_string(),
         };
-        format!("{} {pe} cf{:.2}", self.app, self.factor)
+        format!("{} {pe} {}", self.app, factor_label(self.factor))
+    }
+}
+
+/// The `cf…` part of a row label: two decimals when they read back as
+/// exactly `factor` (`cf0.50`, `cf1.00`), otherwise the shortest spelling
+/// that does (`cf0.123`), so two distinct factors never share a row name
+/// — `repro compare` pairs rows by name.
+pub(crate) fn factor_label(factor: f64) -> String {
+    let two = format!("{factor:.2}");
+    if two.parse::<f64>() == Ok(factor) {
+        format!("cf{two}")
+    } else {
+        format!("cf{factor}")
     }
 }
 
@@ -189,6 +202,26 @@ mod tests {
                 "MatMul pe4 cf1.00",
             ]
         );
+    }
+
+    #[test]
+    fn distinct_factors_get_distinct_labels() {
+        let label = |factor| {
+            SweepPoint {
+                app: "CG".into(),
+                pe: Some(16),
+                factor,
+            }
+            .label()
+        };
+        assert_eq!(label(0.5), "CG pe16 cf0.50");
+        assert_eq!(label(1.0), "CG pe16 cf1.00");
+        assert_eq!(label(0.25), "CG pe16 cf0.25");
+        assert_eq!(label(2.0), "CG pe16 cf2.00");
+        assert_eq!(label(0.123), "CG pe16 cf0.123");
+        assert_eq!(label(0.124), "CG pe16 cf0.124");
+        assert_eq!(label(0.001), "CG pe16 cf0.001");
+        assert_eq!(factor_label(1000.0), "cf1000.00");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use apnet::Contention;
+use apnet::{Contention, TNetParams};
 use apobs::TimelineMode;
 use aputil::SimTime;
 use std::num::NonZeroUsize;
@@ -82,12 +82,9 @@ pub struct HwParams {
     /// CPU time of the SEND library call itself (blocking until the send
     /// DMA completes, §5.4).
     pub send_call_time: SimTime,
-    /// T-net per-message prolog (`network_prolog_time` = 0.16 µs).
-    pub net_prolog: SimTime,
-    /// T-net per-hop delay (`network_delay_time` = 0.16 µs).
-    pub net_per_hop: SimTime,
-    /// T-net per-byte serialization (25 MB/s channels ⇒ 40 ns/B).
-    pub net_per_byte: SimTime,
+    /// T-net timing (Figure 6's network column, shared with MLSim); its
+    /// prolog also starts every B-net broadcast.
+    pub net: TNetParams,
     /// B-net per-byte serialization (50 MB/s ⇒ 20 ns/B).
     pub bnet_per_byte: SimTime,
     /// OS interrupt service time for queue-spill refills (§4.1).
@@ -115,9 +112,7 @@ impl Default for HwParams {
             reg_load_time: SimTime::from_micros_f64(0.5),
             recv_copy_per_byte: SimTime::from_nanos(20),
             send_call_time: SimTime::from_micros_f64(1.0),
-            net_prolog: SimTime::from_micros_f64(0.16),
-            net_per_hop: SimTime::from_micros_f64(0.16),
-            net_per_byte: SimTime::from_nanos(40),
+            net: TNetParams::default(),
             bnet_per_byte: SimTime::from_nanos(20),
             os_interrupt_time: SimTime::from_micros_f64(20.0),
             ring_capacity: 64 << 10,
@@ -262,7 +257,7 @@ mod tests {
     fn defaults_match_paper_constants() {
         let hw = HwParams::default();
         assert_eq!(hw.flop_time.as_nanos(), 20, "50 MFLOPS SuperSPARC");
-        assert_eq!(hw.net_prolog.as_nanos(), 160);
+        assert_eq!(hw.net.prolog.as_nanos(), 160);
         assert_eq!(hw.issue_time.as_micros_f64(), 1.0);
         assert_eq!(hw.dma_set_time.as_micros_f64(), 0.5);
     }

@@ -5,7 +5,7 @@ use crate::config::MachineConfig;
 use apmem::{CommRegs, DsmMap, FlagUnit, MemError, Memory, Mmu};
 use apmsc::stride;
 use apmsc::{dma, HwQueue, Packet, Payload, StrideSpec};
-use apnet::{BNet, SNet, TNet, TNetParams, Torus};
+use apnet::{BNet, SNet, TNet, Torus};
 use apsim::Resource;
 use aputil::{ApError, ApResult, CellId, IntMap, SimTime, VAddr};
 use std::collections::VecDeque;
@@ -190,12 +190,7 @@ pub(crate) struct Machine {
 impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         let torus = Torus::for_cells(cfg.ncells);
-        let tparams = TNetParams {
-            prolog: cfg.hw.net_prolog,
-            per_hop: cfg.hw.net_per_hop,
-            per_byte: cfg.hw.net_per_byte,
-        };
-        let mut tnet = TNet::new(torus, tparams, cfg.contention);
+        let mut tnet = TNet::new(torus, cfg.hw.net, cfg.contention);
         tnet.enable_events(cfg.timeline.clone());
         if cfg.metrics_interval.is_some() {
             tnet.enable_link_stats();
@@ -203,7 +198,7 @@ impl Machine {
         Machine {
             cells: (0..cfg.ncells).map(|_| CellHw::new(cfg.mem_size)).collect(),
             tnet,
-            bnet: BNet::with_params(cfg.ncells, cfg.hw.net_prolog, cfg.hw.bnet_per_byte),
+            bnet: BNet::with_params(cfg.ncells, cfg.hw.net.prolog, cfg.hw.bnet_per_byte),
             snet: SNet::new(cfg.ncells, cfg.hw.barrier_latency),
             dsm: DsmMap::new(cfg.ncells, cfg.mem_size),
             times: vec![CellTimes::default(); cfg.ncells as usize],

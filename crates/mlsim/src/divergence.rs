@@ -275,10 +275,10 @@ mod tests {
 
     #[test]
     fn rows_rank_by_absolute_gap() {
-        let mut emu = Timeline::new("emulator");
+        let mut emu = Timeline::from_events("emulator", Vec::new());
         span(&mut emu, 0, "work", 0, 1000);
         span(&mut emu, 0, "send_dma", 1000, 100);
-        let mut model = Timeline::new("mlsim/ap1000+");
+        let mut model = Timeline::from_events("mlsim/ap1000+", Vec::new());
         span(&mut model, 0, "work", 0, 1000);
         span(&mut model, 0, "send_dma", 1000, 700);
         let c = apobs::Counters::new();
@@ -295,9 +295,9 @@ mod tests {
 
     #[test]
     fn missing_ops_on_either_side_still_compare() {
-        let mut emu = Timeline::new("emulator");
+        let mut emu = Timeline::from_events("emulator", Vec::new());
         span(&mut emu, 0, "queue_refill", 0, 50);
-        let mut model = Timeline::new("m");
+        let mut model = Timeline::from_events("m", Vec::new());
         span(&mut model, 0, "recv_intr", 0, 80);
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);
@@ -309,11 +309,11 @@ mod tests {
 
     #[test]
     fn check_catches_count_divergence_on_stable_ops() {
-        let mut emu = Timeline::new("emulator");
+        let mut emu = Timeline::from_events("emulator", Vec::new());
         span(&mut emu, 0, "put_issue", 0, 10);
         span(&mut emu, 0, "put_issue", 10, 10);
         span(&mut emu, 0, "wait_flag", 20, 5);
-        let mut model = Timeline::new("m");
+        let mut model = Timeline::from_events("m", Vec::new());
         span(&mut model, 0, "put_issue", 0, 30);
         span(&mut model, 0, "put_issue", 30, 30);
         // wait_flag count differs, but it is timing-dependent: allowed.
@@ -321,7 +321,7 @@ mod tests {
         let d = divergence(&emu, &model, &c, &c);
         assert!(d.check().is_ok(), "{:?}", d.check());
 
-        let mut short = Timeline::new("m");
+        let mut short = Timeline::from_events("m", Vec::new());
         span(&mut short, 0, "put_issue", 0, 30);
         let d = divergence(&emu, &short, &c, &c);
         let err = d.check().unwrap_err();
@@ -330,9 +330,9 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let mut emu = Timeline::new("emulator");
+        let mut emu = Timeline::from_events("emulator", Vec::new());
         span(&mut emu, 0, "work", 0, 10);
-        let model = Timeline::new("m");
+        let model = Timeline::from_events("m", Vec::new());
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);
         let parsed = Json::parse(&d.to_json().to_string()).unwrap();

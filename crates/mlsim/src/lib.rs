@@ -20,6 +20,12 @@
 //! * [`ModelParams::ap1000_plus`] — SuperSPARC plus the MSC+ hardware
 //!   message handling of the paper's proposal.
 //!
+//! [`ModelParams::paper_models`] is the three in that order. All three
+//! share one T-net ([`apnet::TNetParams::default`], the emulator's too).
+//! Replaying a recording under scaled computation factors (`repro
+//! remodel`) is `apbench`'s business: a scaled copy of each preset,
+//! replayed with [`replay()`].
+//!
 //! The replay produces per-PE breakdowns into **execution / run-time
 //! system / overhead / idle** — the four bars of Figure 8 — from which
 //! Table 2's speedups follow.
@@ -46,12 +52,10 @@
 
 pub mod divergence;
 pub mod params;
-pub mod remodel;
 pub mod replay;
 pub mod report;
 
 pub use divergence::{divergence, DivergenceReport, DivergenceRow, SegmentDelta};
 pub use params::ModelParams;
-pub use remodel::{factor_grid, remodel, RemodelPoint};
 pub use replay::{replay, replay_observed, PeBreakdown, ReplayError, ReplayResult};
 pub use report::{fig8_rows, speedup, Fig8Row};

@@ -10,6 +10,7 @@
 //! are the Figure-6 numbers divided by four (a DMA engine feeding a
 //! 25 MB/s link cannot itself run at 20 MB/s).
 
+use apnet::TNetParams;
 use aputil::SimTime;
 
 /// One machine model: the parameter file MLSim is driven by.
@@ -29,13 +30,11 @@ pub struct ModelParams {
     /// `false` = MSC+ hardware handling (AP1000+).
     pub software_handling: bool,
 
-    // ---- network (Figure 6 "---- network ----") ----
-    /// `network_prolog_time`.
-    pub network_prolog: SimTime,
-    /// `network_delay_time` per hop.
-    pub network_delay: SimTime,
-    /// `network_msg_time` per byte (item 17 of Figure 7).
-    pub network_msg_per_byte: SimTime,
+    /// Figure 6 "---- network ----": `network_prolog_time`,
+    /// `network_delay_time` per hop and `network_msg_time` per byte (items
+    /// 15–18 of Figure 7). The same T-net in every model, and the one the
+    /// emulator runs.
+    pub net: TNetParams,
 
     // ---- PUT/GET (Figure 6 "---- PUT/GET ----") ----
     /// `put_prolog_time`: CPU cost to start a PUT/GET (syscall entry on
@@ -78,6 +77,12 @@ pub struct ModelParams {
 }
 
 impl ModelParams {
+    /// The three machines of §5, in the order every table and report
+    /// lists them: AP1000, AP1000★, AP1000+.
+    pub fn paper_models() -> [ModelParams; 3] {
+        [Self::ap1000(), Self::ap1000_star(), Self::ap1000_plus()]
+    }
+
     /// Figure 6, left column: the original AP1000 — SPARC processor,
     /// interrupt-driven software message handling.
     pub fn ap1000() -> Self {
@@ -88,9 +93,7 @@ impl ModelParams {
             base_flop_time: SimTime::from_nanos(160),
             base_rts_unit: us(4.0),
             software_handling: true,
-            network_prolog: us(0.16),
-            network_delay: us(0.16),
-            network_msg_per_byte: us(0.04),
+            net: TNetParams::default(),
             put_prolog: us(20.0),
             put_epilog: us(15.0),
             put_msg_per_byte: us(0.05 / 4.0),
@@ -137,9 +140,7 @@ impl ModelParams {
             base_flop_time: SimTime::from_nanos(160),
             base_rts_unit: us(4.0),
             software_handling: false,
-            network_prolog: us(0.16),
-            network_delay: us(0.16),
-            network_msg_per_byte: us(0.04),
+            net: TNetParams::default(),
             put_prolog: us(1.0),
             put_epilog: us(0.0),
             put_msg_per_byte: us(0.05 / 4.0),
@@ -226,9 +227,9 @@ impl ModelParams {
             self.name,
             if self.computation_factor >= 1.0 { "SPARC" } else { "SuperSPARC" },
             self.computation_factor,
-            self.network_prolog.as_micros_f64(),
-            self.network_delay.as_micros_f64(),
-            self.network_msg_per_byte.as_micros_f64(),
+            self.net.prolog.as_micros_f64(),
+            self.net.per_hop.as_micros_f64(),
+            self.net.per_byte.as_micros_f64(),
             self.put_prolog.as_micros_f64(),
             self.put_epilog.as_micros_f64(),
             self.put_msg_per_byte.as_micros_f64(),

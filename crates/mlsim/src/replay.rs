@@ -19,7 +19,7 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::params::ModelParams;
-use apnet::{Contention, TNet, TNetParams, Torus};
+use apnet::{Contention, TNet, Torus};
 use apobs::{Bucket, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
 use apsim::{Clock, EventQueue, Resource};
 use aptrace::{Op, Trace};
@@ -275,12 +275,7 @@ pub fn replay_observed(
     validate(trace)?;
     let n = trace.ncells();
     let torus = Torus::for_cells(n as u32);
-    let tparams = TNetParams {
-        prolog: params.network_prolog,
-        per_hop: params.network_delay,
-        per_byte: params.network_msg_per_byte,
-    };
-    let mut tnet = TNet::new(torus, tparams, Contention::None);
+    let mut tnet = TNet::new(torus, params.net, Contention::None);
     let mode = if record_timeline {
         TimelineMode::Full
     } else {
@@ -896,7 +891,7 @@ impl Engine<'_> {
         if self.bcast.len() == self.done.len() {
             // The last arrival is the latest one.
             let delivery = self.now()
-                + self.p.network_prolog
+                + self.p.net.prolog
                 + self.p.bnet_per_byte.saturating_mul(bytes + HEADER);
             self.bcast_sig = None;
             for (p, since) in std::mem::take(&mut self.bcast) {

@@ -344,6 +344,49 @@ fn remodel_emits_a_versioned_bench_report_without_the_emulator() {
     assert_eq!(apps.len(), 2);
 }
 
+/// A remodel is a live run minus the emulator: `remodel_rows` on a fresh
+/// CG recording and `run_sweep` of CG at the same factors replay the same
+/// trace through the same step, so every model result — totals, per-PE
+/// breakdowns, counters — and the Table-3 statistics are identical; only
+/// the row names differ.
+#[test]
+fn a_remodel_equals_a_live_run() {
+    let path = tmp("remodel-vs-live.evtrace");
+    record("CG", None, &path);
+    let doc = EvTrace::read_file(&path).expect("decode");
+    let _ = std::fs::remove_file(&path);
+    let factors = [0.5, 1.0];
+    let remodeled = remodel_rows(&doc, &factors).expect("remodel");
+    let live = apbench::run_sweep(&apbench::SweepConfig {
+        scale: Scale::Test,
+        apps: vec!["CG".into()],
+        sizes: vec![None],
+        factors: factors.to_vec(),
+        threads: 1,
+        machine: apcore::MachineConfig::new(1),
+    });
+    assert!(live.failures.is_empty(), "{:?}", live.failures);
+    let names = |rows: &[apbench::ExperimentRow]| -> Vec<String> {
+        rows.iter().map(|r| r.name.clone()).collect()
+    };
+    assert_eq!(names(&remodeled), ["CG cf0.50", "CG cf1.00"]);
+    assert_eq!(names(&live.rows), ["CG pedef cf0.50", "CG pedef cf1.00"]);
+    for (r, l) in remodeled.iter().zip(&live.rows) {
+        assert_eq!(r.pe, l.pe);
+        assert_eq!(r.emulator_total, l.emulator_total);
+        assert_eq!(r.stats, l.stats);
+        for (a, b) in [
+            (&r.ap1000, &l.ap1000),
+            (&r.star, &l.star),
+            (&r.plus, &l.plus),
+        ] {
+            assert_eq!(a.total, b.total, "{}: {}", r.name, a.model);
+            assert_eq!(a.per_pe, b.per_pe, "{}: {}", r.name, a.model);
+            assert_eq!(a, b, "{}: {}", r.name, a.model);
+        }
+    }
+}
+
 /// A `.evtrace` is outside input: one whose ops section names a cell the
 /// machine does not have is an inconsistent trace — `repro remodel` exit
 /// 1 and a message naming the op — not a torus index panic (exit 101, or
