@@ -21,10 +21,9 @@ pub struct HttpResponse {
 
 impl HttpResponse {
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
@@ -87,18 +86,28 @@ pub fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> Result<Http
     stream
         .set_write_timeout(Some(CLIENT_TIMEOUT))
         .map_err(|e| e.to_string())?;
-    let sent = write!(
-        stream,
+    let sent = write_request(&mut stream, addr, method, path, body)
+        .map_err(|e| format!("write request: {e}"));
+    read_response(stream).map_err(|read_err| sent.err().unwrap_or(read_err))
+}
+
+/// Sends the request head and body in one `write_all`, as the server
+/// sends its responses.
+fn write_request(
+    w: &mut impl Write,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut msg = Vec::with_capacity(96 + addr.len() + path.len() + body.len());
+    write!(
+        msg,
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )
-    .map_err(|e| format!("write request: {e}"))
-    .and_then(|()| {
-        stream
-            .write_all(body)
-            .map_err(|e| format!("write body: {e}"))
-    });
-    read_response(stream).map_err(|read_err| sent.err().unwrap_or(read_err))
+    )?;
+    msg.extend_from_slice(body);
+    w.write_all(&msg)
 }
 
 /// `GET path`.
@@ -139,5 +148,36 @@ pub fn submit_with_retry(
             .min(10_000);
         on_retry(attempt, delay_ms);
         std::thread::sleep(Duration::from_millis(delay_ms));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::CountingWriter;
+
+    #[test]
+    fn a_request_is_one_write_with_pinned_bytes() {
+        let mut out = CountingWriter::default();
+        let job = br#"{"kind":"bench","apps":["EP"]}"#;
+        write_request(&mut out, "127.0.0.1:8080", "POST", "/submit", job).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "POST /submit HTTP/1.1\r\n\
+             Host: 127.0.0.1:8080\r\n\
+             Content-Length: 30\r\n\
+             Connection: close\r\n\
+             \r\n\
+             {\"kind\":\"bench\",\"apps\":[\"EP\"]}"
+        );
+
+        let mut out = CountingWriter::default();
+        write_request(&mut out, "[::1]:9", "GET", "/stats", b"").unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "GET /stats HTTP/1.1\r\nHost: [::1]:9\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        );
     }
 }

@@ -7,6 +7,11 @@
 //! is a structured [`HttpError`] that the serving layer renders as a
 //! JSON error document — a hostile or confused client gets a diagnosis,
 //! never a panic, a hang, or unbounded memory growth.
+//!
+//! A response leaves in one write: [`write_response`] formats the head
+//! into the buffer that then takes the body, so a message costs one
+//! `send(2)` however many headers it carries, as an AP1000+ message is
+//! one MSC+ command however its header and payload are laid out.
 
 use std::io::{BufRead, Write};
 
@@ -33,11 +38,37 @@ pub struct HttpRequest {
 impl HttpRequest {
     /// First value of `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The declared body length. RFC 9112 §6.3: the value is `1*DIGIT`,
+    /// and repeated `Content-Length` fields must agree; anything else is
+    /// unframeable and gets a 400 rather than a guess.
+    fn content_length(&self) -> Result<Option<usize>, HttpError> {
+        let mut values = self
+            .headers
+            .iter()
+            .filter(|(k, _)| k == "content-length")
+            .map(|(_, v)| v.as_str());
+        let Some(len) = values.next() else {
+            return Ok(None);
+        };
+        if let Some(other) = values.find(|v| *v != len) {
+            return Err(HttpError::BadRequest(format!(
+                "conflicting Content-Length values '{len}' and '{other}'"
+            )));
+        }
+        if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(HttpError::BadRequest(format!(
+                "Content-Length is not a number: '{len}'"
+            )));
+        }
+        len.parse()
+            .map(Some)
+            .map_err(|_| HttpError::BadRequest(format!("Content-Length is out of range: '{len}'")))
     }
 }
 
@@ -131,10 +162,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
             "chunked request bodies are not supported; send Content-Length".into(),
         ));
     }
-    if let Some(len) = req.header("content-length") {
-        let declared: usize = len.parse().map_err(|_| {
-            HttpError::BadRequest(format!("Content-Length is not a number: '{len}'"))
-        })?;
+    if let Some(declared) = req.content_length()? {
         if declared > MAX_BODY_BYTES {
             return Err(HttpError::TooLarge {
                 declared,
@@ -188,21 +216,50 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes `resp` (with `Content-Length`) onto the stream.
+/// Serializes `resp` (with `Content-Length`) onto the stream in one
+/// `write_all`: status line, fixed headers, `resp.headers` in order, the
+/// blank line and the body are assembled in one buffer first, so the
+/// message is one `send(2)` rather than one per formatted piece.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
+    // The head is about 100 bytes plus the extra headers (`X-Cache` and
+    // `X-Key` add about 45), so the body is appended without a regrow.
+    let mut msg = Vec::with_capacity(256 + resp.body.len());
     write!(
-        w,
+        msg,
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
         reason(resp.status),
         resp.body.len()
     )?;
     for (k, v) in &resp.headers {
-        write!(w, "{k}: {v}\r\n")?;
+        write!(msg, "{k}: {v}\r\n")?;
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(&resp.body)?;
+    msg.extend_from_slice(b"\r\n");
+    msg.extend_from_slice(&resp.body);
+    w.write_all(&msg)?;
     w.flush()
+}
+
+/// A sink that records every `write` call it gets, for tests that pin
+/// how many pieces a message leaves in.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +318,32 @@ mod tests {
     }
 
     #[test]
+    fn content_length_is_digits_and_repeats_must_agree() {
+        for raw in [
+            &b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 5 5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length: 0x5\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length:\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 4\r\n\r\nhello",
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 05\r\n\r\nhello",
+        ] {
+            let text = String::from_utf8_lossy(raw);
+            assert!(
+                matches!(parse(raw), Err(HttpError::BadRequest(_))),
+                "{text}"
+            );
+        }
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nCONTENT-LENGTH: 5\r\n\r\nhello")
+            .unwrap();
+        assert_eq!(req.body, b"hello");
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 007\r\n\r\npayload").unwrap();
+        assert_eq!(req.body, b"payload");
+    }
+
+    #[test]
     fn rejects_header_floods() {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         for i in 0..(MAX_HEADERS + 1) {
@@ -278,19 +361,54 @@ mod tests {
         ));
     }
 
+    /// Every status in [`reason`]'s table.
+    const STATUSES: [u16; 10] = [200, 400, 404, 405, 413, 422, 429, 500, 503, 504];
+
+    fn written(resp: &Response) -> CountingWriter {
+        let mut out = CountingWriter::default();
+        write_response(&mut out, resp).unwrap();
+        out
+    }
+
     #[test]
-    fn response_round_trip_shape() {
-        let mut out = Vec::new();
-        let mut resp = Response::json(429, r#"{"error":"queue_full"}"#);
-        resp.headers.push(("Retry-After".into(), "1".into()));
-        write_response(&mut out, &resp).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
-            "{text}"
+    fn a_response_is_one_write() {
+        for status in STATUSES {
+            let mut resp = Response::json(status, r#"{"k":1}"#);
+            assert_eq!(written(&resp).writes, 1, "{status}, no extra headers");
+            resp.headers.push(("X-Cache".into(), "hit".into()));
+            resp.headers.push(("X-Key".into(), "00ff".into()));
+            assert_eq!(written(&resp).writes, 1, "{status}, two extra headers");
+        }
+    }
+
+    #[test]
+    fn response_bytes_are_pinned() {
+        let mut hit = Response::json(200, r#"{"schema":"ap1000plus.bench"}"#);
+        hit.headers.push(("X-Cache".into(), "hit".into()));
+        hit.headers
+            .push(("X-Key".into(), "0123456789abcdef".into()));
+        assert_eq!(
+            String::from_utf8(written(&hit).bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 29\r\n\
+             Connection: close\r\n\
+             X-Cache: hit\r\n\
+             X-Key: 0123456789abcdef\r\n\
+             \r\n\
+             {\"schema\":\"ap1000plus.bench\"}"
         );
-        assert!(text.contains("Content-Length: 22\r\n"));
-        assert!(text.contains("Retry-After: 1\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"error\":\"queue_full\"}"));
+        let mut full = Response::json(429, r#"{"error":"queue_full"}"#);
+        full.headers.push(("Retry-After".into(), "1".into()));
+        assert_eq!(
+            String::from_utf8(written(&full).bytes).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 22\r\n\
+             Connection: close\r\n\
+             Retry-After: 1\r\n\
+             \r\n\
+             {\"error\":\"queue_full\"}"
+        );
     }
 }

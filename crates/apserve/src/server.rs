@@ -7,21 +7,33 @@
 //! body; and cache status travels in the `X-Cache` header (`miss`, `hit`,
 //! `disk-hit`, `join`), **never** in the body — so a cached response body
 //! is byte-for-byte the cold response body.
+//!
+//! Connections are served by reused handler threads ([`Handlers`]): the
+//! most recently idle one takes the next connection, a fresh one starts
+//! when none is idle, and at most [`MAX_IDLE_HANDLERS`] stay parked
+//! (DESIGN.md §11 "Connection handlers").
 
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SendError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use aputil::Json;
 
 use crate::http::{read_request, write_response, HttpError, HttpRequest, Response, MAX_BODY_BYTES};
+use crate::poison::lock;
 use crate::service::{Config, Executor, Service, Submission};
 
 /// Per-connection socket deadline: a stalled or vanished client cannot
 /// hold a handler thread (and its file descriptor) forever.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Most connection handlers kept parked between connections. A handler
+/// that finishes while this many are already parked exits, so a burst
+/// wider than the cap leaves at most this many threads behind.
+const MAX_IDLE_HANDLERS: usize = 16;
 
 /// A running server: the bound address plus shutdown/join machinery.
 pub struct ServerHandle {
@@ -83,24 +95,22 @@ pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
     let accept_thread = std::thread::Builder::new()
         .name("apserve-accept".to_string())
         .spawn(move || {
+            let handlers = Handlers::new(move |(conn, stream): &Connection| {
+                let _ = handle_connection(&svc, stream, &conn.0);
+            });
             for stream in listener.incoming() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                let svc = Arc::clone(&svc);
-                let conn = OpenConnection::count(&open_connections);
-                // Detached handler thread per connection; bounded in
-                // practice by Connection: close + the socket deadline.
-                // The closure owns `conn`, so the count comes back when
-                // the handler returns or panics, or when a failed spawn
-                // drops the closure unrun.
-                let _ = std::thread::Builder::new()
-                    .name("apserve-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(&svc, stream, &conn.0);
-                    });
+                // The most recently idle handler takes the connection, or
+                // a fresh one when none is parked; it is never waited
+                // for. The guard travels with the stream, so the count
+                // comes back when the handler is done with it, when the
+                // handler panics, or when a failed spawn drops it unrun.
+                handlers.dispatch((OpenConnection::count(&open_connections), stream));
             }
+            handlers.close();
         })
         .expect("spawn accept loop");
 
@@ -111,6 +121,97 @@ pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
         accept_thread: Some(accept_thread),
         workers,
     })
+}
+
+/// An accepted connection and the gauge count it holds. Fields drop in
+/// order: the count is given back before the socket closes, so a client
+/// that has read EOF never finds its own connection counted.
+type Connection = (OpenConnection, TcpStream);
+
+/// Connection handler threads, reused across connections. A handler that
+/// has finished a task parks on top of a stack (`idle`) and the next task
+/// goes to the top one, so under serial load one warm thread, with its
+/// stack and malloc arena, serves every connection, as §11's worker pool
+/// does. With none parked, a task gets a fresh thread, exactly as if
+/// there were no stack: no task ever waits for a busy handler.
+struct Handlers<T, F> {
+    idle: Mutex<Idle<T>>,
+    run: F,
+}
+
+struct Idle<T> {
+    /// One sender per parked handler, most recently idle last.
+    parked: Vec<Sender<T>>,
+    /// Set once at shutdown; a closed stack takes no more handlers.
+    closed: bool,
+}
+
+impl<T: Send + 'static, F: Fn(&T) + Send + Sync + 'static> Handlers<T, F> {
+    fn new(run: F) -> Arc<Self> {
+        Arc::new(Handlers {
+            idle: Mutex::new(Idle {
+                parked: Vec::new(),
+                closed: false,
+            }),
+            run,
+        })
+    }
+
+    /// Hands `task` to the most recently idle handler. If none is
+    /// parked, or the one popped is gone, a fresh handler takes it.
+    fn dispatch(self: &Arc<Self>, task: T) {
+        let parked = lock(&self.idle).parked.pop();
+        let task = match parked {
+            Some(handler) => match handler.send(task) {
+                Ok(()) => return,
+                Err(SendError(task)) => task,
+            },
+            None => task,
+        };
+        let pool = Arc::clone(self);
+        // A failed spawn drops `task` unrun, and with it its guards.
+        let _ = std::thread::Builder::new()
+            .name("apserve-conn".to_string())
+            .spawn(move || pool.handle(task));
+    }
+
+    /// A handler's life: run a task, park if the stack is open and below
+    /// [`MAX_IDLE_HANDLERS`], take the next task, and exit on a full or
+    /// closed stack. The finished task is dropped only once the handler
+    /// is parked: dropping a connection closes its socket, which lets the
+    /// client connect again, and that connection should find this
+    /// handler on the stack rather than spawn another.
+    fn handle(&self, mut task: T) {
+        loop {
+            (self.run)(&task);
+            let (handoff, next) = mpsc::channel();
+            let parked = {
+                let mut idle = lock(&self.idle);
+                let open = !idle.closed && idle.parked.len() < MAX_IDLE_HANDLERS;
+                if open {
+                    idle.parked.push(handoff);
+                }
+                open
+            };
+            drop(task);
+            if !parked {
+                return;
+            }
+            // Ends in an error once `close` drops the sender.
+            match next.recv() {
+                Ok(t) => task = t,
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Closes the stack and releases every parked handler; a handler
+    /// that finishes later exits instead of parking.
+    fn close(&self) {
+        let mut idle = lock(&self.idle);
+        idle.closed = true;
+        idle.parked.clear();
+    }
 }
 
 /// One count held on the `open_connections` gauge, given back on drop.
@@ -135,14 +236,17 @@ fn error_body(error: &str, detail: &str) -> Vec<u8> {
         .into_bytes()
 }
 
+/// Serves the one request of a connection. One socket does both
+/// directions: reads go through a `BufReader` over `&TcpStream` and the
+/// response is written on `&TcpStream`, so no descriptor is duplicated.
 fn handle_connection(
     svc: &Service,
-    stream: TcpStream,
+    stream: &TcpStream,
     gauge: &Arc<AtomicUsize>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
     let req = match read_request(&mut reader) {
         Ok(req) => req,
@@ -188,7 +292,7 @@ fn discard_body(r: &mut impl Read, declared: usize) {
 fn route(
     svc: &Service,
     req: &HttpRequest,
-    w: &mut TcpStream,
+    w: &mut &TcpStream,
     gauge: &Arc<AtomicUsize>,
 ) -> std::io::Result<()> {
     match (req.method.as_str(), req.path.as_str()) {
@@ -265,7 +369,7 @@ fn stats_json(svc: &Service, open_connections: usize) -> Json {
     ])
 }
 
-fn submit(svc: &Service, req: &HttpRequest, w: &mut TcpStream) -> std::io::Result<()> {
+fn submit(svc: &Service, req: &HttpRequest, w: &mut &TcpStream) -> std::io::Result<()> {
     let canon = match crate::request::parse_request(&req.body) {
         Ok(c) => c,
         Err(e) => {
@@ -317,7 +421,7 @@ fn submit(svc: &Service, req: &HttpRequest, w: &mut TcpStream) -> std::io::Resul
 /// `X-Cache`; the body is exactly the report bytes, or the job's
 /// structured error under its own status.
 fn finish(
-    w: &mut TcpStream,
+    w: &mut &TcpStream,
     key: &str,
     cache_status: &str,
     outcome: Result<Vec<u8>, crate::service::JobError>,
@@ -359,5 +463,196 @@ mod tests {
         let handler = move || drop(conn);
         drop(handler);
         assert_eq!(gauge.load(Ordering::SeqCst), 0, "a closure never run");
+    }
+
+    use std::cell::RefCell;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Polls `done` until it holds, failing after [`PATIENCE`].
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + PATIENCE;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn parked<T, F>(pool: &Handlers<T, F>) -> usize {
+        lock(&pool.idle).parked.len()
+    }
+
+    /// Held by a handler thread from its first task until it exits:
+    /// the count it was registered on is the number of live handlers.
+    struct Live(Arc<AtomicUsize>);
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static LIVE: RefCell<Option<Live>> = const { RefCell::new(None) };
+    }
+
+    fn register(live: &Arc<AtomicUsize>) {
+        LIVE.with(|slot| {
+            slot.borrow_mut().get_or_insert_with(|| {
+                live.fetch_add(1, Ordering::SeqCst);
+                Live(Arc::clone(live))
+            });
+        });
+    }
+
+    #[test]
+    fn serial_connections_run_on_the_most_recently_idle_handler() {
+        let (tx, rx) = mpsc::channel();
+        let pool = Handlers::new(move |(i, gate): &(usize, Option<Arc<Barrier>>)| {
+            tx.send((*i, std::thread::current().id())).unwrap();
+            if let Some(gate) = gate {
+                gate.wait();
+            }
+        });
+        // Two handlers parked first, so the one taken each time shows.
+        let both = Arc::new(Barrier::new(2));
+        pool.dispatch((100, Some(Arc::clone(&both))));
+        pool.dispatch((101, Some(both)));
+        let warmup = [rx.recv_timeout(PATIENCE), rx.recv_timeout(PATIENCE)];
+        assert!(warmup.iter().all(Result::is_ok));
+        eventually("both handlers park", || parked(&pool) == 2);
+        let mut ran_on = Vec::new();
+        for i in 0..8 {
+            pool.dispatch((i, None));
+            let (j, id) = rx.recv_timeout(PATIENCE).expect("the task ran");
+            assert_eq!(i, j);
+            ran_on.push(id);
+            eventually("the handler parks again", || parked(&pool) == 2);
+        }
+        assert_ne!(ran_on[0], std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == ran_on[0]), "{ran_on:?}");
+        pool.close();
+    }
+
+    /// Signals when it is dropped.
+    struct Dropped(mpsc::Sender<()>);
+
+    impl Drop for Dropped {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    #[test]
+    fn a_finished_task_is_dropped_after_its_handler_parks() {
+        let pool = Handlers::new(|_: &Dropped| {});
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            pool.dispatch(Dropped(tx.clone()));
+            rx.recv_timeout(PATIENCE).expect("the task ends");
+            assert_eq!(parked(&pool), 1, "parked before its task was dropped");
+        }
+        pool.close();
+    }
+
+    #[test]
+    fn a_busy_handler_is_never_waited_for() {
+        let (tx, rx) = mpsc::channel::<ThreadId>();
+        let pool = Handlers::new(move |gate: &Option<Arc<Barrier>>| {
+            tx.send(std::thread::current().id()).unwrap();
+            if let Some(gate) = gate {
+                gate.wait();
+            }
+        });
+        pool.dispatch(None);
+        let first = rx.recv_timeout(PATIENCE).unwrap();
+        eventually("the handler parks", || parked(&pool) == 1);
+        // The parked handler takes the blocking task; the next task must
+        // start while it is still blocked, on another thread.
+        let gate = Arc::new(Barrier::new(2));
+        pool.dispatch(Some(Arc::clone(&gate)));
+        assert_eq!(rx.recv_timeout(PATIENCE).unwrap(), first);
+        pool.dispatch(None);
+        let second = rx
+            .recv_timeout(PATIENCE)
+            .expect("started while the first handler is blocked");
+        assert_ne!(second, first);
+        gate.wait();
+        eventually("both handlers park", || parked(&pool) == 2);
+        pool.close();
+    }
+
+    #[test]
+    fn the_idle_stack_is_capped_after_a_wider_burst() {
+        let width = MAX_IDLE_HANDLERS + 8;
+        let live = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&live);
+        let pool = Handlers::new(move |all: &Arc<Barrier>| {
+            register(&count);
+            all.wait();
+        });
+        // Every task waits for all the others: `width` threads at once.
+        let all = Arc::new(Barrier::new(width));
+        for _ in 0..width {
+            pool.dispatch(Arc::clone(&all));
+        }
+        eventually("the burst ends", || {
+            assert!(parked(&pool) <= MAX_IDLE_HANDLERS);
+            live.load(Ordering::SeqCst) == MAX_IDLE_HANDLERS && parked(&pool) == MAX_IDLE_HANDLERS
+        });
+        pool.close();
+        eventually("the parked handlers exit", || {
+            live.load(Ordering::SeqCst) == 0
+        });
+    }
+
+    #[test]
+    fn shutdown_releases_parked_handlers_and_a_late_one_does_not_park() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&live);
+        let pool = Handlers::new(move |gate: &Arc<Barrier>| {
+            register(&count);
+            gate.wait();
+        });
+        let three = Arc::new(Barrier::new(3));
+        for _ in 0..3 {
+            pool.dispatch(Arc::clone(&three));
+        }
+        eventually("three handlers park", || parked(&pool) == 3);
+        // One of them takes a task that outlives the shutdown.
+        let late = Arc::new(Barrier::new(2));
+        pool.dispatch(Arc::clone(&late));
+        assert_eq!(parked(&pool), 2);
+        pool.close();
+        eventually("the parked handlers exit", || {
+            live.load(Ordering::SeqCst) == 1
+        });
+        late.wait();
+        eventually("the late handler exits", || {
+            live.load(Ordering::SeqCst) == 0
+        });
+        let idle = lock(&pool.idle);
+        assert!(idle.closed && idle.parked.is_empty());
+    }
+
+    #[test]
+    fn a_failed_handoff_gives_the_connection_to_a_fresh_handler() {
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let pool = Handlers::new(move |_: &OpenConnection| {
+            tx.send(std::thread::current().id()).unwrap();
+        });
+        // A parked handler whose receiving end is gone.
+        let (dead, gone) = mpsc::channel();
+        drop(gone);
+        lock(&pool.idle).parked.push(dead);
+        pool.dispatch(OpenConnection::count(&gauge));
+        let ran_on = rx.recv_timeout(PATIENCE).expect("a fresh handler ran it");
+        assert_ne!(ran_on, std::thread::current().id());
+        eventually("the count comes back", || gauge.load(Ordering::SeqCst) == 0);
+        assert_eq!(parked(&pool), 1, "the fresh handler parks");
+        pool.close();
     }
 }

@@ -266,6 +266,19 @@ fn hostile_inputs_get_structured_errors() {
     assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
     assert!(answer.contains("payload_too_large"), "{answer}");
     drop(raw);
+    // RFC 9112 §6.3: a length that is not `1*DIGIT`, or two that
+    // disagree, cannot frame a body; both are 400s, never a guess.
+    for lengths in [
+        "Content-Length: +5\r\n",
+        "Content-Length: 5\r\nContent-Length: 4\r\n",
+    ] {
+        let request = format!("POST /submit HTTP/1.1\r\n{lengths}\r\nhello");
+        let (status, body) = exchange(&addr, request.as_bytes());
+        assert_eq!(status, 400, "{lengths}");
+        let doc = Json::parse(&body).unwrap();
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+        assert!(body.contains("Content-Length"), "{body}");
+    }
 
     // None of that counts as cache traffic.
     let st = stats(&addr);
