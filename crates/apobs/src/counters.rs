@@ -167,6 +167,10 @@ pub struct CacheCounters {
     /// Entries evicted from the persistent disk tier to hold the
     /// `--disk-cache-bytes` budget.
     pub disk_evictions: u64,
+    /// Results the memory tier took but the disk tier could not persist
+    /// (an unwritable `--cache-dir`, a full disk): the job still
+    /// answers, and a later miss recomputes.
+    pub disk_write_failures: u64,
     /// Sandboxed worker processes that died (panic, abort, OOM-kill,
     /// signal) instead of reporting a result. Counts every crashed
     /// execution, so one job that crashes, retries, and crashes again
@@ -202,6 +206,7 @@ impl CacheCounters {
             ("runs", Json::from(self.runs)),
             ("failures", Json::from(self.failures)),
             ("disk_evictions", Json::from(self.disk_evictions)),
+            ("disk_write_failures", Json::from(self.disk_write_failures)),
             ("crashed", Json::from(self.crashed)),
             ("timeouts", Json::from(self.timeouts)),
             ("job_retries", Json::from(self.job_retries)),
@@ -232,6 +237,7 @@ mod tests {
             "runs",
             "failures",
             "disk_evictions",
+            "disk_write_failures",
             "crashed",
             "timeouts",
             "job_retries",

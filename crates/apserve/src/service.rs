@@ -411,11 +411,10 @@ impl Service {
             let key = job.request.key;
             if let Ok(body) = &result {
                 inner.counters.runs += 1;
-                if let Err(e) = inner.cache.put(key, &job.request.text, body) {
-                    // The memory tier took the entry; only persistence
-                    // failed. Log and carry on — correctness is a
-                    // recompute, not an error.
-                    eprintln!("apserve: disk cache write failed: {e}");
+                // The memory tier always takes the entry; a failed disk
+                // write costs a later recompute, not an error.
+                if inner.cache.put(key, &job.request.text, body).is_err() {
+                    inner.counters.disk_write_failures += 1;
                 }
                 inner.counters.evictions = inner.cache.evictions;
                 inner.counters.disk_evictions = inner.cache.disk_evictions;

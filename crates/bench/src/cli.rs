@@ -358,17 +358,7 @@ fn suite_cmd(args: &Args, cmd: &str) -> Result<i32, CliError> {
         "fig8" if args.switch("--ascii") => crate::fig8_ascii(&rows),
         "fig8" => crate::fig8(&rows),
         "all" if markdown => crate::markdown_report(&rows, scale),
-        _ => [
-            crate::table1(),
-            crate::fig6(),
-            crate::fig7(1600),
-            crate::table2(&rows),
-            crate::table3(&rows),
-            crate::fig8(&rows),
-            crate::fig8_ascii(&rows),
-            crate::crosscheck(&rows),
-        ]
-        .join("\n"),
+        _ => crate::all_text(&rows),
     })
 }
 
@@ -942,6 +932,7 @@ mod table {
         cmd("record",    "record runs as binary .evtrace files",        &[], &[RECORD, SCALE, THREADS, TELEMETRY_RECORDING], record_cmd),
         cmd("replay",    "re-execute and gate against a recording, or seek into it", TRACE, &[LENIENT, SEEK, TELEMETRY_RECORDING], replay_cmd),
         cmd("remodel",   "replay recorded traffic under scaled models, no emulator", TRACE, &[REMODEL],          remodel_cmd),
+        cmd("pins",      "rebuild every pinned artifact, print results/ARTIFACTS.fnv", &[], &[],                 |_| show(crate::pins::manifest(crate::pins::Rows::All).map_err(CliError::Failed)?)),
         cmd("serve",     "simulation-as-a-service job server",          &[], &[SERVE],                         serve_cmd),
         cmd("submit",    "client for a running repro serve (exit 3 = queue full)", &[], &[SUBMIT],              submit_cmd),
         // Hidden worker mode, spawned by `repro serve --sandbox`: its only

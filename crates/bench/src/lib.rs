@@ -18,6 +18,7 @@ use mlsim::{
 
 pub mod cli;
 pub mod fault;
+pub mod pins;
 pub mod record;
 pub mod report;
 pub mod serve_exec;
@@ -511,6 +512,22 @@ pub fn crosscheck(rows: &[ExperimentRow]) -> String {
         ));
     }
     s
+}
+
+/// What `repro all` prints: Table 1, Figures 6 and 7, Tables 2 and 3,
+/// Figure 8 twice and the cross-check, over one suite run's `rows`.
+pub(crate) fn all_text(rows: &[ExperimentRow]) -> String {
+    [
+        table1(),
+        fig6(),
+        fig7(1600),
+        table2(rows),
+        table3(rows),
+        fig8(rows),
+        fig8_ascii(rows),
+        crosscheck(rows),
+    ]
+    .join("\n")
 }
 
 /// Runs the design-choice ablations called out in DESIGN.md §4 and

@@ -47,8 +47,8 @@ use std::sync::{Arc, Mutex};
 /// [`aputil::write_atomic`]), wrapping failure as [`ApError::Io`] so the
 /// message names the path (a full disk or a bad `--out` directory is
 /// diagnosable without a backtrace). Atomicity matters because these are
-/// baseline and report files CI diffs byte-for-byte: a crash mid-write
-/// must leave the old bytes or nothing, never a truncated document.
+/// report files pinned byte for byte: a crash mid-write must leave the
+/// old bytes or nothing, never a truncated document.
 pub fn write_file(path: &Path, contents: &[u8]) -> Result<(), ApError> {
     aputil::write_atomic(path, contents).map_err(|e| ApError::io(path.display().to_string(), e))
 }

@@ -5,8 +5,9 @@
 //! histograms, critical-path attribution and the emulator-vs-MLSim
 //! divergence — under a versioned schema, seeding the repo's performance
 //! trajectory. `repro compare <base.json> <current.json>` diffs two such
-//! reports and exits nonzero when any total regresses past a threshold;
-//! CI runs it against the checked-in `results/BENCH_baseline.json`.
+//! reports and exits nonzero when any total regresses past a threshold.
+//! It is a tool for comparing two revisions' reports; the byte-exact
+//! referee of every artifact is the manifest (`crate::pins`).
 //!
 //! The schema is documented in DESIGN.md §"Bench report schema".
 
@@ -34,9 +35,9 @@ pub fn bench_report(rows: &[ExperimentRow], scale: Scale, rev: Option<&str>) -> 
     if let Some(rev) = rev {
         members.push(("rev", Json::from(rev)));
     }
-    // Strip host wall-clock from the versioned report: baselines are
-    // checked in and sweep outputs are compared byte-for-byte across
-    // thread counts, so only simulated (reproducible) numbers belong.
+    // Strip host wall-clock from the versioned report: reports are pinned
+    // byte for byte (results/ARTIFACTS.fnv) at any thread count, so only
+    // simulated (reproducible) numbers belong.
     members.push((
         "apps",
         Json::Arr(rows.iter().map(|r| r.to_json_with_host(false)).collect()),
@@ -53,8 +54,8 @@ pub fn bench_report(rows: &[ExperimentRow], scale: Scale, rev: Option<&str>) -> 
 }
 
 /// Writes [`bench_report`] to `path` atomically (temp file + rename):
-/// comparisons against checked-in baselines read these files, so a
-/// crash mid-write must never leave a truncated report behind.
+/// comparisons and digests read these files, so a crash mid-write must
+/// never leave a truncated report behind.
 pub fn write_bench_report(
     path: &Path,
     rows: &[ExperimentRow],

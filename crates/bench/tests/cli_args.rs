@@ -217,11 +217,15 @@ fn a_dangling_value_flag_is_an_error_not_a_default() {
 
 #[test]
 fn flags_and_positionals_come_in_any_order() {
-    let base = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_baseline.json"
-    );
+    let path = std::env::temp_dir().join(format!("ap-compare-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"schema":"ap1000plus.bench","version":1,"apps":[]}"#,
+    )
+    .unwrap();
+    let base = path.to_str().expect("a UTF-8 temp path");
     let out = repro(&["compare", "--threshold", "5", base, base]);
+    let _ = std::fs::remove_file(&path);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));

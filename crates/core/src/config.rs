@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `Workload::run()` (`perf/src/sim.rs:263-289`), so
 /// [`MachineConfig::new`] mirrors it into the field — one read, one place.
 /// Nothing else in this workspace sets it; it goes with the next
-/// `[benchmark]` change (ROADMAP item 2(c)).
+/// `[benchmark]` change (ROADMAP item 1(b)).
 static METRICS_INTERVAL_DEFAULT_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Sets the sampled-metrics interval [`MachineConfig::new`] starts from

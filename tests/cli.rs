@@ -36,17 +36,10 @@ fn every_ci_command_line_resolves() {
     let repro = [
         // fault-smoke
         "fault --faults tests/faults/cg_survivable.ron --scale paper --threads 1 --out fault_t1.txt",
-        "fault --faults tests/faults/cg_survivable.ron --scale paper --threads 2 --out fault_t2.txt",
-        // bench-compare
-        "bench --scale test --bench-out BENCH_current.json --rev 0123abcd",
-        "compare results/BENCH_baseline.json BENCH_current.json --threshold 10",
-        "bench --scale test --bench-out BENCH_current.json --trace-out regression_trace.json",
-        // sweep-determinism
-        "sweep --scale test --apps EP,CG,MatMul --sizes default,4 --factors 0.5,1.0 --threads 1 --bench-out sweep_t1.json",
-        "sweep --scale test --apps EP,CG,MatMul --sizes default,4 --factors 0.5,1.0 --threads 2 --bench-out sweep_t2.json",
+        // pins
+        "pins",
         // metrics-smoke
         "sweep --scale paper --apps CG --threads 1 --bench-out bench_m1.json --metrics-out metrics_t1.json --heatmap",
-        "sweep --scale paper --apps CG --threads 2 --bench-out bench_m2.json --metrics-out metrics_t2.json",
         // serve-smoke
         "serve --addr 127.0.0.1:0 --workers 2 --queue-cap 1 --cache-entries 64 --cache-dir apcache --allow-sleep",
         r#"submit --addr 127.0.0.1:4242 --job {"kind":"bench","apps":["EP"],"scale":"test"} --out cold.json"#,
@@ -62,21 +55,16 @@ fn every_ci_command_line_resolves() {
         "submit --addr 127.0.0.1:4242 --health",
         // replay-smoke
         "record --apps CG,FT --scale test --threads 1 --out-dir traces_t1",
-        "record --apps CG,FT --scale test --threads 4 --out-dir traces_t4",
         "replay traces_t1/CG.evtrace",
         "replay traces_t1/CG.evtrace --at 1800000",
         "remodel traces_t1/CG.evtrace --factors 0.5,1.0,2.0",
         "record --apps CG --scale test --size 1024 --trace-out cg1024.evtrace",
-        "record --apps CG,SCG --scale test --size 2048 --out-dir big_t1 --threads 1",
         "record --apps CG,SCG --scale test --size 2048 --out-dir big_t2 --threads 2",
         "replay big_t2/CG.evtrace",
         // scale-smoke (all three under a 1 GiB address-space limit)
         "sweep --apps CG --sizes 4096 --scale test --threads 1 --bench-out cg4096.json",
         "sweep --apps EP --sizes 16384 --scale test --threads 1 --bench-out ep16384.json",
         "sweep --apps EP --sizes 65536 --scale test --threads 1 --bench-out ep65536.json",
-        // referee-files
-        "all --scale paper",
-        "ablations",
     ];
     all_resolve(&REPRO, &repro);
     // replay-smoke's one exit-2 step: recordings have a single order.
@@ -110,6 +98,8 @@ fn documented_command_lines_resolve() {
         "all --scale test --json",
         "table3 --scale test",
         "fig7 --bytes 11200",
+        "pins",
+        "compare BASE.json CURRENT.json --threshold 10",
         "ablations",
         "fig8 --scale test --ascii --trace-out suite.json",
         "sweep --bench-out sweep.json --apps CG,FT,SCG --sizes default,4,16 --factors 0.5,1.0,2.0 --threads 8 --scale test --rev abc",

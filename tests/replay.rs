@@ -10,10 +10,10 @@
 //! 1. **Determinism, event for event** — a fresh CG run reproduces the
 //!    recording exactly and in order (strict conformance), and
 //!    re-recording produces byte-identical files. This is a much finer
-//!    pin than the final-time table in `tests/determinism.rs`: any
-//!    reordering, re-timing, or renaming of any event on any cell unit
-//!    fails here first. The golden file's sorted re-encode still hits the
-//!    digest of the sorted-order golden it replaced.
+//!    pin than the final times in the `test/bench.json` manifest row:
+//!    any reordering, re-timing, or renaming of any event on any cell
+//!    unit fails here first. `tests/determinism.rs` pins the golden's bytes to
+//!    its `test/CG.evtrace` row of `results/ARTIFACTS.fnv`.
 //! 2. **Codec robustness** — corrupting or truncating the file yields a
 //!    structured [`aptrace::EvError`], never a panic; a single mutated,
 //!    missing or extra event fails strict replay — at any machine size —
@@ -25,8 +25,6 @@
 //!    side by side write exactly the bytes they write alone. Nothing
 //!    here serializes: the whole suite runs under the default parallel
 //!    test runner.
-
-mod common;
 
 use apapps::Scale;
 use apbench::record::{
@@ -73,7 +71,7 @@ fn golden_trace_decodes_to_the_pinned_shape() {
     assert_eq!(doc.header.app, "CG");
     assert_eq!(doc.header.scale, "test");
     assert_eq!(doc.header.ncells, 4);
-    // Must agree with the CG pin in tests/determinism.rs.
+    // Must agree with the `test/CG.evtrace` row of results/ARTIFACTS.fnv.
     assert_eq!(doc.summary.total_ns, 3_727_248);
     assert!(doc.summary.events > 1000, "CG records a real timeline");
     assert!(doc.ops.is_some(), "ops section present for remodeling");
@@ -96,24 +94,6 @@ fn golden_trace_strict_replay_is_byte_identical() {
          (if the emulator's timing changed intentionally, regenerate the golden trace)"
     );
     let _ = std::fs::remove_file(&path);
-}
-
-/// The sorted-order golden this file replaced: 50 820 bytes.
-const SORTED_GOLDEN_BYTES: usize = 50_820;
-const SORTED_GOLDEN_FNV1A: u64 = 0x6dfc_4984_02e3_0fad;
-
-#[test]
-fn golden_trace_sorted_reencode_hits_the_sorted_golden_digest() {
-    let gold = std::fs::read(golden_path()).expect("read golden");
-    assert_eq!(gold.len(), 50_017, "engine-order golden length moved");
-    assert_eq!(aputil::hash::fnv1a_64(&gold), 0x95dd_46f7_150c_1dd8);
-    let sorted = common::sorted_reencode(&gold);
-    assert_eq!(sorted.len(), SORTED_GOLDEN_BYTES);
-    assert_eq!(
-        aputil::hash::fnv1a_64(&sorted),
-        SORTED_GOLDEN_FNV1A,
-        "engine order must hold exactly the events the sorted golden held"
-    );
 }
 
 #[test]

@@ -6,7 +6,10 @@
 //! - a cached answer's body is byte-identical to the cold one (cache
 //!   status travels in `X-Cache`, never in the body);
 //! - after the exchanges nothing is left open or running: `/stats`
-//!   counts only its own connection, and no job is in flight.
+//!   counts only its own connection, and no job is in flight;
+//! - a disk tier that cannot be written (`cache_dir` names a regular
+//!   file) is one `disk_write_failures` count, not an error: the job
+//!   answers and the memory tier serves every resubmit.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -58,8 +61,11 @@ fn exchange(addr: &str, request: &[u8]) -> Answer {
 
 #[test]
 fn sixty_four_serial_exchanges_leave_nothing_open() {
+    let file = std::env::temp_dir().join(format!("ap1000plus-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"a regular file").unwrap();
     let cfg = apserve::Config {
         addr: "127.0.0.1:0".to_string(),
+        cache_dir: Some(file.clone()),
         ..apserve::Config::default()
     };
     let handle = apserve::serve(cfg, apbench::simulator_executor()).expect("bind server");
@@ -92,7 +98,13 @@ fn sixty_four_serial_exchanges_leave_nothing_open() {
     };
     assert_eq!(gauge("open_connections"), 1, "only the /stats request");
     assert_eq!(gauge("in_flight"), 0);
-    let hits = doc.get("cache").and_then(|c| c.get("hits"));
-    assert_eq!(hits.and_then(Json::as_u64), Some(63));
+    let cache = |name: &str| {
+        doc.get("cache")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(cache("hits"), Some(63));
+    assert_eq!(cache("disk_write_failures"), Some(1));
     handle.shutdown();
+    let _ = std::fs::remove_file(&file);
 }
