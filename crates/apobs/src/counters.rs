@@ -157,9 +157,9 @@ pub struct CacheCounters {
     /// Entries evicted from the in-memory LRU.
     pub evictions: u64,
     /// Requests refused with the structured backpressure error because
-    /// the worker queue was full.
+    /// the queue of jobs waiting for an execution slot was full.
     pub rejected: u64,
-    /// Jobs the worker pool actually executed (each miss runs exactly
+    /// Jobs the server actually executed (each miss runs exactly
     /// once; `runs == misses` is the single-flight invariant).
     pub runs: u64,
     /// Jobs that finished with an error (failures are not cached).

@@ -19,15 +19,16 @@
 //! - [`http`]: minimal HTTP/1.1 over `std::net` with hard input limits;
 //! - [`request`]: strict validation + canonicalization + hashing;
 //! - [`cache`]: in-memory LRU + optional persistent disk tier;
-//! - [`service`]: bounded worker pool, single-flight deduplication,
+//! - [`service`]: bounded execution slots, single-flight deduplication,
 //!   explicit backpressure (full queue ⇒ structured 429, never
 //!   unbounded memory), crash retry, and the crash-loop breaker;
 //! - [`worker`]: the process-isolation supervisor — per-job child
 //!   processes, wall-clock deadlines, rlimit ceilings, and the
 //!   stdin/stdout result-envelope protocol for `repro job-exec`;
 //! - [`server`]: accept loop and routing (`/healthz`, `/stats`,
-//!   `/submit`, `/shutdown`); every answer is one `Content-Length`
-//!   response whose status says whether the job failed;
+//!   `/submit`, `/shutdown`); the connection handler that leads a job
+//!   runs it, and every answer is one `Content-Length` response whose
+//!   status says whether the job failed;
 //! - [`client`]: the blocking client used by `repro submit` and CI.
 //!
 //! The crate is simulator-agnostic: the binary that owns the workloads

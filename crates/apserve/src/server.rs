@@ -10,8 +10,9 @@
 //!
 //! Connections are served by reused handler threads ([`Handlers`]): the
 //! most recently idle one takes the next connection, a fresh one starts
-//! when none is idle, and at most [`MAX_IDLE_HANDLERS`] stay parked
-//! (DESIGN.md §11 "Connection handlers").
+//! when none is idle, and at most [`MAX_IDLE_HANDLERS`] stay parked. A
+//! handler whose submit leads a job runs that job itself (DESIGN.md §11
+//! "Connection handlers").
 
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -42,11 +43,12 @@ pub struct ServerHandle {
     service: Arc<Service>,
     stopping: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Stops accepting, fails queued jobs, and joins every thread.
+    /// Drains the service (waiting jobs fail, running ones finish, every
+    /// admitted submission is answered), then stops accepting and joins
+    /// the accept loop.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -60,9 +62,6 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 
@@ -80,13 +79,11 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `cfg.addr`, starts the worker pool and accept loop, and
-/// returns immediately.
+/// Binds `cfg.addr`, starts the accept loop, and returns immediately.
 pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let service = Service::new(cfg, executor);
-    let workers = service.spawn_workers();
     let stopping = Arc::new(AtomicBool::new(false));
     let open_connections = Arc::new(AtomicUsize::new(0));
 
@@ -119,7 +116,6 @@ pub fn serve(cfg: Config, executor: Executor) -> std::io::Result<ServerHandle> {
         service,
         stopping,
         accept_thread: Some(accept_thread),
-        workers,
     })
 }
 
@@ -131,9 +127,9 @@ type Connection = (OpenConnection, TcpStream);
 /// Connection handler threads, reused across connections. A handler that
 /// has finished a task parks on top of a stack (`idle`) and the next task
 /// goes to the top one, so under serial load one warm thread, with its
-/// stack and malloc arena, serves every connection, as §11's worker pool
-/// does. With none parked, a task gets a fresh thread, exactly as if
-/// there were no stack: no task ever waits for a busy handler.
+/// stack and malloc arena, serves every connection and runs every job
+/// they lead. With none parked, a task gets a fresh thread, exactly as
+/// if there were no stack: no task ever waits for a busy handler.
 struct Handlers<T, F> {
     idle: Mutex<Idle<T>>,
     run: F,
@@ -390,10 +386,9 @@ fn submit(svc: &Service, req: &HttpRequest, w: &mut &TcpStream) -> std::io::Resu
         }
         Submission::Pending { job, joined } => {
             let status = if joined { "join" } else { "miss" };
-            finish(w, &key, status, job.wait())
+            svc.settle(&job, joined, |outcome| finish(w, &key, status, outcome))
         }
-        Submission::Poisoned { crashes } => {
-            let err = crate::service::JobError::Poisoned { crashes };
+        Submission::Refused(err) => {
             let mut resp =
                 Response::json(err.http_status(), err.to_json().to_string().into_bytes());
             resp.headers.push(("X-Key".to_string(), key));

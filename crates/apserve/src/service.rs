@@ -1,18 +1,23 @@
-//! The job engine: bounded worker pool, single-flight deduplication,
+//! The job engine: bounded execution slots, single-flight deduplication,
 //! crash containment, and the cache/backpressure decision — everything
 //! below the HTTP layer, so all of it is testable without a socket.
 //!
-//! One lock ([`Service::inner`]) guards the cache, the in-flight table,
-//! the queue, the child-process registry, and the poison set, so the
-//! submit decision — *poisoned? hit? join? enqueue? reject?* — is
+//! A caller that [`Service::submit`] admits settles its submission with
+//! [`Service::settle`]: a job's leader runs it on its own thread once one
+//! of `workers` slots is free, and a caller that joins waits. One lock
+//! ([`Service::inner`]) guards the cache, the in-flight table, the queue
+//! of waiting leaders, the child-process registry, and the poison set,
+//! so the submit decision — *poisoned? hit? join? enqueue? reject?* — is
 //! atomic. The invariants the integration suite pins:
 //!
 //! - **Single-flight**: at most one execution per content address is
 //!   ever in flight; concurrent identical submissions join it
 //!   (`runs == misses` for successful jobs, always).
-//! - **Bounded**: the queue never exceeds `queue_cap`; beyond that,
-//!   submissions are rejected *immediately* with a structured error —
-//!   the server's memory is bounded by `queue_cap`, not by clients.
+//! - **Bounded**: at most `workers` jobs execute at once, and at most
+//!   `queue_cap` leaders wait for a slot, starting in admission order;
+//!   beyond that, submissions are rejected *immediately* with a
+//!   structured error — the server's memory is bounded by `queue_cap`,
+//!   not by clients.
 //! - **Byte-stable**: a cached result is returned verbatim, so cold and
 //!   cached responses are identical bytes — and so are sandboxed and
 //!   in-process responses, because the worker envelope transports the
@@ -22,12 +27,12 @@
 //!   the server answers with a structured error and keeps serving.
 //!   A crashed (not cleanly-failed) job is retried once with backoff;
 //!   if it crashes again its key is poisoned — subsequent submissions
-//!   get a structured 422 instead of another turn on the pool.
+//!   get a structured 422 instead of another execution slot.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use apobs::CacheCounters;
@@ -54,7 +59,8 @@ const POISON_CAP: usize = 1024;
 pub struct Config {
     /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub addr: String,
-    /// Worker threads executing (or supervising) jobs.
+    /// Jobs executed (or supervised) at once; a leader beyond this waits
+    /// for a slot.
     pub workers: usize,
     /// Jobs admitted but not yet running; beyond this, reject.
     pub queue_cap: usize,
@@ -96,8 +102,8 @@ pub enum JobError {
     /// The job ran to completion and reported an error of its own
     /// (unknown app, unreadable trace...). `500 job_failed`.
     Failed(String),
-    /// The worker process (or, in-process, the worker thread's
-    /// `catch_unwind`) died without a result. `500 job_crashed`.
+    /// The worker process (or, in-process, the leader's `catch_unwind`)
+    /// died without a result. `500 job_crashed`.
     Crashed { status: String, stderr_tail: String },
     /// Killed for exceeding the per-job deadline. `504 job_timeout`.
     Timeout { deadline_ms: u64 },
@@ -173,58 +179,42 @@ impl std::fmt::Display for JobError {
     }
 }
 
-/// One admitted job, shared by its executing worker and every waiter
-/// that joined it.
+/// One admitted job, shared by its leader and every caller that joined
+/// it.
 pub struct Job {
     pub request: CanonRequest,
-    /// `Some` once finished: the report bytes or a structured failure.
-    outcome: Mutex<Option<Result<Vec<u8>, JobError>>>,
-    done_cv: Condvar,
-}
-
-impl Job {
-    fn new(request: CanonRequest) -> Arc<Job> {
-        Arc::new(Job {
-            request,
-            outcome: Mutex::new(None),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, outcome: Result<Vec<u8>, JobError>) {
-        *lock(&self.outcome) = Some(outcome);
-        self.done_cv.notify_all();
-    }
-
-    /// Blocks until the job finishes; returns report bytes or failure.
-    pub fn wait(&self) -> Result<Vec<u8>, JobError> {
-        let mut st = lock(&self.outcome);
-        loop {
-            if let Some(outcome) = &*st {
-                return outcome.clone();
-            }
-            st = wait_on(&self.done_cv, st);
-        }
-    }
+    /// Set once, under the service lock, when the leader has finished:
+    /// the report bytes or a structured failure.
+    outcome: OnceLock<Result<Vec<u8>, JobError>>,
 }
 
 /// What `submit` decided, atomically, under one lock.
 pub enum Submission {
     /// Served from cache: the exact bytes a cold run would produce.
     Done { body: Vec<u8>, tier: CacheTier },
-    /// Admitted (or joined onto an identical in-flight job).
+    /// Admitted as the job's leader, or `joined` onto an identical
+    /// in-flight job; the caller must pass it to [`Service::settle`].
     Pending { job: Arc<Job>, joined: bool },
     /// Queue full — structured backpressure, client should retry later.
     Rejected { queued: usize, capacity: usize },
-    /// The key crash-looped and is poisoned — structured 422, no run.
-    Poisoned { crashes: u32 },
+    /// Answered without a run: the key is poisoned (422) or the server
+    /// is shutting down (503).
+    Refused(JobError),
 }
 
 struct Inner {
     cache: ResultCache,
-    /// Content address -> the one job currently computing it.
+    /// Content address -> the one job currently computing it, from
+    /// admission until its leader publishes the outcome.
     inflight: HashMap<u64, Arc<Job>>,
-    queue: VecDeque<Arc<Job>>,
+    /// Leaders waiting for an execution slot, by key, in admission
+    /// order: only the front one may take a free slot.
+    queue: VecDeque<u64>,
+    /// Jobs executing now; at most `Config::workers`.
+    running: usize,
+    /// Admitted submissions, leaders and joiners, not yet answered: the
+    /// drain waits for none.
+    pending: usize,
     /// Content address -> the live child computing it (sandbox mode);
     /// this is what the shutdown drain kills.
     children: HashMap<u64, Arc<ChildSlot>>,
@@ -234,20 +224,18 @@ struct Inner {
     poison_order: VecDeque<u64>,
     counters: CacheCounters,
     shutdown: bool,
-    /// Workers free to take a job, most recently idle last: `submit`
-    /// wakes the top one, so under serial load one warm worker (its
-    /// stack, caches and allocator arena) runs every job.
-    idle: Vec<usize>,
 }
 
-/// The engine. Construct with [`Service::new`], then attach workers via
-/// [`Service::spawn_workers`].
+/// The engine. Construct with [`Service::new`]; callers settle what
+/// they submit on their own threads (see the module docs).
 pub struct Service {
     pub cfg: Config,
     inner: Mutex<Inner>,
-    /// One condvar per worker, so `submit` wakes exactly the worker it
-    /// took off [`Inner::idle`].
-    work_cvs: Vec<Condvar>,
+    /// The one condvar, notified when a slot, the queue's front or a job's
+    /// outcome changes, when a submission is answered, and when shutdown
+    /// begins: waiting leaders recheck their turn, joiners their job, and
+    /// the drain rechecks for quiet.
+    changed: Condvar,
     executor: Executor,
     /// Serializes [`Service::shutdown`]: the first caller drains, every
     /// concurrent caller blocks here until the drain has finished (the
@@ -273,8 +261,13 @@ pub struct Stats {
     pub sandbox: bool,
 }
 
+/// The answer to a job that shutdown stopped before it ran.
+fn shutting_down() -> JobError {
+    JobError::Canceled("server shutting down".to_string())
+}
+
 /// Executes a `kind:"sleep"` test job — the one implementation behind
-/// both the in-process worker and `repro job-exec`, so their reports are
+/// both in-process execution and `repro job-exec`, so their reports are
 /// identical. Sleeps `ms`, then honours `crash` literally: `"panic"`
 /// panics, `"abort"` calls `abort(2)`. Only a sandboxed child may abort
 /// (`in_child`); in-process the request is refused up front, because the
@@ -305,37 +298,24 @@ impl Service {
             cfg.cache_dir.clone(),
             cfg.disk_cache_bytes,
         );
-        let work_cvs = (0..cfg.workers.max(1)).map(|_| Condvar::new()).collect();
         Arc::new(Service {
             cfg,
             inner: Mutex::new(Inner {
                 cache,
                 inflight: HashMap::new(),
                 queue: VecDeque::new(),
+                running: 0,
+                pending: 0,
                 children: HashMap::new(),
                 poisoned: HashMap::new(),
                 poison_order: VecDeque::new(),
                 counters: CacheCounters::new(),
                 shutdown: false,
-                idle: Vec::new(),
             }),
-            work_cvs,
+            changed: Condvar::new(),
             executor,
             drain_lock: Mutex::new(false),
         })
-    }
-
-    /// Starts the worker pool; returns the join handles.
-    pub fn spawn_workers(self: &Arc<Service>) -> Vec<std::thread::JoinHandle<()>> {
-        (0..self.work_cvs.len())
-            .map(|i| {
-                let svc = Arc::clone(self);
-                std::thread::Builder::new()
-                    .name(format!("apserve-worker-{i}"))
-                    .spawn(move || svc.worker_loop(i))
-                    .expect("spawn worker")
-            })
-            .collect()
     }
 
     /// The atomic admit decision: poisoned, cache hit, join, enqueue,
@@ -344,17 +324,14 @@ impl Service {
         let key = request.key;
         let mut inner = lock(&self.inner);
         if inner.shutdown {
-            return Submission::Rejected {
-                queued: inner.queue.len(),
-                capacity: 0,
-            };
+            return Submission::Refused(shutting_down());
         }
         // The breaker outranks the cache: a poisoned key has never been
         // cached as success (only Ok results are stored), and answering
-        // 422 here keeps repeat crashers off the pool entirely.
+        // 422 here keeps repeat crashers from ever running again.
         if let Some(&crashes) = inner.poisoned.get(&key) {
             inner.counters.poison_rejects += 1;
-            return Submission::Poisoned { crashes };
+            return Submission::Refused(JobError::Poisoned { crashes });
         }
         if let Some((body, tier)) = inner.cache.get(key) {
             match tier {
@@ -366,6 +343,7 @@ impl Service {
         }
         if let Some(job) = inner.inflight.get(&key).map(Arc::clone) {
             inner.counters.joins += 1;
+            inner.pending += 1;
             return Submission::Pending { job, joined: true };
         }
         if inner.queue.len() >= self.cfg.queue_cap {
@@ -376,39 +354,67 @@ impl Service {
             };
         }
         inner.counters.misses += 1;
-        let job = Job::new(request);
+        let job = Arc::new(Job {
+            request,
+            outcome: OnceLock::new(),
+        });
         inner.inflight.insert(key, Arc::clone(&job));
-        inner.queue.push_back(Arc::clone(&job));
-        let wake = inner.idle.pop();
-        drop(inner);
-        if let Some(worker) = wake {
-            self.work_cvs[worker].notify_one();
-        }
+        inner.queue.push_back(key);
+        inner.pending += 1;
         Submission::Pending { job, joined: false }
     }
 
-    /// Worker `me`: takes jobs off the queue until shutdown. It is on
-    /// [`Inner::idle`] whenever it waits, and leaves it when it takes a
-    /// job; a wake that finds the queue already emptied by another worker
-    /// puts it back before it waits again.
-    fn worker_loop(&self, me: usize) {
+    /// Settles a [`Submission::Pending`] on the calling thread: the leader
+    /// runs the job, a joiner waits for it, and `answer` gets the outcome.
+    /// The submission counts as pending until `answer` returns, so a
+    /// drained server has answered every submission it admitted.
+    pub fn settle<R>(
+        &self,
+        job: &Arc<Job>,
+        joined: bool,
+        answer: impl FnOnce(Result<Vec<u8>, JobError>) -> R,
+    ) -> R {
+        let outcome = if joined {
+            let mut inner = lock(&self.inner);
+            loop {
+                if let Some(outcome) = job.outcome.get() {
+                    break outcome.clone();
+                }
+                inner = wait_on(&self.changed, inner);
+            }
+        } else {
+            self.lead(job)
+        };
+        let answered = answer(outcome);
+        lock(&self.inner).pending -= 1;
+        self.changed.notify_all();
+        answered
+    }
+
+    /// Runs a job on its leader's thread: waits, in admission order, for
+    /// a free execution slot, executes, caches a success, and hands the
+    /// outcome to every joiner. A leader still waiting when shutdown
+    /// begins fails with `job_canceled`.
+    fn lead(&self, job: &Arc<Job>) -> Result<Vec<u8>, JobError> {
+        let key = job.request.key;
         let mut inner = lock(&self.inner);
-        loop {
-            let Some(job) = inner.queue.pop_front() else {
-                if inner.shutdown {
-                    return;
-                }
-                if !inner.idle.contains(&me) {
-                    inner.idle.push(me);
-                }
-                inner = wait_on(&self.work_cvs[me], inner);
-                continue;
-            };
-            inner.idle.retain(|&w| w != me);
+        while !inner.shutdown
+            && (inner.running >= self.cfg.workers.max(1) || inner.queue.front() != Some(&key))
+        {
+            inner = wait_on(&self.changed, inner);
+        }
+        inner.queue.retain(|&k| k != key);
+        let result = if inner.shutdown {
+            inner.counters.failures += 1;
+            Err(shutting_down())
+        } else {
+            inner.running += 1;
             drop(inner);
-            let result = self.run_with_retry(&job);
+            // The new front of the queue may take a slot still free.
+            self.changed.notify_all();
+            let result = self.run_with_retry(job);
             inner = lock(&self.inner);
-            let key = job.request.key;
+            inner.running -= 1;
             if let Ok(body) = &result {
                 inner.counters.runs += 1;
                 // The memory tier always takes the entry; a failed disk
@@ -419,14 +425,13 @@ impl Service {
                 inner.counters.evictions = inner.cache.evictions;
                 inner.counters.disk_evictions = inner.cache.disk_evictions;
             }
-            inner.inflight.remove(&key);
-            // Idle again before the waiter learns the result, so the
-            // client's next job finds this worker on top of the stack.
-            inner.idle.push(me);
-            drop(inner);
-            job.complete(result);
-            inner = lock(&self.inner);
-        }
+            result
+        };
+        let _ = job.outcome.set(result.clone());
+        inner.inflight.remove(&key);
+        drop(inner);
+        self.changed.notify_all();
+        result
     }
 
     /// Executes a job to its final verdict, applying the crash policy:
@@ -542,10 +547,12 @@ impl Service {
         }
     }
 
-    /// Graceful drain: refuse new work, fail everything still queued,
-    /// give running jobs `drain_ms` to finish, then kill the remaining
-    /// worker processes and wait (bounded) for their reaping — so a
-    /// stopped server leaves no orphan processes behind.
+    /// Graceful drain: refuse new work, fail every leader still waiting
+    /// for a slot, give running jobs `drain_ms` to finish, then kill the
+    /// remaining worker processes, and return once every admitted
+    /// submission is answered — reaped children and in-process jobs
+    /// alike — so a stopped server leaves no orphan processes, no job
+    /// running and no admitted client unanswered.
     ///
     /// Safe to call from multiple threads: the first caller drains,
     /// everyone else blocks until that drain is complete. This is what
@@ -561,59 +568,48 @@ impl Service {
 
     fn drain(&self) {
         lock(&self.inner).shutdown = true;
-        let drained: Vec<Arc<Job>> = {
-            let mut inner = lock(&self.inner);
-            inner.queue.drain(..).collect()
-        };
-        for job in &drained {
-            let mut inner = lock(&self.inner);
-            inner.inflight.remove(&job.request.key);
-            inner.counters.failures += 1;
-            drop(inner);
-            job.complete(Err(JobError::Canceled("server shutting down".to_string())));
-        }
-        for cv in &self.work_cvs {
-            cv.notify_one();
-        }
+        self.changed.notify_all();
 
-        // Phase 1: let in-flight jobs finish on their own.
+        // Phase 1: let running jobs finish and be answered on their own.
         let drain_deadline = Instant::now() + Duration::from_millis(self.cfg.drain_ms);
-        while Instant::now() < drain_deadline {
-            if lock(&self.inner).inflight.is_empty() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Phase 2: kill whatever is still running in a child process.
-        let slots: Vec<Arc<ChildSlot>> = {
-            let mut inner = lock(&self.inner);
-            let slots: Vec<_> = inner.children.values().map(Arc::clone).collect();
-            inner.counters.kills += slots.len() as u64;
-            slots
-        };
-        for slot in &slots {
-            slot.kill(KillReason::Drain);
-        }
-        if slots.is_empty() {
-            // In-process stragglers can't be killed; the worker join in
-            // the server's stop path bounds what happens next.
+        if self.wait_quiet(drain_deadline) {
             return;
         }
-        // Phase 3: bounded wait for the supervisors to reap the kills.
-        let reap_deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < reap_deadline {
-            let inner = lock(&self.inner);
-            if inner.inflight.is_empty() {
-                return;
-            }
-            // Close the register-after-sweep race: kill any child that
-            // appeared since phase 2 (idempotent on dead children).
+        // Phase 2: kill whatever is still running in a child process.
+        {
+            let mut inner = lock(&self.inner);
+            inner.counters.kills += inner.children.len() as u64;
             for slot in inner.children.values() {
                 slot.kill(KillReason::Drain);
             }
-            drop(inner);
-            std::thread::sleep(Duration::from_millis(10));
         }
+        // Phase 3: wait for every submission to be answered: killed
+        // children reaped, in-process jobs (which cannot be killed)
+        // ended. Every 10 ms, kill any child that registered after the
+        // sweep (idempotent on dead children).
+        while !self.wait_quiet(Instant::now() + Duration::from_millis(10)) {
+            for slot in lock(&self.inner).children.values() {
+                slot.kill(KillReason::Drain);
+            }
+        }
+    }
+
+    /// Waits until no submission is pending, or until `deadline`; true if
+    /// none is.
+    fn wait_quiet(&self, deadline: Instant) -> bool {
+        let mut inner = lock(&self.inner);
+        while inner.pending > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            inner = self
+                .changed
+                .wait_timeout(inner, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        true
     }
 
     /// Whether [`Service::shutdown`] has run (e.g. via `POST /shutdown`).
@@ -645,6 +641,8 @@ mod tests {
     use super::*;
     use crate::request::parse_request;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::thread::JoinHandle;
 
     /// An executor that counts invocations and echoes the request key.
     fn counting_executor(counter: Arc<AtomicU64>) -> Executor {
@@ -658,30 +656,42 @@ mod tests {
         parse_request(body.as_bytes()).unwrap()
     }
 
-    fn svc(cfg: Config, runs: Arc<AtomicU64>) -> (Arc<Service>, Vec<std::thread::JoinHandle<()>>) {
-        let svc = Service::new(cfg, counting_executor(runs));
-        let workers = svc.spawn_workers();
-        (svc, workers)
+    fn svc(cfg: Config, runs: Arc<AtomicU64>) -> Arc<Service> {
+        Service::new(cfg, counting_executor(runs))
     }
 
-    fn finish(svc: Arc<Service>, workers: Vec<std::thread::JoinHandle<()>>) {
-        svc.shutdown();
-        for w in workers {
-            w.join().unwrap();
+    /// Admits `body` as a new job's leader.
+    fn admit(svc: &Service, body: &str) -> Arc<Job> {
+        match svc.submit(req(body)) {
+            Submission::Pending { job, joined } => {
+                assert!(!joined);
+                job
+            }
+            _ => panic!("expected a leader"),
         }
+    }
+
+    /// Settles a submission as a connection handler does, answering
+    /// with the outcome itself.
+    fn settle(svc: &Service, job: &Arc<Job>, joined: bool) -> Result<Vec<u8>, JobError> {
+        svc.settle(job, joined, |outcome| outcome)
+    }
+
+    /// Leads `job` on a thread of its own.
+    fn lead_on_a_thread(
+        svc: &Arc<Service>,
+        job: &Arc<Job>,
+    ) -> JoinHandle<Result<Vec<u8>, JobError>> {
+        let (svc, job) = (Arc::clone(svc), Arc::clone(job));
+        std::thread::spawn(move || settle(&svc, &job, false))
     }
 
     #[test]
     fn cold_then_hit_is_byte_identical_and_runs_once() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(Config::default(), Arc::clone(&runs));
-        let cold = match svc.submit(req(r#"{"kind":"bench","apps":["EP"]}"#)) {
-            Submission::Pending { job, joined } => {
-                assert!(!joined);
-                job.wait().unwrap()
-            }
-            _ => panic!("expected pending"),
-        };
+        let svc = svc(Config::default(), Arc::clone(&runs));
+        let job = admit(&svc, r#"{"kind":"bench","apps":["EP"]}"#);
+        let cold = settle(&svc, &job, false).unwrap();
         let hit = match svc.submit(req(r#"{"apps":["EP"],"kind":"bench"}"#)) {
             Submission::Done { body, tier } => {
                 assert_eq!(tier, CacheTier::Memory);
@@ -696,20 +706,14 @@ mod tests {
             (st.counters.misses, st.counters.hits, st.counters.runs),
             (1, 1, 1)
         );
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
     fn a_panic_under_the_state_lock_does_not_kill_the_service() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(Config::default(), Arc::clone(&runs));
-        let run = |body: &str| match svc.submit(req(body)) {
-            Submission::Pending { job, joined } => {
-                assert!(!joined);
-                job.wait().unwrap()
-            }
-            _ => panic!("expected pending"),
-        };
+        let svc = svc(Config::default(), Arc::clone(&runs));
+        let run = |body: &str| settle(&svc, &admit(&svc, body), false).unwrap();
         let cold = run(r#"{"kind":"bench","apps":["EP"]}"#);
 
         let holder = Arc::clone(&svc);
@@ -721,7 +725,7 @@ mod tests {
         assert!(panicked.is_err() && svc.inner.is_poisoned());
 
         // The counters survived, a cached key is still a hit, a fresh key
-        // still reaches a worker, and the drain in `finish` still works.
+        // still runs, and the drain in `shutdown` still works.
         let st = svc.stats();
         assert_eq!((st.counters.misses, st.counters.runs), (1, 1));
         match svc.submit(req(r#"{"kind":"bench","apps":["EP"]}"#)) {
@@ -735,13 +739,13 @@ mod tests {
             (2, 1, 2)
         );
         assert_eq!(runs.load(Ordering::SeqCst), 2);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
     fn identical_concurrent_submissions_single_flight() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(
+        let svc = svc(
             Config {
                 allow_sleep: true,
                 ..Config::default()
@@ -749,14 +753,9 @@ mod tests {
             Arc::clone(&runs),
         );
         // A slow job: both submissions overlap its execution window.
-        let first = match svc.submit(req(r#"{"kind":"sleep","ms":300}"#)) {
-            Submission::Pending { job, joined } => {
-                assert!(!joined);
-                job
-            }
-            _ => panic!("expected pending"),
-        };
-        // Give the worker a moment to dequeue it, then submit the twin.
+        let first = admit(&svc, r#"{"kind":"sleep","ms":300}"#);
+        let leader = lead_on_a_thread(&svc, &first);
+        // Give the leader a moment to start it, then submit the twin.
         std::thread::sleep(std::time::Duration::from_millis(50));
         let second = match svc.submit(req(r#"{"kind":"sleep","ms":300}"#)) {
             Submission::Pending { job, joined } => {
@@ -766,21 +765,21 @@ mod tests {
             _ => panic!("expected join"),
         };
         assert!(Arc::ptr_eq(&first, &second), "joined the same job object");
-        let a = first.wait().unwrap();
-        let b = second.wait().unwrap();
+        let a = leader.join().unwrap().unwrap();
+        let b = settle(&svc, &second, true).unwrap();
         assert_eq!(a, b);
         let st = svc.stats();
         assert_eq!(st.counters.joins, 1);
         assert_eq!(st.counters.misses, st.counters.runs);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
     fn full_queue_rejects_with_capacity() {
         let runs = Arc::new(AtomicU64::new(0));
-        // One worker, one queue slot, slow jobs: the third distinct
+        // One slot, one queue place, slow jobs: the third distinct
         // submission must bounce.
-        let (svc, workers) = svc(
+        let svc = svc(
             Config {
                 workers: 1,
                 queue_cap: 1,
@@ -789,34 +788,28 @@ mod tests {
             },
             Arc::clone(&runs),
         );
-        let j1 = match svc.submit(req(r#"{"kind":"sleep","ms":400}"#)) {
-            Submission::Pending { job, .. } => job,
-            _ => panic!("expected pending"),
-        };
-        // Wait until the worker has picked up job 1 (queue empty again).
+        let j1 = lead_on_a_thread(&svc, &admit(&svc, r#"{"kind":"sleep","ms":400}"#));
+        // Wait until job 1 holds the slot (queue empty again).
         while svc.stats().queue_depth > 0 {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        let j2 = match svc.submit(req(r#"{"kind":"sleep","ms":401}"#)) {
-            Submission::Pending { job, .. } => job,
-            _ => panic!("expected pending"),
-        };
+        let j2 = lead_on_a_thread(&svc, &admit(&svc, r#"{"kind":"sleep","ms":401}"#));
         match svc.submit(req(r#"{"kind":"sleep","ms":402}"#)) {
             Submission::Rejected { queued, capacity } => {
                 assert_eq!((queued, capacity), (1, 1));
             }
             _ => panic!("expected rejection"),
         }
-        j1.wait().unwrap();
-        j2.wait().unwrap();
+        j1.join().unwrap().unwrap();
+        j2.join().unwrap().unwrap();
         assert_eq!(svc.stats().counters.rejected, 1);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
     fn eviction_recomputes_byte_identically() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(
+        let svc = svc(
             Config {
                 cache_entries: 1,
                 ..Config::default()
@@ -824,7 +817,7 @@ mod tests {
             Arc::clone(&runs),
         );
         let run = |body: &str| match svc.submit(req(body)) {
-            Submission::Pending { job, .. } => job.wait().unwrap(),
+            Submission::Pending { job, .. } => settle(&svc, &job, false).unwrap(),
             Submission::Done { body, .. } => body,
             _ => panic!("rejected"),
         };
@@ -836,7 +829,7 @@ mod tests {
         let st = svc.stats();
         assert_eq!(st.counters.evictions, 2);
         assert_eq!(st.counters.hits, 0);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
@@ -848,33 +841,27 @@ mod tests {
             Err("workload exploded".to_string())
         });
         let svc = Service::new(Config::default(), exec);
-        let workers = svc.spawn_workers();
         for _ in 0..2 {
-            match svc.submit(req(r#"{"kind":"bench","apps":["EP"]}"#)) {
-                Submission::Pending { job, .. } => {
-                    let err = job.wait().unwrap_err();
-                    assert_eq!(err, JobError::Failed("workload exploded".to_string()));
-                    assert_eq!(err.code(), "job_failed");
-                }
-                _ => panic!("failures must not be cached"),
-            }
+            let job = admit(&svc, r#"{"kind":"bench","apps":["EP"]}"#);
+            let err = settle(&svc, &job, false).unwrap_err();
+            assert_eq!(err, JobError::Failed("workload exploded".to_string()));
+            assert_eq!(err.code(), "job_failed");
         }
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(svc.stats().counters.failures, 2);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
     fn sleep_is_refused_unless_enabled() {
         let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(Config::default(), runs);
-        match svc.submit(req(r#"{"kind":"sleep","ms":1}"#)) {
-            Submission::Pending { job, .. } => {
-                assert!(job.wait().unwrap_err().to_string().contains("disabled"));
-            }
-            _ => panic!("expected pending"),
-        }
-        finish(svc, workers);
+        let svc = svc(Config::default(), runs);
+        let job = admit(&svc, r#"{"kind":"sleep","ms":1}"#);
+        assert!(settle(&svc, &job, false)
+            .unwrap_err()
+            .to_string()
+            .contains("disabled"));
+        svc.shutdown();
     }
 
     #[test]
@@ -884,11 +871,8 @@ mod tests {
             allow_sleep: true,
             ..Config::default()
         };
-        let (svc, workers) = svc(cfg, Arc::clone(&runs));
-        let run = |body: &str| match svc.submit(req(body)) {
-            Submission::Pending { job, .. } => job.wait(),
-            _ => panic!("expected pending"),
-        };
+        let svc = svc(cfg, Arc::clone(&runs));
+        let run = |body: &str| settle(&svc, &admit(&svc, body), false);
         let report = run(r#"{"kind":"sleep","ms":1}"#).unwrap();
         assert_eq!(
             String::from_utf8(report).unwrap(),
@@ -903,7 +887,7 @@ mod tests {
             0,
             "sleep never reaches the executor"
         );
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
@@ -915,20 +899,16 @@ mod tests {
             panic!("simulated simulator bug");
         });
         let svc = Service::new(Config::default(), exec);
-        let workers = svc.spawn_workers();
-        let body = r#"{"kind":"bench","apps":["EP"]}"#;
-        match svc.submit(req(body)) {
-            Submission::Pending { job, .. } => match job.wait().unwrap_err() {
-                JobError::Crashed {
-                    status,
-                    stderr_tail,
-                } => {
-                    assert!(status.contains("panic"), "{status}");
-                    assert!(stderr_tail.contains("simulated simulator bug"));
-                }
-                other => panic!("expected Crashed, got {other:?}"),
-            },
-            _ => panic!("expected pending"),
+        let job = admit(&svc, r#"{"kind":"bench","apps":["EP"]}"#);
+        match settle(&svc, &job, false).unwrap_err() {
+            JobError::Crashed {
+                status,
+                stderr_tail,
+            } => {
+                assert!(status.contains("panic"), "{status}");
+                assert!(stderr_tail.contains("simulated simulator bug"));
+            }
+            other => panic!("expected Crashed, got {other:?}"),
         }
         // One retry happened: the executor ran twice for one submit.
         assert_eq!(calls.load(Ordering::SeqCst), 2);
@@ -936,7 +916,7 @@ mod tests {
         assert_eq!(st.counters.crashed, 2);
         assert_eq!(st.counters.job_retries, 1);
         assert_eq!(st.poisoned_keys, 1, "final crash poisons the key");
-        finish(svc, workers);
+        svc.shutdown();
     }
 
     #[test]
@@ -948,18 +928,19 @@ mod tests {
             panic!("always crashes");
         });
         let svc = Service::new(Config::default(), exec);
-        let workers = svc.spawn_workers();
         let body = r#"{"kind":"bench","apps":["EP"]}"#;
-        match svc.submit(req(body)) {
-            Submission::Pending { job, .. } => {
-                assert!(matches!(job.wait().unwrap_err(), JobError::Crashed { .. }));
-            }
-            _ => panic!("expected pending"),
-        }
+        let job = admit(&svc, body);
+        assert!(matches!(
+            settle(&svc, &job, false).unwrap_err(),
+            JobError::Crashed { .. }
+        ));
         // Same key again: the breaker answers, the executor does not run.
         let before = calls.load(Ordering::SeqCst);
         match svc.submit(req(body)) {
-            Submission::Poisoned { crashes } => assert_eq!(crashes, 2),
+            Submission::Refused(err) => {
+                assert_eq!(err, JobError::Poisoned { crashes: 2 });
+                assert_eq!(err.http_status(), 422);
+            }
             _ => panic!("expected poisoned"),
         }
         assert_eq!(calls.load(Ordering::SeqCst), before);
@@ -967,109 +948,170 @@ mod tests {
         assert_eq!(st.counters.poison_rejects, 1);
         assert_eq!(st.poisoned_keys, 1);
         // A *different* key still runs (and also crashes — but it ran).
-        match svc.submit(req(r#"{"kind":"bench","apps":["CG"]}"#)) {
-            Submission::Pending { job, .. } => {
-                let _ = job.wait();
-            }
-            _ => panic!("expected pending"),
-        }
+        let job = admit(&svc, r#"{"kind":"bench","apps":["CG"]}"#);
+        let _ = settle(&svc, &job, false);
         assert!(calls.load(Ordering::SeqCst) > before);
-        finish(svc, workers);
+        svc.shutdown();
     }
 
-    /// Blocks until `n` workers are parked on their own condvars. Before
-    /// any job has run, a worker on the stack is a waiting one: it pushes
-    /// itself and waits under one hold of the lock.
-    fn wait_idle(svc: &Service, n: usize) {
-        while lock(&svc.inner).idle.len() < n {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn serial_jobs_run_on_the_most_recently_idle_worker() {
-        let ran_on = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&ran_on);
+    /// An executor that logs each job's first app when it starts, then
+    /// blocks until the test sends it a permit.
+    fn gated_executor() -> (Executor, Arc<Mutex<Vec<String>>>, mpsc::Sender<()>) {
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&started);
+        let (permits, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
         let exec: Executor = Arc::new(move |req: &CanonRequest| {
-            lock(&log).push(std::thread::current().id());
+            let apps = req.field("apps").and_then(Json::as_arr).unwrap();
+            lock(&log).push(apps[0].as_str().unwrap().to_string());
+            lock(&gate).recv().map_err(|e| e.to_string())?;
             Ok(format!(r#"{{"echo":"{}"}}"#, req.key_hex()))
         });
-        let svc = Service::new(Config::default(), exec);
-        let workers = svc.spawn_workers();
-        wait_idle(&svc, 2);
-        for size in 0..8 {
-            match svc.submit(req(&format!(
-                r#"{{"kind":"bench","apps":["EP"],"sizes":[{}]}}"#,
-                16 << size
-            ))) {
-                Submission::Pending { job, joined } => {
-                    assert!(!joined);
-                    job.wait().unwrap();
-                }
-                _ => panic!("expected pending"),
-            }
-        }
-        let ran_on = lock(&ran_on).clone();
-        assert_eq!(ran_on.len(), 8);
-        assert!(ran_on.iter().all(|&id| id == ran_on[0]), "{ran_on:?}");
-        // The other worker never left its condvar.
-        assert_eq!(lock(&svc.inner).idle.len(), 2);
-        finish(svc, workers);
+        (exec, started, permits)
     }
 
-    #[test]
-    fn concurrent_jobs_start_on_both_workers() {
-        let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(
-            Config {
-                allow_sleep: true,
-                ..Config::default()
-            },
-            runs,
-        );
-        wait_idle(&svc, 2);
-        let start = Instant::now();
-        let jobs: Vec<Arc<Job>> = [1500, 1501]
-            .map(
-                |ms| match svc.submit(req(&format!(r#"{{"kind":"sleep","ms":{ms}}}"#))) {
-                    Submission::Pending { job, .. } => job,
-                    _ => panic!("expected pending"),
-                },
-            )
-            .into();
-        // Both jobs leave the queue and no worker is idle long before
-        // either sleep ends: the second job did not wait for the first.
-        loop {
-            let inner = lock(&svc.inner);
-            if inner.queue.is_empty() && inner.idle.is_empty() {
-                break;
-            }
-            drop(inner);
-            assert!(
-                start.elapsed() < Duration::from_millis(1200),
-                "a job waited"
-            );
+    fn bench(app: &str) -> String {
+        format!(r#"{{"kind":"bench","apps":["{app}"]}}"#)
+    }
+
+    /// Polls `done` until it holds, failing after ten seconds.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
             std::thread::sleep(Duration::from_millis(1));
         }
-        for job in jobs {
-            job.wait().unwrap();
-        }
-        assert_eq!(svc.stats().counters.runs, 2);
-        finish(svc, workers);
     }
 
     #[test]
-    fn shutdown_wakes_workers_parked_on_their_own_condvars() {
-        let runs = Arc::new(AtomicU64::new(0));
-        let (svc, workers) = svc(Config::default(), runs);
-        wait_idle(&svc, 2);
-        let (tx, rx) = std::sync::mpsc::channel();
+    fn two_slow_jobs_with_two_slots_both_start_before_either_ends() {
+        let (exec, started, permits) = gated_executor();
+        let svc = Service::new(Config::default(), exec);
+        let (a, b) = (admit(&svc, &bench("EP")), admit(&svc, &bench("CG")));
+        // The second leader arrives first and waits its turn; the first
+        // takes a slot and must leave the other slot to it.
+        let second = lead_on_a_thread(&svc, &b);
+        std::thread::sleep(Duration::from_millis(50));
+        let first = lead_on_a_thread(&svc, &a);
+        eventually("both jobs start", || lock(&started).len() == 2);
+        let st = svc.stats();
+        assert_eq!((st.queue_depth, st.in_flight), (0, 2));
+        assert_eq!(st.counters.runs, 0, "neither job has ended");
+        for _ in 0..2 {
+            permits.send(()).unwrap();
+        }
+        first.join().unwrap().unwrap();
+        second.join().unwrap().unwrap();
+        assert_eq!(svc.stats().counters.runs, 2);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_job_beyond_the_slots_waits_in_the_queue_and_starts_in_admission_order() {
+        let (exec, started, permits) = gated_executor();
+        let svc = Service::new(Config::default(), exec);
+        let running: Vec<_> = ["EP", "CG"]
+            .map(|app| lead_on_a_thread(&svc, &admit(&svc, &bench(app))))
+            .into();
+        eventually("both slots are taken", || lock(&started).len() == 2);
+        // Admitted FT before MatMul; MatMul's leader arrives first.
+        let (ft, matmul) = (admit(&svc, &bench("FT")), admit(&svc, &bench("MatMul")));
+        let late = lead_on_a_thread(&svc, &matmul);
+        std::thread::sleep(Duration::from_millis(50));
+        let early = lead_on_a_thread(&svc, &ft);
+        std::thread::sleep(Duration::from_millis(50));
+        let st = svc.stats();
+        assert_eq!((st.queue_depth, st.in_flight), (2, 4));
+        assert_eq!(lock(&started).len(), 2, "no third job runs on two slots");
+
+        permits.send(()).unwrap();
+        eventually("the first waiter starts", || lock(&started).len() == 3);
+        assert_eq!(lock(&started)[2], "FT");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(lock(&started).len(), 3, "still two slots");
+        assert_eq!(svc.stats().queue_depth, 1);
+
+        for _ in 0..3 {
+            permits.send(()).unwrap();
+        }
+        for leader in running.into_iter().chain([early, late]) {
+            leader.join().unwrap().unwrap();
+        }
+        assert_eq!(lock(&started)[3], "MatMul");
+        assert_eq!(svc.stats().counters.runs, 4);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn shutdown_cancels_a_waiting_leader_and_returns_after_the_running_job() {
+        let (exec, started, permits) = gated_executor();
+        let svc = Service::new(
+            Config {
+                workers: 1,
+                drain_ms: 20,
+                ..Config::default()
+            },
+            exec,
+        );
+        // The running job's leader takes its time to answer.
+        let answered = Arc::new(AtomicU64::new(0));
+        let running = {
+            let (svc, job, answered) = (
+                Arc::clone(&svc),
+                admit(&svc, &bench("EP")),
+                Arc::clone(&answered),
+            );
+            std::thread::spawn(move || {
+                svc.settle(&job, false, |outcome| {
+                    std::thread::sleep(Duration::from_millis(50));
+                    answered.store(1, Ordering::SeqCst);
+                    outcome
+                })
+            })
+        };
+        eventually("the job starts", || lock(&started).len() == 1);
+        let waiting = lead_on_a_thread(&svc, &admit(&svc, &bench("CG")));
+        eventually("the second leader queues", || svc.stats().queue_depth == 1);
+
+        let (stopped, stop) = mpsc::channel();
+        let (stopper, seen) = (Arc::clone(&svc), Arc::clone(&answered));
         std::thread::spawn(move || {
-            finish(svc, workers);
-            let _ = tx.send(());
+            stopper.shutdown();
+            stopped.send(seen.load(Ordering::SeqCst)).unwrap();
         });
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("shutdown drains and joins both parked workers");
+        let err = waiting.join().unwrap().unwrap_err();
+        assert_eq!(err, shutting_down());
+        assert_eq!(err.http_status(), 503);
+        // Long past `drain_ms`, the in-process job still runs, and
+        // shutdown waits for it.
+        assert!(stop.recv_timeout(Duration::from_millis(200)).is_err());
+        permits.send(()).unwrap();
+        let seen = stop
+            .recv_timeout(Duration::from_secs(10))
+            .expect("shutdown returns once the running job has ended");
+        assert_eq!(seen, 1, "and its leader has answered");
+        running.join().unwrap().unwrap();
+        let st = svc.stats();
+        assert_eq!((st.in_flight, st.queue_depth), (0, 0));
+        assert_eq!((st.counters.runs, st.counters.failures), (1, 1));
+        assert_eq!(lock(&started).len(), 1, "the canceled job never ran");
+    }
+
+    #[test]
+    fn a_submit_after_shutdown_is_canceled_not_queue_full() {
+        let runs = Arc::new(AtomicU64::new(0));
+        let svc = svc(Config::default(), Arc::clone(&runs));
+        svc.shutdown();
+        match svc.submit(req(&bench("EP"))) {
+            Submission::Refused(err) => {
+                assert_eq!(err, JobError::Canceled("server shutting down".to_string()));
+                assert_eq!((err.code(), err.http_status()), ("job_canceled", 503));
+            }
+            _ => panic!("expected job_canceled"),
+        }
+        let st = svc.stats();
+        assert_eq!((st.counters.rejected, st.counters.misses), (0, 0));
+        assert_eq!(runs.load(Ordering::SeqCst), 0);
     }
 
     #[test]

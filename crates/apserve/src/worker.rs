@@ -97,8 +97,8 @@ pub enum KillReason {
     OutputCap,
 }
 
-/// A handle to a running child that both the supervising worker thread
-/// and the shutdown drain can reach: the worker polls it for exit, the
+/// A handle to a running child that both the supervising thread and the
+/// shutdown drain can reach: the supervisor polls it for exit, the
 /// drain kills through it. First kill wins; the reason is remembered so
 /// the reaper can tell a deadline kill from a drain kill.
 pub struct ChildSlot {

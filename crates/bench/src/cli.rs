@@ -881,7 +881,7 @@ mod table {
     const REMODEL: &[Flag] = &[FACTORS, BENCH_OUT, REV];
     const SERVE: &[Flag] = &[
         Flag::new("--addr HOST:PORT", "listen address (default 127.0.0.1:0 = ephemeral port, printed as `listening ADDR`)"),
-        Flag::new("--workers N", "worker threads (default 2)"),
+        Flag::new("--workers N", "jobs executed at once (default 2)"),
         Flag::new("--queue-cap N", "admitted-but-not-running jobs before a 429 (default 8)"),
         Flag::new("--cache-entries N", "memory cache capacity (default 64)"),
         Flag::new("--cache-dir DIR", "persistent disk cache tier"),

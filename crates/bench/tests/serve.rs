@@ -7,13 +7,14 @@
 //!   cold run (status travels in `X-Cache`, never in the body);
 //! - hit/miss/run counters advance exactly as the cache story says
 //!   (`runs == misses`, single-flight);
-//! - two concurrent identical requests simulate exactly once;
 //! - an evicted entry is recomputed byte-identically;
-//! - a full queue yields the structured 429 backpressure document;
 //! - hostile input gets structured 400/404/405/413 errors;
 //! - every answer, whatever its status, is one response whose
 //!   `Content-Length` is exactly its body;
 //! - a disk-tier entry survives a server restart as a `disk-hit`.
+//!
+//! Single-flight over HTTP and the 429 document are checked by the root
+//! package's `tests/serve_smoke.rs`.
 //!
 //! Plus the sandbox failure matrix (DESIGN.md §11's worker-supervision
 //! contract):
@@ -97,66 +98,6 @@ fn repeated_request_is_cached_byte_identical() {
     assert_eq!(cache_counter(&st, "misses"), 1);
     assert_eq!(cache_counter(&st, "hits"), 1);
     assert_eq!(cache_counter(&st, "runs"), 1, "one simulation, not two");
-    handle.shutdown();
-}
-
-#[test]
-fn concurrent_identical_requests_simulate_exactly_once() {
-    let (handle, addr) = test_server(cfg());
-    // A slow job gives the second submission time to arrive while the
-    // first is still executing.
-    let job = r#"{"kind":"sleep","ms":500}"#;
-    let a = {
-        let addr = addr.clone();
-        std::thread::spawn(move || client::submit(&addr, job).unwrap())
-    };
-    std::thread::sleep(std::time::Duration::from_millis(120));
-    let b = client::submit(&addr, job).unwrap();
-    let a = a.join().unwrap();
-    assert_eq!((a.status, b.status), (200, 200));
-    assert_eq!(a.body, b.body, "both callers get the same bytes");
-    let statuses = [a.header("x-cache").unwrap(), b.header("x-cache").unwrap()];
-    assert!(
-        statuses.contains(&"miss") && statuses.contains(&"join"),
-        "one miss, one join; got {statuses:?}"
-    );
-    let st = stats(&addr);
-    assert_eq!(cache_counter(&st, "runs"), 1, "exactly one execution");
-    assert_eq!(cache_counter(&st, "misses"), 1);
-    assert_eq!(cache_counter(&st, "joins"), 1);
-    handle.shutdown();
-}
-
-#[test]
-fn full_queue_gets_the_structured_backpressure_error() {
-    let (handle, addr) = test_server(Config {
-        workers: 1,
-        queue_cap: 1,
-        ..cfg()
-    });
-    // Occupy the single worker, then the single queue slot, with
-    // distinct slow jobs; the third distinct job must bounce.
-    let slow: Vec<_> = [600u64, 601]
-        .into_iter()
-        .map(|ms| {
-            let addr = addr.clone();
-            let t = std::thread::spawn(move || {
-                client::submit(&addr, &format!(r#"{{"kind":"sleep","ms":{ms}}}"#)).unwrap()
-            });
-            std::thread::sleep(std::time::Duration::from_millis(120));
-            t
-        })
-        .collect();
-    let rejected = client::submit(&addr, r#"{"kind":"sleep","ms":602}"#).unwrap();
-    assert_eq!(rejected.status, 429, "{}", rejected.body_str());
-    assert_eq!(rejected.header("retry-after"), Some("1"));
-    let doc = Json::parse(&rejected.body_str()).unwrap();
-    assert_eq!(doc.get("error").and_then(Json::as_str), Some("queue_full"));
-    assert_eq!(doc.get("capacity").and_then(Json::as_u64), Some(1));
-    for t in slow {
-        assert_eq!(t.join().unwrap().status, 200);
-    }
-    assert_eq!(cache_counter(&stats(&addr), "rejected"), 1);
     handle.shutdown();
 }
 
@@ -506,7 +447,7 @@ fn submit_retry_rides_out_backpressure() {
         queue_cap: 1,
         ..cfg()
     });
-    // Occupy the single worker and the single queue slot.
+    // Occupy the single execution slot and the single queue place.
     let slow: Vec<_> = [800u64, 801]
         .into_iter()
         .map(|ms| {

@@ -10,11 +10,19 @@
 //! - a disk tier that cannot be written (`cache_dir` names a regular
 //!   file) is one `disk_write_failures` count, not an error: the job
 //!   answers and the memory tier serves every resubmit.
+//!
+//! And the admission decision, through `apserve::client`:
+//!
+//! - two concurrent identical requests simulate exactly once (one
+//!   `miss`, one `join`);
+//! - with every execution slot and queue place taken, the next distinct
+//!   job gets the structured 429 backpressure document.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use apserve::{client, serve, Config};
 use aputil::Json;
 
 /// The answer to one request on a fresh connection.
@@ -107,4 +115,91 @@ fn sixty_four_serial_exchanges_leave_nothing_open() {
     assert_eq!(cache("disk_write_failures"), Some(1));
     handle.shutdown();
     let _ = std::fs::remove_file(&file);
+}
+
+fn test_server(cfg: Config) -> (apserve::ServerHandle, String) {
+    let handle = serve(cfg, apbench::simulator_executor()).expect("bind server");
+    let addr = handle.addr.to_string();
+    (handle, addr)
+}
+
+fn cfg() -> Config {
+    Config {
+        addr: "127.0.0.1:0".to_string(),
+        allow_sleep: true,
+        ..Config::default()
+    }
+}
+
+fn stats(addr: &str) -> Json {
+    let resp = client::get(addr, "/stats").expect("GET /stats");
+    assert_eq!(resp.status, 200);
+    Json::parse(&resp.body_str()).expect("stats parses")
+}
+
+fn cache_counter(st: &Json, name: &str) -> u64 {
+    st.get("cache")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("counter {name} missing from {st}"))
+}
+
+#[test]
+fn concurrent_identical_requests_simulate_exactly_once() {
+    let (handle, addr) = test_server(cfg());
+    // A slow job gives the second submission time to arrive while the
+    // first is still executing.
+    let job = r#"{"kind":"sleep","ms":500}"#;
+    let a = {
+        let addr = addr.clone();
+        std::thread::spawn(move || client::submit(&addr, job).unwrap())
+    };
+    std::thread::sleep(std::time::Duration::from_millis(120));
+    let b = client::submit(&addr, job).unwrap();
+    let a = a.join().unwrap();
+    assert_eq!((a.status, b.status), (200, 200));
+    assert_eq!(a.body, b.body, "both callers get the same bytes");
+    let statuses = [a.header("x-cache").unwrap(), b.header("x-cache").unwrap()];
+    assert!(
+        statuses.contains(&"miss") && statuses.contains(&"join"),
+        "one miss, one join; got {statuses:?}"
+    );
+    let st = stats(&addr);
+    assert_eq!(cache_counter(&st, "runs"), 1, "exactly one execution");
+    assert_eq!(cache_counter(&st, "misses"), 1);
+    assert_eq!(cache_counter(&st, "joins"), 1);
+    handle.shutdown();
+}
+
+#[test]
+fn full_queue_gets_the_structured_backpressure_error() {
+    let (handle, addr) = test_server(Config {
+        workers: 1,
+        queue_cap: 1,
+        ..cfg()
+    });
+    // Occupy the single execution slot, then the single queue place, with
+    // distinct slow jobs; the third distinct job must bounce.
+    let slow: Vec<_> = [600u64, 601]
+        .into_iter()
+        .map(|ms| {
+            let addr = addr.clone();
+            let t = std::thread::spawn(move || {
+                client::submit(&addr, &format!(r#"{{"kind":"sleep","ms":{ms}}}"#)).unwrap()
+            });
+            std::thread::sleep(std::time::Duration::from_millis(120));
+            t
+        })
+        .collect();
+    let rejected = client::submit(&addr, r#"{"kind":"sleep","ms":602}"#).unwrap();
+    assert_eq!(rejected.status, 429, "{}", rejected.body_str());
+    assert_eq!(rejected.header("retry-after"), Some("1"));
+    let doc = Json::parse(&rejected.body_str()).unwrap();
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("queue_full"));
+    assert_eq!(doc.get("capacity").and_then(Json::as_u64), Some(1));
+    for t in slow {
+        assert_eq!(t.join().unwrap().status, 200);
+    }
+    assert_eq!(cache_counter(&stats(&addr), "rejected"), 1);
+    handle.shutdown();
 }
