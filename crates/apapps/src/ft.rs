@@ -12,8 +12,8 @@
 //! cell need acknowledgment"; the VPP runtime short-circuits them), so
 //! each transpose is P−1 acknowledged stride PUTs per cell.
 
-use crate::util::fft::{fft_flops, fft_inplace};
-use crate::util::lcg::NpbRandom;
+use crate::util::fft::{fft_flops, FftPlan};
+use crate::util::lcg::{NpbRandom, SEED};
 use crate::{Scale, Workload};
 use apcore::{run, ApError, ApResult, FaultSpec, MachineConfig, RunReport, StrideSpec, VAddr};
 
@@ -67,105 +67,57 @@ impl Ft {
         crate::must_divide(self, "nz", nz)
     }
 
-    /// Initial field value pair (re, im) at flat index `g`.
-    fn seed_at(g: u64) -> (f64, f64) {
-        let mut r = NpbRandom::skip_to(crate::util::lcg::SEED, 2 * g);
-        (r.next_f64() - 0.5, r.next_f64() - 0.5)
+    /// The initial field of the cell `me` of `p`: its Z-slab, interleaved
+    /// `(re, im)` in `(z, y, x)` order. The slab is one contiguous run of
+    /// the field's flat indices, so one LCG skip seeds all of it.
+    fn seed_slab(&self, me: usize, p: usize) -> Vec<f64> {
+        let points = self.nx * self.ny * self.nz / p;
+        field_from(me * points)
+            .take(points)
+            .flat_map(|(re, im)| [re, im])
+            .collect()
     }
 
-    /// The time-evolution factor for wavenumber flat index `g` at step `t`
-    /// (a stand-in for NPB's Gaussian evolution kernel — deterministic and
-    /// magnitude-decaying).
-    fn evolve_factor(&self, x: usize, y: usize, z: usize, t: usize) -> f64 {
-        let kx = x.min(self.nx - x) as f64;
-        let ky = y.min(self.ny - y) as f64;
-        let kz = z.min(self.nz - z) as f64;
-        let k2 = kx * kx + ky * ky + kz * kz;
-        (-1e-4 * k2 * t as f64).exp()
+    /// The squared wavenumber magnitude `k²` of grid point `(x, y, z)`.
+    fn k2(&self, x: usize, y: usize, z: usize) -> usize {
+        let k = |i: usize, n: usize| i.min(n - i).pow(2);
+        k(x, self.nx) + k(y, self.ny) + k(z, self.nz)
     }
 
-    /// Sequential reference: returns `(re, im)` checksums per iteration.
+    /// The time-evolution factors of step `t`, indexed by [`Self::k2`] (a
+    /// stand-in for NPB's Gaussian evolution kernel — deterministic,
+    /// magnitude-decaying, and 1 at the DC term `k² = 0`).
+    fn evolve_factors(&self, t: usize) -> Vec<f64> {
+        let k2_max = self.k2(self.nx / 2, self.ny / 2, self.nz / 2);
+        (0..=k2_max)
+            .map(|k2| (-1e-4 * k2 as f64 * t as f64).exp())
+            .collect()
+    }
+
+    /// The `(re, im)` checksum each iteration must produce: the sum of the
+    /// initial field, in closed form.
+    ///
+    /// An iteration's checksum sums the inverse transform of the evolved
+    /// spectrum, which is that spectrum's DC coefficient. Evolution scales
+    /// the DC term by 1, and the forward transform's DC term is the sum of
+    /// the field, so every iteration must return the sum of the seeds. The
+    /// check therefore witnesses that the data's sum survives the FFTs and
+    /// both transposes, and that the DC coefficient stays in place. It says
+    /// nothing else about the transpose's permutation or the evolution: a
+    /// transpose that swaps two other points passes it.
     pub fn reference(&self) -> Vec<(f64, f64)> {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let n = nx * ny * nz;
-        let mut u: Vec<f64> = Vec::with_capacity(2 * n);
-        for g in 0..n as u64 {
-            let (re, im) = Self::seed_at(g);
-            u.push(re);
-            u.push(im);
-        }
-        // Forward 3-D FFT.
-        fft3(&mut u, nx, ny, nz, false);
-        let u1 = u.clone();
-        let mut sums = Vec::new();
-        for t in 1..=self.iters {
-            // Evolve the saved spectrum.
-            let mut v = u1.clone();
-            for z in 0..nz {
-                for y in 0..ny {
-                    for x in 0..nx {
-                        let f = self.evolve_factor(x, y, z, t);
-                        let idx = 2 * ((z * ny + y) * nx + x);
-                        v[idx] *= f;
-                        v[idx + 1] *= f;
-                    }
-                }
-            }
-            fft3(&mut v, nx, ny, nz, true);
-            let mut sr = 0.0;
-            let mut si = 0.0;
-            for g in 0..n {
-                sr += v[2 * g];
-                si += v[2 * g + 1];
-            }
-            sums.push((sr, si));
-        }
-        sums
+        let sum = field_from(0)
+            .take(self.nx * self.ny * self.nz)
+            .fold((0.0, 0.0), |(sr, si), (re, im)| (sr + re, si + im));
+        vec![sum; self.iters]
     }
 }
 
-/// Sequential in-place 3-D FFT on a `(z, y, x)`-ordered interleaved cube.
-fn fft3(u: &mut [f64], nx: usize, ny: usize, nz: usize, inverse: bool) {
-    // Along x: contiguous lines.
-    let mut line = vec![0.0f64; 2 * nx.max(ny).max(nz)];
-    for z in 0..nz {
-        for y in 0..ny {
-            let base = 2 * ((z * ny + y) * nx);
-            fft_inplace(&mut u[base..base + 2 * nx], nx, inverse);
-        }
-    }
-    // Along y: gather stride nx.
-    for z in 0..nz {
-        for x in 0..nx {
-            for y in 0..ny {
-                let idx = 2 * ((z * ny + y) * nx + x);
-                line[2 * y] = u[idx];
-                line[2 * y + 1] = u[idx + 1];
-            }
-            fft_inplace(&mut line[..2 * ny], ny, inverse);
-            for y in 0..ny {
-                let idx = 2 * ((z * ny + y) * nx + x);
-                u[idx] = line[2 * y];
-                u[idx + 1] = line[2 * y + 1];
-            }
-        }
-    }
-    // Along z: gather stride nx*ny.
-    for y in 0..ny {
-        for x in 0..nx {
-            for z in 0..nz {
-                let idx = 2 * ((z * ny + y) * nx + x);
-                line[2 * z] = u[idx];
-                line[2 * z + 1] = u[idx + 1];
-            }
-            fft_inplace(&mut line[..2 * nz], nz, inverse);
-            for z in 0..nz {
-                let idx = 2 * ((z * ny + y) * nx + x);
-                u[idx] = line[2 * z];
-                u[idx + 1] = line[2 * z + 1];
-            }
-        }
-    }
+/// The field's `(re, im)` values from flat index `g` on: NPB-LCG deviates
+/// `2g, 2g + 1, …` of the stream, each shifted by −0.5.
+fn field_from(g: usize) -> impl Iterator<Item = (f64, f64)> {
+    let mut r = NpbRandom::skip_to(SEED, 2 * g as u64);
+    std::iter::repeat_with(move || (r.next_f64() - 0.5, r.next_f64() - 0.5))
 }
 
 impl Workload for Ft {
@@ -190,6 +142,11 @@ impl Workload for Ft {
         self.check()?;
         let cfg = *self;
         let reference = cfg.reference();
+        // One plan per axis, `[forward, inverse]`, and one factor table per
+        // step, shared by every cell.
+        let [plan_x, plan_y, plan_z] =
+            [cfg.nx, cfg.ny, cfg.nz].map(|n| [FftPlan::new(n, false), FftPlan::new(n, true)]);
+        let factors: Vec<Vec<f64>> = (1..=cfg.iters).map(|t| cfg.evolve_factors(t)).collect();
         run(machine, None, async |cell| {
             let me = cell.id();
             let p = cell.ncells();
@@ -204,41 +161,29 @@ impl Workload for Ft {
             let mut arrivals = 0u32;
 
             // ---- init my slab (z in [me*nzb, (me+1)*nzb)) -------------
-            let mut a = vec![0.0f64; slab];
-            for zz in 0..nzb {
-                let z = me * nzb + zz;
-                for y in 0..ny {
-                    for x in 0..nx {
-                        let g = ((z * ny + y) * nx + x) as u64;
-                        let (re, im) = Ft::seed_at(g);
-                        let idx = 2 * ((zz * ny + y) * nx + x);
-                        a[idx] = re;
-                        a[idx + 1] = im;
-                    }
-                }
-            }
+            let mut a = cfg.seed_slab(me, p);
             cell.work((nx * ny * nzb) as u64 * 4);
             cell.barrier();
 
             // Local x/y FFTs on the slab.
             let fft_xy = |cell: &mut apcore::Cell, a: &mut Vec<f64>, inverse: bool| {
+                let (px, py) = (&plan_x[usize::from(inverse)], &plan_y[usize::from(inverse)]);
                 let mut line = vec![0.0f64; 2 * ny];
-                for zz in 0..nzb {
-                    for y in 0..ny {
-                        let base = 2 * ((zz * ny + y) * nx);
-                        fft_inplace(&mut a[base..base + 2 * nx], nx, inverse);
+                for plane in a.chunks_exact_mut(2 * nx * ny) {
+                    for row in plane.chunks_exact_mut(2 * nx) {
+                        px.apply(row);
                     }
                     for x in 0..nx {
                         for y in 0..ny {
-                            let idx = 2 * ((zz * ny + y) * nx + x);
-                            line[2 * y] = a[idx];
-                            line[2 * y + 1] = a[idx + 1];
+                            let idx = 2 * (y * nx + x);
+                            line[2 * y] = plane[idx];
+                            line[2 * y + 1] = plane[idx + 1];
                         }
-                        fft_inplace(&mut line[..2 * ny], ny, inverse);
+                        py.apply(&mut line);
                         for y in 0..ny {
-                            let idx = 2 * ((zz * ny + y) * nx + x);
-                            a[idx] = line[2 * y];
-                            a[idx + 1] = line[2 * y + 1];
+                            let idx = 2 * (y * nx + x);
+                            plane[idx] = line[2 * y];
+                            plane[idx + 1] = line[2 * y + 1];
                         }
                     }
                 }
@@ -362,11 +307,8 @@ impl Workload for Ft {
 
             // FFT along z on the pencil (contiguous lines).
             let fft_z = |cell: &mut apcore::Cell, b: &mut Vec<f64>, inverse: bool| {
-                for xx in 0..nxb {
-                    for y in 0..ny {
-                        let base = 2 * ((xx * ny + y) * nz);
-                        fft_inplace(&mut b[base..base + 2 * nz], nz, inverse);
-                    }
+                for line in b.chunks_exact_mut(2 * nz) {
+                    plan_z[usize::from(inverse)].apply(line);
                 }
                 cell.work((nxb * ny) as u64 * fft_flops(nz));
             };
@@ -383,7 +325,7 @@ impl Workload for Ft {
                     let x = me * nxb + xx;
                     for y in 0..ny {
                         for z in 0..nz {
-                            let f = cfg.evolve_factor(x, y, z, t);
+                            let f = factors[t - 1][cfg.k2(x, y, z)];
                             let idx = 2 * ((xx * ny + y) * nz + z);
                             v[idx] *= f;
                             v[idx + 1] *= f;
@@ -432,12 +374,143 @@ mod tests {
         assert!(row.sync > 0.0);
     }
 
+    /// Sequential in-place 3-D FFT on a `(z, y, x)`-ordered interleaved cube.
+    fn fft3(u: &mut [f64], nx: usize, ny: usize, nz: usize, inverse: bool) {
+        let [px, py, pz] = [nx, ny, nz].map(|n| FftPlan::new(n, inverse));
+        // Along x: contiguous lines.
+        let mut line = vec![0.0f64; 2 * nx.max(ny).max(nz)];
+        for row in u.chunks_exact_mut(2 * nx) {
+            px.apply(row);
+        }
+        // Along y: gather stride nx.
+        for z in 0..nz {
+            for x in 0..nx {
+                for y in 0..ny {
+                    let idx = 2 * ((z * ny + y) * nx + x);
+                    line[2 * y] = u[idx];
+                    line[2 * y + 1] = u[idx + 1];
+                }
+                py.apply(&mut line[..2 * ny]);
+                for y in 0..ny {
+                    let idx = 2 * ((z * ny + y) * nx + x);
+                    u[idx] = line[2 * y];
+                    u[idx + 1] = line[2 * y + 1];
+                }
+            }
+        }
+        // Along z: gather stride nx*ny.
+        for y in 0..ny {
+            for x in 0..nx {
+                for z in 0..nz {
+                    let idx = 2 * ((z * ny + y) * nx + x);
+                    line[2 * z] = u[idx];
+                    line[2 * z + 1] = u[idx + 1];
+                }
+                pz.apply(&mut line[..2 * nz]);
+                for z in 0..nz {
+                    let idx = 2 * ((z * ny + y) * nx + x);
+                    u[idx] = line[2 * z];
+                    u[idx + 1] = line[2 * z + 1];
+                }
+            }
+        }
+    }
+
+    /// The serial pipeline the cells run: forward 3-D FFT, then per
+    /// iteration evolve, inverse-transform and sum.
+    fn fft3_checksums(cfg: &Ft) -> Vec<(f64, f64)> {
+        let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);
+        let mut u1 = cfg.seed_slab(0, 1);
+        fft3(&mut u1, nx, ny, nz, false);
+        (1..=cfg.iters)
+            .map(|t| {
+                let factors = cfg.evolve_factors(t);
+                let mut v = u1.clone();
+                for z in 0..nz {
+                    for y in 0..ny {
+                        for x in 0..nx {
+                            let f = factors[cfg.k2(x, y, z)];
+                            let idx = 2 * ((z * ny + y) * nx + x);
+                            v[idx] *= f;
+                            v[idx + 1] *= f;
+                        }
+                    }
+                }
+                fft3(&mut v, nx, ny, nz, true);
+                v.chunks_exact(2)
+                    .fold((0.0, 0.0), |(sr, si), c| (sr + c[0], si + c[1]))
+            })
+            .collect()
+    }
+
     #[test]
-    fn reference_checksums_decay_with_evolution() {
+    fn reference_checksums_are_the_same_every_iteration() {
         let cfg = Ft::new(Scale::Test);
         let sums = cfg.reference();
         assert_eq!(sums.len(), cfg.iters);
-        assert!(sums.iter().all(|(r, i)| r.is_finite() && i.is_finite()));
+        assert!(sums[0].0.is_finite() && sums[0].1.is_finite());
+        assert!(sums.iter().all(|s| *s == sums[0]), "{sums:?}");
+    }
+
+    #[test]
+    fn the_closed_form_equals_the_serial_fft_pipeline() {
+        let non_cubic = Ft {
+            pe: 4,
+            nx: 8,
+            ny: 4,
+            nz: 16,
+            iters: 2,
+        };
+        for cfg in [Ft::new(Scale::Test), non_cubic] {
+            let (want, got) = (fft3_checksums(&cfg), cfg.reference());
+            assert_eq!(want.len(), got.len());
+            for ((wr, wi), (gr, gi)) in want.into_iter().zip(got) {
+                let scale = wr.abs().max(wi.abs());
+                assert!(
+                    (gr - wr).abs() / scale < 1e-12 && (gi - wi).abs() / scale < 1e-12,
+                    "{cfg:?}: closed form ({gr}, {gi}) vs pipeline ({wr}, {wi})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_skip_per_slab_equals_one_skip_per_point() {
+        let wide = Ft {
+            pe: 4,
+            nx: 16,
+            ny: 8,
+            nz: 16,
+            iters: 1,
+        };
+        for cfg in [Ft::new(Scale::Test), wide] {
+            let (nx, ny, p) = (cfg.nx, cfg.ny, cfg.pe as usize);
+            let nzb = cfg.nz / p;
+            for me in 0..p {
+                let mut want = Vec::new();
+                for z in me * nzb..(me + 1) * nzb {
+                    for g in (z * ny * nx) as u64..((z + 1) * ny * nx) as u64 {
+                        let mut r = NpbRandom::skip_to(SEED, 2 * g);
+                        want.push((r.next_f64() - 0.5).to_bits());
+                        want.push((r.next_f64() - 0.5).to_bits());
+                    }
+                }
+                let got: Vec<u64> = cfg.seed_slab(me, p).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{cfg:?}: cell {me}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_axis_of_extent_one_runs() {
+        let flat = Ft {
+            pe: 4,
+            nx: 8,
+            ny: 1,
+            nz: 8,
+            iters: 1,
+        };
+        flat.run().unwrap();
     }
 
     #[test]
