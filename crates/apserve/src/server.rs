@@ -650,4 +650,101 @@ mod tests {
         assert_eq!(parked(&pool), 1, "the fresh handler parks");
         pool.close();
     }
+
+    /// Threads in process `pid`.
+    #[cfg(target_os = "linux")]
+    fn threads(pid: u32) -> usize {
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("/proc/<pid>/task");
+        tasks.count()
+    }
+
+    /// The server of `a_soaked_server_keeps_its_thread_bound`, alone in a
+    /// process of its own: that test re-runs this binary for it. Run any
+    /// other way, it returns at once.
+    #[cfg(target_os = "linux")]
+    #[test]
+    #[ignore = "the server process a_soaked_server_keeps_its_thread_bound starts"]
+    fn a_server_in_a_process_of_its_own() {
+        let parent =
+            std::fs::read_link(format!("/proc/{}/exe", std::os::unix::process::parent_id()));
+        if parent.ok() != std::env::current_exe().ok() {
+            return;
+        }
+        let harness = threads(std::process::id());
+        let dir = std::env::temp_dir().join(format!("apserve-soak-{}", std::process::id()));
+        let cfg = Config {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            queue_cap: 1,
+            cache_entries: 64,
+            cache_dir: Some(dir.clone()),
+            ..Config::default()
+        };
+        let handle = serve(cfg, Arc::new(|_| Ok("{}".to_string()))).expect("bind server");
+        println!("listening {} with {harness} threads before it", handle.addr);
+        let _ = std::io::stdin().read_to_end(&mut Vec::new());
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `repro serve` process is its main thread, the accept loop and at
+    /// most [`MAX_IDLE_HANDLERS`] parked handlers once a burst wider than
+    /// the cap and a hundred serial jobs are answered. The server runs in
+    /// a child process, so the count is every thread it has.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_soaked_server_keeps_its_thread_bound() {
+        use std::io::{BufRead, Write};
+        use std::process::{Command, Stdio};
+
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args(["server::tests::a_server_in_a_process_of_its_own", "--exact"])
+            .args(["--ignored", "--nocapture", "--test-threads=1"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("re-run this test binary");
+        // The harness may print the test's name on the same line first.
+        let lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        let mut bind = lines.map_while(Result::ok).filter_map(|l| {
+            let words = l.split_once("listening ")?.1.to_string();
+            Some(words.split(' ').map(str::to_string).collect::<Vec<_>>())
+        });
+        let words = bind.next().expect("the server's address");
+        let (addr, harness) = (words[0].as_str(), words[2].parse::<usize>().unwrap());
+
+        // Every connection is open before any request is sent, so each
+        // one holds a handler of its own.
+        let burst: Vec<TcpStream> = (0..MAX_IDLE_HANDLERS + 8)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        for mut conn in burst {
+            conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let mut answer = Vec::new();
+            conn.read_to_end(&mut answer).unwrap();
+            assert!(answer.starts_with(b"HTTP/1.1 200"));
+        }
+        let job = r#"{"kind":"bench","apps":["EP"],"scale":"test"}"#;
+        for i in 0..100 {
+            let answer = crate::client::submit(addr, job).unwrap();
+            assert_eq!(answer.status, 200, "job {i}: {}", answer.body_str());
+        }
+        let stats = crate::client::get(addr, "/stats").unwrap();
+        let stats = Json::parse(&stats.body_str()).unwrap();
+        for gauge in ["in_flight", "queue_depth"] {
+            let value = stats.get("gauges").and_then(|g| g.get(gauge));
+            assert_eq!(value.and_then(Json::as_u64), Some(0), "{gauge}");
+        }
+
+        // Of the `harness` threads the child had before the server, one
+        // started it, as `repro serve`'s main thread does.
+        let bound = 2 + MAX_IDLE_HANDLERS;
+        eventually("the handlers past the cap exit", || {
+            let as_repro_serve = threads(child.id()) + 1 - harness;
+            as_repro_serve <= bound
+        });
+        drop(child.stdin.take());
+        assert!(child.wait().unwrap().success());
+    }
 }

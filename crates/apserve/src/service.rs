@@ -527,7 +527,7 @@ impl Service {
             Ok(Ok(body)) => RunOutcome::Ok(body.into_bytes()),
             Ok(Err(msg)) => RunOutcome::CleanFail(msg),
             Err(payload) => RunOutcome::Crashed {
-                status: "panic in worker thread".to_string(),
+                status: "panic in the connection handler running the job".to_string(),
                 stderr_tail: aputil::panic_message(payload.as_ref()),
             },
         }

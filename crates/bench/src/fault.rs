@@ -4,9 +4,9 @@
 //! with one shared [`FaultSpec`], fanning the apps across host threads
 //! exactly like [`crate::run_sweep`], and renders one merged text report
 //! **deterministically in app order** — byte-identical for any thread
-//! count, which is what the CI `fault-smoke` job asserts. A grid point
-//! whose schedule is unsurvivable (or whose workload has no fault
-//! support) becomes a structured failure line, never a hang.
+//! count, which `repro pins` asserts for the `paper/fault.txt` row. A
+//! grid point whose schedule is unsurvivable (or whose workload has no
+//! fault support) becomes a structured failure line, never a hang.
 
 use crate::sweep::build_workload;
 use apapps::Scale;

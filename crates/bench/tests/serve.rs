@@ -334,33 +334,13 @@ fn every_status_is_one_length_delimited_response() {
 }
 
 /// End-to-end through the binaries: `repro serve` on an ephemeral port,
-/// `repro submit` as the client — the exact workflow CI's serve-smoke
-/// job drives.
+/// `repro submit` as the client.
 #[test]
 fn repro_serve_and_submit_round_trip() {
-    use std::io::BufRead;
-    use std::process::{Command, Stdio};
-
-    let mut server = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--allow-sleep"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("start repro serve");
-    let stdout = server.stdout.take().unwrap();
-    let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("read bind line");
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected bind line {first_line:?}"))
-        .to_string();
-
+    let server = ReproServe::start(&["--allow-sleep"]);
     let submit = |extra: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["submit", "--addr", &addr])
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["submit", "--addr", &server.addr])
             .args(extra)
             .output()
             .expect("run repro submit")
@@ -433,8 +413,7 @@ fn repro_serve_and_submit_round_trip() {
     // Remote shutdown stops the foreground server process.
     let down = submit(&["--shutdown"]);
     assert!(down.status.success());
-    let status = server.wait().expect("server exits after /shutdown");
-    assert!(status.success());
+    server.exits_cleanly();
 }
 
 /// `repro submit --retry N` rides out 429 backpressure: without the
@@ -524,9 +503,9 @@ fn gauge(st: &Json, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("gauge {name} missing from {st}"))
 }
 
-/// Every live process whose cmdline carries the given tag marker.
+/// Every live process whose argv `pick` accepts.
 #[cfg(target_os = "linux")]
-fn pids_with_marker(marker: &str) -> Vec<u32> {
+fn pids_where(pick: impl Fn(&[&str]) -> bool) -> Vec<u32> {
     let mut out = Vec::new();
     let Ok(entries) = std::fs::read_dir("/proc") else {
         return out;
@@ -538,14 +517,19 @@ fn pids_with_marker(marker: &str) -> Vec<u32> {
         let Ok(cmd) = std::fs::read(format!("/proc/{pid}/cmdline")) else {
             continue;
         };
-        if String::from_utf8_lossy(&cmd)
-            .replace('\0', " ")
-            .contains(marker)
-        {
+        let cmd = String::from_utf8_lossy(&cmd);
+        let argv: Vec<&str> = cmd.split_terminator('\0').collect();
+        if pick(&argv) {
             out.push(pid);
         }
     }
     out
+}
+
+/// Every live process whose cmdline carries the given tag marker.
+#[cfg(target_os = "linux")]
+fn pids_with_marker(marker: &str) -> Vec<u32> {
+    pids_where(|argv| argv.join(" ").contains(marker))
 }
 
 #[cfg(target_os = "linux")]
@@ -781,4 +765,187 @@ fn shutdown_drains_and_kills_in_flight_children() {
         pids_with_marker("--tag=drain").is_empty(),
         "drain left a job-exec child running"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Whole-process bounds of a `repro serve` child
+// ---------------------------------------------------------------------------
+
+/// A `repro serve` child process. The soaks below read the bounds only a
+/// whole process shows off it: its open files and its own children.
+struct ReproServe {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl ReproServe {
+    fn start(flags: &[&str]) -> ReproServe {
+        use std::io::BufRead;
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("start repro serve");
+        let mut bind = String::new();
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut bind)
+            .expect("read bind line");
+        let addr = bind.trim().strip_prefix("listening ");
+        let addr = addr.unwrap_or_else(|| panic!("unexpected bind line {bind:?}"));
+        let addr = addr.to_string();
+        ReproServe { child, addr }
+    }
+
+    #[cfg(target_os = "linux")]
+    fn open_fds(&self) -> usize {
+        let fds = std::fs::read_dir(format!("/proc/{}/fd", self.child.id()));
+        fds.expect("/proc/<pid>/fd").count()
+    }
+
+    /// `POST /shutdown`, then [`ReproServe::exits_cleanly`].
+    fn shut_down(self) {
+        let resp = client::request(&self.addr, "POST", "/shutdown", b"").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        self.exits_cleanly();
+    }
+
+    /// The process exits, successfully, within 10 s.
+    fn exits_cleanly(mut self) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().unwrap() {
+                break status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "server did not exit after /shutdown"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        assert!(status.success(), "{status}");
+    }
+}
+
+/// A failed test leaves no server running.
+impl Drop for ReproServe {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The `repro job-exec` workers of a `repro serve --sandbox` child: the
+/// sandbox tests above tag theirs, and the server spawns them untagged.
+#[cfg(target_os = "linux")]
+fn untagged_job_execs() -> Vec<u32> {
+    pids_where(|argv| argv.len() == 2 && argv[1] == "job-exec")
+}
+
+#[cfg(target_os = "linux")]
+fn temp_cache_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("apserve-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_soaked_repro_serve_holds_fewer_than_32_fds() {
+    let dir = temp_cache_dir("soak");
+    let server = ReproServe::start(&[
+        "--workers",
+        "2",
+        "--queue-cap",
+        "1",
+        "--cache-entries",
+        "64",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "--allow-sleep",
+    ]);
+    for i in 0..=100 {
+        let resp = client::submit(&server.addr, EP_BENCH).unwrap();
+        assert_eq!(resp.status, 200, "request {i}: {}", resp.body_str());
+    }
+    let st = stats(&server.addr);
+    assert_eq!(
+        cache_counter(&st, "runs"),
+        1,
+        "every later request is a hit"
+    );
+    assert_eq!(gauge(&st, "in_flight"), 0);
+    assert_eq!(gauge(&st, "queue_depth"), 0);
+    let fds = server.open_fds();
+    assert!(fds < 32, "server fds: {fds}");
+    server.shut_down();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_sandboxed_soak_with_crashers_leaves_no_child_behind() {
+    let dir = temp_cache_dir("sandbox-soak");
+    let server = ReproServe::start(&[
+        "--workers",
+        "2",
+        "--cache-entries",
+        "64",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+        "--disk-cache-bytes",
+        "1000000",
+        "--allow-sleep",
+        "--sandbox",
+        "--job-timeout",
+        "2000",
+        "--drain-ms",
+        "500",
+    ]);
+    for i in 1..=50 {
+        if i % 5 == 0 {
+            let crasher = format!(r#"{{"kind":"sleep","ms":{i},"crash":"abort"}}"#);
+            let resp = client::submit(&server.addr, &crasher).unwrap();
+            assert_eq!(resp.status, 500, "request {i}: {}", resp.body_str());
+        } else {
+            let resp = client::submit(&server.addr, EP_BENCH).unwrap();
+            assert_eq!(resp.status, 200, "request {i}: {}", resp.body_str());
+        }
+    }
+    let st = stats(&server.addr);
+    for name in ["in_flight", "queue_depth", "children"] {
+        assert_eq!(gauge(&st, name), 0, "{name}");
+    }
+    let fds = server.open_fds();
+    assert!(fds < 32, "server fds: {fds}");
+    assert_eq!(
+        untagged_job_execs(),
+        Vec::<u32>::new(),
+        "orphaned job-exec workers"
+    );
+
+    // Shutdown drains: the running job's worker is killed and the job is
+    // answered, and nothing is left running.
+    let addr = server.addr.clone();
+    let slow = std::thread::spawn(move || {
+        client::submit(&addr, r#"{"kind":"sleep","ms":10000}"#).unwrap()
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while untagged_job_execs().is_empty() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the slow job never started"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    server.shut_down();
+    let resp = slow.join().unwrap();
+    assert_eq!(resp.status, 503, "{}", resp.body_str());
+    assert_eq!(
+        untagged_job_execs(),
+        Vec::<u32>::new(),
+        "drain left a job-exec worker"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

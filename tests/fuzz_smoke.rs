@@ -5,10 +5,10 @@
 //! crate docs for the full invariant list.
 //!
 //! On failure the program is shrunk and printed as a standalone RON
-//! reproducer; set `APFUZZ_WRITE_CORPUS=1` to also write it into the
-//! repository-root `tests/corpus/` directory for permanent regression
-//! coverage. Scale the sweep up with `APFUZZ_SEEDS=<n>` (default 70 per
-//! machine size, ~210 programs, well under the 30 s smoke budget).
+//! reproducer; set `APFUZZ_WRITE_CORPUS=1` to also write it into
+//! `tests/corpus/` for permanent regression coverage. Tier-1 sweeps
+//! [`SEEDS`] programs per machine size (~210 programs, a few seconds);
+//! CI runs the `#[ignore]`d [`CI_SEEDS`] sweep in release.
 
 use apfuzz::{gen_big_chunk, gen_program, run_program, shrink, to_ron, FuzzProgram, Plan};
 
@@ -23,7 +23,7 @@ fn check(prog: &FuzzProgram) {
     min.expect_error = Plan::build(&min).expect_error.clone();
     let ron = to_ron(&min);
     if std::env::var("APFUZZ_WRITE_CORPUS").as_deref() == Ok("1") {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
         std::fs::create_dir_all(dir).expect("create corpus dir");
         let path = format!("{dir}/shrunk-seed{}-n{}.ron", min.seed, min.ncells);
         std::fs::write(&path, &ron).expect("write corpus file");
@@ -47,22 +47,30 @@ fn check(prog: &FuzzProgram) {
     );
 }
 
-fn seeds_per_size() -> u64 {
-    std::env::var("APFUZZ_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(70)
-}
+/// Programs per machine size in the tier-1 sweep.
+const SEEDS: u64 = 70;
+/// Programs per machine size in the full sweep.
+const CI_SEEDS: u64 = 400;
 
-/// The main sweep: random programs on a power-of-two, a prime, and an
-/// odd-composite machine.
-#[test]
-fn fuzz_random_programs() {
+/// Random programs on a power-of-two, a prime, and an odd-composite
+/// machine.
+fn sweep(seeds: u64) {
     for ncells in [4u32, 7, 9] {
-        for seed in 0..seeds_per_size() {
+        for seed in 0..seeds {
             check(&gen_program(seed, ncells));
         }
     }
+}
+
+#[test]
+fn fuzz_random_programs() {
+    sweep(SEEDS);
+}
+
+#[test]
+#[ignore = "1200 programs; CI runs it in release"]
+fn fuzz_random_programs_full_sweep() {
+    sweep(CI_SEEDS);
 }
 
 /// Degenerate and awkward machine sizes: a single cell (every transfer is

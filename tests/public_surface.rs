@@ -64,22 +64,22 @@ const ALLOW: &[(&str, &str, &str)] = &[
     (
         "crates/apfuzz/src/generate.rs",
         "gen_program",
-        "fuzz entry point that crates/apfuzz/tests drives",
+        "fuzz entry point that tests/fuzz_smoke.rs drives",
     ),
     (
         "crates/apfuzz/src/generate.rs",
         "gen_big_chunk",
-        "fuzz entry point that crates/apfuzz/tests drives",
+        "fuzz entry point that tests/fuzz_smoke.rs drives",
     ),
     (
         "crates/apfuzz/src/runner.rs",
         "program_evtrace",
-        "fuzz entry point that crates/apfuzz/tests drives",
+        "fuzz entry point that tests/fuzz_smoke.rs drives",
     ),
     (
         "crates/apfuzz/src/chaos.rs",
         "run_chaos",
-        "fuzz entry point that crates/apfuzz/tests drives",
+        "chaos entry point that tests/chaos_smoke.rs drives",
     ),
     (
         "crates/core/src/cell.rs",

@@ -19,8 +19,8 @@
 //!    missing or extra event fails strict replay — at any machine size —
 //!    with a two-sided context window naming the index.
 //! 3. **Format economy** — the binary recording stays ≥5× smaller than
-//!    its Chrome-trace JSON timeline (`tracecat stats` pins the same
-//!    ratio in CI).
+//!    its Chrome-trace JSON timeline, and `tracecat stats --min-ratio 5`
+//!    gates on the same ratio.
 //! 4. **Isolation** — a recording owns its writer, so recordings running
 //!    side by side write exactly the bytes they write alone. Nothing
 //!    here serializes: the whole suite runs under the default parallel
@@ -228,6 +228,64 @@ fn corruption_and_truncation_are_structured_errors_not_panics() {
     let mut bad = bytes.clone();
     bad[1000] ^= 0xFF;
     assert!(EvTrace::decode(&bad).is_err(), "bit flip must not decode");
+
+    // One byte overwritten near the head: `repro replay` fails, exit 1.
+    let mut bad = bytes;
+    bad[100] = 0xFF;
+    let path = tmp("corrupt.evtrace");
+    std::fs::write(&path, &bad).expect("write the corrupted trace");
+    let file = path.display().to_string();
+    assert_eq!(apbench::cli::REPRO.main(&argv(&["replay", &file])), 1);
+    let _ = std::fs::remove_file(&path);
+}
+
+fn argv(args: &[&str]) -> Vec<String> {
+    args.iter().map(|a| a.to_string()).collect()
+}
+
+/// The commands that read a recording, on the golden one: the strict
+/// replay, a seek, and `tracecat`'s header and size-ratio gate.
+#[test]
+fn the_recording_commands_accept_the_golden_trace() {
+    let file = golden_path().display().to_string();
+    let repro = |args: &[&str]| apbench::cli::REPRO.main(&argv(args));
+    let tracecat = |args: &[&str]| apbench::cli::TRACECAT.main(&argv(args));
+    assert_eq!(repro(&["replay", &file]), 0);
+    assert_eq!(repro(&["replay", &file, "--at", "1800000"]), 0);
+    assert_eq!(tracecat(&["header", &file]), 0);
+    assert_eq!(tracecat(&["stats", &file, "--min-ratio", "5"]), 0);
+}
+
+/// Past the hardware limit, two recordings side by side: CG and SCG on
+/// 2048 cells at two threads (~300 MB of trace), then CG's strict replay.
+#[test]
+#[ignore = "records 300 MB; CI runs it in release"]
+fn a_2048_cell_recording_made_beside_another_replays_strictly() {
+    let dir = tmp("big");
+    let out = dir.display().to_string();
+    let repro = |args: &[&str]| apbench::cli::REPRO.main(&argv(args));
+    let record = [
+        "record", "--apps", "CG,SCG", "--scale", "test", "--size", "2048",
+    ];
+    assert_eq!(
+        repro(&[&record[..], &["--out-dir", &out, "--threads", "2"]].concat()),
+        0
+    );
+    let cg = dir.join("CG.evtrace").display().to_string();
+    let code = repro(&["replay", &cg]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, 0);
+}
+
+#[test]
+fn a_fresh_ft_recording_replays_strictly() {
+    let path = tmp("ft.evtrace");
+    let rec = record("FT", None, &path);
+    let doc = EvTrace::read_file(&path).expect("decode FT");
+    let _ = std::fs::remove_file(&path);
+    let conf = conformance(&doc, ReplayMode::Strict).expect("strict replay of FT");
+    assert!(conf.passed(), "{}", conf.render());
+    assert_eq!(conf.replayed_events as u64, rec.events);
 }
 
 #[test]
@@ -463,7 +521,6 @@ fn an_event_ending_past_the_end_of_time_is_corrupt_not_a_panic() {
     let path = tmp("end-of-time.evtrace");
     std::fs::write(&path, &bytes).expect("write the crafted trace");
     let file = path.display().to_string();
-    let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
     assert_eq!(
         apbench::cli::REPRO.main(&argv(&["replay", &file, "--at", "15"])),
         1

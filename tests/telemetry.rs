@@ -1,10 +1,11 @@
 //! Acceptance suite for the `apmon` telemetry stack.
 //!
-//! Three properties gate the observability layer:
+//! Four properties gate the observability layer:
 //!
 //! * the `ap1000plus.metrics` artifact is a **byte-reproducibility
 //!   surface**: identical across host thread counts and across re-runs,
 //!   with every `host_*` field stripped;
+//! * every sampled row **renders** its cell-busy and link heatmaps;
 //! * **huge machines** (beyond the paper's 1024 cells) refuse unbounded
 //!   timeline recording but accept the bounded flight recorder, and the
 //!   sampled-metrics path works at that size;
@@ -70,6 +71,28 @@ fn metrics_artifact_is_thread_count_invariant_and_reruns_identically() {
         !a.contains("\"host_"),
         "host profiling leaked into the versioned artifact"
     );
+}
+
+/// What `--heatmap` prints: each sampled row's cell-busy map, and its
+/// link map when the run used the T-net (CG does, EP does not), each
+/// headed by the torus it covers.
+#[test]
+fn every_sampled_row_renders_its_torus_heatmaps() {
+    let out = run_sweep(&sweep_cfg(1));
+    for row in &out.rows {
+        let m = row.metrics.as_deref().expect("every row is sampled");
+        assert!(m.cell_busy.is_some(), "{}: no cell-busy map", row.name);
+        let links = m.link_util.is_some();
+        assert!(
+            links || !row.name.starts_with("CG"),
+            "{}: no link map",
+            row.name
+        );
+        for map in [&m.cell_busy, &m.link_util].into_iter().flatten() {
+            let text = map.render(64);
+            assert!(text.contains("torus"), "{}: {text}", row.name);
+        }
+    }
 }
 
 #[test]
