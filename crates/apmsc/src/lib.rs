@@ -15,12 +15,12 @@
 //!   one-dimensional stride transfer of §3.1/§4.1.
 //! * [`message::PutArgs`] / [`message::GetArgs`] and [`message::Packet`]
 //!   — the §3.1 argument blocks a PUT/GET carries, and what travels on
-//!   the T-net, including header-size accounting for the timing models.
+//!   the T-net; the header every packet adds is the network's
+//!   (`apnet::HEADER_BYTES`).
 //!
 //! The 8-word command image the processor stores into the send queue is
 //! not built: its cost, the paper's "8 store instructions" (§4.1), is one
-//! timing constant in each engine (`HwParams::issue_time` in the
-//! emulator, `ModelParams::put_prolog` in MLSim).
+//! timing constant both engines read, `apnet::CostParams::put_prolog`.
 
 pub mod dma;
 pub mod message;
@@ -28,7 +28,7 @@ pub mod payload;
 pub mod queue;
 pub mod stride;
 
-pub use message::{GetArgs, Packet, PutArgs, HEADER_BYTES, MAX_DMA_BYTES};
+pub use message::{GetArgs, Packet, PutArgs, MAX_DMA_BYTES};
 pub use payload::Payload;
 pub use queue::{HwQueue, PushOutcome, QueueStats};
 pub use stride::StrideSpec;

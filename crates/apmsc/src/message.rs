@@ -10,10 +10,6 @@ use crate::payload::Payload;
 use crate::stride::StrideSpec;
 use aputil::{CellId, VAddr};
 
-/// Bytes of header on every T-net packet (the 8-word command image plus
-/// routing information).
-pub const HEADER_BYTES: u64 = 32;
-
 /// Parameters of a PUT operation, as specified in §3.1:
 /// `put(node_id, raddr, laddr, size, send_flag, recv_flag, ack)`, with the
 /// stride variant folding `size` into the two [`StrideSpec`]s.
@@ -286,11 +282,6 @@ impl Packet {
         }
     }
 
-    /// Bytes on the wire: header + payload, what the network serializes.
-    pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + self.payload_bytes()
-    }
-
     /// The payload bytes the envelope checksum covers (empty for
     /// payload-free packets; a `RegStore`'s value travels in the header).
     pub fn payload_slice(&self) -> &[u8] {
@@ -424,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_includes_header() {
+    fn only_data_packets_carry_payload() {
         let p = Packet::PutData {
             src: CellId::new(0),
             raddr: VAddr::new(0x100),
@@ -433,7 +424,6 @@ mod tests {
             payload: Payload::from(vec![0u8; 100]),
         };
         assert_eq!(p.payload_bytes(), 100);
-        assert_eq!(p.wire_bytes(), 100 + HEADER_BYTES);
         let req = Packet::GetReq {
             src: CellId::new(0),
             raddr: VAddr::new(0x1),
@@ -443,6 +433,6 @@ mod tests {
             reply_stride: StrideSpec::contiguous(8),
             reply_flag: VAddr::NULL,
         };
-        assert_eq!(req.wire_bytes(), HEADER_BYTES);
+        assert_eq!(req.payload_bytes(), 0);
     }
 }

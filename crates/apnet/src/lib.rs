@@ -15,11 +15,17 @@
 //! done by the MSC+/MC models in `apmsc`/`apmem`.
 
 pub mod bnet;
+pub mod cost;
 pub mod snet;
 pub mod tnet;
 pub mod torus;
 
 pub use bnet::BNet;
+pub use cost::CostParams;
 pub use snet::SNet;
 pub use tnet::{Contention, Delivery, TNet, TNetParams};
 pub use torus::Torus;
+
+/// Bytes of header on every T-net and B-net packet (the 8-word command
+/// image plus routing information), in both engines.
+pub const HEADER_BYTES: u64 = 32;

@@ -37,7 +37,8 @@ pub struct TNetParams {
 impl Default for TNetParams {
     /// The AP1000 hardware numbers: 0.16 µs prolog, 0.16 µs per hop,
     /// 25 MB/s channels. Figure 6's network column is written here only:
-    /// the emulator's `HwParams` and every MLSim model take it as is.
+    /// the emulator's `HwParams` and every MLSim model take it as is. The
+    /// rest of the AP1000+ column is [`crate::CostParams`].
     fn default() -> Self {
         TNetParams {
             prolog: SimTime::from_micros_f64(0.16),

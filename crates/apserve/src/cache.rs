@@ -338,10 +338,12 @@ mod tests {
         assert!(c.disk_bytes() <= 2500);
 
         // A budget smaller than one entry still keeps the newest entry.
-        let mut tiny = ResultCache::new(8, Some(tmpdir("tiny")), Some(1));
+        let tiny_dir = tmpdir("tiny");
+        let mut tiny = ResultCache::new(8, Some(tiny_dir.clone()), Some(1));
         tiny.put(9, "{}", b"only").unwrap();
         assert_eq!(tiny.disk_entries(), 1, "most-recent entry is immortal");
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&tiny_dir).unwrap();
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use apapps::{standard_suite, Scale, Workload};
 use apcore::{MachineConfig, TimelineMode};
+use apnet::HEADER_BYTES;
 use apobs::{Counters, CritPath, Timeline};
 use aptrace::{AppStats, StatsRow, Trace};
 use aputil::{Json, SimTime};
@@ -342,7 +343,9 @@ fn fig7_chains(bytes: u64) -> Vec<(String, [SimTime; 5])> {
     [ModelParams::ap1000(), ModelParams::ap1000_plus()]
         .into_iter()
         .map(|m| {
-            let net = m.net.prolog + m.net.per_hop * 4 + m.net.per_byte.saturating_mul(bytes + 32);
+            let net = m.net.prolog
+                + m.net.per_hop * 4
+                + m.net.per_byte.saturating_mul(bytes + HEADER_BYTES);
             let legs = [
                 m.send_cpu_overhead(bytes),
                 m.send_hw_latency(bytes),

@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use apnet::{Contention, TNetParams};
+use apnet::{Contention, CostParams, TNetParams};
 use apobs::TimelineMode;
 use aputil::SimTime;
 use std::num::NonZeroUsize;
@@ -41,24 +41,16 @@ pub fn metrics_default() -> Option<SimTime> {
 /// `[benchmark]` change retires it.
 pub fn set_sim_threads_default(_threads: u32) {}
 
-/// Hardware timing parameters of the emulated AP1000+ (per-cell MSC+/MC
-/// costs plus the network constants). Defaults follow the paper's AP1000+
-/// numbers (Table 1, Figure 6 right column, §4.1).
+/// Hardware timing parameters of the emulated AP1000+: the costs MLSim's
+/// AP1000+ model charges too, plus what the emulator alone models.
+/// Defaults follow the paper (Table 1, Figure 6 right column, §4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HwParams {
-    /// Time for one abstract floating-point operation on the cell CPU.
-    /// SuperSPARC at 50 MFLOPS (Table 1) ⇒ 20 ns.
-    pub flop_time: SimTime,
-    /// Time per abstract run-time-system unit (VPP Fortran address
-    /// arithmetic etc., executed on the CPU).
-    pub rts_unit_time: SimTime,
-    /// CPU time to issue one PUT/GET: writing the 8 parameter words into
-    /// the MSC+ queue (§4.1 says ≈8 stores; Figure 6's AP1000+ model
-    /// charges `put_prolog_time` = 1.0 µs for the whole user-level issue).
-    pub issue_time: SimTime,
-    /// MSC+ DMA setup per transfer (`put_dma_set_time` / `recv_dma_set_time`
-    /// = 0.5 µs in Figure 6).
-    pub dma_set_time: SimTime,
+    /// CPU, DMA-setup, library, S-net, B-net and processor costs.
+    pub cost: CostParams,
+    /// T-net timing (Figure 6's network column, shared with MLSim); its
+    /// prolog also starts every B-net broadcast.
+    pub net: TNetParams,
     /// DMA streaming time per byte (`put_msg_time` 0.05 µs per 4-byte word
     /// ⇒ 12.5 ns/B; we keep the per-byte form).
     pub dma_per_byte: SimTime,
@@ -66,27 +58,8 @@ pub struct HwParams {
     /// item; "the overhead of stride data transfer is the cost of a few
     /// store instructions", §4.1).
     pub stride_item_time: SimTime,
-    /// CPU time for one flag-value check (`flag_check` in Figure 7).
-    pub flag_check_time: SimTime,
     /// MC fetch-and-increment latency.
     pub flag_update_time: SimTime,
-    /// S-net hardware barrier latency.
-    pub barrier_latency: SimTime,
-    /// CPU time to store to a (possibly remote) communication register.
-    pub reg_store_time: SimTime,
-    /// CPU time for a communication-register load that finds the p-bit set.
-    pub reg_load_time: SimTime,
-    /// Per-byte cost of the RECEIVE-side ring-buffer copy into the user
-    /// area (the intrinsic SEND/RECEIVE buffering overhead, §1.3).
-    pub recv_copy_per_byte: SimTime,
-    /// CPU time of the SEND library call itself (blocking until the send
-    /// DMA completes, §5.4).
-    pub send_call_time: SimTime,
-    /// T-net timing (Figure 6's network column, shared with MLSim); its
-    /// prolog also starts every B-net broadcast.
-    pub net: TNetParams,
-    /// B-net per-byte serialization (50 MB/s ⇒ 20 ns/B).
-    pub bnet_per_byte: SimTime,
     /// OS interrupt service time for queue-spill refills (§4.1).
     pub os_interrupt_time: SimTime,
     /// Ring-buffer bytes before the MSC+ interrupts the OS to allocate a
@@ -99,21 +72,11 @@ pub struct HwParams {
 impl Default for HwParams {
     fn default() -> Self {
         HwParams {
-            flop_time: SimTime::from_nanos(20),
-            rts_unit_time: SimTime::from_micros_f64(0.5),
-            issue_time: SimTime::from_micros_f64(1.0),
-            dma_set_time: SimTime::from_micros_f64(0.5),
+            cost: CostParams::default(),
+            net: TNetParams::default(),
             dma_per_byte: SimTime::from_nanos(12),
             stride_item_time: SimTime::from_nanos(40),
-            flag_check_time: SimTime::from_micros_f64(0.2),
             flag_update_time: SimTime::from_nanos(100),
-            barrier_latency: SimTime::from_micros_f64(1.0),
-            reg_store_time: SimTime::from_micros_f64(0.5),
-            reg_load_time: SimTime::from_micros_f64(0.5),
-            recv_copy_per_byte: SimTime::from_nanos(20),
-            send_call_time: SimTime::from_micros_f64(1.0),
-            net: TNetParams::default(),
-            bnet_per_byte: SimTime::from_nanos(20),
             os_interrupt_time: SimTime::from_micros_f64(20.0),
             ring_capacity: 64 << 10,
         }
@@ -256,10 +219,10 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let hw = HwParams::default();
-        assert_eq!(hw.flop_time.as_nanos(), 20, "50 MFLOPS SuperSPARC");
+        assert_eq!(hw.cost.flop_time.as_nanos(), 20, "50 MFLOPS SuperSPARC");
         assert_eq!(hw.net.prolog.as_nanos(), 160);
-        assert_eq!(hw.issue_time.as_micros_f64(), 1.0);
-        assert_eq!(hw.dma_set_time.as_micros_f64(), 0.5);
+        assert_eq!(hw.cost.put_prolog.as_micros_f64(), 1.0);
+        assert_eq!(hw.cost.dma_set.as_micros_f64(), 0.5);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use super::{Ev, Kernel};
 use crate::machine::{TxEntry, TxSource};
 use crate::request::{Mark, Request, Response};
-use apmsc::{GetArgs, Packet, Payload, PushOutcome, PutArgs, HEADER_BYTES};
+use apmsc::{GetArgs, Packet, Payload, PushOutcome, PutArgs};
 use apobs::{Bucket, Seg, Unit, XferKind};
 use aptrace::Op;
 use aputil::{ApError, ApResult, CellId, SimTime, VAddr};
@@ -214,7 +214,7 @@ impl Kernel {
 
     pub(super) fn dispatch(&mut self, cell: u32, req: Request) -> ApResult<()> {
         let now = self.now();
-        let hw = self.machine.cfg.hw;
+        let cost = self.machine.cfg.hw.cost;
         let cid = CellId::new(cell);
         match req {
             Request::Alloc { bytes, at } => {
@@ -239,13 +239,13 @@ impl Kernel {
             }
             Request::Work { flops } => {
                 self.record(cell, Op::Work { flops });
-                let t = hw.flop_time.saturating_mul(flops);
+                let t = cost.flop_time.saturating_mul(flops);
                 self.book(cell, "work", now, t, Bucket::Exec, flops, 0);
                 self.wake_at(cell, now + t, Response::Unit);
             }
             Request::Rts { units } => {
                 self.record(cell, Op::Rts { units });
-                let t = hw.rts_unit_time.saturating_mul(units);
+                let t = cost.rts_unit_time.saturating_mul(units);
                 self.book(cell, "rts", now, t, Bucket::Rts, units, 0);
                 self.wake_at(cell, now + t, Response::Unit);
             }
@@ -262,8 +262,8 @@ impl Kernel {
             Request::WaitFlag { flag, target } => self.wait_flag(cell, flag, target)?,
             Request::ReadFlag { flag } => {
                 let v = self.machine.read_flag(cid, flag)?;
-                self.charge(cell, hw.flag_check_time);
-                self.wake_at(cell, now + hw.flag_check_time, Response::Value(v));
+                self.charge(cell, cost.flag_check);
+                self.wake_at(cell, now + cost.flag_check, Response::Value(v));
             }
             Request::Barrier => self.barrier(cell)?,
             Request::Send { dst, laddr, bytes } => self.send(cell, dst, laddr, bytes)?,
@@ -273,9 +273,9 @@ impl Kernel {
                 self.record(cell, Op::RegLoad { reg });
                 match self.machine.cells[cell as usize].regs.load(reg as usize) {
                     Some(v) => {
-                        let cost = hw.reg_load_time;
-                        self.book(cell, "reg_load", now, cost, Bucket::Overhead, reg as u64, 0);
-                        self.wake_at(cell, now + cost, Response::Value(v));
+                        let load = cost.reg_load;
+                        self.book(cell, "reg_load", now, load, Bucket::Overhead, reg as u64, 0);
+                        self.wake_at(cell, now + load, Response::Value(v));
                     }
                     None => self.block(cell, now, Wait::Reg { reg }),
                 }
@@ -310,7 +310,7 @@ impl Kernel {
     /// PUT and GET issue alike: a tracked transfer chain starts, the
     /// library call pays the issue cost, and the program runs on.
     fn issue_xfer(&mut self, cell: u32, kind: XferKind, bytes: u64, entry: TxEntry) {
-        let (now, cost) = (self.now(), self.machine.cfg.hw.issue_time);
+        let (now, cost) = (self.now(), self.machine.cfg.hw.cost.put_prolog);
         let name = match kind {
             XferKind::Get => "get_issue",
             _ => "put_issue",
@@ -379,7 +379,7 @@ impl Kernel {
         let (now, flag) = (self.now(), at.as_u64());
         self.record(cell, Op::WaitFlag { flag, target });
         if self.machine.read_flag(CellId::new(cell), at)? >= target {
-            let check = self.machine.cfg.hw.flag_check_time;
+            let check = self.machine.cfg.hw.cost.flag_check;
             self.machine.flag_wait.record(0);
             self.book(cell, "flag_check", now, check, Bucket::Overhead, flag, 0);
             self.wake_at(cell, now + check, Response::Unit);
@@ -404,7 +404,7 @@ impl Kernel {
             if matches!(on, Wait::Flag { flag: f, target } if f == flag && new >= target) {
                 let waited = now.saturating_sub(since).as_nanos();
                 self.machine.flag_wait.record(waited);
-                let check = self.machine.cfg.hw.flag_check_time;
+                let check = self.machine.cfg.hw.cost.flag_check;
                 self.release(cell, now, flag, tid, check, Response::Unit);
             }
         }
@@ -455,7 +455,7 @@ impl Kernel {
     fn send(&mut self, cell: u32, dst: CellId, laddr: VAddr, bytes: u64) -> ApResult<()> {
         self.machine.check_cell(dst)?;
         self.record(cell, Op::Send { dst, bytes });
-        let cost = self.machine.cfg.hw.send_call_time;
+        let cost = self.machine.cfg.hw.cost.send_call;
         let pkt = Packet::RingMsg {
             src: CellId::new(cell),
             payload: Payload::empty(),
@@ -494,8 +494,8 @@ impl Kernel {
         let n = (payload.len() as u64).min(max);
         self.machine
             .write_v(CellId::new(cell), laddr, &payload[..n as usize])?;
-        let hw = self.machine.cfg.hw;
-        let cost = hw.recv_copy_per_byte.saturating_mul(n) + hw.flag_check_time;
+        let c = self.machine.cfg.hw.cost;
+        let cost = c.recv_copy_per_byte.saturating_mul(n) + c.flag_check;
         self.book(cell, "recv_copy", now, cost, Bucket::Overhead, n, 0);
         self.wake_at(cell, now + cost, Response::Len(n));
         Ok(())
@@ -541,7 +541,7 @@ impl Kernel {
     fn reg_store(&mut self, cell: u32, dst: CellId, reg: u16, value: u32) -> ApResult<()> {
         self.machine.check_cell(dst)?;
         self.record(cell, Op::RegStore { dst, reg });
-        let (now, cost) = (self.now(), self.machine.cfg.hw.reg_store_time);
+        let (now, cost) = (self.now(), self.machine.cfg.hw.cost.reg_store);
         let (tid, src) = (self.machine.alloc_tid(), CellId::new(cell));
         self.book(
             cell,
@@ -585,7 +585,7 @@ impl Kernel {
                 );
                 ApError::internal(CellId::new(cell), "cregs", what)
             })?;
-            let cost = self.machine.cfg.hw.reg_load_time;
+            let cost = self.machine.cfg.hw.cost.reg_load;
             self.release(cell, at, reg as u64, tid, cost, Response::Value(v));
         }
         Ok(())
@@ -632,7 +632,7 @@ impl Kernel {
         let delivery = self
             .machine
             .bnet
-            .broadcast(ready, root, bytes + HEADER_BYTES);
+            .broadcast(ready, root, bytes + apnet::HEADER_BYTES);
         for (c, la) in state.arrived {
             if c != root.as_u32() {
                 self.machine.write_v(CellId::new(c), la, &payload)?;
@@ -656,7 +656,7 @@ impl Kernel {
         };
         let entry = TxEntry::new(dst, pkt, TxSource::Packet, VAddr::NULL);
         let hw = self.machine.cfg.hw;
-        let cost = hw.reg_store_time + hw.dma_per_byte.saturating_mul(bytes);
+        let cost = hw.cost.reg_store + hw.dma_per_byte.saturating_mul(bytes);
         self.issue(cell, TxQueue::Remote, entry, "remote_store", cost, bytes);
         self.wake_at(cell, self.now() + cost, Response::Unit);
         Ok(())
@@ -797,7 +797,7 @@ impl Kernel {
             _ if src == dst => at,
             Some(f) => return f.inject(at, dst, pkt, tid, &mut self.machine, &mut self.evq),
             None => {
-                let bytes = pkt.wire_bytes();
+                let bytes = apnet::HEADER_BYTES + pkt.payload_bytes();
                 self.machine.tnet.transfer_tagged(at, src, dst, bytes, tid)
             }
         };

@@ -9,8 +9,8 @@
 use super::Ev;
 use crate::machine::Machine;
 use apfault::{FaultPlan, FaultSpec, ReplayGuard};
-use apmsc::{Packet, HEADER_BYTES};
-use apnet::Delivery;
+use apmsc::Packet;
+use apnet::{Delivery, HEADER_BYTES};
 use apobs::{Bucket, Unit};
 use apsim::EventQueue;
 use aputil::{ApError, ApResult, CellId, DeliveryFailure, FaultReport, IntMap, SimTime};
@@ -177,7 +177,7 @@ impl FaultState {
         o.attempts += 1;
         let attempt = o.attempts;
         let (src, dst, tid) = (o.src, o.dst, o.tid);
-        let bytes = o.pkt.wire_bytes();
+        let bytes = HEADER_BYTES + o.pkt.payload_bytes();
         let mut tag = checksum(o.pkt.payload_slice());
         let pkt = o.pkt.clone();
         if self.plan.corrupt(src, dst, at) {

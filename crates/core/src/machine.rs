@@ -198,8 +198,8 @@ impl Machine {
         Machine {
             cells: (0..cfg.ncells).map(|_| CellHw::new(cfg.mem_size)).collect(),
             tnet,
-            bnet: BNet::with_params(cfg.ncells, cfg.hw.net.prolog, cfg.hw.bnet_per_byte),
-            snet: SNet::new(cfg.ncells, cfg.hw.barrier_latency),
+            bnet: BNet::with_params(cfg.ncells, cfg.hw.net.prolog, cfg.hw.cost.bnet_per_byte),
+            snet: SNet::new(cfg.ncells, cfg.hw.cost.barrier_latency),
             dsm: DsmMap::new(cfg.ncells, cfg.mem_size),
             times: vec![CellTimes::default(); cfg.ncells as usize],
             trace: aptrace::Trace::new(cfg.ncells as usize),
@@ -387,7 +387,7 @@ impl Machine {
 
     /// DMA duration for a payload with `items` stride descriptors.
     pub fn dma_time(&self, bytes: u64, items: u32) -> SimTime {
-        self.cfg.hw.dma_set_time
+        self.cfg.hw.cost.dma_set
             + self.cfg.hw.dma_per_byte.saturating_mul(bytes)
             + self
                 .cfg

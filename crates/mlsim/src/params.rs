@@ -10,8 +10,12 @@
 //! are the Figure-6 numbers divided by four (a DMA engine feeding a
 //! 25 MB/s link cannot itself run at 20 MB/s).
 
-use apnet::TNetParams;
+use apnet::{CostParams, TNetParams};
 use aputil::SimTime;
+
+/// Figure 6's `computation_factor` of the SuperSPARC, whose times
+/// [`CostParams`] holds: a SPARC time is a `CostParams` time over this.
+const SUPERSPARC: f64 = 0.125;
 
 /// One machine model: the parameter file MLSim is driven by.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,11 +25,6 @@ pub struct ModelParams {
     /// Processor scaling: execution time multiplier relative to the base
     /// SPARC (1.0 = SPARC, 0.125 = SuperSPARC — Figure 6).
     pub computation_factor: f64,
-    /// Base SPARC time per abstract flop (SuperSPARC at 50 MFLOPS ⇒
-    /// 160 ns × 0.125 = 20 ns).
-    pub base_flop_time: SimTime,
-    /// Base SPARC time per run-time-system unit.
-    pub base_rts_unit: SimTime,
     /// `true` = message handling by software interrupt handlers (AP1000);
     /// `false` = MSC+ hardware handling (AP1000+).
     pub software_handling: bool,
@@ -35,18 +34,15 @@ pub struct ModelParams {
     /// 15–18 of Figure 7). The same T-net in every model, and the one the
     /// emulator runs.
     pub net: TNetParams,
+    /// `put_prolog_time`, DMA setup, library, S-net, B-net and processor
+    /// costs; the AP1000+ model's are the emulator's.
+    pub cost: CostParams,
 
     // ---- PUT/GET (Figure 6 "---- PUT/GET ----") ----
-    /// `put_prolog_time`: CPU cost to start a PUT/GET (syscall entry on
-    /// the AP1000; user-level queue stores on the AP1000+).
-    pub put_prolog: SimTime,
     /// `put_epilog_time`: CPU cost after issue (syscall return).
     pub put_epilog: SimTime,
     /// `put_msg_time` per byte: DMA streaming rate.
     pub put_msg_per_byte: SimTime,
-    /// `put_dma_set_time`: DMA parameter setup. CPU time under software
-    /// handling, MSC+ time under hardware handling.
-    pub put_dma_set: SimTime,
     /// `put_msg_post_time` per byte: CPU cost to post (mirror) cached data
     /// to memory before DMA — zero on the write-through AP1000+.
     pub put_msg_post_per_byte: SimTime,
@@ -55,25 +51,6 @@ pub struct ModelParams {
     /// `recv_msg_flush_time` per byte: CPU cache invalidation on receive
     /// (zero on the AP1000+, which invalidates at message reception).
     pub recv_msg_flush_per_byte: SimTime,
-    /// `recv_dma_set_time`: receive DMA setup.
-    pub recv_dma_set: SimTime,
-
-    // ---- library / synchronization ----
-    /// CPU cost of one flag-value check.
-    pub flag_check: SimTime,
-    /// CPU cost of the SEND library call (excluding transfer costs).
-    pub send_call: SimTime,
-    /// Per-byte CPU cost of the RECEIVE ring-buffer copy (§1.3 buffering
-    /// overhead).
-    pub recv_copy_per_byte: SimTime,
-    /// CPU cost of a communication-register store.
-    pub reg_store: SimTime,
-    /// CPU cost of a communication-register load that finds data present.
-    pub reg_load: SimTime,
-    /// S-net barrier tree latency.
-    pub barrier_latency: SimTime,
-    /// B-net serialization per byte (50 MB/s).
-    pub bnet_per_byte: SimTime,
 }
 
 impl ModelParams {
@@ -90,83 +67,77 @@ impl ModelParams {
         ModelParams {
             name: "AP1000".to_string(),
             computation_factor: 1.0,
-            base_flop_time: SimTime::from_nanos(160),
-            base_rts_unit: us(4.0),
             software_handling: true,
-            net: TNetParams::default(),
-            put_prolog: us(20.0),
+            cost: CostParams {
+                put_prolog: us(20.0),
+                dma_set: us(15.0),
+                flag_check: us(1.6),
+                send_call: us(8.0),
+                reg_store: us(4.0),
+                reg_load: us(4.0),
+                recv_copy_per_byte: us(0.04),
+                ..CostParams::default()
+            },
             put_epilog: us(15.0),
-            put_msg_per_byte: us(0.05 / 4.0),
-            put_dma_set: us(15.0),
             put_msg_post_per_byte: us(0.04 / 4.0),
             intr_rtc: us(20.0),
             recv_msg_flush_per_byte: us(0.04 / 4.0),
-            recv_dma_set: us(15.0),
-            flag_check: us(1.6),
-            send_call: us(8.0),
-            recv_copy_per_byte: us(0.04),
-            reg_store: us(4.0),
-            reg_load: us(4.0),
-            barrier_latency: us(1.0),
-            bnet_per_byte: us(0.02),
+            ..Self::ap1000_plus()
         }
     }
 
     /// §5.3's second model: "an AP1000 model whose processor speed is
     /// eight times faster and message handling is done by software".
     pub fn ap1000_star() -> Self {
-        let mut p = Self::ap1000();
-        p.name = "AP1000*".to_string();
-        p.computation_factor = 0.125;
-        // CPU-executed library code speeds up with the processor; the
-        // communication handling protocol costs (syscalls, interrupts,
-        // DMA setup by software) remain — the paper's point is that they
-        // do NOT shrink with processor speed. We scale only the pure-CPU
-        // library entry costs.
-        p.flag_check = SimTime::from_micros_f64(0.2);
-        p.send_call = SimTime::from_micros_f64(1.0);
-        p.reg_store = SimTime::from_micros_f64(0.5);
-        p.reg_load = SimTime::from_micros_f64(0.5);
-        p
+        let (ap1000, plus) = (Self::ap1000(), CostParams::default());
+        ModelParams {
+            name: "AP1000*".to_string(),
+            computation_factor: SUPERSPARC,
+            // Pure-CPU library entry costs speed up with the processor;
+            // the software-handling protocol costs (syscalls, interrupts,
+            // DMA setup) do not — the paper's point.
+            cost: CostParams {
+                flag_check: plus.flag_check,
+                send_call: plus.send_call,
+                reg_store: plus.reg_store,
+                reg_load: plus.reg_load,
+                ..ap1000.cost
+            },
+            ..ap1000
+        }
     }
 
     /// Figure 6, right column: the AP1000+ — SuperSPARC plus MSC+
     /// hardware message handling.
     pub fn ap1000_plus() -> Self {
-        let us = SimTime::from_micros_f64;
         ModelParams {
             name: "AP1000+".to_string(),
-            computation_factor: 0.125,
-            base_flop_time: SimTime::from_nanos(160),
-            base_rts_unit: us(4.0),
+            computation_factor: SUPERSPARC,
             software_handling: false,
             net: TNetParams::default(),
-            put_prolog: us(1.0),
-            put_epilog: us(0.0),
-            put_msg_per_byte: us(0.05 / 4.0),
-            put_dma_set: us(0.5),
-            put_msg_post_per_byte: us(0.0),
-            intr_rtc: us(0.0),
-            recv_msg_flush_per_byte: us(0.0),
-            recv_dma_set: us(0.5),
-            flag_check: us(0.2),
-            send_call: us(1.0),
-            recv_copy_per_byte: us(0.02),
-            reg_store: us(0.5),
-            reg_load: us(0.5),
-            barrier_latency: us(1.0),
-            bnet_per_byte: us(0.02),
+            cost: CostParams::default(),
+            put_epilog: SimTime::ZERO,
+            put_msg_per_byte: SimTime::from_micros_f64(0.05 / 4.0),
+            put_msg_post_per_byte: SimTime::ZERO,
+            intr_rtc: SimTime::ZERO,
+            recv_msg_flush_per_byte: SimTime::ZERO,
         }
     }
 
     /// Effective time per abstract flop on this model's processor.
     pub fn flop_time(&self) -> SimTime {
-        SimTime::from_micros_f64(self.base_flop_time.as_micros_f64() * self.computation_factor)
+        self.scaled(self.cost.flop_time)
     }
 
     /// Effective time per run-time-system unit.
     pub fn rts_time(&self) -> SimTime {
-        SimTime::from_micros_f64(self.base_rts_unit.as_micros_f64() * self.computation_factor)
+        self.scaled(self.cost.rts_unit_time)
+    }
+
+    /// A SuperSPARC time `t` as the SPARC time it came from, scaled by
+    /// this model's `computation_factor`.
+    fn scaled(&self, t: SimTime) -> SimTime {
+        SimTime::from_micros_f64(t.as_micros_f64() / SUPERSPARC * self.computation_factor)
     }
 
     /// CPU time the *sender* spends issuing a PUT/GET/SEND of `bytes`
@@ -174,12 +145,12 @@ impl ModelParams {
     /// the prolog — writing the 8 parameter words).
     pub fn send_cpu_overhead(&self, bytes: u64) -> SimTime {
         if self.software_handling {
-            self.put_prolog
+            self.cost.put_prolog
                 + self.put_msg_post_per_byte.saturating_mul(bytes)
-                + self.put_dma_set
+                + self.cost.dma_set
                 + self.put_epilog
         } else {
-            self.put_prolog
+            self.cost.put_prolog
         }
     }
 
@@ -187,7 +158,7 @@ impl ModelParams {
     /// "Interrupt reception overhead"; zero under hardware handling).
     pub fn recv_cpu_overhead(&self, bytes: u64) -> SimTime {
         if self.software_handling {
-            self.intr_rtc + self.recv_msg_flush_per_byte.saturating_mul(bytes) + self.recv_dma_set
+            self.intr_rtc + self.recv_msg_flush_per_byte.saturating_mul(bytes) + self.cost.dma_set
         } else {
             SimTime::ZERO
         }
@@ -201,7 +172,7 @@ impl ModelParams {
             // remains on the hardware side.
             self.put_msg_per_byte.saturating_mul(bytes)
         } else {
-            self.put_dma_set + self.put_msg_per_byte.saturating_mul(bytes)
+            self.cost.dma_set + self.put_msg_per_byte.saturating_mul(bytes)
         }
     }
 
@@ -211,7 +182,7 @@ impl ModelParams {
         if self.software_handling {
             self.put_msg_per_byte.saturating_mul(bytes)
         } else {
-            self.recv_dma_set + self.put_msg_per_byte.saturating_mul(bytes)
+            self.cost.dma_set + self.put_msg_per_byte.saturating_mul(bytes)
         }
     }
 
@@ -230,14 +201,14 @@ impl ModelParams {
             self.net.prolog.as_micros_f64(),
             self.net.per_hop.as_micros_f64(),
             self.net.per_byte.as_micros_f64(),
-            self.put_prolog.as_micros_f64(),
+            self.cost.put_prolog.as_micros_f64(),
             self.put_epilog.as_micros_f64(),
             self.put_msg_per_byte.as_micros_f64(),
-            self.put_dma_set.as_micros_f64(),
+            self.cost.dma_set.as_micros_f64(),
             self.put_msg_post_per_byte.as_micros_f64(),
             self.intr_rtc.as_micros_f64(),
             self.recv_msg_flush_per_byte.as_micros_f64(),
-            self.recv_dma_set.as_micros_f64(),
+            self.cost.dma_set.as_micros_f64(),
         )
     }
 }
@@ -249,15 +220,15 @@ mod tests {
     #[test]
     fn figure6_values() {
         let a = ModelParams::ap1000();
-        assert_eq!(a.put_prolog.as_micros_f64(), 20.0);
+        assert_eq!(a.cost.put_prolog.as_micros_f64(), 20.0);
         assert_eq!(a.put_epilog.as_micros_f64(), 15.0);
         assert_eq!(a.intr_rtc.as_micros_f64(), 20.0);
         assert!(a.software_handling);
         let p = ModelParams::ap1000_plus();
-        assert_eq!(p.put_prolog.as_micros_f64(), 1.0);
+        assert_eq!(p.cost.put_prolog.as_micros_f64(), 1.0);
         assert_eq!(p.put_epilog.as_micros_f64(), 0.0);
         assert_eq!(p.intr_rtc.as_micros_f64(), 0.0);
-        assert_eq!(p.put_dma_set.as_micros_f64(), 0.5);
+        assert_eq!(p.cost.dma_set.as_micros_f64(), 0.5);
         assert!(!p.software_handling);
     }
 
@@ -266,7 +237,7 @@ mod tests {
         let s = ModelParams::ap1000_star();
         assert_eq!(s.computation_factor, 0.125);
         assert!(s.software_handling);
-        assert_eq!(s.put_prolog, ModelParams::ap1000().put_prolog);
+        assert_eq!(s.cost.put_prolog, ModelParams::ap1000().cost.put_prolog);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::params::ModelParams;
-use apnet::{Contention, TNet, Torus};
+use apnet::{Contention, TNet, Torus, HEADER_BYTES};
 use apobs::{Bucket, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
 use apsim::{Clock, EventQueue, Resource};
 use aptrace::{Op, Trace};
@@ -82,9 +82,6 @@ impl fmt::Display for ReplayError {
 }
 
 impl Error for ReplayError {}
-
-/// Wire header bytes (matches the emulator's packet header).
-const HEADER: u64 = 32;
 
 #[derive(Debug)]
 enum REv {
@@ -448,7 +445,7 @@ impl Engine<'_> {
         let (src, dst) = (CellId::new(src), CellId::new(dst));
         let arrival = self
             .tnet
-            .transfer_tagged(depart, src, dst, bytes + HEADER, tid);
+            .transfer_tagged(depart, src, dst, bytes + HEADER_BYTES, tid);
         self.xfers.charge(tid, Seg::Net, arrival);
         self.evq.push(arrival, arrive);
     }
@@ -525,7 +522,7 @@ impl Engine<'_> {
                             reg as u64,
                             0,
                         );
-                        let loaded = self.occupy(dst, now, self.p.reg_load);
+                        let loaded = self.occupy(dst, now, self.p.cost.reg_load);
                         self.advance(dst, loaded);
                     }
                     None => self.reg_ready.entry((dst, reg)).or_default().push_back(now),
@@ -583,7 +580,7 @@ impl Engine<'_> {
     ) {
         let mut cpu_cost = self.p.recv_cpu_overhead(0);
         if self.p.software_handling {
-            cpu_cost += self.p.put_msg_post_per_byte.saturating_mul(bytes) + self.p.put_dma_set;
+            cpu_cost += self.p.put_msg_post_per_byte.saturating_mul(bytes) + self.p.cost.dma_set;
         }
         let ready = self.serve(dst, cpu_cost);
         self.xfers.charge(tid, Seg::Issue, ready);
@@ -611,7 +608,7 @@ impl Engine<'_> {
                 let waited = now.saturating_sub(since);
                 self.flag_wait.record(waited.as_nanos());
                 self.book(pe, "wait_flag", since, waited, Bucket::Idle, flag, tid);
-                let checked = self.occupy(pe, now, self.p.flag_check);
+                let checked = self.occupy(pe, now, self.p.cost.flag_check);
                 self.advance(pe, checked);
             }
         }
@@ -652,7 +649,7 @@ impl Engine<'_> {
             let waited = until.saturating_sub(since);
             self.book(pe, "recv_wait", since, waited, Bucket::Idle, bytes, 0);
         }
-        let copy = self.p.recv_copy_per_byte.saturating_mul(bytes) + self.p.flag_check;
+        let copy = self.p.cost.recv_copy_per_byte.saturating_mul(bytes) + self.p.cost.flag_check;
         let (s, e) = self.cpu[pe as usize].reserve(until, copy);
         self.book(pe, "recv_copy", s, copy, Bucket::Overhead, bytes, 0);
         self.advance(pe, e);
@@ -701,7 +698,7 @@ impl Engine<'_> {
                 let have = self.flag_counts.get(&(pe, flag)).copied().unwrap_or(0);
                 if have >= target {
                     self.flag_wait.record(0);
-                    let check = self.p.flag_check;
+                    let check = self.p.cost.flag_check;
                     let (s, e) = self.cpu[i].reserve(t, check);
                     self.book(pe, "flag_check", s, check, Bucket::Overhead, flag, 0);
                     self.advance(pe, e);
@@ -713,7 +710,7 @@ impl Engine<'_> {
                 self.barrier.push((pe, t));
                 if self.barrier.len() == self.done.len() {
                     // The last arrival is the latest one.
-                    let release = t + self.p.barrier_latency;
+                    let release = t + self.p.cost.barrier_latency;
                     for (p, since) in std::mem::take(&mut self.barrier) {
                         self.release(p, "barrier", since, release, 0);
                     }
@@ -805,7 +802,7 @@ impl Engine<'_> {
     fn send(&mut self, pe: u32, dst: u32, bytes: u64) {
         let (t, over) = (
             self.now(),
-            self.p.send_call + self.p.send_cpu_overhead(bytes),
+            self.p.cost.send_call + self.p.send_cpu_overhead(bytes),
         );
         let (s, e) = self.cpu[pe as usize].reserve(t, over);
         self.book(pe, "send_call", s, over, Bucket::Overhead, bytes, 0);
@@ -823,7 +820,7 @@ impl Engine<'_> {
     }
 
     fn reg_store(&mut self, pe: u32, dst: u32, reg: u16) {
-        let (t, cost) = (self.now(), self.p.reg_store);
+        let (t, cost) = (self.now(), self.p.cost.reg_store);
         let (s, e) = self.cpu[pe as usize].reserve(t, cost);
         self.book(pe, "reg_store", s, cost, Bucket::Overhead, reg as u64, 0);
         if dst == pe {
@@ -839,7 +836,7 @@ impl Engine<'_> {
         let Some(ready) = stored.and_then(|q| q.pop_front()) else {
             return self.block(pe, Wait::Reg { reg });
         };
-        let (t, cost) = (self.now(), self.p.reg_load);
+        let (t, cost) = (self.now(), self.p.cost.reg_load);
         self.bd[pe as usize].charge(Bucket::Idle, ready.saturating_sub(t));
         let (s, e) = self.cpu[pe as usize].reserve(t.max(ready), cost);
         self.book(pe, "reg_load", s, cost, Bucket::Overhead, reg as u64, 0);
@@ -852,7 +849,7 @@ impl Engine<'_> {
         let over = if self.p.software_handling {
             self.p.send_cpu_overhead(bytes)
         } else {
-            self.p.reg_store
+            self.p.cost.reg_store
         };
         let t = self.now();
         let (s, e) = self.cpu[pe as usize].reserve(t, over);
@@ -867,7 +864,7 @@ impl Engine<'_> {
         let over = if self.p.software_handling {
             self.p.send_cpu_overhead(0)
         } else {
-            self.p.reg_load
+            self.p.cost.reg_load
         };
         let e = self.occupy(pe, self.now(), over);
         let arrive = REv::RLoadArrive {
@@ -890,9 +887,8 @@ impl Engine<'_> {
         self.bcast.push((pe, self.now()));
         if self.bcast.len() == self.done.len() {
             // The last arrival is the latest one.
-            let delivery = self.now()
-                + self.p.net.prolog
-                + self.p.bnet_per_byte.saturating_mul(bytes + HEADER);
+            let (per_byte, wire) = (self.p.cost.bnet_per_byte, bytes + HEADER_BYTES);
+            let delivery = self.now() + self.p.net.prolog + per_byte.saturating_mul(wire);
             self.bcast_sig = None;
             for (p, since) in std::mem::take(&mut self.bcast) {
                 self.release(p, "bcast", since, delivery, bytes);

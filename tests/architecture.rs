@@ -183,6 +183,40 @@ const RULES: &[Rule] = &[
         count: 1,
     },
     Rule {
+        invariant: "one Figure-6 right column: no emulator-only copy of a cost MLSim charges too",
+        paths: &["crates/*/src"],
+        pattern: &[
+            ".issue_time\\b",
+            ".dma_set_time\\b",
+            ".flag_check_time\\b",
+            ".send_call_time\\b",
+            ".reg_store_time\\b",
+            ".reg_load_time\\b",
+            "^pub issue_time:",
+            "^pub dma_set_time:",
+            "^pub flag_check_time:",
+            "^pub send_call_time:",
+            "^pub reg_store_time:",
+            "^pub reg_load_time:",
+        ],
+        cutoff: false,
+        count: 0,
+    },
+    Rule {
+        invariant: "one Figure-6 right column: apnet's CostParams",
+        paths: &["crates/*/src"],
+        pattern: &["pub struct CostParams "],
+        cutoff: false,
+        count: 1,
+    },
+    Rule {
+        invariant: "one wire header: apnet's HEADER_BYTES",
+        paths: &["crates/*/src"],
+        pattern: &["const HEADER"],
+        cutoff: false,
+        count: 1,
+    },
+    Rule {
         invariant: "one referee, the artifact manifest: no threshold baseline, no sorted re-encode",
         paths: &[
             "crates",

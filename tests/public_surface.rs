@@ -94,7 +94,7 @@ const ALLOW: &[(&str, &str, &str)] = &[
     (
         "crates/core/src/cell.rs",
         "Cell::read_flag",
-        "the paper's 4.1 flag check, charged flag_check_time; tests/protocol.rs's pinned MIX program issues it",
+        "the paper's 4.1 flag check, charged CostParams::flag_check; tests/protocol.rs's pinned MIX program issues it",
     ),
     (
         "crates/core/src/cell.rs",
