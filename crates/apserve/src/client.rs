@@ -1,7 +1,9 @@
 //! A minimal blocking HTTP client for talking to an apserve server —
 //! used by `repro submit`, the integration suite, and CI smoke jobs.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::http::{content_length, read_headers, read_line, HttpError};
+use crate::worker::MAX_RESULT_BYTES;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,38 +34,40 @@ impl HttpResponse {
     }
 }
 
+/// Renders an error met reading a response. The parsers it shares with
+/// the server call a malformed line, header or length a `BadRequest`; on
+/// this side the response is what is malformed.
+fn malformed(e: HttpError) -> String {
+    match e {
+        HttpError::BadRequest(what) => format!("malformed response: {what}"),
+        other => format!("read response: {other}"),
+    }
+}
+
+/// Reads one response with the server's own input bounds: lines and
+/// headers as [`read_line`] and [`read_headers`] bound them, and a body
+/// no longer than the largest report a server sends
+/// ([`MAX_RESULT_BYTES`]), so a hostile peer earns an `Err`, not an
+/// allocation of whatever length it names.
 fn read_response(stream: TcpStream) -> Result<HttpResponse, String> {
     let mut r = BufReader::new(stream);
-    let mut status_line = String::new();
-    r.read_line(&mut status_line)
-        .map_err(|e| format!("read status line: {e}"))?;
+    let status_line = read_line(&mut r).map_err(malformed)?;
     let status: u16 = status_line
         .split_ascii_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line '{}'", status_line.trim_end()))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        r.read_line(&mut line)
-            .map_err(|e| format!("read header: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
-        }
-    }
+        .ok_or_else(|| format!("malformed status line '{status_line}'"))?;
+    let headers = read_headers(&mut r).map_err(malformed)?;
     // Every server answer is length-delimited; a body that only the
     // connection close would end is a protocol error.
-    let n = content_length.ok_or("response without a Content-Length")?;
+    let n = content_length(&headers)
+        .map_err(malformed)?
+        .ok_or("response without a Content-Length")?;
+    if n > MAX_RESULT_BYTES {
+        return Err(format!(
+            "response body of {n} bytes exceeds the {MAX_RESULT_BYTES}-byte limit"
+        ));
+    }
     let mut body = vec![0u8; n];
     r.read_exact(&mut body)
         .map_err(|e| format!("read body: {e}"))?;
@@ -154,7 +158,56 @@ pub fn submit_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::CountingWriter;
+    use crate::http::{CountingWriter, MAX_HEADERS, MAX_LINE_BYTES};
+    use std::net::TcpListener;
+
+    /// A peer on a local port that reads one request, answers `reply`
+    /// and closes.
+    fn stub(reply: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let _ = crate::http::read_request(&mut BufReader::new(&conn));
+            let _ = conn.write_all(&reply);
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn a_hostile_response_is_a_structured_error() {
+        let flood: String = (0..=MAX_HEADERS).map(|i| format!("x-{i}: y\r\n")).collect();
+        for (reply, expected) in [
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: 1125899906842624\r\n\r\n".to_string(),
+                "response body of 1125899906842624 bytes exceeds the",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n".to_string(),
+                "Content-Length is not a number: 'lots'",
+            ),
+            (
+                format!("HTTP/1.1 200 {}\r\n\r\n", "x".repeat(MAX_LINE_BYTES)),
+                "line exceeds the 8192-byte limit",
+            ),
+            (
+                format!("HTTP/1.1 200 OK\r\n{flood}\r\n"),
+                "more than 64 header lines",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\n\r\n".to_string(),
+                "response without a Content-Length",
+            ),
+        ] {
+            let (addr, peer) = stub(reply.into_bytes());
+            let err = get(&addr, "/stats").unwrap_err();
+            assert!(err.contains(expected), "{err}");
+            peer.join().unwrap();
+        }
+        let (addr, peer) = stub(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}".to_vec());
+        assert_eq!(get(&addr, "/stats").unwrap().body, b"{}");
+        peer.join().unwrap();
+    }
 
     #[test]
     fn a_request_is_one_write_with_pinned_bytes() {

@@ -43,33 +43,6 @@ impl HttpRequest {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-
-    /// The declared body length. RFC 9112 §6.3: the value is `1*DIGIT`,
-    /// and repeated `Content-Length` fields must agree; anything else is
-    /// unframeable and gets a 400 rather than a guess.
-    fn content_length(&self) -> Result<Option<usize>, HttpError> {
-        let mut values = self
-            .headers
-            .iter()
-            .filter(|(k, _)| k == "content-length")
-            .map(|(_, v)| v.as_str());
-        let Some(len) = values.next() else {
-            return Ok(None);
-        };
-        if let Some(other) = values.find(|v| *v != len) {
-            return Err(HttpError::BadRequest(format!(
-                "conflicting Content-Length values '{len}' and '{other}'"
-            )));
-        }
-        if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(HttpError::BadRequest(format!(
-                "Content-Length is not a number: '{len}'"
-            )));
-        }
-        len.parse()
-            .map(Some)
-            .map_err(|_| HttpError::BadRequest(format!("Content-Length is out of range: '{len}'")))
-    }
 }
 
 /// Why a request could not be read. Each variant maps to one HTTP status.
@@ -95,7 +68,7 @@ impl std::fmt::Display for HttpError {
     }
 }
 
-fn read_line(r: &mut impl BufRead) -> Result<String, HttpError> {
+pub(crate) fn read_line(r: &mut impl BufRead) -> Result<String, HttpError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -119,6 +92,54 @@ fn read_line(r: &mut impl BufRead) -> Result<String, HttpError> {
     String::from_utf8(line).map_err(|_| HttpError::BadRequest("line is not UTF-8".into()))
 }
 
+/// Reads header lines up to the blank line that ends them, names
+/// lowercased: at most [`MAX_HEADERS`] lines of at most
+/// [`MAX_LINE_BYTES`] each.
+pub(crate) fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(r)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(HttpError::BadRequest(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::BadRequest(format!("malformed header '{line}'")));
+        };
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+/// The body length `headers` declare. RFC 9112 §6.3: the value is
+/// `1*DIGIT`, and repeated `Content-Length` fields must agree; anything
+/// else is unframeable and is refused rather than guessed at.
+pub(crate) fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut values = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let Some(len) = values.next() else {
+        return Ok(None);
+    };
+    if let Some(other) = values.find(|v| *v != len) {
+        return Err(HttpError::BadRequest(format!(
+            "conflicting Content-Length values '{len}' and '{other}'"
+        )));
+    }
+    if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(HttpError::BadRequest(format!(
+            "Content-Length is not a number: '{len}'"
+        )));
+    }
+    len.parse()
+        .map(Some)
+        .map_err(|_| HttpError::BadRequest(format!("Content-Length is out of range: '{len}'")))
+}
+
 /// Reads one complete request (request line, headers, `Content-Length`
 /// body) off the stream.
 pub fn read_request(r: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
@@ -135,26 +156,10 @@ pub fn read_request(r: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
             "unsupported protocol '{version}'"
         )));
     }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::BadRequest(format!(
-                "more than {MAX_HEADERS} header lines"
-            )));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::BadRequest(format!("malformed header '{line}'")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
     let mut req = HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
-        headers,
+        headers: read_headers(r)?,
         body: Vec::new(),
     };
     if req.header("transfer-encoding").is_some() {
@@ -162,7 +167,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<HttpRequest, HttpError> {
             "chunked request bodies are not supported; send Content-Length".into(),
         ));
     }
-    if let Some(declared) = req.content_length()? {
+    if let Some(declared) = content_length(&req.headers)? {
         if declared > MAX_BODY_BYTES {
             return Err(HttpError::TooLarge {
                 declared,

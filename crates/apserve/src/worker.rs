@@ -52,7 +52,7 @@ pub const STDERR_TAIL_BYTES: usize = 2048;
 /// JSON (paper scale; the row does not grow with the PE count), ~10.6 KB
 /// once the envelope escapes it as a string, so 16 KiB a row also covers
 /// the header and `totals`: 4096 × 16 KiB = 64 MiB.
-const MAX_RESULT_BYTES: usize = MAX_LIST * MAX_LIST * MAX_LIST * (16 << 10);
+pub(crate) const MAX_RESULT_BYTES: usize = MAX_LIST * MAX_LIST * MAX_LIST * (16 << 10);
 
 /// Sandbox policy: what to run and how hard to contain it.
 #[derive(Clone, Debug)]

@@ -480,8 +480,9 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
 
     s.push_str(&format!("  in-flight transfers ({}):\n", inflight.len()));
     for e in inflight.iter().take(MAX_LINES) {
-        let span = e.end().as_nanos() - e.start.as_nanos();
-        let pct = ((at_ns - e.start.as_nanos()) * 100)
+        // In u128: a span of a decoded file may run to `u64::MAX` ns.
+        let span = (e.end().as_nanos() - e.start.as_nanos()) as u128;
+        let pct = ((at_ns - e.start.as_nanos()) as u128 * 100)
             .checked_div(span)
             .unwrap_or(100);
         s.push_str(&format!("    {} ({pct}% elapsed)\n", fmt_event(e)));
@@ -799,6 +800,38 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A decoded span may be as long as the format allows: one `Net`
+    /// transfer over [0, 2^62) ns is half done at 2^61 ns.
+    #[test]
+    fn seek_elapsed_share_of_a_huge_span_does_not_overflow() {
+        let transfer = TimelineEvent {
+            cell: 0,
+            unit: Unit::Net,
+            name: "hop",
+            start: SimTime::ZERO,
+            dur: Some(SimTime::from_nanos(1 << 62)),
+            bucket: Bucket::Hw,
+            arg: 0,
+            tid: 0,
+        };
+        let doc = EvTrace {
+            header: EvHeader::new(1, "CG", "test"),
+            streams: vec![aptrace::EvStream {
+                label: "live".to_string(),
+                events: vec![transfer],
+            }],
+            summary: aptrace::EvSummary {
+                total_ns: 1 << 62,
+                events: 1,
+            },
+            ..EvTrace::default()
+        };
+        let doc =
+            EvTrace::decode(&aptrace::evtrace::encode(&doc)).expect("decode the crafted trace");
+        let dump = seek_report(&doc, 1 << 61, None);
+        assert!(dump.contains("(50% elapsed)"), "{dump}");
     }
 
     #[test]

@@ -247,6 +247,41 @@ const RULES: &[Rule] = &[
         cutoff: false,
         count: 1,
     },
+    Rule {
+        invariant: "one .evtrace footer parser: no second footer check",
+        paths: &["crates/aptrace/src"],
+        pattern: &["fn check_trailer"],
+        cutoff: false,
+        count: 0,
+    },
+    Rule {
+        invariant: "one .evtrace footer parser: TRAILER_MAGIC is compared in one place",
+        paths: &["crates/aptrace/src"],
+        pattern: &["!= TRAILER_MAGIC", "== TRAILER_MAGIC"],
+        cutoff: true,
+        count: 1,
+    },
+    Rule {
+        invariant: "one .evtrace tail parser: the summary (SEC_SUMMARY) is decoded in one place",
+        paths: &["crates/aptrace/src"],
+        pattern: &["\"summary total_ns\""],
+        cutoff: true,
+        count: 1,
+    },
+    Rule {
+        invariant: "one open-section record in the .evtrace writer: no unread name counter",
+        paths: &["crates/aptrace/src"],
+        pattern: &["names: usize"],
+        cutoff: false,
+        count: 0,
+    },
+    Rule {
+        invariant: "one open-section record in the .evtrace writer: an in-progress index entry",
+        paths: &["crates/aptrace/src"],
+        pattern: &["open: Option<EvIndexEntry>,"],
+        cutoff: false,
+        count: 1,
+    },
 ];
 
 /// Whether `line` contains `needle`, read as the module docs describe.
