@@ -56,7 +56,7 @@ pub fn program_evtrace(prog: &FuzzProgram) -> Option<Vec<u8>> {
         header: aptrace::EvHeader::new(plan.ncells, "apfuzz", &format!("seed{seed}")),
         streams: vec![aptrace::EvStream {
             label: "emulator".to_string(),
-            events: report.timeline.events,
+            events: report.timeline.events.into(),
         }],
         ops: Some(report.trace),
         counters: None,

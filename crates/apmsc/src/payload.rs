@@ -19,10 +19,16 @@ use std::sync::Arc;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Payload(Arc<[u8]>);
 
+thread_local! {
+    /// The one empty buffer this thread's empty payloads share.
+    static EMPTY: Payload = Payload(Arc::from(&[][..]));
+}
+
 impl Payload {
-    /// An empty payload (requests, probes, acks).
+    /// An empty payload (requests, probes, acks): a clone of the thread's
+    /// shared empty buffer, so it allocates nothing.
     pub fn empty() -> Self {
-        Payload(Arc::from(&[][..]))
+        EMPTY.with(Payload::clone)
     }
 
     /// Allocates the shared `len`-byte buffer once and lets `fill` write

@@ -19,7 +19,7 @@
 
 use crate::torus::Torus;
 use apfault::{FaultPlan, RouteVerdict};
-use apobs::{Bucket, Hist, Recorder, TimelineEvent, Unit};
+use apobs::{Bucket, EvName, Hist, Recorder, TimelineEvent, Unit};
 use apsim::Resource;
 use aputil::{ApError, ApResult, CellId, IntMap, SimTime};
 
@@ -352,7 +352,7 @@ impl TNet {
             self.obs.recorder.instant_id(
                 src.as_u32(),
                 Unit::Net,
-                "detour",
+                EvName::Detour,
                 now,
                 Bucket::Hw,
                 size,
@@ -378,7 +378,7 @@ impl TNet {
             self.obs.recorder.instant_id(
                 src.as_u32(),
                 Unit::Net,
-                "drop",
+                EvName::Drop,
                 now,
                 Bucket::Hw,
                 size,
@@ -449,7 +449,7 @@ impl TNet {
         self.obs.recorder.span_id(
             src.as_u32(),
             Unit::Net,
-            "transfer",
+            EvName::Transfer,
             now,
             arrival.saturating_sub(now),
             Bucket::Hw,
@@ -465,7 +465,7 @@ impl TNet {
                 self.obs.recorder.instant_id(
                     cell.as_u32(),
                     Unit::Net,
-                    "hop",
+                    EvName::Hop,
                     head + self.params.per_hop * k as u64,
                     Bucket::Hw,
                     size,
@@ -476,7 +476,7 @@ impl TNet {
         self.obs.recorder.instant_id(
             dst.as_u32(),
             Unit::Net,
-            "deliver",
+            EvName::Deliver,
             arrival,
             Bucket::Hw,
             size,
@@ -827,15 +827,15 @@ mod obs_tests {
         let (src, dst) = (CellId::new(0), CellId::new(2)); // 2 hops on a 4-wide ring row
         let arrival = n.transfer(SimTime::ZERO, src, dst, 64);
         let evs = n.take_events();
-        let inject: Vec<_> = evs.iter().filter(|e| e.name == "transfer").collect();
+        let inject: Vec<_> = evs.iter().filter(|e| e.name == EvName::Transfer).collect();
         assert_eq!(inject.len(), 1);
         assert_eq!(inject[0].cell, src.as_u32());
         assert_eq!(inject[0].end(), arrival);
         assert_eq!(
-            evs.iter().filter(|e| e.name == "hop").count() as u32,
+            evs.iter().filter(|e| e.name == EvName::Hop).count() as u32,
             n.torus().route_iter(src, dst).hops() - 1
         );
-        let deliver: Vec<_> = evs.iter().filter(|e| e.name == "deliver").collect();
+        let deliver: Vec<_> = evs.iter().filter(|e| e.name == EvName::Deliver).collect();
         assert_eq!(deliver.len(), 1);
         assert_eq!(deliver[0].cell, dst.as_u32());
         assert_eq!(deliver[0].start, arrival);

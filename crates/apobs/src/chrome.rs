@@ -13,11 +13,11 @@
 //! # Examples
 //!
 //! ```
-//! use apobs::{chrome_trace, Bucket, Timeline, TimelineEvent, Unit};
+//! use apobs::{chrome_trace, Bucket, EvName, Timeline, TimelineEvent, Unit};
 //! use aputil::SimTime;
 //!
 //! let t = Timeline::from_events("emulator", vec![TimelineEvent {
-//!     cell: 0, unit: Unit::Cpu, name: "work",
+//!     cell: 0, unit: Unit::Cpu, name: EvName::Work,
 //!     start: SimTime::ZERO, dur: Some(SimTime::from_nanos(2000)),
 //!     bucket: Bucket::Exec, arg: 100, tid: 0,
 //! }]);
@@ -80,7 +80,7 @@ fn track_meta(pid: u64, cell: u32, unit: Unit) -> [Json; 2] {
 /// One timeline event as a trace-event object.
 fn event_json(e: &crate::event::TimelineEvent, pid: u64) -> Json {
     let mut members = vec![
-        ("name".to_string(), Json::from(e.name)),
+        ("name".to_string(), Json::from(e.name.as_str())),
         ("cat".to_string(), Json::from(e.bucket.label())),
         ("pid".to_string(), Json::from(pid)),
         ("tid".to_string(), Json::from(tid(e.cell, e.unit))),
@@ -203,7 +203,7 @@ pub fn write_chrome_trace_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Bucket, TimelineEvent};
+    use crate::event::{Bucket, EvName, TimelineEvent};
     use aputil::SimTime;
 
     fn sample_timeline() -> Timeline {
@@ -219,16 +219,28 @@ mod tests {
             arg: 7,
             tid: 0,
         };
+        t.events.push(ev(
+            0,
+            Unit::Cpu,
+            EvName::WaitFlag,
+            5000,
+            Some(300),
+            Bucket::Idle,
+        ));
         t.events
-            .push(ev(0, Unit::Cpu, "wait_flag", 5000, Some(300), Bucket::Idle));
+            .push(ev(0, Unit::Cpu, EvName::Work, 0, Some(2000), Bucket::Exec));
+        t.events.push(ev(
+            1,
+            Unit::SendDma,
+            EvName::SendDma,
+            100,
+            Some(600),
+            Bucket::Hw,
+        ));
         t.events
-            .push(ev(0, Unit::Cpu, "work", 0, Some(2000), Bucket::Exec));
+            .push(ev(0, Unit::Cpu, EvName::Rts, 2000, Some(500), Bucket::Rts));
         t.events
-            .push(ev(1, Unit::SendDma, "send_dma", 100, Some(600), Bucket::Hw));
-        t.events
-            .push(ev(0, Unit::Cpu, "rts", 2000, Some(500), Bucket::Rts));
-        t.events
-            .push(ev(0, Unit::Queue, "enqueue", 40, None, Bucket::Hw));
+            .push(ev(0, Unit::Queue, EvName::Enqueue, 40, None, Bucket::Hw));
         t
     }
 

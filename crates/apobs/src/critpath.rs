@@ -17,7 +17,7 @@
 //! time the walk could not explain (gaps between an event and its gating
 //! predecessor, plus anything before the first event on the path).
 
-use crate::event::{Bucket, TimelineEvent, Unit};
+use crate::event::{Bucket, EvName, TimelineEvent, Unit};
 use crate::timeline::Timeline;
 use aputil::{Json, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 pub struct CritStep {
     pub cell: u32,
     pub unit: Unit,
-    pub name: &'static str,
+    pub name: EvName,
     pub bucket: Bucket,
     /// Transfer chain the step belongs to (0 = none).
     pub tid: u64,
@@ -48,7 +48,7 @@ impl CritStep {
 /// `(name, unit)`, ranked by total contributed time.
 #[derive(Clone, Debug)]
 pub struct GatingOp {
-    pub name: &'static str,
+    pub name: EvName,
     pub unit: Unit,
     /// How many path steps this operation accounts for.
     pub count: usize,
@@ -122,7 +122,7 @@ impl CritPath {
 
     /// The top-`k` gating operations by contributed time.
     pub fn top_ops(&self, k: usize) -> Vec<GatingOp> {
-        let mut acc: HashMap<(&'static str, Unit), GatingOp> = HashMap::new();
+        let mut acc: HashMap<(EvName, Unit), GatingOp> = HashMap::new();
         for s in &self.steps {
             let op = acc.entry((s.name, s.unit)).or_insert(GatingOp {
                 name: s.name,
@@ -139,7 +139,7 @@ impl CritPath {
         for op in &mut v {
             op.share_pct = 100.0 * op.total.as_nanos() as f64 / total_ns;
         }
-        v.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(b.name)));
+        v.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(&b.name)));
         v.truncate(k);
         v
     }
@@ -190,7 +190,7 @@ impl CritPath {
                         .into_iter()
                         .map(|op| {
                             Json::obj([
-                                ("name", Json::from(op.name)),
+                                ("name", Json::from(op.name.as_str())),
                                 ("unit", Json::from(op.unit.label())),
                                 ("count", Json::from(op.count as u64)),
                                 ("ns", Json::from(op.total.as_nanos())),
@@ -217,7 +217,7 @@ pub fn critical_path(t: &Timeline) -> CritPath {
     // Index: per-tid chain of non-idle events, sorted by (end, start, idx).
     let mut chains: HashMap<u64, Vec<usize>> = HashMap::new();
     // Index: collective groups — untagged idle spans by (name, end).
-    let mut collectives: HashMap<(&'static str, u64), Vec<usize>> = HashMap::new();
+    let mut collectives: HashMap<(EvName, u64), Vec<usize>> = HashMap::new();
     for (i, e) in evs.iter().enumerate() {
         tracks.entry((e.cell, e.unit)).or_default().push(i);
         if e.bucket == Bucket::Idle {
@@ -356,7 +356,7 @@ mod tests {
     fn span(
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         start: u64,
         end: u64,
         bucket: Bucket,
@@ -377,7 +377,7 @@ mod tests {
     fn instant(
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         at: u64,
         bucket: Bucket,
         tid: u64,
@@ -417,50 +417,83 @@ mod tests {
     fn put_chain_is_followed_across_cells() {
         let mut t = Timeline::from_events("t", Vec::new());
         t.events
-            .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 0, 100, Bucket::Exec, 0));
         t.events.push(span(
             0,
             Unit::Cpu,
-            "put_issue",
+            EvName::PutIssue,
             100,
             1100,
             Bucket::Overhead,
             1,
         ));
-        t.events
-            .push(instant(0, Unit::Queue, "enqueue", 1100, Bucket::Hw, 1));
-        t.events
-            .push(instant(0, Unit::Queue, "dequeue", 1100, Bucket::Hw, 1));
+        t.events.push(instant(
+            0,
+            Unit::Queue,
+            EvName::Enqueue,
+            1100,
+            Bucket::Hw,
+            1,
+        ));
+        t.events.push(instant(
+            0,
+            Unit::Queue,
+            EvName::Dequeue,
+            1100,
+            Bucket::Hw,
+            1,
+        ));
         t.events.push(span(
             0,
             Unit::SendDma,
-            "send_dma",
+            EvName::SendDma,
             1100,
             1300,
             Bucket::Hw,
             1,
         ));
+        t.events.push(span(
+            0,
+            Unit::Net,
+            EvName::Transfer,
+            1300,
+            1800,
+            Bucket::Hw,
+            1,
+        ));
         t.events
-            .push(span(0, Unit::Net, "transfer", 1300, 1800, Bucket::Hw, 1));
-        t.events
-            .push(instant(1, Unit::Net, "deliver", 1800, Bucket::Hw, 1));
+            .push(instant(1, Unit::Net, EvName::Deliver, 1800, Bucket::Hw, 1));
         t.events.push(span(
             1,
             Unit::RecvDma,
-            "recv_dma",
+            EvName::RecvDma,
             1800,
             2000,
             Bucket::Hw,
             1,
         ));
         // Cell 1 waited on the flag from t=500; released by chain 1.
-        t.events
-            .push(span(1, Unit::Cpu, "wait_flag", 500, 2000, Bucket::Idle, 1));
-        t.events
-            .push(span(1, Unit::Cpu, "work", 2000, 2500, Bucket::Exec, 0));
+        t.events.push(span(
+            1,
+            Unit::Cpu,
+            EvName::WaitFlag,
+            500,
+            2000,
+            Bucket::Idle,
+            1,
+        ));
+        t.events.push(span(
+            1,
+            Unit::Cpu,
+            EvName::Work,
+            2000,
+            2500,
+            Bucket::Exec,
+            0,
+        ));
         // Unrelated busywork on cell 1 that must NOT be on the path.
         t.events
-            .push(span(1, Unit::Cpu, "work", 0, 500, Bucket::Exec, 0));
+            .push(span(1, Unit::Cpu, EvName::Work, 0, 500, Bucket::Exec, 0));
 
         let p = critical_path(&t);
         check_invariants(&p);
@@ -468,7 +501,7 @@ mod tests {
         assert_eq!(p.unattributed, SimTime::ZERO);
         // The wait itself must not appear: its cause (the chain) does.
         assert!(p.steps.iter().all(|s| s.bucket != Bucket::Idle));
-        let names: Vec<&str> = p.steps.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = p.steps.iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"put_issue"), "{names:?}");
         assert!(names.contains(&"send_dma"), "{names:?}");
         assert!(names.contains(&"transfer"), "{names:?}");
@@ -489,15 +522,29 @@ mod tests {
     fn barrier_blames_the_last_arriver() {
         let mut t = Timeline::from_events("t", Vec::new());
         t.events
-            .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 0, 100, Bucket::Exec, 0));
+        t.events.push(span(
+            0,
+            Unit::Cpu,
+            EvName::Barrier,
+            100,
+            300,
+            Bucket::Idle,
+            0,
+        ));
         t.events
-            .push(span(0, Unit::Cpu, "barrier", 100, 300, Bucket::Idle, 0));
+            .push(span(1, Unit::Cpu, EvName::Work, 0, 300, Bucket::Exec, 0));
+        t.events.push(span(
+            1,
+            Unit::Cpu,
+            EvName::Barrier,
+            300,
+            300,
+            Bucket::Idle,
+            0,
+        ));
         t.events
-            .push(span(1, Unit::Cpu, "work", 0, 300, Bucket::Exec, 0));
-        t.events
-            .push(span(1, Unit::Cpu, "barrier", 300, 300, Bucket::Idle, 0));
-        t.events
-            .push(span(0, Unit::Cpu, "work", 300, 400, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 300, 400, Bucket::Exec, 0));
 
         let p = critical_path(&t);
         check_invariants(&p);
@@ -522,7 +569,11 @@ mod tests {
             t.events.push(span(
                 0,
                 Unit::Cpu,
-                if i % 2 == 0 { "work" } else { "rts" },
+                if i % 2 == 0 {
+                    EvName::Work
+                } else {
+                    EvName::Rts
+                },
                 at,
                 at + 10 + i,
                 Bucket::Exec,
@@ -541,9 +592,9 @@ mod tests {
     fn gaps_become_unattributed() {
         let mut t = Timeline::from_events("t", Vec::new());
         t.events
-            .push(span(0, Unit::Cpu, "work", 10, 20, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 10, 20, Bucket::Exec, 0));
         t.events
-            .push(span(0, Unit::Cpu, "work", 50, 100, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 50, 100, Bucket::Exec, 0));
         let p = critical_path(&t);
         check_invariants(&p);
         assert_eq!(p.total, SimTime::from_nanos(100));
@@ -555,14 +606,14 @@ mod tests {
     fn top_ops_rank_by_time() {
         let mut t = Timeline::from_events("t", Vec::new());
         t.events
-            .push(span(0, Unit::Cpu, "work", 0, 100, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 0, 100, Bucket::Exec, 0));
         t.events
-            .push(span(0, Unit::Cpu, "rts", 100, 110, Bucket::Rts, 0));
+            .push(span(0, Unit::Cpu, EvName::Rts, 100, 110, Bucket::Rts, 0));
         t.events
-            .push(span(0, Unit::Cpu, "work", 110, 400, Bucket::Exec, 0));
+            .push(span(0, Unit::Cpu, EvName::Work, 110, 400, Bucket::Exec, 0));
         let p = critical_path(&t);
         let ops = p.top_ops(5);
-        assert_eq!(ops[0].name, "work");
+        assert_eq!(ops[0].name, EvName::Work);
         assert_eq!(ops[0].count, 2);
         assert_eq!(ops[0].total, SimTime::from_nanos(390));
         assert!(ops[0].share_pct > 90.0);

@@ -51,6 +51,97 @@ impl Unit {
     }
 }
 
+/// Declares [`EvName`]: one variant per event name, with its string.
+macro_rules! ev_names {
+    ($($variant:ident = $name:literal,)*) => {
+        /// What an event is: the closed vocabulary every emitter (the
+        /// kernel, MLSim, `apnet` and the fault layer) names its events
+        /// from. One byte in a [`TimelineEvent`]; [`EvName::as_str`] is
+        /// what exports, reports and `.evtrace` string tables spell.
+        ///
+        /// The variants are declared in the lexicographic order of their
+        /// strings, so ordering by `EvName` (a sort, a `BTreeMap` key)
+        /// orders by name.
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum EvName {
+            $($variant,)*
+        }
+
+        impl EvName {
+            /// Every name, in declaration (= string) order.
+            pub const ALL: [EvName; [$($name),*].len()] = [$(EvName::$variant),*];
+
+            /// The name as exports, reports and trace files spell it.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $(EvName::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+ev_names! {
+    Barrier = "barrier",
+    Bcast = "bcast",
+    CorruptDrop = "corrupt_drop",
+    Crash = "crash",
+    Deliver = "deliver",
+    Dequeue = "dequeue",
+    Detour = "detour",
+    Drop = "drop",
+    DupSuppressed = "dup_suppressed",
+    Enqueue = "enqueue",
+    FlagCheck = "flag_check",
+    FlagUpdate = "flag_update",
+    GetIssue = "get_issue",
+    Hop = "hop",
+    PutIssue = "put_issue",
+    QueueRefill = "queue_refill",
+    RecvCopy = "recv_copy",
+    RecvDma = "recv_dma",
+    RecvIntr = "recv_intr",
+    RecvWait = "recv_wait",
+    RegLoad = "reg_load",
+    RegLoadWait = "reg_load_wait",
+    RegStore = "reg_store",
+    RemoteFence = "remote_fence",
+    RemoteLoad = "remote_load",
+    RemoteStore = "remote_store",
+    Retry = "retry",
+    RingOverflow = "ring_overflow",
+    Rts = "rts",
+    SendCall = "send_call",
+    SendDma = "send_dma",
+    SendWait = "send_wait",
+    Spill = "spill",
+    Transfer = "transfer",
+    WaitFlag = "wait_flag",
+    Work = "work",
+}
+
+impl EvName {
+    /// The variant spelled `name`, if the vocabulary has one.
+    pub fn parse(name: &str) -> Option<EvName> {
+        let at = EvName::ALL.binary_search_by(|n| n.as_str().cmp(name));
+        at.ok().map(|i| EvName::ALL[i])
+    }
+}
+
+impl std::fmt::Display for EvName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.as_str())
+    }
+}
+
+/// Debug-prints as the quoted string, as the `&'static str` name did, so
+/// a `{:?}` of an event (which the protocol pins hash) reads the same.
+impl std::fmt::Debug for EvName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// Figure-8 time bucket an event is charged to (plus `Hw` for activity on
 /// hardware engines that does not occupy the CPU).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -151,16 +242,14 @@ impl BucketTimes {
 }
 
 /// One sim-time-stamped structured event.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimelineEvent {
     /// The cell the event belongs to.
     pub cell: u32,
     /// The hardware unit within the cell.
     pub unit: Unit,
-    /// Event name (a small fixed vocabulary: `work`, `rts`, `put_issue`,
-    /// `wait_flag`, `barrier`, `send_dma`, `recv_dma`, `enqueue`,
-    /// `queue_spill`, `tnet_msg`, `hop`, …).
-    pub name: &'static str,
+    /// What happened, from the closed [`EvName`] vocabulary.
+    pub name: EvName,
     /// Start time.
     pub start: SimTime,
     /// Duration; `None` marks an instant event.
@@ -183,5 +272,31 @@ impl TimelineEvent {
     /// End time (= start for instants).
     pub fn end(&self) -> SimTime {
         self.start + self.dur.unwrap_or(SimTime::ZERO)
+    }
+}
+
+// A recording holds one of these per event (a CG-256 run decodes to
+// ~590k), so its size is the host memory a decoded recording costs.
+const _: () = assert!(std::mem::size_of::<TimelineEvent>() <= 48);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_round_trip_and_are_declared_in_string_order() {
+        for (i, name) in EvName::ALL.into_iter().enumerate() {
+            assert_eq!(EvName::parse(name.as_str()), Some(name));
+            assert_eq!(name.to_string(), name.as_str());
+            assert_eq!(format!("{name:?}"), format!("{:?}", name.as_str()));
+            if let Some(next) = EvName::ALL.get(i + 1) {
+                assert!(name.as_str() < next.as_str(), "{name} before {next}");
+                assert!(name < *next, "{name:?} orders before {next:?}");
+            }
+        }
+        for unknown in ["", "Work", "work ", "hops", "tnet_msg"] {
+            assert_eq!(EvName::parse(unknown), None, "{unknown:?}");
+        }
+        assert_eq!(std::mem::size_of::<EvName>(), 1);
     }
 }

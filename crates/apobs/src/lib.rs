@@ -14,12 +14,12 @@
 //! # Examples
 //!
 //! ```
-//! use apobs::{Bucket, Recorder, Timeline, TimelineMode, Unit, chrome_trace};
+//! use apobs::{Bucket, EvName, Recorder, Timeline, TimelineMode, Unit, chrome_trace};
 //! use aputil::SimTime;
 //!
 //! let mut rec = Recorder::new(TimelineMode::Full);
-//! rec.span(0, Unit::Cpu, "work", SimTime::ZERO, SimTime::from_nanos(500), Bucket::Exec, 25);
-//! rec.instant(0, Unit::Queue, "enqueue", SimTime::from_nanos(500), Bucket::Hw, 1);
+//! rec.span(0, Unit::Cpu, EvName::Work, SimTime::ZERO, SimTime::from_nanos(500), Bucket::Exec, 25);
+//! rec.instant(0, Unit::Queue, EvName::Enqueue, SimTime::from_nanos(500), Bucket::Hw, 1);
 //! let timeline = Timeline::from_events("emulator", rec.take_events());
 //! let doc = chrome_trace(&[&timeline]);
 //! assert!(doc.to_string().contains("traceEvents"));
@@ -37,7 +37,7 @@ pub mod timeline;
 pub use chrome::{chrome_trace, stream_chrome_trace, write_chrome_trace, write_chrome_trace_with};
 pub use counters::{CacheCounters, Counters};
 pub use critpath::{critical_path, CritPath, CritStep, GatingOp};
-pub use event::{Bucket, BucketTimes, TimelineEvent, Unit};
+pub use event::{Bucket, BucketTimes, EvName, TimelineEvent, Unit};
 pub use hist::Hist;
 pub use latency::{Seg, SegmentHists, XferKind, XferLat, XferTracker};
 pub use recorder::{EventSink, Recorder, SharedSink, TimelineMode};
@@ -109,7 +109,7 @@ mod proptests {
                 t.events.push(TimelineEvent {
                     cell,
                     unit: Unit::ALL[unit],
-                    name: "e",
+                    name: EvName::Work,
                     start: aputil::SimTime::from_nanos(start),
                     dur: if instant { None } else { Some(aputil::SimTime::from_nanos(dur)) },
                     bucket: Bucket::Hw,
@@ -149,7 +149,7 @@ mod proptests {
                 t.events.push(TimelineEvent {
                     cell,
                     unit: Unit::ALL[unit],
-                    name: "e",
+                    name: EvName::Work,
                     start: aputil::SimTime::from_nanos(start),
                     dur: if kind == 4 && dur % 3 == 0 { None } else { Some(aputil::SimTime::from_nanos(dur)) },
                     bucket,
@@ -179,7 +179,7 @@ mod proptests {
                 t.events.push(TimelineEvent {
                     cell: 0,
                     unit: Unit::Cpu,
-                    name: "work",
+                    name: EvName::Work,
                     start: aputil::SimTime::from_nanos(at),
                     dur: Some(aputil::SimTime::from_nanos(d)),
                     bucket: Bucket::Exec,

@@ -24,7 +24,7 @@
 //!   `Arc<Mutex<..>>`; events arrive in emission (engine) order, which
 //!   is deterministic — recordings keep it, and replay compares in it.
 
-use crate::event::{Bucket, TimelineEvent, Unit};
+use crate::event::{Bucket, EvName, TimelineEvent, Unit};
 use aputil::SimTime;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -124,7 +124,7 @@ impl Recorder {
         &mut self,
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         start: SimTime,
         dur: SimTime,
         bucket: Bucket,
@@ -140,7 +140,7 @@ impl Recorder {
         &mut self,
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         start: SimTime,
         dur: SimTime,
         bucket: Bucket,
@@ -168,7 +168,7 @@ impl Recorder {
         &mut self,
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         at: SimTime,
         bucket: Bucket,
         arg: u64,
@@ -183,7 +183,7 @@ impl Recorder {
         &mut self,
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         at: SimTime,
         bucket: Bucket,
         arg: u64,
@@ -231,13 +231,13 @@ mod tests {
         r.span(
             0,
             Unit::Cpu,
-            "work",
+            EvName::Work,
             SimTime::ZERO,
             SimTime::from_nanos(5),
             Bucket::Exec,
             1,
         );
-        r.instant(0, Unit::Net, "hop", SimTime::ZERO, Bucket::Hw, 1);
+        r.instant(0, Unit::Net, EvName::Hop, SimTime::ZERO, Bucket::Hw, 1);
         assert!(r.take_events().is_empty() && !r.is_enabled());
         assert!(!Recorder::default().is_enabled());
     }
@@ -248,7 +248,7 @@ mod tests {
         r.span(
             0,
             Unit::Cpu,
-            "work",
+            EvName::Work,
             SimTime::from_nanos(10),
             SimTime::from_nanos(5),
             Bucket::Exec,
@@ -257,14 +257,14 @@ mod tests {
         r.instant(
             1,
             Unit::Queue,
-            "enqueue",
+            EvName::Enqueue,
             SimTime::from_nanos(12),
             Bucket::Hw,
             3,
         );
         let evs = r.take_events();
         assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].name, "work");
+        assert_eq!(evs[0].name, EvName::Work);
         assert_eq!(evs[0].end(), SimTime::from_nanos(15));
         assert_eq!(evs[1].dur, None);
         assert!(r.take_events().is_empty());
@@ -278,10 +278,24 @@ mod tests {
         // 10 CPU instants and 2 Net instants: the CPU storm must not
         // evict the network events.
         for i in 0..10u64 {
-            r.instant(0, Unit::Cpu, "cpu", SimTime::from_nanos(i), Bucket::Exec, i);
+            r.instant(
+                0,
+                Unit::Cpu,
+                EvName::Work,
+                SimTime::from_nanos(i),
+                Bucket::Exec,
+                i,
+            );
         }
         for i in 0..2u64 {
-            r.instant(0, Unit::Net, "hop", SimTime::from_nanos(i), Bucket::Hw, i);
+            r.instant(
+                0,
+                Unit::Net,
+                EvName::Hop,
+                SimTime::from_nanos(i),
+                Bucket::Hw,
+                i,
+            );
         }
         let evs = r.take_events();
         assert_eq!(evs.len(), 5);
@@ -295,7 +309,14 @@ mod tests {
         assert!(r.take_events().is_empty());
         // Taking events keeps the mode: the ring still evicts.
         for i in 0..5u64 {
-            r.instant(0, Unit::Cpu, "cpu", SimTime::from_nanos(i), Bucket::Exec, i);
+            r.instant(
+                0,
+                Unit::Cpu,
+                EvName::Work,
+                SimTime::from_nanos(i),
+                Bucket::Exec,
+                i,
+            );
         }
         assert_eq!(r.take_events().len(), 3);
     }
@@ -309,7 +330,7 @@ mod tests {
     impl EventSink for CountSink {
         fn event(&mut self, ev: &TimelineEvent) {
             self.n += 1;
-            self.last = Some(ev.clone());
+            self.last = Some(*ev);
         }
         fn finish(&mut self) -> Result<(), String> {
             Ok(())
@@ -327,13 +348,20 @@ mod tests {
         r.span(
             0,
             Unit::Cpu,
-            "work",
+            EvName::Work,
             SimTime::from_nanos(10),
             SimTime::from_nanos(5),
             Bucket::Exec,
             7,
         );
-        r2.instant(3, Unit::Net, "hop", SimTime::from_nanos(12), Bucket::Hw, 1);
+        r2.instant(
+            3,
+            Unit::Net,
+            EvName::Hop,
+            SimTime::from_nanos(12),
+            Bucket::Hw,
+            1,
+        );
         assert!(
             r.take_events().is_empty() && r2.take_events().is_empty(),
             "streamed events are not buffered"

@@ -4,6 +4,7 @@
 use crate::op::Trace;
 use apobs::TimelineEvent;
 use std::fmt;
+use std::sync::Arc;
 
 /// File magic: seven ASCII bytes followed by the one-byte format version.
 pub const MAGIC: [u8; 7] = *b"APEVTRC";
@@ -140,8 +141,9 @@ impl EvHeader {
 pub struct EvStream {
     /// Stream label.
     pub label: String,
-    /// Events in recorded order.
-    pub events: Vec<TimelineEvent>,
+    /// Events in recorded order. Shared, so a replay walks them where
+    /// the document holds them instead of copying them.
+    pub events: Arc<Vec<TimelineEvent>>,
 }
 
 /// Sampled gauge series from the always-on telemetry layer.
@@ -215,7 +217,7 @@ impl EvTrace {
     pub fn all_events(&self) -> Vec<TimelineEvent> {
         let mut out = Vec::with_capacity(self.streams.iter().map(|s| s.events.len()).sum());
         for s in &self.streams {
-            out.extend(s.events.iter().cloned());
+            out.extend_from_slice(&s.events);
         }
         out
     }

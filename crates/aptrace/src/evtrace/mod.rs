@@ -36,13 +36,13 @@
 //!
 //! ```
 //! use aptrace::evtrace::{EvHeader, EvTrace, StreamWriter};
-//! use apobs::{Bucket, TimelineEvent, Unit};
+//! use apobs::{Bucket, EvName, TimelineEvent, Unit};
 //! use aputil::SimTime;
 //!
 //! let ev = TimelineEvent {
 //!     cell: 3,
 //!     unit: Unit::Cpu,
-//!     name: "work",
+//!     name: EvName::Work,
 //!     start: SimTime::from_nanos(100),
 //!     dur: Some(SimTime::from_nanos(40)),
 //!     bucket: Bucket::Exec,
@@ -54,7 +54,7 @@
 //! w.write_events("emulator", std::slice::from_ref(&ev));
 //! w.finish(140).unwrap();
 //! let t = EvTrace::decode(&buf).unwrap();
-//! assert_eq!(t.streams[0].events, vec![ev]);
+//! assert_eq!(*t.streams[0].events, [ev]);
 //! assert_eq!(t.summary.total_ns, 140);
 //! ```
 //!
@@ -78,7 +78,7 @@ mod fixtures {
     use super::format::*;
     use super::seek::read_footer;
     use crate::op::{Op, Trace};
-    use apobs::{Bucket, TimelineEvent, Unit};
+    use apobs::{Bucket, EvName, TimelineEvent, Unit};
     use aputil::{CellId, SimTime};
 
     pub(super) fn read_index(bytes: &[u8]) -> Result<Vec<EvIndexEntry>, EvError> {
@@ -88,7 +88,7 @@ mod fixtures {
     pub(super) fn ev(
         cell: u32,
         unit: Unit,
-        name: &'static str,
+        name: EvName,
         start: u64,
         dur: Option<u64>,
     ) -> TimelineEvent {
@@ -121,10 +121,11 @@ mod fixtures {
             streams: vec![EvStream {
                 label: "emulator".to_string(),
                 events: vec![
-                    ev(0, Unit::Cpu, "work", 0, Some(100)),
-                    ev(1, Unit::Net, "hop", 40, None),
-                    ev(0, Unit::SendDma, "send_dma", 120, Some(64)),
-                ],
+                    ev(0, Unit::Cpu, EvName::Work, 0, Some(100)),
+                    ev(1, Unit::Net, EvName::Hop, 40, None),
+                    ev(0, Unit::SendDma, EvName::SendDma, 120, Some(64)),
+                ]
+                .into(),
             }],
             ops: Some(ops),
             counters: Some(CounterTicks {
@@ -147,28 +148,15 @@ mod fixtures {
 mod proptests {
     use super::*;
     use crate::op::{Op, Trace};
-    use apobs::{Bucket, TimelineEvent, Unit};
+    use apobs::{Bucket, EvName, TimelineEvent, Unit};
     use aputil::{CellId, SimTime};
     use proptest::prelude::*;
-
-    /// A small name vocabulary mirroring the kernel's: decoded names are
-    /// interned `&'static str`, so the generator picks from statics.
-    const NAMES: [&str; 8] = [
-        "work",
-        "rts",
-        "barrier",
-        "put_issue",
-        "send_dma",
-        "recv_dma",
-        "enqueue",
-        "hop",
-    ];
 
     fn arb_event() -> BoxedStrategy<TimelineEvent> {
         (
             0u32..2048,
             0usize..Unit::ALL.len(),
-            0usize..NAMES.len(),
+            0usize..EvName::ALL.len(),
             0u64..1_000_000_000,
             opt(0u64..1_000_000),
             0usize..Bucket::ALL.len(),
@@ -179,7 +167,7 @@ mod proptests {
                 |(cell, unit, name, start, dur, bucket, arg, tid)| TimelineEvent {
                     cell,
                     unit: Unit::ALL[unit],
-                    name: NAMES[name],
+                    name: EvName::ALL[name],
                     start: SimTime::from_nanos(start),
                     dur: dur.map(SimTime::from_nanos),
                     bucket: Bucket::ALL[bucket],
@@ -297,7 +285,7 @@ mod proptests {
                     .enumerate()
                     .map(|(i, events)| EvStream {
                         label: format!("stream{i}"),
-                        events,
+                        events: events.into(),
                     })
                     .collect();
                 let events = streams.iter().map(|s| s.events.len() as u64).sum();

@@ -6,11 +6,9 @@
 
 use super::format::*;
 use crate::op::{Op, PeTrace, Trace};
-use apobs::{Bucket, TimelineEvent, Unit};
+use apobs::{Bucket, EvName, TimelineEvent, Unit};
 use aputil::{CellId, SimTime};
-use std::collections::BTreeSet;
 use std::io::Read;
-use std::sync::Mutex;
 
 /// Cursor over the input with offset-carrying structured errors.
 pub(super) struct Reader<'a> {
@@ -102,47 +100,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Longest event name a decoder accepts, in bytes. The kernel's names are
-/// a few words long.
-const MAX_NAME_BYTES: usize = 256;
-/// Most distinct event names the process holds.
-const MAX_NAMES: usize = 4096;
-
-/// The process's decoded event names, each leaked once, since a
-/// [`TimelineEvent::name`] is a `&'static str`. A file this workspace
-/// writes uses the kernel's small fixed vocabulary, but a decoded file
-/// can come from anywhere (`repro serve` remodels its clients' traces in
-/// one long-running process), so the pool leaks at most `MAX_NAMES` names
-/// of at most `MAX_NAME_BYTES` each.
-static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-
-/// `name`'s copy in `pool`, leaked on first sight, or why it is refused:
-/// it is too long, or new to a pool that holds `cap` names.
-fn intern(
-    pool: &Mutex<BTreeSet<&'static str>>,
-    cap: usize,
-    name: &str,
-) -> Result<&'static str, String> {
-    if name.len() > MAX_NAME_BYTES {
-        return Err(format!(
-            "event name of {} bytes exceeds the {MAX_NAME_BYTES}-byte limit",
-            name.len()
-        ));
-    }
-    let mut names = pool.lock().expect("intern pool poisoned");
-    if let Some(&known) = names.get(name) {
-        return Ok(known);
-    }
-    if names.len() >= cap {
-        return Err(format!(
-            "a new event name past the {cap}-name limit of the pool"
-        ));
-    }
-    let leaked: &'static str = Box::leak(name.into());
-    names.insert(leaked);
-    Ok(leaked)
-}
-
 /// `MAGIC VERSION H`: the magic, the format version and the header, which
 /// must be the first section. The returned reader stands at the second
 /// section.
@@ -193,7 +150,8 @@ pub(super) fn decode_header(bytes: &[u8]) -> Result<(EvHeader, Reader<'_>), EvEr
 
 /// One `E` section whose tag, at `at`, `r` has just read: the stream,
 /// and the index entry of what was walked. The event-name string table
-/// starts empty at every section, which is what makes sections seekable.
+/// starts empty at every section, which is what makes sections seekable,
+/// and each name it spells must be an [`EvName`].
 pub(super) fn decode_events(
     r: &mut Reader<'_>,
     at: usize,
@@ -204,13 +162,14 @@ pub(super) fn decode_events(
         ..EvIndexEntry::default()
     };
     let mut events = Vec::new();
-    let mut names: Vec<&'static str> = Vec::new();
+    let mut names: Vec<EvName> = Vec::new();
     let mut prev_cell = 0i64;
     let mut prev_start = 0i64;
     loop {
         let at = r.pos;
         let flags = r.byte("event flags")?;
         if flags == EVENTS_DONE {
+            let events = events.into();
             return Ok((EvStream { label, events }, walked));
         }
         let unit_idx = (flags & 0x07) as usize;
@@ -226,8 +185,14 @@ pub(super) fn decode_events(
             std::cmp::Ordering::Less => names[name_idx],
             std::cmp::Ordering::Equal => {
                 let name_at = r.pos;
-                let fresh = intern(&NAMES, MAX_NAMES, r.str("new event name")?)
-                    .map_err(|what| EvError::Corrupt { at: name_at, what })?;
+                let spelled = r.str("new event name")?;
+                let fresh = EvName::parse(spelled).ok_or_else(|| EvError::Corrupt {
+                    at: name_at,
+                    what: format!(
+                        "event name {:?} is not in the vocabulary",
+                        spelled.chars().take(40).collect::<String>()
+                    ),
+                })?;
                 names.push(fresh);
                 fresh
             }
@@ -678,7 +643,7 @@ mod tests {
     fn an_event_ending_past_u64_max_is_corrupt_at_its_offset() {
         let mut out = Vec::new();
         let mut w = StreamWriter::new(&mut out, "<mem>", &EvHeader::new(1, "x", "test"));
-        let late = ev(0, Unit::SendDma, "send_dma", 10, Some(u64::MAX - 5));
+        let late = ev(0, Unit::SendDma, EvName::SendDma, 10, Some(u64::MAX - 5));
         w.write_events("emulator", &[late]);
         w.finish(15).unwrap();
         // The event follows the section tag and its label "emulator".
@@ -721,7 +686,7 @@ mod tests {
             header: EvHeader::new(1, "", ""),
             streams: vec![EvStream {
                 label: "emulator".to_string(),
-                events: vec![],
+                events: vec![].into(),
             }],
             ..EvTrace::default()
         };
@@ -824,44 +789,30 @@ mod tests {
         }
     }
 
+    /// A name table entry outside the vocabulary: a well-formed v2 file
+    /// (what a writer with a name unknown here would produce) whose one
+    /// event's name is spelled `wrok`.
     #[test]
-    fn the_name_pool_is_bounded_in_length_and_count() {
-        let pool = Mutex::new(BTreeSet::new());
-        let intern = |name: &str| intern(&pool, 2, name);
-        let work = intern("work").unwrap();
-        assert!(
-            std::ptr::eq(work, intern("work").unwrap()),
-            "looked up, not leaked again"
-        );
-        intern("hop").unwrap();
-        let full = intern("barrier").unwrap_err();
-        assert!(full.contains("2-name limit"), "{full}");
-        assert!(
-            std::ptr::eq(work, intern("work").unwrap()),
-            "a full pool still finds its names"
-        );
-        let long = "x".repeat(MAX_NAME_BYTES + 1);
-        let too_long = intern(&long).unwrap_err();
-        assert!(too_long.contains("256-byte limit"), "{too_long}");
-    }
-
-    #[test]
-    fn an_overlong_event_name_is_corrupt_at_its_offset() {
-        let long: &'static str = Box::leak("n".repeat(MAX_NAME_BYTES + 1).into_boxed_str());
+    fn an_unknown_event_name_is_corrupt_at_its_offset() {
         let mut out = Vec::new();
         let mut w = StreamWriter::new(&mut out, "<mem>", &EvHeader::new(1, "x", "test"));
-        w.write_events("emulator", &[ev(0, Unit::Cpu, long, 0, None)]);
+        w.write_events("emulator", &[ev(0, Unit::Cpu, EvName::Work, 0, None)]);
         w.finish(0).unwrap();
         // The name follows the section tag, its label "emulator", the
         // event's flags byte and its name index.
         let name_at = read_index(&out).unwrap()[0].offset as usize + 1 + 1 + 8 + 1 + 1;
+        assert_eq!(&out[name_at..name_at + 5], b"\x04work");
+        out[name_at + 1..name_at + 5].copy_from_slice(b"wrok");
         for err in [
             EvTrace::decode(&out).unwrap_err(),
             EvTrace::decode_at(&out, 0).unwrap_err(),
         ] {
-            assert!(
-                matches!(&err, EvError::Corrupt { at, what } if *at == name_at && what.contains("byte limit")),
-                "{err:?}"
+            assert_eq!(
+                err,
+                EvError::Corrupt {
+                    at: name_at,
+                    what: "event name \"wrok\" is not in the vocabulary".to_string(),
+                }
             );
         }
     }

@@ -76,14 +76,14 @@ mod tests {
     use super::*;
     use crate::evtrace::fixtures::{ev, read_index, sample};
     use crate::evtrace::write::encode;
-    use apobs::Unit;
+    use apobs::{EvName, Unit};
 
     #[test]
     fn footer_index_locates_every_events_section() {
         let mut doc = sample();
         doc.streams.push(EvStream {
             label: "tnet".to_string(),
-            events: vec![ev(3, Unit::Net, "hop", 999, None)],
+            events: vec![ev(3, Unit::Net, EvName::Hop, 999, None)].into(),
         });
         doc.summary.events = 4;
         let bytes = encode(&doc);
@@ -103,7 +103,7 @@ mod tests {
         let mut doc = sample(); // one section, events at 0..=120
         doc.streams.push(EvStream {
             label: "late".to_string(),
-            events: vec![ev(3, Unit::Net, "hop", 999, None)],
+            events: vec![ev(3, Unit::Net, EvName::Hop, 999, None)].into(),
         });
         doc.summary.events = 4;
         let bytes = encode(&doc);
@@ -162,10 +162,10 @@ mod tests {
     fn no_footer_byte_flip_panics_or_silently_changes_the_events() {
         let mut doc = sample(); // events at 0, 40, 120
         for (label, starts) in [("tnet", [500, 650, 580]), ("late", [999, 1200, 1100])] {
-            let events = starts.map(|t| ev(3, Unit::Net, "hop", t, Some(30)));
+            let events = starts.map(|t| ev(3, Unit::Net, EvName::Hop, t, Some(30)));
             doc.streams.push(EvStream {
                 label: label.to_string(),
-                events: events.to_vec(),
+                events: events.to_vec().into(),
             });
         }
         doc.summary.events = 9;

@@ -4,8 +4,7 @@
 
 use super::format::*;
 use crate::op::{Op, Trace};
-use apobs::TimelineEvent;
-use std::collections::HashMap;
+use apobs::{EvName, TimelineEvent};
 use std::io::Write;
 
 pub(super) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -140,9 +139,12 @@ pub struct StreamWriter<W: Write> {
     w: W,
     path: String,
     buf: Vec<u8>,
-    /// Per-section string table (name → index): v2 resets it at every
+    /// Per-section string table: each [`EvName`]'s index in it, `None`
+    /// until the section first spells the name. v2 resets it at every
     /// events section so each section decodes in isolation.
-    name_idx: HashMap<&'static str, u64>,
+    name_idx: [Option<u64>; EvName::ALL.len()],
+    /// Names the open section's table holds.
+    table_len: u64,
     prev_cell: i64,
     prev_start: i64,
     nevents: u64,
@@ -169,7 +171,8 @@ impl<W: Write> StreamWriter<W> {
             w,
             path: path.to_string(),
             buf: Vec::with_capacity(64 << 10),
-            name_idx: HashMap::new(),
+            name_idx: [None; EvName::ALL.len()],
+            table_len: 0,
             prev_cell: 0,
             prev_start: 0,
             nevents: 0,
@@ -213,7 +216,8 @@ impl<W: Write> StreamWriter<W> {
         });
         self.buf.push(SEC_EVENTS);
         put_str(&mut self.buf, label);
-        self.name_idx.clear();
+        self.name_idx = [None; EvName::ALL.len()];
+        self.table_len = 0;
         self.prev_cell = 0;
         self.prev_start = 0;
         self.label.clear();
@@ -240,15 +244,13 @@ impl<W: Write> StreamWriter<W> {
             | if ev.dur.is_some() { 0x40 } else { 0 }
             | if ev.tid != 0 { 0x80 } else { 0 };
         self.buf.push(flags);
-        let next = self.name_idx.len() as u64;
-        match self.name_idx.entry(ev.name) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                put_varint(&mut self.buf, *e.get());
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(next);
-                put_varint(&mut self.buf, next);
-                put_str(&mut self.buf, ev.name);
+        match &mut self.name_idx[ev.name as usize] {
+            Some(idx) => put_varint(&mut self.buf, *idx),
+            slot @ None => {
+                *slot = Some(self.table_len);
+                put_varint(&mut self.buf, self.table_len);
+                put_str(&mut self.buf, ev.name.as_str());
+                self.table_len += 1;
             }
         }
         put_svarint(&mut self.buf, ev.cell as i64 - self.prev_cell);
@@ -409,7 +411,7 @@ pub fn encode(doc: &EvTrace) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::evtrace::fixtures::{ev, read_index, sample};
-    use apobs::Unit;
+    use apobs::{EvName, Unit};
 
     #[test]
     fn streaming_sink_mode_auto_opens_live_section() {
@@ -417,8 +419,8 @@ mod tests {
         let mut w = StreamWriter::new(&mut out, "<mem>", &EvHeader::new(4, "", ""));
         {
             use apobs::EventSink;
-            w.event(&ev(2, Unit::Queue, "enqueue", 10, None));
-            w.event(&ev(2, Unit::Queue, "enqueue", 25, None));
+            w.event(&ev(2, Unit::Queue, EvName::Enqueue, 10, None));
+            w.event(&ev(2, Unit::Queue, EvName::Enqueue, 25, None));
             EventSink::finish(&mut w).unwrap();
         }
         w.finish(25).unwrap();
@@ -434,7 +436,7 @@ mod tests {
         let mut doc = sample();
         doc.streams.push(EvStream {
             label: "tnet".to_string(),
-            events: vec![ev(3, Unit::Net, "hop", 999, None)],
+            events: vec![ev(3, Unit::Net, EvName::Hop, 999, None)].into(),
         });
         doc.summary.events = 4;
         let bytes = encode(&doc);
@@ -452,7 +454,7 @@ mod tests {
         let mut w = StreamWriter::new(&mut out, "<mem>", &EvHeader::new(4, "", ""));
         let n = ROTATE_EVENTS + 5;
         for i in 0..n {
-            w.push_event(&ev(0, Unit::Cpu, "work", i, None));
+            w.push_event(&ev(0, Unit::Cpu, EvName::Work, i, None));
         }
         w.finish(n).unwrap();
         let index = read_index(&out).unwrap();
@@ -478,7 +480,9 @@ mod tests {
         // split: the same sections, event counts and timestamps (which
         // the index cross-checks). Event payloads and labels carry no
         // redundancy, so a flip there may decode as a different, well-
-        // formed event or label; the sweep counts those. A seek that
+        // formed event or label; the sweep counts those. A name is not
+        // free payload: the 28 flips of section 1's spelled "work" that
+        // stay valid UTF-8 name no `EvName` and are errors. A seek that
         // skips section 1 never reads its bytes.
         let cap = 1 << 10;
         let t0 = ROTATE_EVENTS - cap; // section 1 starts at ROTATE_EVENTS ns
@@ -486,7 +490,7 @@ mod tests {
         let mut w = StreamWriter::new(&mut good, "<mem>", &EvHeader::new(4, "", ""));
         w.rotate_events = cap;
         for i in 0..cap + 5 {
-            w.push_event(&ev(0, Unit::Cpu, "work", t0 + i, None));
+            w.push_event(&ev(0, Unit::Cpu, EvName::Work, t0 + i, None));
         }
         w.finish(t0 + cap + 5).unwrap();
         let doc = EvTrace::decode(&good).unwrap();
@@ -526,6 +530,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!((errors, payload), (171, 117));
+        assert_eq!((errors, payload), (199, 89));
     }
 }

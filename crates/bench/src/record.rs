@@ -34,7 +34,7 @@ use crate::sweep::{build_workload, factor_label};
 use crate::{EmulatorSide, ExperimentRow};
 use apapps::Scale;
 use apcore::{MachineConfig, TimelineMode};
-use apobs::{Bucket, Timeline, TimelineEvent, Unit};
+use apobs::{Bucket, EvName, Timeline, TimelineEvent, Unit};
 use aptrace::{CounterTicks, EvHeader, EvTrace, StreamWriter};
 use aputil::{ApError, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -289,8 +289,10 @@ const CONTEXT: usize = 3;
 
 /// The [`apobs::EventSink`] a replay re-executes into: it walks the
 /// recording's events in file order beside the fresh run's, counts, and
-/// stops comparing at the first divergence. Consumed sections are freed
-/// as the walk passes them.
+/// stops comparing at the first divergence. The walk holds each section
+/// by its reference count and reads it by index, so it copies no
+/// recording; a section it has passed is freed unless a document still
+/// holds it.
 struct Lockstep {
     recorded: Box<dyn Iterator<Item = TimelineEvent> + Send>,
     replayed_events: usize,
@@ -349,7 +351,7 @@ impl apobs::EventSink for Lockstep {
             }
         }
         if self.diverged_at.is_some() && self.replayed_after.len() <= CONTEXT {
-            self.replayed_after.push(ev.clone());
+            self.replayed_after.push(*ev);
         }
         self.replayed_events += 1;
     }
@@ -360,23 +362,35 @@ impl apobs::EventSink for Lockstep {
 }
 
 /// [`conformance_on`] a default machine, for callers that keep the
-/// document (one clone of it, as [`EvTrace::all_events`] would make).
+/// document: the walk shares its sections and copies none.
 pub fn conformance(doc: &EvTrace, mode: ReplayMode) -> Result<Conformance, ApError> {
-    conformance_on(doc.clone(), mode, &MachineConfig::new(1))
+    let sections = doc.streams.iter().map(|s| Arc::clone(&s.events));
+    lockstep(doc, sections.collect(), mode, &MachineConfig::new(1))
 }
 
 /// Re-executes the workload a trace records, with `machine`'s sampling,
 /// progress and post-mortem options, into a [`Lockstep`] sink that takes
-/// over the document's events. Faulted recordings re-run under the
-/// recorded schedule. `mode` only decides whether a divergence fails the
-/// gate.
+/// over the document's events and frees each section once it has walked
+/// it. Faulted recordings re-run under the recorded schedule. `mode` only
+/// decides whether a divergence fails the gate.
 ///
 /// # Errors
 ///
 /// Errors when the header names an unknown app or scale, the fault RON
 /// fails to parse, or the re-executed run itself fails.
 pub fn conformance_on(
-    doc: EvTrace,
+    mut doc: EvTrace,
+    mode: ReplayMode,
+    machine: &MachineConfig,
+) -> Result<Conformance, ApError> {
+    let sections = doc.streams.drain(..).map(|s| s.events).collect();
+    lockstep(&doc, sections, mode, machine)
+}
+
+/// Replays `doc`'s workload against the recorded `sections`.
+fn lockstep(
+    doc: &EvTrace,
+    sections: Vec<Arc<Vec<TimelineEvent>>>,
     mode: ReplayMode,
     machine: &MachineConfig,
 ) -> Result<Conformance, ApError> {
@@ -389,9 +403,12 @@ pub fn conformance_on(
         .map(apfault::from_ron)
         .transpose()
         .map_err(|e| ApError::InvalidArg(format!("recorded fault schedule: {e}")))?;
-    let recorded_events = doc.streams.iter().map(|s| s.events.len()).sum();
+    let recorded_events = sections.iter().map(|s| s.len()).sum();
+    let walk = sections
+        .into_iter()
+        .flat_map(|s| (0..s.len()).map(move |i| s[i]));
     let sink = Arc::new(Mutex::new(Lockstep {
-        recorded: Box::new(doc.streams.into_iter().flat_map(|s| s.events)),
+        recorded: Box::new(walk),
         replayed_events: 0,
         before: VecDeque::new(),
         diverged_at: None,
@@ -409,7 +426,7 @@ pub fn conformance_on(
         }
     }
     Ok(Conformance {
-        app: doc.header.app,
+        app: doc.header.app.clone(),
         mode,
         recorded_events,
         replayed_events: sink.replayed_events,
@@ -455,7 +472,7 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
     let mut blocked = Vec::new();
     // Per cell, the latest queue-unit event at or before t.
     let mut queue: BTreeMap<u32, &TimelineEvent> = BTreeMap::new();
-    for e in doc.streams.iter().flat_map(|st| &st.events) {
+    for e in doc.streams.iter().flat_map(|st| st.events.iter()) {
         if !want(e.cell) {
             continue;
         }
@@ -476,7 +493,7 @@ pub fn seek_report(doc: &EvTrace, at_ns: u64, cell: Option<u32>) -> String {
     }
     inflight.sort_by_key(|e| order(e));
     blocked.sort_by_key(|e| order(e));
-    let in_barrier = blocked.iter().filter(|e| e.name == "barrier").count();
+    let in_barrier = blocked.iter().filter(|e| e.name == EvName::Barrier).count();
 
     s.push_str(&format!("  in-flight transfers ({}):\n", inflight.len()));
     for e in inflight.iter().take(MAX_LINES) {
@@ -695,7 +712,7 @@ mod tests {
         // but leave the lenient (sim-time) gate green — which prints the
         // very same window.
         let k = doc.streams[0].events.len() / 2;
-        doc.streams[0].events[k].arg ^= 1;
+        Arc::make_mut(&mut doc.streams[0].events)[k].arg ^= 1;
         let bad = conformance(&doc, ReplayMode::Strict).expect("replay mutated");
         assert!(!bad.passed());
         let window = bad.mismatch.as_deref().expect("context window");
@@ -790,7 +807,7 @@ mod tests {
         let mut reversed = doc.clone();
         reversed.streams.reverse();
         for st in &mut reversed.streams {
-            st.events.reverse();
+            Arc::make_mut(&mut st.events).reverse();
         }
         let total = rec.total.as_nanos();
         for at in [total / 7, total / 2, total - 1] {
@@ -809,7 +826,7 @@ mod tests {
         let transfer = TimelineEvent {
             cell: 0,
             unit: Unit::Net,
-            name: "hop",
+            name: EvName::Hop,
             start: SimTime::ZERO,
             dur: Some(SimTime::from_nanos(1 << 62)),
             bucket: Bucket::Hw,
@@ -820,7 +837,7 @@ mod tests {
             header: EvHeader::new(1, "CG", "test"),
             streams: vec![aptrace::EvStream {
                 label: "live".to_string(),
-                events: vec![transfer],
+                events: vec![transfer].into(),
             }],
             summary: aptrace::EvSummary {
                 total_ns: 1 << 62,

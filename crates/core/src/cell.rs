@@ -278,23 +278,20 @@ impl Cell {
     /// chunks of at most [`MAX_DMA_BYTES`]. Zero bytes yields one empty
     /// (`count == 0`) chunk so issue-time validation reports the
     /// zero-length transfer instead of a panic in spec construction.
-    fn dma_chunks(bytes: u64) -> Vec<(u64, StrideSpec, bool)> {
-        if bytes == 0 {
-            let empty = StrideSpec {
-                item_size: 1,
-                count: 0,
-                skip: 1,
+    fn dma_chunks(bytes: u64) -> impl Iterator<Item = (u64, StrideSpec, bool)> {
+        let n = bytes.div_ceil(MAX_DMA_BYTES).max(1);
+        (0..n).map(move |i| {
+            let off = i * MAX_DMA_BYTES;
+            let spec = match (bytes - off).min(MAX_DMA_BYTES) {
+                0 => StrideSpec {
+                    item_size: 1,
+                    count: 0,
+                    skip: 1,
+                },
+                len => StrideSpec::contiguous(len),
             };
-            return vec![(0, empty, true)];
-        }
-        let mut chunks = Vec::new();
-        let mut off = 0;
-        while off < bytes {
-            let len = (bytes - off).min(MAX_DMA_BYTES);
-            chunks.push((off, StrideSpec::contiguous(len), off + len == bytes));
-            off += len;
-        }
-        chunks
+            (off, spec, i + 1 == n)
+        })
     }
 
     /// Strided PUT: gathers `send` at `laddr`, scatters `recv` at `raddr`

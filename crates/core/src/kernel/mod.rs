@@ -27,7 +27,7 @@ use crate::machine::Machine;
 use crate::request::{Request, Response};
 use apfault::FaultSpec;
 use apmsc::Packet;
-use apobs::{Bucket, Seg, Unit};
+use apobs::{Bucket, EvName, Seg, Unit};
 use apsim::{Clock, EventQueue};
 use aputil::{
     ApError, ApResult, BlockReason, BlockedCell, CellId, DeadlockReport, FaultReport, SimTime,
@@ -391,7 +391,7 @@ impl Kernel {
         self.waiters[cell as usize] = None;
         self.machine.cells[cell as usize].active_tx = None;
         let obs = &mut self.machine.obs;
-        obs.instant(cell, Unit::Cpu, "crash", now, Bucket::Hw, 0);
+        obs.instant(cell, Unit::Cpu, EvName::Crash, now, Bucket::Hw, 0);
         // Cells already parked at the S-net barrier would otherwise wait
         // for a participant that can never arrive.
         self.barrier_abort(None).map_or(Ok(()), Err)

@@ -12,7 +12,7 @@ use super::{Ev, Kernel};
 use crate::machine::{TxEntry, TxSource};
 use crate::request::{Mark, Request, Response};
 use apmsc::{GetArgs, Packet, Payload, PushOutcome, PutArgs};
-use apobs::{Bucket, Seg, Unit, XferKind};
+use apobs::{Bucket, EvName, Seg, Unit, XferKind};
 use aptrace::Op;
 use aputil::{ApError, ApResult, CellId, SimTime, VAddr};
 
@@ -48,16 +48,16 @@ pub(super) enum Wait {
 
 impl Wait {
     /// Name of the idle span the wait leaves on the timeline.
-    fn span(self) -> &'static str {
+    fn span(self) -> EvName {
         match self {
-            Wait::Flag { .. } => "wait_flag",
-            Wait::Recv { .. } => "recv_wait",
-            Wait::Reg { .. } => "reg_load_wait",
-            Wait::Fence => "remote_fence",
-            Wait::Load => "remote_load",
-            Wait::Send => "send_wait",
-            Wait::Barrier => "barrier",
-            Wait::Bcast => "bcast",
+            Wait::Flag { .. } => EvName::WaitFlag,
+            Wait::Recv { .. } => EvName::RecvWait,
+            Wait::Reg { .. } => EvName::RegLoadWait,
+            Wait::Fence => EvName::RemoteFence,
+            Wait::Load => EvName::RemoteLoad,
+            Wait::Send => EvName::SendWait,
+            Wait::Barrier => EvName::Barrier,
+            Wait::Bcast => EvName::Bcast,
         }
     }
 }
@@ -87,7 +87,7 @@ impl Kernel {
     fn book(
         &mut self,
         cell: u32,
-        name: &'static str,
+        name: EvName,
         start: SimTime,
         dur: SimTime,
         bucket: Bucket,
@@ -170,9 +170,17 @@ impl Kernel {
         let depth = q.len() as u64;
         self.machine.queue_occupancy.record(depth);
         let obs = &mut self.machine.obs;
-        obs.instant_id(cell, Unit::Queue, "enqueue", at, Bucket::Hw, depth, tid);
+        obs.instant_id(
+            cell,
+            Unit::Queue,
+            EvName::Enqueue,
+            at,
+            Bucket::Hw,
+            depth,
+            tid,
+        );
         if outcome == PushOutcome::Spilled {
-            obs.instant_id(cell, Unit::Queue, "spill", at, Bucket::Hw, depth, tid);
+            obs.instant_id(cell, Unit::Queue, EvName::Spill, at, Bucket::Hw, depth, tid);
         }
         self.evq.push(kick, Ev::SendPop { cell });
     }
@@ -188,7 +196,7 @@ impl Kernel {
         cell: u32,
         queue: TxQueue,
         entry: TxEntry,
-        name: &'static str,
+        name: EvName,
         cost: SimTime,
         arg: u64,
     ) -> u64 {
@@ -240,13 +248,13 @@ impl Kernel {
             Request::Work { flops } => {
                 self.record(cell, Op::Work { flops });
                 let t = cost.flop_time.saturating_mul(flops);
-                self.book(cell, "work", now, t, Bucket::Exec, flops, 0);
+                self.book(cell, EvName::Work, now, t, Bucket::Exec, flops, 0);
                 self.wake_at(cell, now + t, Response::Unit);
             }
             Request::Rts { units } => {
                 self.record(cell, Op::Rts { units });
                 let t = cost.rts_unit_time.saturating_mul(units);
-                self.book(cell, "rts", now, t, Bucket::Rts, units, 0);
+                self.book(cell, EvName::Rts, now, t, Bucket::Rts, units, 0);
                 self.wake_at(cell, now + t, Response::Unit);
             }
             Request::Mark(m) => {
@@ -274,7 +282,15 @@ impl Kernel {
                 match self.machine.cells[cell as usize].regs.load(reg as usize) {
                     Some(v) => {
                         let load = cost.reg_load;
-                        self.book(cell, "reg_load", now, load, Bucket::Overhead, reg as u64, 0);
+                        self.book(
+                            cell,
+                            EvName::RegLoad,
+                            now,
+                            load,
+                            Bucket::Overhead,
+                            reg as u64,
+                            0,
+                        );
                         self.wake_at(cell, now + load, Response::Value(v));
                     }
                     None => self.block(cell, now, Wait::Reg { reg }),
@@ -312,8 +328,8 @@ impl Kernel {
     fn issue_xfer(&mut self, cell: u32, kind: XferKind, bytes: u64, entry: TxEntry) {
         let (now, cost) = (self.now(), self.machine.cfg.hw.cost.put_prolog);
         let name = match kind {
-            XferKind::Get => "get_issue",
-            _ => "put_issue",
+            XferKind::Get => EvName::GetIssue,
+            _ => EvName::PutIssue,
         };
         let tid = self.issue(cell, TxQueue::User, entry, name, cost, bytes);
         self.machine.xfers.start(tid, kind, bytes, now);
@@ -381,7 +397,15 @@ impl Kernel {
         if self.machine.read_flag(CellId::new(cell), at)? >= target {
             let check = self.machine.cfg.hw.cost.flag_check;
             self.machine.flag_wait.record(0);
-            self.book(cell, "flag_check", now, check, Bucket::Overhead, flag, 0);
+            self.book(
+                cell,
+                EvName::FlagCheck,
+                now,
+                check,
+                Bucket::Overhead,
+                flag,
+                0,
+            );
             self.wake_at(cell, now + check, Response::Unit);
         } else {
             self.block(cell, now, Wait::Flag { flag, target });
@@ -399,7 +423,7 @@ impl Kernel {
         };
         let flag = flag.as_u64();
         let obs = &mut self.machine.obs;
-        obs.instant_id(cell, unit, "flag_update", now, Bucket::Hw, flag, tid);
+        obs.instant_id(cell, unit, EvName::FlagUpdate, now, Bucket::Hw, flag, tid);
         if let Some(Waiter { since, on }) = self.waiters[cell as usize] {
             if matches!(on, Wait::Flag { flag: f, target } if f == flag && new >= target) {
                 let waited = now.saturating_sub(since).as_nanos();
@@ -461,7 +485,7 @@ impl Kernel {
             payload: Payload::empty(),
         };
         let entry = TxEntry::new(dst, pkt, TxSource::Read(laddr, bytes), VAddr::NULL);
-        self.issue(cell, TxQueue::User, entry, "send_call", cost, bytes);
+        self.issue(cell, TxQueue::User, entry, EvName::SendCall, cost, bytes);
         // Blocking SEND: the library waits for the send DMA to drain.
         self.block(cell, self.now() + cost, Wait::Send);
         Ok(())
@@ -496,7 +520,7 @@ impl Kernel {
             .write_v(CellId::new(cell), laddr, &payload[..n as usize])?;
         let c = self.machine.cfg.hw.cost;
         let cost = c.recv_copy_per_byte.saturating_mul(n) + c.flag_check;
-        self.book(cell, "recv_copy", now, cost, Bucket::Overhead, n, 0);
+        self.book(cell, EvName::RecvCopy, now, cost, Bucket::Overhead, n, 0);
         self.wake_at(cell, now + cost, Response::Len(n));
         Ok(())
     }
@@ -515,7 +539,14 @@ impl Kernel {
             hw.ring_overflows += 1;
             self.charge(dst, self.machine.cfg.hw.os_interrupt_time);
             let obs = &mut self.machine.obs;
-            obs.instant(dst, Unit::Queue, "ring_overflow", now, Bucket::Hw, buffered);
+            obs.instant(
+                dst,
+                Unit::Queue,
+                EvName::RingOverflow,
+                now,
+                Bucket::Hw,
+                buffered,
+            );
         }
         // A blocked receiver found its source queue empty, so the only
         // message that can satisfy it is the one just pushed.
@@ -545,7 +576,7 @@ impl Kernel {
         let (tid, src) = (self.machine.alloc_tid(), CellId::new(cell));
         self.book(
             cell,
-            "reg_store",
+            EvName::RegStore,
             now,
             cost,
             Bucket::Overhead,
@@ -657,7 +688,14 @@ impl Kernel {
         let entry = TxEntry::new(dst, pkt, TxSource::Packet, VAddr::NULL);
         let hw = self.machine.cfg.hw;
         let cost = hw.cost.reg_store + hw.dma_per_byte.saturating_mul(bytes);
-        self.issue(cell, TxQueue::Remote, entry, "remote_store", cost, bytes);
+        self.issue(
+            cell,
+            TxQueue::Remote,
+            entry,
+            EvName::RemoteStore,
+            cost,
+            bytes,
+        );
         self.wake_at(cell, self.now() + cost, Response::Unit);
         Ok(())
     }
@@ -706,7 +744,7 @@ impl Kernel {
             let service = service.saturating_mul(refills);
             self.book(
                 cell,
-                "queue_refill",
+                EvName::QueueRefill,
                 now,
                 service,
                 Bucket::Overhead,
@@ -719,7 +757,7 @@ impl Kernel {
         obs.instant_id(
             cell,
             Unit::Queue,
-            "dequeue",
+            EvName::Dequeue,
             now,
             Bucket::Hw,
             remaining,
@@ -750,7 +788,7 @@ impl Kernel {
         obs.span_id(
             cell,
             Unit::SendDma,
-            "send_dma",
+            EvName::SendDma,
             now,
             dur,
             Bucket::Hw,
@@ -866,7 +904,7 @@ impl Kernel {
                 obs.span_id(
                     dst,
                     Unit::RecvDma,
-                    "recv_dma",
+                    EvName::RecvDma,
                     start,
                     busy,
                     Bucket::Hw,

@@ -11,7 +11,7 @@ use crate::machine::Machine;
 use apfault::{FaultPlan, FaultSpec, ReplayGuard};
 use apmsc::Packet;
 use apnet::{Delivery, HEADER_BYTES};
-use apobs::{Bucket, Unit};
+use apobs::{Bucket, EvName, Unit};
 use apsim::EventQueue;
 use aputil::{ApError, ApResult, CellId, DeliveryFailure, FaultReport, IntMap, SimTime};
 
@@ -230,8 +230,14 @@ impl FaultState {
             // Detected corruption: discard unacknowledged; the sender's
             // retry timer recovers the transfer.
             self.plan.report.corrupt_detected += 1;
-            m.obs
-                .instant(dst, Unit::RecvDma, "corrupt_drop", now, Bucket::Hw, seq);
+            m.obs.instant(
+                dst,
+                Unit::RecvDma,
+                EvName::CorruptDrop,
+                now,
+                Bucket::Hw,
+                seq,
+            );
             return Ok(None);
         }
         // The receiver's MSC+ acknowledges back to `src`. Acks are
@@ -248,8 +254,14 @@ impl FaultState {
         }
         if !self.replay.first_sighting(to, seq) {
             self.plan.report.dup_suppressed += 1;
-            m.obs
-                .instant(dst, Unit::RecvDma, "dup_suppressed", now, Bucket::Hw, seq);
+            m.obs.instant(
+                dst,
+                Unit::RecvDma,
+                EvName::DupSuppressed,
+                now,
+                Bucket::Hw,
+                seq,
+            );
             return Ok(None);
         }
         Ok(Some((env.pkt, env.tid)))
@@ -290,8 +302,14 @@ impl FaultState {
             return Err(ApError::Fault(Box::new(self.report(cause))));
         }
         self.plan.note_retry(o.pkt.kind_name());
-        m.obs
-            .instant(o.src.as_u32(), Unit::Net, "retry", now, Bucket::Hw, seq);
+        m.obs.instant(
+            o.src.as_u32(),
+            Unit::Net,
+            EvName::Retry,
+            now,
+            Bucket::Hw,
+            seq,
+        );
         self.transmit(now, seq, m, evq)
     }
 

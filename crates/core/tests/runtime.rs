@@ -785,7 +785,8 @@ fn timeline_records_events_and_counters_fill_histograms() {
         !r.timeline.events.is_empty(),
         "timeline recording was enabled"
     );
-    let names: std::collections::HashSet<&str> = r.timeline.events.iter().map(|e| e.name).collect();
+    let names: std::collections::HashSet<&str> =
+        r.timeline.events.iter().map(|e| e.name.as_str()).collect();
     for expected in [
         "work",
         "barrier",

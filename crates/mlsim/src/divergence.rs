@@ -8,7 +8,7 @@
 //! name and compares segment means, producing the per-op divergence table
 //! surfaced by `repro --json` / `--bench-out`.
 
-use apobs::{SegmentHists, Timeline, TimelineEvent};
+use apobs::{EvName, SegmentHists, Timeline, TimelineEvent};
 use aputil::{Json, SimTime};
 use std::collections::BTreeMap;
 
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DivergenceRow {
     /// Timeline event name (`work`, `send_dma`, `wait_flag`, …).
-    pub name: String,
+    pub name: EvName,
     /// Total span nanoseconds under the emulator.
     pub emulator: SimTime,
     /// Total span nanoseconds under the model.
@@ -79,8 +79,8 @@ pub struct DivergenceReport {
     pub get_segments: Vec<SegmentDelta>,
 }
 
-fn totals(t: &Timeline) -> BTreeMap<&'static str, (SimTime, u64)> {
-    let mut m: BTreeMap<&'static str, (SimTime, u64)> = BTreeMap::new();
+fn totals(t: &Timeline) -> BTreeMap<EvName, (SimTime, u64)> {
+    let mut m: BTreeMap<EvName, (SimTime, u64)> = BTreeMap::new();
     for e in &t.events {
         let Some(d) = e.dur else { continue };
         let slot = m.entry(e.name).or_insert((SimTime::ZERO, 0));
@@ -123,15 +123,14 @@ pub fn divergence(
 ) -> DivergenceReport {
     let a = totals(emulator);
     let b = totals(model);
-    let names: std::collections::BTreeSet<&'static str> =
-        a.keys().chain(b.keys()).copied().collect();
+    let names: std::collections::BTreeSet<EvName> = a.keys().chain(b.keys()).copied().collect();
     let mut ops: Vec<DivergenceRow> = names
         .into_iter()
         .map(|name| {
-            let (et, ec) = a.get(name).copied().unwrap_or((SimTime::ZERO, 0));
-            let (mt, mc) = b.get(name).copied().unwrap_or((SimTime::ZERO, 0));
+            let (et, ec) = a.get(&name).copied().unwrap_or((SimTime::ZERO, 0));
+            let (mt, mc) = b.get(&name).copied().unwrap_or((SimTime::ZERO, 0));
             DivergenceRow {
-                name: name.to_string(),
+                name,
                 emulator: et,
                 model: mt,
                 emulator_count: ec,
@@ -190,7 +189,7 @@ impl DivergenceReport {
                         .iter()
                         .map(|r| {
                             Json::obj([
-                                ("name", Json::from(r.name.clone())),
+                                ("name", Json::from(r.name.as_str())),
                                 ("emulator_ns", Json::from(r.emulator.as_nanos())),
                                 ("model_ns", Json::from(r.model.as_nanos())),
                                 ("emulator_count", Json::from(r.emulator_count)),
@@ -220,19 +219,19 @@ impl DivergenceReport {
     /// Describes the first structural problem found.
     pub fn check(&self) -> Result<(), String> {
         // One span per traced op under both the emulator and the replay.
-        const COUNT_STABLE: &[&str] = &[
-            "work",
-            "rts",
-            "put_issue",
-            "get_issue",
-            "send_call",
-            "barrier",
-            "bcast",
-            "reg_store",
-            "remote_store",
+        const COUNT_STABLE: &[EvName] = &[
+            EvName::Work,
+            EvName::Rts,
+            EvName::PutIssue,
+            EvName::GetIssue,
+            EvName::SendCall,
+            EvName::Barrier,
+            EvName::Bcast,
+            EvName::RegStore,
+            EvName::RemoteStore,
         ];
         for row in &self.ops {
-            if COUNT_STABLE.contains(&row.name.as_str()) && row.emulator_count != row.model_count {
+            if COUNT_STABLE.contains(&row.name) && row.emulator_count != row.model_count {
                 return Err(format!(
                     "op `{}` span count diverged: emulator {} vs model {}",
                     row.name, row.emulator_count, row.model_count
@@ -260,7 +259,7 @@ mod tests {
     use super::*;
     use apobs::{Bucket, Unit};
 
-    fn span(t: &mut Timeline, cell: u32, name: &'static str, start: u64, dur: u64) {
+    fn span(t: &mut Timeline, cell: u32, name: EvName, start: u64, dur: u64) {
         t.events.push(TimelineEvent {
             cell,
             unit: Unit::Cpu,
@@ -276,18 +275,18 @@ mod tests {
     #[test]
     fn rows_rank_by_absolute_gap() {
         let mut emu = Timeline::from_events("emulator", Vec::new());
-        span(&mut emu, 0, "work", 0, 1000);
-        span(&mut emu, 0, "send_dma", 1000, 100);
+        span(&mut emu, 0, EvName::Work, 0, 1000);
+        span(&mut emu, 0, EvName::SendDma, 1000, 100);
         let mut model = Timeline::from_events("mlsim/ap1000+", Vec::new());
-        span(&mut model, 0, "work", 0, 1000);
-        span(&mut model, 0, "send_dma", 1000, 700);
+        span(&mut model, 0, EvName::Work, 0, 1000);
+        span(&mut model, 0, EvName::SendDma, 1000, 700);
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);
         assert_eq!(d.model, "mlsim/ap1000+");
-        assert_eq!(d.ops[0].name, "send_dma");
+        assert_eq!(d.ops[0].name, EvName::SendDma);
         assert_eq!(d.ops[0].gap(), 600);
         assert!((d.ops[0].ratio() - 7.0).abs() < 1e-9);
-        assert_eq!(d.ops[1].name, "work");
+        assert_eq!(d.ops[1].name, EvName::Work);
         assert!((d.ops[1].ratio() - 1.0).abs() < 1e-9);
         assert_eq!(d.emulator_total, SimTime::from_nanos(1100));
         assert_eq!(d.model_total, SimTime::from_nanos(1700));
@@ -296,13 +295,13 @@ mod tests {
     #[test]
     fn missing_ops_on_either_side_still_compare() {
         let mut emu = Timeline::from_events("emulator", Vec::new());
-        span(&mut emu, 0, "queue_refill", 0, 50);
+        span(&mut emu, 0, EvName::QueueRefill, 0, 50);
         let mut model = Timeline::from_events("m", Vec::new());
-        span(&mut model, 0, "recv_intr", 0, 80);
+        span(&mut model, 0, EvName::RecvIntr, 0, 80);
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);
-        let names: Vec<&str> = d.ops.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["recv_intr", "queue_refill"]);
+        let names: Vec<EvName> = d.ops.iter().map(|r| r.name).collect();
+        assert_eq!(names, [EvName::RecvIntr, EvName::QueueRefill]);
         assert_eq!(d.ops[1].model, SimTime::ZERO);
         assert!(d.ops[0].ratio().is_infinite());
     }
@@ -310,19 +309,19 @@ mod tests {
     #[test]
     fn check_catches_count_divergence_on_stable_ops() {
         let mut emu = Timeline::from_events("emulator", Vec::new());
-        span(&mut emu, 0, "put_issue", 0, 10);
-        span(&mut emu, 0, "put_issue", 10, 10);
-        span(&mut emu, 0, "wait_flag", 20, 5);
+        span(&mut emu, 0, EvName::PutIssue, 0, 10);
+        span(&mut emu, 0, EvName::PutIssue, 10, 10);
+        span(&mut emu, 0, EvName::WaitFlag, 20, 5);
         let mut model = Timeline::from_events("m", Vec::new());
-        span(&mut model, 0, "put_issue", 0, 30);
-        span(&mut model, 0, "put_issue", 30, 30);
+        span(&mut model, 0, EvName::PutIssue, 0, 30);
+        span(&mut model, 0, EvName::PutIssue, 30, 30);
         // wait_flag count differs, but it is timing-dependent: allowed.
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);
         assert!(d.check().is_ok(), "{:?}", d.check());
 
         let mut short = Timeline::from_events("m", Vec::new());
-        span(&mut short, 0, "put_issue", 0, 30);
+        span(&mut short, 0, EvName::PutIssue, 0, 30);
         let d = divergence(&emu, &short, &c, &c);
         let err = d.check().unwrap_err();
         assert!(err.contains("put_issue"), "err: {err}");
@@ -331,7 +330,7 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let mut emu = Timeline::from_events("emulator", Vec::new());
-        span(&mut emu, 0, "work", 0, 10);
+        span(&mut emu, 0, EvName::Work, 0, 10);
         let model = Timeline::from_events("m", Vec::new());
         let c = apobs::Counters::new();
         let d = divergence(&emu, &model, &c, &c);

@@ -20,7 +20,7 @@
 
 use crate::params::ModelParams;
 use apnet::{Contention, TNet, Torus, HEADER_BYTES};
-use apobs::{Bucket, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
+use apobs::{Bucket, EvName, Hist, Recorder, Seg, TimelineMode, Unit, XferKind, XferTracker};
 use apsim::{Clock, EventQueue, Resource};
 use aptrace::{Op, Trace};
 use aputil::{CellId, IntMap, SimTime};
@@ -390,7 +390,7 @@ impl Engine<'_> {
     fn book(
         &mut self,
         pe: u32,
-        name: &'static str,
+        name: EvName,
         start: SimTime,
         dur: SimTime,
         bucket: Bucket,
@@ -423,7 +423,7 @@ impl Engine<'_> {
 
     /// Releases blocked `pe`: its wait from `since` to `until` is booked
     /// idle under span `name`, and its next op steps at `until`.
-    fn release(&mut self, pe: u32, name: &'static str, since: SimTime, until: SimTime, arg: u64) {
+    fn release(&mut self, pe: u32, name: EvName, since: SimTime, until: SimTime, arg: u64) {
         let waited = until.saturating_sub(since);
         self.book(pe, name, since, waited, Bucket::Idle, arg, 0);
         self.advance(pe, until);
@@ -515,7 +515,7 @@ impl Engine<'_> {
                         let waited = now.saturating_sub(since);
                         self.book(
                             dst,
-                            "reg_load_wait",
+                            EvName::RegLoadWait,
                             since,
                             waited,
                             Bucket::Idle,
@@ -540,7 +540,7 @@ impl Engine<'_> {
                 let acked = *acked;
                 if acked == self.rstore_issued[dst as usize] {
                     if let Some(since) = self.wake(dst, Wait::Fence) {
-                        self.release(dst, "remote_fence", since, self.now(), acked);
+                        self.release(dst, EvName::RemoteFence, since, self.now(), acked);
                     }
                 }
             }
@@ -555,7 +555,7 @@ impl Engine<'_> {
             }
             REv::RLoadReply { dst } => {
                 if let Some(since) = self.wake(dst, Wait::Load) {
-                    self.release(dst, "remote_load", since, self.now(), 0);
+                    self.release(dst, EvName::RemoteLoad, since, self.now(), 0);
                 }
             }
             REv::FlagInc { pe, flag, tid } => self.flag_inc(pe, flag, tid),
@@ -597,8 +597,15 @@ impl Engine<'_> {
 
     fn flag_inc(&mut self, pe: u32, flag: u64, tid: u64) {
         let now = self.now();
-        self.obs
-            .instant_id(pe, Unit::Cpu, "flag_update", now, Bucket::Hw, flag, tid);
+        self.obs.instant_id(
+            pe,
+            Unit::Cpu,
+            EvName::FlagUpdate,
+            now,
+            Bucket::Hw,
+            flag,
+            tid,
+        );
         let count = self.flag_counts.entry((pe, flag)).or_insert(0);
         *count += 1;
         let count = *count;
@@ -607,7 +614,7 @@ impl Engine<'_> {
                 self.waits[pe as usize] = None;
                 let waited = now.saturating_sub(since);
                 self.flag_wait.record(waited.as_nanos());
-                self.book(pe, "wait_flag", since, waited, Bucket::Idle, flag, tid);
+                self.book(pe, EvName::WaitFlag, since, waited, Bucket::Idle, flag, tid);
                 let checked = self.occupy(pe, now, self.p.cost.flag_check);
                 self.advance(pe, checked);
             }
@@ -622,7 +629,15 @@ impl Engine<'_> {
         if self.p.software_handling {
             let service = self.p.recv_cpu_overhead(bytes);
             let (s, e) = self.cpu[dst as usize].reserve(now, service);
-            self.book(dst, "recv_intr", s, service, Bucket::Overhead, bytes, tid);
+            self.book(
+                dst,
+                EvName::RecvIntr,
+                s,
+                service,
+                Bucket::Overhead,
+                bytes,
+                tid,
+            );
             e + self.p.put_msg_per_byte.saturating_mul(bytes)
         } else {
             let (s, e) = self.recv_engine[dst as usize].reserve(now, self.p.recv_hw_latency(bytes));
@@ -630,7 +645,7 @@ impl Engine<'_> {
             self.obs.span_id(
                 dst,
                 Unit::RecvDma,
-                "recv_dma",
+                EvName::RecvDma,
                 s,
                 busy,
                 Bucket::Hw,
@@ -647,11 +662,11 @@ impl Engine<'_> {
         let until = self.now().max(ready);
         if until > since {
             let waited = until.saturating_sub(since);
-            self.book(pe, "recv_wait", since, waited, Bucket::Idle, bytes, 0);
+            self.book(pe, EvName::RecvWait, since, waited, Bucket::Idle, bytes, 0);
         }
         let copy = self.p.cost.recv_copy_per_byte.saturating_mul(bytes) + self.p.cost.flag_check;
         let (s, e) = self.cpu[pe as usize].reserve(until, copy);
-        self.book(pe, "recv_copy", s, copy, Bucket::Overhead, bytes, 0);
+        self.book(pe, EvName::RecvCopy, s, copy, Bucket::Overhead, bytes, 0);
         self.advance(pe, e);
     }
 
@@ -669,8 +684,12 @@ impl Engine<'_> {
             return Ok(());
         };
         match op {
-            Op::Work { flops } => self.compute(pe, "work", Bucket::Exec, self.p.flop_time(), flops),
-            Op::Rts { units } => self.compute(pe, "rts", Bucket::Rts, self.p.rts_time(), units),
+            Op::Work { flops } => {
+                self.compute(pe, EvName::Work, Bucket::Exec, self.p.flop_time(), flops)
+            }
+            Op::Rts { units } => {
+                self.compute(pe, EvName::Rts, Bucket::Rts, self.p.rts_time(), units)
+            }
             Op::Put {
                 dst,
                 bytes,
@@ -700,7 +719,7 @@ impl Engine<'_> {
                     self.flag_wait.record(0);
                     let check = self.p.cost.flag_check;
                     let (s, e) = self.cpu[i].reserve(t, check);
-                    self.book(pe, "flag_check", s, check, Bucket::Overhead, flag, 0);
+                    self.book(pe, EvName::FlagCheck, s, check, Bucket::Overhead, flag, 0);
                     self.advance(pe, e);
                 } else {
                     self.block(pe, Wait::Flag { flag, target });
@@ -712,7 +731,7 @@ impl Engine<'_> {
                     // The last arrival is the latest one.
                     let release = t + self.p.cost.barrier_latency;
                     for (p, since) in std::mem::take(&mut self.barrier) {
-                        self.release(p, "barrier", since, release, 0);
+                        self.release(p, EvName::Barrier, since, release, 0);
                     }
                 }
             }
@@ -729,7 +748,7 @@ impl Engine<'_> {
         Ok(())
     }
 
-    fn compute(&mut self, pe: u32, name: &'static str, bucket: Bucket, unit: SimTime, n: u64) {
+    fn compute(&mut self, pe: u32, name: EvName, bucket: Bucket, unit: SimTime, n: u64) {
         let dur = SimTime::from_nanos((unit.as_nanos() as f64 * n as f64) as u64);
         let t = self.now();
         let (s, e) = self.cpu[pe as usize].reserve(t, dur);
@@ -744,7 +763,7 @@ impl Engine<'_> {
         &mut self,
         pe: u32,
         kind: XferKind,
-        name: &'static str,
+        name: EvName,
         over: SimTime,
         bytes: u64,
     ) -> (u64, SimTime) {
@@ -758,13 +777,13 @@ impl Engine<'_> {
 
     fn put(&mut self, pe: u32, dst: u32, bytes: u64, send_flag: u64, recv_flag: u64) {
         let over = self.p.send_cpu_overhead(bytes);
-        let (tid, e) = self.issue_xfer(pe, XferKind::Put, "put_issue", over, bytes);
+        let (tid, e) = self.issue_xfer(pe, XferKind::Put, EvName::PutIssue, over, bytes);
         let (ds, depart) = self.send_dma(pe, e, bytes, tid);
         let busy = depart.saturating_sub(ds);
         self.obs.span_id(
             pe,
             Unit::SendDma,
-            "send_dma",
+            EvName::SendDma,
             ds,
             busy,
             Bucket::Hw,
@@ -784,7 +803,7 @@ impl Engine<'_> {
 
     fn get(&mut self, pe: u32, src: u32, bytes: u64, send_flag: u64, recv_flag: u64) {
         let over = self.p.send_cpu_overhead(0);
-        let (tid, e) = self.issue_xfer(pe, XferKind::Get, "get_issue", over, bytes);
+        let (tid, e) = self.issue_xfer(pe, XferKind::Get, EvName::GetIssue, over, bytes);
         // Only the request header goes out; the owner sends the data.
         let (_, depart) = self.send_dma(pe, e, 0, tid);
         let arrive = REv::GetArrive {
@@ -805,15 +824,22 @@ impl Engine<'_> {
             self.p.cost.send_call + self.p.send_cpu_overhead(bytes),
         );
         let (s, e) = self.cpu[pe as usize].reserve(t, over);
-        self.book(pe, "send_call", s, over, Bucket::Overhead, bytes, 0);
+        self.book(pe, EvName::SendCall, s, over, Bucket::Overhead, bytes, 0);
         let src = pe;
         let (ds, depart) = self.transmit(pe, dst, e, bytes, REv::RingArrive { dst, src, bytes });
         let busy = depart.saturating_sub(ds);
-        self.obs
-            .span(pe, Unit::SendDma, "send_dma", ds, busy, Bucket::Hw, bytes);
+        self.obs.span(
+            pe,
+            Unit::SendDma,
+            EvName::SendDma,
+            ds,
+            busy,
+            Bucket::Hw,
+            bytes,
+        );
         // Blocking SEND: the library waits for send completion.
         if depart > e {
-            self.release(pe, "send_wait", e, depart, bytes);
+            self.release(pe, EvName::SendWait, e, depart, bytes);
         } else {
             self.advance(pe, e);
         }
@@ -822,7 +848,15 @@ impl Engine<'_> {
     fn reg_store(&mut self, pe: u32, dst: u32, reg: u16) {
         let (t, cost) = (self.now(), self.p.cost.reg_store);
         let (s, e) = self.cpu[pe as usize].reserve(t, cost);
-        self.book(pe, "reg_store", s, cost, Bucket::Overhead, reg as u64, 0);
+        self.book(
+            pe,
+            EvName::RegStore,
+            s,
+            cost,
+            Bucket::Overhead,
+            reg as u64,
+            0,
+        );
         if dst == pe {
             self.evq.push(e, REv::RegArrive { dst, reg });
         } else {
@@ -839,7 +873,15 @@ impl Engine<'_> {
         let (t, cost) = (self.now(), self.p.cost.reg_load);
         self.bd[pe as usize].charge(Bucket::Idle, ready.saturating_sub(t));
         let (s, e) = self.cpu[pe as usize].reserve(t.max(ready), cost);
-        self.book(pe, "reg_load", s, cost, Bucket::Overhead, reg as u64, 0);
+        self.book(
+            pe,
+            EvName::RegLoad,
+            s,
+            cost,
+            Bucket::Overhead,
+            reg as u64,
+            0,
+        );
         self.advance(pe, e);
     }
 
@@ -853,7 +895,7 @@ impl Engine<'_> {
         };
         let t = self.now();
         let (s, e) = self.cpu[pe as usize].reserve(t, over);
-        self.book(pe, "remote_store", s, over, Bucket::Overhead, bytes, 0);
+        self.book(pe, EvName::RemoteStore, s, over, Bucket::Overhead, bytes, 0);
         self.rstore_issued[pe as usize] += 1;
         let src = pe;
         self.transmit(pe, dst, e, bytes, REv::RStoreArrive { dst, src, bytes });
@@ -891,7 +933,7 @@ impl Engine<'_> {
             let delivery = self.now() + self.p.net.prolog + per_byte.saturating_mul(wire);
             self.bcast_sig = None;
             for (p, since) in std::mem::take(&mut self.bcast) {
-                self.release(p, "bcast", since, delivery, bytes);
+                self.release(p, EvName::Bcast, since, delivery, bytes);
             }
         }
         Ok(())
@@ -1108,7 +1150,7 @@ mod tests {
         t.pe_mut(CellId::new(1)).push(Op::Barrier);
         let r = replay_observed(&t, &ModelParams::ap1000_plus(), true).unwrap();
         let names: std::collections::HashSet<&str> =
-            r.timeline.events.iter().map(|e| e.name).collect();
+            r.timeline.events.iter().map(|e| e.name.as_str()).collect();
         for expected in [
             "work",
             "put_issue",

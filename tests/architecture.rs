@@ -282,6 +282,27 @@ const RULES: &[Rule] = &[
         cutoff: false,
         count: 1,
     },
+    Rule {
+        invariant: "event names are a closed vocabulary: the .evtrace reader interns no string",
+        paths: &["crates/aptrace/src"],
+        pattern: &["fn intern\\b"],
+        cutoff: false,
+        count: 0,
+    },
+    Rule {
+        invariant: "event names are a closed vocabulary: an event's name is no string",
+        paths: &["crates/apobs/src/event.rs"],
+        pattern: &["name: &'static str"],
+        cutoff: false,
+        count: 0,
+    },
+    Rule {
+        invariant: "event names are a closed vocabulary: one EvName enum",
+        paths: &["crates"],
+        pattern: &["pub enum EvName"],
+        cutoff: false,
+        count: 1,
+    },
 ];
 
 /// Whether `line` contains `needle`, read as the module docs describe.

@@ -1,12 +1,18 @@
 //! A scalar collective must cost each cell O(1) host memory: the bytes a
 //! machine allocates for one more `reduce_sum_f64` per cell may not grow
-//! with the number of cells.
+//! with the number of cells. A small PUT or GET costs the host at most
+//! one allocation: its payload's. And a strict replay of a decoded
+//! recording does not copy the recording.
 //!
-//! A counting global allocator tallies the bytes each thread asks for.
-//! The machine runs on the calling thread, so a run's tally is its own
-//! even while the harness runs other tests in parallel.
+//! A counting global allocator tallies the allocations and bytes each
+//! thread asks for. The machine runs on the calling thread, so a run's
+//! tally is its own even while the harness runs other tests in parallel.
 
-use apcore::{run, MachineConfig};
+use apapps::Scale;
+use apbench::{conformance, record_app, ReplayMode};
+use apcore::{run, MachineConfig, VAddr};
+use apobs::TimelineEvent;
+use aptrace::EvTrace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -14,11 +20,13 @@ struct Counting;
 
 thread_local! {
     static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes as u64));
+    let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
 }
 
 // SAFETY: every call forwards to `System` unchanged; the tally only reads
@@ -98,5 +106,103 @@ fn a_scalar_reduction_allocates_o1_bytes_per_cell() {
         large <= small + 16.0,
         "per-cell reduction cost grows with the machine: {small:.1} B at 64 cells, \
          {large:.1} B at 1024"
+    );
+}
+
+/// Allocations made by one run on two cells in which cell 0 does `K`
+/// warm-up 8-byte transfers with cell 1 and then `ops` more, each waited
+/// for and read back before the next (a GET until its reply lands, a PUT
+/// until its send DMA has drained), and the run's simulated length. The
+/// read suspends the program, so its requests never pile up in the
+/// outbox. The warm-up grows what the machine grows once, so two runs
+/// differ by the steady per-op cost.
+fn allocations(get: bool, ops: u32) -> (u64, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = run(
+        MachineConfig::new(2).with_trace(false),
+        None,
+        async move |cell| {
+            let buf = cell.alloc_bytes(8);
+            let flag = cell.alloc_flag();
+            if cell.id() == 0 {
+                for n in 1..=K + ops {
+                    if get {
+                        cell.get(1, buf, buf, 8, VAddr::NULL, flag);
+                    } else {
+                        cell.put(1, buf, buf, 8, flag, VAddr::NULL, false);
+                    }
+                    cell.wait_flag(flag, n);
+                    assert_eq!(cell.read_flag(flag).await, n);
+                }
+            }
+            cell.barrier();
+        },
+    )
+    .expect("transfers run");
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    (made, r.total_time.as_nanos())
+}
+
+/// The one allocation left per op is the shared 8-byte payload buffer
+/// (`apmsc::Payload`, 24 bytes with its reference counts) that a PUT's
+/// send DMA or a GET's reply gathers into. A GET request, an ack and a
+/// transfer's split into DMA chunks allocate nothing. What else a longer
+/// run allocates is the event queue's: at most one bucket per power of
+/// two of simulated time the run newly reaches.
+#[test]
+fn an_8_byte_put_or_get_allocates_only_its_payload() {
+    for get in [false, true] {
+        let (base, base_ns) = allocations(get, 0);
+        let (with, with_ns) = allocations(get, K);
+        let buckets = u64::from(with_ns.ilog2() - base_ns.ilog2());
+        let what = if get { "GET" } else { "PUT" };
+        assert!(
+            with - base <= u64::from(K) + buckets,
+            "{what}: {} allocations for {K} more ops, whose run reaches {buckets} more \
+             powers of two of simulated time",
+            with - base
+        );
+    }
+}
+
+/// Bytes the calling thread allocates while `f` runs.
+fn allocated_by(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATED.with(Cell::get);
+    f();
+    ALLOCATED.with(Cell::get) - before
+}
+
+/// Strict conformance walks the decoded document where it lies. A replay
+/// of a CG-64 recording (one events section) allocates what a replay of
+/// the same document with its events taken out does (the re-executed
+/// machine, which fails that gate at its first event and renders the
+/// divergence), plus less than a quarter of one copy of the events.
+#[test]
+fn strict_conformance_does_not_copy_the_recording() {
+    let path = std::env::temp_dir().join(format!("ap-conf-alloc-{}.evtrace", std::process::id()));
+    record_app("CG", Scale::Test, Some(64), None, &path, true).expect("record CG-64");
+    let doc = EvTrace::read_file(&path);
+    std::fs::remove_file(&path).ok();
+    let doc = doc.expect("decode CG-64");
+    let events: usize = doc.streams.iter().map(|s| s.events.len()).sum();
+    let copy = (events * std::mem::size_of::<TimelineEvent>()) as u64;
+    let mut bare = doc.clone();
+    for s in &mut bare.streams {
+        s.events = Default::default();
+    }
+    let replay = |doc: &EvTrace, passes: bool| {
+        let c = conformance(doc, ReplayMode::Strict).expect("replay CG-64");
+        assert_eq!(c.passed(), passes, "{}", c.render());
+    };
+
+    replay(&bare, false); // warm-up: what a first run grows once
+    let walked = allocated_by(|| replay(&doc, true));
+    let machine = allocated_by(|| replay(&bare, false));
+    let walk = walked.saturating_sub(machine);
+    assert!(
+        walk < copy / 4,
+        "strict conformance allocated {walked} bytes, {walk} more than the machine's \
+         {machine}; one copy of its {events} events is {copy}, and the walk may take a \
+         quarter of that"
     );
 }

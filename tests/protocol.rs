@@ -17,6 +17,7 @@ use apcore::{
     run, run_with, ApError, Cell, CellId, FaultEvent, FaultKind, FaultSpec, MachineConfig,
     RecoveryParams, RunReport, SimTime, StrideSpec, VAddr,
 };
+use apobs::EvName;
 use aputil::hash::fnv1a_64;
 use std::cell::Cell as HostCell;
 
@@ -164,13 +165,13 @@ fn mix_matches_the_serial_reference_pin() {
         assert_eq!(digest(&r), want, "{cells} cells");
         if cells == 16 {
             // The anchors the fault-armed shapes below aim their crashes at.
-            let end_of = |name: &str| {
+            let end_of = |name: EvName| {
                 let mut spans = r.timeline.events.iter();
                 let first = spans.find(|e| e.cell == 5 && e.name == name);
                 first.expect("cell 5 has the span").end().as_nanos()
             };
-            assert_eq!(end_of("barrier"), BARRIER_RELEASE_NS);
-            assert_eq!(end_of("recv_copy"), RECV_WAKE_NS);
+            assert_eq!(end_of(EvName::Barrier), BARRIER_RELEASE_NS);
+            assert_eq!(end_of(EvName::RecvCopy), RECV_WAKE_NS);
         }
     }
 }
@@ -300,19 +301,19 @@ fn edges_match_the_single_file_kernel_pin() {
             assert_eq!(digest(&r), want, "{what}");
             // The program is only a referee while it reaches these paths.
             for name in [
-                "bcast",
-                "reg_load",
-                "reg_load_wait",
-                "spill",
-                "queue_refill",
-                "wait_flag",
-                "flag_check",
-                "send_wait",
-                "recv_wait",
-                "ring_overflow",
+                EvName::Bcast,
+                EvName::RegLoad,
+                EvName::RegLoadWait,
+                EvName::Spill,
+                EvName::QueueRefill,
+                EvName::WaitFlag,
+                EvName::FlagCheck,
+                EvName::SendWait,
+                EvName::RecvWait,
+                EvName::RingOverflow,
             ] {
                 let hit = r.timeline.events.iter().any(|e| e.name == name);
-                assert!(hit, "{what}: no {name:?} event");
+                assert!(hit, "{what}: no {name} event");
             }
             assert!(r.counters.queue_spills > 0 && r.counters.queue_refills > 0);
             assert!(r.counters.ring_overflows > 0, "{what}");
@@ -582,7 +583,7 @@ fn a_wake_cancelled_by_a_crash_is_never_observed() {
     let quiet = quiet.expect("quiet");
     let copy_out = quiet.timeline.events.iter();
     let wake = copy_out
-        .filter(|e| e.cell == 1 && e.name == "recv_copy")
+        .filter(|e| e.cell == 1 && e.name == EvName::RecvCopy)
         .map(|e| e.end().as_nanos())
         .next()
         .expect("cell 1 copies its message out");

@@ -31,9 +31,10 @@ use apbench::record::{
     conformance, fmt_event, record_app_on, record_apps, remodel_rows, seek_report, trace_stats,
 };
 use apbench::{RecordedTrace, ReplayMode};
+use apobs::EvName;
 use aptrace::{EvError, EvTrace};
 use std::path::{Path, PathBuf};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 fn golden_path() -> PathBuf {
     PathBuf::from(concat!(
@@ -53,7 +54,7 @@ fn tmp(name: &str) -> PathBuf {
 /// Flips one bit of recorded event `k`'s `arg`; returns how a context
 /// window prints what is now recorded there and what a replay produces.
 fn mutate(doc: &mut EvTrace, k: usize) -> (String, String) {
-    let event = &mut doc.streams[0].events[k];
+    let event = &mut Arc::make_mut(&mut doc.streams[0].events)[k];
     let replayed = fmt_event(event);
     event.arg ^= 1;
     (fmt_event(event), replayed)
@@ -155,7 +156,9 @@ fn a_missing_or_extra_event_ends_the_right_stream() {
     // Recording one event short: it ends where the fresh run goes on.
     let mut short = gold.clone();
     let last = short.streams.last_mut().expect("events section");
-    let dropped = last.events.pop().expect("nonempty section");
+    let dropped = Arc::make_mut(&mut last.events)
+        .pop()
+        .expect("nonempty section");
     let conf = strict(&short);
     assert_eq!((conf.recorded_events, conf.replayed_events), (n - 1, n));
     let window = conf.mismatch.expect("window");
@@ -168,7 +171,7 @@ fn a_missing_or_extra_event_ends_the_right_stream() {
     // Recording one event long: the fresh run ends first.
     let mut long = gold.clone();
     let last = long.streams.last_mut().expect("events section");
-    last.events.push(dropped.clone());
+    Arc::make_mut(&mut last.events).push(dropped);
     let conf = strict(&long);
     assert_eq!((conf.recorded_events, conf.replayed_events), (n + 1, n));
     let window = conf.mismatch.expect("window");
@@ -497,7 +500,7 @@ fn an_event_ending_past_the_end_of_time_is_corrupt_not_a_panic() {
     let late = apobs::TimelineEvent {
         cell: 0,
         unit: apobs::Unit::SendDma,
-        name: "send_dma",
+        name: EvName::SendDma,
         start: aputil::SimTime::from_nanos(10),
         dur: Some(aputil::SimTime::from_nanos(u64::MAX - 5)),
         bucket: apobs::Bucket::Hw,
